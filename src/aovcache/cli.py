@@ -28,6 +28,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,12 @@ from .oracle import value_iterate_infinite, whittle_by_sweep
 from .policies import PolicyKind, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, aggregate, run, sweep
 from .thresholds import compute_I, solve_case2, solve_thresholds, case2_residuals
-from .whittle import verify_indexability, whittle_cached, whittle_uncached
+from .whittle import (
+    build_content_tables,
+    uncached_breakpoints,
+    verify_indexability,
+    whittle_cached,
+)
 
 _FMT = "%.12g"
 
@@ -121,16 +127,20 @@ def config_digest(doc: dict) -> str:
 
 
 class Reporter:
-    """Writes CSVs (and the run manifest) to --out, or CSV to stdout."""
+    """Writes CSVs (and the run manifest) to --out, or CSV to stdout.
 
-    def __init__(self, out: str | None, doc: dict, args):
+    ``seed`` is the effective seed of a simulating command (``--seed`` or
+    the config's ``sim.seed``); None for commands that draw nothing.
+    """
+
+    def __init__(self, out: str | None, doc: dict, seed: int | None = None):
         self.dir = Path(out) if out else None
         if self.dir:
             self.dir.mkdir(parents=True, exist_ok=True)
         self.manifest = {
             "command": " ".join(sys.argv[1:]),
             "config_digest": config_digest(doc),
-            "seed": getattr(args, "seed", None),
+            "seed": seed,
             "version": __version__,
             "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "outputs": [],
@@ -161,7 +171,7 @@ class Reporter:
 
 def cmd_solve(doc: dict, args) -> int:
     system = build_system(doc)
-    rep = Reporter(args.out, doc, args)
+    rep = Reporter(args.out, doc)
     rows = []
     for i, c in enumerate(system.contents):
         I = compute_I(c, system.beta)
@@ -185,19 +195,19 @@ def cmd_whittle(doc: dict, args) -> int:
     which = list(range(system.N)) if not args.contents else [
         int(x) for x in args.contents.split(",")
     ]
-    rep = Reporter(args.out, doc, args)
+    rep = Reporter(args.out, doc)
     rows = []
-    for i in which:
-        c = system.contents[i]
-        ts = solve_thresholds(c, system.beta, 0.0)
+    contents = [system.contents[i] for i in which]
+    # one batched bisection gives every listed content's uncached indices
+    for i, c, bps in zip(which, contents, uncached_breakpoints(contents, system.beta)):
+        tb = build_content_tables(c, system.beta, breakpoints=bps)
         if args.family in ("cached", "both"):
-            for tau in np.linspace(0.0, ts.tau_star, args.tau_points):
+            for tau in np.linspace(0.0, tb.tau_star, args.tau_points):
                 w = whittle_cached(c, system.beta, 0, float(tau))
                 rows.append([i, "cached", 0, _f(tau), _f(w)])
         if args.family in ("uncached", "both"):
-            for q in range(ts.Q_hat + 3):
-                w = whittle_uncached(c, system.beta, q)
-                rows.append([i, "uncached", q, _f(0.0), _f(w)])
+            for q in range(tb.q_hat + 3):
+                rows.append([i, "uncached", q, _f(0.0), _f(tb.uncached(q))])
     rep.table("whittle.csv", ["content_id", "family", "Q", "tau", "W"], rows)
     rep.close()
     return 0
@@ -208,25 +218,30 @@ _METRIC_HEADER = ["axis_value", "policy", "replication", "avg_cost", "fetch_cost
                   "avg_cost_se", "avg_wait_time_se"]
 
 
-def cmd_simulate(doc: dict, args) -> int:
-    system = build_system(doc)
-    cfg = _sim_config(doc, system, args)
-    rep = Reporter(args.out, doc, args)
-    reps = args.reps or 1
-    cells = sweep(cfg, "M", [system.M], reps, processes=args.processes)
-    agg = aggregate(cells)
+def _metric_rows(cells, policy: str | None) -> list[list]:
+    """One row per replication, then a mean row per axis value; with
+    ``policy`` None the axis value names the policy."""
     rows = [
-        [c.value, cfg.policy.value, c.replication, _f(c.metrics.avg_total_cost),
+        [c.value, policy or c.value, c.replication, _f(c.metrics.avg_total_cost),
          _f(c.metrics.fetch_cost_rate), _f(c.metrics.ageing_cost_rate),
          _f(c.metrics.waiting_cost_rate), _f(c.metrics.avg_wait_time), "", ""]
         for c in cells
-    ] + [
-        [a["value"], cfg.policy.value, "mean", _f(a["avg_cost"]), _f(a["fetch_cost"]),
+    ]
+    return rows + [
+        [a["value"], policy or a["value"], "mean", _f(a["avg_cost"]), _f(a["fetch_cost"]),
          _f(a["ageing_cost"]), _f(a["waiting_cost"]), _f(a["avg_wait_time"]),
          _f(a["avg_cost_se"]), _f(a["avg_wait_time_se"])]
-        for a in agg
+        for a in aggregate(cells)
     ]
-    rep.table("metrics.csv", _METRIC_HEADER, rows)
+
+
+def cmd_simulate(doc: dict, args) -> int:
+    system = build_system(doc)
+    cfg = _sim_config(doc, system, args)
+    rep = Reporter(args.out, doc, cfg.seed)
+    reps = args.reps or 1
+    cells = sweep(cfg, "M", [system.M], reps, processes=args.processes)
+    rep.table("metrics.csv", _METRIC_HEADER, _metric_rows(cells, cfg.policy.value))
     rep.close()
     return 0
 
@@ -246,24 +261,10 @@ def cmd_sweep(doc: dict, args) -> int:
         values = [float(v) for v in values]
     elif axis != "policy":
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    rep = Reporter(args.out, doc, args)
+    rep = Reporter(args.out, doc, cfg.seed)
     cells = sweep(cfg, axis, values, reps, processes=args.processes)
-    agg = aggregate(cells)
-    polname = cfg.policy.value
-    rows = [
-        [c.value, c.value if axis == "policy" else polname, c.replication,
-         _f(c.metrics.avg_total_cost), _f(c.metrics.fetch_cost_rate),
-         _f(c.metrics.ageing_cost_rate), _f(c.metrics.waiting_cost_rate),
-         _f(c.metrics.avg_wait_time), "", ""]
-        for c in cells
-    ] + [
-        [a["value"], a["value"] if axis == "policy" else polname, "mean",
-         _f(a["avg_cost"]), _f(a["fetch_cost"]), _f(a["ageing_cost"]),
-         _f(a["waiting_cost"]), _f(a["avg_wait_time"]),
-         _f(a["avg_cost_se"]), _f(a["avg_wait_time_se"])]
-        for a in agg
-    ]
-    rep.table("metrics.csv", _METRIC_HEADER, rows)
+    rep.table("metrics.csv", _METRIC_HEADER,
+              _metric_rows(cells, None if axis == "policy" else cfg.policy.value))
     rep.close()
     return 0
 
@@ -272,11 +273,10 @@ def cmd_lower_bound(doc: dict, args) -> int:
     system = build_system(doc)
     m_values = ([int(x) for x in args.m_values.split(",")]
                 if args.m_values else [system.M])
-    rep = Reporter(args.out, doc, args)
+    rep = Reporter(args.out, doc)
     rows = []
-    from dataclasses import replace as _replace
     for m in m_values:
-        ch, bound = relaxed_lower_bound(_replace(system, M=m))
+        ch, bound = relaxed_lower_bound(replace(system, M=m))
         rows.append([m, _f(ch), _f(bound)])
     rep.table("lower_bound.csv", ["M", "C_h_star", "bound"], rows)
     rep.close()
@@ -286,15 +286,17 @@ def cmd_lower_bound(doc: dict, args) -> int:
 def cmd_compare(doc: dict, args) -> int:
     """Join a sweep CSV (M axis) against the dual bound; report the gap."""
     system = build_system(doc)
-    from dataclasses import replace as _replace
-    rep = Reporter(args.out, doc, args)
+    rep = Reporter(args.out, doc)
     rows = []
+    bounds: dict[int, float] = {}
     with open(args.metrics) as fh:
         for row in csv.DictReader(fh):
             if row["replication"] != "mean":
                 continue
             m = int(row["axis_value"])
-            _, bound = relaxed_lower_bound(_replace(system, M=m))
+            if m not in bounds:
+                bounds[m] = relaxed_lower_bound(replace(system, M=m))[1]
+            bound = bounds[m]
             cost = float(row["avg_cost"])
             rows.append([m, row["policy"], _f(cost), _f(bound),
                          _f((cost - bound) / bound)])

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,6 @@ class ContentParams:
     lam: float          # server-side update rate (Poisson)
     p: float            # request probability, in (0, 1]
     costs: CostModel
-
-    @property
-    def request_rate(self) -> float:
-        """Content-level Poisson request rate given aggregate rate beta=1."""
-        return self.p
 
 
 @dataclass(frozen=True)
@@ -117,10 +113,14 @@ def zipf_popularity(N: int, alpha: float) -> np.ndarray:
 
 
 def validate(system: SystemParams) -> list[Diagnostic]:
-    """Check every type invariant; returns all violations, not just the first."""
+    """Check every type invariant; returns all violations, not just the first.
+
+    Each check states what a valid value satisfies, so NaN (false in every
+    comparison) and infinity fail it.
+    """
     out: list[Diagnostic] = []
-    if system.beta <= 0:
-        out.append(Diagnostic("beta", "aggregate request rate must be > 0"))
+    if not 0 < system.beta < math.inf:
+        out.append(Diagnostic("beta", "aggregate request rate must be finite and > 0"))
     if system.N == 0:
         out.append(Diagnostic("contents", "at least one content is required"))
     if not (0 <= system.M < max(system.N, 1)):
@@ -128,20 +128,18 @@ def validate(system: SystemParams) -> list[Diagnostic]:
     psum = 0.0
     for i, c in enumerate(system.contents):
         psum += c.p
-        if c.lam <= 0:
-            out.append(Diagnostic("lambda", f"content {i}: update rate must be > 0"))
-        if not (0 < c.p <= 1):
-            out.append(Diagnostic("popularity", f"content {i}: p must be in (0, 1]"))
         cm = c.costs
-        if cm.c_a <= 0:
-            out.append(Diagnostic("c_a", f"content {i}: ageing cost must be > 0"))
-        if cm.c_f <= 0:
-            out.append(Diagnostic("c_f", f"content {i}: fetch cost must be > 0"))
-        if cm.c_w <= 0:
-            out.append(Diagnostic("c_w", f"content {i}: waiting cost must be > 0"))
-        if cm.C_h < 0:
-            out.append(Diagnostic("C_h", f"content {i}: holding cost must be >= 0"))
-    if system.N and abs(psum - 1.0) > 1e-9:
+        for name, ok, what in (
+            ("lambda", 0 < c.lam < math.inf, "update rate must be finite and > 0"),
+            ("popularity", 0 < c.p <= 1, "p must be in (0, 1]"),
+            ("c_a", 0 < cm.c_a < math.inf, "ageing cost must be finite and > 0"),
+            ("c_f", 0 < cm.c_f < math.inf, "fetch cost must be finite and > 0"),
+            ("c_w", 0 < cm.c_w < math.inf, "waiting cost must be finite and > 0"),
+            ("C_h", 0 <= cm.C_h < math.inf, "holding cost must be finite and >= 0"),
+        ):
+            if not ok:
+                out.append(Diagnostic(name, f"content {i}: {what}"))
+    if system.N and not abs(psum - 1.0) <= 1e-9:
         out.append(Diagnostic("popularity", f"popularity must sum to 1 (got {psum!r})"))
     return out
 

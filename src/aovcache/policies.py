@@ -13,8 +13,8 @@ from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from .model import CacheSystemState, SystemParams
-from .thresholds import compute_I, optimal_average_cost
-from .whittle import ContentTables, build_content_tables
+from .thresholds import ContentConstants, average_cost_batch, content_constants
+from .whittle import ContentTables, build_content_tables, uncached_breakpoints
 
 __all__ = [
     "ActionKind",
@@ -66,16 +66,14 @@ class PolicyTables:
     c_w: tuple[float, ...]
     content: tuple[ContentTables, ...]
 
-    @property
-    def tau_star(self) -> tuple[float, ...]:
-        return tuple(c.tau_star for c in self.content)
-
 
 def build_policy_tables(system: SystemParams, grid_size: int = 1024,
                         indices: bool = True) -> PolicyTables:
+    bps = (uncached_breakpoints(system.contents, system.beta) if indices
+           else [None] * system.N)
     content = tuple(
-        build_content_tables(c, system.beta, grid_size, indices)
-        for c in system.contents
+        build_content_tables(c, system.beta, grid_size, indices, b)
+        for c, b in zip(system.contents, bps)
     )
     return PolicyTables(
         beta=system.beta,
@@ -215,10 +213,17 @@ def myopic_decide(state: CacheSystemState, requested: int, tables: PolicyTables,
 # -- relaxed-problem dual bound ---------------------------------------------
 
 
-def dual_value(system: SystemParams, C_h: float) -> float:
-    """Lagrangian dual at C_h: sum of per-content optima minus C_h * M."""
-    total = sum(optimal_average_cost(c, system.beta, C_h) for c in system.contents)
-    return total - C_h * system.M
+def dual_value(system: SystemParams, C_h: float,
+               consts: ContentConstants | None = None) -> float:
+    """Lagrangian dual at C_h: sum of per-content optima minus C_h * M.
+
+    All contents are evaluated in one batched call; ``consts`` (from
+    ``content_constants``) lets a caller that evaluates many C_h solve
+    the per-content constants once.
+    """
+    if consts is None:
+        consts = content_constants(system.contents, system.beta)
+    return float(average_cost_batch(C_h, consts).sum()) - C_h * system.M
 
 
 def relaxed_lower_bound(system: SystemParams, refine: int = 200) -> tuple[float, float]:
@@ -230,32 +235,32 @@ def relaxed_lower_bound(system: SystemParams, refine: int = 200) -> tuple[float,
     against the kinks the queue-threshold floors introduce.  Returns
     (C_h_star, bound).
     """
-    ceilings = [compute_I(c, system.beta) for c in system.contents]
-    hi = max(ceilings)
+    consts = content_constants(system.contents, system.beta)
+    hi = float(consts.I.max())
     if system.M == 0:
-        return hi, dual_value(system, hi)  # saturated: dual is flat past max I_n
+        return hi, dual_value(system, hi, consts)  # saturated: dual is flat past max I_n
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.0, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = dual_value(system, c), dual_value(system, d)
+    fc, fd = dual_value(system, c, consts), dual_value(system, d, consts)
     for _ in range(60):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = dual_value(system, c)
+            fc = dual_value(system, c, consts)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = dual_value(system, d)
+            fd = dual_value(system, d, consts)
         if b - a <= 1e-12 * hi:
             break
     mid = 0.5 * (a + b)
     span = max(b - a, hi / refine)
-    best_x, best_v = mid, dual_value(system, mid)
+    best_x, best_v = mid, dual_value(system, mid, consts)
     for k in range(refine + 1):
         x = min(max(mid - span + 2.0 * span * k / refine, 0.0), hi)
-        v = dual_value(system, x)
+        v = dual_value(system, x, consts)
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v

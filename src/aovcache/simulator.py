@@ -537,11 +537,10 @@ def sweep(
                 jobs.append((axis, float(v), rep, cfg, vt))
     else:
         if tables is None:
-            need_idx = base.policy is PolicyKind.WHITTLE or (
-                axis == "policy"
-                and any(PolicyKind(v) is PolicyKind.WHITTLE for v in values)
-            )
-            tables = build_policy_tables(base.system, indices=need_idx)
+            policies = ([PolicyKind(v) for v in values] if axis == "policy"
+                        else [base.policy])
+            tables = build_policy_tables(
+                base.system, indices=PolicyKind.WHITTLE in policies)
         for v in values:
             if axis == "M":
                 cfg0 = replace(base, system=replace(base.system, M=int(v)))

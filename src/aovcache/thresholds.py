@@ -10,22 +10,39 @@ Three regimes of the single-content problem with holding cost ``C_h``:
 * ``C_h > I`` -- never cache; wait below ``Q_hat``, else fetch and
   discard; optimal cost ``(2*p*beta*c_f + c_w*Q_hat*(Q_hat+1)) / (2*(Q_hat+1))``.
 
-All solvers here are scalar, deterministic and cheap (microseconds);
-an independent value-iteration cross-check lives in ``aovcache.oracle``.
+The two caching regimes (``C_h <= I``) are solved by one numpy kernel,
+``case2_batch``, batched over contents and holding costs: the Lambert-W
+root of the gap equation, then a quadratic in ``tau_bar`` per queue
+candidate, keeping the floor-consistent one.  The scalar solvers are
+thin callers of it, and ``content_constants`` solves the
+``C_h``-independent quantities once per content.  An independent
+value-iteration cross-check lives in ``aovcache.oracle``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import ContentParams
+import numpy as np
+from scipy.special import lambertw
+
+from .model import ContentParams, CostModel
 
 __all__ = [
     "ThresholdSet",
     "solve_infinite_capacity",
     "solve_q_hat",
     "compute_I",
+    "ContentConstants",
+    "content_constants",
+    "gap_value",
+    "solve_gap",
+    "first_consistent",
+    "case2_batch",
+    "average_cost_batch",
     "solve_case2",
     "solve_thresholds",
     "optimal_average_cost",
@@ -54,21 +71,12 @@ def solve_infinite_capacity(
                              + Q*(Q+1)*c_w/(c_a*lam))) / beta
         Q   = floor(beta*c_a*lam*tau / c_w)
 
-    and ``theta = beta*c_a*lam*tau_star``.  The pair is unique; we scan
-    Q upward and accept the floor-consistent candidate.
+    and ``theta = beta*c_a*lam*tau_star``: the ``C_h = 0`` case of
+    ``case2_batch`` with ``p = 1``, where the gap x vanishes.
     """
-    _check_positive(beta=beta, lam=lam, c_a=c_a, c_f=c_f, c_w=c_w)
-    a = 2.0 * beta * c_f / (c_a * lam)
-    b = c_w / (c_a * lam)
-    bound = math.ceil(math.sqrt(1.0 + 8.0 * beta * c_f / c_w)) + 2
-    for q in range(bound + 1):
-        tau = (-(q + 1) + math.sqrt((q + 1) ** 2 + a + q * (q + 1) * b)) / beta
-        if math.floor(beta * c_a * lam * tau / c_w) == q:
-            return tau, q, beta * c_a * lam * tau
-    raise ConsistencyError(
-        f"no consistent Q in 0..{bound} (beta={beta}, lam={lam}, "
-        f"c_a={c_a}, c_f={c_f}, c_w={c_w})"
-    )
+    k = content_constants((ContentParams(lam, 1.0, CostModel(c_a, c_f, c_w)),), beta)
+    tau, _, q, theta = _case2_scalar(0.0, k)
+    return tau, q, theta
 
 
 def solve_q_hat(
@@ -112,33 +120,102 @@ def compute_I(params: ContentParams, beta: float) -> float:
     the ``C_h`` at which the serve region collapses (``tau_bar = 0``,
     ``tau_tilde = tau0``).
     """
-    cm = params.costs
-    _, _, tau0 = solve_q_hat(params.p, beta, cm.c_a, params.lam, cm.c_f, cm.c_w)
-    return params.p * params.lam * cm.c_a * (beta * tau0 - 1.0 + math.exp(-beta * tau0))
+    return float(content_constants((params,), beta).I[0])
 
 
-def _solve_gap(c: float) -> float:
-    """Root x >= 0 of ``x + exp(-x) = 1 + c`` by monotone bisection."""
-    if c < 0:
-        raise ValueError("holding-cost ratio must be >= 0")
-    if c == 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0 + c  # x + e^-x > x, so the root is below 1 + c
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid + math.exp(-mid) - 1.0 < c:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * (1.0 + c):
-            break
-    return 0.5 * (lo + hi)
+class ContentConstants(NamedTuple):
+    """The ``C_h``-independent quantities of a batch of contents, one array
+    entry per content, solved once and shared by every ``C_h``."""
+
+    beta: float
+    p: np.ndarray
+    c_alam: np.ndarray   # c_a * lam
+    c_f: np.ndarray
+    c_w: np.ndarray
+    q_hat: np.ndarray    # int64
+    theta1: np.ndarray   # optimal cost of the never-cache regime
+    tau0: np.ndarray
+    I: np.ndarray
+
+    def take(self, idx) -> ContentConstants:
+        return ContentConstants(self.beta, *(a[idx] for a in self[1:]))
 
 
-def solve_case2(
-    C_h: float, params: ContentParams, beta: float
-) -> tuple[float, float, int, float]:
-    """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h <= I``.
+def content_constants(contents: Sequence[ContentParams], beta: float) -> ContentConstants:
+    """``Q_hat``, ``theta_case1``, ``tau0`` and ``I`` of every content."""
+    rows = []
+    for c in contents:
+        cm = c.costs
+        q_hat, theta1, tau0 = solve_q_hat(c.p, beta, cm.c_a, c.lam, cm.c_f, cm.c_w)
+        I = c.p * c.lam * cm.c_a * (beta * tau0 - 1.0 + math.exp(-beta * tau0))
+        rows.append((c.p, cm.c_a * c.lam, cm.c_f, cm.c_w, q_hat, theta1, tau0, I))
+    cols = [np.array(col, dtype=float) for col in zip(*rows)]
+    cols[4] = cols[4].astype(np.int64)
+    return ContentConstants(beta, *cols)
+
+
+# (-1)^j / (j+2)! for j < 12: x + exp(-x) - 1 = x^2 * sum_j (-1)^j x^j / (j+2)!,
+# truncated below double precision for x < _SERIES_BELOW
+_GAP_SERIES = tuple((-1.0) ** j / math.factorial(j + 2) for j in range(12))
+_SERIES_BELOW = 0.1
+
+
+def gap_value(x) -> np.ndarray:
+    """``x + exp(-x) - 1`` elementwise for x >= 0, free of the cancellation
+    the direct form suffers near 0 (summed as a series there)."""
+    x = np.asarray(x, dtype=float)
+    g = x + np.expm1(-x)
+    small = x < _SERIES_BELOW
+    if not small.any():
+        return g
+    s = 0.0
+    for a in reversed(_GAP_SERIES):
+        s = s * x + a
+    return np.where(small, x * x * s, g)
+
+
+def solve_gap(c) -> np.ndarray:
+    """Root x >= 0 of ``x + exp(-x) = 1 + c``, elementwise for c >= 0.
+
+    The closed form is ``x = 1 + c + W0(-exp(-(1+c)))`` with the Lambert W
+    function (Corless et al. 1996, "On the Lambert W function").  It loses
+    accuracy near the branch point c = 0, so below c = 1e-3 the start is
+    the inverted series ``s + s^2/6 + s^3/36`` with ``s = sqrt(2c)``
+    instead (relative error below 4e-7); two Newton steps on
+    ``gap_value`` then reach double precision everywhere.
+    """
+    c = np.asarray(c, dtype=float)
+    s = np.sqrt(2.0 * c)
+    x = np.where(c < 1e-3, s * (1.0 + s / 6.0 + s * s / 36.0),
+                 1.0 + c + lambertw(-np.exp(-1.0 - c)).real)
+    for _ in range(2):
+        slope = -np.expm1(-x)
+        x = x - (gap_value(x) - c) / np.where(slope > 0.0, slope, 1.0)
+    return x
+
+
+def first_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray):
+    """Column of the first admissible (``ok``) queue candidate ``q`` whose
+    ``v = p*beta*c_a*lam*tau_tilde/c_w`` has ``floor(v) == q``, per row.
+
+    At a ``Q_bar`` jump v lands on the integer boundary and float noise
+    can push both neighbours out; then the candidate closest to its
+    boundary, within ``1e-9*(q+1)``, is taken.  Also returns whether a
+    row found any candidate.
+    """
+    hit = ok & (np.floor(v) == q)
+    any_hit = hit.any(-1)
+    if any_hit.all():
+        return hit.argmax(-1), any_hit
+    dist = np.where(ok, np.maximum(q - v, v - (q + 1.0)), np.inf)
+    near = np.where(dist < 1e-9 * (q + 1.0), dist, np.inf)
+    col = np.where(any_hit, hit.argmax(-1), near.argmin(-1))
+    return col, any_hit | np.isfinite(near.min(-1))
+
+
+def case2_batch(C_h, k: ContentConstants):
+    """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h <= I``,
+    as arrays over ``C_h`` broadcast against the contents of ``k``.
 
     The triple is the unique solution of
 
@@ -147,59 +224,54 @@ def solve_case2(
                 + (Qb+1)*c_a*lam*tt - c_f - c_w*Qb*(Qb+1)/(2*p*beta) = 0
         (iii) Qb = floor(p*beta*c_a*lam*tt / c_w)
 
-    Substituting ``tt = tb + x/beta`` with x from (i) turns (ii) into a
-    quadratic in ``tb`` per queue candidate; we scan Qb upward and keep
-    the floor-consistent root.  At ``C_h = 0`` this collapses to the
-    serve/wait/fetch thresholds with request rate ``p*beta``; at
-    ``C_h = I`` it yields ``tau_bar = 0`` and ``tau_tilde = tau0``.
+    (i) gives ``x = beta*(tt - tb)`` through ``solve_gap``; substituting
+    ``tt = tb + x/beta`` turns (ii) into a quadratic in ``tb`` for each
+    queue candidate ``Qb = 0..Q_hat+2``, all evaluated at once, and
+    ``first_consistent`` keeps the root that satisfies (iii).
     """
+    C_h = np.asarray(C_h, dtype=float)
+    beta = k.beta
+    r = k.p * beta
+    rcal = r * k.c_alam
+    x = solve_gap(C_h / (k.p * k.c_alam))
+    q = np.arange(int(k.q_hat.max()) + 3, dtype=float)
+    xb, ch, rr, rc, cf, cw = (a[..., None] for a in (x / beta, C_h, r, rcal, k.c_f, k.c_w))
+    f = xb - ch / rc + (q + 1.0) / rr
+    d = cf / rc - (q + 1.0) * xb / rr + cw * q * (q + 1.0) / (2.0 * rr * rc)
+    disc = f * f + 2.0 * d
+    tb = np.sqrt(np.maximum(disc, 0.0)) - f
+    ok = (disc >= 0.0) & (tb >= -1e-12) & (q <= k.q_hat[..., None] + 2)
+    tb = np.maximum(tb, 0.0)
+    tt = tb + xb
+    qb, found = first_consistent(rc * tt / cw, q, ok)
+    if not found.all():
+        raise ConsistencyError(
+            f"no floor-consistent Q_bar at C_h={np.broadcast_to(C_h, found.shape)[~found]} "
+            f"(beta={beta})")
+    tb, tt = (np.take_along_axis(a, qb[..., None], -1)[..., 0] for a in (tb, tt))
+    return tb, tt, qb, rcal * tt
+
+
+def _case2_scalar(C_h: float, k: ContentConstants) -> tuple[float, float, int, float]:
+    """``case2_batch`` for one content and one C_h, with its domain checks."""
     if C_h < 0:
         raise ValueError(f"C_h must be >= 0, got {C_h}")
-    p, lam = params.p, params.lam
-    cm = params.costs
-    c_a, c_f, c_w = cm.c_a, cm.c_f, cm.c_w
-    _check_positive(p=p, beta=beta)
-    r = p * beta
-    I = compute_I(params, beta)
+    I = float(k.I[0])
     if C_h > I * (1.0 + 1e-12) + 1e-15:
         raise ValueError(f"C_h={C_h} exceeds the index ceiling I={I}")
+    tb, tt, qb, theta = case2_batch(C_h, k)
+    return float(tb[0]), float(tt[0]), int(qb[0]), float(theta[0])
 
-    x = _solve_gap(C_h / (p * c_a * lam))
-    q_hat, _, _ = solve_q_hat(p, beta, c_a, lam, c_f, c_w)
-    sol = None
-    near = None  # closest candidate sitting on an integer boundary (float noise)
-    for q in range(q_hat + 3):
-        f = x / beta - C_h / (r * c_a * lam) + (q + 1) / r
-        d = (
-            c_f / (r * c_a * lam)
-            - (q + 1) * x / (r * beta)
-            + c_w * q * (q + 1) / (2.0 * r * r * c_a * lam)
-        )
-        disc = f * f + 2.0 * d
-        if disc < 0.0:
-            continue
-        tb = -f + math.sqrt(disc)
-        if tb < -1e-12:
-            continue
-        tb = max(tb, 0.0)
-        tt = tb + x / beta
-        v = r * c_a * lam * tt / c_w
-        if math.floor(v) == q:
-            sol = (tb, tt, q)
-            break
-        # at a Q_bar jump, v lands on the integer boundary and float noise
-        # can push both adjacent candidates out; accept the closer one
-        dist = max(q - v, v - (q + 1.0))
-        if dist < 1e-9 * (q + 1.0) and (near is None or dist < near[0]):
-            near = (dist, tb, tt, q)
-    if sol is None and near is not None:
-        sol = near[1:]
-    if sol is None:
-        raise ConsistencyError(
-            f"no floor-consistent Q_bar for C_h={C_h} (params={params}, beta={beta})"
-        )
-    tb, tt, q = sol
-    return tb, tt, q, r * c_a * lam * tt
+
+def solve_case2(
+    C_h: float, params: ContentParams, beta: float
+) -> tuple[float, float, int, float]:
+    """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h <= I``
+    (``case2_batch`` for one content).  At ``C_h = 0`` this collapses to
+    the serve/wait/fetch thresholds with request rate ``p*beta``; at
+    ``C_h = I`` it yields ``tau_bar = 0`` and ``tau_tilde = tau0``.
+    """
+    return _case2_scalar(C_h, content_constants((params,), beta))
 
 
 def case2_residuals(
@@ -246,28 +318,31 @@ class ThresholdSet:
 
 def solve_thresholds(params: ContentParams, beta: float, C_h: float = 0.0) -> ThresholdSet:
     """Bundle of every Theorem-level threshold for one content at one C_h."""
-    cm = params.costs
-    r = params.p * beta
-    tau_star, q_star, _ = solve_infinite_capacity(r, params.lam, cm.c_a, cm.c_f, cm.c_w)
-    q_hat, theta1, tau0 = solve_q_hat(params.p, beta, cm.c_a, params.lam, cm.c_f, cm.c_w)
-    I = compute_I(params, beta)
+    if C_h < 0:
+        raise ValueError(f"C_h must be >= 0, got {C_h}")
+    k = content_constants((params,), beta)
+    q_hat, tau0, I = int(k.q_hat[0]), float(k.tau0[0]), float(k.I[0])
+    # one kernel call: C_h = 0 gives (tau_star, Q_star)
+    tb, tt, qb, theta = case2_batch(np.array([0.0, min(C_h, I)]), k)
     if C_h > I:
-        tb, tt, qb, theta = 0.0, tau0, q_hat, theta1
-    else:
-        tb, tt, qb, theta = solve_case2(C_h, params, beta)
+        tb[1], tt[1], qb[1], theta[1] = 0.0, tau0, q_hat, k.theta1[0]
     return ThresholdSet(
-        tau_star=tau_star, Q_star=q_star, tau_bar=tb, tau_tilde=tt,
-        Q_bar=qb, Q_hat=q_hat, tau0=tau0, I=I, theta=theta, C_h=C_h,
+        tau_star=float(tb[0]), Q_star=int(qb[0]), tau_bar=float(tb[1]),
+        tau_tilde=float(tt[1]), Q_bar=int(qb[1]), Q_hat=q_hat, tau0=tau0, I=I,
+        theta=float(theta[1]), C_h=C_h,
     )
+
+
+def average_cost_batch(C_h, k: ContentConstants) -> np.ndarray:
+    """Optimal single-content average cost at C_h for every content of ``k``:
+    ``theta`` of ``case2_batch`` up to ``I``, ``theta_case1`` above it."""
+    C_h = np.asarray(C_h, dtype=float)
+    theta = case2_batch(np.minimum(C_h, k.I), k)[3]
+    return np.where(C_h > k.I, k.theta1, theta)
 
 
 def optimal_average_cost(params: ContentParams, beta: float, C_h: float) -> float:
     """Optimal single-content average cost (holding charges included) at C_h."""
-    cm = params.costs
     if C_h < 0:
         raise ValueError("C_h must be >= 0")
-    I = compute_I(params, beta)
-    if C_h > I:
-        _, theta1, _ = solve_q_hat(params.p, beta, cm.c_a, params.lam, cm.c_f, cm.c_w)
-        return theta1
-    return solve_case2(C_h, params, beta)[3]
+    return float(average_cost_batch(C_h, content_constants((params,), beta))[0])

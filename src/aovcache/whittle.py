@@ -1,32 +1,52 @@
 """Whittle indices for the two state families the caching policy needs.
 
 The index of a state is the smallest holding cost that makes leaving
-the content out of the cache optimal.  Both families reduce to
-inverting a monotone threshold from ``solve_case2``:
+the content out of the cache optimal.
 
 * cached idle copy ``(Q, tau, 1, 0)``: zero once ``Q > 0`` or
-  ``tau > tau_star``; otherwise the ``C_h`` at which the serve
+  ``tau >= tau_star``; otherwise the ``C_h`` at which the serve
   threshold ``tau_bar(C_h)`` (strictly decreasing) has dropped to
-  ``tau``.
+  ``tau``.  This has a closed form.  Fixing ``tau_bar = tau`` in the
+  threshold system and substituting ``C_h = p*c_a*lam*(x + e^-x - 1)``
+  cancels the ``x*tau`` terms and leaves ``B*x + A = C*e^-x`` for each
+  queue candidate Q, with
+
+      B = (Q+1)*c_a*lam/beta,   C = p*c_a*lam*tau,
+      A = beta*p*c_a*lam*tau^2/2 + p*c_a*lam*tau + (Q+1)*c_a*lam*tau
+          - c_f - c_w*Q*(Q+1)/(2*p*beta),
+
+  whose root is ``x = omega(A/B + ln(C/B)) - A/B`` with the Wright omega
+  function (Lawrence, Corless & Jeffrey 2012, "Algorithm 917: Complex
+  double precision evaluation of the Wright omega function").  The
+  floor-consistent candidate is kept, as in ``thresholds.case2_batch``.
 * uncached requested ``(Q, 0, 1)``: zero below ``Q_star``, the index
   ceiling ``I`` from ``Q_hat`` up; in between, the ``C_h`` at which the
   fetch threshold ``Q_bar(C_h)`` (nondecreasing) first exceeds ``Q``.
+  That jump has no closed form; a 60-step bisection on
+  ``case2_batch``, batched over every (content, Q) pair at once, finds
+  it.
 
-Bisection implements the "minimum holding cost" definition directly
-and sidesteps the floor-boundary ambiguity of the closed three-equation
-system, which is kept only as a residual check (``index_residual_*``).
+The closed three-equation system is kept as a residual check
+(``index_residual_*``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .model import ContentParams, SingleContentState
 from .thresholds import (
+    ConsistencyError,
     ThresholdSet,
+    case2_batch,
     compute_I,
+    content_constants,
+    first_consistent,
+    gap_value,
     solve_case2,
     solve_thresholds,
 )
@@ -34,6 +54,7 @@ from .thresholds import (
 __all__ = [
     "whittle_cached",
     "whittle_uncached",
+    "uncached_breakpoints",
     "passive_set_member",
     "verify_indexability",
     "default_state_grid",
@@ -49,44 +70,63 @@ BISECT_ITERS = 60  # absolute error below I * 2**-60
 def whittle_cached(params: ContentParams, beta: float, Q: int, tau: float) -> float:
     """Index of a cached, not-currently-requested copy in state (Q, tau, 1, 0)."""
     ts = solve_thresholds(params, beta, 0.0)
-    return _cached_index(params, beta, ts, Q, tau)
-
-
-def _cached_index(params: ContentParams, beta: float, ts: ThresholdSet,
-                  Q: int, tau: float) -> float:
     if Q > 0 or tau >= ts.tau_star:
         return 0.0
     if tau <= 0.0:
         return ts.I
-    lo, hi = 0.0, ts.I  # tau_bar(0) = tau_star > tau, tau_bar(I) = 0 <= tau
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if solve_case2(mid, params, beta)[0] <= tau:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(_cached_index(params, beta, ts, np.array([tau]))[0])
+
+
+def _cached_index(params: ContentParams, beta: float, ts: ThresholdSet,
+                  taus: np.ndarray) -> np.ndarray:
+    """W(0, tau) at each ``0 < tau < tau_star``, by the Wright-omega form."""
+    cm = params.costs
+    cal = cm.c_a * params.lam
+    k = params.p * cal
+    q = np.arange(ts.Q_hat + 3.0)
+    tau = np.asarray(taus, dtype=float)[:, None]
+    b = (q + 1.0) * cal / beta
+    a = (beta * k * tau * tau / 2.0 + k * tau + (q + 1.0) * cal * tau
+         - cm.c_f - cm.c_w * q * (q + 1.0) / (2.0 * params.p * beta)) / b
+    x = wrightomega(a + np.log(k * tau / b)) - a
+    v = params.p * beta * cal * (tau + np.maximum(x, 0.0) / beta) / cm.c_w
+    col, found = first_consistent(v, q, x > -1e-9)
+    if not found.all():
+        raise ConsistencyError(
+            f"no floor-consistent Q_bar at tau={taus[~found]} "
+            f"(params={params}, beta={beta})")
+    x = np.maximum(np.take_along_axis(x, col[:, None], -1)[:, 0], 0.0)
+    return np.minimum(k * gap_value(x), ts.I)
 
 
 def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
     """Index of an uncached content requested with Q pending, state (Q, 0, 1)."""
     ts = solve_thresholds(params, beta, 0.0)
-    return _uncached_index(params, beta, ts, Q)
-
-
-def _uncached_index(params: ContentParams, beta: float, ts: ThresholdSet, Q: int) -> float:
     if Q < ts.Q_star:
         return 0.0
     if Q >= ts.Q_hat:
         return ts.I
-    lo, hi = 0.0, ts.I  # Q_bar(0) = Q_star <= Q, Q_bar(I) = Q_hat > Q
-    for _ in range(BISECT_ITERS):
+    return uncached_breakpoints((params,), beta)[0][Q - ts.Q_star]
+
+
+def uncached_breakpoints(contents: Sequence[ContentParams],
+                         beta: float) -> list[tuple[float, ...]]:
+    """Per content, the indices of uncached states ``Q_star..Q_hat-1``: for
+    each such Q the smallest C_h at which Q_bar exceeds Q, from one
+    bisection run on every (content, Q) pair at once."""
+    k = content_constants(contents, beta)
+    q_star = case2_batch(0.0, k)[2]  # Q_bar at C_h = 0
+    pairs = [(i, q) for i in range(len(contents)) for q in range(q_star[i], k.q_hat[i])]
+    idx, q = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    kp = k.take(idx)
+    lo, hi = np.zeros(len(q)), kp.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
+    for _ in range(BISECT_ITERS if len(q) else 0):
         mid = 0.5 * (lo + hi)
-        if solve_case2(mid, params, beta)[2] > Q:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        above = case2_batch(mid, kp)[2] > q
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    w = 0.5 * (lo + hi)
+    return [tuple(w[idx == i].tolist()) for i in range(len(contents))]
 
 
 def index_residual_cached(params: ContentParams, beta: float, tau: float, W: float) -> float:
@@ -215,12 +255,14 @@ def verify_indexability(
 class ContentTables:
     """Monotone index tables for one content, built once per run.
 
-    ``breakpoints[k]`` is the index of uncached state (Q_star + k, 0, 1),
-    solved by bisection.  ``w_of_tau`` samples the cached-copy index
-    W(0, tau) on a uniform tau grid over [0, tau_star] (resampled from
-    the strictly decreasing map C_h -> tau_bar(C_h)); the trailing cell
-    is the 0 sentinel for tau >= tau_star.  Lookup is interpolation-free
-    integer indexing, worst-case error one grid cell.
+    ``breakpoints[k]`` is the index of uncached state (Q_star + k, 0, 1).
+    ``w_of_tau[i]`` is the exact cached-copy index W(0, tau_i) at the
+    grid point ``tau_i = i * tau_star / grid_size``, for
+    ``i < grid_size``; the trailing cell is the 0 sentinel for
+    ``tau >= tau_star``.  Lookup is interpolation-free integer indexing:
+    ``cached_idle`` returns W(tau_i) for tau in [tau_i, tau_{i+1}), so it
+    never understates W(tau) and overstates it by at most
+    W(tau_i) - W(tau_{i+1}) (W is nonincreasing in tau).
     """
 
     tau_star: float
@@ -246,24 +288,22 @@ class ContentTables:
 
 
 def build_content_tables(params: ContentParams, beta: float,
-                         grid_size: int = 1024, indices: bool = True) -> ContentTables:
+                         grid_size: int = 1024, indices: bool = True,
+                         breakpoints: tuple[float, ...] | None = None) -> ContentTables:
     """Tables for one content; with ``indices=False`` only the thresholds
     (tau_star, Q_star, Q_hat, I) are populated, for policies that never
-    evaluate an index."""
+    evaluate an index.  ``breakpoints`` takes this content's entry of
+    ``uncached_breakpoints`` when a caller has batched them."""
     ts = solve_thresholds(params, beta, 0.0)
     if indices:
-        bps = tuple(
-            _uncached_index(params, beta, ts, q) for q in range(ts.Q_star, ts.Q_hat)
-        )
-        # sample tau_bar on a fine C_h grid, then invert onto uniform tau
-        chs = np.linspace(ts.I, 0.0, 2 * grid_size)
-        tbs = np.array([solve_case2(float(c), params, beta)[0] for c in chs])
-        taus = np.arange(grid_size) * (ts.tau_star / grid_size)
-        w = np.append(chs[np.searchsorted(tbs, taus)], 0.0)
+        if breakpoints is None:
+            breakpoints = uncached_breakpoints((params,), beta)[0]
+        taus = np.arange(1, grid_size) * (ts.tau_star / grid_size)
+        w = np.concatenate(([ts.I], _cached_index(params, beta, ts, taus), [0.0]))
     else:
-        bps, w = (), np.array([ts.I, 0.0])
+        breakpoints, w = (), np.array([ts.I, 0.0])
     w.setflags(write=False)
     return ContentTables(
         tau_star=ts.tau_star, q_star=ts.Q_star, q_hat=ts.Q_hat, ceiling=ts.I,
-        breakpoints=bps, w_of_tau=w, inv_step=(len(w) - 1) / ts.tau_star,
+        breakpoints=breakpoints, w_of_tau=w, inv_step=(len(w) - 1) / ts.tau_star,
     )

@@ -88,6 +88,37 @@ class TestSolve:
         assert "lambda" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("section, field, value, name", [
+        ("system", "lambda", math.nan, "lambda"),
+        ("system", "lambda", math.inf, "lambda"),
+        ("system", "beta", math.nan, "beta"),
+        ("system", "beta", math.inf, "beta"),
+        ("costs", "c_a", math.nan, "c_a"),
+        ("costs", "c_f", math.inf, "c_f"),
+        ("costs", "c_w", math.inf, "c_w"),
+        ("costs", "c_w", math.nan, "c_w"),
+        ("costs", "C_h", math.nan, "C_h"),
+        ("costs", "C_h", math.inf, "C_h"),
+    ])
+    def test_non_finite_params_exit_2(self, tmp_path, capsys, section, field,
+                                      value, name):
+        doc = json.loads(json.dumps(UNIT_DOC))
+        doc[section][field] = value  # written as a NaN / Infinity JSON literal
+        p = tmp_path / "nonfinite.json"
+        p.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{name}:" in err
+
+    def test_non_finite_popularity_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(UNIT_DOC))
+        doc["system"]["popularity"] = [math.nan]
+        p = tmp_path / "nanpop.json"
+        p.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(p)]) == 2
+        assert "popularity:" in capsys.readouterr().err
+
+
 class TestWhittleCmd:
     def test_index_table(self, unit_cfg, tmp_path):
         out = tmp_path / "w"
@@ -131,6 +162,16 @@ class TestSimulateAndSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_digest"] == config_digest(DESK_DOC)
         assert str(out / "metrics.csv") in manifest["outputs"]
+
+    def test_manifest_records_effective_seed(self, desk_cfg, tmp_path):
+        out = tmp_path / "seeded"
+        assert main(["simulate", "--config", desk_cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == DESK_DOC["sim"]["seed"]  # no --seed given
+        out2 = tmp_path / "seeded2"
+        assert main(["simulate", "--config", desk_cfg, "--out", str(out2),
+                     "--seed", "11"]) == 0
+        assert json.loads((out2 / "manifest.json").read_text())["seed"] == 11
 
     def test_policy_axis(self, desk_cfg, tmp_path):
         out = tmp_path / "pol"

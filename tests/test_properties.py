@@ -1,0 +1,147 @@
+"""Property tests for the closed-form and batched solvers.
+
+Each closed form is checked against a direct reference kept here: the
+bisections that defined the indices before the closed forms, a series
+for the gap equation, and a scalar sum for the dual.  Examples are
+derandomized, so every run draws the same cases.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from aovcache.model import ContentParams, CostModel, SystemParams
+from aovcache.policies import dual_value
+from aovcache.thresholds import (
+    compute_I,
+    optimal_average_cost,
+    solve_case2,
+    solve_gap,
+    solve_thresholds,
+)
+from aovcache.whittle import uncached_breakpoints, whittle_cached, whittle_uncached
+
+TOL = 1e-12
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def contents(draw, ratio_lo=0.1, ratio_hi=100.0):
+    """One content and beta with p*beta*c_f/c_w inside [ratio_lo, ratio_hi]."""
+    p = draw(st.floats(0.01, 1.0))
+    beta = draw(st.floats(0.5, 50.0))
+    lam = draw(st.floats(0.005, 1.0))
+    c_a = draw(st.floats(0.1, 2.0))
+    c_f = draw(st.floats(0.1, 2.0))
+    ratio = math.exp(draw(st.floats(math.log(ratio_lo), math.log(ratio_hi))))
+    c_w = p * beta * c_f / ratio
+    return ContentParams(lam=lam, p=p, costs=CostModel(c_a, c_f, c_w)), beta
+
+
+def bisect(pred, hi: float, iters: int = 60) -> float:
+    """Smallest C_h in [0, hi] at which the monotone ``pred`` turns true."""
+    lo = 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def cached_reference(c, beta, tau: float) -> float:
+    """W(0, tau): the smallest C_h whose serve threshold is at or below tau."""
+    return bisect(lambda ch: solve_case2(ch, c, beta)[0] <= tau, compute_I(c, beta))
+
+
+def uncached_reference(c, beta, q: int) -> float:
+    """W(q, 0, 1): the smallest C_h whose fetch threshold exceeds q."""
+    return bisect(lambda ch: solve_case2(ch, c, beta)[2] > q, compute_I(c, beta))
+
+
+def gap_c(x: float) -> float:
+    """``x + exp(-x) - 1``, summed as a series below 0.5."""
+    if x >= 0.5:
+        return x + math.expm1(-x)
+    return math.fsum((-x) ** k / math.factorial(k) for k in range(2, 40))
+
+
+@SETTINGS
+@given(cb=contents(), frac=st.floats(1e-6, 1.0 - 1e-6))
+def test_cached_index_matches_bisection(cb, frac):
+    c, beta = cb
+    ts = solve_thresholds(c, beta, 0.0)
+    tau = frac * ts.tau_star
+    w = whittle_cached(c, beta, 0, tau)
+    assert abs(w - cached_reference(c, beta, tau)) <= TOL * ts.I
+
+
+@SETTINGS
+@given(cb=contents(ratio_lo=5.0, ratio_hi=400.0), pick=st.floats(0.0, 1.0),
+       nudge=st.sampled_from([-1e-9, 0.0, 1e-9]))
+def test_cached_index_at_queue_threshold_jumps(cb, pick, nudge):
+    # at the serve threshold of an uncached breakpoint, Q_bar jumps, so the
+    # floor test in the closed form sits on an integer boundary
+    c, beta = cb
+    ts = solve_thresholds(c, beta, 0.0)
+    if ts.Q_hat <= ts.Q_star:
+        return
+    q = min(ts.Q_star + int(pick * (ts.Q_hat - ts.Q_star)), ts.Q_hat - 1)
+    jump = whittle_uncached(c, beta, q)
+    tau = solve_case2(jump, c, beta)[0] * (1.0 + nudge)
+    if not 0.0 < tau < ts.tau_star:
+        return
+    w = whittle_cached(c, beta, 0, tau)
+    assert abs(w - cached_reference(c, beta, tau)) <= TOL * ts.I
+    if nudge == 0.0:
+        assert abs(w - jump) <= 1e-9 * ts.I
+
+
+@SETTINGS
+@given(cbs=st.lists(contents(ratio_lo=1.0, ratio_hi=400.0), min_size=1, max_size=4),
+       beta=st.floats(0.5, 50.0))
+def test_batched_breakpoints_match_scalar_bisection(cbs, beta):
+    cs = [c for c, _ in cbs]
+    batched = uncached_breakpoints(cs, beta)
+    for c, bps in zip(cs, batched):
+        ts = solve_thresholds(c, beta, 0.0)
+        assert len(bps) == max(ts.Q_hat - ts.Q_star, 0)
+        for k, w in enumerate(bps):
+            assert abs(w - uncached_reference(c, beta, ts.Q_star + k)) <= TOL * ts.I
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_x=st.floats(math.log(1e-7), math.log(30.0)))
+@example(log_x=0.5 * math.log(2e-12))   # c near 1e-12
+@example(log_x=0.5 * math.log(2e-14))   # c near 1e-14
+@example(log_x=math.log(1e-7))
+@example(log_x=math.log(30.0))
+def test_gap_root_round_trip(log_x):
+    x = math.exp(log_x)
+    assert abs(float(solve_gap(gap_c(x))) - x) <= TOL * x
+
+
+def test_gap_root_at_zero_and_batched():
+    assert float(solve_gap(0.0)) == 0.0
+    xs = np.logspace(-7, math.log10(30.0), 64)
+    cs = np.array([gap_c(x) for x in xs])
+    np.testing.assert_allclose(solve_gap(cs), xs, rtol=TOL, atol=0.0)
+
+
+@SETTINGS
+@given(cbs=st.lists(contents(), min_size=1, max_size=6), beta=st.floats(0.5, 50.0),
+       m_frac=st.floats(0.0, 1.0), ch_frac=st.floats(0.0, 1.2))
+def test_batched_dual_matches_scalar_sum(cbs, beta, m_frac, ch_frac):
+    n = len(cbs)
+    weights = np.array([c.p for c, _ in cbs])
+    pops = weights / weights.sum()
+    contents_ = tuple(ContentParams(lam=c.lam, p=float(p), costs=c.costs)
+                      for (c, _), p in zip(cbs, pops))
+    system = SystemParams(beta=beta, contents=contents_, M=int(m_frac * (n - 1)))
+    ch = ch_frac * max(compute_I(c, beta) for c in contents_)
+    terms = [optimal_average_cost(c, beta, ch) for c in contents_]
+    scalar = sum(terms) - ch * system.M
+    assert abs(dual_value(system, ch) - scalar) <= TOL * (sum(terms) + ch * system.M)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from aovcache import simulator
 from aovcache.model import ContentParams, CostModel, SystemParams
 from aovcache.policies import PolicyKind, build_policy_tables
 from aovcache.simulator import (
@@ -156,6 +157,27 @@ class TestSweep:
         cells = sweep(base, "c_w", [0.01, 1.0], replications=1)
         by_cw = {c.value: c.metrics for c in cells}
         assert by_cw[1.0].avg_wait_time < by_cw[0.01].avg_wait_time
+
+    @pytest.mark.parametrize("values, expect", [
+        (["myopic", "static-top-m"], [False]),
+        (["myopic", "whittle"], [True]),
+    ])
+    def test_policy_axis_builds_indices_only_for_whittle(self, monkeypatch,
+                                                         values, expect):
+        # desk.json's base policy is whittle; a policy sweep that runs no
+        # Whittle cell must not pay for the index tables
+        calls = []
+
+        def spy(system, *args, **kwargs):
+            calls.append(kwargs.get("indices", True))
+            return build_policy_tables(system, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "build_policy_tables", spy)
+        base = SimConfig(system=desk_system(), policy=PolicyKind.WHITTLE,
+                         horizon_events=2_000, seed=1)
+        cells = sweep(base, "policy", values, 1)
+        assert calls == expect
+        assert [c.value for c in cells] == values
 
     def test_bad_axis_rejected(self, desk):
         system, tables = desk
