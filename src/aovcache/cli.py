@@ -32,8 +32,9 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import __version__, _ckernel
 from .model import (
     ContentParams,
     CostModel,
@@ -42,7 +43,6 @@ from .model import (
     validate,
     zipf_popularity,
 )
-from .oracle import value_iterate_infinite, whittle_by_sweep
 from .policies import PolicyKind, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, aggregate, run, sweep
 from .thresholds import compute_I, solve_case2, solve_thresholds, case2_residuals
@@ -142,6 +142,11 @@ class Reporter:
             "config_digest": config_digest(doc),
             "seed": seed,
             "version": __version__,
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            # the loop Whittle expected-mode runs take; "python" here means
+            # the compiled kernel could not be built or loaded
+            "event_loop": "compiled" if _ckernel.whittle_loop is not None else "python",
             "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "outputs": [],
         }
@@ -307,6 +312,10 @@ def cmd_compare(doc: dict, args) -> int:
 
 def cmd_verify(doc: dict, args) -> int:
     """Oracle-equivalence and invariant battery; nonzero exit on failure."""
+    # imported here: the oracle pulls in scipy.signal, which costs every
+    # other command about a second of import time
+    from .oracle import value_iterate_infinite, whittle_by_sweep
+
     system = build_system(doc)
     beta = system.beta
     checks: list[tuple[str, bool, str]] = []
@@ -357,6 +366,8 @@ def cmd_verify(doc: dict, args) -> int:
     cfg = SimConfig(system=system, policy=cfg.policy, horizon_events=horizon,
                     seed=cfg.seed, ageing_mode=cfg.ageing_mode, warmup=cfg.warmup)
     try:
+        # verify_every selects the Python loop; a plain Whittle expected-mode
+        # run takes the compiled one, so m1 == m2 also checks that they agree
         m1 = run(cfg, verify_every=97)
         m2 = run(cfg)
         check("simulation-determinism", m1 == m2)

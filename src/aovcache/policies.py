@@ -13,7 +13,12 @@ from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from .model import CacheSystemState, SystemParams
-from .thresholds import ContentConstants, average_cost_batch, content_constants
+from .thresholds import (
+    ContentConstants,
+    average_cost_batch,
+    content_constants,
+    zero_holding_thresholds,
+)
 from .whittle import ContentTables, build_content_tables, uncached_breakpoints
 
 __all__ = [
@@ -71,9 +76,10 @@ def build_policy_tables(system: SystemParams, grid_size: int = 1024,
                         indices: bool = True) -> PolicyTables:
     bps = (uncached_breakpoints(system.contents, system.beta) if indices
            else [None] * system.N)
+    zero = zero_holding_thresholds(content_constants(system.contents, system.beta))
     content = tuple(
-        build_content_tables(c, system.beta, grid_size, indices, b)
-        for c, b in zip(system.contents, bps)
+        build_content_tables(c, system.beta, grid_size, indices, b, ts)
+        for c, b, ts in zip(system.contents, bps, zero)
     )
     return PolicyTables(
         beta=system.beta,

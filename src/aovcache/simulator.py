@@ -7,12 +7,20 @@ Three RNG streams derive from the master seed -- inter-arrival times,
 content selection, version-age realization -- so expected-mode and
 realized-mode runs share the same arrival sample path.
 
-The event loop inlines the Whittle and myopic index comparisons as
-vectorized lookups over the cache slots (the policy-module functions
+The Python event loop inlines the Whittle and myopic index comparisons
+as vectorized lookups over the cache slots (the policy-module functions
 are pure but too slow to call per event).  Passing ``verify_every=k``
 re-derives every k-th decision through the public policy functions and
 asserts agreement, which is how the tests pin the inlined fast path to
 the specified decision rules.
+
+Whittle runs in expected-ageing mode take a compiled C loop instead
+(``_loop.c``, loaded by ``_ckernel``), fed the same numpy batches; every
+other policy, realized mode, ``verify_every > 0`` and a machine where
+the kernel cannot be built use the Python loop.  The two loops give
+bit-identical metrics: a lockstep test in ``tests/test_simulator.py``
+pins them together, and the CLI's ``verify`` command compares a
+``verify_every`` run (Python loop) with a plain one (compiled loop).
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
+from . import _ckernel
 from .model import CacheSystemState, CostModel, SystemParams, validate
 from .policies import (
     PolicyKind,
@@ -93,7 +102,7 @@ def run(config: SimConfig, tables: PolicyTables | None = None,
     """Simulate one seeded run and return its metrics.
 
     Deterministic: identical config (and tables) gives bit-identical
-    metrics.
+    metrics, whichever event loop runs.
     """
     system = config.system
     problems = validate(system)
@@ -108,23 +117,159 @@ def run(config: SimConfig, tables: PolicyTables | None = None,
     if not 0.0 <= config.warmup <= 0.5:
         raise ValueError("warmup must be in [0, 0.5]")
 
+    whittle = config.policy is PolicyKind.WHITTLE
+    if tables is None:
+        tables = build_policy_tables(system, indices=whittle)
+    ss = np.random.SeedSequence(config.seed)
+    arr_rng, pick_rng, aov_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+    cum_p = np.cumsum(system.popularity())
+    cum_p[-1] = 1.0
+    batches = _batches(arr_rng, pick_rng, cum_p, 1.0 / system.beta)
+
+    # the warmup snapshot is taken right after the event that reaches
+    # warm_events (event horizons) or warm_time (time horizons)
+    warm_events, warm_time = None, math.inf
+    if config.warmup > 0.0:
+        if config.horizon_events is not None:
+            warm_events = int(config.warmup * config.horizon_events)
+        else:
+            warm_time = config.warmup * config.horizon_time
+
+    kernel = _ckernel.whittle_loop
+    if (whittle and kernel is not None and not verify_every
+            and config.ageing_mode is AgeingMode.EXPECTED):
+        end, snap, violations = _compiled_loop(
+            kernel, config, tables, batches, warm_events, warm_time)
+    else:
+        end, snap, violations = _python_loop(
+            config, tables, batches, warm_events, warm_time, aov_rng, verify_every)
+    return _metrics(end, snap, violations)
+
+
+def _batches(arr_rng, pick_rng, cum_p, mean_dt):
+    """Endless (inter-arrival times, content ids) batches of ``_BATCH`` draws."""
+    while True:
+        yield (arr_rng.exponential(mean_dt, _BATCH),
+               np.searchsorted(cum_p, pick_rng.random(_BATCH), side="right"))
+
+
+def _metrics(end, snap, violations) -> SimMetrics:
+    """Metrics over the window from the warmup snapshot to the end.
+
+    ``end`` and ``snap`` are (t, grand total, queue-time integral,
+    waiting, fetch and ageing cost, fetches, events); ``snap`` is None
+    when no warmup snapshot was taken.
+    """
+    t, grand, q_integral, wait_cost, fetch_cost_total, ageing_cost_total, \
+        fetches, events = end
+    if snap is None:
+        snap = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
+    t0, grand0, qi0, wc0, fc0, ac0, f0, e0 = snap
+    duration = t - t0
+    n_req = events - e0
+    if duration <= 0 or n_req <= 0:
+        raise SimulationError("empty measurement window; lower warmup or extend horizon")
+    d_grand = grand - grand0
+    d_wait = wait_cost - wc0
+    d_fetch = fetch_cost_total - fc0
+    d_age = ageing_cost_total - ac0
+    recon = abs(d_grand - (d_wait + d_fetch + d_age)) / max(1.0, abs(d_grand))
+    if recon > 1e-9:
+        raise SimulationError(f"cost accounting mismatch: {recon:g}")
+    if min(d_wait, d_fetch, d_age) < 0:
+        raise SimulationError("negative accrued cost")
+    return SimMetrics(
+        avg_total_cost=d_grand / duration,
+        fetch_cost_rate=d_fetch / duration,
+        ageing_cost_rate=d_age / duration,
+        waiting_cost_rate=d_wait / duration,
+        avg_wait_time=(q_integral - qi0) / n_req,
+        fetch_rate=(fetches - f0) / duration,
+        occupancy_ok=True,
+        event_count=events,
+        duration=duration,
+        serve_after_wait=violations,
+        reconciliation=recon,
+    )
+
+
+# indices into the compiled loop's running totals (enums in _loop.c)
+_T, _N_ACC = 0, 7
+_EVENTS, _VIOLATIONS, _N_CNT = 1, 2, 4
+_NO_LIMIT = 2**63 - 1
+
+
+def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, batches,
+                   warm_events, warm_time):
+    """The Whittle expected-mode loop of ``_python_loop``, one kernel call
+    per batch.  The kernel stops at the warmup point so the snapshot is
+    taken here, after the same event as in the Python loop."""
+    system = config.system
+    n, m = system.N, system.M
+    ct = tables.content
+    stride = len(ct[0].w_of_tau)
+    if any(len(c.w_of_tau) != stride or len(c.breakpoints) != c.q_hat - c.q_star
+           for c in ct):
+        raise ValueError("the Whittle policy needs tables built with indices=True")
+    cdbl = np.array([(c.tau_star, c.ceiling, c.inv_step, cal, cf, cw) for c, cal, cf, cw
+                     in zip(ct, tables.c_alam, tables.c_f, tables.c_w)]).ravel()
+    bp_off = np.cumsum([0] + [len(c.breakpoints) for c in ct])[:-1]
+    cint = np.array([(c.q_star, c.q_hat, off) for c, off in zip(ct, bp_off)],
+                    dtype=np.int64).ravel()
+    bps = np.array([b for c in ct for b in c.breakpoints], dtype=float)
+    w_of_tau = np.concatenate([c.w_of_tau for c in ct])
+    slots = np.array(sorted(_top_m_ids(system)), dtype=np.int64)
+    slot_of = np.full(n, -1, dtype=np.int64)
+    slot_of[slots] = np.arange(m)
+    queue = np.zeros(n, dtype=np.int64)
+    fetch_time = np.zeros(n)
+    waited = np.zeros(n, dtype=np.uint8)
+    acc = np.zeros(_N_ACC)
+    cnt = np.zeros(_N_CNT, dtype=np.int64)
+
+    def totals():
+        return (*acc[:6].tolist(), *cnt[:2].tolist())
+
+    end_events = config.horizon_events if config.horizon_events is not None else _NO_LIMIT
+    end_time = config.horizon_time if config.horizon_time is not None else math.inf
+    snap = None
+    bi = blen = 0
+    while cnt[_EVENTS] < end_events and acc[_T] < end_time:
+        if bi == blen:
+            dts, ids = next(batches)
+            ids = ids.astype(np.int64, copy=False)
+            bi, blen = 0, len(dts)
+        stop_events, stop_time = end_events, end_time
+        if snap is None:
+            if warm_events is not None:
+                stop_events = min(stop_events, warm_events)
+            stop_time = min(stop_time, warm_time)
+        bi = kernel(dts, ids, bi, blen, stop_events, stop_time, cdbl, cint, bps,
+                    w_of_tau, stride, queue, fetch_time, waited, slot_of, slots, m,
+                    acc, cnt)
+        if bi < 0:
+            raise SimulationError(f"occupancy violated at event {cnt[_EVENTS]}")
+        if snap is None and ((cnt[_EVENTS] == warm_events) if warm_events is not None
+                             else (acc[_T] >= warm_time)):
+            snap = totals()
+    return totals(), snap, int(cnt[_VIOLATIONS])
+
+
+def _python_loop(config: SimConfig, tables: PolicyTables, batches,
+                 warm_events, warm_time, aov_rng, verify_every: int):
+    """The event loop of every policy and ageing mode, and the reference
+    the compiled loop is pinned to."""
+    system = config.system
     policy = config.policy
     whittle = policy is PolicyKind.WHITTLE
     myopic = policy is PolicyKind.MYOPIC
     infinite = policy is PolicyKind.INFINITE_CAPACITY
-    if tables is None:
-        tables = build_policy_tables(system, indices=whittle)
     n = system.N
     m = system.M
     beta = system.beta
     state = CacheSystemState(n, m, tables.c_w, infinite=infinite)
     if not infinite:
         state.preload(_top_m_ids(system))
-
-    ss = np.random.SeedSequence(config.seed)
-    arr_rng, pick_rng, aov_rng = (np.random.default_rng(s) for s in ss.spawn(3))
-    cum_p = np.cumsum(system.popularity())
-    cum_p[-1] = 1.0
 
     realized = config.ageing_mode is AgeingMode.REALIZED
     # flat per-content parameter lists (hot-loop locals)
@@ -166,16 +311,8 @@ def run(config: SimConfig, tables: PolicyTables | None = None,
         m_pcf = np.array([tables.p[i] * cf_l[i] for i in slot_ids])
         m_ids = np.array(slot_ids, dtype=np.int64)
     invb = 1.0 / beta
-
     horizon_events = config.horizon_events
     horizon_time = config.horizon_time
-    warming = config.warmup > 0.0
-    if horizon_events is not None:
-        warm_events = int(config.warmup * horizon_events)
-        warm_time = math.inf
-    else:
-        warm_events = None
-        warm_time = config.warmup * horizon_time
 
     # accumulators; the chronological grand total is kept separately from
     # the per-component sums so the reconciliation check is meaningful
@@ -203,8 +340,7 @@ def run(config: SimConfig, tables: PolicyTables | None = None,
         if horizon_time is not None and t >= horizon_time:
             break
         if bi == blen:
-            dts = arr_rng.exponential(invb, _BATCH).tolist()
-            ids = np.searchsorted(cum_p, pick_rng.random(_BATCH), side="right").tolist()
+            dts, ids = (a.tolist() for a in next(batches))
             bi, blen = 0, _BATCH
         dt = dts[bi]
         r = ids[bi]
@@ -378,43 +514,15 @@ def run(config: SimConfig, tables: PolicyTables | None = None,
                 raise SimulationError(
                     f"occupancy violated at event {events}: {len(cache_set)} != {m}")
 
-        if snap is None and warming and (
+        if snap is None and (
             (events == warm_events) if warm_events is not None else (t >= warm_time)
         ):
             snap = (t, grand, q_integral, wait_cost, fetch_cost_total,
                     ageing_cost_total, fetches, events)
 
-    state.total_queue = total_q
-    state.queue_cost_rate = wq_rate
-    if snap is None:
-        snap = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
-    t0, grand0, qi0, wc0, fc0, ac0, f0, e0 = snap
-    duration = t - t0
-    n_req = events - e0
-    if duration <= 0 or n_req <= 0:
-        raise SimulationError("empty measurement window; lower warmup or extend horizon")
-    d_grand = grand - grand0
-    d_wait = wait_cost - wc0
-    d_fetch = fetch_cost_total - fc0
-    d_age = ageing_cost_total - ac0
-    recon = abs(d_grand - (d_wait + d_fetch + d_age)) / max(1.0, abs(d_grand))
-    if recon > 1e-9:
-        raise SimulationError(f"cost accounting mismatch: {recon:g}")
-    if min(d_wait, d_fetch, d_age) < 0:
-        raise SimulationError("negative accrued cost")
-    return SimMetrics(
-        avg_total_cost=d_grand / duration,
-        fetch_cost_rate=d_fetch / duration,
-        ageing_cost_rate=d_age / duration,
-        waiting_cost_rate=d_wait / duration,
-        avg_wait_time=(q_integral - qi0) / n_req,
-        fetch_rate=(fetches - f0) / duration,
-        occupancy_ok=True,
-        event_count=events,
-        duration=duration,
-        serve_after_wait=violations,
-        reconciliation=recon,
-    )
+    end = (t, grand, q_integral, wait_cost, fetch_cost_total, ageing_cost_total,
+           fetches, events)
+    return end, snap, violations
 
 
 def _verify_decision(policy, state, r, tables, kind, victim,

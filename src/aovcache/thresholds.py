@@ -45,6 +45,7 @@ __all__ = [
     "average_cost_batch",
     "solve_case2",
     "solve_thresholds",
+    "zero_holding_thresholds",
     "optimal_average_cost",
     "case2_residuals",
 ]
@@ -331,6 +332,18 @@ def solve_thresholds(params: ContentParams, beta: float, C_h: float = 0.0) -> Th
         tau_tilde=float(tt[1]), Q_bar=int(qb[1]), Q_hat=q_hat, tau0=tau0, I=I,
         theta=float(theta[1]), C_h=C_h,
     )
+
+
+def zero_holding_thresholds(k: ContentConstants) -> list[ThresholdSet]:
+    """``solve_thresholds(params, beta, 0.0)`` for every content of ``k``,
+    from one kernel call."""
+    tb, tt, qb, theta = (a.tolist() for a in case2_batch(0.0, k))
+    return [
+        ThresholdSet(tau_star=tb[i], Q_star=qb[i], tau_bar=tb[i], tau_tilde=tt[i],
+                     Q_bar=qb[i], Q_hat=q_hat, tau0=tau0, I=I, theta=theta[i], C_h=0.0)
+        for i, (q_hat, tau0, I) in enumerate(zip(k.q_hat.tolist(), k.tau0.tolist(),
+                                                 k.I.tolist()))
+    ]
 
 
 def average_cost_batch(C_h, k: ContentConstants) -> np.ndarray:

@@ -289,12 +289,15 @@ class ContentTables:
 
 def build_content_tables(params: ContentParams, beta: float,
                          grid_size: int = 1024, indices: bool = True,
-                         breakpoints: tuple[float, ...] | None = None) -> ContentTables:
+                         breakpoints: tuple[float, ...] | None = None,
+                         ts: ThresholdSet | None = None) -> ContentTables:
     """Tables for one content; with ``indices=False`` only the thresholds
     (tau_star, Q_star, Q_hat, I) are populated, for policies that never
     evaluate an index.  ``breakpoints`` takes this content's entry of
-    ``uncached_breakpoints`` when a caller has batched them."""
-    ts = solve_thresholds(params, beta, 0.0)
+    ``uncached_breakpoints`` and ``ts`` its ``C_h = 0`` thresholds when a
+    caller has batched them."""
+    if ts is None:
+        ts = solve_thresholds(params, beta, 0.0)
     if indices:
         if breakpoints is None:
             breakpoints = uncached_breakpoints((params,), beta)[0]

@@ -1,9 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
+import aovcache
+from aovcache import _ckernel
 from aovcache.cli import config_digest, main
 
 
@@ -173,6 +181,22 @@ class TestSimulateAndSweep:
                      "--seed", "11"]) == 0
         assert json.loads((out2 / "manifest.json").read_text())["seed"] == 11
 
+    def test_manifest_records_event_loop_and_versions(self, desk_cfg, tmp_path,
+                                                      monkeypatch):
+        out = tmp_path / "loop"
+        assert main(["simulate", "--config", desk_cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        want = "python" if _ckernel.whittle_loop is None else "compiled"
+        assert manifest["event_loop"] == want
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+        # a fallback shows in the manifest and leaves the metrics unchanged
+        monkeypatch.setattr(_ckernel, "whittle_loop", None)
+        out2 = tmp_path / "loop-python"
+        assert main(["simulate", "--config", desk_cfg, "--out", str(out2)]) == 0
+        assert json.loads((out2 / "manifest.json").read_text())["event_loop"] == "python"
+        assert (out / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
     def test_policy_axis(self, desk_cfg, tmp_path):
         out = tmp_path / "pol"
         assert main(["sweep", "--config", desk_cfg, "--out", str(out),
@@ -210,6 +234,16 @@ class TestDigest:
         b = {"y": {"a": 3, "b": 2}, "x": 1}
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest({"x": 2, "y": {"b": 2, "a": 3}})
+
+
+def test_import_skips_scipy_signal():
+    # only the verify command needs the oracle, which imports scipy.signal
+    src = Path(aovcache.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, aovcache.cli; print('scipy.signal' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert res.stdout.strip() == "False"
 
 
 class TestVerifyCmd:

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import pytest
 
-from aovcache import simulator
+from aovcache import _ckernel, simulator
 from aovcache.model import ContentParams, CostModel, SystemParams
 from aovcache.policies import PolicyKind, build_policy_tables
 from aovcache.simulator import (
     AgeingMode,
     SimConfig,
+    SimulationError,
     aggregate,
     run,
     sweep,
@@ -104,6 +105,93 @@ class TestInlineMatchesPolicyFunctions:
     def test_infinite_verified(self):
         m = run(single_content_config(horizon_events=60_000), verify_every=1)
         assert m.event_count == 60_000
+
+
+needs_kernel = pytest.mark.skipif(
+    _ckernel.whittle_loop is None,
+    reason="compiled event loop unavailable (no C compiler or no writable cache)")
+
+LOCKSTEP_SYSTEMS = {
+    "desk": lambda: desk_system(N=40, beta=4.0, M=10),
+    "paper-like": lambda: desk_system(N=100, beta=40.0, M=25),
+    "unit-M0": lambda: SystemParams(beta=1.0, contents=(UNIT,), M=0),
+    "desk-M1": lambda: desk_system(N=40, beta=4.0, M=1),
+    # equal popularity: some evictions tie, which exercises the lowest-id rule
+    "uniform": lambda: desk_system(N=40, beta=4.0, M=10, alpha=0.0),
+}
+
+
+@pytest.fixture(scope="module")
+def lockstep_tables():
+    return {name: (make(), build_policy_tables(make()))
+            for name, make in LOCKSTEP_SYSTEMS.items()}
+
+
+class TestCompiledLoop:
+    """The compiled Whittle expected-mode loop against the Python loop,
+    which the tests select by setting the loader's handle to None."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("name", list(LOCKSTEP_SYSTEMS))
+    @pytest.mark.parametrize("horizon", [
+        dict(horizon_events=20_000),
+        dict(horizon_time=2_000.0),
+        dict(horizon_events=20_000, warmup=0.0),
+    ], ids=["events", "time", "no-warmup"])
+    def test_bit_identical_to_python_loop(self, monkeypatch, lockstep_tables,
+                                          name, horizon):
+        system, tables = lockstep_tables[name]
+        kernel = _ckernel.whittle_loop
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        for seed in (1, 2, 1000):
+            cfg = SimConfig(system=system, seed=seed, **horizon)
+            monkeypatch.setattr(_ckernel, "whittle_loop", counting)
+            compiled = run(cfg, tables)
+            monkeypatch.setattr(_ckernel, "whittle_loop", None)
+            assert run(cfg, tables) == compiled
+        assert calls  # the kernel really ran
+
+    @pytest.mark.parametrize("broken", ["no-compiler", "cache-is-a-file"])
+    def test_failed_build_falls_back(self, monkeypatch, tmp_path, desk, broken):
+        system, tables = desk
+        cfg = SimConfig(system=system, horizon_events=20_000, seed=4)
+        want = run(cfg, tables)
+        if broken == "no-compiler":
+            monkeypatch.setenv("PATH", str(tmp_path))
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        else:
+            (tmp_path / "cache").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        handle = _ckernel.load()
+        assert handle is None
+        if broken == "no-compiler":  # the failed build left no temp file
+            assert list((tmp_path / "cache" / "aovcache").iterdir()) == []
+        monkeypatch.setattr(_ckernel, "whittle_loop", handle)
+        assert run(cfg, tables) == want
+
+    def test_kernel_error_status_raises(self, monkeypatch, desk):
+        # the kernel returns -1 when an admission finds the cache inconsistent
+        system, tables = desk
+        monkeypatch.setattr(_ckernel, "whittle_loop", lambda *args: -1)
+        with pytest.raises(SimulationError, match="occupancy"):
+            run(SimConfig(system=system, horizon_events=1_000, seed=1), tables)
+
+    def test_other_policies_and_modes_stay_in_python(self, monkeypatch, desk):
+        def fail(*args):
+            raise AssertionError("compiled loop used")
+
+        system, tables = desk
+        monkeypatch.setattr(_ckernel, "whittle_loop", fail)
+        for kw in (dict(policy=PolicyKind.MYOPIC), dict(policy=PolicyKind.STATIC_TOP_M),
+                   dict(ageing_mode=AgeingMode.REALIZED)):
+            run(SimConfig(system=system, horizon_events=2_000, seed=1, **kw), tables)
+        run(SimConfig(system=system, horizon_events=2_000, seed=1), tables,
+            verify_every=50)
 
 
 class TestAgeingModes:

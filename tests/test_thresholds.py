@@ -7,13 +7,15 @@ from aovcache.model import ContentParams, CostModel, zipf_popularity
 from aovcache.thresholds import (
     case2_residuals,
     compute_I,
+    content_constants,
     optimal_average_cost,
     solve_case2,
     solve_infinite_capacity,
     solve_q_hat,
     solve_thresholds,
+    zero_holding_thresholds,
 )
-from conftest import random_content
+from conftest import desk_system, random_content
 
 
 def brute_serve_wait_fetch(beta, lam, c_a, c_f, c_w, q_max=60):
@@ -201,6 +203,18 @@ class TestBundle:
                 cm = c.costs
                 qb_floor = math.floor(c.p * beta * cm.c_a * c.lam * ts.tau_tilde / cm.c_w)
                 assert abs(qb_floor - ts.Q_bar) <= 1  # exact off boundary, +-1 at ties
+
+    def test_batched_zero_holding_equals_scalar(self, unit_content):
+        # the table build uses the batched form; seeded metrics rely on it
+        # matching the scalar solver bit for bit
+        rng = np.random.default_rng(31)
+        for contents, beta in [
+            (desk_system().contents, 4.0),
+            (desk_system(N=100, beta=40.0).contents, 40.0),
+            ((unit_content,), 1.0),
+        ] + [((c,), b) for c, b in (random_content(rng) for _ in range(10))]:
+            batched = zero_holding_thresholds(content_constants(contents, beta))
+            assert batched == [solve_thresholds(c, beta, 0.0) for c in contents]
 
     def test_optimal_cost_continuous_at_I(self, unit_content):
         I = compute_I(unit_content, 1.0)
