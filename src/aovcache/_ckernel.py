@@ -1,16 +1,27 @@
-"""Build and load the compiled Whittle event loop (``_loop.c``).
+"""Build and load the compiled event loop (``_loop.c``).
+
+The kernel runs every policy in both ageing modes.  Realized-mode
+version ages call numpy's own ``random_poisson``, so the library links
+the static ``libnpyrandom.a`` that numpy ships and compiles against the
+``numpy/random/bitgen.h`` header from ``numpy.get_include()``.
 
 The shared library is built once with the system C compiler and cached
 under ``$XDG_CACHE_HOME/aovcache/`` (default ``~/.cache/aovcache/``),
-named by a hash of the source, the compiler flags and the platform.
+named by a hash of the source, the compiler flags, the platform, the
+numpy version and the bytes of ``libnpyrandom.a``, so a numpy upgrade
+never loads a kernel built against another ``bitgen_t``.
 ``-ffp-contract=off`` stops the compiler from fusing a multiply and an
 add into one FMA, which rounds differently from the Python loop; no
-``-march=native`` or ``-ffast-math`` for the same reason.
+``-march=native`` or ``-ffast-math`` for the same reason.  ``-O3`` keeps
+the Whittle loop as fast as it was in a kernel of its own: at ``-O2`` the
+eight (policy, mode) loops in one function ran its index scan up to 10 %
+slower.  Without ``-ffast-math`` it reorders no float operation.
 
-``whittle_loop`` is loaded when this module is imported, so a missing
+``event_loop`` is loaded when this module is imported, so a missing
 library is built by the first import rather than inside a timed run.  It
-is None when there is no compiler or no writable cache directory, and
-``simulator.run`` then uses its Python loop.
+is None when there is no compiler, no writable cache directory, or no
+``libnpyrandom.a`` or numpy include directory, and ``simulator.run``
+then uses its Python loop.
 """
 
 from __future__ import annotations
@@ -26,24 +37,35 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_loop.c")
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+NUMPY_INCLUDE = Path(np.get_include())
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
-_f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-_i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-_f64_out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-_i64_out = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-_u8_out = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-_int, _dbl = ctypes.c_int64, ctypes.c_double
-# the parameters of whittle_loop in _loop.c, in order
+_ptr, _int, _dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+# the parameters of event_loop in _loop.c, in order; arrays go in as the
+# addresses that ``address`` checks and returns (numpy's ndpointer types
+# check them on every call, ~5 us per array, ~2 % of a 30k-event run)
 _ARGTYPES = [
-    _f64, _i64, _int, _int,          # dts, ids, bi, blen
+    _int, _int, _ptr,                # policy code, realized, bitgen_t of the age stream
+    _ptr, _ptr, _int, _int,          # dts, ids, bi, blen
     _int, _dbl,                      # stop_events, stop_time
-    _f64, _i64, _f64,                # per-content doubles and ints, breakpoints
-    _f64, _int,                      # w_of_tau rows, stride
-    _i64_out, _f64_out, _u8_out,     # queue, fetch_time, waited
-    _i64_out, _i64_out, _int,        # slot_of, slots, m
-    _f64_out, _i64_out,              # running totals
+    _ptr, _ptr, _ptr,                # per-content doubles and ints, breakpoints
+    _ptr, _int, _dbl,                # w_of_tau rows, stride, beta
+    _ptr, _ptr, _ptr,                # queue, fetch_time, waited
+    _ptr, _ptr,                      # aov, aov_time
+    _ptr, _ptr, _int,                # slot_of, slots, m
+    _ptr,                            # scratch, m doubles
+    _ptr, _ptr,                      # running totals
 ]
+
+
+def address(a: np.ndarray, dtype) -> int:
+    """The address of ``a``'s data, for a pointer parameter of the kernel
+    that reads or writes it as a C-contiguous ``dtype`` array."""
+    if a.dtype != dtype or not a.flags.c_contiguous:
+        raise TypeError(f"the kernel needs a C-contiguous {np.dtype(dtype)} array, "
+                        f"got {a.dtype}")
+    return a.ctypes.data
 
 
 def cache_dir() -> Path:
@@ -52,10 +74,15 @@ def cache_dir() -> Path:
 
 
 def _build() -> Path:
-    """Path of the cached library, compiling it first if it is missing."""
+    """Path of the cached library, compiling it first if it is missing.
+    Raises OSError when numpy's random library or header is missing."""
     src = SOURCE.read_bytes()
+    archive = NPYRANDOM.read_bytes()
+    if not (NUMPY_INCLUDE / "numpy" / "random" / "bitgen.h").is_file():
+        raise FileNotFoundError(f"no numpy/random/bitgen.h under {NUMPY_INCLUDE}")
     key = hashlib.sha256(b"\0".join(
-        [src, " ".join(FLAGS).encode(), sysconfig.get_platform().encode()])).hexdigest()
+        [src, " ".join(FLAGS).encode(), sysconfig.get_platform().encode(),
+         np.__version__.encode(), hashlib.sha256(archive).digest()])).hexdigest()
     lib = cache_dir() / f"_loop-{key[:16]}.so"
     if lib.exists():
         return lib
@@ -63,10 +90,12 @@ def _build() -> Path:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
     os.close(fd)
     try:
-        # compile the hashed bytes from stdin; os.replace makes a build
-        # racing another process's safe
-        subprocess.run(["cc", *FLAGS, "-x", "c", "-", "-o", tmp], input=src,
-                       capture_output=True, check=True, timeout=120)
+        # compile the hashed bytes from stdin; "-x none" makes cc read the
+        # archive as a library again; os.replace makes a build racing
+        # another process's safe
+        subprocess.run(["cc", *FLAGS, "-I", str(NUMPY_INCLUDE), "-x", "c", "-",
+                        "-x", "none", str(NPYRANDOM), "-lm", "-o", tmp],
+                       input=src, capture_output=True, check=True, timeout=120)
         os.replace(tmp, lib)
     finally:
         if os.path.exists(tmp):
@@ -78,7 +107,7 @@ def load():
     """The kernel's entry point with its argument types declared, or None
     when it cannot be built or loaded."""
     try:
-        fn = ctypes.CDLL(str(_build())).whittle_loop
+        fn = ctypes.CDLL(str(_build())).event_loop
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
     fn.argtypes = _ARGTYPES
@@ -86,4 +115,4 @@ def load():
     return fn
 
 
-whittle_loop = load()
+event_loop = load()

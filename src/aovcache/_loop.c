@@ -1,35 +1,88 @@
-/* Compiled event loop of aovcache.simulator.run: the Whittle policy in
- * expected-ageing mode.
+/* Compiled event loop of aovcache.simulator.run: every policy (Whittle,
+ * myopic, static top-M, infinite capacity) in both ageing modes.
  *
  * simulator._compiled_loop draws each batch of inter-arrival times and content
- * ids with numpy and calls whittle_loop once per batch; all state lives
- * in numpy arrays.  Every float operation keeps the order of the Python
- * loop, and the build turns off FMA contraction, so the two loops give
+ * ids with numpy and calls event_loop once per batch; all state lives in
+ * numpy arrays.  Every float operation keeps the order of the Python loop,
+ * and the build turns off FMA contraction, so the two loops give
  * bit-identical metrics (tests/test_simulator.py runs them in lockstep).
+ *
+ * Realized-mode version ages are drawn with numpy's own random_poisson
+ * (linked from numpy's libnpyrandom.a) on the bitgen_t of the run's
+ * version-age generator, so they are the draws Generator.poisson makes.
  */
+#include <limits.h>
 #include <math.h>
 #include <stdint.h>
 
+#include "numpy/random/bitgen.h"
+
+/* numpy/random/distributions.h declares this too, but includes Python.h */
+extern int64_t random_poisson(bitgen_t *bitgen_state, double lam);
+
+/* Generator.poisson rejects lam above this (numpy/random/_common.pyx) */
+#define POISSON_LAM_MAX ((double)LONG_MAX - sqrt((double)LONG_MAX) * 10.0)
+
+/* policy codes, as simulator._POLICY_CODE */
+enum { WHITTLE, MYOPIC, STATIC_TOP_M, INFINITE_CAPACITY };
+/* return values besides the index of the next event */
+enum { OCCUPANCY_ERROR = -1, POISSON_DOMAIN_ERROR = -2 };
+
 /* columns of the per-content tables, one row per content */
-enum { TAU_STAR, CEILING, INV_STEP, C_ALAM, C_F, C_W, N_CDBL };
+enum { TAU_STAR, CEILING, INV_STEP, C_ALAM, C_F, C_W, P, P_CF, LAM, C_A, N_CDBL };
 enum { Q_STAR, Q_HAT, BP_OFF, N_CINT };
 /* running totals; the first six doubles and the first two counts, in
  * this order, form the warmup snapshot */
 enum { T, GRAND, Q_INTEGRAL, WAIT_COST, FETCH_COST, AGEING_COST, WQ_RATE, N_ACC };
 enum { FETCHES, EVENTS, VIOLATIONS, TOTAL_Q, N_CNT };
 
-/* Runs the events bi..blen-1 of the batch, stopping before an event once
- * events >= stop_events or t >= stop_time.  Returns the index of the
- * first event not run, or -1 if an admission found the cache
- * inconsistent (a victim not cached, or a requester already cached).
- * The cache is slots[0..m-1]; slot_of[id] is id's slot, or -1. */
-int64_t whittle_loop(const double *dts, const int64_t *ids, int64_t bi, int64_t blen,
-                     int64_t stop_events, double stop_time,
-                     const double *cdbl, const int64_t *cint, const double *bps,
-                     const double *w_of_tau, int64_t stride,
-                     int64_t *queue, double *fetch_time, uint8_t *waited,
-                     int64_t *slot_of, int64_t *slots, int64_t m,
-                     double *acc, int64_t *cnt)
+/* numpy's DOUBLE_pairwise_sum, the order in which ndarray.sum adds a
+ * contiguous float64 array to its starting value 0.0 (exported so that a
+ * test can compare it with ndarray.sum directly) */
+double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Python's min(a, b): b only when strictly smaller */
+static inline double pymin(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+/* One loop body, specialised by the constant policy and ageing mode that
+ * event_loop passes in, so each combination compiles to its own loop. */
+static inline __attribute__((always_inline)) int64_t
+run_events(const int policy, const int realized, bitgen_t *bitgen,
+           const double *dts, const int64_t *ids, int64_t bi, int64_t blen,
+           int64_t stop_events, double stop_time,
+           const double *cdbl, const int64_t *cint, const double *bps,
+           const double *w_of_tau, int64_t stride, double beta,
+           int64_t *queue, double *fetch_time, uint8_t *waited,
+           int64_t *aov, double *aov_time,
+           int64_t *slot_of, int64_t *slots, int64_t m, double *scratch,
+           double *acc, int64_t *cnt)
 {
     double t = acc[T], grand = acc[GRAND], q_integral = acc[Q_INTEGRAL];
     double wait_cost = acc[WAIT_COST], fetch_cost = acc[FETCH_COST];
@@ -37,6 +90,7 @@ int64_t whittle_loop(const double *dts, const int64_t *ids, int64_t bi, int64_t 
     int64_t fetches = cnt[FETCHES], events = cnt[EVENTS];
     int64_t violations = cnt[VIOLATIONS], total_q = cnt[TOTAL_Q];
     const double last_cell = (double)(stride - 1);
+    const double invb = 1.0 / beta;
 
     for (; bi < blen && events < stop_events && t < stop_time; bi++) {
         double dt = dts[bi];
@@ -55,11 +109,62 @@ int64_t whittle_loop(const double *dts, const int64_t *ids, int64_t bi, int64_t 
         /* decide: 0 serve, 1 fetch+cache, 2 wait, 3 fetch+discard */
         int kind;
         int64_t victim = -1;
-        int cached = slot_of[r] >= 0;
+        int cached = policy == INFINITE_CAPACITY || slot_of[r] >= 0;
         int64_t q = queue[r];
         double tau_r = 0.0;
-        if (cached) {
+        if (cached)
             tau_r = t - fetch_time[r];
+        if (policy == MYOPIC && cached) {
+            /* policies.myopic_decide(..., include_common=False); the + 0.0
+             * is its carrying term w */
+            double p_r = cd[P], cf_r = cd[C_F], cal_r = cd[C_ALAM];
+            double ahead = tau_r + invb;  /* tau one epoch ahead */
+            double c_serve = cal_r * tau_r * (double)(q + 1)
+                             + p_r * pymin(cf_r, cal_r * ahead) + 0.0;
+            double c_fetch = cf_r + p_r * pymin(cf_r, cal_r / beta) + 0.0;
+            double c_wait = cd[C_W] * (double)(q + 1) / beta
+                            + p_r * pymin(cf_r, (double)(q + 2) * cal_r * ahead)
+                            + (1.0 - p_r) * pymin(cf_r, (double)(q + 1) * cal_r * ahead)
+                            + 0.0;
+            if (c_serve <= c_fetch && c_serve <= c_wait)
+                kind = 0;
+            else
+                kind = c_fetch <= c_wait ? 1 : 2;
+        } else if (policy == MYOPIC) {
+            /* the per-slot lookahead the Python loop computes with numpy;
+             * the eviction gain p*c_f - tv is least at the victim, lowest
+             * id on ties */
+            double g_min = INFINITY;
+            for (int64_t s = 0; s < m; s++) {
+                int64_t id = slots[s];
+                const double *cs = cdbl + id * N_CDBL;
+                double tv = (t - fetch_time[id]) + invb;
+                tv *= ((double)queue[id] + 1.0) * cs[C_ALAM];
+                if (cs[C_F] < tv)
+                    tv = cs[C_F];
+                tv *= cs[P];
+                scratch[s] = tv;
+                double g = cs[P_CF] - tv;
+                if (g < g_min || (g == g_min && id < victim)) {
+                    g_min = g;
+                    victim = id;
+                }
+            }
+            double carry = 0.0 + pairwise_sum(scratch, m);  /* sum starts from 0.0 */
+            double p_r = cd[P], cf_r = cd[C_F];
+            double c_cache = cf_r + p_r * pymin(cf_r, cd[C_ALAM] / beta) + carry + g_min;
+            double c_wait = cd[C_W] * (double)(q + 1) / beta + carry;
+            double c_disc = cf_r + p_r * cf_r + carry;
+            if (c_cache <= c_wait && c_cache <= c_disc)
+                kind = 1;
+            else
+                kind = c_wait <= c_disc ? 2 : 3;
+        } else if (policy == STATIC_TOP_M) {
+            if (cached)
+                kind = tau_r <= cd[TAU_STAR] ? 0 : 1;  /* or refresh in place */
+            else
+                kind = 3;
+        } else if (cached) {  /* Whittle, or every copy under infinite capacity */
             if (tau_r <= cd[TAU_STAR])
                 kind = 0;
             else
@@ -105,7 +210,22 @@ int64_t whittle_loop(const double *dts, const int64_t *ids, int64_t bi, int64_t 
             wq_rate -= cd[C_W] * (double)q;
         }
         if (kind == 0) {
-            double age = cd[C_ALAM] * tau_r * (double)(q + 1);
+            double age;
+            if (realized) {
+                double dtv = t - aov_time[r];
+                if (dtv > 0.0) {
+                    double lam = cd[LAM] * dtv;
+                    if (lam > POISSON_LAM_MAX) {
+                        bi = POISSON_DOMAIN_ERROR;
+                        break;
+                    }
+                    aov[r] += random_poisson(bitgen, lam);
+                    aov_time[r] = t;
+                }
+                age = cd[C_A] * (double)aov[r] * (double)(q + 1);
+            } else {
+                age = cd[C_ALAM] * tau_r * (double)(q + 1);
+            }
             ageing_cost += age;
             grand += age;
             violations += waited[r];
@@ -114,7 +234,7 @@ int64_t whittle_loop(const double *dts, const int64_t *ids, int64_t bi, int64_t 
         if (kind == 1) {
             if (!cached) {
                 if (victim < 0 || slot_of[victim] < 0 || slot_of[r] >= 0) {
-                    bi = -1;
+                    bi = OCCUPANCY_ERROR;
                     break;
                 }
                 int64_t s = slot_of[victim];
@@ -123,6 +243,10 @@ int64_t whittle_loop(const double *dts, const int64_t *ids, int64_t bi, int64_t 
                 slots[s] = r;
             }
             fetch_time[r] = t;
+            if (realized) {
+                aov[r] = 0;
+                aov_time[r] = t;
+            }
         }
         fetch_cost += cd[C_F];
         grand += cd[C_F];
@@ -142,4 +266,39 @@ int64_t whittle_loop(const double *dts, const int64_t *ids, int64_t bi, int64_t 
     cnt[VIOLATIONS] = violations;
     cnt[TOTAL_Q] = total_q;
     return bi;
+}
+
+#define RUN(policy, realized) \
+    run_events(policy, realized, bitgen, dts, ids, bi, blen, stop_events, stop_time, \
+               cdbl, cint, bps, w_of_tau, stride, beta, queue, fetch_time, waited, \
+               aov, aov_time, slot_of, slots, m, scratch, acc, cnt)
+#define RUN_MODES(policy) (realized ? RUN(policy, 1) : RUN(policy, 0))
+
+/* Runs the events bi..blen-1 of the batch, stopping before an event once
+ * events >= stop_events or t >= stop_time.  Returns the index of the
+ * first event not run, OCCUPANCY_ERROR if an admission found the cache
+ * inconsistent (a victim not cached, or a requester already cached), or
+ * POISSON_DOMAIN_ERROR if a version-age draw had lam above what
+ * Generator.poisson accepts.  The cache is slots[0..m-1]; slot_of[id] is
+ * id's slot, or -1.  bitgen is read only in realized mode. */
+int64_t event_loop(int64_t policy, int64_t realized, void *bitgen,
+                   const double *dts, const int64_t *ids, int64_t bi, int64_t blen,
+                   int64_t stop_events, double stop_time,
+                   const double *cdbl, const int64_t *cint, const double *bps,
+                   const double *w_of_tau, int64_t stride, double beta,
+                   int64_t *queue, double *fetch_time, uint8_t *waited,
+                   int64_t *aov, double *aov_time,
+                   int64_t *slot_of, int64_t *slots, int64_t m, double *scratch,
+                   double *acc, int64_t *cnt)
+{
+    switch (policy) {
+    case WHITTLE:
+        return RUN_MODES(WHITTLE);
+    case MYOPIC:
+        return RUN_MODES(MYOPIC);
+    case STATIC_TOP_M:
+        return RUN_MODES(STATIC_TOP_M);
+    default:
+        return RUN_MODES(INFINITE_CAPACITY);
+    }
 }

@@ -7,20 +7,24 @@ Three RNG streams derive from the master seed -- inter-arrival times,
 content selection, version-age realization -- so expected-mode and
 realized-mode runs share the same arrival sample path.
 
-The Python event loop inlines the Whittle and myopic index comparisons
-as vectorized lookups over the cache slots (the policy-module functions
-are pure but too slow to call per event).  Passing ``verify_every=k``
-re-derives every k-th decision through the public policy functions and
-asserts agreement, which is how the tests pin the inlined fast path to
-the specified decision rules.
+Every policy in both ageing modes runs in a compiled C loop
+(``_loop.c``, loaded by ``_ckernel``), called once per pre-drawn numpy
+batch; realized-mode version ages are drawn in C by numpy's own Poisson
+sampler on the run's version-age generator.  ``_python_loop`` is the
+reference and the fallback: ``verify_every > 0`` and a machine where the
+kernel cannot be built use it.  It inlines the Whittle and myopic index
+comparisons as vectorized lookups over the cache slots (the
+policy-module functions are pure but too slow to call per event), and
+``verify_every=k`` re-derives every k-th decision through the public
+policy functions and asserts agreement, which is how the tests pin the
+inlined rules to the specified ones.  The two loops give bit-identical
+metrics: a lockstep test in ``tests/test_simulator.py`` pins them
+together for every policy and mode, and the CLI's ``verify`` command
+compares them on the user's machine.
 
-Whittle runs in expected-ageing mode take a compiled C loop instead
-(``_loop.c``, loaded by ``_ckernel``), fed the same numpy batches; every
-other policy, realized mode, ``verify_every > 0`` and a machine where
-the kernel cannot be built use the Python loop.  The two loops give
-bit-identical metrics: a lockstep test in ``tests/test_simulator.py``
-pins them together, and the CLI's ``verify`` command compares a
-``verify_every`` run (Python loop) with a plain one (compiled loop).
+A run that finds the cache holding other than M contents raises
+``SimulationError``; the metrics of a finished run therefore always come
+from a run whose occupancy held at every epoch.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from .policies import (
     whittle_decide,
 )
 
-__all__ = ["AgeingMode", "SimConfig", "SimMetrics", "run", "sweep", "SweepCell",
-           "aggregate"]
+__all__ = ["AgeingMode", "SimConfig", "SimMetrics", "SimulationError", "run", "sweep",
+           "SweepCell", "aggregate"]
 
 _BATCH = 1 << 15
 
@@ -80,7 +84,6 @@ class SimMetrics:
     waiting_cost_rate: float
     avg_wait_time: float         # queue-time per request
     fetch_rate: float            # fetches per unit time
-    occupancy_ok: bool
     event_count: int
     duration: float
     serve_after_wait: int        # serve-following-wait occurrences (expect 0)
@@ -135,11 +138,10 @@ def run(config: SimConfig, tables: PolicyTables | None = None,
         else:
             warm_time = config.warmup * config.horizon_time
 
-    kernel = _ckernel.whittle_loop
-    if (whittle and kernel is not None and not verify_every
-            and config.ageing_mode is AgeingMode.EXPECTED):
+    kernel = _ckernel.event_loop
+    if kernel is not None and not verify_every:
         end, snap, violations = _compiled_loop(
-            kernel, config, tables, batches, warm_events, warm_time)
+            kernel, config, tables, batches, warm_events, warm_time, aov_rng)
     else:
         end, snap, violations = _python_loop(
             config, tables, batches, warm_events, warm_time, aov_rng, verify_every)
@@ -185,7 +187,6 @@ def _metrics(end, snap, violations) -> SimMetrics:
         waiting_cost_rate=d_wait / duration,
         avg_wait_time=(q_integral - qi0) / n_req,
         fetch_rate=(fetches - f0) / duration,
-        occupancy_ok=True,
         event_count=events,
         duration=duration,
         serve_after_wait=violations,
@@ -193,39 +194,60 @@ def _metrics(end, snap, violations) -> SimMetrics:
     )
 
 
-# indices into the compiled loop's running totals (enums in _loop.c)
+# indices into the compiled loop's running totals, its policy codes and
+# its error statuses (enums in _loop.c)
 _T, _N_ACC = 0, 7
 _EVENTS, _VIOLATIONS, _N_CNT = 1, 2, 4
+_POLICY_CODE = {PolicyKind.WHITTLE: 0, PolicyKind.MYOPIC: 1,
+                PolicyKind.STATIC_TOP_M: 2, PolicyKind.INFINITE_CAPACITY: 3}
+_OCCUPANCY_ERROR, _POISSON_DOMAIN_ERROR = -1, -2
 _NO_LIMIT = 2**63 - 1
 
 
 def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, batches,
-                   warm_events, warm_time):
-    """The Whittle expected-mode loop of ``_python_loop``, one kernel call
+                   warm_events, warm_time, aov_rng):
+    """``_python_loop`` for every policy and ageing mode, one kernel call
     per batch.  The kernel stops at the warmup point so the snapshot is
     taken here, after the same event as in the Python loop."""
     system = config.system
     n, m = system.N, system.M
     ct = tables.content
     stride = len(ct[0].w_of_tau)
-    if any(len(c.w_of_tau) != stride or len(c.breakpoints) != c.q_hat - c.q_star
-           for c in ct):
+    if config.policy is PolicyKind.WHITTLE and any(
+            len(c.w_of_tau) != stride or len(c.breakpoints) != c.q_hat - c.q_star
+            for c in ct):
         raise ValueError("the Whittle policy needs tables built with indices=True")
-    cdbl = np.array([(c.tau_star, c.ceiling, c.inv_step, cal, cf, cw) for c, cal, cf, cw
-                     in zip(ct, tables.c_alam, tables.c_f, tables.c_w)]).ravel()
+    cdbl = np.array([
+        (c.tau_star, c.ceiling, c.inv_step, cal, cf, cw, p, p * cf, lam, cp.costs.c_a)
+        for c, cal, cf, cw, p, lam, cp in zip(ct, tables.c_alam, tables.c_f, tables.c_w,
+                                              tables.p, tables.lam, system.contents)
+    ]).ravel()
     bp_off = np.cumsum([0] + [len(c.breakpoints) for c in ct])[:-1]
     cint = np.array([(c.q_star, c.q_hat, off) for c, off in zip(ct, bp_off)],
                     dtype=np.int64).ravel()
     bps = np.array([b for c in ct for b in c.breakpoints], dtype=float)
     w_of_tau = np.concatenate([c.w_of_tau for c in ct])
+    # under infinite capacity every content counts as cached and the
+    # kernel reads no slot
     slots = np.array(sorted(_top_m_ids(system)), dtype=np.int64)
     slot_of = np.full(n, -1, dtype=np.int64)
     slot_of[slots] = np.arange(m)
+    scratch = np.empty(m)
     queue = np.zeros(n, dtype=np.int64)
     fetch_time = np.zeros(n)
     waited = np.zeros(n, dtype=np.uint8)
+    aov = np.zeros(n, dtype=np.int64)
+    aov_time = np.zeros(n)
     acc = np.zeros(_N_ACC)
     cnt = np.zeros(_N_CNT, dtype=np.int64)
+    realized = config.ageing_mode is AgeingMode.REALIZED
+    bitgen = aov_rng.bit_generator.ctypes.bit_generator if realized else None
+    policy = _POLICY_CODE[config.policy]
+    f64, i64, ptr = np.float64, np.int64, _ckernel.address
+    state = (ptr(cdbl, f64), ptr(cint, i64), ptr(bps, f64), ptr(w_of_tau, f64), stride,
+             system.beta, ptr(queue, i64), ptr(fetch_time, f64), ptr(waited, np.uint8),
+             ptr(aov, i64), ptr(aov_time, f64), ptr(slot_of, i64), ptr(slots, i64), m,
+             ptr(scratch, f64), ptr(acc, f64), ptr(cnt, i64))
 
     def totals():
         return (*acc[:6].tolist(), *cnt[:2].tolist())
@@ -237,18 +259,21 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, batches,
     while cnt[_EVENTS] < end_events and acc[_T] < end_time:
         if bi == blen:
             dts, ids = next(batches)
-            ids = ids.astype(np.int64, copy=False)
+            ids = ids.astype(i64, copy=False)
+            batch = ptr(dts, f64), ptr(ids, i64)
             bi, blen = 0, len(dts)
         stop_events, stop_time = end_events, end_time
         if snap is None:
             if warm_events is not None:
                 stop_events = min(stop_events, warm_events)
             stop_time = min(stop_time, warm_time)
-        bi = kernel(dts, ids, bi, blen, stop_events, stop_time, cdbl, cint, bps,
-                    w_of_tau, stride, queue, fetch_time, waited, slot_of, slots, m,
-                    acc, cnt)
-        if bi < 0:
+        bi = kernel(policy, realized, bitgen, *batch, bi, blen, stop_events, stop_time,
+                    *state)
+        if bi == _OCCUPANCY_ERROR:
             raise SimulationError(f"occupancy violated at event {cnt[_EVENTS]}")
+        if bi == _POISSON_DOMAIN_ERROR:
+            # the error Generator.poisson raises in the Python loop
+            raise ValueError("lam value too large")
         if snap is None and ((cnt[_EVENTS] == warm_events) if warm_events is not None
                              else (acc[_T] >= warm_time)):
             snap = totals()

@@ -34,3 +34,24 @@ def random_content(rng, ratio_lo=0.1, ratio_hi=100.0):
         c_w = float(rng.uniform(0.005, 1.0))
         if ratio_lo <= p * beta * c_f / c_w <= ratio_hi:
             return ContentParams(lam=lam, p=p, costs=CostModel(c_a, c_f, c_w)), beta
+
+
+def corrupt_cache(monkeypatch, system):
+    """Break the initial cache of the next run so that, some epochs in, it
+    no longer holds M contents.  The compiled loop gets one id in two
+    slots (the least popular cached id, so it is soon evicted from one and
+    still a victim candidate in the other); the Python loop gets one
+    content cached in no slot."""
+    from aovcache import _ckernel, simulator
+
+    if _ckernel.event_loop is not None:
+        top = simulator._top_m_ids(system)
+        monkeypatch.setattr(simulator, "_top_m_ids", lambda s: top[:-1] + [top[-2]])
+    else:
+        preload = simulator.CacheSystemState.preload
+
+        def preload_one_extra(state, ids):
+            preload(state, ids)
+            state.cache_set.add(system.N - 1)
+
+        monkeypatch.setattr(simulator.CacheSystemState, "preload", preload_one_extra)

@@ -21,7 +21,7 @@ from aovcache.oracle import (
     value_iterate_infinite,
 )
 from aovcache.policies import PolicyKind, build_policy_tables, relaxed_lower_bound
-from aovcache.simulator import SimConfig, aggregate, run, sweep
+from aovcache.simulator import SimConfig, SimulationError, aggregate, run, sweep
 from aovcache.thresholds import (
     compute_I,
     optimal_average_cost,
@@ -35,7 +35,7 @@ from aovcache.whittle import (
     whittle_cached,
     whittle_uncached,
 )
-from conftest import UNIT, desk_system, random_content
+from conftest import UNIT, corrupt_cache, desk_system, random_content
 
 
 M_VALUES = [20, 22, 24, 26, 28, 30]
@@ -275,14 +275,15 @@ def test_criterion_7_waiting_cost_sweep():
             f"cost drift 0.1->1.0 = {flat:.3%}")
 
 
-def test_criterion_8_conservation_determinism(desk_sweep):
+def test_criterion_8_conservation_determinism(desk_sweep, monkeypatch):
     """Reconciliation to 1e-9, occupancy M at every epoch, and identical
-    reruns under fixed seeds across the criterion-6 sweep."""
+    reruns under fixed seeds across the criterion-6 sweep.  ``run`` raises
+    on an occupancy violation, so every finished cell held M contents; a
+    run on a corrupted cache shows that the raise fires."""
     n_cells = 0
     for cells in desk_sweep["cells"].values():
         for cell in cells:
             assert cell.metrics.reconciliation <= 1e-9
-            assert cell.metrics.occupancy_ok
             n_cells += 1
     system = desk_sweep["system"]
     tables = desk_sweep["tables"]
@@ -297,8 +298,13 @@ def test_criterion_8_conservation_determinism(desk_sweep):
                             horizon_events=HORIZON, seed=cell.seed)
             assert run(cfg, tables) == cell.metrics
             reruns += 1
+    corrupted = replace(system, M=M_VALUES[0])
+    corrupt_cache(monkeypatch, corrupted)
+    with pytest.raises(SimulationError, match="occupancy violated"):
+        run(SimConfig(system=corrupted, horizon_events=100_000, seed=2026), tables)
     _report("8 conservation/determinism",
-            f"{n_cells} cells reconciled, {reruns} bit-identical reruns")
+            f"{n_cells} cells reconciled, {reruns} bit-identical reruns, "
+            f"a corrupted cache raised")
 
 
 def test_criterion_9_no_serve_after_wait(desk_sweep):

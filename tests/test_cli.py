@@ -186,12 +186,12 @@ class TestSimulateAndSweep:
         out = tmp_path / "loop"
         assert main(["simulate", "--config", desk_cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        want = "python" if _ckernel.whittle_loop is None else "compiled"
+        want = "python" if _ckernel.event_loop is None else "compiled"
         assert manifest["event_loop"] == want
         assert manifest["numpy_version"] == np.__version__
         assert manifest["scipy_version"] == scipy.__version__
         # a fallback shows in the manifest and leaves the metrics unchanged
-        monkeypatch.setattr(_ckernel, "whittle_loop", None)
+        monkeypatch.setattr(_ckernel, "event_loop", None)
         out2 = tmp_path / "loop-python"
         assert main(["simulate", "--config", desk_cfg, "--out", str(out2)]) == 0
         assert json.loads((out2 / "manifest.json").read_text())["event_loop"] == "python"

@@ -1,6 +1,8 @@
+import ctypes
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from aovcache import _ckernel, simulator
@@ -15,7 +17,7 @@ from aovcache.simulator import (
     sweep,
 )
 from aovcache.thresholds import solve_infinite_capacity
-from conftest import UNIT, desk_system
+from conftest import UNIT, corrupt_cache, desk_system
 
 
 def single_content_config(**kw):
@@ -51,7 +53,6 @@ class TestRunBasics:
         total = m.fetch_cost_rate + m.ageing_cost_rate + m.waiting_cost_rate
         assert m.avg_total_cost == pytest.approx(total, rel=1e-9)
         assert m.reconciliation <= 1e-9
-        assert m.occupancy_ok
 
     def test_time_horizon(self, desk):
         system, tables = desk
@@ -68,6 +69,19 @@ class TestRunBasics:
         bad = replace(system, M=system.N)
         with pytest.raises(ValueError):
             run(SimConfig(system=bad, horizon_events=10))
+
+    @pytest.mark.parametrize("loop", ["compiled", "python"])
+    def test_corrupted_cache_raises(self, monkeypatch, desk, loop):
+        # a run whose cache stops holding M contents raises, so the
+        # metrics of a finished run always come from a valid one
+        system, tables = desk
+        if loop == "compiled" and _ckernel.event_loop is None:
+            pytest.skip("compiled event loop unavailable")
+        if loop == "python":
+            monkeypatch.setattr(_ckernel, "event_loop", None)
+        corrupt_cache(monkeypatch, system)
+        with pytest.raises(SimulationError, match="occupancy violated"):
+            run(SimConfig(system=system, horizon_events=20_000, seed=1), tables)
 
     def test_zero_warmup_counts_everything(self, desk):
         system, tables = desk
@@ -108,8 +122,9 @@ class TestInlineMatchesPolicyFunctions:
 
 
 needs_kernel = pytest.mark.skipif(
-    _ckernel.whittle_loop is None,
-    reason="compiled event loop unavailable (no C compiler or no writable cache)")
+    _ckernel.event_loop is None,
+    reason="compiled event loop unavailable (no C compiler, no writable cache "
+           "or no libnpyrandom.a in numpy)")
 
 LOCKSTEP_SYSTEMS = {
     "desk": lambda: desk_system(N=40, beta=4.0, M=10),
@@ -127,9 +142,22 @@ def lockstep_tables():
             for name, make in LOCKSTEP_SYSTEMS.items()}
 
 
+def _rngs_of(monkeypatch):
+    """The generators ``run`` creates, recorded as it creates them."""
+    made = []
+
+    def default_rng(seed):
+        made.append(real(seed))
+        return made[-1]
+
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
+
+
 class TestCompiledLoop:
-    """The compiled Whittle expected-mode loop against the Python loop,
-    which the tests select by setting the loader's handle to None."""
+    """The compiled event loop against the Python loop, which the tests
+    select by setting the loader's handle to None."""
 
     @needs_kernel
     @pytest.mark.parametrize("name", list(LOCKSTEP_SYSTEMS))
@@ -141,57 +169,136 @@ class TestCompiledLoop:
     def test_bit_identical_to_python_loop(self, monkeypatch, lockstep_tables,
                                           name, horizon):
         system, tables = lockstep_tables[name]
-        kernel = _ckernel.whittle_loop
+        kernel = _ckernel.event_loop
         calls = []
 
         def counting(*args):
-            calls.append(1)
+            calls.append(args[:2])  # policy code, realized
             return kernel(*args)
 
-        for seed in (1, 2, 1000):
-            cfg = SimConfig(system=system, seed=seed, **horizon)
-            monkeypatch.setattr(_ckernel, "whittle_loop", counting)
-            compiled = run(cfg, tables)
-            monkeypatch.setattr(_ckernel, "whittle_loop", None)
-            assert run(cfg, tables) == compiled
-        assert calls  # the kernel really ran
+        for policy in PolicyKind:
+            for mode in AgeingMode:
+                for seed in (1, 2, 1000):
+                    cfg = SimConfig(system=system, policy=policy, ageing_mode=mode,
+                                    seed=seed, **horizon)
+                    monkeypatch.setattr(_ckernel, "event_loop", counting)
+                    compiled = run(cfg, tables)
+                    monkeypatch.setattr(_ckernel, "event_loop", None)
+                    assert run(cfg, tables) == compiled, (policy, mode, seed)
+        # the kernel really ran, for every policy and mode
+        assert len(set(calls)) == len(PolicyKind) * len(AgeingMode)
 
-    @pytest.mark.parametrize("broken", ["no-compiler", "cache-is-a-file"])
+    @needs_kernel
+    def test_myopic_carry_over_many_slots(self, monkeypatch):
+        # more than 128 cached copies, so the carry sum takes numpy's
+        # recursive pairwise split, and lookaheads that saturate at c_f,
+        # so eviction gains tie and the lowest-id rule decides
+        system = desk_system(N=300, beta=40.0, M=137, c_w=2.0, lam=0.2)
+        tables = build_policy_tables(system, indices=False)
+        cfg = SimConfig(system=system, policy=PolicyKind.MYOPIC,
+                        horizon_events=20_000, seed=1)
+        compiled = run(cfg, tables)
+        monkeypatch.setattr(_ckernel, "event_loop", None)
+        assert run(cfg, tables) == compiled
+        assert compiled.fetch_rate > 0
+
+    @needs_kernel
+    def test_carry_sum_matches_ndarray_sum(self):
+        # the myopic carry is common to all three costs, so a different
+        # summation order flips decisions only at rare near-ties that no
+        # lockstep run may reach; compare the sum itself
+        fn = ctypes.CDLL(str(_ckernel._build())).pairwise_sum
+        fn.argtypes = [np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+                       ctypes.c_int64]
+        fn.restype = ctypes.c_double
+        rng = np.random.default_rng(12)
+        for n in [*range(0, 140), 255, 256, 257, 1000, 4099]:
+            a = rng.random(n) * 10.0 ** rng.integers(-6, 6, n)
+            assert 0.0 + fn(a, n) == a.sum(), n
+
+    @needs_kernel
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_realized_leaves_age_stream_in_same_state(self, monkeypatch, desk, policy):
+        system, tables = desk
+        cfg = SimConfig(system=system, policy=policy, horizon_events=20_000, seed=6,
+                        ageing_mode=AgeingMode.REALIZED)
+        made = _rngs_of(monkeypatch)
+        nexts = []
+        for kernel in (_ckernel.event_loop, None):
+            monkeypatch.setattr(_ckernel, "event_loop", kernel)
+            run(cfg, tables)
+            aov_rng = made[-1]  # the third of the run's three streams
+            nexts.append(aov_rng.poisson(3.0, 4).tolist() + [aov_rng.random()])
+        assert len(made) == 6
+        assert nexts[0] == nexts[1]
+
+    @pytest.mark.parametrize("loop", ["compiled", "python"])
+    def test_poisson_domain_error_raises(self, monkeypatch, loop):
+        # lam * tau far above what Generator.poisson accepts
+        if loop == "compiled" and _ckernel.event_loop is None:
+            pytest.skip("compiled event loop unavailable")
+        if loop == "python":
+            monkeypatch.setattr(_ckernel, "event_loop", None)
+        huge = ContentParams(lam=1e300, p=1.0, costs=CostModel(1e-300, 1.0, 0.5))
+        cfg = SimConfig(system=SystemParams(beta=1.0, contents=(huge,), M=0),
+                        policy=PolicyKind.INFINITE_CAPACITY, horizon_events=1_000,
+                        seed=1, ageing_mode=AgeingMode.REALIZED)
+        with pytest.raises(ValueError, match="lam value too large"):
+            run(cfg)
+
+    @pytest.mark.parametrize("broken", ["no-compiler", "cache-is-a-file",
+                                        "no-libnpyrandom", "no-numpy-include"])
     def test_failed_build_falls_back(self, monkeypatch, tmp_path, desk, broken):
         system, tables = desk
-        cfg = SimConfig(system=system, horizon_events=20_000, seed=4)
-        want = run(cfg, tables)
+        cfgs = [SimConfig(system=system, policy=policy, ageing_mode=mode,
+                          horizon_events=20_000, seed=4)
+                for policy in PolicyKind for mode in AgeingMode]
+        want = [run(cfg, tables) for cfg in cfgs]
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         if broken == "no-compiler":
             monkeypatch.setenv("PATH", str(tmp_path))
-            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        else:
+        elif broken == "cache-is-a-file":
             (tmp_path / "cache").write_text("")
-            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        elif broken == "no-libnpyrandom":
+            monkeypatch.setattr(_ckernel, "NPYRANDOM", tmp_path / "libnpyrandom.a")
+        else:
+            monkeypatch.setattr(_ckernel, "NUMPY_INCLUDE", tmp_path)
         handle = _ckernel.load()
         assert handle is None
         if broken == "no-compiler":  # the failed build left no temp file
             assert list((tmp_path / "cache" / "aovcache").iterdir()) == []
-        monkeypatch.setattr(_ckernel, "whittle_loop", handle)
-        assert run(cfg, tables) == want
+        monkeypatch.setattr(_ckernel, "event_loop", handle)
+        assert [run(cfg, tables) for cfg in cfgs] == want
 
     def test_kernel_error_status_raises(self, monkeypatch, desk):
-        # the kernel returns -1 when an admission finds the cache inconsistent
+        # the kernel returns -1 when an admission finds the cache
+        # inconsistent, -2 when a version-age draw is out of numpy's domain
         system, tables = desk
-        monkeypatch.setattr(_ckernel, "whittle_loop", lambda *args: -1)
+        cfg = SimConfig(system=system, horizon_events=1_000, seed=1)
+        monkeypatch.setattr(_ckernel, "event_loop", lambda *args: -1)
         with pytest.raises(SimulationError, match="occupancy"):
-            run(SimConfig(system=system, horizon_events=1_000, seed=1), tables)
+            run(cfg, tables)
+        monkeypatch.setattr(_ckernel, "event_loop", lambda *args: -2)
+        with pytest.raises(ValueError, match="lam value too large"):
+            run(cfg, tables)
 
-    def test_other_policies_and_modes_stay_in_python(self, monkeypatch, desk):
+    def test_address_checks_dtype_and_layout(self):
+        a = np.zeros(6)
+        assert _ckernel.address(a, np.float64) == a.ctypes.data
+        for bad in (a.astype(np.float32), a[::2]):
+            with pytest.raises(TypeError):
+                _ckernel.address(bad, np.float64)
+
+    def test_verify_every_stays_in_python(self, monkeypatch, desk):
         def fail(*args):
             raise AssertionError("compiled loop used")
 
         system, tables = desk
-        monkeypatch.setattr(_ckernel, "whittle_loop", fail)
-        for kw in (dict(policy=PolicyKind.MYOPIC), dict(policy=PolicyKind.STATIC_TOP_M),
-                   dict(ageing_mode=AgeingMode.REALIZED)):
-            run(SimConfig(system=system, horizon_events=2_000, seed=1, **kw), tables)
-        run(SimConfig(system=system, horizon_events=2_000, seed=1), tables,
-            verify_every=50)
+        monkeypatch.setattr(_ckernel, "event_loop", fail)
+        for policy in PolicyKind:
+            for mode in AgeingMode:
+                run(SimConfig(system=system, policy=policy, ageing_mode=mode,
+                              horizon_events=2_000, seed=1), tables, verify_every=50)
 
 
 class TestAgeingModes:
