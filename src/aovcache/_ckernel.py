@@ -11,7 +11,7 @@ named by a hash of the source, the compiler flags, the platform, the
 numpy version and the bytes of ``libnpyrandom.a``, so a numpy upgrade
 never loads a kernel built against another ``bitgen_t``.
 ``-ffp-contract=off`` stops the compiler from fusing a multiply and an
-add into one FMA, which rounds differently from the Python loop; no
+add into one FMA, which rounds differently from the reference loop; no
 ``-march=native`` or ``-ffast-math`` for the same reason.  ``-O3`` keeps
 the Whittle loop as fast as it was in a kernel of its own: at ``-O2`` the
 eight (policy, mode) loops in one function ran its index scan up to 10 %
@@ -21,7 +21,7 @@ slower.  Without ``-ffast-math`` it reorders no float operation.
 library is built by the first import rather than inside a timed run.  It
 is None when there is no compiler, no writable cache directory, or no
 ``libnpyrandom.a`` or numpy include directory, and ``simulator.run``
-then uses its Python loop.
+then uses its reference loop.
 """
 
 from __future__ import annotations

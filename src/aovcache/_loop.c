@@ -3,9 +3,11 @@
  *
  * simulator._compiled_loop draws each batch of inter-arrival times and content
  * ids with numpy and calls event_loop once per batch; all state lives in
- * numpy arrays.  Every float operation keeps the order of the Python loop,
- * and the build turns off FMA contraction, so the two loops give
- * bit-identical metrics (tests/test_simulator.py runs them in lockstep).
+ * numpy arrays.  Every float operation keeps the order of the reference
+ * loop (simulator._reference_loop, which steps model.CacheSystemState
+ * through the decision rules of policies.py), and the build turns off FMA
+ * contraction, so the two loops give bit-identical metrics
+ * (tests/test_simulator.py runs them in lockstep).
  *
  * Realized-mode version ages are drawn with numpy's own random_poisson
  * (linked from numpy's libnpyrandom.a) on the bitgen_t of the run's
@@ -115,25 +117,23 @@ run_events(const int policy, const int realized, bitgen_t *bitgen,
         if (cached)
             tau_r = t - fetch_time[r];
         if (policy == MYOPIC && cached) {
-            /* policies.myopic_decide(..., include_common=False); the + 0.0
-             * is its carrying term w */
+            /* policies.myopic_decide's cached branch */
             double p_r = cd[P], cf_r = cd[C_F], cal_r = cd[C_ALAM];
             double ahead = tau_r + invb;  /* tau one epoch ahead */
             double c_serve = cal_r * tau_r * (double)(q + 1)
-                             + p_r * pymin(cf_r, cal_r * ahead) + 0.0;
-            double c_fetch = cf_r + p_r * pymin(cf_r, cal_r / beta) + 0.0;
+                             + p_r * pymin(cf_r, cal_r * ahead);
+            double c_fetch = cf_r + p_r * pymin(cf_r, cal_r / beta);
             double c_wait = cd[C_W] * (double)(q + 1) / beta
                             + p_r * pymin(cf_r, (double)(q + 2) * cal_r * ahead)
-                            + (1.0 - p_r) * pymin(cf_r, (double)(q + 1) * cal_r * ahead)
-                            + 0.0;
+                            + (1.0 - p_r) * pymin(cf_r, (double)(q + 1) * cal_r * ahead);
             if (c_serve <= c_fetch && c_serve <= c_wait)
                 kind = 0;
             else
                 kind = c_fetch <= c_wait ? 1 : 2;
         } else if (policy == MYOPIC) {
-            /* the per-slot lookahead the Python loop computes with numpy;
-             * the eviction gain p*c_f - tv is least at the victim, lowest
-             * id on ties */
+            /* myopic_decide's uncached branch: per-slot lookaheads in
+             * CacheSystemState.slots order; the eviction gain p*c_f - tv is
+             * least at the victim, lowest id on ties */
             double g_min = INFINITY;
             for (int64_t s = 0; s < m; s++) {
                 int64_t id = slots[s];

@@ -44,7 +44,7 @@ from .model import (
     zipf_popularity,
 )
 from .policies import PolicyKind, build_policy_tables, relaxed_lower_bound
-from .simulator import AgeingMode, SimConfig, SimulationError, aggregate, run, sweep
+from .simulator import AgeingMode, SimConfig, SimulationError, _run, aggregate, sweep
 from .thresholds import compute_I, solve_case2, solve_thresholds, case2_residuals
 from .whittle import (
     build_content_tables,
@@ -145,7 +145,8 @@ class Reporter:
             "numpy_version": np.__version__,
             "scipy_version": scipy.__version__,
             # the loop every policy and ageing mode runs in; "python" here
-            # means the compiled kernel could not be built or loaded
+            # means the reference loop, as the compiled kernel could not be
+            # built or loaded
             "event_loop": "compiled" if _ckernel.event_loop is not None else "python",
             "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "outputs": [],
@@ -365,40 +366,38 @@ def cmd_verify(doc: dict, args) -> int:
     horizon = min(cfg.horizon_events or 200_000, 200_000 if quick else 500_000)
     cfg = SimConfig(system=system, policy=cfg.policy, horizon_events=horizon,
                     seed=cfg.seed, ageing_mode=cfg.ageing_mode, warmup=cfg.warmup)
-    # run raises SimulationError when the cache stops holding M contents
+    # a run raises SimulationError when the cache stops holding M contents
     # or the cost accounts disagree; a run that returns held both
     sim_errors: list[str] = []
+    compiled = _ckernel.event_loop
 
-    def simulate(c: SimConfig, **kw):
+    def simulate(c: SimConfig, kernel):
         try:
-            return run(c, tables, **kw)
+            return _run(c, tables, kernel)
         except SimulationError as e:
             sim_errors.append(f"{c.policy.value}/{c.ageing_mode.value}: {e}")
             return None
 
     try:
         tables = build_policy_tables(system)
-        # verify_every replays decisions through the policy functions, on
-        # the Python loop
-        m1 = simulate(cfg, verify_every=97)
+        m1 = simulate(cfg, compiled)
         if m1 is not None:
             check("cost-reconciliation", m1.reconciliation <= 1e-9,
                   f"{m1.reconciliation:.2e}")
             check("no-serve-after-wait", m1.serve_after_wait == 0,
                   f"{m1.serve_after_wait} occurrences")
-        # the Python loop against the compiled one (when it is built) for
-        # every policy and ageing mode, at a short horizon
+        # the reference loop against the compiled one (when it is built)
+        # for every policy and ageing mode, at a short horizon
         differ = []
         for policy in PolicyKind:
             for mode in AgeingMode:
                 c = replace(cfg, policy=policy, ageing_mode=mode,
                             horizon_events=min(horizon, 20_000))
-                python, plain = simulate(c, verify_every=97), simulate(c)
-                if python != plain:
+                if simulate(c, None) != simulate(c, compiled):
                     differ.append(f"{policy.value}/{mode.value}")
-        loop = "compiled" if _ckernel.event_loop is not None else "python"
+        loop = "compiled" if compiled is not None else "reference"
         check("simulation-determinism", not differ,
-              f"python vs {loop} loop, {len(PolicyKind) * len(AgeingMode)} policy/mode pairs"
+              f"reference vs {loop} loop, {len(PolicyKind) * len(AgeingMode)} policy/mode pairs"
               + (f"; differ: {', '.join(differ)}" if differ else ""))
         check("occupancy", not sim_errors, "; ".join(sim_errors))
     except Exception as e:  # pragma: no cover - battery failure path

@@ -156,6 +156,11 @@ class CacheSystemState:
     lazily from the update process.  The cache set has exactly M members
     at every decision epoch once initialized (unless ``infinite`` is
     set, in which case every content is permanently cached).
+
+    ``slots`` lists the cached ids in slot order: sorted at ``preload``,
+    and an admitted content takes its victim's slot.  This is the order
+    in which the compiled event loop scans the cache; ``cache_set`` is
+    the membership view of the same ids.
     """
 
     def __init__(
@@ -176,10 +181,8 @@ class CacheSystemState:
         self._c_w = [float(x) for x in c_w]
         self.total_queue = 0                 # sum of all Q^n
         self.queue_cost_rate = 0.0           # sum of c_w^n * Q^n
-        if infinite:
-            self.cache_set = set(range(n_contents))
-        else:
-            self.cache_set = set(range(min(capacity, n_contents)))
+        self.slots = list(range(n_contents if infinite else min(capacity, n_contents)))
+        self.cache_set = set(self.slots)
 
     def preload(self, ids) -> None:
         """Replace the initial cache fill (e.g. with the top-M popular ids)."""
@@ -189,6 +192,7 @@ class CacheSystemState:
         if len(ids) != self.M:
             raise OccupancyError(f"preload with {len(ids)} ids, capacity {self.M}")
         self.cache_set = ids
+        self.slots = sorted(ids)
 
     def check_occupancy(self) -> None:
         if not self.infinite and len(self.cache_set) != self.M:
@@ -238,6 +242,7 @@ class CacheSystemState:
                 raise OccupancyError("caching a new content requires evicting a cached one")
             self.cache_set.discard(evict)
             self.cache_set.add(n)
+            self.slots[self.slots.index(evict)] = n
         return q + 1
 
     # -- realized age-of-version ------------------------------------------

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
+import numpy as np
+
 from .model import CacheSystemState, SystemParams
 from .thresholds import (
     ContentConstants,
@@ -72,13 +74,12 @@ class PolicyTables:
     content: tuple[ContentTables, ...]
 
 
-def build_policy_tables(system: SystemParams, grid_size: int = 1024,
-                        indices: bool = True) -> PolicyTables:
+def build_policy_tables(system: SystemParams, indices: bool = True) -> PolicyTables:
     bps = (uncached_breakpoints(system.contents, system.beta) if indices
            else [None] * system.N)
     zero = zero_holding_thresholds(content_constants(system.contents, system.beta))
     content = tuple(
-        build_content_tables(c, system.beta, grid_size, indices, b, ts)
+        build_content_tables(c, system.beta, indices, b, ts)
         for c, b, ts in zip(system.contents, bps, zero)
     )
     return PolicyTables(
@@ -100,7 +101,7 @@ def _min_cached_index(state: CacheSystemState, tables: PolicyTables) -> tuple[fl
     queue = state.queue
     fetch_time = state.fetch_time
     content = tables.content
-    for n in state.cache_set:
+    for n in state.slots:
         w = content[n].cached_idle(queue[n], t - fetch_time[n])
         if w < best_w or (w == best_w and n < best_id):
             best_w, best_id = w, n
@@ -157,13 +158,12 @@ def _lookahead(tables: PolicyTables, n: int, q: int, tau: float) -> float:
     return min(tables.c_f[n], (q + 1) * tables.c_alam[n] * (tau + 1.0 / tables.beta))
 
 
-def myopic_decide(state: CacheSystemState, requested: int, tables: PolicyTables,
-                  include_common: bool = True) -> Action:
+def myopic_decide(state: CacheSystemState, requested: int,
+                  tables: PolicyTables) -> Action:
     """Minimize the single-stage plus terminal cost of the coming epoch.
 
-    ``include_common`` controls the shared carrying term over the other
-    cached contents, identical for every candidate action; the
-    simulator drops it since it cannot change the argmin.
+    The carrying term over the other cached contents is the same for
+    every candidate action of a cached request, so that branch omits it.
     """
     beta = tables.beta
     r = requested
@@ -172,40 +172,31 @@ def myopic_decide(state: CacheSystemState, requested: int, tables: PolicyTables,
     t = state.t
     if r in state.cache_set:
         tau = t - state.fetch_time[r]
-        w = 0.0
-        if include_common:
-            for l in state.cache_set:
-                if l == r:
-                    continue
-                ql = state.queue[l]
-                w += ql * tables.c_w[l] / beta + tables.p[l] * min(
-                    tables.c_f[l],
-                    (ql + 1) * tables.c_alam[l] * (t - state.fetch_time[l] + 1.0 / beta),
-                    (ql + 1) * tables.c_w[l] / beta,
-                )
-        c_serve = cal_r * tau * (q + 1) + p_r * min(cf_r, cal_r * (tau + 1.0 / beta)) + w
-        c_fetch = cf_r + p_r * min(cf_r, cal_r / beta) + w
+        c_serve = cal_r * tau * (q + 1) + p_r * min(cf_r, cal_r * (tau + 1.0 / beta))
+        c_fetch = cf_r + p_r * min(cf_r, cal_r / beta)
         c_wait = (
             cw_r * (q + 1) / beta
             + p_r * min(cf_r, (q + 2) * cal_r * (tau + 1.0 / beta))
             + (1.0 - p_r) * min(cf_r, (q + 1) * cal_r * (tau + 1.0 / beta))
-            + w
         )
         if c_serve <= c_fetch and c_serve <= c_wait:
             return Action(ActionKind.SERVE_CACHED)
         if c_fetch <= c_wait:
             return Action(ActionKind.FETCH_SERVE_CACHE)
         return Action(ActionKind.WAIT)
-    # uncached: compare fetch-and-cache (with best eviction), wait, fetch-discard
-    carry = 0.0
+    # uncached: compare fetch-and-cache (with best eviction), wait,
+    # fetch-discard; the carry is summed by ndarray.sum in slot order,
+    # which is the compiled event loop's order and rounding
+    looks = []
     best_evict_gain = math.inf
     victim = -1
-    for l in state.cache_set:
+    for l in state.slots:
         look = tables.p[l] * _lookahead(tables, l, state.queue[l], t - state.fetch_time[l])
-        carry += look
+        looks.append(look)
         gain = tables.p[l] * tables.c_f[l] - look  # cost shift if l is evicted
         if gain < best_evict_gain or (gain == best_evict_gain and l < victim):
             best_evict_gain, victim = gain, l
+    carry = float(np.array(looks).sum())
     c_cache = cf_r + p_r * min(cf_r, cal_r / beta) + carry + best_evict_gain
     c_wait = cw_r * (q + 1) / beta + carry
     c_discard = cf_r + p_r * cf_r + carry

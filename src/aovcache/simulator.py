@@ -10,17 +10,14 @@ realized-mode runs share the same arrival sample path.
 Every policy in both ageing modes runs in a compiled C loop
 (``_loop.c``, loaded by ``_ckernel``), called once per pre-drawn numpy
 batch; realized-mode version ages are drawn in C by numpy's own Poisson
-sampler on the run's version-age generator.  ``_python_loop`` is the
-reference and the fallback: ``verify_every > 0`` and a machine where the
-kernel cannot be built use it.  It inlines the Whittle and myopic index
-comparisons as vectorized lookups over the cache slots (the
-policy-module functions are pure but too slow to call per event), and
-``verify_every=k`` re-derives every k-th decision through the public
-policy functions and asserts agreement, which is how the tests pin the
-inlined rules to the specified ones.  The two loops give bit-identical
-metrics: a lockstep test in ``tests/test_simulator.py`` pins them
-together for every policy and mode, and the CLI's ``verify`` command
-compares them on the user's machine.
+sampler on the run's version-age generator.  ``_reference_loop`` is the
+specification and the fallback where the kernel cannot be built: it
+steps a ``CacheSystemState`` through its ``apply_*`` transitions and
+decides with the public ``*_decide`` rules of ``policies``.  The two
+loops give bit-identical metrics: a lockstep test in
+``tests/test_simulator.py`` pins them together for every policy and
+mode, and the CLI's ``verify`` command compares them on the user's
+machine.
 
 A run that finds the cache holding other than M contents raises
 ``SimulationError``; the metrics of a finished run therefore always come
@@ -37,8 +34,9 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import _ckernel
-from .model import CacheSystemState, CostModel, SystemParams, validate
+from .model import CacheSystemState, CostModel, OccupancyError, SystemParams, validate
 from .policies import (
+    ActionKind,
     PolicyKind,
     PolicyTables,
     build_policy_tables,
@@ -95,18 +93,18 @@ def _top_m_ids(system: SystemParams) -> list[int]:
     return [int(i) for i in order[: system.M]]
 
 
-def _verify_mismatch(what, event, got, want):
-    raise SimulationError(f"inline/{what} decision mismatch at event {event}: "
-                          f"fast={got} policy={want}")
-
-
-def run(config: SimConfig, tables: PolicyTables | None = None,
-        verify_every: int = 0) -> SimMetrics:
+def run(config: SimConfig, tables: PolicyTables | None = None) -> SimMetrics:
     """Simulate one seeded run and return its metrics.
 
     Deterministic: identical config (and tables) gives bit-identical
     metrics, whichever event loop runs.
     """
+    return _run(config, tables, _ckernel.event_loop)
+
+
+def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
+    """``run`` on the compiled ``kernel``, or on the reference loop when
+    ``kernel`` is None."""
     system = config.system
     problems = validate(system)
     if problems:
@@ -138,13 +136,12 @@ def run(config: SimConfig, tables: PolicyTables | None = None,
         else:
             warm_time = config.warmup * config.horizon_time
 
-    kernel = _ckernel.event_loop
-    if kernel is not None and not verify_every:
+    if kernel is None:
+        end, snap, violations = _reference_loop(
+            config, tables, batches, warm_events, warm_time, aov_rng)
+    else:
         end, snap, violations = _compiled_loop(
             kernel, config, tables, batches, warm_events, warm_time, aov_rng)
-    else:
-        end, snap, violations = _python_loop(
-            config, tables, batches, warm_events, warm_time, aov_rng, verify_every)
     return _metrics(end, snap, violations)
 
 
@@ -206,9 +203,9 @@ _NO_LIMIT = 2**63 - 1
 
 def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, batches,
                    warm_events, warm_time, aov_rng):
-    """``_python_loop`` for every policy and ageing mode, one kernel call
-    per batch.  The kernel stops at the warmup point so the snapshot is
-    taken here, after the same event as in the Python loop."""
+    """``_reference_loop`` for every policy and ageing mode, one kernel
+    call per batch.  The kernel stops at the warmup point so the snapshot
+    is taken here, after the same event as in the reference loop."""
     system = config.system
     n, m = system.N, system.M
     ct = tables.content
@@ -272,7 +269,7 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, batches,
         if bi == _OCCUPANCY_ERROR:
             raise SimulationError(f"occupancy violated at event {cnt[_EVENTS]}")
         if bi == _POISSON_DOMAIN_ERROR:
-            # the error Generator.poisson raises in the Python loop
+            # the error Generator.poisson raises in the reference loop
             raise ValueError("lam value too large")
         if snap is None and ((cnt[_EVENTS] == warm_events) if warm_events is not None
                              else (acc[_T] >= warm_time)):
@@ -280,337 +277,80 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, batches,
     return totals(), snap, int(cnt[_VIOLATIONS])
 
 
-def _python_loop(config: SimConfig, tables: PolicyTables, batches,
-                 warm_events, warm_time, aov_rng, verify_every: int):
-    """The event loop of every policy and ageing mode, and the reference
-    the compiled loop is pinned to."""
+def _reference_loop(config: SimConfig, tables: PolicyTables, batches,
+                    warm_events, warm_time, aov_rng):
+    """Every event as ``CacheSystemState`` transitions chosen by the public
+    decision rules.  Waiting cost accrues from the state's queue totals;
+    the chronological grand total is kept apart from the per-component
+    sums, so the reconciliation check is meaningful."""
     system = config.system
-    policy = config.policy
-    whittle = policy is PolicyKind.WHITTLE
-    myopic = policy is PolicyKind.MYOPIC
-    infinite = policy is PolicyKind.INFINITE_CAPACITY
-    n = system.N
-    m = system.M
-    beta = system.beta
-    state = CacheSystemState(n, m, tables.c_w, infinite=infinite)
-    if not infinite:
-        state.preload(_top_m_ids(system))
-
+    infinite = config.policy is PolicyKind.INFINITE_CAPACITY
+    decide = _DECIDE[config.policy]
     realized = config.ageing_mode is AgeingMode.REALIZED
-    # flat per-content parameter lists (hot-loop locals)
-    ca_l = [c.costs.c_a for c in system.contents]
-    lam_l = list(tables.lam)
-    calam_l = list(tables.c_alam)
-    cf_l = list(tables.c_f)
-    cw_l = list(tables.c_w)
-    ct = tables.content
-    taustar_l = [c.tau_star for c in ct]
-    qstar_l = [c.q_star for c in ct]
-    qhat_l = [c.q_hat for c in ct]
-    ceil_l = [c.ceiling for c in ct]
-    bp_l = [c.breakpoints for c in ct]
-    queue = state.queue
-    fetch_time = state.fetch_time
-    aov = state.aov
-    aov_time = state.aov_time
-    cache_set = state.cache_set
-
-    # cache-slot structures for the vectorized index comparisons
-    slot_ids: list[int] = sorted(cache_set) if not infinite else []
-    id2slot = {cid: s for s, cid in enumerate(slot_ids)}
-    queued_cached: set[int] = set()
-    if whittle:
-        stride = len(ct[0].w_of_tau)
-        sentinel = stride - 1
-        big_w = np.concatenate([c.w_of_tau for c in ct])
-        inv_l = [c.inv_step for c in ct]
-        a_fetch = np.zeros(len(slot_ids))
-        a_inv = np.array([inv_l[i] for i in slot_ids])
-        a_off = np.array([i * stride for i in slot_ids], dtype=np.int64)
-        a_ids = np.array(slot_ids, dtype=np.int64)
-    if myopic:
-        m_fetch = np.zeros(len(slot_ids))
-        m_qc = np.array([calam_l[i] for i in slot_ids])      # (Q+1) * c_a * lam
-        m_cf = np.array([cf_l[i] for i in slot_ids])
-        m_p = np.array([tables.p[i] for i in slot_ids])
-        m_pcf = np.array([tables.p[i] * cf_l[i] for i in slot_ids])
-        m_ids = np.array(slot_ids, dtype=np.int64)
-    invb = 1.0 / beta
-    horizon_events = config.horizon_events
-    horizon_time = config.horizon_time
-
-    # accumulators; the chronological grand total is kept separately from
-    # the per-component sums so the reconciliation check is meaningful
-    t = 0.0
-    grand = 0.0
-    q_integral = 0.0
-    wait_cost = 0.0
-    fetch_cost_total = 0.0
-    ageing_cost_total = 0.0
-    fetches = 0
-    events = 0
-    violations = 0
-    total_q = 0
-    wq_rate = 0.0
-    waited = bytearray(n)
+    state = CacheSystemState(system.N, system.M, tables.c_w, infinite=infinite)
+    state.preload(_top_m_ids(system))
+    c_a = [c.costs.c_a for c in system.contents]
+    end_events = config.horizon_events if config.horizon_events is not None else _NO_LIMIT
+    end_time = config.horizon_time if config.horizon_time is not None else math.inf
+    t = grand = q_integral = wait_cost = fetch_cost = ageing_cost = 0.0
+    fetches = events = violations = 0
+    waited = set()  # contents whose request waited since their last fetch
     snap = None
-
-    dts: list[float] = []
-    ids: list[int] = []
-    bi = blen = 0
-
-    while True:
-        if horizon_events is not None and events >= horizon_events:
-            break
-        if horizon_time is not None and t >= horizon_time:
-            break
-        if bi == blen:
+    dts, ids, bi = [], [], 0
+    while events < end_events and t < end_time:
+        if bi == len(dts):
             dts, ids = (a.tolist() for a in next(batches))
-            bi, blen = 0, _BATCH
-        dt = dts[bi]
-        r = ids[bi]
+            bi = 0
+        dt, r = dts[bi], ids[bi]
         bi += 1
-        if total_q:
-            q_integral += total_q * dt
-            winc = wq_rate * dt
+        if state.total_queue:
+            q_integral += state.total_queue * dt
+            winc = state.queue_cost_rate * dt
             wait_cost += winc
             grand += winc
         t += dt
         state.t = t
         events += 1
 
-        # ---- decide: sets kind (0 serve, 1 fetch+cache, 2 wait, 3 fetch+discard)
-        victim = None
-        tau_r = 0.0
-        if infinite:
-            r_cached = True
-            tau_r = t - fetch_time[r]
-            if tau_r <= taustar_l[r]:
-                kind = 0
-            elif queue[r] < qstar_l[r]:
-                kind = 2
+        act = decide(state, r, tables)
+        if act.kind is ActionKind.WAIT:
+            state.apply_wait(r)
+            waited.add(r)
+        elif act.kind is ActionKind.SERVE_CACHED:
+            if realized:
+                age = c_a[r] * state.realized_aov(r, tables.lam[r], aov_rng)
             else:
-                kind = 1
-        elif whittle:
-            r_cached = r in cache_set
-            if r_cached:
-                tau_r = t - fetch_time[r]
-                if tau_r <= taustar_l[r]:
-                    kind = 0
-                elif queue[r] < qstar_l[r]:
-                    kind = 2
-                else:
-                    kind = 1  # refresh in place
-            else:
-                q = queue[r]
-                if q < qstar_l[r]:
-                    kind = 2
-                elif m == 0:  # nothing can be admitted
-                    kind = 2 if q < qhat_l[r] else 3
-                else:
-                    w_req = ceil_l[r] if q >= qhat_l[r] else bp_l[r][q - qstar_l[r]]
-                    wv = t - a_fetch
-                    np.multiply(wv, a_inv, out=wv)
-                    idx = wv.astype(np.int64)
-                    np.minimum(idx, sentinel, out=idx)
-                    np.add(idx, a_off, out=idx)
-                    w = big_w[idx]
-                    for qc in queued_cached:
-                        w[id2slot[qc]] = 0.0
-                    w_min = w.min()
-                    if w_req > w_min:
-                        kind = 1
-                        victim = int(a_ids[w == w_min].min())
-                    elif q < qhat_l[r]:
-                        kind = 2
-                    else:
-                        kind = 3
-        elif myopic:
-            r_cached = r in cache_set
-            if r_cached:
-                act = myopic_decide(state, r, tables, include_common=False)
-                kind = int(act.kind)
-                tau_r = t - fetch_time[r]
-            else:
-                q = queue[r]
-                tv = t - m_fetch
-                tv += invb
-                np.multiply(tv, m_qc, out=tv)
-                np.minimum(tv, m_cf, out=tv)
-                np.multiply(tv, m_p, out=tv)       # p_l * lookahead_l
-                carry = tv.sum()
-                gains = m_pcf - tv
-                g_min = gains.min() if m else math.inf
-                p_r, cf_r = tables.p[r], cf_l[r]
-                c_cache = cf_r + p_r * min(cf_r, calam_l[r] / beta) + carry + g_min
-                c_wait = cw_l[r] * (q + 1) / beta + carry
-                c_disc = cf_r + p_r * cf_r + carry
-                if c_cache <= c_wait and c_cache <= c_disc:
-                    kind = 1
-                    victim = int(m_ids[gains == g_min].min())
-                elif c_wait <= c_disc:
-                    kind = 2
-                else:
-                    kind = 3
-        else:  # static top-M
-            r_cached = r in cache_set
-            act = static_topm_decide(state, r, tables)
-            kind = int(act.kind)
-            if r_cached:
-                tau_r = t - fetch_time[r]
-
-        if verify_every and events % verify_every == 0:
-            _verify_decision(
-                policy, state, r, tables, kind, victim, taustar_l, qstar_l, events)
-
-        # ---- apply + charge
-        if kind == 2:
-            qn = queue[r] + 1
-            queue[r] = qn
-            total_q += 1
-            wq_rate += cw_l[r]
-            waited[r] = 1
-            if qn == 1 and r_cached:
-                if whittle:
-                    queued_cached.add(r)
-            if myopic and r_cached:
-                s = id2slot[r]
-                m_qc[s] = (qn + 1.0) * calam_l[r]
+                age = tables.c_alam[r] * state.tau(r)
+            age *= state.apply_serve(r)
+            ageing_cost += age
+            grand += age
+            violations += r in waited
         else:
-            q = queue[r]
-            if q:
-                queue[r] = 0
-                total_q -= q
-                wq_rate -= cw_l[r] * q
-                if r_cached:
-                    if whittle:
-                        queued_cached.discard(r)
-                    elif myopic:
-                        m_qc[id2slot[r]] = calam_l[r]
-            if kind == 0:
-                served = q + 1
-                if realized:
-                    dtv = t - aov_time[r]
-                    if dtv > 0.0:
-                        aov[r] += int(aov_rng.poisson(lam_l[r] * dtv))
-                        aov_time[r] = t
-                    age = ca_l[r] * aov[r] * served
-                else:
-                    age = calam_l[r] * tau_r * served
-                ageing_cost_total += age
-                grand += age
-                if waited[r]:
-                    violations += 1
-            else:
-                if kind == 1:
-                    if r_cached:
-                        fetch_time[r] = t
-                        if whittle:
-                            a_fetch[id2slot[r]] = t
-                        elif myopic:
-                            m_fetch[id2slot[r]] = t
-                    else:
-                        cache_set.discard(victim)
-                        cache_set.add(r)
-                        fetch_time[r] = t
-                        s = id2slot.pop(victim)
-                        id2slot[r] = s
-                        slot_ids[s] = r
-                        if whittle:
-                            queued_cached.discard(victim)
-                            a_fetch[s] = t
-                            a_inv[s] = inv_l[r]
-                            a_off[s] = r * stride
-                            a_ids[s] = r
-                        elif myopic:
-                            m_fetch[s] = t
-                            m_qc[s] = calam_l[r]
-                            m_cf[s] = cf_l[r]
-                            m_p[s] = tables.p[r]
-                            m_pcf[s] = tables.p[r] * cf_l[r]
-                            m_ids[s] = r
-                    aov[r] = 0
-                    aov_time[r] = t
-                fetch_cost_total += cf_l[r]
-                grand += cf_l[r]
-                fetches += 1
-                waited[r] = 0
-            if not infinite and len(cache_set) != m:
-                raise SimulationError(
-                    f"occupancy violated at event {events}: {len(cache_set)} != {m}")
+            try:
+                state.apply_fetch(r, act.kind is ActionKind.FETCH_SERVE_CACHE, act.evict)
+                state.check_occupancy()
+            except OccupancyError as e:
+                raise SimulationError(f"occupancy violated at event {events}: {e}") from e
+            fetch_cost += tables.c_f[r]
+            grand += tables.c_f[r]
+            fetches += 1
+            waited.discard(r)
 
-        if snap is None and (
-            (events == warm_events) if warm_events is not None else (t >= warm_time)
-        ):
-            snap = (t, grand, q_integral, wait_cost, fetch_cost_total,
-                    ageing_cost_total, fetches, events)
-
-    end = (t, grand, q_integral, wait_cost, fetch_cost_total, ageing_cost_total,
-           fetches, events)
+        if snap is None and ((events == warm_events) if warm_events is not None
+                             else (t >= warm_time)):
+            snap = (t, grand, q_integral, wait_cost, fetch_cost, ageing_cost, fetches, events)
+    end = (t, grand, q_integral, wait_cost, fetch_cost, ageing_cost, fetches, events)
     return end, snap, violations
 
 
-def _verify_decision(policy, state, r, tables, kind, victim,
-                     taustar_l, qstar_l, events):
-    """Check an inlined decision against the public policy functions.
-
-    Whittle uses the same index tables on both routes, so agreement is
-    exact.  The myopic fast path accumulates the carrying sum in slot
-    order rather than set order, so totals can differ at float epsilon;
-    action mismatches are tolerated only at such exact ties.
-    """
-    if policy is PolicyKind.WHITTLE:
-        act = whittle_decide(state, r, tables)
-        if int(act.kind) != kind or act.evict != victim:
-            _verify_mismatch("whittle", events, (kind, victim), act)
-    elif policy is PolicyKind.INFINITE_CAPACITY:
-        act = infinite_capacity_decide(
-            state.queue[r], state.t - state.fetch_time[r],
-            taustar_l[r], qstar_l[r])
-        if int(act.kind) != kind:
-            _verify_mismatch("infinite", events, kind, act)
-    elif policy is PolicyKind.MYOPIC:
-        act = myopic_decide(state, r, tables, include_common=False)
-        victim_differs = int(act.kind) == 1 and kind == 1 and act.evict != victim
-        if int(act.kind) != kind or victim_differs:
-            # per-slot eviction gains are bit-identical on both routes, so a
-            # victim mismatch is a real bug; kind flips are tolerated only at
-            # float-epsilon ties of the order-dependent carry sum
-            if r in state.cache_set or victim_differs:
-                _verify_mismatch("myopic", events, (kind, victim), act)
-            costs = _myopic_uncached_costs(state, r, tables)
-            got = costs[_MYOPIC_COST_POS[kind]]
-            want = costs[_MYOPIC_COST_POS[int(act.kind)]]
-            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-                _verify_mismatch("myopic", events, (kind, victim), act)
-    else:
-        act = static_topm_decide(state, r, tables)
-        if int(act.kind) != kind:
-            _verify_mismatch("static", events, kind, act)
+def _infinite_decide(state: CacheSystemState, r: int, tables: PolicyTables):
+    tb = tables.content[r]
+    return infinite_capacity_decide(state.queue[r], state.tau(r), tb.tau_star, tb.q_star)
 
 
-_MYOPIC_COST_POS = {1: 0, 2: 1, 3: 2}
-
-
-def _myopic_uncached_costs(state, r, tables):
-    beta = tables.beta
-    carry = 0.0
-    best_gain = math.inf
-    t = state.t
-    for l in state.cache_set:
-        look = tables.p[l] * min(
-            tables.c_f[l],
-            (state.queue[l] + 1) * tables.c_alam[l] * (t - state.fetch_time[l] + 1.0 / beta),
-        )
-        carry += look
-        best_gain = min(best_gain, tables.p[l] * tables.c_f[l] - look)
-    p_r, cf_r = tables.p[r], tables.c_f[r]
-    q = state.queue[r]
-    return (
-        cf_r + p_r * min(cf_r, tables.c_alam[r] / beta) + carry + best_gain,
-        tables.c_w[r] * (q + 1) / beta + carry,
-        cf_r + p_r * cf_r + carry,
-    )
+_DECIDE = {PolicyKind.WHITTLE: whittle_decide, PolicyKind.MYOPIC: myopic_decide,
+           PolicyKind.STATIC_TOP_M: static_topm_decide,
+           PolicyKind.INFINITE_CAPACITY: _infinite_decide}
 
 
 # -- parameter sweeps --------------------------------------------------------

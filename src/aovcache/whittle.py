@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 BISECT_ITERS = 60  # absolute error below I * 2**-60
+GRID_SIZE = 1024   # cells of each content's cached-index table
 
 
 def whittle_cached(params: ContentParams, beta: float, Q: int, tau: float) -> float:
@@ -257,8 +258,8 @@ class ContentTables:
 
     ``breakpoints[k]`` is the index of uncached state (Q_star + k, 0, 1).
     ``w_of_tau[i]`` is the exact cached-copy index W(0, tau_i) at the
-    grid point ``tau_i = i * tau_star / grid_size``, for
-    ``i < grid_size``; the trailing cell is the 0 sentinel for
+    grid point ``tau_i = i * tau_star / GRID_SIZE``, for
+    ``i < GRID_SIZE``; the trailing cell is the 0 sentinel for
     ``tau >= tau_star``.  Lookup is interpolation-free integer indexing:
     ``cached_idle`` returns W(tau_i) for tau in [tau_i, tau_{i+1}), so it
     never understates W(tau) and overstates it by at most
@@ -270,8 +271,8 @@ class ContentTables:
     q_hat: int
     ceiling: float               # the index upper bound I
     breakpoints: tuple[float, ...]
-    w_of_tau: np.ndarray         # length grid_size + 1, read-only
-    inv_step: float              # grid_size / tau_star
+    w_of_tau: np.ndarray         # length GRID_SIZE + 1, read-only
+    inv_step: float              # GRID_SIZE / tau_star
 
     def uncached(self, Q: int) -> float:
         if Q < self.q_star:
@@ -287,8 +288,7 @@ class ContentTables:
         return float(self.w_of_tau[min(i, len(self.w_of_tau) - 1)])
 
 
-def build_content_tables(params: ContentParams, beta: float,
-                         grid_size: int = 1024, indices: bool = True,
+def build_content_tables(params: ContentParams, beta: float, indices: bool = True,
                          breakpoints: tuple[float, ...] | None = None,
                          ts: ThresholdSet | None = None) -> ContentTables:
     """Tables for one content; with ``indices=False`` only the thresholds
@@ -301,7 +301,7 @@ def build_content_tables(params: ContentParams, beta: float,
     if indices:
         if breakpoints is None:
             breakpoints = uncached_breakpoints((params,), beta)[0]
-        taus = np.arange(1, grid_size) * (ts.tau_star / grid_size)
+        taus = np.arange(1, GRID_SIZE) * (ts.tau_star / GRID_SIZE)
         w = np.concatenate(([ts.I], _cached_index(params, beta, ts, taus), [0.0]))
     else:
         breakpoints, w = (), np.array([ts.I, 0.0])

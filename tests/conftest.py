@@ -40,8 +40,8 @@ def corrupt_cache(monkeypatch, system):
     """Break the initial cache of the next run so that, some epochs in, it
     no longer holds M contents.  The compiled loop gets one id in two
     slots (the least popular cached id, so it is soon evicted from one and
-    still a victim candidate in the other); the Python loop gets one
-    content cached in no slot."""
+    still a victim candidate in the other); the reference loop gets one
+    content in its cache set but in no slot."""
     from aovcache import _ckernel, simulator
 
     if _ckernel.event_loop is not None:

@@ -218,7 +218,8 @@ def test_criterion_5_monotonicity_and_ordering():
 
 def test_criterion_6_capacity_sweep(desk_sweep):
     """Desk-scale capacity sweep: Whittle within 10% of the dual bound,
-    beats both baselines by >= 2 SE, all curves nonincreasing w/in 2 SE."""
+    beats both baselines by >= 2 SE, all curves nonincreasing w/in 2 SE,
+    and no policy below the bound by more than 3 SE."""
     agg = {p: {r["value"]: r for r in aggregate(cells)}
            for p, cells in desk_sweep["cells"].items()}
     bounds = desk_sweep["bounds"]
@@ -234,6 +235,10 @@ def test_criterion_6_capacity_sweep(desk_sweep):
             diff = other[m]["avg_cost"] - wh[m]["avg_cost"]
             se = math.hypot(other[m]["avg_cost_se"], wh[m]["avg_cost_se"])
             assert diff >= 2 * se, (m, diff, se)
+        # the dual bound holds for every feasible policy; the seeded
+        # metrics are bit-identical, so this check is deterministic
+        for p, rows in agg.items():
+            assert rows[m]["avg_cost"] >= bounds[m] - 3 * rows[m]["avg_cost_se"], (p, m)
     for rows in (wh, my, st):
         for a, b in zip(M_VALUES, M_VALUES[1:]):
             slack = 2 * math.hypot(rows[a]["avg_cost_se"], rows[b]["avg_cost_se"])

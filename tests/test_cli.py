@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +252,16 @@ class TestVerifyCmd:
         assert main(["verify", "--config", unit_cfg, "--quick"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_quick_battery_on_desk_config(self, capsys):
+        # M=25 of N=100, so the determinism check compares admissions and
+        # evictions, which the single-content unit config never makes
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+        assert main(["verify", "--config", str(cfg), "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert re.search(r"^PASS  simulation-determinism  \(reference vs (compiled|reference) "
+                         r"loop, 8 policy/mode pairs\)$", out, re.MULTILINE)
 
     def test_oracle_agreement_is_not_exact(self, unit_cfg):
         # demonstrates the battery tolerance is load-bearing: a 1e-15

@@ -121,6 +121,17 @@ class TestCacheSystemState:
         assert s.cache_set == {1, 2, 4}
         s.check_occupancy()
 
+    def test_slots_keep_the_compiled_loop_order(self):
+        # sorted at preload; an admitted content takes its victim's slot
+        s = self.make()
+        s.preload([5, 1, 3])
+        assert s.slots == [1, 3, 5]
+        s.apply_fetch(0, cache=True, evict=3)
+        assert s.slots == [1, 0, 5]
+        assert s.cache_set == {0, 1, 5}
+        s.apply_fetch(5, cache=True)  # a refresh keeps every slot
+        assert s.slots == [1, 0, 5]
+
     def test_admission_requires_eviction(self):
         s = self.make()
         with pytest.raises(OccupancyError):

@@ -149,23 +149,6 @@ class TestMyopicDecide:
         act = myopic_decide(s, system.M + 1, tables)
         assert act.kind is ActionKind.WAIT
 
-    def test_common_term_never_changes_action(self, desk):
-        system, tables = desk
-        rng = np.random.default_rng(4)
-        s = fresh_state(system, tables, t=0.0)
-        for step in range(200):
-            s.t += float(rng.exponential(0.25))
-            r = int(rng.integers(system.N))
-            with_w = myopic_decide(s, r, tables, include_common=True)
-            without = myopic_decide(s, r, tables, include_common=False)
-            assert with_w == without
-            # random state churn
-            n = int(rng.integers(system.N))
-            if n in s.cache_set and rng.random() < 0.5:
-                s.apply_fetch(n, cache=True)
-            else:
-                s.apply_wait(n)
-
     def test_eviction_targets_lowest_lookahead_value(self):
         # large waiting cost so admission beats pooling; the ancient copy's
         # retention value is zero and it must be the victim

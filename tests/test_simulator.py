@@ -107,20 +107,6 @@ class TestSingleContentTheorem:
         assert m.avg_total_cost < 1e-5
 
 
-class TestInlineMatchesPolicyFunctions:
-    @pytest.mark.parametrize("policy", [PolicyKind.WHITTLE, PolicyKind.MYOPIC,
-                                        PolicyKind.STATIC_TOP_M])
-    def test_every_decision_verified(self, desk, policy):
-        system, tables = desk
-        cfg = SimConfig(system=system, policy=policy, horizon_events=60_000, seed=7)
-        m = run(cfg, tables, verify_every=1)
-        assert m.event_count == 60_000
-
-    def test_infinite_verified(self):
-        m = run(single_content_config(horizon_events=60_000), verify_every=1)
-        assert m.event_count == 60_000
-
-
 needs_kernel = pytest.mark.skipif(
     _ckernel.event_loop is None,
     reason="compiled event loop unavailable (no C compiler, no writable cache "
@@ -156,8 +142,9 @@ def _rngs_of(monkeypatch):
 
 
 class TestCompiledLoop:
-    """The compiled event loop against the Python loop, which the tests
-    select by setting the loader's handle to None."""
+    """The compiled event loop against the reference loop, which steps
+    ``CacheSystemState`` through the public decision rules; the tests
+    select it by setting the loader's handle to None."""
 
     @needs_kernel
     @pytest.mark.parametrize("name", list(LOCKSTEP_SYSTEMS))
@@ -288,17 +275,6 @@ class TestCompiledLoop:
         for bad in (a.astype(np.float32), a[::2]):
             with pytest.raises(TypeError):
                 _ckernel.address(bad, np.float64)
-
-    def test_verify_every_stays_in_python(self, monkeypatch, desk):
-        def fail(*args):
-            raise AssertionError("compiled loop used")
-
-        system, tables = desk
-        monkeypatch.setattr(_ckernel, "event_loop", fail)
-        for policy in PolicyKind:
-            for mode in AgeingMode:
-                run(SimConfig(system=system, policy=policy, ageing_mode=mode,
-                              horizon_events=2_000, seed=1), tables, verify_every=50)
 
 
 class TestAgeingModes:

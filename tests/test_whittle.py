@@ -126,20 +126,19 @@ class TestIndexability:
 
 class TestContentTables:
     def test_matches_exact_bisection(self):
-        # the exact index must sit inside the bracket spanned by the two
-        # neighbouring table cells (W is nonincreasing in tau), widened by
-        # one step of the C_h resampling grid
+        # the table holds the exact index at its grid points, so the index
+        # must sit inside the bracket spanned by the two neighbouring table
+        # cells (W is nonincreasing in tau)
         rng = np.random.default_rng(31)
         for _ in range(5):
             c, beta = random_content(rng)
-            g = 512
-            tb = build_content_tables(c, beta, grid_size=g)
+            tb = build_content_tables(c, beta)
+            g = len(tb.w_of_tau) - 1
             ts = solve_thresholds(c, beta, 0.0)
-            resample = ts.I / (2 * g - 1)
             for tau in np.linspace(0.0, ts.tau_star * 0.999, 40):
                 i = int(tau * tb.inv_step)
-                hi = tb.w_of_tau[i] + resample
-                lo = tb.w_of_tau[min(i + 1, g)] - resample
+                hi = tb.w_of_tau[i]
+                lo = tb.w_of_tau[min(i + 1, g)]
                 w_exact = whittle_cached(c, beta, 0, float(tau))
                 assert lo - 1e-12 <= w_exact <= hi + 1e-12
             for q in range(ts.Q_hat + 2):
