@@ -1,15 +1,17 @@
 """Build and load the compiled event loop (``_loop.c``).
 
-The kernel runs every policy in both ageing modes.  Realized-mode
-version ages call numpy's own ``random_poisson``, so the library links
-the static ``libnpyrandom.a`` that numpy ships and compiles against the
-``numpy/random/bitgen.h`` header from ``numpy.get_include()``.
+The kernel runs every policy in both ageing modes.  It draws each
+event's inter-arrival time with numpy's own ``random_exponential`` and,
+in realized mode, version ages with ``random_poisson``, so the library
+links the static ``libnpyrandom.a`` that numpy ships and compiles
+against the ``numpy/random/bitgen.h`` header from ``numpy.get_include()``.
 
 The shared library is built once with the system C compiler and cached
 under ``$XDG_CACHE_HOME/aovcache/`` (default ``~/.cache/aovcache/``),
 named by a hash of the source, the compiler flags, the platform, the
 numpy version and the bytes of ``libnpyrandom.a``, so a numpy upgrade
-never loads a kernel built against another ``bitgen_t``.
+never loads a kernel built against another ``bitgen_t``.  A new build
+removes the libraries cached under other keys.
 ``-ffp-contract=off`` stops the compiler from fusing a multiply and an
 add into one FMA, which rounds differently from the reference loop; no
 ``-march=native`` or ``-ffast-math`` for the same reason.  ``-O3`` keeps
@@ -46,8 +48,9 @@ _ptr, _int, _dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # addresses that ``address`` checks and returns (numpy's ndpointer types
 # check them on every call, ~5 us per array, ~2 % of a 30k-event run)
 _ARGTYPES = [
-    _int, _int, _ptr,                # policy code, realized, bitgen_t of the age stream
-    _ptr, _ptr, _int, _int,          # dts, ids, bi, blen
+    _int, _int,                      # policy code, realized
+    _ptr, _ptr, _ptr,                # bitgen_t of the arrival, pick and age streams
+    _ptr, _ptr, _int,                # cum_p, guide table, its length K
     _int, _dbl,                      # stop_events, stop_time
     _ptr, _ptr, _ptr,                # per-content doubles and ints, breakpoints
     _ptr, _int, _dbl,                # w_of_tau rows, stride, beta
@@ -100,6 +103,13 @@ def _build() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # a process that has an old library loaded keeps its mapping
+    for old in lib.parent.glob("_loop-*.so"):
+        if old != lib:
+            try:
+                old.unlink()
+            except OSError:
+                pass
     return lib
 
 

@@ -1,11 +1,14 @@
 /* Compiled event loop of aovcache.simulator.run: every policy (Whittle,
  * myopic, static top-M, infinite capacity) in both ageing modes.
  *
- * simulator._compiled_loop draws each batch of inter-arrival times and content
- * ids with numpy and calls event_loop once per batch; all state lives in
- * numpy arrays.  Every float operation keeps the order of the reference
- * loop (simulator._reference_loop, which steps model.CacheSystemState
- * through the decision rules of policies.py), and the build turns off FMA
+ * simulator._compiled_loop calls event_loop once up to the warmup point
+ * and once more to the horizon; all state lives in numpy arrays.  Each
+ * event draws its inter-arrival time and its content from the run's own
+ * generators, with numpy's own samplers, so the draws are those the
+ * reference loop (simulator._reference_loop, which steps
+ * model.CacheSystemState through the decision rules of policies.py) takes
+ * from Generator.exponential and Generator.random.  Every float operation
+ * keeps the order of the reference loop, and the build turns off FMA
  * contraction, so the two loops give bit-identical metrics
  * (tests/test_simulator.py runs them in lockstep).
  *
@@ -19,16 +22,17 @@
 
 #include "numpy/random/bitgen.h"
 
-/* numpy/random/distributions.h declares this too, but includes Python.h */
+/* numpy/random/distributions.h declares these too, but includes Python.h */
 extern int64_t random_poisson(bitgen_t *bitgen_state, double lam);
+extern double random_exponential(bitgen_t *bitgen_state, double scale);
 
 /* Generator.poisson rejects lam above this (numpy/random/_common.pyx) */
 #define POISSON_LAM_MAX ((double)LONG_MAX - sqrt((double)LONG_MAX) * 10.0)
 
 /* policy codes, as simulator._POLICY_CODE */
 enum { WHITTLE, MYOPIC, STATIC_TOP_M, INFINITE_CAPACITY };
-/* return values besides the index of the next event */
-enum { OCCUPANCY_ERROR = -1, POISSON_DOMAIN_ERROR = -2 };
+/* return values of event_loop */
+enum { STOPPED = 0, OCCUPANCY_ERROR = -1, POISSON_DOMAIN_ERROR = -2 };
 
 /* columns of the per-content tables, one row per content */
 enum { TAU_STAR, CEILING, INV_STEP, C_ALAM, C_F, C_W, P, P_CF, LAM, C_A, N_CDBL };
@@ -67,6 +71,38 @@ double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
+/* Content pick: the inverse CDF of the popularity by a guide table (Chen &
+ * Asau 1974, "On generating random variates from an empirical
+ * distribution", AIIE Trans. 6(2)).  For every u in [0, 1) it returns
+ * np.searchsorted(cum_p, u, side="right"), the id the reference loop picks:
+ * - guide has K entries, K a power of two, and guide[k] is
+ *   searchsorted(cum_p, k/K, side="right").  Scaling a double by a power
+ *   of two moves only its exponent, so u*K and k/K are exact (u from
+ *   next_double is a multiple of 2^-53, but any u in [0, 1) will do), and
+ *   k = (int64_t)(u*K) is floor(u*K): k < K and k/K <= u.
+ * - cum_p is nondecreasing up to its last entry, which simulator clamps
+ *   to 1.0; that clamp may fall below an overshooting cum_p[N-2].  Every
+ *   entry >= 1.0 exceeds u < 1, so the predicate cum_p[i] <= u holds on a
+ *   prefix of the ids and on none after it, and searchsorted's binary
+ *   search returns the length of that prefix, for u as for k/K.
+ * - k/K <= u, so guide[k] is at most the prefix length for u, and the
+ *   scan steps over the rest of the prefix.
+ * - cum_p[N-1] = 1.0 > u, so the scan stops at N-1 at the latest.
+ * With K >= N the scan takes at most 1 + N/K <= 2 comparisons on average. */
+static inline int64_t pick(const double *cum_p, const int64_t *guide, int64_t k, double u)
+{
+    int64_t r = guide[(int64_t)(u * (double)k)];
+    while (cum_p[r] <= u)
+        r++;
+    return r;
+}
+
+/* pick, exported so that a test can compare it with np.searchsorted */
+int64_t content_pick(const double *cum_p, const int64_t *guide, int64_t k, double u)
+{
+    return pick(cum_p, guide, k, u);
+}
+
 /* Python's min(a, b): b only when strictly smaller */
 static inline double pymin(double a, double b)
 {
@@ -76,8 +112,9 @@ static inline double pymin(double a, double b)
 /* One loop body, specialised by the constant policy and ageing mode that
  * event_loop passes in, so each combination compiles to its own loop. */
 static inline __attribute__((always_inline)) int64_t
-run_events(const int policy, const int realized, bitgen_t *bitgen,
-           const double *dts, const int64_t *ids, int64_t bi, int64_t blen,
+run_events(const int policy, const int realized,
+           bitgen_t *arrivals, bitgen_t *picks, bitgen_t *ages,
+           const double *cum_p, const int64_t *guide, int64_t k,
            int64_t stop_events, double stop_time,
            const double *cdbl, const int64_t *cint, const double *bps,
            const double *w_of_tau, int64_t stride, double beta,
@@ -92,11 +129,12 @@ run_events(const int policy, const int realized, bitgen_t *bitgen,
     int64_t fetches = cnt[FETCHES], events = cnt[EVENTS];
     int64_t violations = cnt[VIOLATIONS], total_q = cnt[TOTAL_Q];
     const double last_cell = (double)(stride - 1);
-    const double invb = 1.0 / beta;
+    const double invb = 1.0 / beta;  /* the mean inter-arrival time */
+    int64_t status = STOPPED;
 
-    for (; bi < blen && events < stop_events && t < stop_time; bi++) {
-        double dt = dts[bi];
-        int64_t r = ids[bi];
+    while (events < stop_events && t < stop_time) {
+        double dt = random_exponential(arrivals, invb);
+        int64_t r = pick(cum_p, guide, k, picks->next_double(picks->state));
         const double *cd = cdbl + r * N_CDBL;
         const int64_t *ci = cint + r * N_CINT;
         if (total_q) {
@@ -216,10 +254,10 @@ run_events(const int policy, const int realized, bitgen_t *bitgen,
                 if (dtv > 0.0) {
                     double lam = cd[LAM] * dtv;
                     if (lam > POISSON_LAM_MAX) {
-                        bi = POISSON_DOMAIN_ERROR;
+                        status = POISSON_DOMAIN_ERROR;
                         break;
                     }
-                    aov[r] += random_poisson(bitgen, lam);
+                    aov[r] += random_poisson(ages, lam);
                     aov_time[r] = t;
                 }
                 age = cd[C_A] * (double)aov[r] * (double)(q + 1);
@@ -234,7 +272,7 @@ run_events(const int policy, const int realized, bitgen_t *bitgen,
         if (kind == 1) {
             if (!cached) {
                 if (victim < 0 || slot_of[victim] < 0 || slot_of[r] >= 0) {
-                    bi = OCCUPANCY_ERROR;
+                    status = OCCUPANCY_ERROR;
                     break;
                 }
                 int64_t s = slot_of[victim];
@@ -265,24 +303,27 @@ run_events(const int policy, const int realized, bitgen_t *bitgen,
     cnt[EVENTS] = events;
     cnt[VIOLATIONS] = violations;
     cnt[TOTAL_Q] = total_q;
-    return bi;
+    return status;
 }
 
 #define RUN(policy, realized) \
-    run_events(policy, realized, bitgen, dts, ids, bi, blen, stop_events, stop_time, \
+    run_events(policy, realized, arrivals, picks, ages, cum_p, guide, k, \
+               stop_events, stop_time, \
                cdbl, cint, bps, w_of_tau, stride, beta, queue, fetch_time, waited, \
                aov, aov_time, slot_of, slots, m, scratch, acc, cnt)
 #define RUN_MODES(policy) (realized ? RUN(policy, 1) : RUN(policy, 0))
 
-/* Runs the events bi..blen-1 of the batch, stopping before an event once
- * events >= stop_events or t >= stop_time.  Returns the index of the
- * first event not run, OCCUPANCY_ERROR if an admission found the cache
- * inconsistent (a victim not cached, or a requester already cached), or
- * POISSON_DOMAIN_ERROR if a version-age draw had lam above what
- * Generator.poisson accepts.  The cache is slots[0..m-1]; slot_of[id] is
- * id's slot, or -1.  bitgen is read only in realized mode. */
-int64_t event_loop(int64_t policy, int64_t realized, void *bitgen,
-                   const double *dts, const int64_t *ids, int64_t bi, int64_t blen,
+/* Runs events, each with one draw from arrivals and one from picks, until
+ * events >= stop_events or t >= stop_time.  Returns STOPPED,
+ * OCCUPANCY_ERROR if an admission found the cache inconsistent (a victim
+ * not cached, or a requester already cached), or POISSON_DOMAIN_ERROR if
+ * a version-age draw had lam above what Generator.poisson accepts.
+ * cum_p and guide (k entries) are the content pick's tables.  The cache
+ * is slots[0..m-1]; slot_of[id] is id's slot, or -1.  ages is read only
+ * in realized mode. */
+int64_t event_loop(int64_t policy, int64_t realized,
+                   bitgen_t *arrivals, bitgen_t *picks, bitgen_t *ages,
+                   const double *cum_p, const int64_t *guide, int64_t k,
                    int64_t stop_events, double stop_time,
                    const double *cdbl, const int64_t *cint, const double *bps,
                    const double *w_of_tau, int64_t stride, double beta,

@@ -8,7 +8,7 @@ Action numbering follows the event semantics: 0 serve the cached copy,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
@@ -62,16 +62,24 @@ class PolicyTables:
     """Per-content constants shared by all policies of one system.
 
     Independent of the cache capacity M, so one build covers a whole
-    capacity sweep.
+    capacity sweep.  ``derived`` holds what a consumer builds from the
+    fields once and reuses on every run (the compiled event loop's
+    per-content arrays); it is neither compared nor pickled, so a
+    sweep's worker jobs carry the fields alone.
     """
 
     beta: float
     p: tuple[float, ...]
     lam: tuple[float, ...]
+    c_a: tuple[float, ...]
     c_alam: tuple[float, ...]   # c_a * lam, the ageing cost rate
     c_f: tuple[float, ...]
     c_w: tuple[float, ...]
     content: tuple[ContentTables, ...]
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "derived": {}}
 
 
 def build_policy_tables(system: SystemParams, indices: bool = True) -> PolicyTables:
@@ -86,6 +94,7 @@ def build_policy_tables(system: SystemParams, indices: bool = True) -> PolicyTab
         beta=system.beta,
         p=tuple(c.p for c in system.contents),
         lam=tuple(c.lam for c in system.contents),
+        c_a=tuple(c.costs.c_a for c in system.contents),
         c_alam=tuple(c.costs.c_a * c.lam for c in system.contents),
         c_f=tuple(c.costs.c_f for c in system.contents),
         c_w=tuple(c.costs.c_w for c in system.contents),

@@ -8,16 +8,18 @@ content selection, version-age realization -- so expected-mode and
 realized-mode runs share the same arrival sample path.
 
 Every policy in both ageing modes runs in a compiled C loop
-(``_loop.c``, loaded by ``_ckernel``), called once per pre-drawn numpy
-batch; realized-mode version ages are drawn in C by numpy's own Poisson
-sampler on the run's version-age generator.  ``_reference_loop`` is the
-specification and the fallback where the kernel cannot be built: it
-steps a ``CacheSystemState`` through its ``apply_*`` transitions and
-decides with the public ``*_decide`` rules of ``policies``.  The two
-loops give bit-identical metrics: a lockstep test in
-``tests/test_simulator.py`` pins them together for every policy and
-mode, and the CLI's ``verify`` command compares them on the user's
-machine.
+(``_loop.c``, loaded by ``_ckernel``) that draws every event itself:
+the inter-arrival time by numpy's own exponential sampler, the content
+by a guide-table inverse CDF of a numpy uniform, and realized-mode
+version ages by numpy's own Poisson sampler, each on its run's
+generator.  ``_reference_loop`` is the specification and the fallback
+where the kernel cannot be built: it takes the same draws from
+``Generator`` batches (``_batches``), steps a ``CacheSystemState``
+through its ``apply_*`` transitions and decides with the public
+``*_decide`` rules of ``policies``.  The two loops give bit-identical
+metrics: a lockstep test in ``tests/test_simulator.py`` pins them
+together for every policy and mode, and the CLI's ``verify`` command
+compares them on the user's machine.
 
 A run that finds the cache holding other than M contents raises
 ``SimulationError``; the metrics of a finished run therefore always come
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from multiprocessing import Pool
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,9 +126,6 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
         tables = build_policy_tables(system, indices=whittle)
     ss = np.random.SeedSequence(config.seed)
     arr_rng, pick_rng, aov_rng = (np.random.default_rng(s) for s in ss.spawn(3))
-    cum_p = np.cumsum(system.popularity())
-    cum_p[-1] = 1.0
-    batches = _batches(arr_rng, pick_rng, cum_p, 1.0 / system.beta)
 
     # the warmup snapshot is taken right after the event that reaches
     # warm_events (event horizons) or warm_time (time horizons)
@@ -137,12 +137,22 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
             warm_time = config.warmup * config.horizon_time
 
     if kernel is None:
+        batches = _batches(arr_rng, pick_rng, _cum_p(system.popularity()),
+                           1.0 / system.beta)
         end, snap, violations = _reference_loop(
             config, tables, batches, warm_events, warm_time, aov_rng)
     else:
         end, snap, violations = _compiled_loop(
-            kernel, config, tables, batches, warm_events, warm_time, aov_rng)
+            kernel, config, tables, (arr_rng, pick_rng, aov_rng), warm_events, warm_time)
     return _metrics(end, snap, violations)
+
+
+def _cum_p(p) -> np.ndarray:
+    """The popularity CDF that content ids are picked from, its last entry
+    clamped to 1.0 so that every uniform in [0, 1) picks an id."""
+    cum_p = np.cumsum(p, dtype=float)
+    cum_p[-1] = 1.0
+    return cum_p
 
 
 def _batches(arr_rng, pick_rng, cum_p, mean_dt):
@@ -201,29 +211,71 @@ _OCCUPANCY_ERROR, _POISSON_DOMAIN_ERROR = -1, -2
 _NO_LIMIT = 2**63 - 1
 
 
-def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, batches,
-                   warm_events, warm_time, aov_rng):
-    """``_reference_loop`` for every policy and ageing mode, one kernel
-    call per batch.  The kernel stops at the warmup point so the snapshot
-    is taken here, after the same event as in the reference loop."""
-    system = config.system
-    n, m = system.N, system.M
+class _KernelTables(NamedTuple):
+    """The compiled loop's per-content arrays for one ``PolicyTables``, in
+    the column order of ``_loop.c``'s enums, and the content pick's
+    popularity CDF with its guide table."""
+
+    cdbl: np.ndarray
+    cint: np.ndarray
+    bps: np.ndarray
+    w_of_tau: np.ndarray
+    stride: int
+    indexed: bool        # every content has the Whittle index tables
+    cum_p: np.ndarray
+    guide: np.ndarray
+
+
+def _guide_table(cum_p: np.ndarray) -> np.ndarray:
+    """``guide[k] = searchsorted(cum_p, k/K, side="right")`` for the least
+    power of two K >= len(cum_p); ``_loop.c``'s ``pick`` explains why
+    starting from it finds searchsorted's id for every uniform."""
+    k = 1 << (len(cum_p) - 1).bit_length()
+    guide = np.searchsorted(cum_p, np.arange(k) / k, side="right")
+    return guide.astype(np.int64, copy=False)
+
+
+def _build_kernel_tables(tables: PolicyTables) -> _KernelTables:
     ct = tables.content
     stride = len(ct[0].w_of_tau)
-    if config.policy is PolicyKind.WHITTLE and any(
-            len(c.w_of_tau) != stride or len(c.breakpoints) != c.q_hat - c.q_star
-            for c in ct):
-        raise ValueError("the Whittle policy needs tables built with indices=True")
+    indexed = all(len(c.w_of_tau) == stride and len(c.breakpoints) == c.q_hat - c.q_star
+                  for c in ct)
     cdbl = np.array([
-        (c.tau_star, c.ceiling, c.inv_step, cal, cf, cw, p, p * cf, lam, cp.costs.c_a)
-        for c, cal, cf, cw, p, lam, cp in zip(ct, tables.c_alam, tables.c_f, tables.c_w,
-                                              tables.p, tables.lam, system.contents)
+        (c.tau_star, c.ceiling, c.inv_step, cal, cf, cw, p, p * cf, lam, ca)
+        for c, cal, cf, cw, p, lam, ca in zip(ct, tables.c_alam, tables.c_f, tables.c_w,
+                                              tables.p, tables.lam, tables.c_a)
     ]).ravel()
     bp_off = np.cumsum([0] + [len(c.breakpoints) for c in ct])[:-1]
     cint = np.array([(c.q_star, c.q_hat, off) for c, off in zip(ct, bp_off)],
                     dtype=np.int64).ravel()
     bps = np.array([b for c in ct for b in c.breakpoints], dtype=float)
     w_of_tau = np.concatenate([c.w_of_tau for c in ct])
+    cum_p = _cum_p(tables.p)
+    return _KernelTables(cdbl, cint, bps, w_of_tau, stride, indexed, cum_p,
+                         _guide_table(cum_p))
+
+
+def _kernel_tables(tables: PolicyTables) -> _KernelTables:
+    """``_build_kernel_tables(tables)``, built on the first run on ``tables``
+    and kept in ``tables.derived`` for the runs after it."""
+    kt = tables.derived.get("event_loop")
+    if kt is None:
+        kt = tables.derived["event_loop"] = _build_kernel_tables(tables)
+    return kt
+
+
+def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
+                   warm_events, warm_time):
+    """``_reference_loop`` for every policy and ageing mode, with every
+    draw made in the kernel on the bit generators of ``rngs`` (arrivals,
+    content picks, version ages).  The kernel stops at the warmup point so
+    the snapshot is taken here, after the same event as in the reference
+    loop."""
+    system = config.system
+    n, m = system.N, system.M
+    kt = _kernel_tables(tables)
+    if config.policy is PolicyKind.WHITTLE and not kt.indexed:
+        raise ValueError("the Whittle policy needs tables built with indices=True")
     # under infinite capacity every content counts as cached and the
     # kernel reads no slot
     slots = np.array(sorted(_top_m_ids(system)), dtype=np.int64)
@@ -238,12 +290,14 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, batches,
     acc = np.zeros(_N_ACC)
     cnt = np.zeros(_N_CNT, dtype=np.int64)
     realized = config.ageing_mode is AgeingMode.REALIZED
-    bitgen = aov_rng.bit_generator.ctypes.bit_generator if realized else None
+    bitgens = [g.bit_generator.ctypes.bit_generator for g in rngs]
     policy = _POLICY_CODE[config.policy]
     f64, i64, ptr = np.float64, np.int64, _ckernel.address
-    state = (ptr(cdbl, f64), ptr(cint, i64), ptr(bps, f64), ptr(w_of_tau, f64), stride,
-             system.beta, ptr(queue, i64), ptr(fetch_time, f64), ptr(waited, np.uint8),
-             ptr(aov, i64), ptr(aov_time, f64), ptr(slot_of, i64), ptr(slots, i64), m,
+    pick = (ptr(kt.cum_p, f64), ptr(kt.guide, i64), len(kt.guide))
+    state = (ptr(kt.cdbl, f64), ptr(kt.cint, i64), ptr(kt.bps, f64),
+             ptr(kt.w_of_tau, f64), kt.stride, system.beta, ptr(queue, i64),
+             ptr(fetch_time, f64), ptr(waited, np.uint8), ptr(aov, i64),
+             ptr(aov_time, f64), ptr(slot_of, i64), ptr(slots, i64), m,
              ptr(scratch, f64), ptr(acc, f64), ptr(cnt, i64))
 
     def totals():
@@ -252,23 +306,16 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, batches,
     end_events = config.horizon_events if config.horizon_events is not None else _NO_LIMIT
     end_time = config.horizon_time if config.horizon_time is not None else math.inf
     snap = None
-    bi = blen = 0
     while cnt[_EVENTS] < end_events and acc[_T] < end_time:
-        if bi == blen:
-            dts, ids = next(batches)
-            ids = ids.astype(i64, copy=False)
-            batch = ptr(dts, f64), ptr(ids, i64)
-            bi, blen = 0, len(dts)
         stop_events, stop_time = end_events, end_time
         if snap is None:
             if warm_events is not None:
                 stop_events = min(stop_events, warm_events)
             stop_time = min(stop_time, warm_time)
-        bi = kernel(policy, realized, bitgen, *batch, bi, blen, stop_events, stop_time,
-                    *state)
-        if bi == _OCCUPANCY_ERROR:
+        status = kernel(policy, realized, *bitgens, *pick, stop_events, stop_time, *state)
+        if status == _OCCUPANCY_ERROR:
             raise SimulationError(f"occupancy violated at event {cnt[_EVENTS]}")
-        if bi == _POISSON_DOMAIN_ERROR:
+        if status == _POISSON_DOMAIN_ERROR:
             # the error Generator.poisson raises in the reference loop
             raise ValueError("lam value too large")
         if snap is None and ((cnt[_EVENTS] == warm_events) if warm_events is not None

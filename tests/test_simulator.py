@@ -1,12 +1,13 @@
 import ctypes
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aovcache import _ckernel, simulator
-from aovcache.model import ContentParams, CostModel, SystemParams
+from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
 from aovcache.policies import PolicyKind, build_policy_tables
 from aovcache.simulator import (
     AgeingMode,
@@ -128,6 +129,11 @@ def lockstep_tables():
             for name, make in LOCKSTEP_SYSTEMS.items()}
 
 
+# a popularity summing to 1 + 6e-10, which validation accepts: its
+# cumsum passes 1.0 before the last entry, which the clamp sets below it
+OVERSHOOT = [0.25, 0.5, 0.25 + 5e-10, 1e-10]
+
+
 def _rngs_of(monkeypatch):
     """The generators ``run`` creates, recorded as it creates them."""
     made = []
@@ -204,6 +210,90 @@ class TestCompiledLoop:
             assert 0.0 + fn(a, n) == a.sum(), n
 
     @needs_kernel
+    @pytest.mark.parametrize("p", [
+        zipf_popularity(100, 1.0),
+        zipf_popularity(40, 0.0),
+        [1.0],
+        zipf_popularity(64, 1.0),
+        [0.3, 1e-12, 0.7 - 1e-12],
+        OVERSHOOT,
+    ], ids=["desk", "uniform", "N1", "power-of-two", "tiny-p", "overshoot"])
+    def test_content_pick_matches_searchsorted(self, p):
+        # the guide-table pick against the reference loop's binary search,
+        # at every uniform where a table start or a CDF step could be off
+        # by one
+        fn = ctypes.CDLL(str(_ckernel._build())).content_pick
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
+        fn.restype = ctypes.c_int64
+        cum_p = simulator._cum_p(p)
+        guide = simulator._guide_table(cum_p)
+        k = len(guide)
+        assert k & (k - 1) == 0 and k // 2 < len(p) <= k
+        if p is OVERSHOOT:
+            assert np.cumsum(p)[-2] > cum_p[-1] == 1.0
+        us = {0.0, float(np.nextafter(1.0, 0.0))}
+        for edge in [*cum_p, *(np.arange(k) / k)]:
+            for u in (np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)):
+                if 0.0 <= u < 1.0:
+                    us.add(float(u))
+        for u in sorted(us):
+            want = int(np.searchsorted(cum_p, u, side="right"))
+            assert fn(cum_p.ctypes.data, guide.ctypes.data, k, u) == want, u
+
+    @needs_kernel
+    @pytest.mark.parametrize("horizon", [dict(horizon_events=20_000),
+                                         dict(horizon_time=2_000.0)],
+                             ids=["events", "time"])
+    def test_one_draw_per_event_from_each_stream(self, monkeypatch, desk, horizon):
+        # the kernel draws each event's arrival and content itself: no
+        # batch is drawn and no value is drawn ahead
+        system, tables = desk
+        fresh = [np.random.default_rng(s) for s in np.random.SeedSequence(6).spawn(2)]
+
+        def no_batches(*args):
+            raise AssertionError("the compiled path drew numpy batches")
+
+        monkeypatch.setattr(simulator, "_batches", no_batches)
+        made = _rngs_of(monkeypatch)
+        cfg = SimConfig(system=system, policy=PolicyKind.STATIC_TOP_M, seed=6, **horizon)
+        events = run(cfg, tables).event_count
+        arr_rng, pick_rng, _ = made
+        mean_dt = 1.0 / system.beta
+        assert arr_rng.exponential(mean_dt) == fresh[0].exponential(mean_dt, events + 1)[-1]
+        assert pick_rng.random() == fresh[1].random(events + 1)[-1]
+
+    @needs_kernel
+    def test_kernel_tables_built_once_per_policy_tables(self, monkeypatch):
+        system = desk_system(N=40, beta=4.0, M=10)
+        tables = build_policy_tables(system)
+        pickled = len(pickle.dumps(tables))
+        builds = []
+        build = simulator._build_kernel_tables
+
+        def counting(t):
+            builds.append(t)
+            return build(t)
+
+        monkeypatch.setattr(simulator, "_build_kernel_tables", counting)
+        cfgs = [SimConfig(system=system, policy=policy, horizon_events=20_000, seed=seed)
+                for policy, seed in ((PolicyKind.WHITTLE, 1), (PolicyKind.MYOPIC, 2))]
+        reused = [run(cfg, tables) for cfg in cfgs]
+        assert len(builds) == 1
+        # what a parallel sweep sends each worker does not carry the arrays
+        assert len(pickle.dumps(tables)) == pickled
+        assert pickle.loads(pickle.dumps(tables)).derived == {}
+        assert reused == [run(cfg, build_policy_tables(system)) for cfg in cfgs]
+
+    @needs_kernel
+    def test_build_removes_stale_libraries(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        stale = tmp_path / "aovcache" / "_loop-0000000000000000.so"
+        stale.parent.mkdir()
+        stale.write_bytes(b"")
+        lib = _ckernel._build()
+        assert list(lib.parent.iterdir()) == [lib]
+
+    @needs_kernel
     @pytest.mark.parametrize("policy", list(PolicyKind))
     def test_realized_leaves_age_stream_in_same_state(self, monkeypatch, desk, policy):
         system, tables = desk
@@ -258,8 +348,9 @@ class TestCompiledLoop:
         assert [run(cfg, tables) for cfg in cfgs] == want
 
     def test_kernel_error_status_raises(self, monkeypatch, desk):
-        # the kernel returns -1 when an admission finds the cache
-        # inconsistent, -2 when a version-age draw is out of numpy's domain
+        # the kernel returns 0 when it reaches its stop, -1 when an
+        # admission finds the cache inconsistent, -2 when a version-age
+        # draw is out of numpy's domain
         system, tables = desk
         cfg = SimConfig(system=system, horizon_events=1_000, seed=1)
         monkeypatch.setattr(_ckernel, "event_loop", lambda *args: -1)
