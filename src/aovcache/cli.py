@@ -43,9 +43,15 @@ from .model import (
     validate,
     zipf_popularity,
 )
-from .policies import PolicyKind, build_policy_tables, relaxed_lower_bound
+from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, SimulationError, _run, aggregate, sweep
-from .thresholds import compute_I, solve_case2, solve_thresholds, case2_residuals
+from .thresholds import (
+    case2_residuals,
+    compute_I,
+    content_constants,
+    solve_case2,
+    solve_thresholds,
+)
 from .whittle import (
     build_content_tables,
     uncached_breakpoints,
@@ -99,6 +105,19 @@ def build_system(doc: dict) -> SystemParams:
     if problems:
         raise ConfigError("; ".join(map(str, problems)))
     return system
+
+
+def _capacity(system: SystemParams, value) -> int:
+    """A capacity given on the command line or read from a CSV, held to
+    the same checks as the config's own M."""
+    try:
+        m = int(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"capacity: {value!r} is not an integer") from e
+    problems = validate(replace(system, M=m))
+    if problems:
+        raise ConfigError("; ".join(map(str, problems)) + f" (got M={m})")
+    return m
 
 
 def _sim_config(doc: dict, system: SystemParams, args) -> SimConfig:
@@ -262,7 +281,7 @@ def cmd_sweep(doc: dict, args) -> int:
     if not axis or not values:
         raise ConfigError("sweep needs an axis and values (config or flags)")
     if axis == "M":
-        values = [int(v) for v in values]
+        values = [_capacity(system, v) for v in values]
     elif axis == "c_w":
         values = [float(v) for v in values]
     elif axis != "policy":
@@ -277,7 +296,7 @@ def cmd_sweep(doc: dict, args) -> int:
 
 def cmd_lower_bound(doc: dict, args) -> int:
     system = build_system(doc)
-    m_values = ([int(x) for x in args.m_values.split(",")]
+    m_values = ([_capacity(system, x) for x in args.m_values.split(",")]
                 if args.m_values else [system.M])
     rep = Reporter(args.out, doc)
     rows = []
@@ -299,7 +318,7 @@ def cmd_compare(doc: dict, args) -> int:
         for row in csv.DictReader(fh):
             if row["replication"] != "mean":
                 continue
-            m = int(row["axis_value"])
+            m = _capacity(system, row["axis_value"])
             if m not in bounds:
                 bounds[m] = relaxed_lower_bound(replace(system, M=m))[1]
             bound = bounds[m]
@@ -361,6 +380,16 @@ def cmd_verify(doc: dict, args) -> int:
             step = sw_grid[1] - sw_grid[0]
             check(f"whittle-vs-sweep[content {i}]", abs(w - ws) <= step + 1e-3,
                   f"|{w:.4g}-{ws:.4g}| vs step {step:.4g}")
+
+    # the bound's golden-section search relies on the dual being concave;
+    # a dual that is not would show as a grid point above the bound
+    consts = content_constants(system.contents, beta)
+    ch_star, bound = relaxed_lower_bound(system)
+    dual_grid = np.linspace(0.0, float(consts.I.max()), 60 if quick else 200)
+    dual_max = max(dual_value(system, float(x), consts) for x in dual_grid)
+    check("dual-bound", dual_max - bound <= 1e-9 * max(1.0, abs(bound)),
+          f"C_h*={ch_star:.6g}, bound - max over {len(dual_grid)} grid points "
+          f"= {bound - dual_max:.2e}")
 
     cfg = _sim_config(doc, system, args)
     horizon = min(cfg.horizon_events or 200_000, 200_000 if quick else 500_000)

@@ -232,14 +232,18 @@ def dual_value(system: SystemParams, C_h: float,
     return float(average_cost_batch(C_h, consts).sum()) - C_h * system.M
 
 
-def relaxed_lower_bound(system: SystemParams, refine: int = 200) -> tuple[float, float]:
+def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
     """Lower bound on the constrained optimum: max over C_h of the dual.
 
-    The dual is concave (pointwise minimum of affine functions of C_h,
-    minus a linear term), so golden-section search over [0, max_n I_n]
-    finds the maximizer; a local grid pass of ``refine`` points guards
-    against the kinks the queue-threshold floors introduce.  Returns
-    (C_h_star, bound).
+    The dual is concave (each theta_n is a pointwise minimum of affine
+    functions of C_h, and C_h * M is linear), so golden-section search
+    over [0, max_n I_n] finds the maximizer without a grid pass, kinks
+    included.  When the capacity is slack (the relaxed problem caches at
+    most M contents even at zero holding cost) the maximizer is the
+    endpoint C_h = 0, which the search approaches but never evaluates;
+    so the endpoint is evaluated once and wins when strictly greater.
+    The upper end needs no such check: for M > 0 the slope there is -M.
+    Returns (C_h_star, bound).
     """
     consts = content_constants(system.contents, system.beta)
     hi = float(consts.I.max())
@@ -262,11 +266,5 @@ def relaxed_lower_bound(system: SystemParams, refine: int = 200) -> tuple[float,
         if b - a <= 1e-12 * hi:
             break
     mid = 0.5 * (a + b)
-    span = max(b - a, hi / refine)
-    best_x, best_v = mid, dual_value(system, mid, consts)
-    for k in range(refine + 1):
-        x = min(max(mid - span + 2.0 * span * k / refine, 0.0), hi)
-        v = dual_value(system, x, consts)
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+    v_mid, v_zero = dual_value(system, mid, consts), dual_value(system, 0.0, consts)
+    return (0.0, v_zero) if v_zero > v_mid else (mid, v_mid)

@@ -228,6 +228,43 @@ class TestLowerBoundAndCompare:
         for g in gaps:
             assert float(g["relative_gap"]) > -0.05  # cost >= bound - noise
 
+    def test_desk_bound_csv_bytes(self, tmp_path):
+        # M=90 is a slack capacity: the maximizer is the endpoint C_h = 0
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+        out = tmp_path / "lb-desk"
+        assert main(["lower-bound", "--config", str(cfg), "--out", str(out),
+                     "--m-values", "20,25,30,90"]) == 0
+        assert (out / "lower_bound.csv").read_bytes() == (
+            b"M,C_h_star,bound\r\n"
+            b"20,0.0164700298581,1.19422509535\r\n"
+            b"25,0.0142267335873,1.11768354485\r\n"
+            b"30,0.0125343107252,1.05097050579\r\n"
+            b"90,0,0.633946211381\r\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["lower-bound", "--m-values", "-5"],
+        ["lower-bound", "--m-values", "20"],  # M = N
+        ["lower-bound", "--m-values", "abc"],
+        ["lower-bound", "--m-values", "4,5.5"],
+        ["sweep", "--axis", "M", "--values", "500"],
+        ["sweep", "--axis", "M", "--values", "4,-1"],
+    ])
+    def test_bad_capacity_exits_2(self, desk_cfg, capsys, argv):
+        assert main([argv[0], "--config", desk_cfg] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "capacity:" in err
+
+    @pytest.mark.parametrize("axis_value", ["whittle", "4.5", "20", "-1"])
+    def test_compare_bad_axis_value_exits_2(self, desk_cfg, tmp_path, capsys,
+                                            axis_value):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("axis_value,policy,replication,avg_cost\n"
+                           f"{axis_value},whittle,mean,1.0\n")
+        assert main(["compare", "--config", desk_cfg, "--metrics", str(metrics)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "capacity:" in err
+
 
 class TestDigest:
     def test_stable_under_key_order(self):
@@ -260,6 +297,7 @@ class TestVerifyCmd:
         assert main(["verify", "--config", str(cfg), "--quick"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+        assert re.search(r"^PASS  dual-bound  ", out, re.MULTILINE)
         assert re.search(r"^PASS  simulation-determinism  \(reference vs (compiled|reference) "
                          r"loop, 8 policy/mode pairs\)$", out, re.MULTILINE)
 

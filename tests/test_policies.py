@@ -201,6 +201,28 @@ class TestRelaxedLowerBound:
         assert bound >= dense - 1e-9
         assert bound - dense < 1e-4
 
+    @pytest.mark.parametrize("kw", [dict(M=90), dict(beta=40.0, M=96)])
+    def test_slack_capacity_maximizer_is_zero(self, kw):
+        # M is at least the relaxed occupancy at zero holding cost, so the
+        # dual peaks at the endpoint C_h = 0, which golden section only nears
+        system = desk_system(**kw)
+        assert relaxed_lower_bound(system) == (0.0, dual_value(system, 0.0))
+
+    def test_golden_section_without_grid_pass(self, monkeypatch):
+        from aovcache import policies
+
+        calls = 0
+        real = policies.dual_value
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(policies, "dual_value", counted)
+        relaxed_lower_bound(desk_system())
+        assert calls <= 64
+
     def test_concavity_sanity(self):
         system = desk_system(N=30, M=8)
         ceilings = [compute_I(c, system.beta) for c in system.contents]
