@@ -1,29 +1,38 @@
-"""Build and load the compiled event loop (``_loop.c``).
+"""Build and load the compiled library: the event loop (``_loop.c``) and
+two special functions (``_special.c``).
 
-The kernel runs every policy in both ageing modes.  It draws each
+The event loop runs every policy in both ageing modes.  It draws each
 event's inter-arrival time with numpy's own ``random_exponential`` and,
 in realized mode, version ages with ``random_poisson``, so the library
 links the static ``libnpyrandom.a`` that numpy ships and compiles
 against the ``numpy/random/bitgen.h`` header from ``numpy.get_include()``.
+The special functions, ``wright_omega`` and ``lambert_w0``, restate
+scipy.special's real-argument algorithms bit for bit, so that the
+solvers need not import scipy.special (a quarter of a second of every
+command's start-up); ``wright_omega`` and ``lambert_w0`` below call them.
 
 The shared library is built once with the system C compiler and cached
 under ``$XDG_CACHE_HOME/aovcache/`` (default ``~/.cache/aovcache/``),
-named by a hash of the source, the compiler flags, the platform, the
+named by a hash of the sources, the compiler flags, the platform, the
 numpy version and the bytes of ``libnpyrandom.a``, so a numpy upgrade
 never loads a kernel built against another ``bitgen_t``.  A new build
 removes the libraries cached under other keys.
 ``-ffp-contract=off`` stops the compiler from fusing a multiply and an
-add into one FMA, which rounds differently from the reference loop; no
-``-march=native`` or ``-ffast-math`` for the same reason.  ``-O3`` keeps
-the Whittle loop as fast as it was in a kernel of its own: at ``-O2`` the
-eight (policy, mode) loops in one function ran its index scan up to 10 %
-slower.  Without ``-ffast-math`` it reorders no float operation.
+add into one FMA, which rounds differently from the reference loop and
+from scipy; no ``-march=native`` or ``-ffast-math`` for the same reason.
+``-O3`` keeps the Whittle loop as fast as it was in a kernel of its own:
+at ``-O2`` the eight (policy, mode) loops in one function ran its index
+scan up to 10 % slower.  Without ``-ffast-math`` it reorders no float
+operation.
 
-``event_loop`` is loaded when this module is imported, so a missing
-library is built by the first import rather than inside a timed run.  It
-is None when there is no compiler, no writable cache directory, or no
-``libnpyrandom.a`` or numpy include directory, and ``simulator.run``
-then uses its reference loop.
+The library is loaded when this module is imported, so a missing one is
+built by the first import rather than inside a timed run.  ``event_loop``
+and ``special`` are None when there is no compiler, no writable cache
+directory, or no ``libnpyrandom.a`` or numpy include directory;
+``simulator.run`` then uses its reference loop, and ``wright_omega`` and
+``lambert_w0`` import scipy.special on first use.  Outside that case
+scipy is needed only by ``aovcache verify``, whose oracle and checks use
+it.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("_loop.c")
+SOURCES = tuple(Path(__file__).with_name(n) for n in ("_loop.c", "_special.c"))
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 NUMPY_INCLUDE = Path(np.get_include())
 NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
@@ -79,7 +88,10 @@ def cache_dir() -> Path:
 def _build() -> Path:
     """Path of the cached library, compiling it first if it is missing.
     Raises OSError when numpy's random library or header is missing."""
-    src = SOURCE.read_bytes()
+    # one translation unit; the #line directive keeps compiler messages
+    # pointing into the right file
+    src = b"".join(b'#line 1 "%s"\n' % p.name.encode() + p.read_bytes()
+                   for p in SOURCES)
     archive = NPYRANDOM.read_bytes()
     if not (NUMPY_INCLUDE / "numpy" / "random" / "bitgen.h").is_file():
         raise FileNotFoundError(f"no numpy/random/bitgen.h under {NUMPY_INCLUDE}")
@@ -113,16 +125,58 @@ def _build() -> Path:
     return lib
 
 
-def load():
-    """The kernel's entry point with its argument types declared, or None
-    when it cannot be built or loaded."""
+def _open():
+    """The library, or None when it cannot be built or loaded."""
     try:
-        fn = ctypes.CDLL(str(_build())).event_loop
+        return ctypes.CDLL(str(_build()))
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
+
+
+def _event_loop(lib):
+    fn = lib.event_loop
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int64
     return fn
 
 
-event_loop = load()
+def _declare_special(lib):
+    for fn in (lib.wright_omega, lib.lambert_w0):
+        fn.argtypes = [_ptr, _ptr, _int]  # input, output, length
+        fn.restype = None
+    return lib
+
+
+_lib = _open()
+event_loop = None if _lib is None else _event_loop(_lib)
+# the library as the provider of wright_omega and lambert_w0; None sends
+# both to scipy.special
+special = None if _lib is None else _declare_special(_lib)
+
+
+def _fill(fn, x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    fn(x.ctypes.data, out.ctypes.data, x.size)
+    return out
+
+
+def wright_omega(x) -> np.ndarray:
+    """Wright omega, the w with ``w + log(w) = x``, of each element of
+    ``x``, in its shape; bit for bit ``scipy.special.wrightomega``."""
+    x = np.asarray(x, dtype=float, order="C")
+    if special is None:
+        from scipy.special import wrightomega
+        return wrightomega(x)
+    return _fill(special.wright_omega, x)
+
+
+def lambert_w0(z) -> np.ndarray:
+    """Principal-branch Lambert W of each element of ``z``, in its shape;
+    bit for bit ``scipy.special.lambertw(z).real`` for z in [-1/e, 0],
+    the range ``thresholds.solve_gap`` uses.  The library returns NaN
+    outside it."""
+    z = np.asarray(z, dtype=float, order="C")
+    if special is None:
+        from scipy.special import lambertw
+        return lambertw(z).real
+    return _fill(special.lambert_w0, z)

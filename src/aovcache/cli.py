@@ -54,6 +54,8 @@ from .thresholds import (
 )
 from .whittle import (
     build_content_tables,
+    cached_indices,
+    grid_taus,
     uncached_breakpoints,
     verify_indexability,
     whittle_cached,
@@ -167,6 +169,8 @@ class Reporter:
             # means the reference loop, as the compiled kernel could not be
             # built or loaded
             "event_loop": "compiled" if _ckernel.event_loop is not None else "python",
+            # where the Wright omega and Lambert W values come from
+            "special_functions": "compiled" if _ckernel.special is not None else "scipy",
             "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "outputs": [],
         }
@@ -213,13 +217,23 @@ def cmd_solve(doc: dict, args) -> int:
     return 0
 
 
+def _content_ids(system: SystemParams, value: str) -> list[int]:
+    """The ids of a ``--contents`` list, each in ``0..N-1``."""
+    try:
+        ids = [int(x) for x in value.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"--contents: {value!r} is not a comma list of integers") from e
+    bad = [i for i in ids if not 0 <= i < system.N]
+    if bad:
+        raise ConfigError(f"--contents: ids {bad} outside 0..{system.N - 1}")
+    return ids
+
+
 def cmd_whittle(doc: dict, args) -> int:
     system = build_system(doc)
     if args.family not in ("cached", "uncached", "both"):
         raise ConfigError(f"unknown state family {args.family!r}")
-    which = list(range(system.N)) if not args.contents else [
-        int(x) for x in args.contents.split(",")
-    ]
+    which = list(range(system.N)) if not args.contents else _content_ids(system, args.contents)
     rep = Reporter(args.out, doc)
     rows = []
     contents = [system.contents[i] for i in which]
@@ -330,6 +344,14 @@ def cmd_compare(doc: dict, args) -> int:
     return 0
 
 
+def _bits_differ(a: np.ndarray, b: np.ndarray) -> int:
+    """How many elements of two float64 arrays differ in their bits (NaN
+    equals NaN)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return int(np.count_nonzero((a.view(np.int64) != b.view(np.int64))
+                                & ~(np.isnan(a) & np.isnan(b))))
+
+
 def cmd_verify(doc: dict, args) -> int:
     """Oracle-equivalence and invariant battery; nonzero exit on failure."""
     # imported here: the oracle pulls in scipy.signal, which costs every
@@ -381,15 +403,45 @@ def cmd_verify(doc: dict, args) -> int:
             check(f"whittle-vs-sweep[content {i}]", abs(w - ws) <= step + 1e-3,
                   f"|{w:.4g}-{ws:.4g}| vs step {step:.4g}")
 
-    # the bound's golden-section search relies on the dual being concave;
-    # a dual that is not would show as a grid point above the bound
     consts = content_constants(system.contents, beta)
+    # the compiled special functions against scipy.special, bit for bit, at
+    # this config's own arguments: content 0's cached-index grid and the
+    # gap equation's c = C_h / (p c_a lam) over every content's range (the
+    # identity rests on the host's libm)
+    if _ckernel.special is None:
+        check("special-functions", True, "the library is not built: scipy.special in use")
+    else:
+        from scipy.special import lambertw, wrightomega
+
+        seen = []
+
+        def omega(x):
+            seen.append(x.ravel())
+            return _ckernel.wright_omega(x)
+
+        ts0 = solve_thresholds(system.contents[0], beta, 0.0)
+        cached_indices(system.contents[0], beta, ts0, grid_taus(ts0.tau_star), omega)
+        omega_x = np.concatenate(seen)
+        c_max = float((consts.I / (consts.p * consts.c_alam)).max())
+        w0_z = -np.exp(-1.0 - np.geomspace(1e-3, max(c_max, 1e-3), 1000))
+        n_omega = _bits_differ(_ckernel.wright_omega(omega_x), wrightomega(omega_x))
+        n_w0 = _bits_differ(_ckernel.lambert_w0(w0_z), lambertw(w0_z).real)
+        check("special-functions", n_omega == n_w0 == 0,
+              f"{n_omega} of {omega_x.size} omega and {n_w0} of {w0_z.size} W0 values "
+              "differ from scipy.special")
+
+    # the bound's golden-section search relies on the dual being concave;
+    # a dual that is not would show as a grid point above the bound, and a
+    # wrong maximizer or bound as a neighbour of C_h* above it
     ch_star, bound = relaxed_lower_bound(system)
-    dual_grid = np.linspace(0.0, float(consts.I.max()), 60 if quick else 200)
-    dual_max = max(dual_value(system, float(x), consts) for x in dual_grid)
+    hi = float(consts.I.max())
+    dual_grid = np.linspace(0.0, hi, 60 if quick else 200)
+    delta = 1e-9 * hi
+    probes = [*dual_grid, max(ch_star - delta, 0.0), ch_star + delta]
+    dual_max = max(dual_value(system, float(x), consts) for x in probes)
     check("dual-bound", dual_max - bound <= 1e-9 * max(1.0, abs(bound)),
-          f"C_h*={ch_star:.6g}, bound - max over {len(dual_grid)} grid points "
-          f"= {bound - dual_max:.2e}")
+          f"C_h*={ch_star:.6g}, bound - max over {len(dual_grid)} grid points and "
+          f"C_h* +- {delta:.2g} = {bound - dual_max:.2e}")
 
     cfg = _sim_config(doc, system, args)
     horizon = min(cfg.horizon_events or 200_000, 200_000 if quick else 500_000)

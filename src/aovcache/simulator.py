@@ -35,6 +35,7 @@ from multiprocessing import Pool
 from typing import NamedTuple
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 imports it lazily, on the first run (~10 ms)
 
 from . import _ckernel
 from .model import CacheSystemState, CostModel, OccupancyError, SystemParams, validate

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import lambertw
 
+from ._ckernel import lambert_w0
 from .model import ContentParams, CostModel
 
 __all__ = [
@@ -179,16 +179,19 @@ def solve_gap(c) -> np.ndarray:
     """Root x >= 0 of ``x + exp(-x) = 1 + c``, elementwise for c >= 0.
 
     The closed form is ``x = 1 + c + W0(-exp(-(1+c)))`` with the Lambert W
-    function (Corless et al. 1996, "On the Lambert W function").  It loses
-    accuracy near the branch point c = 0, so below c = 1e-3 the start is
-    the inverted series ``s + s^2/6 + s^3/36`` with ``s = sqrt(2c)``
-    instead (relative error below 4e-7); two Newton steps on
-    ``gap_value`` then reach double precision everywhere.
+    function (Corless et al. 1996, "On the Lambert W function"), evaluated
+    only where c >= 1e-3.  It loses accuracy near the branch point c = 0,
+    so below c = 1e-3 the start is the inverted series
+    ``s + s^2/6 + s^3/36`` with ``s = sqrt(2c)`` instead (relative error
+    below 4e-7); two Newton steps on ``gap_value`` then reach double
+    precision everywhere.
     """
     c = np.asarray(c, dtype=float)
     s = np.sqrt(2.0 * c)
-    x = np.where(c < 1e-3, s * (1.0 + s / 6.0 + s * s / 36.0),
-                 1.0 + c + lambertw(-np.exp(-1.0 - c)).real)
+    far = c >= 1e-3
+    w = np.zeros(c.shape)
+    w[far] = lambert_w0(-np.exp(-1.0 - c[far]))
+    x = np.where(far, 1.0 + c + w, s * (1.0 + s / 6.0 + s * s / 36.0))
     for _ in range(2):
         slope = -np.expm1(-x)
         x = x - (gap_value(x) - c) / np.where(slope > 0.0, slope, 1.0)

@@ -36,8 +36,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wrightomega
 
+from ._ckernel import wright_omega
 from .model import ContentParams, SingleContentState
 from .thresholds import (
     ConsistencyError,
@@ -60,6 +60,8 @@ __all__ = [
     "default_state_grid",
     "ContentTables",
     "build_content_tables",
+    "grid_taus",
+    "cached_indices",
     "index_residual_cached",
     "index_residual_uncached",
 ]
@@ -75,12 +77,20 @@ def whittle_cached(params: ContentParams, beta: float, Q: int, tau: float) -> fl
         return 0.0
     if tau <= 0.0:
         return ts.I
-    return float(_cached_index(params, beta, ts, np.array([tau]))[0])
+    return float(cached_indices(params, beta, ts, np.array([tau]))[0])
 
 
-def _cached_index(params: ContentParams, beta: float, ts: ThresholdSet,
-                  taus: np.ndarray) -> np.ndarray:
-    """W(0, tau) at each ``0 < tau < tau_star``, by the Wright-omega form."""
+def grid_taus(tau_star: float) -> np.ndarray:
+    """The interior grid points ``i * tau_star / GRID_SIZE``, ``0 < i <
+    GRID_SIZE``, of a content's cached-index table."""
+    return np.arange(1, GRID_SIZE) * (tau_star / GRID_SIZE)
+
+
+def cached_indices(params: ContentParams, beta: float, ts: ThresholdSet,
+                   taus: np.ndarray, omega=wright_omega) -> np.ndarray:
+    """W(0, tau) at each ``0 < tau < tau_star``, by the Wright-omega form;
+    ``omega`` evaluates Wright omega elementwise (``aovcache verify``
+    passes one that records its arguments)."""
     cm = params.costs
     cal = cm.c_a * params.lam
     k = params.p * cal
@@ -89,7 +99,7 @@ def _cached_index(params: ContentParams, beta: float, ts: ThresholdSet,
     b = (q + 1.0) * cal / beta
     a = (beta * k * tau * tau / 2.0 + k * tau + (q + 1.0) * cal * tau
          - cm.c_f - cm.c_w * q * (q + 1.0) / (2.0 * params.p * beta)) / b
-    x = wrightomega(a + np.log(k * tau / b)) - a
+    x = omega(a + np.log(k * tau / b)) - a
     v = params.p * beta * cal * (tau + np.maximum(x, 0.0) / beta) / cm.c_w
     col, found = first_consistent(v, q, x > -1e-9)
     if not found.all():
@@ -301,8 +311,8 @@ def build_content_tables(params: ContentParams, beta: float, indices: bool = Tru
     if indices:
         if breakpoints is None:
             breakpoints = uncached_breakpoints((params,), beta)[0]
-        taus = np.arange(1, GRID_SIZE) * (ts.tau_star / GRID_SIZE)
-        w = np.concatenate(([ts.I], _cached_index(params, beta, ts, taus), [0.0]))
+        w = np.concatenate(([ts.I], cached_indices(params, beta, ts, grid_taus(ts.tau_star)),
+                            [0.0]))
     else:
         breakpoints, w = (), np.array([ts.I, 0.0])
     w.setflags(write=False)

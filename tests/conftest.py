@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
@@ -55,3 +56,11 @@ def corrupt_cache(monkeypatch, system):
             state.cache_set.add(system.N - 1)
 
         monkeypatch.setattr(simulator.CacheSystemState, "preload", preload_one_extra)
+
+
+def assert_same_bits(a, b):
+    """The two float64 arrays hold the same bits, element for element."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    differ = a.view(np.int64) != b.view(np.int64)
+    assert not differ.any(), f"{differ.sum()} differ, first at {np.flatnonzero(differ)[:5]}"

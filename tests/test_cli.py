@@ -145,6 +145,19 @@ class TestWhittleCmd:
     def test_unknown_family_exits_2(self, unit_cfg):
         assert main(["whittle", "--config", unit_cfg, "--family", "bogus"]) == 2
 
+    @pytest.mark.parametrize("ids", ["-1", "500", "abc", "0,20"])
+    def test_bad_content_ids_exit_2(self, desk_cfg, capsys, ids):
+        # desk_cfg has N=20: ids run from 0 to 19
+        assert main(["whittle", "--config", desk_cfg, "--contents", ids]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --contents:")
+
+    def test_listed_contents_only(self, desk_cfg, tmp_path):
+        out = tmp_path / "w"
+        assert main(["whittle", "--config", desk_cfg, "--out", str(out),
+                     "--contents", "19,3", "--family", "uncached"]) == 0
+        assert {r["content_id"] for r in read_csv(out / "whittle.csv")} == {"19", "3"}
+
 
 class TestSimulateAndSweep:
     def test_simulate_columns_and_determinism(self, desk_cfg, tmp_path):
@@ -189,13 +202,18 @@ class TestSimulateAndSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         want = "python" if _ckernel.event_loop is None else "compiled"
         assert manifest["event_loop"] == want
+        want = "scipy" if _ckernel.special is None else "compiled"
+        assert manifest["special_functions"] == want
         assert manifest["numpy_version"] == np.__version__
         assert manifest["scipy_version"] == scipy.__version__
         # a fallback shows in the manifest and leaves the metrics unchanged
         monkeypatch.setattr(_ckernel, "event_loop", None)
+        monkeypatch.setattr(_ckernel, "special", None)
         out2 = tmp_path / "loop-python"
         assert main(["simulate", "--config", desk_cfg, "--out", str(out2)]) == 0
-        assert json.loads((out2 / "manifest.json").read_text())["event_loop"] == "python"
+        manifest2 = json.loads((out2 / "manifest.json").read_text())
+        assert manifest2["event_loop"] == "python"
+        assert manifest2["special_functions"] == "scipy"
         assert (out / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
     def test_policy_axis(self, desk_cfg, tmp_path):
@@ -275,13 +293,21 @@ class TestDigest:
 
 
 def test_import_skips_scipy_signal():
-    # only the verify command needs the oracle, which imports scipy.signal
+    # only the verify command needs the oracle, which imports scipy.signal;
+    # with the library built, the solvers need no scipy.special either,
+    # while the simulator imports numpy.random itself
     src = Path(aovcache.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, aovcache.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, aovcache.cli; from aovcache import _ckernel; "
+            "print(*(m in sys.modules for m in ('scipy.signal', 'scipy.special', "
+            "'numpy.random')), _ckernel.special is not None)")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert res.stdout.strip() == "False"
+    signal, special, random, compiled = res.stdout.split()
+    assert signal == "False"
+    assert random == "True"
+    if compiled == "True":
+        assert special == "False"
 
 
 class TestVerifyCmd:
@@ -298,8 +324,26 @@ class TestVerifyCmd:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert re.search(r"^PASS  dual-bound  ", out, re.MULTILINE)
+        assert re.search(r"^PASS  special-functions  ", out, re.MULTILINE)
         assert re.search(r"^PASS  simulation-determinism  \(reference vs (compiled|reference) "
                          r"loop, 8 policy/mode pairs\)$", out, re.MULTILINE)
+
+    def test_dual_bound_catches_a_slightly_low_bound(self, desk_cfg, capsys, monkeypatch):
+        # 1e-6 below the true maximum: far inside the grid's own shortfall,
+        # but the dual next to C_h* sits above it
+        from aovcache import cli
+
+        exact = cli.relaxed_lower_bound
+
+        def low(system):
+            ch, bound = exact(system)
+            return ch, bound - 1e-6
+
+        monkeypatch.setattr(cli, "relaxed_lower_bound", low)
+        assert main(["verify", "--config", desk_cfg, "--quick"]) == 4
+        out = capsys.readouterr().out
+        assert re.search(r"^FAIL  dual-bound  ", out, re.MULTILINE)
+        assert "FAILED: dual-bound\n" in out
 
     def test_oracle_agreement_is_not_exact(self, unit_cfg):
         # demonstrates the battery tolerance is load-bearing: a 1e-15

@@ -331,6 +331,9 @@ class TestCompiledLoop:
                           horizon_events=20_000, seed=4)
                 for policy in PolicyKind for mode in AgeingMode]
         want = [run(cfg, tables) for cfg in cfgs]
+        x = np.linspace(-3.0, 3.0, 61)
+        z = -np.exp(-1.0 - np.geomspace(1e-3, 50.0, 61))
+        want_special = (_ckernel.wright_omega(x), _ckernel.lambert_w0(z))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         if broken == "no-compiler":
             monkeypatch.setenv("PATH", str(tmp_path))
@@ -340,12 +343,15 @@ class TestCompiledLoop:
             monkeypatch.setattr(_ckernel, "NPYRANDOM", tmp_path / "libnpyrandom.a")
         else:
             monkeypatch.setattr(_ckernel, "NUMPY_INCLUDE", tmp_path)
-        handle = _ckernel.load()
-        assert handle is None
+        assert _ckernel._open() is None
         if broken == "no-compiler":  # the failed build left no temp file
             assert list((tmp_path / "cache" / "aovcache").iterdir()) == []
-        monkeypatch.setattr(_ckernel, "event_loop", handle)
+        monkeypatch.setattr(_ckernel, "event_loop", None)
+        monkeypatch.setattr(_ckernel, "special", None)
         assert [run(cfg, tables) for cfg in cfgs] == want
+        # scipy.special stands in for the special functions, bit for bit
+        got = (_ckernel.wright_omega(x), _ckernel.lambert_w0(z))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want_special]
 
     def test_kernel_error_status_raises(self, monkeypatch, desk):
         # the kernel returns 0 when it reaches its stop, -1 when an

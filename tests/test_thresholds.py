@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
+from aovcache import _ckernel
 from aovcache.model import ContentParams, CostModel, zipf_popularity
 from aovcache.thresholds import (
     case2_residuals,
@@ -11,11 +13,12 @@ from aovcache.thresholds import (
     optimal_average_cost,
     solve_case2,
     solve_infinite_capacity,
+    solve_gap,
     solve_q_hat,
     solve_thresholds,
     zero_holding_thresholds,
 )
-from conftest import desk_system, random_content
+from conftest import assert_same_bits, desk_system, random_content
 
 
 def brute_serve_wait_fetch(beta, lam, c_a, c_f, c_w, q_max=60):
@@ -222,3 +225,47 @@ class TestBundle:
         above = optimal_average_cost(unit_content, 1.0, I * 2)
         assert below == pytest.approx(above, rel=1e-6)
         assert above == pytest.approx(0.75)
+
+
+@pytest.mark.skipif(_ckernel.special is None,
+                    reason="compiled special functions unavailable")
+class TestLambertW0:
+    """The library's Lambert W0 is scipy.special.lambertw(z).real, bit for
+    bit, on the arguments ``solve_gap`` passes it."""
+
+    def test_gap_equation_range(self):
+        # solve_gap evaluates W0(-exp(-1 - c)) for c >= 1e-3 only
+        c = np.concatenate([np.geomspace(1e-3, 800.0, 200_001),
+                            np.linspace(1e-3, 3.0, 100_001)])
+        z = -np.exp(-1.0 - c)
+        assert_same_bits(_ckernel.lambert_w0(z), lambertw(z).real)
+
+    def test_start_switch_and_signed_zero(self):
+        # |z + 1/e| = 0.3 is where the branch-point series gives way to the
+        # Pade start; step 8 doubles to either side of it
+        z = [0.3 - math.exp(-1.0)]
+        for _ in range(8):
+            z = [np.nextafter(z[0], -np.inf), *z, np.nextafter(z[-1], np.inf)]
+        z = np.array(z + [-0.0])
+        assert_same_bits(_ckernel.lambert_w0(z), lambertw(z).real)
+        assert math.copysign(1.0, float(_ckernel.lambert_w0(-0.0))) == -1.0
+
+    def test_nan_outside_its_domain(self):
+        # below the branch point -1/e, and above 0 where solve_gap never looks
+        z = np.array([-1.0, -0.5, np.nextafter(0.0, 1.0), 0.5, 1.0, np.nan])
+        assert np.isnan(_ckernel.lambert_w0(z)).all()
+
+    def test_keeps_shape(self):
+        assert _ckernel.lambert_w0(-0.1).shape == ()
+        z = -np.exp(-1.0 - np.linspace(0.01, 5.0, 6)).reshape(2, 3)
+        assert_same_bits(_ckernel.lambert_w0(z), lambertw(z).real)
+
+
+def test_solve_gap_same_on_the_scipy_path(monkeypatch):
+    # the series start below c = 1e-3 and W0 above it, either side of the switch
+    c = np.concatenate([[0.0], np.geomspace(1e-9, 800.0, 4001),
+                        np.nextafter(1e-3, [-np.inf, np.inf])])
+    compiled = solve_gap(c)
+    monkeypatch.setattr(_ckernel, "special", None)
+    assert_same_bits(compiled, solve_gap(c))
+    assert solve_gap(np.float64(0.25)).shape == ()

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import wrightomega
 
+from aovcache import _ckernel
 from aovcache.model import SingleContentState
+from aovcache.policies import build_policy_tables
 from aovcache.thresholds import compute_I, solve_case2, solve_thresholds
 from aovcache.whittle import (
     build_content_tables,
@@ -13,7 +18,10 @@ from aovcache.whittle import (
     whittle_cached,
     whittle_uncached,
 )
-from conftest import random_content
+from conftest import assert_same_bits, desk_system, random_content
+
+needs_special = pytest.mark.skipif(_ckernel.special is None,
+                                   reason="compiled special functions unavailable")
 
 
 class TestCachedIndex:
@@ -150,3 +158,39 @@ class TestContentTables:
         assert tb.cached_idle(2, 0.1) == 0.0
         assert tb.cached_idle(0, tb.tau_star) == 0.0
         assert tb.cached_idle(0, 10.0) == 0.0
+
+    def test_scipy_fallback_gives_the_same_tables(self, monkeypatch):
+        system = desk_system()
+        compiled = build_policy_tables(system)
+        monkeypatch.setattr(_ckernel, "special", None)
+        fallback = build_policy_tables(system)
+        for a, b in zip(compiled.content, fallback.content):
+            assert a.w_of_tau.tobytes() == b.w_of_tau.tobytes()
+            assert np.array(a.breakpoints).tobytes() == np.array(b.breakpoints).tobytes()
+
+
+@needs_special
+class TestWrightOmega:
+    """The library's Wright omega is scipy.special.wrightomega, bit for bit."""
+
+    def test_grid_and_branch_points(self):
+        # where the algorithm switches: exp(x) below -50, its three initial
+        # guesses split at -2 and 1, and x itself above 1e20
+        edges = np.array([-50.0, -2.0, 1.0, 1e20])
+        x = np.concatenate([
+            np.linspace(-60.0, 60.0, 240_001),
+            np.sinh(np.linspace(-49.0, 49.0, 20_001)),
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300],
+        ])
+        assert_same_bits(_ckernel.wright_omega(x), wrightomega(x))
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_doubles(self, x):
+        assert_same_bits(_ckernel.wright_omega(x), wrightomega(x))
+
+    def test_keeps_shape(self):
+        assert _ckernel.wright_omega(0.5).shape == ()
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert_same_bits(_ckernel.wright_omega(x), wrightomega(x))
