@@ -16,7 +16,8 @@ under ``$XDG_CACHE_HOME/aovcache/`` (default ``~/.cache/aovcache/``),
 named by a hash of the sources, the compiler flags, the platform, the
 numpy version and the bytes of ``libnpyrandom.a``, so a numpy upgrade
 never loads a kernel built against another ``bitgen_t``.  A new build
-removes the libraries cached under other keys.
+keeps the ``KEEP_LIBRARIES`` newest libraries in that directory, its
+own included, and removes the older ones.
 ``-ffp-contract=off`` stops the compiler from fusing a multiply and an
 add into one FMA, which rounds differently from the reference loop and
 from scipy; no ``-march=native`` or ``-ffast-math`` for the same reason.
@@ -51,6 +52,7 @@ SOURCES = tuple(Path(__file__).with_name(n) for n in ("_loop.c", "_special.c"))
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 NUMPY_INCLUDE = Path(np.get_include())
 NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+KEEP_LIBRARIES = 4  # cached libraries a new build leaves, its own included
 
 _ptr, _int, _dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # the parameters of event_loop in _loop.c, in order; arrays go in as the
@@ -115,14 +117,27 @@ def _build() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    # a process that has an old library loaded keeps its mapping
-    for old in lib.parent.glob("_loop-*.so"):
+    # the newest few stay, so checkouts or environments that share the
+    # cache do not evict each other's library; a process that has an old
+    # library loaded keeps its mapping
+    for old in _by_age(lib.parent)[KEEP_LIBRARIES:]:
         if old != lib:
             try:
                 old.unlink()
             except OSError:
                 pass
     return lib
+
+
+def _by_age(directory: Path) -> list[Path]:
+    """The cached libraries in ``directory``, newest (by mtime) first."""
+    libs = []
+    for path in directory.glob("_loop-*.so"):
+        try:
+            libs.append((path.stat().st_mtime_ns, path))
+        except OSError:  # removed by another process meanwhile
+            pass
+    return [path for _, path in sorted(libs, reverse=True)]
 
 
 def _open():

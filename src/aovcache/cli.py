@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import sys
 import time
@@ -32,7 +33,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, _ckernel
 from .model import (
@@ -46,17 +46,16 @@ from .model import (
 from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, SimulationError, _run, aggregate, sweep
 from .thresholds import (
+    case2_batch,
     case2_residuals,
-    compute_I,
     content_constants,
     solve_case2,
     solve_thresholds,
 )
 from .whittle import (
-    build_content_tables,
+    build_index_tables,
     cached_indices,
     grid_taus,
-    uncached_breakpoints,
     verify_indexability,
     whittle_cached,
 )
@@ -142,6 +141,23 @@ def _sim_config(doc: dict, system: SystemParams, args) -> SimConfig:
     )
 
 
+def scipy_version() -> str | None:
+    """``scipy.__version__`` without importing scipy, which only ``verify``
+    computes with: the ``version`` that its ``scipy/version.py`` defines
+    (about 8 ms less start-up for every other command).  None when scipy
+    is not installed."""
+    if "scipy" in sys.modules:
+        return sys.modules["scipy"].__version__
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    path = Path(spec.submodule_search_locations[0]) / "version.py"
+    module_spec = importlib.util.spec_from_file_location("scipy.version", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module.version
+
+
 def config_digest(doc: dict) -> str:
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -164,7 +180,7 @@ class Reporter:
             "seed": seed,
             "version": __version__,
             "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
+            "scipy_version": scipy_version(),
             # the loop every policy and ageing mode runs in; "python" here
             # means the reference loop, as the compiled kernel could not be
             # built or loaded
@@ -201,15 +217,17 @@ class Reporter:
 def cmd_solve(doc: dict, args) -> int:
     system = build_system(doc)
     rep = Reporter(args.out, doc)
-    rows = []
-    for i, c in enumerate(system.contents):
-        I = compute_I(c, system.beta)
-        for ch in np.linspace(0.0, I, args.ch_points):
-            ts = solve_thresholds(c, system.beta, float(ch))
-            rows.append([
-                i, _f(ch), _f(ts.tau_bar), _f(ts.tau_tilde), ts.Q_bar,
-                ts.Q_hat, _f(ts.tau0), _f(ts.I), _f(ts.theta),
-            ])
+    k = content_constants(system.contents, system.beta)
+    # every content's C_h points in one kernel call
+    ch = np.concatenate([np.linspace(0.0, I, args.ch_points) for I in k.I.tolist()])
+    idx = np.repeat(np.arange(system.N), args.ch_points)
+    solved = case2_batch(ch, k.take(idx))
+    consts = zip(k.q_hat[idx].tolist(), k.tau0[idx].tolist(), k.I[idx].tolist())
+    rows = [
+        [i, _f(c), _f(tb), _f(tt), qb, q_hat, _f(tau0), _f(I), _f(theta)]
+        for i, c, tb, tt, qb, theta, (q_hat, tau0, I)
+        in zip(idx.tolist(), ch.tolist(), *(a.tolist() for a in solved), consts)
+    ]
     rep.table("thresholds.csv",
               ["content_id", "C_h", "tau_bar", "tau_tilde", "Q_bar", "Q_hat",
                "tau0", "I", "theta"], rows)
@@ -237,13 +255,18 @@ def cmd_whittle(doc: dict, args) -> int:
     rep = Reporter(args.out, doc)
     rows = []
     contents = [system.contents[i] for i in which]
-    # one batched bisection gives every listed content's uncached indices
-    for i, c, bps in zip(which, contents, uncached_breakpoints(contents, system.beta)):
-        tb = build_content_tables(c, system.beta, breakpoints=bps)
+    tables = build_index_tables(contents, system.beta)[0]
+    for i, c, tb in zip(which, contents, tables):
         if args.family in ("cached", "both"):
-            for tau in np.linspace(0.0, tb.tau_star, args.tau_points):
-                w = whittle_cached(c, system.beta, 0, float(tau))
-                rows.append([i, "cached", 0, _f(tau), _f(w)])
+            # whittle_cached at every tau, the interior ones in one call
+            taus = np.linspace(0.0, tb.tau_star, args.tau_points)
+            w = np.where(taus <= 0.0, tb.ceiling, 0.0)
+            inner = (taus > 0.0) & (taus < tb.tau_star)
+            if inner.any():
+                ts = solve_thresholds(c, system.beta, 0.0)
+                w[inner] = cached_indices(c, system.beta, ts, taus[inner])
+            rows.extend([i, "cached", 0, _f(tau), _f(x)]
+                        for tau, x in zip(taus.tolist(), w.tolist()))
         if args.family in ("uncached", "both"):
             for q in range(tb.q_hat + 3):
                 rows.append([i, "uncached", q, _f(0.0), _f(tb.uncached(q))])
@@ -429,6 +452,18 @@ def cmd_verify(doc: dict, args) -> int:
         check("special-functions", n_omega == n_w0 == 0,
               f"{n_omega} of {omega_x.size} omega and {n_w0} of {w0_z.size} W0 values "
               "differ from scipy.special")
+
+    # the index tables from windows of queue candidates against a scan of
+    # every candidate, field for field and bit for bit
+    windowed, fallback = build_index_tables(system.contents, beta)
+    full = build_index_tables(system.contents, beta, window=False)[0]
+    n_differ = sum(
+        any(np.shape(x) != np.shape(y) or _bits_differ(x, y)
+            for x, y in zip(vars(a).values(), vars(b).values()))
+        for a, b in zip(windowed, full))
+    check("table-window", n_differ == 0,
+          f"{n_differ} of {len(full)} content tables differ from the full-width scan; "
+          f"{fallback} rows fell back to it")
 
     # the bound's golden-section search relies on the dual being concave;
     # a dual that is not would show as a grid point above the bound, and a

@@ -21,7 +21,7 @@ from .thresholds import (
     content_constants,
     zero_holding_thresholds,
 )
-from .whittle import ContentTables, build_content_tables, uncached_breakpoints
+from .whittle import ContentTables, build_content_tables, build_index_tables
 
 __all__ = [
     "ActionKind",
@@ -83,13 +83,12 @@ class PolicyTables:
 
 
 def build_policy_tables(system: SystemParams, indices: bool = True) -> PolicyTables:
-    bps = (uncached_breakpoints(system.contents, system.beta) if indices
-           else [None] * system.N)
-    zero = zero_holding_thresholds(content_constants(system.contents, system.beta))
-    content = tuple(
-        build_content_tables(c, system.beta, indices, b, ts)
-        for c, b, ts in zip(system.contents, bps, zero)
-    )
+    if indices:
+        content = build_index_tables(system.contents, system.beta)[0]
+    else:
+        zero = zero_holding_thresholds(content_constants(system.contents, system.beta))
+        content = tuple(build_content_tables(c, system.beta, False, ts=ts)
+                        for c, ts in zip(system.contents, zero))
     return PolicyTables(
         beta=system.beta,
         p=tuple(c.p for c in system.contents),

@@ -13,7 +13,11 @@ Three regimes of the single-content problem with holding cost ``C_h``:
 The two caching regimes (``C_h <= I``) are solved by one numpy kernel,
 ``case2_batch``, batched over contents and holding costs: the Lambert-W
 root of the gap equation, then a quadratic in ``tau_bar`` per queue
-candidate, keeping the floor-consistent one.  The scalar solvers are
+candidate (``case2_candidates``), keeping the floor-consistent one.
+Exactly one candidate is, and the excess of its floor argument over Q
+falls strictly with Q (proved at ``case2_batch``), so a window of
+candidates can stand in for the scan of all of them where
+``window_consistent`` says it decides.  The scalar solvers are
 thin callers of it, and ``content_constants`` solves the
 ``C_h``-independent quantities once per content.  An independent
 value-iteration cross-check lives in ``aovcache.oracle``.
@@ -41,10 +45,13 @@ __all__ = [
     "gap_value",
     "solve_gap",
     "first_consistent",
+    "window_consistent",
+    "case2_candidates",
     "case2_batch",
     "average_cost_batch",
     "solve_case2",
     "solve_thresholds",
+    "solve_thresholds_batch",
     "zero_holding_thresholds",
     "optimal_average_cost",
     "case2_residuals",
@@ -198,6 +205,11 @@ def solve_gap(c) -> np.ndarray:
     return x
 
 
+# a candidate this close outside its cell, relative to q+1, still counts
+# when no candidate lies inside one (``first_consistent``)
+_NEAR = 1e-9
+
+
 def first_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray):
     """Column of the first admissible (``ok``) queue candidate ``q`` whose
     ``v = p*beta*c_a*lam*tau_tilde/c_w`` has ``floor(v) == q``, per row.
@@ -212,9 +224,68 @@ def first_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray):
     if any_hit.all():
         return hit.argmax(-1), any_hit
     dist = np.where(ok, np.maximum(q - v, v - (q + 1.0)), np.inf)
-    near = np.where(dist < 1e-9 * (q + 1.0), dist, np.inf)
+    near = np.where(dist < _NEAR * (q + 1.0), dist, np.inf)
     col = np.where(any_hit, hit.argmax(-1), near.argmin(-1))
     return col, any_hit | np.isfinite(near.min(-1))
+
+
+def window_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray):
+    """``first_consistent`` of whole candidate rows, read off a window of
+    consecutive columns of each: ``(Q, decided)`` per row.
+
+    ``q[..., 0]`` is a guard column (``-1`` for none), the rest are the
+    candidates ``first_consistent`` runs on; ``Q`` is the q of the column
+    it picks.  Where ``decided`` holds, that is the column the scan of
+    every candidate ``0..`` would pick.  Both solvers that call this
+    (``case2_batch``'s quadratic and the Wright-omega form of
+    ``whittle``) have a floor argument ``v_q`` whose excess
+    ``f_q = v_q - q`` is strictly decreasing in q, so candidate q's cell
+    ``0 <= f_q < 1`` is passed by at most one q, and
+
+    * a guard cleanly above its cell (``v >= q+1``, and not within the
+      near tolerance of it) has every column before it further above,
+      each by more than its own, smaller tolerance: none of them hits or
+      is near;
+    * a last candidate that hits or lies below its cell
+      (``v < q+1``) has every column after it further below, each by a
+      margin far above the tolerance (``case2_batch`` and
+      ``whittle.cached_index_rows`` prove the margin): none of them hits
+      first or is nearer.
+
+    So a row is decided when its guard is clean (or absent), its last
+    candidate hits or lies below, and ``first_consistent`` finds a column
+    in the window.  A row that fails any of these, for instance an
+    inadmissible column in the window, is the caller's to rescan at full
+    width; the answer never rests on how the window was placed.
+    """
+    col, found = first_consistent(v[..., 1:], q[..., 1:], ok[..., 1:])
+    g_v, g_q = v[..., 0], q[..., 0]
+    clean = (g_q < 0) | (ok[..., 0] & (g_v - (g_q + 1.0) >= _NEAR * (g_q + 1.0)))
+    last = ok[..., -1] & (v[..., -1] < q[..., -1] + 1.0)
+    qb = np.take_along_axis(q[..., 1:], col[..., None], -1)[..., 0]
+    return qb, found & clean & last
+
+
+def case2_candidates(C_h, k: ContentConstants, q):
+    """``(tau_bar, tau_tilde, v, ok)`` of queue candidates ``q`` at ``C_h``:
+    the per-candidate quadratic of ``case2_batch``.  ``q`` broadcasts
+    against ``C_h[..., None]`` and the contents of ``k`` (also
+    ``[..., None]``); ``v`` is the floor argument of (iii) and ``ok``
+    marks admissible roots."""
+    C_h = np.asarray(C_h, dtype=float)
+    beta = k.beta
+    r = k.p * beta
+    x = solve_gap(C_h / (k.p * k.c_alam))
+    xb, ch, rr, rc, cf, cw = (a[..., None] for a in (x / beta, C_h, r, r * k.c_alam,
+                                                    k.c_f, k.c_w))
+    f = xb - ch / rc + (q + 1.0) / rr
+    d = cf / rc - (q + 1.0) * xb / rr + cw * q * (q + 1.0) / (2.0 * rr * rc)
+    disc = f * f + 2.0 * d
+    tb = np.sqrt(np.maximum(disc, 0.0)) - f
+    ok = (disc >= 0.0) & (tb >= -1e-12) & (q <= k.q_hat[..., None] + 2)
+    tb = np.maximum(tb, 0.0)
+    tt = tb + xb
+    return tb, tt, rc * tt / cw, ok
 
 
 def case2_batch(C_h, k: ContentConstants):
@@ -230,30 +301,48 @@ def case2_batch(C_h, k: ContentConstants):
 
     (i) gives ``x = beta*(tt - tb)`` through ``solve_gap``; substituting
     ``tt = tb + x/beta`` turns (ii) into a quadratic in ``tb`` for each
-    queue candidate ``Qb = 0..Q_hat+2``, all evaluated at once, and
-    ``first_consistent`` keeps the root that satisfies (iii).
+    queue candidate ``Qb = 0..Q_hat+2`` (``case2_candidates``), all
+    evaluated at once, and ``first_consistent`` keeps the root that
+    satisfies (iii).
+
+    Why at most one candidate satisfies (iii), and why a window of
+    candidates decides (``window_consistent``): write (ii) in
+    ``v = p*beta*c_a*lam*tt/c_w`` and multiply it by ``p*beta/c_w``.
+    With ``a = c_w/(c_a*lam)`` and ``c = C_h/(c_a*lam)`` it reads
+
+        Psi_Q(v) = a*v^2/2 + (Q + 1 - c)*v + e - Q*(Q+1)/2 = 0,
+
+    e free of Q, and candidate Q's ``v_Q`` is its larger root, where
+    ``S_Q = Psi_Q'(v_Q) = a*v_Q + Q + 1 - c >= 0``.  Since
+    ``Psi_{Q+1}(v) = Psi_Q(v) + v - (Q+1)``:
+
+    * ``Psi_{Q+1}(Q+1) = Psi_Q(Q+1)``, so ``v_Q >= Q+1`` exactly when
+      ``v_{Q+1} >= Q+1``: candidate Q lies above its cell exactly when
+      Q+1 lies at or above its own, and no two candidates both satisfy
+      (iii);
+    * ``Psi_{Q+1}(v_Q + 1) = S_Q + a/2 + f_Q = (1+a)*v_Q + 1 + a/2 - c``
+      with ``f_Q = v_Q - Q``.  An admissible root has ``tb >= 0``, so
+      ``a*v_Q >= p*x >= p*(x + e^-x - 1) = c`` by (i), and this is at
+      least ``1 + a/2 > 0``.  So ``v_{Q+1} < v_Q + 1``: f is strictly
+      decreasing, and as ``Psi_{Q+1}`` is a quadratic,
+      ``f_Q - f_{Q+1} = 2*Psi_{Q+1}(v_Q+1) / (S_Q + S_{Q+1} + 1 + a)``,
+      which exceeds 1/2 where ``f_Q >= 0`` and ``1/(Q+2)`` everywhere:
+      far above the ``1e-9*(Q+1)`` near tolerance.
+
+    Every candidate is admissible on ``[0, I]``: ``tb_Q >= 0`` reads
+    ``(Q+1)*(v_x - Q/2) <= p*beta*c_f/c_w`` with ``v_x`` the v of
+    ``tt = x/beta``, and that holds for every Q at ``C_h = I``
+    (``Q_hat``'s defining inequality), hence below it.
     """
-    C_h = np.asarray(C_h, dtype=float)
-    beta = k.beta
-    r = k.p * beta
-    rcal = r * k.c_alam
-    x = solve_gap(C_h / (k.p * k.c_alam))
-    q = np.arange(int(k.q_hat.max()) + 3, dtype=float)
-    xb, ch, rr, rc, cf, cw = (a[..., None] for a in (x / beta, C_h, r, rcal, k.c_f, k.c_w))
-    f = xb - ch / rc + (q + 1.0) / rr
-    d = cf / rc - (q + 1.0) * xb / rr + cw * q * (q + 1.0) / (2.0 * rr * rc)
-    disc = f * f + 2.0 * d
-    tb = np.sqrt(np.maximum(disc, 0.0)) - f
-    ok = (disc >= 0.0) & (tb >= -1e-12) & (q <= k.q_hat[..., None] + 2)
-    tb = np.maximum(tb, 0.0)
-    tt = tb + xb
-    qb, found = first_consistent(rc * tt / cw, q, ok)
+    q = np.arange(int(k.q_hat.max(initial=0)) + 3, dtype=float)
+    tb, tt, v, ok = case2_candidates(C_h, k, q)
+    qb, found = first_consistent(v, q, ok)
     if not found.all():
         raise ConsistencyError(
             f"no floor-consistent Q_bar at C_h={np.broadcast_to(C_h, found.shape)[~found]} "
-            f"(beta={beta})")
+            f"(beta={k.beta})")
     tb, tt = (np.take_along_axis(a, qb[..., None], -1)[..., 0] for a in (tb, tt))
-    return tb, tt, qb, rcal * tt
+    return tb, tt, qb, k.p * k.beta * k.c_alam * tt
 
 
 def _case2_scalar(C_h: float, k: ContentConstants) -> tuple[float, float, int, float]:
@@ -322,19 +411,27 @@ class ThresholdSet:
 
 def solve_thresholds(params: ContentParams, beta: float, C_h: float = 0.0) -> ThresholdSet:
     """Bundle of every Theorem-level threshold for one content at one C_h."""
-    if C_h < 0:
-        raise ValueError(f"C_h must be >= 0, got {C_h}")
+    return solve_thresholds_batch(params, beta, [C_h])[0]
+
+
+def solve_thresholds_batch(params: ContentParams, beta: float,
+                           C_h: Sequence[float]) -> list[ThresholdSet]:
+    """``solve_thresholds`` at each holding cost of ``C_h``, from one kernel
+    call (whose first row, ``C_h = 0``, gives ``tau_star`` and ``Q_star``)."""
+    C_h = np.asarray(C_h, dtype=float)
+    if (C_h < 0).any():
+        raise ValueError(f"C_h must be >= 0, got {C_h[C_h < 0][0]}")
     k = content_constants((params,), beta)
     q_hat, tau0, I = int(k.q_hat[0]), float(k.tau0[0]), float(k.I[0])
-    # one kernel call: C_h = 0 gives (tau_star, Q_star)
-    tb, tt, qb, theta = case2_batch(np.array([0.0, min(C_h, I)]), k)
-    if C_h > I:
-        tb[1], tt[1], qb[1], theta[1] = 0.0, tau0, q_hat, k.theta1[0]
-    return ThresholdSet(
-        tau_star=float(tb[0]), Q_star=int(qb[0]), tau_bar=float(tb[1]),
-        tau_tilde=float(tt[1]), Q_bar=int(qb[1]), Q_hat=q_hat, tau0=tau0, I=I,
-        theta=float(theta[1]), C_h=C_h,
-    )
+    tb, tt, qb, theta = case2_batch(np.concatenate(([0.0], np.minimum(C_h, I))), k)
+    over = np.concatenate(([False], C_h > I))
+    tb[over], tt[over], qb[over], theta[over] = 0.0, tau0, q_hat, k.theta1[0]
+    tb, tt, qb, theta = (a.tolist() for a in (tb, tt, qb, theta))
+    return [
+        ThresholdSet(tau_star=tb[0], Q_star=qb[0], tau_bar=tb[j], tau_tilde=tt[j],
+                     Q_bar=qb[j], Q_hat=q_hat, tau0=tau0, I=I, theta=theta[j], C_h=ch)
+        for j, ch in enumerate(C_h.tolist(), 1)
+    ]
 
 
 def zero_holding_thresholds(k: ContentConstants) -> list[ThresholdSet]:

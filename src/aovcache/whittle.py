@@ -22,9 +22,20 @@ the content out of the cache optimal.
 * uncached requested ``(Q, 0, 1)``: zero below ``Q_star``, the index
   ceiling ``I`` from ``Q_hat`` up; in between, the ``C_h`` at which the
   fetch threshold ``Q_bar(C_h)`` (nondecreasing) first exceeds ``Q``.
-  That jump has no closed form; a 60-step bisection on
-  ``case2_batch``, batched over every (content, Q) pair at once, finds
-  it.
+  That jump has no closed form; a 60-step bisection, batched over every
+  (content, Q) pair at once, finds it.
+
+Both table solvers evaluate a window of queue candidates per row rather
+than all of ``0..Q_hat+2``: the bisection the columns Q-1, Q and Q+1,
+the cached grid the predicted ``Q_bar`` and the column below it.  In
+both problems candidate Q's floor argument exceeds Q by an amount that
+is strictly decreasing in Q (proved at ``thresholds.case2_batch`` and
+``cached_index_rows``), so a guard column cleanly above its cell rules
+out every column before it, and a last column at or below its cell every
+column after it (``thresholds.window_consistent``).  A row the window
+cannot decide is scanned at full width, so the tables are the full
+scan's bit for bit whatever the window's placement; ``aovcache verify``
+checks that on the user's config.
 
 The closed three-equation system is kept as a residual check
 (``index_residual_*``).
@@ -41,14 +52,19 @@ from ._ckernel import wright_omega
 from .model import ContentParams, SingleContentState
 from .thresholds import (
     ConsistencyError,
+    ContentConstants,
     ThresholdSet,
     case2_batch,
+    case2_candidates,
     compute_I,
     content_constants,
     first_consistent,
     gap_value,
     solve_case2,
     solve_thresholds,
+    solve_thresholds_batch,
+    window_consistent,
+    zero_holding_thresholds,
 )
 
 __all__ = [
@@ -60,6 +76,8 @@ __all__ = [
     "default_state_grid",
     "ContentTables",
     "build_content_tables",
+    "build_index_tables",
+    "cached_index_rows",
     "grid_taus",
     "cached_indices",
     "index_residual_cached",
@@ -68,6 +86,7 @@ __all__ = [
 
 BISECT_ITERS = 60  # absolute error below I * 2**-60
 GRID_SIZE = 1024   # cells of each content's cached-index table
+CHUNK_CONTENTS = 4  # contents per batch of the cached-index build
 
 
 def whittle_cached(params: ContentParams, beta: float, Q: int, tau: float) -> float:
@@ -86,38 +105,203 @@ def grid_taus(tau_star: float) -> np.ndarray:
     return np.arange(1, GRID_SIZE) * (tau_star / GRID_SIZE)
 
 
-def cached_indices(params: ContentParams, beta: float, ts: ThresholdSet,
-                   taus: np.ndarray, omega=wright_omega) -> np.ndarray:
-    """W(0, tau) at each ``0 < tau < tau_star``, by the Wright-omega form;
-    ``omega`` evaluates Wright omega elementwise (``aovcache verify``
-    passes one that records its arguments)."""
-    cm = params.costs
-    cal = cm.c_a * params.lam
-    k = params.p * cal
-    q = np.arange(ts.Q_hat + 3.0)
-    tau = np.asarray(taus, dtype=float)[:, None]
+def _omega_candidates(p, cal, c_f, c_w, beta: float, tau, q, omega):
+    """``(x, v, ok)`` of queue candidates ``q`` at serve threshold ``tau``:
+    the Wright-omega root x of ``B*x + A = C*e^-x`` (module docstring),
+    the floor argument v and admissibility; all arguments broadcast."""
+    k = p * cal
     b = (q + 1.0) * cal / beta
     a = (beta * k * tau * tau / 2.0 + k * tau + (q + 1.0) * cal * tau
-         - cm.c_f - cm.c_w * q * (q + 1.0) / (2.0 * params.p * beta)) / b
+         - c_f - c_w * q * (q + 1.0) / (2.0 * p * beta)) / b
     x = omega(a + np.log(k * tau / b)) - a
-    v = params.p * beta * cal * (tau + np.maximum(x, 0.0) / beta) / cm.c_w
-    col, found = first_consistent(v, q, x > -1e-9)
+    v = p * beta * cal * (tau + np.maximum(x, 0.0) / beta) / c_w
+    return x, v, x > -1e-9
+
+
+def _omega_full_width(p, cal, c_f, c_w, beta: float, q_hat: int, taus: np.ndarray,
+                      omega) -> np.ndarray:
+    """The gap x of every tau from a scan of all candidates ``0..Q_hat+2``."""
+    q = np.arange(q_hat + 3.0)
+    x, v, ok = _omega_candidates(p, cal, c_f, c_w, beta, taus[:, None], q, omega)
+    col, found = first_consistent(v, q, ok)
     if not found.all():
         raise ConsistencyError(
             f"no floor-consistent Q_bar at tau={taus[~found]} "
-            f"(params={params}, beta={beta})")
-    x = np.maximum(np.take_along_axis(x, col[:, None], -1)[:, 0], 0.0)
-    return np.minimum(k * gap_value(x), ts.I)
+            f"(p={p}, c_a*lam={cal}, c_f={c_f}, c_w={c_w}, beta={beta})")
+    return np.take_along_axis(x, col[:, None], -1)[:, 0]
+
+
+def cached_indices(params: ContentParams, beta: float, ts: ThresholdSet,
+                   taus: np.ndarray, omega=wright_omega) -> np.ndarray:
+    """W(0, tau) at each ``0 < tau < tau_star`` of one content, by the
+    Wright-omega form over every queue candidate; ``omega`` evaluates
+    Wright omega elementwise (``aovcache verify`` passes one that records
+    its arguments).  ``cached_index_rows`` fills whole tables."""
+    cm = params.costs
+    cal = cm.c_a * params.lam
+    x = _omega_full_width(params.p, cal, cm.c_f, cm.c_w, beta, ts.Q_hat,
+                          np.asarray(taus, dtype=float), omega)
+    return np.minimum(params.p * cal * gap_value(np.maximum(x, 0.0)), ts.I)
+
+
+def cached_index_rows(k: ContentConstants, zero: Sequence[ThresholdSet],
+                      breakpoints: Sequence[tuple[float, ...]],
+                      window: bool = True) -> tuple[list[np.ndarray], int]:
+    """Each content's read-only ``ContentTables.w_of_tau``: ``cached_indices``
+    at every ``grid_taus`` point of each content of ``k``, between the
+    ceiling I and the 0 sentinel, given its ``C_h = 0`` thresholds and
+    uncached breakpoints; and how many grid points the window left to
+    the full-width scan.
+
+    At tau the index W is the C_h whose serve threshold is tau, and
+    ``Q_bar`` there is ``c = Q_star + #{j : tau < tau_bar(b_j)}`` over the
+    breakpoints b_j (``Q_bar`` steps up at each b_j while ``tau_bar``
+    falls).  Only candidates c-1 (the guard) and c are evaluated, and
+    ``thresholds.window_consistent`` accepts the row or leaves it to the
+    full-width scan, so a wrong prediction costs time, never a value; with
+    ``window=False`` every row takes the full-width scan.
+
+    The window is exact because the Wright-omega form has the structure
+    of ``thresholds.case2_batch``: with ``L_Q(x) = B_Q*x + A_Q - C*e^-x``,
+    strictly increasing in x, ``L_{Q+1}(x) = L_Q(x) + (c_w/(p*beta))*(v(x)
+    - (Q+1))`` where ``v(x) = p*beta*c_a*lam*(tau + x/beta)/c_w``.  Moving
+    x by ``a/p`` (``a = c_w/(c_a*lam)``) moves v by 1, and
+    ``L_{Q+1}(x_Q + a/p) > (c_w/(p*beta))*v_Q > 0`` for an admissible
+    root, so ``v_{Q+1} < v_Q + 1``: the excess ``v_Q - Q`` is strictly
+    decreasing.  Where Q+1 is admissible too its step is at least
+    ``v_Q/(Q + 2 + p*beta*tau)``; next to a cell (``v_Q`` near Q, Q >= 1)
+    that is about ``1/(2 + p*beta*tau)``, far above the near tolerance.
+    And as in ``case2_batch``, ``L_{Q+1} = L_Q`` where ``v = Q+1``, so
+    candidate Q lies above its cell exactly when Q+1 lies at or above
+    its own.
+
+    Contents go ``CHUNK_CONTENTS`` at a time, so that the window's
+    temporaries, two columns per grid point, stay as small as one
+    content's full-width ones from ``Q_hat = 5`` up and the build's peak
+    memory below the full-width scan's.
+    """
+    n = len(zero)
+    tau_star = np.array([ts.tau_star for ts in zero])
+    q_star = np.array([ts.Q_star for ts in zero], dtype=float)
+    counts = np.array([len(b) for b in breakpoints], dtype=np.int64)
+    # tau_bar at breakpoint b_j from candidate Q_star + j + 1, the Q_bar
+    # just past the jump; a prediction only, so the column need not be exact
+    idx, j = _groups(counts)
+    flat = np.array([w for b in breakpoints for w in b], dtype=float)
+    tbar = case2_candidates(flat, k.take(idx), (q_star[idx] + j + 1.0)[:, None])[0][:, 0]
+    tbar = np.split(tbar, np.cumsum(counts)[:-1])
+    rows, fallback = [], 0
+    for lo in range(0, n, CHUNK_CONTENTS):
+        ids = np.arange(lo, min(lo + CHUNK_CONTENTS, n))
+        tau = np.arange(1, GRID_SIZE) * (tau_star[ids, None] / GRID_SIZE)
+        c = None
+        if window:
+            c = np.empty(tau.shape)
+            for r, i in enumerate(ids):
+                asc = tbar[i][::-1]
+                c[r] = q_star[i] + len(asc) - np.searchsorted(asc, tau[r], side="right")
+        kc = k.take(ids)
+        x, n_full = _cached_gaps(kc, tau, c)
+        fallback += n_full
+        p, cal, I = (a[:, None] for a in (kc.p, kc.c_alam, kc.I))
+        w = np.empty((len(ids), GRID_SIZE + 1))
+        w[:, :1], w[:, -1] = I, 0.0
+        w[:, 1:-1] = np.minimum(p * cal * gap_value(np.maximum(x, 0.0)), I)
+        w.setflags(write=False)
+        rows.extend(w)
+    return rows, fallback
+
+
+def _cached_gaps(k: ContentConstants, tau: np.ndarray,
+                 c: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """The gap x of the cached index at each serve threshold ``tau[i]`` of
+    content i of ``k``, from the window of predicted ``Q_bar`` ``c`` (see
+    ``cached_index_rows``), and how many taus it left to the full-width
+    scan; ``c=None`` scans every tau at full width."""
+    if c is None:
+        decided, x = np.zeros(tau.shape, dtype=bool), np.empty(tau.shape)
+    else:
+        q = c[..., None] + np.array([-1.0, 0.0])  # the guard, then the candidate
+        x, v, ok = _omega_candidates(*(a[:, None, None] for a in (k.p, k.c_alam, k.c_f, k.c_w)),
+                                     k.beta, tau[..., None], np.maximum(q, 0.0), wright_omega)
+        decided = window_consistent(v, q, ok)[1]
+        x = x[..., 1]
+    fallback = 0
+    for i in np.flatnonzero(~decided.all(-1)):
+        rest = np.flatnonzero(~decided[i])
+        x[i, rest] = _omega_full_width(k.p[i], k.c_alam[i], k.c_f[i], k.c_w[i], k.beta,
+                                       int(k.q_hat[i]), tau[i, rest], wright_omega)
+        fallback += rest.size
+    return x, fallback
 
 
 def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
     """Index of an uncached content requested with Q pending, state (Q, 0, 1)."""
-    ts = solve_thresholds(params, beta, 0.0)
+    k = content_constants((params,), beta)
+    ts = zero_holding_thresholds(k)[0]
     if Q < ts.Q_star:
         return 0.0
     if Q >= ts.Q_hat:
         return ts.I
-    return uncached_breakpoints((params,), beta)[0][Q - ts.Q_star]
+    return float(_bisect(k, np.array([Q]))[0][0])
+
+
+def _exceeds(C_h: np.ndarray, k: ContentConstants, q: np.ndarray,
+             window: bool) -> tuple[np.ndarray, int]:
+    """Whether ``Q_bar(C_h) > q``, per (content of k, q) pair, and how many
+    pairs the window left to the full-width ``case2_batch``.
+
+    The window is columns q-1, q and q+1 (``thresholds.window_consistent``
+    with guard q-1).  Where it does not decide, one neighbour's side of
+    its cell may: f is strictly decreasing (``case2_batch``), so q+1
+    above its cell puts ``Q_bar`` above q, and q-1 at or below its cell
+    puts it below q.
+    """
+    if window:
+        cols = q[:, None] + np.array([-1.0, 0.0, 1.0])
+        _, _, v, ok = case2_candidates(C_h, k, cols)
+        qb, decided = window_consistent(v, cols, ok)
+        up = ok[:, 2] & (v[:, 2] >= cols[:, 2] + 1.0)
+        down = (cols[:, 0] >= 0.0) & ok[:, 0] & (v[:, 0] < cols[:, 0] + 1.0)
+        above = np.where(decided, qb > q, up)
+        rest = np.flatnonzero(~(decided | (up != down)))
+    else:
+        above, rest = np.empty(len(q), dtype=bool), np.arange(len(q))
+    if rest.size:
+        above[rest] = case2_batch(C_h[rest], k.take(rest))[2] > q[rest]
+    return above, rest.size
+
+
+def _bisect(k: ContentConstants, q: np.ndarray, window: bool = True) -> tuple[np.ndarray, int]:
+    """The smallest C_h at which ``Q_bar`` exceeds q, per (content of k,
+    q) pair with ``Q_star <= q < Q_hat``, by bisection, and how many pair
+    steps fell back to the full-width scan."""
+    lo, hi = np.zeros(len(q)), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
+    fallback = 0
+    for _ in range(BISECT_ITERS if len(q) else 0):
+        mid = 0.5 * (lo + hi)
+        above, n = _exceeds(mid, k, q, window)
+        fallback += n
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi), fallback
+
+
+def _breakpoints(k: ContentConstants, q_star: np.ndarray,
+                 window: bool = True) -> tuple[list[tuple[float, ...]], int]:
+    """``uncached_breakpoints`` of the contents of ``k``, given their
+    ``Q_star``, and the fallback count of ``_bisect``."""
+    counts = np.maximum(k.q_hat - q_star, 0)
+    idx, j = _groups(counts)
+    w, fallback = _bisect(k.take(idx), q_star[idx] + j, window)
+    return [tuple(b.tolist()) for b in np.split(w, np.cumsum(counts)[:-1])], fallback
+
+
+def _groups(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ``counts[i]`` consecutive items per group i: each item's group
+    and its rank within the group."""
+    idx = np.repeat(np.arange(len(counts)), counts)
+    return idx, np.arange(len(idx)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def uncached_breakpoints(contents: Sequence[ContentParams],
@@ -126,18 +310,7 @@ def uncached_breakpoints(contents: Sequence[ContentParams],
     each such Q the smallest C_h at which Q_bar exceeds Q, from one
     bisection run on every (content, Q) pair at once."""
     k = content_constants(contents, beta)
-    q_star = case2_batch(0.0, k)[2]  # Q_bar at C_h = 0
-    pairs = [(i, q) for i in range(len(contents)) for q in range(q_star[i], k.q_hat[i])]
-    idx, q = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    kp = k.take(idx)
-    lo, hi = np.zeros(len(q)), kp.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
-    for _ in range(BISECT_ITERS if len(q) else 0):
-        mid = 0.5 * (lo + hi)
-        above = case2_batch(mid, kp)[2] > q
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    w = 0.5 * (lo + hi)
-    return [tuple(w[idx == i].tolist()) for i in range(len(contents))]
+    return _breakpoints(k, case2_batch(0.0, k)[2])[0]
 
 
 def index_residual_cached(params: ContentParams, beta: float, tau: float, W: float) -> float:
@@ -242,10 +415,8 @@ def verify_indexability(
     C_h_grid = np.sort(np.asarray(C_h_grid, dtype=float))
     if state_grid is None:
         state_grid = default_state_grid(params, beta)
-    tables = [
-        None if ch > I else solve_thresholds(params, beta, float(ch))
-        for ch in C_h_grid
-    ]
+    solved = iter(solve_thresholds_batch(params, beta, C_h_grid[C_h_grid <= I]))
+    tables = [None if ch > I else next(solved) for ch in C_h_grid]
     violations = []
     for s in state_grid:
         seen_passive = False
@@ -300,23 +471,42 @@ class ContentTables:
 
 def build_content_tables(params: ContentParams, beta: float, indices: bool = True,
                          breakpoints: tuple[float, ...] | None = None,
-                         ts: ThresholdSet | None = None) -> ContentTables:
+                         ts: ThresholdSet | None = None,
+                         w_of_tau: np.ndarray | None = None) -> ContentTables:
     """Tables for one content; with ``indices=False`` only the thresholds
     (tau_star, Q_star, Q_hat, I) are populated, for policies that never
-    evaluate an index.  ``breakpoints`` takes this content's entry of
-    ``uncached_breakpoints`` and ``ts`` its ``C_h = 0`` thresholds when a
-    caller has batched them."""
+    evaluate an index.  ``ts`` takes its ``C_h = 0`` thresholds, and
+    ``breakpoints`` and ``w_of_tau`` its entries of ``uncached_breakpoints``
+    and ``cached_index_rows``, when a caller has batched them
+    (``build_index_tables``)."""
     if ts is None:
         ts = solve_thresholds(params, beta, 0.0)
-    if indices:
+    if not indices:
+        breakpoints, w_of_tau = (), np.array([ts.I, 0.0])
+        w_of_tau.setflags(write=False)
+    elif w_of_tau is None:
+        k = content_constants((params,), beta)
         if breakpoints is None:
-            breakpoints = uncached_breakpoints((params,), beta)[0]
-        w = np.concatenate(([ts.I], cached_indices(params, beta, ts, grid_taus(ts.tau_star)),
-                            [0.0]))
-    else:
-        breakpoints, w = (), np.array([ts.I, 0.0])
-    w.setflags(write=False)
+            breakpoints = _breakpoints(k, np.array([ts.Q_star]))[0][0]
+        w_of_tau = cached_index_rows(k, (ts,), (breakpoints,))[0][0]
     return ContentTables(
         tau_star=ts.tau_star, q_star=ts.Q_star, q_hat=ts.Q_hat, ceiling=ts.I,
-        breakpoints=breakpoints, w_of_tau=w, inv_step=(len(w) - 1) / ts.tau_star,
+        breakpoints=breakpoints, w_of_tau=w_of_tau,
+        inv_step=(len(w_of_tau) - 1) / ts.tau_star,
     )
+
+
+def build_index_tables(contents: Sequence[ContentParams], beta: float,
+                       window: bool = True) -> tuple[tuple[ContentTables, ...], int]:
+    """``build_content_tables`` of every content, from one batched
+    bisection and the chunked cached-index build, and how many bisection
+    steps and grid points fell back to the full-width scan; with
+    ``window=False`` all of them do (what ``aovcache verify`` compares
+    the window against)."""
+    k = content_constants(contents, beta)
+    zero = zero_holding_thresholds(k)
+    bps, n_bisect = _breakpoints(k, np.array([ts.Q_star for ts in zero]), window)
+    rows, n_rows = cached_index_rows(k, zero, bps, window)
+    tables = tuple(build_content_tables(c, beta, True, b, ts, w)
+                   for c, b, ts, w in zip(contents, bps, zero, rows))
+    return tables, n_bisect + n_rows

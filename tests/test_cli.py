@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -13,7 +14,11 @@ import scipy
 
 import aovcache
 from aovcache import _ckernel
-from aovcache.cli import config_digest, main
+from aovcache.cli import _f, build_system, config_digest, main
+from aovcache.thresholds import compute_I, solve_thresholds
+from aovcache.whittle import build_content_tables, whittle_cached
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 UNIT_DOC = {
@@ -68,6 +73,29 @@ class TestSolve:
         last = rows[-1]
         assert float(last["tau_bar"]) == pytest.approx(0.0, abs=1e-9)
         assert float(last["theta"]) == pytest.approx(0.75, abs=1e-9)
+
+    @pytest.mark.parametrize("config", ["desk.json", "unit.json"])
+    def test_csv_bytes_match_one_c_h_at_a_time(self, config, tmp_path):
+        # the batched report against solve_thresholds at one C_h at a time
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+        system = build_system(json.loads((CONFIGS / config).read_text()))
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["content_id", "C_h", "tau_bar", "tau_tilde", "Q_bar", "Q_hat", "tau0",
+                    "I", "theta"])
+        for i, c in enumerate(system.contents):
+            for ch in np.linspace(0.0, compute_I(c, system.beta), 9):
+                ts = solve_thresholds(c, system.beta, float(ch))
+                w.writerow([i, _f(ch), _f(ts.tau_bar), _f(ts.tau_tilde), ts.Q_bar, ts.Q_hat,
+                            _f(ts.tau0), _f(ts.I), _f(ts.theta)])
+        assert (out / "thresholds.csv").read_bytes() == want.getvalue().encode()
+
+    def test_no_points(self, unit_cfg, tmp_path):
+        out = tmp_path / "o"
+        assert main(["solve", "--config", unit_cfg, "--out", str(out),
+                     "--ch-points", "0"]) == 0
+        assert len(read_csv(out / "thresholds.csv")) == 0
 
     def test_paper_content_qhat(self, tmp_path):
         doc = dict(DESK_DOC, system={"N": 1000, "beta": 40.0, "M": 200,
@@ -141,6 +169,26 @@ class TestWhittleCmd:
         unc = {int(r["Q"]): float(r["W"]) for r in rows if r["family"] == "uncached"}
         assert unc[0] == 0.0
         assert unc[1] == pytest.approx(0.2224, abs=5e-5)
+
+    @pytest.mark.parametrize("config", ["desk.json", "unit.json"])
+    def test_csv_bytes_match_one_tau_at_a_time(self, config, tmp_path):
+        # the batched cached rows against whittle_cached at one tau at a time
+        out = tmp_path / "o"
+        assert main(["whittle", "--config", str(CONFIGS / config), "--out", str(out),
+                     "--contents", "0,1" if config == "desk.json" else "0"]) == 0
+        system = build_system(json.loads((CONFIGS / config).read_text()))
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["content_id", "family", "Q", "tau", "W"])
+        for i in (0, 1) if config == "desk.json" else (0,):
+            c = system.contents[i]
+            tb = build_content_tables(c, system.beta)
+            for tau in np.linspace(0.0, tb.tau_star, 21):
+                w.writerow([i, "cached", 0, _f(tau),
+                            _f(whittle_cached(c, system.beta, 0, float(tau)))])
+            for q in range(tb.q_hat + 3):
+                w.writerow([i, "uncached", q, _f(0.0), _f(tb.uncached(q))])
+        assert (out / "whittle.csv").read_bytes() == want.getvalue().encode()
 
     def test_unknown_family_exits_2(self, unit_cfg):
         assert main(["whittle", "--config", unit_cfg, "--family", "bogus"]) == 2
@@ -300,14 +348,19 @@ def test_import_skips_scipy_signal():
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, aovcache.cli; from aovcache import _ckernel; "
             "print(*(m in sys.modules for m in ('scipy.signal', 'scipy.special', "
-            "'numpy.random')), _ckernel.special is not None)")
+            "'numpy.random', 'scipy')), _ckernel.special is not None, "
+            "aovcache.cli.scipy_version(), 'scipy' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    signal, special, random, compiled = res.stdout.split()
+    signal, special, random, imported, compiled, version, after = res.stdout.split()
     assert signal == "False"
     assert random == "True"
+    # the manifest's scipy version is read without importing scipy
+    assert version == scipy.__version__
+    assert after == imported
     if compiled == "True":
         assert special == "False"
+        assert imported == "False"
 
 
 class TestVerifyCmd:
@@ -325,6 +378,7 @@ class TestVerifyCmd:
         assert "FAIL" not in out
         assert re.search(r"^PASS  dual-bound  ", out, re.MULTILINE)
         assert re.search(r"^PASS  special-functions  ", out, re.MULTILINE)
+        assert re.search(r"^PASS  table-window  ", out, re.MULTILINE)
         assert re.search(r"^PASS  simulation-determinism  \(reference vs (compiled|reference) "
                          r"loop, 8 policy/mode pairs\)$", out, re.MULTILINE)
 

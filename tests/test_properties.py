@@ -12,16 +12,30 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aovcache._ckernel import wright_omega
 from aovcache.model import ContentParams, CostModel, SystemParams
 from aovcache.policies import dual_value
 from aovcache.thresholds import (
+    case2_batch,
+    case2_candidates,
     compute_I,
+    content_constants,
+    first_consistent,
     optimal_average_cost,
     solve_case2,
     solve_gap,
     solve_thresholds,
+    window_consistent,
 )
-from aovcache.whittle import uncached_breakpoints, whittle_cached, whittle_uncached
+from aovcache.whittle import (
+    _cached_gaps,
+    _exceeds,
+    _omega_candidates,
+    uncached_breakpoints,
+    whittle_cached,
+    whittle_uncached,
+)
+from conftest import assert_same_bits
 
 TOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -145,3 +159,106 @@ def test_batched_dual_matches_scalar_sum(cbs, beta, m_frac, ch_frac):
     terms = [optimal_average_cost(c, beta, ch) for c in contents_]
     scalar = sum(terms) - ch * system.M
     assert abs(dual_value(system, ch) - scalar) <= TOL * (sum(terms) + ch * system.M)
+
+
+# -- windows of queue candidates against the scan of every candidate -------
+
+
+def ulp_neighbours(xs, lo: float, hi: float) -> np.ndarray:
+    """Each x and its two nextafter neighbours, kept inside [lo, hi]."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.concatenate([np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)])
+    return out[(out >= lo) & (out <= hi)]
+
+
+def holding_costs(c, beta, fracs) -> tuple:
+    """Constants of one content, and C_h at random fractions of I and at
+    every uncached breakpoint and its neighbours (where Q_bar jumps)."""
+    k = content_constants((c,), beta)
+    I = float(k.I[0])
+    bps = uncached_breakpoints((c,), beta)[0]
+    return k, np.concatenate([np.array(fracs) * I, ulp_neighbours(bps, 0.0, I)])
+
+
+@SETTINGS
+@given(cb=contents(ratio_lo=1.0, ratio_hi=400.0),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_case2_window_matches_full_scan(cb, fracs):
+    # every window of 1 or 2 candidates behind a guard, wherever it sits,
+    # either defers or names the column of the full scan
+    c, beta = cb
+    k, ch = holding_costs(c, beta, fracs)
+    q = np.arange(-1.0, int(k.q_hat[0]) + 3)
+    _, _, v, ok = case2_candidates(ch, k, q)
+    full = q[1:][first_consistent(v[:, 1:], q[1:], ok[:, 1:])[0]]
+    decided_any = np.zeros(len(ch), dtype=bool)
+    for width in (2, 3):
+        for g in range(len(q) - width + 1):
+            cols = slice(g, g + width)
+            qb, decided = window_consistent(v[:, cols], np.broadcast_to(q[cols], v[:, cols].shape),
+                                            ok[:, cols])
+            assert (qb[decided] == full[decided]).all()
+            decided_any |= decided
+    assert decided_any.all()
+
+
+@SETTINGS
+@given(cb=contents(ratio_lo=1.0, ratio_hi=400.0),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_bisection_step_matches_full_scan(cb, fracs):
+    # the decision of each bisection step, Q_bar(C_h) > q, for every
+    # uncached state q, by the window (with its fallback) and by the scan
+    c, beta = cb
+    k, ch = holding_costs(c, beta, fracs)
+    q_star = int(case2_batch(0.0, k)[2][0])
+    q = np.arange(q_star, int(k.q_hat[0]))
+    ch, q = (a.ravel() for a in np.meshgrid(ch, q))
+    kp = k.take(np.zeros(len(q), dtype=np.int64))
+    window, fallback = _exceeds(ch, kp, q, True)
+    assert (window == (case2_batch(ch, kp)[2] > q)).all()
+    assert fallback < max(len(q), 1)
+
+
+@SETTINGS
+@given(cb=contents(ratio_lo=1.0, ratio_hi=400.0),
+       fracs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=6))
+def test_cached_window_matches_full_width(cb, fracs):
+    # at random tau and next to each breakpoint's serve threshold, where
+    # Q_bar jumps, every predicted column gives the full scan's bits
+    c, beta = cb
+    k, _ = holding_costs(c, beta, [])
+    ts = solve_thresholds(c, beta, 0.0)
+    tbar = case2_batch(np.array(uncached_breakpoints((c,), beta)[0]), k)[0]
+    tau = np.concatenate([np.array(fracs) * ts.tau_star,
+                          ulp_neighbours(tbar, 1e-300, ts.tau_star)])
+    tau = tau[(tau > 0.0) & (tau < ts.tau_star)][None, :]
+    full = _cached_gaps(k, tau, None)[0]
+    for col in range(ts.Q_hat + 3):
+        x, _ = _cached_gaps(k, tau, np.full(tau.shape, float(col)))
+        assert_same_bits(x, full)
+
+
+@SETTINGS
+@given(cb=contents(ratio_lo=1.0, ratio_hi=400.0), frac=st.floats(0.0, 1.0),
+       tau_frac=st.floats(1e-6, 1.0 - 1e-6))
+def test_excess_strictly_decreasing(cb, frac, tau_frac):
+    # f_q = v_q - q falls between admissible neighbours, by the margins
+    # that case2_batch and cached_index_rows prove
+    c, beta = cb
+    k = content_constants((c,), beta)
+    q = np.arange(int(k.q_hat[0]) + 3.0)
+    _, _, v, ok = case2_candidates(frac * float(k.I[0]), k, q)
+    f, ok = v[0] - q, ok[0]
+    pair = ok[:-1] & ok[1:]
+    step = (f[:-1] - f[1:])[pair]
+    assert (step > 1e-6).all()
+    assert (step > (1.0 - 1e-9) / (q[:-1][pair] + 2.0)).all()
+    tau = tau_frac * solve_thresholds(c, beta, 0.0).tau_star
+    cm = c.costs
+    x, v, ok = _omega_candidates(c.p, cm.c_a * c.lam, cm.c_f, cm.c_w, beta, tau, q, wright_omega)
+    f = v - q
+    pair = ok[:-1] & ok[1:]
+    step = (f[:-1] - f[1:])[pair]
+    assert (step > 1e-6).all()
+    bound = v[:-1] / (q[:-1] + 2.0 + c.p * beta * tau)
+    assert (step > (1.0 - 1e-9) * bound[pair]).all()

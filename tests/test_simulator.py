@@ -1,5 +1,6 @@
 import ctypes
 import math
+import os
 import pickle
 from dataclasses import replace
 
@@ -286,12 +287,18 @@ class TestCompiledLoop:
 
     @needs_kernel
     def test_build_removes_stale_libraries(self, monkeypatch, tmp_path):
+        # two more stale libraries than a build keeps: the oldest go, the
+        # newest stay beside the new one
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        stale = tmp_path / "aovcache" / "_loop-0000000000000000.so"
-        stale.parent.mkdir()
-        stale.write_bytes(b"")
+        cache = tmp_path / "aovcache"
+        cache.mkdir()
+        stale = [cache / f"_loop-{i:016d}.so" for i in range(_ckernel.KEEP_LIBRARIES + 1)]
+        for age, path in enumerate(stale, 1):
+            path.write_bytes(b"")
+            os.utime(path, (1e9 - 3600 * age, 1e9 - 3600 * age))  # stale[0] is newest
         lib = _ckernel._build()
-        assert list(lib.parent.iterdir()) == [lib]
+        kept = stale[:_ckernel.KEEP_LIBRARIES - 1]
+        assert sorted(lib.parent.iterdir()) == sorted([lib, *kept])
 
     @needs_kernel
     @pytest.mark.parametrize("policy", list(PolicyKind))

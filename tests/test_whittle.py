@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,20 +8,36 @@ from hypothesis import strategies as st
 from scipy.special import wrightomega
 
 from aovcache import _ckernel
+from aovcache.cli import build_system
 from aovcache.model import SingleContentState
 from aovcache.policies import build_policy_tables
-from aovcache.thresholds import compute_I, solve_case2, solve_thresholds
+from aovcache.thresholds import (
+    compute_I,
+    content_constants,
+    solve_case2,
+    solve_thresholds,
+    solve_thresholds_batch,
+    zero_holding_thresholds,
+)
 from aovcache.whittle import (
+    BISECT_ITERS,
+    GRID_SIZE,
+    _classify_passive,
     build_content_tables,
+    build_index_tables,
+    cached_index_rows,
     default_state_grid,
     index_residual_cached,
     index_residual_uncached,
     passive_set_member,
+    uncached_breakpoints,
     verify_indexability,
     whittle_cached,
     whittle_uncached,
 )
 from conftest import assert_same_bits, desk_system, random_content
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 needs_special = pytest.mark.skipif(_ckernel.special is None,
                                    reason="compiled special functions unavailable")
@@ -131,6 +150,28 @@ class TestIndexability:
             c, beta = random_content(rng)
             assert verify_indexability(c, beta) == []
 
+    @pytest.mark.parametrize("config", ["desk.json", "unit.json"])
+    def test_batched_thresholds_match_one_c_h_at_a_time(self, config):
+        # the one kernel call per content against solve_thresholds per C_h,
+        # and the violations against the loop that used them
+        system = build_system(json.loads((CONFIGS / config).read_text()))
+        for c in system.contents[:5]:
+            I = compute_I(c, system.beta)
+            grid = np.linspace(0.0, 1.05 * I, 200)
+            assert solve_thresholds_batch(c, system.beta, grid) == [
+                solve_thresholds(c, system.beta, float(ch)) for ch in grid]
+            states = default_state_grid(c, system.beta)
+            old = []
+            for s in states:
+                seen = False
+                for ch in grid:
+                    member = ch > I or _classify_passive(
+                        solve_thresholds(c, system.beta, float(ch)), float(ch), s)
+                    seen |= member
+                    if seen and not member:
+                        old.append((s, float(ch)))
+            assert verify_indexability(c, system.beta, grid, states) == old
+
 
 class TestContentTables:
     def test_matches_exact_bisection(self):
@@ -158,6 +199,36 @@ class TestContentTables:
         assert tb.cached_idle(2, 0.1) == 0.0
         assert tb.cached_idle(0, tb.tau_star) == 0.0
         assert tb.cached_idle(0, 10.0) == 0.0
+
+    @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
+    def test_window_equals_full_width_scan(self, name):
+        # every field of every table, bit for bit; no row needs the scan
+        system = (desk_system(beta=40.0) if name == "paper-n100"  # paper.json cut to N=100
+                  else build_system(json.loads((CONFIGS / f"{name}.json").read_text())))
+        windowed, fallback = build_index_tables(system.contents, system.beta)
+        full, scanned = build_index_tables(system.contents, system.beta, window=False)
+        assert fallback == 0
+        pairs = sum(len(t.breakpoints) for t in full)
+        assert scanned == pairs * BISECT_ITERS + system.N * (GRID_SIZE - 1)
+        assert len(windowed) == len(full) == system.N
+        for a, b in zip(windowed, full):
+            assert vars(a).keys() == vars(b).keys()
+            for x, y in zip(vars(a).values(), vars(b).values()):
+                assert_same_bits(np.ravel(x), np.ravel(y))
+
+    def test_wrong_breakpoints_cost_only_time(self):
+        # the window predicts Q_bar from the breakpoints; shifted ones send
+        # rows to the full-width scan but leave every value as it was
+        system = desk_system()
+        k = content_constants(system.contents, system.beta)
+        zero = zero_holding_thresholds(k)
+        bps = uncached_breakpoints(system.contents, system.beta)
+        rows, fallback = cached_index_rows(k, zero, bps)
+        shifted = [tuple(b[1:]) + (0.0,) * min(len(b), 1) for b in bps]
+        moved, moved_fallback = cached_index_rows(k, zero, shifted)
+        assert fallback == 0 < moved_fallback
+        for a, b in zip(rows, moved):
+            assert_same_bits(a, b)
 
     def test_scipy_fallback_gives_the_same_tables(self, monkeypatch):
         system = desk_system()
