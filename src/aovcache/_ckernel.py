@@ -41,9 +41,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import subprocess
 import sysconfig
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +62,11 @@ _ARGTYPES = [
     _ptr, _ptr, _int,                # cum_p, guide table, its length K
     _int, _dbl,                      # stop_events, stop_time
     _ptr, _ptr, _ptr,                # per-content doubles and ints, breakpoints
-    _ptr, _int, _dbl,                # w_of_tau rows, stride, beta
+    _ptr, _ptr, _int, _dbl,          # w_of_tau rows, their prefix minima, stride, beta
     _ptr, _ptr, _ptr,                # queue, fetch_time, waited
     _ptr, _ptr,                      # aov, aov_time
     _ptr, _ptr, _int,                # slot_of, slots, m
-    _ptr,                            # scratch, m doubles
+    _ptr,                            # scratch, SCRATCH_WORDS * m doubles
     _ptr, _ptr,                      # running totals
 ]
 
@@ -89,7 +87,8 @@ def cache_dir() -> Path:
 
 def _build() -> Path:
     """Path of the cached library, compiling it first if it is missing.
-    Raises OSError when numpy's random library or header is missing."""
+    Raises OSError when numpy's random library or header is missing or the
+    compiler fails."""
     # one translation unit; the #line directive keeps compiler messages
     # pointing into the right file
     src = b"".join(b'#line 1 "%s"\n' % p.name.encode() + p.read_bytes()
@@ -103,6 +102,10 @@ def _build() -> Path:
     lib = cache_dir() / f"_loop-{key[:16]}.so"
     if lib.exists():
         return lib
+    # imported only for a build: they cost every command's start-up
+    import subprocess
+    import tempfile
+
     lib.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
     os.close(fd)
@@ -114,6 +117,8 @@ def _build() -> Path:
                         "-x", "none", str(NPYRANDOM), "-lm", "-o", tmp],
                        input=src, capture_output=True, check=True, timeout=120)
         os.replace(tmp, lib)
+    except subprocess.SubprocessError as e:  # cc failed or timed out
+        raise OSError(f"building {lib.name} failed: {e}") from e
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -144,7 +149,7 @@ def _open():
     """The library, or None when it cannot be built or loaded."""
     try:
         return ctypes.CDLL(str(_build()))
-    except (OSError, RuntimeError, subprocess.SubprocessError):
+    except (OSError, RuntimeError):
         return None
 
 

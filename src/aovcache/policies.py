@@ -64,8 +64,9 @@ class PolicyTables:
     Independent of the cache capacity M, so one build covers a whole
     capacity sweep.  ``derived`` holds what a consumer builds from the
     fields once and reuses on every run (the compiled event loop's
-    per-content arrays); it is neither compared nor pickled, so a
-    sweep's worker jobs carry the fields alone.
+    per-content arrays, the system a run last validated); it is neither
+    compared nor pickled, so a sweep's worker jobs carry the fields
+    alone.
     """
 
     beta: float

@@ -21,6 +21,18 @@ metrics: a lockstep test in ``tests/test_simulator.py`` pins them
 together for every policy and mode, and the CLI's ``verify`` command
 compares them on the user's machine.
 
+The reference loop finds a Whittle victim by scanning every cached
+copy.  The compiled loop visits the copies in ascending order of a
+lower bound of their index, valid up to a common horizon, and stops at
+the first bound above the best index so far; ``_loop.c`` proves that
+this finds the same victim.  The bounds are read from each ``w_of_tau``
+row's running minimum, which is the row itself for the nonincreasing
+rows the solvers build (``_prefix_minima``).
+
+``run`` validates each run's system unless a run on the same tables last
+validated that very object, so a sweep validates each distinct system
+once.
+
 A run that finds the cache holding other than M contents raises
 ``SimulationError``; the metrics of a finished run therefore always come
 from a run whose occupancy held at every epoch.
@@ -31,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from multiprocessing import Pool
 from typing import NamedTuple
 
 import numpy as np
@@ -110,9 +121,7 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
     """``run`` on the compiled ``kernel``, or on the reference loop when
     ``kernel`` is None."""
     system = config.system
-    problems = validate(system)
-    if problems:
-        raise ValueError("; ".join(map(str, problems)))
+    _check_system(system, tables)
     if config.horizon_events is None and config.horizon_time is None:
         raise ValueError("a horizon (events or time) is required")
     if config.horizon_events is not None and config.horizon_events <= 0:
@@ -146,6 +155,20 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
         end, snap, violations = _compiled_loop(
             kernel, config, tables, (arr_rng, pick_rng, aov_rng), warm_events, warm_time)
     return _metrics(end, snap, violations)
+
+
+def _check_system(system: SystemParams, tables: PolicyTables | None) -> None:
+    """Raise ValueError naming every problem ``validate`` finds in
+    ``system``.  The system last found valid is kept in ``tables.derived``,
+    so the runs of a sweep, which share their tables and run the cells of
+    one system in a row, validate each distinct system once."""
+    if tables is not None and tables.derived.get("valid_system") is system:
+        return
+    problems = validate(system)
+    if problems:
+        raise ValueError("; ".join(map(str, problems)))
+    if tables is not None:
+        tables.derived["valid_system"] = system
 
 
 def _cum_p(p) -> np.ndarray:
@@ -210,6 +233,7 @@ _POLICY_CODE = {PolicyKind.WHITTLE: 0, PolicyKind.MYOPIC: 1,
                 PolicyKind.STATIC_TOP_M: 2, PolicyKind.INFINITE_CAPACITY: 3}
 _OCCUPANCY_ERROR, _POISSON_DOMAIN_ERROR = -1, -2
 _NO_LIMIT = 2**63 - 1
+_SCRATCH_WORDS = 7  # the kernel's scratch doubles per slot (SCRATCH_WORDS in _loop.c)
 
 
 class _KernelTables(NamedTuple):
@@ -221,6 +245,7 @@ class _KernelTables(NamedTuple):
     cint: np.ndarray
     bps: np.ndarray
     w_of_tau: np.ndarray
+    w_low: np.ndarray    # prefix minima of the w_of_tau rows
     stride: int
     indexed: bool        # every content has the Whittle index tables
     cum_p: np.ndarray
@@ -252,8 +277,19 @@ def _build_kernel_tables(tables: PolicyTables) -> _KernelTables:
     bps = np.array([b for c in ct for b in c.breakpoints], dtype=float)
     w_of_tau = np.concatenate([c.w_of_tau for c in ct])
     cum_p = _cum_p(tables.p)
-    return _KernelTables(cdbl, cint, bps, w_of_tau, stride, indexed, cum_p,
+    w_low = _prefix_minima(w_of_tau, stride) if indexed else w_of_tau
+    return _KernelTables(cdbl, cint, bps, w_of_tau, w_low, stride, indexed, cum_p,
                          _guide_table(cum_p))
+
+
+def _prefix_minima(w_of_tau: np.ndarray, stride: int) -> np.ndarray:
+    """Each row's running minimum, the lower bounds ``_loop.c``'s Whittle
+    scan prunes with: ``w_of_tau`` itself when every row is nonincreasing,
+    as the solvers build them."""
+    rows = w_of_tau.reshape(-1, stride)
+    if np.all(rows[:, 1:] <= rows[:, :-1]):
+        return w_of_tau
+    return np.minimum.accumulate(rows, axis=1).ravel()
 
 
 def _kernel_tables(tables: PolicyTables) -> _KernelTables:
@@ -282,7 +318,7 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
     slots = np.array(sorted(_top_m_ids(system)), dtype=np.int64)
     slot_of = np.full(n, -1, dtype=np.int64)
     slot_of[slots] = np.arange(m)
-    scratch = np.empty(m)
+    scratch = np.empty(_SCRATCH_WORDS * m)
     queue = np.zeros(n, dtype=np.int64)
     fetch_time = np.zeros(n)
     waited = np.zeros(n, dtype=np.uint8)
@@ -296,8 +332,8 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
     f64, i64, ptr = np.float64, np.int64, _ckernel.address
     pick = (ptr(kt.cum_p, f64), ptr(kt.guide, i64), len(kt.guide))
     state = (ptr(kt.cdbl, f64), ptr(kt.cint, i64), ptr(kt.bps, f64),
-             ptr(kt.w_of_tau, f64), kt.stride, system.beta, ptr(queue, i64),
-             ptr(fetch_time, f64), ptr(waited, np.uint8), ptr(aov, i64),
+             ptr(kt.w_of_tau, f64), ptr(kt.w_low, f64), kt.stride, system.beta,
+             ptr(queue, i64), ptr(fetch_time, f64), ptr(waited, np.uint8), ptr(aov, i64),
              ptr(aov_time, f64), ptr(slot_of, i64), ptr(slots, i64), m,
              ptr(scratch, f64), ptr(acc, f64), ptr(cnt, i64))
 
@@ -474,6 +510,8 @@ def sweep(
                 jobs.append((axis, key, rep, cfg, tables))
 
     if processes and processes > 1:
+        from multiprocessing import Pool  # ~7 ms, paid only by parallel sweeps
+
         with Pool(processes) as pool:
             cells = pool.map(_run_cell, jobs, chunksize=1)
     else:

@@ -407,3 +407,19 @@ class TestVerifyCmd:
         theta = solve_infinite_capacity(1, 1, 1, 1, 0.5)[2]
         vt = value_iterate_infinite(1, 1, 1, 1, 0.5)
         assert abs(vt.theta - theta) > 1e-15
+
+
+def test_import_skips_subprocess_and_multiprocessing():
+    # with the library built, only a kernel build runs the compiler and
+    # only a parallel sweep starts a pool
+    src = Path(aovcache.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, aovcache.cli; from aovcache import _ckernel; "
+            "print(_ckernel.event_loop is not None, "
+            "*(m in sys.modules for m in ('subprocess', 'multiprocessing')))")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    compiled, sub, multi = res.stdout.split()
+    if compiled != "True":
+        pytest.skip("compiled library unavailable")
+    assert (sub, multi) == ("False", "False")

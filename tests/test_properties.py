@@ -31,6 +31,7 @@ from aovcache.whittle import (
     _cached_gaps,
     _exceeds,
     _omega_candidates,
+    build_index_tables,
     uncached_breakpoints,
     whittle_cached,
     whittle_uncached,
@@ -262,3 +263,17 @@ def test_excess_strictly_decreasing(cb, frac, tau_frac):
     assert (step > 1e-6).all()
     bound = v[:-1] / (q[:-1] + 2.0 + c.p * beta * tau)
     assert (step > (1.0 - 1e-9) * bound[pair]).all()
+
+
+@SETTINGS
+@given(cbs=st.lists(contents(ratio_lo=0.1, ratio_hi=400.0), min_size=1, max_size=6),
+       beta=st.floats(0.5, 50.0))
+def test_index_rows_fall_to_zero(cbs, beta):
+    # the compiled Whittle scan bounds a cached copy's index from below by
+    # its row at a later tau; that needs no prefix minimum when every row
+    # is nonincreasing and ends in the 0 sentinel
+    tables, _ = build_index_tables([c for c, _ in cbs], beta)
+    for tb in tables:
+        w = tb.w_of_tau
+        assert (w[1:] <= w[:-1]).all()
+        assert w[-1] == 0.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aovcache import _ckernel, simulator
-from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
+from aovcache.model import ContentParams, CostModel, SystemParams, validate, zipf_popularity
 from aovcache.policies import PolicyKind, build_policy_tables
 from aovcache.simulator import (
     AgeingMode,
@@ -19,7 +19,7 @@ from aovcache.simulator import (
     sweep,
 )
 from aovcache.thresholds import solve_infinite_capacity
-from conftest import UNIT, corrupt_cache, desk_system
+from conftest import UNIT, assert_same_bits, corrupt_cache, desk_system
 
 
 def single_content_config(**kw):
@@ -71,6 +71,14 @@ class TestRunBasics:
         bad = replace(system, M=system.N)
         with pytest.raises(ValueError):
             run(SimConfig(system=bad, horizon_events=10))
+
+    def test_invalid_system_raises_on_validated_tables(self, desk):
+        # a run remembers the last system it validated on the tables; a
+        # different, invalid system still raises
+        system, tables = desk
+        run(SimConfig(system=system, horizon_events=10), tables)
+        with pytest.raises(ValueError, match="capacity"):
+            run(SimConfig(system=replace(system, M=system.N), horizon_events=10), tables)
 
     @pytest.mark.parametrize("loop", ["compiled", "python"])
     def test_corrupted_cache_raises(self, monkeypatch, desk, loop):
@@ -195,6 +203,69 @@ class TestCompiledLoop:
         monkeypatch.setattr(_ckernel, "event_loop", None)
         assert run(cfg, tables) == compiled
         assert compiled.fetch_rate > 0
+
+    @needs_kernel
+    @pytest.mark.parametrize("make", [
+        # equal popularity: keys tie, so the scan must still evaluate a
+        # slot whose lower bound equals the best key (lowest id wins)
+        lambda: desk_system(N=300, beta=40.0, M=137, alpha=0.0),
+        # Zipf: a newcomer's index falls below its admission value before
+        # the horizon, so its bound must be taken at the horizon
+        lambda: desk_system(N=300, beta=40.0, M=137),
+        # waiting is cheap, so stale cached copies queue requests
+        lambda: desk_system(N=300, beta=40.0, M=137, c_w=1e-4),
+    ], ids=["uniform", "zipf", "small-c_w"])
+    def test_whittle_scan_over_many_slots(self, monkeypatch, make):
+        # the compiled Whittle scan visits slots by a lower bound of their
+        # index and stops early; the reference scans every slot
+        system = make()
+        tables = build_policy_tables(system)
+        cfgs = [SimConfig(system=system, horizon_events=20_000, seed=seed) for seed in (1, 2)]
+        compiled = [run(cfg, tables) for cfg in cfgs]
+        monkeypatch.setattr(_ckernel, "event_loop", None)
+        assert [run(cfg, tables) for cfg in cfgs] == compiled
+
+    @needs_kernel
+    def test_queued_copy_counts_as_index_zero_above_its_row(self, monkeypatch):
+        # content 0 takes nine requests in ten and turns stale at tau = 1,
+        # while its w_of_tau row stays above 0 until tau ~ 22; it is never
+        # refreshed (Q_star huge), so its requests queue while the scan's
+        # bound for it is still that row's value.  The scan must see its
+        # index 0 at once.
+        pops = np.concatenate([[0.9], 0.1 * zipf_popularity(39, 1.0)])
+        system = desk_system(N=40, beta=4.0, M=10)
+        system = replace(system, contents=tuple(
+            replace(c, p=float(p)) for c, p in zip(system.contents, pops)))
+        built = build_policy_tables(system)
+        stale_early = replace(built.content[0], tau_star=1.0, q_star=10**9, q_hat=10**9,
+                              breakpoints=())
+        tables = replace(built, content=(stale_early, *built.content[1:]))
+        cfgs = [SimConfig(system=system, horizon_events=20_000, seed=seed)
+                for seed in range(1, 9)]
+        compiled = [run(cfg, tables) for cfg in cfgs]
+        monkeypatch.setattr(_ckernel, "event_loop", None)
+        assert [run(cfg, tables) for cfg in cfgs] == compiled
+
+    @needs_kernel
+    def test_non_monotone_rows_prune_by_prefix_minimum(self, monkeypatch):
+        # rows that rise at every third cell: the scan must bound keys by
+        # each row's running minimum, not by the row
+        system = desk_system(N=100, beta=40.0, M=25, lam=0.2)
+        built = build_policy_tables(system)
+        bump = np.where(np.arange(len(built.content[0].w_of_tau)) % 3 == 0, 1.5, 1.0)
+        tables = replace(built, content=tuple(
+            replace(c, w_of_tau=c.w_of_tau * bump) for c in built.content))
+        kt = simulator._build_kernel_tables(tables)
+        rows = kt.w_of_tau.reshape(len(tables.content), -1)
+        assert (np.diff(rows, axis=1) > 0).any()
+        assert_same_bits(kt.w_low, np.minimum.accumulate(rows, axis=1).ravel())
+        monotone = simulator._build_kernel_tables(built)
+        assert monotone.w_low is monotone.w_of_tau
+        cfgs = [SimConfig(system=system, horizon_events=20_000, seed=seed) for seed in (1, 2)]
+        compiled = [run(cfg, tables) for cfg in cfgs]
+        assert compiled != [run(cfg, built) for cfg in cfgs]  # the bumps change decisions
+        monkeypatch.setattr(_ckernel, "event_loop", None)
+        assert [run(cfg, tables) for cfg in cfgs] == compiled
 
     @needs_kernel
     def test_carry_sum_matches_ndarray_sum(self):
@@ -453,6 +524,25 @@ class TestSweep:
         cells = sweep(base, "policy", values, 1)
         assert calls == expect
         assert [c.value for c in cells] == values
+
+    @pytest.mark.parametrize("axis, values, systems", [
+        ("M", [8, 10, 12], 3),
+        ("policy", ["whittle", "myopic", "static-top-m"], 1),
+        ("c_w", [0.01, 1.0], 2),
+    ])
+    def test_validates_each_distinct_system_once(self, monkeypatch, axis, values, systems):
+        calls = []
+
+        def counting(system):
+            calls.append(system)
+            return validate(system)
+
+        monkeypatch.setattr(simulator, "validate", counting)
+        base = SimConfig(system=desk_system(N=40, beta=4.0, M=10), horizon_events=1_000,
+                         seed=1)
+        cells = sweep(base, axis, values, 3)
+        assert len(cells) == 3 * len(values)
+        assert len(calls) == len({id(s) for s in calls}) == systems
 
     def test_bad_axis_rejected(self, desk):
         system, tables = desk

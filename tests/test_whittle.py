@@ -158,15 +158,14 @@ class TestIndexability:
         for c in system.contents[:5]:
             I = compute_I(c, system.beta)
             grid = np.linspace(0.0, 1.05 * I, 200)
-            assert solve_thresholds_batch(c, system.beta, grid) == [
-                solve_thresholds(c, system.beta, float(ch)) for ch in grid]
+            one_at_a_time = [solve_thresholds(c, system.beta, float(ch)) for ch in grid]
+            assert solve_thresholds_batch(c, system.beta, grid) == one_at_a_time
             states = default_state_grid(c, system.beta)
             old = []
             for s in states:
                 seen = False
-                for ch in grid:
-                    member = ch > I or _classify_passive(
-                        solve_thresholds(c, system.beta, float(ch)), float(ch), s)
+                for ch, ts in zip(grid, one_at_a_time):
+                    member = ch > I or _classify_passive(ts, float(ch), s)
                     seen |= member
                     if seen and not member:
                         old.append((s, float(ch)))
