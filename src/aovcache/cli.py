@@ -255,7 +255,7 @@ def cmd_whittle(doc: dict, args) -> int:
     rep = Reporter(args.out, doc)
     rows = []
     contents = [system.contents[i] for i in which]
-    tables = build_index_tables(contents, system.beta)[0]
+    tables = build_index_tables(contents, system.beta)[0].content
     for i, c, tb in zip(which, contents, tables):
         if args.family in ("cached", "both"):
             # whittle_cached at every tau, the interior ones in one call
@@ -454,16 +454,14 @@ def cmd_verify(doc: dict, args) -> int:
               "differ from scipy.special")
 
     # the index tables from windows of queue candidates against a scan of
-    # every candidate, field for field and bit for bit
+    # every candidate, array for array and bit for bit
     windowed, fallback = build_index_tables(system.contents, beta)
     full = build_index_tables(system.contents, beta, window=False)[0]
-    n_differ = sum(
-        any(np.shape(x) != np.shape(y) or _bits_differ(x, y)
-            for x, y in zip(vars(a).values(), vars(b).values()))
-        for a, b in zip(windowed, full))
+    arrays = [(getattr(windowed, f), getattr(full, f)) for f in ("cdbl", "cint", "bps", "w_of_tau")]
+    n_differ = sum(x.size if x.shape != y.shape else _bits_differ(x, y) for x, y in arrays)
     check("table-window", n_differ == 0,
-          f"{n_differ} of {len(full)} content tables differ from the full-width scan; "
-          f"{fallback} rows fell back to it")
+          f"{n_differ} of {sum(y.size for _, y in arrays)} table values differ from the "
+          f"full-width scan; {fallback} rows fell back to it")
 
     # the bound's golden-section search relies on the dual being concave;
     # a dual that is not would show as a grid point above the bound, and a

@@ -8,20 +8,14 @@ Action numbering follows the event semantics: 0 serve the cached copy,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import CacheSystemState, SystemParams
-from .thresholds import (
-    ContentConstants,
-    average_cost_batch,
-    content_constants,
-    zero_holding_thresholds,
-)
-from .whittle import ContentTables, build_content_tables, build_index_tables
+from .thresholds import ContentConstants, average_cost_batch, content_constants
+from .whittle import PolicyTables, build_index_tables
 
 __all__ = [
     "ActionKind",
@@ -57,49 +51,12 @@ class PolicyKind(Enum):
     INFINITE_CAPACITY = "infinite-capacity"
 
 
-@dataclass(frozen=True)
-class PolicyTables:
-    """Per-content constants shared by all policies of one system.
-
-    Independent of the cache capacity M, so one build covers a whole
-    capacity sweep.  ``derived`` holds what a consumer builds from the
-    fields once and reuses on every run (the compiled event loop's
-    per-content arrays, the system a run last validated); it is neither
-    compared nor pickled, so a sweep's worker jobs carry the fields
-    alone.
-    """
-
-    beta: float
-    p: tuple[float, ...]
-    lam: tuple[float, ...]
-    c_a: tuple[float, ...]
-    c_alam: tuple[float, ...]   # c_a * lam, the ageing cost rate
-    c_f: tuple[float, ...]
-    c_w: tuple[float, ...]
-    content: tuple[ContentTables, ...]
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __getstate__(self):
-        return {**self.__dict__, "derived": {}}
-
-
 def build_policy_tables(system: SystemParams, indices: bool = True) -> PolicyTables:
-    if indices:
-        content = build_index_tables(system.contents, system.beta)[0]
-    else:
-        zero = zero_holding_thresholds(content_constants(system.contents, system.beta))
-        content = tuple(build_content_tables(c, system.beta, False, ts=ts)
-                        for c, ts in zip(system.contents, zero))
-    return PolicyTables(
-        beta=system.beta,
-        p=tuple(c.p for c in system.contents),
-        lam=tuple(c.lam for c in system.contents),
-        c_a=tuple(c.costs.c_a for c in system.contents),
-        c_alam=tuple(c.costs.c_a * c.lam for c in system.contents),
-        c_f=tuple(c.costs.c_f for c in system.contents),
-        c_w=tuple(c.costs.c_w for c in system.contents),
-        content=content,
-    )
+    """The tables of ``system``, independent of its capacity M, so one
+    build covers a whole capacity sweep: ``whittle.build_index_tables`` of
+    its contents, with the Whittle indices, or with only the thresholds
+    when ``indices`` is False, for policies that never evaluate an index."""
+    return build_index_tables(system.contents, system.beta, indices)[0]
 
 
 def _min_cached_index(state: CacheSystemState, tables: PolicyTables) -> tuple[float, int]:
@@ -164,7 +121,8 @@ def static_topm_decide(state: CacheSystemState, requested: int,
 
 def _lookahead(tables: PolicyTables, n: int, q: int, tau: float) -> float:
     """Cheapest way to serve content n's next request one epoch ahead."""
-    return min(tables.c_f[n], (q + 1) * tables.c_alam[n] * (tau + 1.0 / tables.beta))
+    c = tables.content[n]
+    return min(c.c_f, (q + 1) * c.c_alam * (tau + 1.0 / tables.beta))
 
 
 def myopic_decide(state: CacheSystemState, requested: int,
@@ -177,7 +135,8 @@ def myopic_decide(state: CacheSystemState, requested: int,
     beta = tables.beta
     r = requested
     q = state.queue[r]
-    p_r, cf_r, cw_r, cal_r = tables.p[r], tables.c_f[r], tables.c_w[r], tables.c_alam[r]
+    c = tables.content[r]
+    p_r, cf_r, cw_r, cal_r = c.p, c.c_f, c.c_w, c.c_alam
     t = state.t
     if r in state.cache_set:
         tau = t - state.fetch_time[r]
@@ -200,9 +159,10 @@ def myopic_decide(state: CacheSystemState, requested: int,
     best_evict_gain = math.inf
     victim = -1
     for l in state.slots:
-        look = tables.p[l] * _lookahead(tables, l, state.queue[l], t - state.fetch_time[l])
+        cl = tables.content[l]
+        look = cl.p * _lookahead(tables, l, state.queue[l], t - state.fetch_time[l])
         looks.append(look)
-        gain = tables.p[l] * tables.c_f[l] - look  # cost shift if l is evicted
+        gain = cl.p_cf - look  # cost shift if l is evicted
         if gain < best_evict_gain or (gain == best_evict_gain and l < victim):
             best_evict_gain, victim = gain, l
     carry = float(np.array(looks).sum())

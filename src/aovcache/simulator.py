@@ -26,12 +26,15 @@ copy.  The compiled loop visits the copies in ascending order of a
 lower bound of their index, valid up to a common horizon, and stops at
 the first bound above the best index so far; ``_loop.c`` proves that
 this finds the same victim.  The bounds are read from each ``w_of_tau``
-row's running minimum, which is the row itself for the nonincreasing
-rows the solvers build (``_prefix_minima``).
+row's running minimum (``PolicyTables.w_low``).
 
-``run`` validates each run's system unless a run on the same tables last
-validated that very object, so a sweep validates each distinct system
-once.
+Both loops read every per-content value from the ``PolicyTables`` (the
+compiled one its arrays, the reference one its ``content`` rows), and
+``run`` rejects tables built for another system than the run's.  ``run``
+validates each run's system unless the last run validated that very
+object, so a sweep validates each distinct system once.  A parallel sweep
+hands each worker process the tables once, at its start; its jobs carry
+keys into them.
 
 A run that finds the cache holding other than M contents raises
 ``SimulationError``; the metrics of a finished run therefore always come
@@ -43,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 imports it lazily, on the first run (~10 ms)
@@ -60,6 +62,7 @@ from .policies import (
     static_topm_decide,
     whittle_decide,
 )
+from .whittle import GRID_SIZE, P
 
 __all__ = ["AgeingMode", "SimConfig", "SimMetrics", "SimulationError", "run", "sweep",
            "SweepCell", "aggregate"]
@@ -103,9 +106,11 @@ class SimMetrics:
     reconciliation: float        # relative gap, chronological vs per-component totals
 
 
-def _top_m_ids(system: SystemParams) -> list[int]:
-    order = np.argsort(-system.popularity(), kind="stable")
-    return [int(i) for i in order[: system.M]]
+def _top_m_ids(p: np.ndarray, m: int) -> list[int]:
+    """The m most popular ids of popularity ``p``, the lowest id first on
+    ties: the initial cache."""
+    order = np.argsort(-p, kind="stable")
+    return [int(i) for i in order[:m]]
 
 
 def run(config: SimConfig, tables: PolicyTables | None = None) -> SimMetrics:
@@ -121,7 +126,7 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
     """``run`` on the compiled ``kernel``, or on the reference loop when
     ``kernel`` is None."""
     system = config.system
-    _check_system(system, tables)
+    _check_system(system)
     if config.horizon_events is None and config.horizon_time is None:
         raise ValueError("a horizon (events or time) is required")
     if config.horizon_events is not None and config.horizon_events <= 0:
@@ -134,6 +139,12 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
     whittle = config.policy is PolicyKind.WHITTLE
     if tables is None:
         tables = build_policy_tables(system, indices=whittle)
+    elif ((tables.contents is not system.contents and tables.contents != system.contents)
+          or tables.beta != system.beta):
+        raise ValueError("the tables were built for another system: its contents or "
+                         "beta differ from the run's")
+    if whittle and tables.w_of_tau.shape[1] != GRID_SIZE + 1:
+        raise ValueError("the Whittle policy needs tables built with indices=True")
     ss = np.random.SeedSequence(config.seed)
     arr_rng, pick_rng, aov_rng = (np.random.default_rng(s) for s in ss.spawn(3))
 
@@ -147,8 +158,7 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
             warm_time = config.warmup * config.horizon_time
 
     if kernel is None:
-        batches = _batches(arr_rng, pick_rng, _cum_p(system.popularity()),
-                           1.0 / system.beta)
+        batches = _batches(arr_rng, pick_rng, tables.cum_p, 1.0 / tables.beta)
         end, snap, violations = _reference_loop(
             config, tables, batches, warm_events, warm_time, aov_rng)
     else:
@@ -157,26 +167,22 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
     return _metrics(end, snap, violations)
 
 
-def _check_system(system: SystemParams, tables: PolicyTables | None) -> None:
+# the system the last run found valid, kept by identity
+_valid_system: SystemParams | None = None
+
+
+def _check_system(system: SystemParams) -> None:
     """Raise ValueError naming every problem ``validate`` finds in
-    ``system``.  The system last found valid is kept in ``tables.derived``,
-    so the runs of a sweep, which share their tables and run the cells of
-    one system in a row, validate each distinct system once."""
-    if tables is not None and tables.derived.get("valid_system") is system:
+    ``system``, unless the last run found that very object valid: the runs
+    of a sweep, which run the cells of one system in a row, validate each
+    distinct system once."""
+    global _valid_system
+    if system is _valid_system:
         return
     problems = validate(system)
     if problems:
         raise ValueError("; ".join(map(str, problems)))
-    if tables is not None:
-        tables.derived["valid_system"] = system
-
-
-def _cum_p(p) -> np.ndarray:
-    """The popularity CDF that content ids are picked from, its last entry
-    clamped to 1.0 so that every uniform in [0, 1) picks an id."""
-    cum_p = np.cumsum(p, dtype=float)
-    cum_p[-1] = 1.0
-    return cum_p
+    _valid_system = system
 
 
 def _batches(arr_rng, pick_rng, cum_p, mean_dt):
@@ -236,71 +242,6 @@ _NO_LIMIT = 2**63 - 1
 _SCRATCH_WORDS = 7  # the kernel's scratch doubles per slot (SCRATCH_WORDS in _loop.c)
 
 
-class _KernelTables(NamedTuple):
-    """The compiled loop's per-content arrays for one ``PolicyTables``, in
-    the column order of ``_loop.c``'s enums, and the content pick's
-    popularity CDF with its guide table."""
-
-    cdbl: np.ndarray
-    cint: np.ndarray
-    bps: np.ndarray
-    w_of_tau: np.ndarray
-    w_low: np.ndarray    # prefix minima of the w_of_tau rows
-    stride: int
-    indexed: bool        # every content has the Whittle index tables
-    cum_p: np.ndarray
-    guide: np.ndarray
-
-
-def _guide_table(cum_p: np.ndarray) -> np.ndarray:
-    """``guide[k] = searchsorted(cum_p, k/K, side="right")`` for the least
-    power of two K >= len(cum_p); ``_loop.c``'s ``pick`` explains why
-    starting from it finds searchsorted's id for every uniform."""
-    k = 1 << (len(cum_p) - 1).bit_length()
-    guide = np.searchsorted(cum_p, np.arange(k) / k, side="right")
-    return guide.astype(np.int64, copy=False)
-
-
-def _build_kernel_tables(tables: PolicyTables) -> _KernelTables:
-    ct = tables.content
-    stride = len(ct[0].w_of_tau)
-    indexed = all(len(c.w_of_tau) == stride and len(c.breakpoints) == c.q_hat - c.q_star
-                  for c in ct)
-    cdbl = np.array([
-        (c.tau_star, c.ceiling, c.inv_step, cal, cf, cw, p, p * cf, lam, ca)
-        for c, cal, cf, cw, p, lam, ca in zip(ct, tables.c_alam, tables.c_f, tables.c_w,
-                                              tables.p, tables.lam, tables.c_a)
-    ]).ravel()
-    bp_off = np.cumsum([0] + [len(c.breakpoints) for c in ct])[:-1]
-    cint = np.array([(c.q_star, c.q_hat, off) for c, off in zip(ct, bp_off)],
-                    dtype=np.int64).ravel()
-    bps = np.array([b for c in ct for b in c.breakpoints], dtype=float)
-    w_of_tau = np.concatenate([c.w_of_tau for c in ct])
-    cum_p = _cum_p(tables.p)
-    w_low = _prefix_minima(w_of_tau, stride) if indexed else w_of_tau
-    return _KernelTables(cdbl, cint, bps, w_of_tau, w_low, stride, indexed, cum_p,
-                         _guide_table(cum_p))
-
-
-def _prefix_minima(w_of_tau: np.ndarray, stride: int) -> np.ndarray:
-    """Each row's running minimum, the lower bounds ``_loop.c``'s Whittle
-    scan prunes with: ``w_of_tau`` itself when every row is nonincreasing,
-    as the solvers build them."""
-    rows = w_of_tau.reshape(-1, stride)
-    if np.all(rows[:, 1:] <= rows[:, :-1]):
-        return w_of_tau
-    return np.minimum.accumulate(rows, axis=1).ravel()
-
-
-def _kernel_tables(tables: PolicyTables) -> _KernelTables:
-    """``_build_kernel_tables(tables)``, built on the first run on ``tables``
-    and kept in ``tables.derived`` for the runs after it."""
-    kt = tables.derived.get("event_loop")
-    if kt is None:
-        kt = tables.derived["event_loop"] = _build_kernel_tables(tables)
-    return kt
-
-
 def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
                    warm_events, warm_time):
     """``_reference_loop`` for every policy and ageing mode, with every
@@ -310,12 +251,9 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
     loop."""
     system = config.system
     n, m = system.N, system.M
-    kt = _kernel_tables(tables)
-    if config.policy is PolicyKind.WHITTLE and not kt.indexed:
-        raise ValueError("the Whittle policy needs tables built with indices=True")
     # under infinite capacity every content counts as cached and the
     # kernel reads no slot
-    slots = np.array(sorted(_top_m_ids(system)), dtype=np.int64)
+    slots = np.array(sorted(_top_m_ids(tables.cdbl[:, P], m)), dtype=np.int64)
     slot_of = np.full(n, -1, dtype=np.int64)
     slot_of[slots] = np.arange(m)
     scratch = np.empty(_SCRATCH_WORDS * m)
@@ -330,11 +268,11 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
     bitgens = [g.bit_generator.ctypes.bit_generator for g in rngs]
     policy = _POLICY_CODE[config.policy]
     f64, i64, ptr = np.float64, np.int64, _ckernel.address
-    pick = (ptr(kt.cum_p, f64), ptr(kt.guide, i64), len(kt.guide))
-    state = (ptr(kt.cdbl, f64), ptr(kt.cint, i64), ptr(kt.bps, f64),
-             ptr(kt.w_of_tau, f64), ptr(kt.w_low, f64), kt.stride, system.beta,
-             ptr(queue, i64), ptr(fetch_time, f64), ptr(waited, np.uint8), ptr(aov, i64),
-             ptr(aov_time, f64), ptr(slot_of, i64), ptr(slots, i64), m,
+    pick = (ptr(tables.cum_p, f64), ptr(tables.guide, i64), len(tables.guide))
+    state = (ptr(tables.cdbl, f64), ptr(tables.cint, i64), ptr(tables.bps, f64),
+             ptr(tables.w_of_tau, f64), ptr(tables.w_low, f64), tables.w_of_tau.shape[1],
+             tables.beta, ptr(queue, i64), ptr(fetch_time, f64), ptr(waited, np.uint8),
+             ptr(aov, i64), ptr(aov_time, f64), ptr(slot_of, i64), ptr(slots, i64), m,
              ptr(scratch, f64), ptr(acc, f64), ptr(cnt, i64))
 
     def totals():
@@ -371,9 +309,9 @@ def _reference_loop(config: SimConfig, tables: PolicyTables, batches,
     infinite = config.policy is PolicyKind.INFINITE_CAPACITY
     decide = _DECIDE[config.policy]
     realized = config.ageing_mode is AgeingMode.REALIZED
-    state = CacheSystemState(system.N, system.M, tables.c_w, infinite=infinite)
-    state.preload(_top_m_ids(system))
-    c_a = [c.costs.c_a for c in system.contents]
+    content = tables.content
+    state = CacheSystemState(system.N, system.M, [c.c_w for c in content], infinite=infinite)
+    state.preload(_top_m_ids(tables.cdbl[:, P], system.M))
     end_events = config.horizon_events if config.horizon_events is not None else _NO_LIMIT
     end_time = config.horizon_time if config.horizon_time is not None else math.inf
     t = grand = q_integral = wait_cost = fetch_cost = ageing_cost = 0.0
@@ -402,9 +340,9 @@ def _reference_loop(config: SimConfig, tables: PolicyTables, batches,
             waited.add(r)
         elif act.kind is ActionKind.SERVE_CACHED:
             if realized:
-                age = c_a[r] * state.realized_aov(r, tables.lam[r], aov_rng)
+                age = content[r].c_a * state.realized_aov(r, content[r].lam, aov_rng)
             else:
-                age = tables.c_alam[r] * state.tau(r)
+                age = content[r].c_alam * state.tau(r)
             age *= state.apply_serve(r)
             ageing_cost += age
             grand += age
@@ -415,8 +353,8 @@ def _reference_loop(config: SimConfig, tables: PolicyTables, batches,
                 state.check_occupancy()
             except OccupancyError as e:
                 raise SimulationError(f"occupancy violated at event {events}: {e}") from e
-            fetch_cost += tables.c_f[r]
-            grand += tables.c_f[r]
+            fetch_cost += content[r].c_f
+            grand += content[r].c_f
             fetches += 1
             waited.discard(r)
 
@@ -457,9 +395,27 @@ def _with_c_w(system: SystemParams, c_w: float) -> SystemParams:
     return replace(system, contents=contents)
 
 
-def _run_cell(args) -> SweepCell:
-    axis, value, rep, config, tables = args
+def _run_cell(job, groups) -> SweepCell:
+    """The sweep cell of ``job``, ``(axis, group, replication)``: one run
+    of the group's config on its tables, seeded by the replication;
+    ``groups`` holds each axis value's ``(value, config, tables)``."""
+    axis, g, rep = job
+    value, config, tables = groups[g]
+    config = replace(config, seed=config.seed + rep)
     return SweepCell(axis, value, rep, config.seed, run(config, tables))
+
+
+# a sweep worker process's groups, set once as it starts
+_worker_groups: list = []
+
+
+def _share_groups(groups) -> None:
+    global _worker_groups
+    _worker_groups = groups
+
+
+def _run_shared(job) -> SweepCell:
+    return _run_cell(job, _worker_groups)
 
 
 def sweep(
@@ -475,6 +431,9 @@ def sweep(
     Replication seeds repeat across axis values and policies (common
     random numbers), which tightens paired comparisons.  The ``M`` and
     ``policy`` axes share one table build; ``c_w`` rebuilds per value.
+    With ``processes > 1`` each worker process gets every value's config
+    and tables once, as it starts (inherited where processes fork), and
+    each job only its cell's keys.
     """
     if axis not in ("M", "c_w", "policy"):
         raise ValueError(f"unknown sweep axis {axis!r}")
@@ -483,39 +442,33 @@ def sweep(
     if replications < 1:
         raise ValueError("replications must be >= 1")
 
-    jobs = []
     if axis == "c_w":
+        groups = []
         for v in values:
             system = _with_c_w(base.system, float(v))
-            vt = build_policy_tables(
-                system, indices=base.policy is PolicyKind.WHITTLE)
-            for rep in range(replications):
-                cfg = replace(base, system=system, seed=base.seed + rep)
-                jobs.append((axis, float(v), rep, cfg, vt))
+            groups.append((float(v), replace(base, system=system), build_policy_tables(
+                system, indices=base.policy is PolicyKind.WHITTLE)))
     else:
         if tables is None:
             policies = ([PolicyKind(v) for v in values] if axis == "policy"
                         else [base.policy])
             tables = build_policy_tables(
                 base.system, indices=PolicyKind.WHITTLE in policies)
-        for v in values:
-            if axis == "M":
-                cfg0 = replace(base, system=replace(base.system, M=int(v)))
-                key = int(v)
-            else:
-                cfg0 = replace(base, policy=PolicyKind(v))
-                key = PolicyKind(v).value
-            for rep in range(replications):
-                cfg = replace(cfg0, seed=base.seed + rep)
-                jobs.append((axis, key, rep, cfg, tables))
+        if axis == "M":
+            groups = [(int(v), replace(base, system=replace(base.system, M=int(v))), tables)
+                      for v in values]
+        else:
+            groups = [(PolicyKind(v).value, replace(base, policy=PolicyKind(v)), tables)
+                      for v in values]
+    jobs = [(axis, g, rep) for g in range(len(groups)) for rep in range(replications)]
 
     if processes and processes > 1:
         from multiprocessing import Pool  # ~7 ms, paid only by parallel sweeps
 
-        with Pool(processes) as pool:
-            cells = pool.map(_run_cell, jobs, chunksize=1)
+        with Pool(processes, initializer=_share_groups, initargs=(groups,)) as pool:
+            cells = pool.map(_run_shared, jobs, chunksize=1)
     else:
-        cells = [_run_cell(j) for j in jobs]
+        cells = [_run_cell(j, groups) for j in jobs]
     return cells
 
 

@@ -44,7 +44,7 @@ The closed three-equation system is kept as a residual check
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +75,7 @@ __all__ = [
     "verify_indexability",
     "default_state_grid",
     "ContentTables",
+    "PolicyTables",
     "build_content_tables",
     "build_index_tables",
     "cached_index_rows",
@@ -144,14 +145,15 @@ def cached_indices(params: ContentParams, beta: float, ts: ThresholdSet,
     return np.minimum(params.p * cal * gap_value(np.maximum(x, 0.0)), ts.I)
 
 
-def cached_index_rows(k: ContentConstants, zero: Sequence[ThresholdSet],
-                      breakpoints: Sequence[tuple[float, ...]],
-                      window: bool = True) -> tuple[list[np.ndarray], int]:
-    """Each content's read-only ``ContentTables.w_of_tau``: ``cached_indices``
-    at every ``grid_taus`` point of each content of ``k``, between the
-    ceiling I and the 0 sentinel, given its ``C_h = 0`` thresholds and
-    uncached breakpoints; and how many grid points the window left to
-    the full-width scan.
+def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndarray,
+                      bps: np.ndarray, counts: np.ndarray,
+                      window: bool = True) -> tuple[np.ndarray, int]:
+    """``PolicyTables.w_of_tau``, one row per content of ``k``:
+    ``cached_indices`` at every ``grid_taus`` point, between the ceiling I
+    and the 0 sentinel, given the contents' ``C_h = 0`` thresholds
+    ``tau_star`` and ``q_star`` and their uncached breakpoints (``bps``,
+    flat, ``counts[i]`` of them for content i); and how many grid points
+    the window left to the full-width scan.
 
     At tau the index W is the C_h whose serve threshold is tau, and
     ``Q_bar`` there is ``c = Q_star + #{j : tau < tau_bar(b_j)}`` over the
@@ -180,17 +182,15 @@ def cached_index_rows(k: ContentConstants, zero: Sequence[ThresholdSet],
     content's full-width ones from ``Q_hat = 5`` up and the build's peak
     memory below the full-width scan's.
     """
-    n = len(zero)
-    tau_star = np.array([ts.tau_star for ts in zero])
-    q_star = np.array([ts.Q_star for ts in zero], dtype=float)
-    counts = np.array([len(b) for b in breakpoints], dtype=np.int64)
+    n = len(tau_star)
     # tau_bar at breakpoint b_j from candidate Q_star + j + 1, the Q_bar
     # just past the jump; a prediction only, so the column need not be exact
     idx, j = _groups(counts)
-    flat = np.array([w for b in breakpoints for w in b], dtype=float)
-    tbar = case2_candidates(flat, k.take(idx), (q_star[idx] + j + 1.0)[:, None])[0][:, 0]
+    tbar = case2_candidates(bps, k.take(idx), (q_star[idx] + j + 1.0)[:, None])[0][:, 0]
     tbar = np.split(tbar, np.cumsum(counts)[:-1])
-    rows, fallback = [], 0
+    w = np.empty((n, GRID_SIZE + 1))
+    w[:, 0], w[:, -1] = k.I, 0.0
+    fallback = 0
     for lo in range(0, n, CHUNK_CONTENTS):
         ids = np.arange(lo, min(lo + CHUNK_CONTENTS, n))
         tau = np.arange(1, GRID_SIZE) * (tau_star[ids, None] / GRID_SIZE)
@@ -204,12 +204,8 @@ def cached_index_rows(k: ContentConstants, zero: Sequence[ThresholdSet],
         x, n_full = _cached_gaps(kc, tau, c)
         fallback += n_full
         p, cal, I = (a[:, None] for a in (kc.p, kc.c_alam, kc.I))
-        w = np.empty((len(ids), GRID_SIZE + 1))
-        w[:, :1], w[:, -1] = I, 0.0
-        w[:, 1:-1] = np.minimum(p * cal * gap_value(np.maximum(x, 0.0)), I)
-        w.setflags(write=False)
-        rows.extend(w)
-    return rows, fallback
+        w[ids, 1:-1] = np.minimum(p * cal * gap_value(np.maximum(x, 0.0)), I)
+    return w, fallback
 
 
 def _cached_gaps(k: ContentConstants, tau: np.ndarray,
@@ -288,13 +284,14 @@ def _bisect(k: ContentConstants, q: np.ndarray, window: bool = True) -> tuple[np
 
 
 def _breakpoints(k: ContentConstants, q_star: np.ndarray,
-                 window: bool = True) -> tuple[list[tuple[float, ...]], int]:
+                 window: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
     """``uncached_breakpoints`` of the contents of ``k``, given their
-    ``Q_star``, and the fallback count of ``_bisect``."""
+    ``Q_star``: flat, in content order, with how many each content has;
+    and the fallback count of ``_bisect``."""
     counts = np.maximum(k.q_hat - q_star, 0)
     idx, j = _groups(counts)
     w, fallback = _bisect(k.take(idx), q_star[idx] + j, window)
-    return [tuple(b.tolist()) for b in np.split(w, np.cumsum(counts)[:-1])], fallback
+    return w, counts, fallback
 
 
 def _groups(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +307,8 @@ def uncached_breakpoints(contents: Sequence[ContentParams],
     each such Q the smallest C_h at which Q_bar exceeds Q, from one
     bisection run on every (content, Q) pair at once."""
     k = content_constants(contents, beta)
-    return _breakpoints(k, case2_batch(0.0, k)[2])[0]
+    w, counts, _ = _breakpoints(k, case2_batch(0.0, k)[2])
+    return [tuple(b.tolist()) for b in np.split(w, np.cumsum(counts)[:-1])]
 
 
 def index_residual_cached(params: ContentParams, beta: float, tau: float, W: float) -> float:
@@ -430,30 +428,46 @@ def verify_indexability(
     return violations
 
 
-# -- precomputed per-content tables for the simulation loop ----------------
+# -- the tables of the index policy ----------------------------------------
+
+# columns of PolicyTables.cdbl and .cint, in the order of _loop.c's enums
+TAU_STAR, CEILING, INV_STEP, C_ALAM, C_F, C_W, P, P_CF, LAM, C_A = range(10)
+Q_STAR, Q_HAT, BP_OFF = range(3)
 
 
 @dataclass(frozen=True)
 class ContentTables:
-    """Monotone index tables for one content, built once per run.
+    """One content's row of a ``PolicyTables``, as Python values: what the
+    reference event loop and the decision rules of ``policies`` read.  The
+    fields are the columns of ``cdbl`` and the first two of ``cint``, in
+    order, then the content's breakpoints and its row of ``w_of_tau``.
 
     ``breakpoints[k]`` is the index of uncached state (Q_star + k, 0, 1).
-    ``w_of_tau[i]`` is the exact cached-copy index W(0, tau_i) at the
-    grid point ``tau_i = i * tau_star / GRID_SIZE``, for
-    ``i < GRID_SIZE``; the trailing cell is the 0 sentinel for
-    ``tau >= tau_star``.  Lookup is interpolation-free integer indexing:
-    ``cached_idle`` returns W(tau_i) for tau in [tau_i, tau_{i+1}), so it
-    never understates W(tau) and overstates it by at most
-    W(tau_i) - W(tau_{i+1}) (W is nonincreasing in tau).
+    ``w_of_tau`` is a read-only view of the content's row, not a copy:
+    ``w_of_tau[i]`` is the exact cached-copy index W(0, tau_i) at the grid
+    point ``tau_i = i * tau_star / GRID_SIZE``, for ``i < GRID_SIZE``, and
+    the trailing cell is the 0 sentinel.  ``cached_idle`` reads cell
+    ``int(tau * inv_step)``, or the last cell once that reaches it, which
+    is the compiled loop's rule: for tau in [tau_i, tau_{i+1}) it returns
+    W(tau_i), and W is nonincreasing in tau and 0 from tau_star on, so the
+    lookup never understates W(tau) and overstates it by at most one
+    cell's step.
     """
 
     tau_star: float
+    ceiling: float               # the index upper bound I
+    inv_step: float              # (len(w_of_tau) - 1) / tau_star
+    c_alam: float                # c_a * lam, the ageing cost rate
+    c_f: float
+    c_w: float
+    p: float
+    p_cf: float                  # p * c_f
+    lam: float
+    c_a: float
     q_star: int
     q_hat: int
-    ceiling: float               # the index upper bound I
     breakpoints: tuple[float, ...]
-    w_of_tau: np.ndarray         # length GRID_SIZE + 1, read-only
-    inv_step: float              # GRID_SIZE / tau_star
+    w_of_tau: np.ndarray
 
     def uncached(self, Q: int) -> float:
         if Q < self.q_star:
@@ -463,50 +477,116 @@ class ContentTables:
         return self.breakpoints[Q - self.q_star]
 
     def cached_idle(self, Q: int, tau: float) -> float:
-        if Q > 0 or tau >= self.tau_star:
+        if Q > 0:
             return 0.0
-        i = int(tau * self.inv_step)
-        return float(self.w_of_tau[min(i, len(self.w_of_tau) - 1)])
+        x, last = tau * self.inv_step, len(self.w_of_tau) - 1
+        return float(self.w_of_tau[int(x) if x < last else last])
 
 
-def build_content_tables(params: ContentParams, beta: float, indices: bool = True,
-                         breakpoints: tuple[float, ...] | None = None,
-                         ts: ThresholdSet | None = None,
-                         w_of_tau: np.ndarray | None = None) -> ContentTables:
-    """Tables for one content; with ``indices=False`` only the thresholds
-    (tau_star, Q_star, Q_hat, I) are populated, for policies that never
-    evaluate an index.  ``ts`` takes its ``C_h = 0`` thresholds, and
-    ``breakpoints`` and ``w_of_tau`` its entries of ``uncached_breakpoints``
-    and ``cached_index_rows``, when a caller has batched them
-    (``build_index_tables``)."""
-    if ts is None:
-        ts = solve_thresholds(params, beta, 0.0)
-    if not indices:
-        breakpoints, w_of_tau = (), np.array([ts.I, 0.0])
-        w_of_tau.setflags(write=False)
-    elif w_of_tau is None:
-        k = content_constants((params,), beta)
-        if breakpoints is None:
-            breakpoints = _breakpoints(k, np.array([ts.Q_star]))[0][0]
-        w_of_tau = cached_index_rows(k, (ts,), (breakpoints,))[0][0]
-    return ContentTables(
-        tau_star=ts.tau_star, q_star=ts.Q_star, q_hat=ts.Q_hat, ceiling=ts.I,
-        breakpoints=breakpoints, w_of_tau=w_of_tau,
-        inv_step=(len(w_of_tau) - 1) / ts.tau_star,
-    )
+@dataclass(frozen=True, eq=False)
+class PolicyTables:
+    """The per-content tables of one system, shared by every policy and
+    every capacity M, as the arrays the compiled event loop reads; made by
+    ``build_index_tables``, once, and read-only.
+
+    * ``contents`` and ``beta``: the system's, which ``simulator.run``
+      checks a run's system against;
+    * ``cdbl``, (N, 10) float64, and ``cint``, (N, 3) int64: per-content
+      values in the columns ``TAU_STAR`` ... ``C_A`` and ``Q_STAR``,
+      ``Q_HAT``, ``BP_OFF``;
+    * ``bps``: every content's uncached breakpoints, flat, content n's from
+      ``cint[n, BP_OFF]``;
+    * ``w_of_tau``, (N, GRID_SIZE + 1): the cached-index rows; (N, 2) rows
+      ``[I, 0]`` for tables built without indices.
+
+    The rest is computed from those when the tables are made, so that a
+    ``dataclasses.replace`` of an array reaches every reader alike:
+
+    * ``w_low``: each row's running minimum, the lower bounds the compiled
+      Whittle scan prunes with; ``w_of_tau`` itself when every row is
+      nonincreasing, as the solvers build them;
+    * ``cum_p`` and ``guide``: the content pick's popularity CDF
+      (``_cum_p``) and guide table (``_guide_table``);
+    * ``content``: each content's ``ContentTables``, whose ``w_of_tau`` is
+      a view of its row.
+    """
+
+    contents: tuple[ContentParams, ...]
+    beta: float
+    cdbl: np.ndarray
+    cint: np.ndarray
+    bps: np.ndarray
+    w_of_tau: np.ndarray
+    w_low: np.ndarray = field(init=False, repr=False)
+    cum_p: np.ndarray = field(init=False, repr=False)
+    guide: np.ndarray = field(init=False, repr=False)
+    content: tuple[ContentTables, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = self.w_of_tau
+        w_low = rows if np.all(rows[:, 1:] <= rows[:, :-1]) else np.minimum.accumulate(rows, 1)
+        cum_p = _cum_p(self.cdbl[:, P])
+        for a in (self.cdbl, self.cint, self.bps, rows, w_low, cum_p):
+            a.setflags(write=False)
+        bps = self.bps.tolist()
+        ends = [*self.cint[1:, BP_OFF].tolist(), len(bps)]
+        content = tuple(ContentTables(*d, q_star, q_hat, tuple(bps[off:end]), row)
+                        for d, (q_star, q_hat, off), end, row
+                        in zip(self.cdbl.tolist(), self.cint.tolist(), ends, rows))
+        for name, value in (("w_low", w_low), ("cum_p", cum_p),
+                            ("guide", _guide_table(cum_p)), ("content", content)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # pickled as the arrays it is made from, so that an unpickled copy
+        # computes the rest again and its rows are views, not copies
+        return PolicyTables, (self.contents, self.beta, self.cdbl, self.cint, self.bps,
+                              self.w_of_tau)
 
 
-def build_index_tables(contents: Sequence[ContentParams], beta: float,
-                       window: bool = True) -> tuple[tuple[ContentTables, ...], int]:
-    """``build_content_tables`` of every content, from one batched
-    bisection and the chunked cached-index build, and how many bisection
-    steps and grid points fell back to the full-width scan; with
-    ``window=False`` all of them do (what ``aovcache verify`` compares
-    the window against)."""
+def _cum_p(p) -> np.ndarray:
+    """The popularity CDF that content ids are picked from, its last entry
+    clamped to 1.0 so that every uniform in [0, 1) picks an id."""
+    cum_p = np.cumsum(p, dtype=float)
+    cum_p[-1] = 1.0
+    return cum_p
+
+
+def _guide_table(cum_p: np.ndarray) -> np.ndarray:
+    """``guide[k] = searchsorted(cum_p, k/K, side="right")`` for the least
+    power of two K >= len(cum_p); ``_loop.c``'s ``pick`` explains why
+    starting from it finds searchsorted's id for every uniform."""
+    k = 1 << (len(cum_p) - 1).bit_length()
+    guide = np.searchsorted(cum_p, np.arange(k) / k, side="right").astype(np.int64)
+    guide.setflags(write=False)
+    return guide
+
+
+def build_index_tables(contents: Sequence[ContentParams], beta: float, indices: bool = True,
+                       window: bool = True) -> tuple[PolicyTables, int]:
+    """The ``PolicyTables`` of ``contents`` at aggregate rate ``beta``, from
+    one batched bisection and the chunked cached-index build, and how many
+    bisection steps and grid points fell back to the full-width scan; with
+    ``window=False`` all of them do (what ``aovcache verify`` compares the
+    window against).  With ``indices=False`` only the ``C_h = 0``
+    thresholds are solved, for policies that never evaluate an index: no
+    breakpoints, and rows ``[I, 0]``."""
     k = content_constants(contents, beta)
-    zero = zero_holding_thresholds(k)
-    bps, n_bisect = _breakpoints(k, np.array([ts.Q_star for ts in zero]), window)
-    rows, n_rows = cached_index_rows(k, zero, bps, window)
-    tables = tuple(build_content_tables(c, beta, True, b, ts, w)
-                   for c, b, ts, w in zip(contents, bps, zero, rows))
-    return tables, n_bisect + n_rows
+    tau_star, _, q_star, _ = case2_batch(0.0, k)
+    n = len(tau_star)
+    if indices:
+        bps, counts, n_bisect = _breakpoints(k, q_star, window)
+        w_of_tau, n_rows = cached_index_rows(k, tau_star, q_star, bps, counts, window)
+    else:
+        bps, counts, n_bisect, n_rows = np.empty(0), np.zeros(n, dtype=np.int64), 0, 0
+        w_of_tau = np.stack([k.I, np.zeros(n)], axis=1)
+    cdbl = np.stack([tau_star, k.I, (w_of_tau.shape[1] - 1) / tau_star, k.c_alam, k.c_f,
+                     k.c_w, k.p, k.p * k.c_f, [c.lam for c in contents],
+                     [c.costs.c_a for c in contents]], axis=1)
+    cint = np.stack([q_star, k.q_hat, np.cumsum(counts) - counts], axis=1)
+    return PolicyTables(tuple(contents), beta, cdbl, cint, bps, w_of_tau), n_bisect + n_rows
+
+
+def build_content_tables(params: ContentParams, beta: float) -> ContentTables:
+    """The tables of one content: ``build_index_tables`` of it alone."""
+    return build_index_tables((params,), beta)[0].content[0]

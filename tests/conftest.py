@@ -46,8 +46,8 @@ def corrupt_cache(monkeypatch, system):
     from aovcache import _ckernel, simulator
 
     if _ckernel.event_loop is not None:
-        top = simulator._top_m_ids(system)
-        monkeypatch.setattr(simulator, "_top_m_ids", lambda s: top[:-1] + [top[-2]])
+        top = simulator._top_m_ids(system.popularity(), system.M)
+        monkeypatch.setattr(simulator, "_top_m_ids", lambda p, m: top[:-1] + [top[-2]])
     else:
         preload = simulator.CacheSystemState.preload
 

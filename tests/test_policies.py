@@ -25,7 +25,7 @@ def desk():
 
 
 def fresh_state(system, tables, t=0.0):
-    s = CacheSystemState(system.N, system.M, tables.c_w)
+    s = CacheSystemState(system.N, system.M, [c.c_w for c in tables.content])
     s.preload(set(range(system.M)))  # ids 0..M-1 are the most popular
     s.t = t
     return s

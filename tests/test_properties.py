@@ -273,7 +273,6 @@ def test_index_rows_fall_to_zero(cbs, beta):
     # its row at a later tau; that needs no prefix minimum when every row
     # is nonincreasing and ends in the 0 sentinel
     tables, _ = build_index_tables([c for c, _ in cbs], beta)
-    for tb in tables:
-        w = tb.w_of_tau
-        assert (w[1:] <= w[:-1]).all()
-        assert w[-1] == 0.0
+    w = tables.w_of_tau
+    assert (w[:, 1:] <= w[:, :-1]).all()
+    assert (w[:, -1] == 0.0).all()

@@ -1,13 +1,16 @@
 import ctypes
 import math
+import multiprocessing.pool
 import os
 import pickle
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aovcache import _ckernel, simulator
+from aovcache import _ckernel, simulator, whittle
 from aovcache.model import ContentParams, CostModel, SystemParams, validate, zipf_popularity
 from aovcache.policies import PolicyKind, build_policy_tables
 from aovcache.simulator import (
@@ -19,6 +22,7 @@ from aovcache.simulator import (
     sweep,
 )
 from aovcache.thresholds import solve_infinite_capacity
+from aovcache.whittle import GRID_SIZE, INV_STEP, Q_HAT, Q_STAR, TAU_STAR
 from conftest import UNIT, assert_same_bits, corrupt_cache, desk_system
 
 
@@ -79,6 +83,30 @@ class TestRunBasics:
         run(SimConfig(system=system, horizon_events=10), tables)
         with pytest.raises(ValueError, match="capacity"):
             run(SimConfig(system=replace(system, M=system.N), horizon_events=10), tables)
+
+    @pytest.mark.parametrize("loop", ["compiled", "python"])
+    def test_tables_of_another_system_raise(self, monkeypatch, loop):
+        # the kernel would index the run's N-long state arrays by the
+        # tables' ids, and pick ids from the tables' popularity
+        if loop == "compiled" and _ckernel.event_loop is None:
+            pytest.skip("compiled event loop unavailable")
+        if loop == "python":
+            monkeypatch.setattr(_ckernel, "event_loop", None)
+        small = desk_system(N=40, beta=4.0, M=10)
+        for built, system in [
+            (desk_system(N=400, beta=4.0, M=10), small),        # more contents
+            (desk_system(), desk_system(alpha=0.0)),            # other popularity
+            (replace(small, beta=8.0), small),                  # other beta
+        ]:
+            tables = build_policy_tables(built, indices=False)
+            cfg = SimConfig(system=system, policy=PolicyKind.STATIC_TOP_M,
+                            horizon_events=200_000, seed=1)
+            with pytest.raises(ValueError, match="another system"):
+                run(cfg, tables)
+        # equal contents in another tuple are the same system
+        cfg = SimConfig(system=small, policy=PolicyKind.STATIC_TOP_M, horizon_events=1_000)
+        tables = build_policy_tables(desk_system(N=40, beta=4.0, M=10), indices=False)
+        assert run(cfg, tables) == run(cfg)
 
     @pytest.mark.parametrize("loop", ["compiled", "python"])
     def test_corrupted_cache_raises(self, monkeypatch, desk, loop):
@@ -237,9 +265,10 @@ class TestCompiledLoop:
         system = replace(system, contents=tuple(
             replace(c, p=float(p)) for c, p in zip(system.contents, pops)))
         built = build_policy_tables(system)
-        stale_early = replace(built.content[0], tau_star=1.0, q_star=10**9, q_hat=10**9,
-                              breakpoints=())
-        tables = replace(built, content=(stale_early, *built.content[1:]))
+        cdbl, cint = built.cdbl.copy(), built.cint.copy()
+        cdbl[0, TAU_STAR] = 1.0
+        cint[0, [Q_STAR, Q_HAT]] = 10**9
+        tables = replace(built, cdbl=cdbl, cint=cint)
         cfgs = [SimConfig(system=system, horizon_events=20_000, seed=seed)
                 for seed in range(1, 9)]
         compiled = [run(cfg, tables) for cfg in cfgs]
@@ -252,15 +281,12 @@ class TestCompiledLoop:
         # each row's running minimum, not by the row
         system = desk_system(N=100, beta=40.0, M=25, lam=0.2)
         built = build_policy_tables(system)
-        bump = np.where(np.arange(len(built.content[0].w_of_tau)) % 3 == 0, 1.5, 1.0)
-        tables = replace(built, content=tuple(
-            replace(c, w_of_tau=c.w_of_tau * bump) for c in built.content))
-        kt = simulator._build_kernel_tables(tables)
-        rows = kt.w_of_tau.reshape(len(tables.content), -1)
+        bump = np.where(np.arange(built.w_of_tau.shape[1]) % 3 == 0, 1.5, 1.0)
+        tables = replace(built, w_of_tau=built.w_of_tau * bump)
+        rows = tables.w_of_tau
         assert (np.diff(rows, axis=1) > 0).any()
-        assert_same_bits(kt.w_low, np.minimum.accumulate(rows, axis=1).ravel())
-        monotone = simulator._build_kernel_tables(built)
-        assert monotone.w_low is monotone.w_of_tau
+        assert_same_bits(tables.w_low, np.minimum.accumulate(rows, axis=1))
+        assert built.w_low is built.w_of_tau
         cfgs = [SimConfig(system=system, horizon_events=20_000, seed=seed) for seed in (1, 2)]
         compiled = [run(cfg, tables) for cfg in cfgs]
         assert compiled != [run(cfg, built) for cfg in cfgs]  # the bumps change decisions
@@ -297,8 +323,8 @@ class TestCompiledLoop:
         fn = ctypes.CDLL(str(_ckernel._build())).content_pick
         fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
         fn.restype = ctypes.c_int64
-        cum_p = simulator._cum_p(p)
-        guide = simulator._guide_table(cum_p)
+        cum_p = whittle._cum_p(p)
+        guide = whittle._guide_table(cum_p)
         k = len(guide)
         assert k & (k - 1) == 0 and k // 2 < len(p) <= k
         if p is OVERSHOOT:
@@ -336,25 +362,66 @@ class TestCompiledLoop:
 
     @needs_kernel
     def test_kernel_tables_built_once_per_policy_tables(self, monkeypatch):
+        # a run hands the kernel the tables' own arrays, and the reference
+        # loop reads views of them: no run copies a table array
         system = desk_system(N=40, beta=4.0, M=10)
         tables = build_policy_tables(system)
-        pickled = len(pickle.dumps(tables))
-        builds = []
-        build = simulator._build_kernel_tables
+        passed = []
+        address = _ckernel.address
 
-        def counting(t):
-            builds.append(t)
-            return build(t)
+        def recording(a, dtype):
+            passed.append(a)
+            return address(a, dtype)
 
-        monkeypatch.setattr(simulator, "_build_kernel_tables", counting)
+        monkeypatch.setattr(_ckernel, "address", recording)
         cfgs = [SimConfig(system=system, policy=policy, horizon_events=20_000, seed=seed)
                 for policy, seed in ((PolicyKind.WHITTLE, 1), (PolicyKind.MYOPIC, 2))]
         reused = [run(cfg, tables) for cfg in cfgs]
-        assert len(builds) == 1
-        # what a parallel sweep sends each worker does not carry the arrays
-        assert len(pickle.dumps(tables)) == pickled
-        assert pickle.loads(pickle.dumps(tables)).derived == {}
+        for name in ("cdbl", "cint", "bps", "w_of_tau", "w_low", "cum_p", "guide"):
+            assert any(np.shares_memory(a, getattr(tables, name)) for a in passed), name
+        assert all(np.shares_memory(c.w_of_tau, tables.w_of_tau) for c in tables.content)
         assert reused == [run(cfg, build_policy_tables(system)) for cfg in cfgs]
+        # a parallel sweep hands each worker the tables once; its jobs carry none
+        tasks = []
+        pool_map = multiprocessing.pool.Pool.map
+
+        def recording_map(pool, fn, jobs, chunksize=None):
+            tasks.extend(jobs)
+            return pool_map(pool, fn, jobs, chunksize)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "map", recording_map)
+        base = SimConfig(system=system, horizon_events=2_000, seed=3)
+        serial = sweep(base, "M", [8, 10], 2, tables=tables)
+        assert sweep(base, "M", [8, 10], 2, processes=2, tables=tables) == serial
+        assert len(tasks) == 4
+        assert not any(b"PolicyTables" in pickle.dumps(task) for task in tasks)
+
+    @needs_kernel
+    @pytest.mark.parametrize("m", [3, 25])
+    def test_idle_copy_past_tau_star_reads_its_cell(self, monkeypatch, m):
+        # both loops key an idle cached copy by cell int(tau * inv_step) of
+        # its row, the last cell once that reaches it, also past tau_star;
+        # this inv_step maps tau_star 50 cells short of the last cell, so a
+        # copy idle just past tau_star keeps a positive key for 50 cells
+        system = desk_system(M=m)
+        built = build_policy_tables(system)
+        cdbl = built.cdbl.copy()
+        cdbl[:, INV_STEP] = (GRID_SIZE - 50) / cdbl[:, TAU_STAR]
+        tables = replace(built, cdbl=cdbl)
+        cfgs = [SimConfig(system=system, horizon_events=20_000, seed=seed) for seed in (1, 2, 3)]
+        compiled = [run(cfg, tables) for cfg in cfgs]
+        monkeypatch.setattr(_ckernel, "event_loop", None)
+        assert [run(cfg, tables) for cfg in cfgs] == compiled
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_package_data_lists_every_source(self):
+        # a wheel without a source of the library builds none and falls
+        # back to the reference loop and scipy without a word
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        data = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
+        assert {p.name for p in _ckernel.SOURCES} <= set(data["aovcache"])
 
     @needs_kernel
     def test_build_removes_stale_libraries(self, monkeypatch, tmp_path):

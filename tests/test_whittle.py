@@ -1,4 +1,6 @@
 import json
+import pickle
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy.special import wrightomega
 from aovcache import _ckernel
 from aovcache.cli import build_system
 from aovcache.model import SingleContentState
-from aovcache.policies import build_policy_tables
+from aovcache.policies import PolicyTables, build_policy_tables
 from aovcache.thresholds import (
     compute_I,
     content_constants,
@@ -207,13 +209,13 @@ class TestContentTables:
         windowed, fallback = build_index_tables(system.contents, system.beta)
         full, scanned = build_index_tables(system.contents, system.beta, window=False)
         assert fallback == 0
-        pairs = sum(len(t.breakpoints) for t in full)
-        assert scanned == pairs * BISECT_ITERS + system.N * (GRID_SIZE - 1)
-        assert len(windowed) == len(full) == system.N
-        for a, b in zip(windowed, full):
-            assert vars(a).keys() == vars(b).keys()
-            for x, y in zip(vars(a).values(), vars(b).values()):
-                assert_same_bits(np.ravel(x), np.ravel(y))
+        assert scanned == len(full.bps) * BISECT_ITERS + system.N * (GRID_SIZE - 1)
+        assert full.w_of_tau.shape == (system.N, GRID_SIZE + 1)
+        arrays = [f.name for f in fields(PolicyTables)
+                  if isinstance(getattr(full, f.name), np.ndarray)]
+        assert len(arrays) == 7
+        for name in arrays:
+            assert_same_bits(getattr(windowed, name), getattr(full, name))
 
     def test_wrong_breakpoints_cost_only_time(self):
         # the window predicts Q_bar from the breakpoints; shifted ones send
@@ -221,22 +223,41 @@ class TestContentTables:
         system = desk_system()
         k = content_constants(system.contents, system.beta)
         zero = zero_holding_thresholds(k)
+        tau_star = np.array([ts.tau_star for ts in zero])
+        q_star = np.array([ts.Q_star for ts in zero])
         bps = uncached_breakpoints(system.contents, system.beta)
-        rows, fallback = cached_index_rows(k, zero, bps)
-        shifted = [tuple(b[1:]) + (0.0,) * min(len(b), 1) for b in bps]
-        moved, moved_fallback = cached_index_rows(k, zero, shifted)
+        counts = np.array([len(b) for b in bps])
+
+        def rows_from(bps):
+            flat = np.array([w for b in bps for w in b])
+            return cached_index_rows(k, tau_star, q_star, flat, counts)
+
+        rows, fallback = rows_from(bps)
+        moved, moved_fallback = rows_from([b[1:] + (0.0,) * min(len(b), 1) for b in bps])
         assert fallback == 0 < moved_fallback
-        for a, b in zip(rows, moved):
-            assert_same_bits(a, b)
+        assert_same_bits(rows, moved)
+
+    @pytest.mark.parametrize("indices", [True, False])
+    def test_policy_tables_are_read_only(self, indices):
+        # also when replaced or unpickled, whose rows are views again
+        built = build_policy_tables(desk_system(), indices)
+        for tables in (built, replace(built, w_of_tau=2.0 * built.w_of_tau),
+                       pickle.loads(pickle.dumps(built))):
+            arrays = [getattr(tables, f.name) for f in fields(PolicyTables)
+                      if isinstance(getattr(tables, f.name), np.ndarray)]
+            assert len(arrays) == 7
+            for a in arrays + [c.w_of_tau for c in tables.content]:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+            assert all(np.shares_memory(c.w_of_tau, tables.w_of_tau) for c in tables.content)
 
     def test_scipy_fallback_gives_the_same_tables(self, monkeypatch):
         system = desk_system()
         compiled = build_policy_tables(system)
         monkeypatch.setattr(_ckernel, "special", None)
         fallback = build_policy_tables(system)
-        for a, b in zip(compiled.content, fallback.content):
-            assert a.w_of_tau.tobytes() == b.w_of_tau.tobytes()
-            assert np.array(a.breakpoints).tobytes() == np.array(b.breakpoints).tobytes()
+        assert compiled.w_of_tau.tobytes() == fallback.w_of_tau.tobytes()
+        assert compiled.bps.tobytes() == fallback.bps.tobytes()
 
 
 @needs_special
