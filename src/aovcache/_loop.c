@@ -43,35 +43,6 @@ enum { Q_STAR, Q_HAT, BP_OFF, N_CINT };
 enum { T, GRAND, Q_INTEGRAL, WAIT_COST, FETCH_COST, AGEING_COST, WQ_RATE, N_ACC };
 enum { FETCHES, EVENTS, VIOLATIONS, TOTAL_Q, N_CNT };
 
-/* numpy's DOUBLE_pairwise_sum, the order in which ndarray.sum adds a
- * contiguous float64 array to its starting value 0.0 (exported so that a
- * test can compare it with ndarray.sum directly) */
-double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
-}
-
 /* Content pick: the inverse CDF of the popularity by a guide table (Chen &
  * Asau 1974, "On generating random variates from an empirical
  * distribution", AIIE Trans. 6(2)).  For every u in [0, 1) it returns
@@ -110,16 +81,24 @@ static inline double pymin(double a, double b)
     return b < a ? b : a;
 }
 
+/* The cell of a w_of_tau row (stride cells) that a copy at x = tau * inv
+ * reads: cell (int64_t)x, or the last cell once x reaches it.  This is
+ * ContentTables.cached_idle's rule. */
+static inline int64_t row_cell(double x, int64_t stride)
+{
+    return x < (double)(stride - 1) ? (int64_t)x : stride - 1;
+}
+
 /* The Whittle admission test needs the cheapest cached index, lowest id on
  * ties.  The reference loop scans all m slots; this loop visits them in
  * ascending order of a lower bound of their key and stops at the first
  * bound above the best key so far, which gives the same victim.
  *
  * Why the bounds hold.  A copy's key at time t is row[cell(t)], with
- *     x = (t - f) * inv,  cell(t) = x < last ? (int64_t)x : stride - 1,
+ *     x = (t - f) * inv,  cell(t) = row_cell(x, stride),
  * or 0.0 while requests for it are queued.  IEEE subtraction and
  * multiplication round monotonically (inv > 0), and both branches of
- * cell are nondecreasing in x, so cell(t) never decreases as t grows.
+ * row_cell are nondecreasing in x, so cell(t) never decreases as t grows.
  * Let low be the row's prefix minimum (low[i] = min row[0..i], the row
  * itself when it is nonincreasing, as every row the solvers build is).
  * A copy's bound lb is low[cell(T)] at a common horizon T, computed with
@@ -172,11 +151,9 @@ static inline double horizon_events(int64_t m)
 
 /* lb of slot sl at horizon h */
 static inline double lower_bound(const struct slot *sl, const double *w_low,
-                                 double h, double last_cell, int64_t stride)
+                                 double h, int64_t stride)
 {
-    double x = (h - sl->f) * sl->inv;
-    int64_t cell = x < last_cell ? (int64_t)x : stride - 1;
-    double lb = w_low[sl->off + cell];
+    double lb = w_low[sl->off + row_cell((h - sl->f) * sl->inv, stride)];
     return sl->queued && lb > 0.0 ? 0.0 : lb;
 }
 
@@ -250,7 +227,6 @@ run_events(const int policy, const int realized,
     double ageing_cost = acc[AGEING_COST], wq_rate = acc[WQ_RATE];
     int64_t fetches = cnt[FETCHES], events = cnt[EVENTS];
     int64_t violations = cnt[VIOLATIONS], total_q = cnt[TOTAL_Q];
-    const double last_cell = (double)(stride - 1);
     const double invb = 1.0 / beta;  /* the mean inter-arrival time */
     int64_t status = STOPPED;
     /* the Whittle scan's state: m slots, then their order by lb */
@@ -304,9 +280,10 @@ run_events(const int policy, const int realized,
             else
                 kind = c_fetch <= c_wait ? 1 : 2;
         } else if (policy == MYOPIC) {
-            /* myopic_decide's uncached branch: per-slot lookaheads in
-             * CacheSystemState.slots order; the eviction gain p*c_f - tv is
-             * least at the victim, lowest id on ties */
+            /* myopic_decide's uncached branch: the eviction gain p*c_f - tv
+             * of a copy with lookahead tv is least at the victim, lowest id
+             * on ties, so the slot order does not matter; the lookaheads'
+             * sum is common to every action and left out */
             double g_min = INFINITY;
             for (int64_t s = 0; s < m; s++) {
                 int64_t id = slots[s];
@@ -316,18 +293,16 @@ run_events(const int policy, const int realized,
                 if (cs[C_F] < tv)
                     tv = cs[C_F];
                 tv *= cs[P];
-                scratch[s] = tv;
                 double g = cs[P_CF] - tv;
                 if (g < g_min || (g == g_min && id < victim)) {
                     g_min = g;
                     victim = id;
                 }
             }
-            double carry = 0.0 + pairwise_sum(scratch, m);  /* sum starts from 0.0 */
             double p_r = cd[P], cf_r = cd[C_F];
-            double c_cache = cf_r + p_r * pymin(cf_r, cd[C_ALAM] / beta) + carry + g_min;
-            double c_wait = cd[C_W] * (double)(q + 1) / beta + carry;
-            double c_disc = cf_r + p_r * cf_r + carry;
+            double c_cache = cf_r + p_r * pymin(cf_r, cd[C_ALAM] / beta) + g_min;
+            double c_wait = cd[C_W] * (double)(q + 1) / beta;
+            double c_disc = cf_r + p_r * cf_r;
             if (c_cache <= c_wait && c_cache <= c_disc)
                 kind = 1;
             else
@@ -353,8 +328,7 @@ run_events(const int policy, const int realized,
             if (t > horizon) {
                 horizon = t + horizon_events(m) * invb;
                 for (int64_t i = 0; i < m; i++)
-                    order[i].lb = lower_bound(rec + order[i].s, w_low, horizon,
-                                              last_cell, stride);
+                    order[i].lb = lower_bound(rec + order[i].s, w_low, horizon, stride);
                 sort_order(order, m);
             }
             double w_min = INFINITY;
@@ -363,11 +337,8 @@ run_events(const int policy, const int realized,
                     break;
                 const struct slot *sl = rec + order[i].s;
                 double w = 0.0;
-                if (!sl->queued) {
-                    double x = (t - sl->f) * sl->inv;
-                    int64_t cell = x < last_cell ? (int64_t)x : stride - 1;
-                    w = w_of_tau[sl->off + cell];
-                }
+                if (!sl->queued)
+                    w = w_of_tau[sl->off + row_cell((t - sl->f) * sl->inv, stride)];
                 if (w < w_min || (w == w_min && sl->id < victim)) {
                     w_min = w;
                     victim = sl->id;
@@ -438,7 +409,7 @@ run_events(const int policy, const int realized,
                 if (policy == WHITTLE) {
                     rec[s] = (struct slot){t, cd[INV_STEP], r * stride, r, 0};
                     at = position(order, s, at);
-                    order[at].lb = lower_bound(rec + s, w_low, horizon, last_cell, stride);
+                    order[at].lb = lower_bound(rec + s, w_low, horizon, stride);
                     reposition(order, m, at);
                 }
             } else if (policy == WHITTLE) {

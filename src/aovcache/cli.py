@@ -27,6 +27,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -94,13 +95,15 @@ def build_system(doc: dict) -> SystemParams:
             lams = [float(x) for x in sysdoc["lambdas"]]
         else:
             lams = [float(sysdoc["lambda"])] * n
-        cm = CostModel(float(costs["c_a"]), float(costs["c_f"]), float(costs["c_w"]),
-                       float(costs.get("C_h", 0.0)))
+        cm = CostModel(float(costs["c_a"]), float(costs["c_f"]), float(costs["c_w"]))
         contents = tuple(
             ContentParams(lam=lams[i], p=pops[i], costs=cm) for i in range(n)
         )
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise ConfigError(f"malformed config: {e}") from e
+    if "C_h" in costs:
+        raise ConfigError("C_h: the holding cost is the dual variable of the capacity "
+                          "constraint, which the solvers find; a config cannot set it")
     system = SystemParams(beta=beta, contents=contents, M=m)
     problems = validate(system)
     if problems:
@@ -121,24 +124,68 @@ def _capacity(system: SystemParams, value) -> int:
     return m
 
 
+def _checked(name: str, value, parse, ok, what: str):
+    """``parse(value)`` if it parses and passes ``ok``; otherwise a
+    ConfigError naming the field ``name``."""
+    try:
+        x = parse(value)
+        if ok(x):
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name}: must be {what} (got {value!r})")
+
+
+def _integer(value) -> int:
+    """``value`` as an int, if it is a whole number (``int`` truncates 2.5)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _finite_positive(x: float) -> bool:
+    return 0 < x < math.inf
+
+
 def _sim_config(doc: dict, system: SystemParams, args) -> SimConfig:
     sim = doc.get("sim", {})
-    seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
+    seed = _checked("seed", args.seed if args.seed is not None else sim.get("seed", 0),
+                    _integer, lambda x: x >= 0, "an integer >= 0")
     mode = args.mode or sim.get("mode", "expected")
     try:
         policy = PolicyKind(doc.get("policy", "whittle"))
         ageing = AgeingMode(mode)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    horizon_events = horizon_time = None
+    if "horizon_events" in sim:
+        horizon_events = _checked("horizon_events", sim["horizon_events"], _integer,
+                                  lambda x: x > 0, "an integer > 0")
+    if "horizon_time" in sim:
+        horizon_time = _checked("horizon_time", sim["horizon_time"], float, _finite_positive,
+                                "finite and > 0")
     return SimConfig(
         system=system,
         policy=policy,
-        horizon_events=int(sim["horizon_events"]) if "horizon_events" in sim else None,
-        horizon_time=float(sim["horizon_time"]) if "horizon_time" in sim else None,
+        horizon_events=horizon_events,
+        horizon_time=horizon_time,
         seed=seed,
         ageing_mode=ageing,
-        warmup=float(sim.get("warmup", 0.1)),
+        warmup=_checked("warmup", sim.get("warmup", 0.1), float, lambda x: 0 <= x <= 0.5,
+                        "in [0, 0.5]"),
     )
+
+
+def _run_config(doc: dict, system: SystemParams, args, reps) -> tuple[SimConfig, int]:
+    """The config of a command that runs the configured horizon, which the
+    config must give, and its replications: ``--reps``, else ``reps``."""
+    cfg = _sim_config(doc, system, args)
+    if cfg.horizon_events is None and cfg.horizon_time is None:
+        raise ConfigError("horizon_events: the sim section gives no horizon "
+                          "(horizon_events or horizon_time)")
+    reps = _checked("reps", args.reps if args.reps is not None else reps, _integer,
+                    lambda x: x >= 1, "an integer >= 1")
+    return cfg, reps
 
 
 def scipy_version() -> str | None:
@@ -299,9 +346,8 @@ def _metric_rows(cells, policy: str | None) -> list[list]:
 
 def cmd_simulate(doc: dict, args) -> int:
     system = build_system(doc)
-    cfg = _sim_config(doc, system, args)
+    cfg, reps = _run_config(doc, system, args, 1)
     rep = Reporter(args.out, doc, cfg.seed)
-    reps = args.reps or 1
     cells = sweep(cfg, "M", [system.M], reps, processes=args.processes)
     rep.table("metrics.csv", _METRIC_HEADER, _metric_rows(cells, cfg.policy.value))
     rep.close()
@@ -310,17 +356,16 @@ def cmd_simulate(doc: dict, args) -> int:
 
 def cmd_sweep(doc: dict, args) -> int:
     system = build_system(doc)
-    cfg = _sim_config(doc, system, args)
     swp = doc.get("sweep", {})
+    cfg, reps = _run_config(doc, system, args, swp.get("reps", 1))
     axis = args.axis or swp.get("axis")
     values = args.values.split(",") if args.values else swp.get("values")
-    reps = args.reps or int(swp.get("reps", 1))
     if not axis or not values:
         raise ConfigError("sweep needs an axis and values (config or flags)")
     if axis == "M":
         values = [_capacity(system, v) for v in values]
     elif axis == "c_w":
-        values = [float(v) for v in values]
+        values = [_checked("c_w", v, float, _finite_positive, "finite and > 0") for v in values]
     elif axis != "policy":
         raise ConfigError(f"unknown sweep axis {axis!r}")
     rep = Reporter(args.out, doc, cfg.seed)

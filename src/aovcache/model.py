@@ -35,14 +35,14 @@ class CostModel:
     c_a: ageing cost per unit age-of-version served
     c_f: cost per fetch from the backend
     c_w: waiting cost per queued request per unit time
-    C_h: holding cost per unit cache time (a solver input; the
-         simulator never charges it)
+
+    The holding cost C_h is not among them: it is the dual variable of
+    the capacity constraint, an argument of the solvers.
     """
 
     c_a: float
     c_f: float
     c_w: float
-    C_h: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ def validate(system: SystemParams) -> list[Diagnostic]:
             ("c_a", 0 < cm.c_a < math.inf, "ageing cost must be finite and > 0"),
             ("c_f", 0 < cm.c_f < math.inf, "fetch cost must be finite and > 0"),
             ("c_w", 0 < cm.c_w < math.inf, "waiting cost must be finite and > 0"),
-            ("C_h", 0 <= cm.C_h < math.inf, "holding cost must be finite and >= 0"),
         ):
             if not ok:
                 out.append(Diagnostic(name, f"content {i}: {what}"))
@@ -153,26 +152,15 @@ class CacheSystemState:
 
     Tracks, per content: pending queue Q^n, last fetch time (tau^n is
     ``t - fetch_time[n]``), and the realized age-of-version V^n sampled
-    lazily from the update process.  The cache set has exactly M members
-    at every decision epoch once initialized (unless ``infinite`` is
-    set, in which case every content is permanently cached).
-
-    ``slots`` lists the cached ids in slot order: sorted at ``preload``,
-    and an admitted content takes its victim's slot.  This is the order
-    in which the compiled event loop scans the cache; ``cache_set`` is
-    the membership view of the same ids.
+    lazily from the update process.  The cache is the set ``cache_set``,
+    with exactly M members at every decision epoch once initialized; no
+    decision rule depends on the order of its members.  An infinite cache
+    is the set of all N contents, at capacity N.
     """
 
-    def __init__(
-        self,
-        n_contents: int,
-        capacity: int,
-        c_w: np.ndarray | list[float],
-        infinite: bool = False,
-    ):
+    def __init__(self, n_contents: int, capacity: int, c_w: np.ndarray | list[float]):
         self.N = n_contents
         self.M = capacity
-        self.infinite = infinite
         self.t = 0.0
         self.queue = [0] * n_contents
         self.fetch_time = [0.0] * n_contents
@@ -181,21 +169,17 @@ class CacheSystemState:
         self._c_w = [float(x) for x in c_w]
         self.total_queue = 0                 # sum of all Q^n
         self.queue_cost_rate = 0.0           # sum of c_w^n * Q^n
-        self.slots = list(range(n_contents if infinite else min(capacity, n_contents)))
-        self.cache_set = set(self.slots)
+        self.cache_set = set(range(min(capacity, n_contents)))
 
     def preload(self, ids) -> None:
         """Replace the initial cache fill (e.g. with the top-M popular ids)."""
-        if self.infinite:
-            return
         ids = set(ids)
         if len(ids) != self.M:
             raise OccupancyError(f"preload with {len(ids)} ids, capacity {self.M}")
         self.cache_set = ids
-        self.slots = sorted(ids)
 
     def check_occupancy(self) -> None:
-        if not self.infinite and len(self.cache_set) != self.M:
+        if len(self.cache_set) != self.M:
             raise OccupancyError(
                 f"cache holds {len(self.cache_set)} contents, expected {self.M}"
             )
@@ -232,7 +216,7 @@ class CacheSystemState:
         age reset only here.
         """
         q = self._clear_queue(n)
-        was_cached = n in self.cache_set or self.infinite
+        was_cached = n in self.cache_set
         if cache or was_cached:
             self.fetch_time[n] = self.t
             self.aov[n] = 0
@@ -242,7 +226,6 @@ class CacheSystemState:
                 raise OccupancyError("caching a new content requires evicting a cached one")
             self.cache_set.discard(evict)
             self.cache_set.add(n)
-            self.slots[self.slots.index(evict)] = n
         return q + 1
 
     # -- realized age-of-version ------------------------------------------

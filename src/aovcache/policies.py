@@ -11,8 +11,6 @@ import math
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
-import numpy as np
-
 from .model import CacheSystemState, SystemParams
 from .thresholds import ContentConstants, average_cost_batch, content_constants
 from .whittle import PolicyTables, build_index_tables
@@ -60,14 +58,15 @@ def build_policy_tables(system: SystemParams, indices: bool = True) -> PolicyTab
 
 
 def _min_cached_index(state: CacheSystemState, tables: PolicyTables) -> tuple[float, int]:
-    """Smallest cached-copy index and the lowest id attaining it."""
+    """Smallest cached-copy index and the lowest id attaining it, whatever
+    order the cache set iterates in."""
     best_w = math.inf
     best_id = -1
     t = state.t
     queue = state.queue
     fetch_time = state.fetch_time
     content = tables.content
-    for n in state.slots:
+    for n in state.cache_set:
         w = content[n].cached_idle(queue[n], t - fetch_time[n])
         if w < best_w or (w == best_w and n < best_id):
             best_w, best_id = w, n
@@ -80,12 +79,9 @@ def whittle_decide(state: CacheSystemState, requested: int,
     an uncached content only when its index beats the cheapest cached one."""
     tb = tables.content[requested]
     q = state.queue[requested]
-    if state.infinite or requested in state.cache_set:
-        if state.t - state.fetch_time[requested] <= tb.tau_star:
-            return Action(ActionKind.SERVE_CACHED)
-        if q < tb.q_star:
-            return Action(ActionKind.WAIT)
-        return Action(ActionKind.FETCH_SERVE_CACHE)  # refresh in place
+    if requested in state.cache_set:  # a stale copy is refreshed in place
+        return infinite_capacity_decide(q, state.t - state.fetch_time[requested],
+                                        tb.tau_star, tb.q_star)
     if q < tb.q_star:
         return Action(ActionKind.WAIT)
     w_req = tb.uncached(q)
@@ -129,8 +125,12 @@ def myopic_decide(state: CacheSystemState, requested: int,
                   tables: PolicyTables) -> Action:
     """Minimize the single-stage plus terminal cost of the coming epoch.
 
-    The carrying term over the other cached contents is the same for
-    every candidate action of a cached request, so that branch omits it.
+    The summed one-epoch lookahead of every cached copy (its popularity
+    times the cheaper of a fetch and its ageing cost) is common to every
+    candidate action, so the rule leaves that carry out; only the
+    victim's lookahead enters an admission, as the cost shift of evicting
+    it.  The victim is the copy whose eviction costs least, the lowest id
+    on ties, whatever order the cache set iterates in.
     """
     beta = tables.beta
     r = requested
@@ -153,22 +153,18 @@ def myopic_decide(state: CacheSystemState, requested: int,
             return Action(ActionKind.FETCH_SERVE_CACHE)
         return Action(ActionKind.WAIT)
     # uncached: compare fetch-and-cache (with best eviction), wait,
-    # fetch-discard; the carry is summed by ndarray.sum in slot order,
-    # which is the compiled event loop's order and rounding
-    looks = []
+    # fetch-discard
     best_evict_gain = math.inf
     victim = -1
-    for l in state.slots:
+    for l in state.cache_set:
         cl = tables.content[l]
         look = cl.p * _lookahead(tables, l, state.queue[l], t - state.fetch_time[l])
-        looks.append(look)
         gain = cl.p_cf - look  # cost shift if l is evicted
         if gain < best_evict_gain or (gain == best_evict_gain and l < victim):
             best_evict_gain, victim = gain, l
-    carry = float(np.array(looks).sum())
-    c_cache = cf_r + p_r * min(cf_r, cal_r / beta) + carry + best_evict_gain
-    c_wait = cw_r * (q + 1) / beta + carry
-    c_discard = cf_r + p_r * cf_r + carry
+    c_cache = cf_r + p_r * min(cf_r, cal_r / beta) + best_evict_gain
+    c_wait = cw_r * (q + 1) / beta
+    c_discard = cf_r + p_r * cf_r
     if c_cache <= c_wait and c_cache <= c_discard:
         return Action(ActionKind.FETCH_SERVE_CACHE, evict=victim)
     if c_wait <= c_discard:

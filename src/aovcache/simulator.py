@@ -16,7 +16,9 @@ generator.  ``_reference_loop`` is the specification and the fallback
 where the kernel cannot be built: it takes the same draws from
 ``Generator`` batches (``_batches``), steps a ``CacheSystemState``
 through its ``apply_*`` transitions and decides with the public
-``*_decide`` rules of ``policies``.  The two loops give bit-identical
+``*_decide`` rules of ``policies``.  Its cache is a set, since no rule
+depends on the order of the cached copies; an infinite cache holds all N
+contents.  The two loops give bit-identical
 metrics: a lockstep test in ``tests/test_simulator.py`` pins them
 together for every policy and mode, and the CLI's ``verify`` command
 compares them on the user's machine.
@@ -57,7 +59,6 @@ from .policies import (
     PolicyKind,
     PolicyTables,
     build_policy_tables,
-    infinite_capacity_decide,
     myopic_decide,
     static_topm_decide,
     whittle_decide,
@@ -131,8 +132,8 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
         raise ValueError("a horizon (events or time) is required")
     if config.horizon_events is not None and config.horizon_events <= 0:
         raise ValueError("horizon_events must be > 0")
-    if config.horizon_time is not None and config.horizon_time <= 0:
-        raise ValueError("horizon_time must be > 0")
+    if config.horizon_time is not None and not 0 < config.horizon_time < math.inf:
+        raise ValueError("horizon_time must be finite and > 0")  # inf would never end
     if not 0.0 <= config.warmup <= 0.5:
         raise ValueError("warmup must be in [0, 0.5]")
 
@@ -306,12 +307,13 @@ def _reference_loop(config: SimConfig, tables: PolicyTables, batches,
     the chronological grand total is kept apart from the per-component
     sums, so the reconciliation check is meaningful."""
     system = config.system
-    infinite = config.policy is PolicyKind.INFINITE_CAPACITY
+    # an infinite cache holds all N contents
+    m = system.N if config.policy is PolicyKind.INFINITE_CAPACITY else system.M
     decide = _DECIDE[config.policy]
     realized = config.ageing_mode is AgeingMode.REALIZED
     content = tables.content
-    state = CacheSystemState(system.N, system.M, [c.c_w for c in content], infinite=infinite)
-    state.preload(_top_m_ids(tables.cdbl[:, P], system.M))
+    state = CacheSystemState(system.N, m, [c.c_w for c in content])
+    state.preload(_top_m_ids(tables.cdbl[:, P], m))
     end_events = config.horizon_events if config.horizon_events is not None else _NO_LIMIT
     end_time = config.horizon_time if config.horizon_time is not None else math.inf
     t = grand = q_integral = wait_cost = fetch_cost = ageing_cost = 0.0
@@ -365,14 +367,11 @@ def _reference_loop(config: SimConfig, tables: PolicyTables, batches,
     return end, snap, violations
 
 
-def _infinite_decide(state: CacheSystemState, r: int, tables: PolicyTables):
-    tb = tables.content[r]
-    return infinite_capacity_decide(state.queue[r], state.tau(r), tb.tau_star, tb.q_star)
-
-
+# under infinite capacity every request finds its copy cached, and
+# whittle_decide's cached branch is the single-content rule
 _DECIDE = {PolicyKind.WHITTLE: whittle_decide, PolicyKind.MYOPIC: myopic_decide,
            PolicyKind.STATIC_TOP_M: static_topm_decide,
-           PolicyKind.INFINITE_CAPACITY: _infinite_decide}
+           PolicyKind.INFINITE_CAPACITY: whittle_decide}
 
 
 # -- parameter sweeps --------------------------------------------------------
@@ -389,7 +388,7 @@ class SweepCell:
 
 def _with_c_w(system: SystemParams, c_w: float) -> SystemParams:
     contents = tuple(
-        replace(c, costs=CostModel(c.costs.c_a, c.costs.c_f, c_w, c.costs.C_h))
+        replace(c, costs=CostModel(c.costs.c_a, c.costs.c_f, c_w))
         for c in system.contents
     )
     return replace(system, contents=contents)

@@ -448,7 +448,8 @@ class ContentTables:
     point ``tau_i = i * tau_star / GRID_SIZE``, for ``i < GRID_SIZE``, and
     the trailing cell is the 0 sentinel.  ``cached_idle`` reads cell
     ``int(tau * inv_step)``, or the last cell once that reaches it, which
-    is the compiled loop's rule: for tau in [tau_i, tau_{i+1}) it returns
+    is the compiled loop's rule (``row_cell`` in ``_loop.c``, for both its
+    keys and their lower bounds): for tau in [tau_i, tau_{i+1}) it returns
     W(tau_i), and W is nonincreasing in tau and 0 from tau_star on, so the
     lookup never understates W(tau) and overstates it by at most one
     cell's step.

@@ -42,7 +42,7 @@ def corrupt_cache(monkeypatch, system):
     no longer holds M contents.  The compiled loop gets one id in two
     slots (the least popular cached id, so it is soon evicted from one and
     still a victim candidate in the other); the reference loop gets one
-    content in its cache set but in no slot."""
+    more id in its cache set, M + 1 members."""
     from aovcache import _ckernel, simulator
 
     if _ckernel.event_loop is not None:

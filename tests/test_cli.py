@@ -147,6 +147,16 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{name}:" in err
 
+    def test_holding_cost_is_not_a_config_cost(self, tmp_path, capsys):
+        # C_h is the dual variable of the capacity constraint
+        doc = json.loads(json.dumps(UNIT_DOC))
+        doc["costs"]["C_h"] = 0.0
+        p = tmp_path / "ch.json"
+        p.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "C_h:" in err
+
     def test_non_finite_popularity_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(UNIT_DOC))
         doc["system"]["popularity"] = [math.nan]
@@ -274,6 +284,33 @@ class TestSimulateAndSweep:
 
     def test_missing_axis_exits_2(self, unit_cfg):
         assert main(["sweep", "--config", unit_cfg]) == 2
+
+    @pytest.mark.parametrize("args, sim, name", [
+        # with a small event horizon too, so that a run that accepts it ends
+        ([], {"horizon_events": 100, "horizon_time": math.inf}, "horizon_time"),
+        ([], {"horizon_time": math.nan}, "horizon_time"),
+        ([], {"horizon_time": -1.0}, "horizon_time"),
+        ([], {"horizon_events": -5}, "horizon_events"),
+        ([], {"horizon_events": 2.5}, "horizon_events"),
+        ([], {"seed": 3}, "horizon_events"),
+        ([], {"horizon_events": 100, "warmup": math.nan}, "warmup"),
+        ([], {"horizon_events": 100, "warmup": 0.9}, "warmup"),
+        ([], {"horizon_events": 100, "seed": -1}, "seed"),
+        (["--seed", "-1"], {"horizon_events": 100}, "seed"),
+        (["--reps", "-2"], {"horizon_events": 100}, "reps"),
+        (["--reps", "0"], {"horizon_events": 100}, "reps"),
+        *((["--axis", "c_w", "--values", v], {"horizon_events": 100}, "c_w")
+          for v in ("inf", "nan", "-1", "0")),
+    ], ids=["time-inf", "time-nan", "time-negative", "events-negative", "events-fraction",
+            "no-horizon", "warmup-nan", "warmup-0.9", "seed-config", "seed-flag",
+            "reps-negative", "reps-0", "c_w-inf", "c_w-nan", "c_w-negative", "c_w-0"])
+    def test_bad_sim_input_exits_2(self, tmp_path, capsys, args, sim, name):
+        p = tmp_path / "bad-sim.json"
+        p.write_text(json.dumps(dict(DESK_DOC, sim=sim)))
+        cmd = "sweep" if "--axis" in args else "simulate"
+        assert main([cmd, "--config", str(p), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{name}:" in err
 
 
 class TestLowerBoundAndCompare:

@@ -65,11 +65,11 @@ class TestValidate:
         assert "popularity" in names
 
     def test_reports_all_violations(self):
-        c = ContentParams(lam=-1.0, p=2.0, costs=CostModel(-1, 0, 0, -1))
+        c = ContentParams(lam=-1.0, p=2.0, costs=CostModel(-1, 0, 0))
         bad = SystemParams(beta=-1.0, contents=(c,), M=1)
         names = {d.name for d in validate(bad)}
         assert {"beta", "capacity", "lambda", "popularity",
-                "c_a", "c_f", "c_w", "C_h"} <= names
+                "c_a", "c_f", "c_w"} <= names
 
 
 class TestSingleContentState:
@@ -120,17 +120,6 @@ class TestCacheSystemState:
         assert s.fetch_time[4] == 5.0
         assert s.cache_set == {1, 2, 4}
         s.check_occupancy()
-
-    def test_slots_keep_the_compiled_loop_order(self):
-        # sorted at preload; an admitted content takes its victim's slot
-        s = self.make()
-        s.preload([5, 1, 3])
-        assert s.slots == [1, 3, 5]
-        s.apply_fetch(0, cache=True, evict=3)
-        assert s.slots == [1, 0, 5]
-        assert s.cache_set == {0, 1, 5}
-        s.apply_fetch(5, cache=True)  # a refresh keeps every slot
-        assert s.slots == [1, 0, 5]
 
     def test_admission_requires_eviction(self):
         s = self.make()

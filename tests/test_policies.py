@@ -164,6 +164,55 @@ class TestMyopicDecide:
         assert act == Action(ActionKind.FETCH_SERVE_CACHE, evict=1)
 
 
+class ReversedSet(set):
+    """A set that iterates its members from the highest id down."""
+
+    def __iter__(self):
+        return iter(sorted(set.__iter__(self), reverse=True))
+
+
+class TestCacheOrder:
+    """No decision depends on the order in which the cache set iterates:
+    the victim is the lowest id among the copies that tie."""
+
+    @staticmethod
+    def decide_both_ways(decide, s, r, tables):
+        ids = set(s.cache_set)
+        acts = []
+        for cache in (set(ids), ReversedSet(ids)):
+            s.cache_set = cache
+            acts.append(decide(s, r, tables))
+        assert acts[0] == acts[1]
+        return acts[0]
+
+    def test_whittle_victim_among_tied_keys(self):
+        # equal popularity: copies fetched at the same time have equal keys
+        system = desk_system(N=12, beta=4.0, M=4, alpha=0.0)
+        tables = build_policy_tables(system)
+        s = fresh_state(system, tables)
+        s.preload({2, 5, 7, 9})
+        tau_star = tables.content[0].tau_star
+        s.t = 0.5 * tau_star
+        s.fetch_time[2] = s.t  # fresh: the highest key, never the victim
+        r = 10
+        s.queue[r] = tables.content[r].q_hat  # index at its ceiling
+        s.total_queue = s.queue[r]
+        keys = {n: tables.content[n].cached_idle(0, s.t - s.fetch_time[n]) for n in s.cache_set}
+        assert keys[5] == keys[7] == keys[9] < keys[2]
+        act = self.decide_both_ways(whittle_decide, s, r, tables)
+        assert act == Action(ActionKind.FETCH_SERVE_CACHE, evict=5)
+
+    def test_myopic_victim_among_saturated_lookaheads(self):
+        # fast updates: every copy's lookahead is p * c_f, so every
+        # eviction gain is 0; costly waiting makes the rule admit
+        system = desk_system(N=12, beta=4.0, M=4, lam=1e3, c_w=50.0)
+        tables = build_policy_tables(system, indices=False)
+        s = fresh_state(system, tables, t=1.0)
+        s.preload({3, 6, 8, 11})
+        act = self.decide_both_ways(myopic_decide, s, 0, tables)
+        assert act == Action(ActionKind.FETCH_SERVE_CACHE, evict=3)
+
+
 class TestRelaxedLowerBound:
     def test_zero_capacity_saturates(self):
         system = desk_system(N=20, M=0)
