@@ -176,16 +176,21 @@ def _sim_config(doc: dict, system: SystemParams, args) -> SimConfig:
     )
 
 
-def _run_config(doc: dict, system: SystemParams, args, reps) -> tuple[SimConfig, int]:
+def _run_config(doc: dict, system: SystemParams, args, reps) -> tuple[SimConfig, int, int | None]:
     """The config of a command that runs the configured horizon, which the
-    config must give, and its replications: ``--reps``, else ``reps``."""
+    config must give, its replications (``--reps``, else ``reps``) and its
+    worker processes (``--processes``, else None: serial)."""
     cfg = _sim_config(doc, system, args)
     if cfg.horizon_events is None and cfg.horizon_time is None:
         raise ConfigError("horizon_events: the sim section gives no horizon "
                           "(horizon_events or horizon_time)")
     reps = _checked("reps", args.reps if args.reps is not None else reps, _integer,
                     lambda x: x >= 1, "an integer >= 1")
-    return cfg, reps
+    processes = args.processes
+    if processes is not None:
+        processes = _checked("--processes", processes, _integer, lambda x: x >= 1,
+                             "an integer >= 1")
+    return cfg, reps, processes
 
 
 def scipy_version() -> str | None:
@@ -261,13 +266,19 @@ class Reporter:
             print(f"wrote {path}")
 
 
+def _count(flag: str, value) -> int:
+    """A point count given by ``flag``: an integer >= 0."""
+    return _checked(flag, value, _integer, lambda x: x >= 0, "an integer >= 0")
+
+
 def cmd_solve(doc: dict, args) -> int:
     system = build_system(doc)
+    points = _count("--ch-points", args.ch_points)
     rep = Reporter(args.out, doc)
     k = content_constants(system.contents, system.beta)
     # every content's C_h points in one kernel call
-    ch = np.concatenate([np.linspace(0.0, I, args.ch_points) for I in k.I.tolist()])
-    idx = np.repeat(np.arange(system.N), args.ch_points)
+    ch = np.concatenate([np.linspace(0.0, I, points) for I in k.I.tolist()])
+    idx = np.repeat(np.arange(system.N), points)
     solved = case2_batch(ch, k.take(idx))
     consts = zip(k.q_hat[idx].tolist(), k.tau0[idx].tolist(), k.I[idx].tolist())
     rows = [
@@ -299,6 +310,7 @@ def cmd_whittle(doc: dict, args) -> int:
     if args.family not in ("cached", "uncached", "both"):
         raise ConfigError(f"unknown state family {args.family!r}")
     which = list(range(system.N)) if not args.contents else _content_ids(system, args.contents)
+    tau_points = _count("--tau-points", args.tau_points)
     rep = Reporter(args.out, doc)
     rows = []
     contents = [system.contents[i] for i in which]
@@ -306,7 +318,7 @@ def cmd_whittle(doc: dict, args) -> int:
     for i, c, tb in zip(which, contents, tables):
         if args.family in ("cached", "both"):
             # whittle_cached at every tau, the interior ones in one call
-            taus = np.linspace(0.0, tb.tau_star, args.tau_points)
+            taus = np.linspace(0.0, tb.tau_star, tau_points)
             w = np.where(taus <= 0.0, tb.ceiling, 0.0)
             inner = (taus > 0.0) & (taus < tb.tau_star)
             if inner.any():
@@ -346,9 +358,9 @@ def _metric_rows(cells, policy: str | None) -> list[list]:
 
 def cmd_simulate(doc: dict, args) -> int:
     system = build_system(doc)
-    cfg, reps = _run_config(doc, system, args, 1)
+    cfg, reps, processes = _run_config(doc, system, args, 1)
     rep = Reporter(args.out, doc, cfg.seed)
-    cells = sweep(cfg, "M", [system.M], reps, processes=args.processes)
+    cells = sweep(cfg, "M", [system.M], reps, processes=processes)
     rep.table("metrics.csv", _METRIC_HEADER, _metric_rows(cells, cfg.policy.value))
     rep.close()
     return 0
@@ -357,7 +369,7 @@ def cmd_simulate(doc: dict, args) -> int:
 def cmd_sweep(doc: dict, args) -> int:
     system = build_system(doc)
     swp = doc.get("sweep", {})
-    cfg, reps = _run_config(doc, system, args, swp.get("reps", 1))
+    cfg, reps, processes = _run_config(doc, system, args, swp.get("reps", 1))
     axis = args.axis or swp.get("axis")
     values = args.values.split(",") if args.values else swp.get("values")
     if not axis or not values:
@@ -369,7 +381,7 @@ def cmd_sweep(doc: dict, args) -> int:
     elif axis != "policy":
         raise ConfigError(f"unknown sweep axis {axis!r}")
     rep = Reporter(args.out, doc, cfg.seed)
-    cells = sweep(cfg, axis, values, reps, processes=args.processes)
+    cells = sweep(cfg, axis, values, reps, processes=processes)
     rep.table("metrics.csv", _METRIC_HEADER,
               _metric_rows(cells, None if axis == "policy" else cfg.policy.value))
     rep.close()
@@ -464,9 +476,9 @@ def cmd_verify(doc: dict, args) -> int:
         if not quick:
             w = whittle_cached(c, beta, 0, 0.5 * ts.tau_star)
             sw_grid = np.linspace(0, 1.02 * ts.I, 80)
-            ws = whittle_by_sweep(c, beta,
-                                  SingleContentState(0, 0.5 * ts.tau_star, True, False),
-                                  sw_grid, tol=1e-6)
+            [ws] = whittle_by_sweep(c, beta,
+                                    [SingleContentState(0, 0.5 * ts.tau_star, True, False)],
+                                    sw_grid, tol=1e-6)
             step = sw_grid[1] - sw_grid[0]
             check(f"whittle-vs-sweep[content {i}]", abs(w - ws) <= step + 1e-3,
                   f"|{w:.4g}-{ws:.4g}| vs step {step:.4g}")
@@ -579,14 +591,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, sim=False):
+    def common(p, sim=False, runs=False):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
         if sim:
             p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--mode", choices=["expected", "realized"], default=None)
+        if runs:
             p.add_argument("--reps", type=int, default=None)
             p.add_argument("--processes", type=int, default=None)
-            p.add_argument("--mode", choices=["expected", "realized"], default=None)
 
     p = sub.add_parser("solve", help="threshold report per content and C_h")
     common(p)
@@ -600,10 +613,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tau-points", type=int, default=21)
 
     p = sub.add_parser("simulate", help="run the configured simulation")
-    common(p, sim=True)
+    common(p, sim=True, runs=True)
 
     p = sub.add_parser("sweep", help="sweep M, c_w, or policy")
-    common(p, sim=True)
+    common(p, sim=True, runs=True)
     p.add_argument("--axis", choices=["M", "c_w", "policy"], default=None)
     p.add_argument("--values", default=None, help="comma-separated axis values")
 

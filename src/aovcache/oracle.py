@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.signal import lfilter
@@ -36,6 +37,11 @@ FETCH_KEEP = 1
 WAIT = 2
 FETCH_EVICT = 3
 SERVE_EVICT = 4
+
+# relaxation weight of value_iterate_holding's damped update, and the sweep
+# budget of both value iterations
+DAMPING = 0.5
+MAX_SWEEPS = 100_000
 
 
 class ConvergenceError(RuntimeError):
@@ -81,8 +87,6 @@ class ValueTable:
 
     theta: float
     grid: Grid
-    sweeps: int
-    residual: float          # span of (T h - h - g) at the last sweep
     # infinite-capacity family
     h: np.ndarray | None = None            # h[q, j]
     greedy: np.ndarray | None = None       # codes SERVE_KEEP / WAIT / FETCH_KEEP
@@ -97,19 +101,19 @@ class ValueTable:
 
     # threshold read-off helpers (accurate to one grid cell)
 
+    def _requested_row(self) -> np.ndarray:
+        """The greedy actions of a requested cached copy with no queue, by tau."""
+        return self.greedy[0] if self.greedy is not None else self.greedy_cached_req
+
     def tau_serve_end(self) -> float:
         """Largest grid tau where the requested cached copy is still served."""
-        g = self.greedy if self.greedy is not None else None
-        row = g[0] if g is not None else self.greedy_cached_req
+        row = self._requested_row()
         served = np.nonzero((row == SERVE_KEEP) | (row == SERVE_EVICT))[0]
         return 0.0 if len(served) == 0 else served[-1] * self.grid.dtau
 
     def tau_serve_keep_end(self) -> float:
         """Largest grid tau with action serve-and-keep (tau_bar analogue)."""
-        row = self.greedy if self.greedy is not None else self.greedy_cached_req
-        if row.ndim == 2:
-            row = row[0]
-        kept = np.nonzero(row == SERVE_KEEP)[0]
+        kept = np.nonzero(self._requested_row() == SERVE_KEEP)[0]
         return 0.0 if len(kept) == 0 else kept[-1] * self.grid.dtau
 
     def queue_fetch_threshold(self) -> int:
@@ -144,9 +148,14 @@ def _expint_rows(h: np.ndarray, alpha: float, gamma: float, decay: float) -> np.
     return y[..., ::-1]
 
 
+def _greedy(costs: list, codes: tuple[int, ...]) -> np.ndarray:
+    """The code of each state's cheapest action; a tie goes to the first."""
+    return np.asarray(codes)[np.argmin(np.broadcast_arrays(*costs), axis=0)]
+
+
 def value_iterate_infinite(
     beta: float, lam: float, c_a: float, c_f: float, c_w: float,
-    grid: Grid | None = None, tol: float = 1e-9, max_sweeps: int = 100_000,
+    grid: Grid | None = None, tol: float = 1e-9,
 ) -> ValueTable:
     """Relative value iteration for the always-cached single content MDP.
 
@@ -168,31 +177,24 @@ def value_iterate_infinite(
     up = np.arange(1, qm + 2)
     up[-1] = qm  # queue cap: waiting at q_max self-loops
 
-    g = 0.0
-    for sweep in range(1, max_sweeps + 1):
+    for _ in range(MAX_SWEEPS):
         J = _expint_rows(h, alpha, gamma, decay)
-        serve = serve_age + J[0][None, :]
-        wait = wait_cost + J[up]
-        fetch = c_f + J[0, 0]
-        T = np.minimum(np.minimum(serve, wait), fetch)
+        costs = [serve_age + J[0][None, :], wait_cost + J[up], c_f + J[0, 0]]
+        T = reduce(np.minimum, costs)
         g = T[0, 0]
         T -= g
         delta = T - h
         sp = delta.max() - delta.min()
         h = T
         if sp < tol:
-            stacked = np.stack([serve, wait, np.broadcast_to(fetch, serve.shape)])
-            greedy = np.argmin(stacked, axis=0)  # 0 serve, 1 wait, 2 fetch
-            greedy = np.where(greedy == 1, WAIT, np.where(greedy == 2, FETCH_KEEP, SERVE_KEEP))
-            return ValueTable(theta=beta * g, grid=grid, sweeps=sweep,
-                              residual=sp, h=h, greedy=greedy)
-    raise ConvergenceError(f"no convergence after {max_sweeps} sweeps (span {sp:g})")
+            return ValueTable(theta=beta * g, grid=grid, h=h,
+                              greedy=_greedy(costs, (SERVE_KEEP, WAIT, FETCH_KEEP)))
+    raise ConvergenceError(f"no convergence after {MAX_SWEEPS} sweeps (span {sp:g})")
 
 
 def value_iterate_holding(
     params: ContentParams, beta: float, C_h: float,
-    grid: Grid | None = None, tol: float = 1e-9, max_sweeps: int = 100_000,
-    warm: ValueTable | None = None, damping: float = 0.5,
+    grid: Grid | None = None, tol: float = 1e-9, warm: ValueTable | None = None,
 ) -> ValueTable:
     """Relative value iteration for the single content with holding cost.
 
@@ -204,11 +206,11 @@ def value_iterate_holding(
     fetch-cache/wait/fetch-discard, and uncached-idle (Q,0,0) with no
     action.  Reference state is (0, 0, 1, 0).
 
-    Updates are damped (h <- (1-k) h + k (T h - g)): for p = 1 and
-    C_h > I the greedy chain cycles deterministically between queue
-    states, and the undamped iteration oscillates with period 2.  The
-    stopping rule checks the span of ``T h - h - g``, which bounds
-    ``|beta * g - theta|`` regardless of damping.
+    Updates are damped (h <- (1-k) h + k (T h - g), k = ``DAMPING``):
+    for p = 1 and C_h > I the greedy chain cycles deterministically
+    between queue states, and the undamped iteration oscillates with
+    period 2.  The stopping rule checks the span of ``T h - h - g``,
+    which bounds ``|beta * g - theta|`` regardless of damping.
     """
     p, lam = params.p, params.lam
     cm = params.costs
@@ -220,97 +222,64 @@ def value_iterate_holding(
     alpha, gamma, decay = _kernel_coeffs(beta, grid.dtau)
 
     if warm is not None and warm.grid == grid:
-        A = warm.h_cached_req.copy()
-        B = warm.h_cached_idle.copy()
-        C = warm.h_uncached_req.copy()
-        D = warm.h_uncached_idle.copy()
+        h = [warm.h_cached_req, warm.h_cached_idle, warm.h_uncached_req, warm.h_uncached_idle]
     else:
-        A = np.zeros(len(taus))
-        B = np.zeros(len(taus))
-        C = np.zeros(qm + 1)
-        D = np.zeros(qm + 1)
+        h = [np.zeros(len(taus)), np.zeros(len(taus)), np.zeros(qm + 1), np.zeros(qm + 1)]
 
     age = c_a * lam * taus
+    chb = C_h / beta
+    age_held = age + chb
     qs = np.arange(qm + 1, dtype=float)
     wait_costs = (qs + 1.0) * c_w / beta
     idle_costs = qs * c_w / beta
     up = np.arange(1, qm + 2)
     up[-1] = qm
-    chb = C_h / beta
 
-    g = 0.0
-    for sweep in range(1, max_sweeps + 1):
+    def actions(A, B, C, D):
+        """Each decision family's action costs, in greedy-code order; an
+        action that costs the same in every state is a scalar."""
         L = _expint_rows(p * A + (1.0 - p) * B, alpha, gamma, decay)
         evicted0 = p * C[0] + (1.0 - p) * D[0]
-        TA = np.minimum.reduce([
-            age + chb + L,                                   # 0 serve & keep
-            np.full_like(A, c_f + chb + L[0]),               # 1 fetch, serve & cache
-            np.full_like(A, c_w / beta + p * C[up[0]] + (1.0 - p) * D[up[0]]),  # 2 wait & evict
-            np.full_like(A, c_f + evicted0),                 # 3 fetch, serve & evict
-            age + evicted0,                                  # 4 serve & evict
-        ])
-        TB = np.minimum(chb + L, evicted0)
-        TC = np.minimum.reduce([
-            np.full_like(C, c_f + chb + L[0]),               # 1 fetch, serve & cache
-            wait_costs + p * C[up] + (1.0 - p) * D[up],      # 2 wait
-            np.full_like(C, c_f + evicted0),                 # 3 fetch, serve & discard
-        ])
-        TD = idle_costs + p * C + (1.0 - p) * D
-        g = TB[0]
-        TA -= g
-        TB -= g
-        TC -= g
-        TD -= g
-        hi = max((TA - A).max(), (TB - B).max(), (TC - C).max(), (TD - D).max())
-        lo = min((TA - A).min(), (TB - B).min(), (TC - C).min(), (TD - D).min())
-        done = hi - lo < tol
-        if done or damping >= 1.0:
-            A, B, C, D = TA, TB, TC, TD
-        else:
-            k = damping
-            A += k * (TA - A)
-            B += k * (TB - B)
-            C += k * (TC - C)
-            D += k * (TD - D)
-        if done:
-            break
-    else:
-        raise ConvergenceError(f"no convergence after {max_sweeps} sweeps (span {hi - lo:g})")
+        cache = c_f + chb + L[0]       # fetch, serve & cache
+        discard = c_f + evicted0       # fetch, serve & evict
+        cached_req = [age_held + L,    # serve & keep
+                      cache,
+                      c_w / beta + p * C[up[0]] + (1.0 - p) * D[up[0]],  # wait & evict
+                      discard,
+                      age + evicted0]  # serve & evict
+        cached_idle = [chb + L, evicted0]  # keep, evict
+        uncached_req = [cache, wait_costs + p * C[up] + (1.0 - p) * D[up], discard]
+        return cached_req, cached_idle, uncached_req
 
-    # greedy tables from the converged values
-    L = _expint_rows(p * A + (1.0 - p) * B, alpha, gamma, decay)
-    evicted0 = p * C[0] + (1.0 - p) * D[0]
-    a_choices = np.stack([
-        age + chb + L,
-        np.full_like(A, c_f + chb + L[0]),
-        np.full_like(A, c_w / beta + p * C[up[0]] + (1.0 - p) * D[up[0]]),
-        np.full_like(A, c_f + evicted0),
-        age + evicted0,
-    ])
-    greedy_a = np.argmin(a_choices, axis=0)
-    greedy_b = np.where(chb + L <= evicted0, SERVE_KEEP, WAIT)
-    c_choices = np.stack([
-        np.full_like(C, c_f + chb + L[0]),
-        wait_costs + p * C[up] + (1.0 - p) * D[up],
-        np.full_like(C, c_f + evicted0),
-    ])
-    greedy_c = np.array([FETCH_KEEP, WAIT, FETCH_EVICT])[np.argmin(c_choices, axis=0)]
+    for _ in range(MAX_SWEEPS):
+        T = [reduce(np.minimum, a) for a in actions(*h)]
+        T.append(idle_costs + p * h[2] + (1.0 - p) * h[3])
+        g = T[1][0]
+        T = [t - g for t in T]
+        delta = [t - x for t, x in zip(T, h)]
+        hi = max(d.max() for d in delta)
+        lo = min(d.min() for d in delta)
+        if hi - lo < tol:
+            h = T
+            break
+        h = [x + DAMPING * d for x, d in zip(h, delta)]
+    else:
+        raise ConvergenceError(f"no convergence after {MAX_SWEEPS} sweeps (span {hi - lo:g})")
+
+    cached_req, cached_idle, uncached_req = actions(*h)
     return ValueTable(
-        theta=beta * g, grid=grid, sweeps=sweep, residual=hi - lo,
-        h_cached_req=A, h_cached_idle=B, h_uncached_req=C, h_uncached_idle=D,
-        greedy_cached_req=greedy_a, greedy_cached_idle=greedy_b,
-        greedy_uncached_req=greedy_c,
+        theta=beta * g, grid=grid,
+        h_cached_req=h[0], h_cached_idle=h[1], h_uncached_req=h[2], h_uncached_idle=h[3],
+        greedy_cached_req=_greedy(
+            cached_req, (SERVE_KEEP, FETCH_KEEP, WAIT, FETCH_EVICT, SERVE_EVICT)),
+        greedy_cached_idle=_greedy(cached_idle, (SERVE_KEEP, WAIT)),
+        greedy_uncached_req=_greedy(uncached_req, (FETCH_KEEP, WAIT, FETCH_EVICT)),
     )
 
 
 def passive_in_table(table: ValueTable, state: SingleContentState) -> bool:
     """Whether the greedy action leaves the content out of the cache."""
-    if not state.cached:
-        if not state.requested:
-            return True
-        q = min(state.Q, len(table.greedy_uncached_req) - 1)
-        return table.greedy_uncached_req[q] in (WAIT, FETCH_EVICT)
-    if state.Q > 0:
+    if not state.cached or state.Q > 0:
         if not state.requested:
             return True
         q = min(state.Q, len(table.greedy_uncached_req) - 1)
@@ -322,23 +291,28 @@ def passive_in_table(table: ValueTable, state: SingleContentState) -> bool:
 
 
 def whittle_by_sweep(
-    params: ContentParams, beta: float, state: SingleContentState,
+    params: ContentParams, beta: float, states: list[SingleContentState],
     C_h_grid: np.ndarray, grid: Grid | None = None, tol: float = 1e-8,
-) -> float:
-    """Index estimate: smallest grid C_h whose greedy action goes passive.
+) -> list[float]:
+    """Index estimates of ``states``: for each, the smallest grid C_h whose
+    greedy action goes passive.
 
-    Runs ``value_iterate_holding`` per grid point (warm-started along
-    the sweep), so accuracy is one C_h grid step plus one tau cell.
+    Runs ``value_iterate_holding`` at the grid points in ascending order,
+    warm-started along the sweep, until every state has gone passive; a
+    state that never does gets the grid's last point.  A cached idle copy
+    with requests queued is passive at every C_h and gets 0.0 without a
+    solve.  Accuracy is one C_h grid step plus one tau cell.
     """
-    if state.cached and state.Q > 0 and not state.requested:
-        return 0.0
+    found = [0.0 if s.cached and s.Q > 0 and not s.requested else None for s in states]
     cm = params.costs
     if grid is None:
         grid = Grid.for_params(params.p * beta, params.lam, cm.c_a, cm.c_f, cm.c_w)
     warm = None
     for ch in np.sort(np.asarray(C_h_grid, dtype=float)):
-        warm = value_iterate_holding(params, beta, float(ch), grid=grid,
-                                     tol=tol, warm=warm)
-        if passive_in_table(warm, state):
-            return float(ch)
-    return float(C_h_grid[-1])
+        if None not in found:
+            break
+        warm = value_iterate_holding(params, beta, float(ch), grid=grid, tol=tol, warm=warm)
+        found = [float(ch) if x is None and passive_in_table(warm, s) else x
+                 for x, s in zip(found, states)]
+    last = float(C_h_grid[-1])
+    return [last if x is None else x for x in found]

@@ -379,7 +379,6 @@ _DECIDE = {PolicyKind.WHITTLE: whittle_decide, PolicyKind.MYOPIC: myopic_decide,
 
 @dataclass(frozen=True)
 class SweepCell:
-    axis: str
     value: object
     replication: int
     seed: int
@@ -395,13 +394,13 @@ def _with_c_w(system: SystemParams, c_w: float) -> SystemParams:
 
 
 def _run_cell(job, groups) -> SweepCell:
-    """The sweep cell of ``job``, ``(axis, group, replication)``: one run
-    of the group's config on its tables, seeded by the replication;
-    ``groups`` holds each axis value's ``(value, config, tables)``."""
-    axis, g, rep = job
+    """The sweep cell of ``job``, ``(group, replication)``: one run of the
+    group's config on its tables, seeded by the replication; ``groups``
+    holds each axis value's ``(value, config, tables)``."""
+    g, rep = job
     value, config, tables = groups[g]
     config = replace(config, seed=config.seed + rep)
-    return SweepCell(axis, value, rep, config.seed, run(config, tables))
+    return SweepCell(value, rep, config.seed, run(config, tables))
 
 
 # a sweep worker process's groups, set once as it starts
@@ -459,7 +458,7 @@ def sweep(
         else:
             groups = [(PolicyKind(v).value, replace(base, policy=PolicyKind(v)), tables)
                       for v in values]
-    jobs = [(axis, g, rep) for g in range(len(groups)) for rep in range(replications)]
+    jobs = [(g, rep) for g in range(len(groups)) for rep in range(replications)]
 
     if processes and processes > 1:
         from multiprocessing import Pool  # ~7 ms, paid only by parallel sweeps

@@ -16,9 +16,9 @@ import pytest
 from aovcache.model import CostModel, SingleContentState, SystemParams
 from aovcache.oracle import (
     Grid,
-    passive_in_table,
     value_iterate_holding,
     value_iterate_infinite,
+    whittle_by_sweep,
 )
 from aovcache.policies import PolicyKind, build_policy_tables, relaxed_lower_bound
 from aovcache.simulator import SimConfig, SimulationError, aggregate, run, sweep
@@ -135,6 +135,7 @@ def test_criterion_3_whittle_vs_sweep_oracle():
     grid step (its passive/active call is resolved on the same grid).
     """
     rng = np.random.default_rng(33)
+    t0 = time.time()
     worst = 0.0
     for k in range(5):
         c, beta = random_content(rng, ratio_lo=0.3, ratio_hi=30.0)
@@ -154,25 +155,14 @@ def test_criterion_3_whittle_vs_sweep_oracle():
         tol = max(1e-3, step)
         grid = Grid.for_params(c.p * beta, c.lam, cm.c_a, cm.c_f, cm.c_w,
                                refine=2.0)
-        found = [None] * len(states)
-        remaining = len(states)
-        warm = None
-        for ch in ch_grid:
-            warm = value_iterate_holding(c, beta, float(ch), grid=grid,
-                                         tol=1e-7, warm=warm)
-            for i, s in enumerate(states):
-                if found[i] is None and passive_in_table(warm, s):
-                    found[i] = float(ch)
-                    remaining -= 1
-            if not remaining:
-                break
-        for i, s in enumerate(states):
-            got = found[i] if found[i] is not None else ch_grid[-1]
-            err = abs(got - expected[i])
+        found = whittle_by_sweep(c, beta, states, ch_grid, grid=grid, tol=1e-7)
+        for s, got, want in zip(states, found, expected):
+            err = abs(got - want)
             worst = max(worst, err / (tol + step))
-            assert err <= tol + step + 1e-12, (k, s, got, expected[i])
+            assert err <= tol + step + 1e-12, (k, s, got, want)
+    elapsed = time.time() - t0
     _report("3 Whittle vs sweep oracle",
-            f"5 sets, worst error {worst:.2f} of budget")
+            f"5 sets, worst error {worst:.2f} of budget, {elapsed:.1f}s")
 
 
 def _criterion_45_contents():

@@ -313,6 +313,23 @@ class TestSimulateAndSweep:
         assert err.startswith("config error:") and f"{name}:" in err
 
 
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("solve", "--ch-points", "-1"),
+    ("whittle", "--tau-points", "-2"),
+    ("simulate", "--processes", "-3"),
+    ("simulate", "--processes", "0"),
+    ("sweep", "--processes", "0"),
+], ids=["ch-points-negative", "tau-points-negative", "processes-negative",
+        "processes-0-simulate", "processes-0-sweep"])
+def test_bad_numeric_flag_exits_2(unit_cfg, capsys, cmd, flag, value):
+    # each is a config error naming the flag, before any output or run
+    args = ["--axis", "M", "--values", "0"] if cmd == "sweep" else []
+    assert main([cmd, "--config", unit_cfg, flag, value, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{flag}:" in err
+
+
 class TestLowerBoundAndCompare:
     def test_bound_csv_and_gap(self, desk_cfg, tmp_path):
         out = tmp_path / "lb"
@@ -435,6 +452,13 @@ class TestVerifyCmd:
         out = capsys.readouterr().out
         assert re.search(r"^FAIL  dual-bound  ", out, re.MULTILINE)
         assert "FAILED: dual-bound\n" in out
+
+    def test_takes_no_run_flags(self, unit_cfg):
+        # verify runs its own horizons serially, so it reads neither flag
+        for flag in ("--reps", "--processes"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--config", unit_cfg, "--quick", flag, "2"])
+            assert exc.value.code == 2
 
     def test_oracle_agreement_is_not_exact(self, unit_cfg):
         # demonstrates the battery tolerance is load-bearing: a 1e-15

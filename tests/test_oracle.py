@@ -12,6 +12,7 @@ from aovcache.oracle import (
     Grid,
     _expint_rows,
     _kernel_coeffs,
+    passive_in_table,
     value_iterate_holding,
     value_iterate_infinite,
     whittle_by_sweep,
@@ -131,19 +132,54 @@ class TestWhittleSweep:
     def test_extended_states_are_free(self, unit_content):
         s = SingleContentState(2, 0.3, True, False)
         grid = np.linspace(0, 0.23, 30)
-        assert whittle_by_sweep(unit_content, 1.0, s, grid) == 0.0
+        assert whittle_by_sweep(unit_content, 1.0, [s], grid) == [0.0]
 
     def test_saturating_branch(self, unit_content):
         I = compute_I(unit_content, 1.0)
         grid = np.linspace(0.0, 1.05 * I, 64)
         s = SingleContentState(5, 0.0, False, True)  # Q >= Q_hat = 1
-        w = whittle_by_sweep(unit_content, 1.0, s, grid, tol=1e-7)
+        [w] = whittle_by_sweep(unit_content, 1.0, [s], grid, tol=1e-7)
         assert abs(w - I) <= grid[1] - grid[0] + 1e-9
 
     def test_matches_bisection_index(self, unit_content):
         tb = solve_case2(0.1, unit_content, 1.0)[0]
         s = SingleContentState(0, tb, True, False)
         grid = np.linspace(0.0, 0.227, 120)
-        w_sweep = whittle_by_sweep(unit_content, 1.0, s, grid, tol=1e-7)
+        [w_sweep] = whittle_by_sweep(unit_content, 1.0, [s], grid, tol=1e-7)
         w = whittle_cached(unit_content, 1.0, 0, tb)
         assert abs(w_sweep - w) <= (grid[1] - grid[0]) + 1e-9
+
+    def test_many_states_match_one_sweep_each(self, unit_content):
+        # one sweep runs until its last state goes passive; each state's
+        # index is the one its own sweep finds (Q_hat = 1 here)
+        I = compute_I(unit_content, 1.0)
+        grid = np.linspace(0.0, 1.05 * I, 64)
+        states = [SingleContentState(0, 0.3, True, False),
+                  SingleContentState(0, 0.0, False, True),
+                  SingleContentState(3, 0.0, False, True),
+                  SingleContentState(2, 0.3, True, False)]
+        got = whittle_by_sweep(unit_content, 1.0, states, grid, tol=1e-7)
+        assert got == [whittle_by_sweep(unit_content, 1.0, [s], grid, tol=1e-7)[0]
+                       for s in states]
+        assert got[3] == 0.0 and 0.0 < got[0] < got[2]
+
+
+class TestPassiveInTable:
+    def test_cached_copy_with_queue_reads_uncached_row(self, unit_content):
+        # a cached copy with requests queued is decided as the uncached
+        # request at that queue (capped at the table's q_max) and is
+        # passive when not requested; at C_h = 0.1 the cached rows keep
+        # at tau = 0.1 and evict at 0.3, while the uncached row fetches
+        I = compute_I(unit_content, 1.0)
+        seen = set()
+        for ch in (0.1, 2 * I):
+            vt = value_iterate_holding(unit_content, 1.0, ch)
+            cap = len(vt.greedy_uncached_req) - 1
+            for q in (1, 2, cap, cap + 3):
+                for tau in (0.1, 0.3):
+                    passive = passive_in_table(vt, SingleContentState(q, tau, True, True))
+                    assert passive == passive_in_table(vt, SingleContentState(q, 0.0, False, True))
+                    assert passive == (vt.greedy_uncached_req[min(q, cap)] in (WAIT, FETCH_EVICT))
+                    assert passive_in_table(vt, SingleContentState(q, tau, True, False))
+                    seen.add(passive)
+        assert seen == {False, True}
