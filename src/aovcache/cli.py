@@ -50,6 +50,7 @@ from .thresholds import (
     case2_batch,
     case2_residuals,
     content_constants,
+    relaxed_batch,
     solve_case2,
     solve_thresholds,
 )
@@ -393,11 +394,15 @@ def cmd_lower_bound(doc: dict, args) -> int:
     m_values = ([_capacity(system, x) for x in args.m_values.split(",")]
                 if args.m_values else [system.M])
     rep = Reporter(args.out, doc)
+    consts = content_constants(system.contents, system.beta)
     rows = []
     for m in m_values:
         ch, bound = relaxed_lower_bound(replace(system, M=m))
-        rows.append([m, _f(ch), _f(bound)])
-    rep.table("lower_bound.csv", ["M", "C_h_star", "bound"], rows)
+        # the relaxed policy's mean number of cached contents at C_h*: M
+        # where the dual's slope is continuous there, at most M at C_h* = 0
+        occupancy = float(relaxed_batch(ch, consts)[1].sum())
+        rows.append([m, _f(ch), _f(bound), _f(occupancy)])
+    rep.table("lower_bound.csv", ["M", "C_h_star", "bound", "occupancy"], rows)
     rep.close()
     return 0
 
@@ -442,6 +447,8 @@ def cmd_verify(doc: dict, args) -> int:
     beta = system.beta
     checks: list[tuple[str, bool, str]] = []
     quick = args.quick
+    cfg = _sim_config(doc, system, args)
+    rep = Reporter(args.out, doc, cfg.seed)
 
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
@@ -520,9 +527,9 @@ def cmd_verify(doc: dict, args) -> int:
           f"{n_differ} of {sum(y.size for _, y in arrays)} table values differ from the "
           f"full-width scan; {fallback} rows fell back to it")
 
-    # the bound's golden-section search relies on the dual being concave;
-    # a dual that is not would show as a grid point above the bound, and a
-    # wrong maximizer or bound as a neighbour of C_h* above it
+    # the bound's search relies on the dual being concave; a dual that is
+    # not would show as a grid point above the bound, and a wrong maximizer
+    # or bound as a neighbour of C_h* above it
     ch_star, bound = relaxed_lower_bound(system)
     hi = float(consts.I.max())
     dual_grid = np.linspace(0.0, hi, 60 if quick else 200)
@@ -533,7 +540,32 @@ def cmd_verify(doc: dict, args) -> int:
           f"C_h*={ch_star:.6g}, bound - max over {len(dual_grid)} grid points and "
           f"C_h* +- {delta:.2g} = {bound - dual_max:.2e}")
 
-    cfg = _sim_config(doc, system, args)
+    # the search steers by the closed-form occupancy, the dual's slope plus
+    # M: against central differences of the dual next to C_h* and on the
+    # grid, at points whose step neither crosses a Q_bar jump nor an I_n,
+    # where theta_n has a kink
+    step = 1e-6 * hi
+
+    def piece(c: float) -> tuple:
+        c_n = np.minimum(c, consts.I)
+        return tuple(case2_batch(c_n, consts)[2].tolist()), tuple((c_n < c).tolist())
+
+    errors, kinked = [], 0
+    for c in [ch_star * (1.0 - 1e-3), ch_star, ch_star * (1.0 + 1e-3), *dual_grid[1:-1]]:
+        if c <= step:
+            continue
+        if piece(c - step) != piece(c + step):
+            kinked += 1
+            continue
+        central = (dual_value(system, c + step, consts)
+                   - dual_value(system, c - step, consts)) / (2.0 * step)
+        slope = float(relaxed_batch(c, consts)[1].sum()) - system.M
+        errors.append(abs(slope - central))
+    worst = max(errors, default=math.inf)
+    check("dual-slope", worst <= 1e-6 * max(1.0, system.M),
+          f"max |occupancy - M - central difference| = {worst:.2e} over {len(errors)} points, "
+          f"{kinked} more skipped at a kink (step {step:.2g})")
+
     horizon = min(cfg.horizon_events or 200_000, 200_000 if quick else 500_000)
     cfg = SimConfig(system=system, policy=cfg.policy, horizon_events=horizon,
                     seed=cfg.seed, ageing_mode=cfg.ageing_mode, warmup=cfg.warmup)
@@ -574,6 +606,10 @@ def cmd_verify(doc: dict, args) -> int:
     except Exception as e:  # pragma: no cover - battery failure path
         check("simulation", False, str(e))
 
+    if rep.dir:
+        rep.table("verify.csv", ["check", "result", "detail"],
+                  [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in checks])
+    rep.close()
     failed = [name for name, ok, _ in checks if not ok]
     if failed:
         print(f"FAILED: {', '.join(failed)}")

@@ -129,23 +129,28 @@ class ValueTable:
         return int(hit[0]) if len(hit) else len(col)
 
 
-def _kernel_coeffs(rate: float, dtau: float) -> tuple[float, float, float]:
-    r = math.exp(-rate * dtau)
-    c1 = (1.0 - r) / (rate * dtau) - r
-    return (1.0 - r) - c1, c1, r
-
-
-def _expint_rows(h: np.ndarray, alpha: float, gamma: float, decay: float) -> np.ndarray:
-    """J[..., j] = integral of rate*e^(-rate t) h(..., tau_j + t) dt (piecewise linear h).
+def _expint_kernel(rate: float, dtau: float, k: int):
+    """The exponential-kernel integral of one solve on ``k`` tau cells:
+    ``J(h)[..., j]`` = integral of rate*e^(-rate t) h(..., tau_j + t) dt
+    for a piecewise-linear h.
 
     Backward recursion J_j = alpha*h_j + gamma*h_{j+1} + decay*J_{j+1},
-    J_K = h_K, run as an IIR filter on the reversed axis.
+    J_K = h_K, run as an IIR filter on the reversed axis.  The filter
+    starts from rest, and the powers of decay that carry in the end
+    condition are the same every sweep, so they are computed here, once.
     """
-    u = h[..., ::-1]
-    y = lfilter([alpha, gamma], [1.0, -decay], u, axis=-1)
-    k = np.arange(u.shape[-1])
-    y = y + (1.0 - alpha) * u[..., :1] * decay ** k
-    return y[..., ::-1]
+    r = math.exp(-rate * dtau)
+    c1 = (1.0 - r) / (rate * dtau) - r
+    alpha, gamma, decay = (1.0 - r) - c1, c1, r
+    powers = decay ** np.arange(k)
+
+    def expint_rows(h: np.ndarray) -> np.ndarray:
+        u = h[..., ::-1]
+        y = lfilter([alpha, gamma], [1.0, -decay], u, axis=-1)
+        y = y + (1.0 - alpha) * u[..., :1] * powers
+        return y[..., ::-1]
+
+    return expint_rows
 
 
 def _greedy(costs: list, codes: tuple[int, ...]) -> np.ndarray:
@@ -168,7 +173,7 @@ def value_iterate_infinite(
     taus = grid.taus
     k = len(taus)
     qm = grid.q_max
-    alpha, gamma, decay = _kernel_coeffs(beta, grid.dtau)
+    expint_rows = _expint_kernel(beta, grid.dtau, k)
 
     h = np.zeros((qm + 1, k))
     qcol = np.arange(qm + 1, dtype=float)[:, None]
@@ -178,7 +183,7 @@ def value_iterate_infinite(
     up[-1] = qm  # queue cap: waiting at q_max self-loops
 
     for _ in range(MAX_SWEEPS):
-        J = _expint_rows(h, alpha, gamma, decay)
+        J = expint_rows(h)
         costs = [serve_age + J[0][None, :], wait_cost + J[up], c_f + J[0, 0]]
         T = reduce(np.minimum, costs)
         g = T[0, 0]
@@ -219,7 +224,7 @@ def value_iterate_holding(
         grid = Grid.for_params(p * beta, lam, c_a, c_f, c_w)
     taus = grid.taus
     qm = grid.q_max
-    alpha, gamma, decay = _kernel_coeffs(beta, grid.dtau)
+    expint_rows = _expint_kernel(beta, grid.dtau, len(taus))
 
     if warm is not None and warm.grid == grid:
         h = [warm.h_cached_req, warm.h_cached_idle, warm.h_uncached_req, warm.h_uncached_idle]
@@ -238,7 +243,7 @@ def value_iterate_holding(
     def actions(A, B, C, D):
         """Each decision family's action costs, in greedy-code order; an
         action that costs the same in every state is a scalar."""
-        L = _expint_rows(p * A + (1.0 - p) * B, alpha, gamma, decay)
+        L = expint_rows(p * A + (1.0 - p) * B)
         evicted0 = p * C[0] + (1.0 - p) * D[0]
         cache = c_f + chb + L[0]       # fetch, serve & cache
         discard = c_f + evicted0       # fetch, serve & evict

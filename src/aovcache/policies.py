@@ -12,7 +12,7 @@ from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from .model import CacheSystemState, SystemParams
-from .thresholds import ContentConstants, average_cost_batch, content_constants
+from .thresholds import ContentConstants, content_constants, relaxed_batch
 from .whittle import PolicyTables, build_index_tables
 
 __all__ = [
@@ -174,6 +174,11 @@ def myopic_decide(state: CacheSystemState, requested: int,
 
 # -- relaxed-problem dual bound ---------------------------------------------
 
+# the bound's search: steps after the two end evaluations, and how many
+# ulps of the best dual value the tangents may still promise above it
+_MAX_STEPS = 62
+_ULPS = 4
+
 
 def dual_value(system: SystemParams, C_h: float,
                consts: ContentConstants | None = None) -> float:
@@ -185,42 +190,83 @@ def dual_value(system: SystemParams, C_h: float,
     """
     if consts is None:
         consts = content_constants(system.contents, system.beta)
-    return float(average_cost_batch(C_h, consts).sum()) - C_h * system.M
+    return float(relaxed_batch(C_h, consts)[0].sum()) - C_h * system.M
 
 
 def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
     """Lower bound on the constrained optimum: max over C_h of the dual.
 
-    The dual is concave (each theta_n is a pointwise minimum of affine
-    functions of C_h, and C_h * M is linear), so golden-section search
-    over [0, max_n I_n] finds the maximizer without a grid pass, kinks
-    included.  When the capacity is slack (the relaxed problem caches at
-    most M contents even at zero holding cost) the maximizer is the
-    endpoint C_h = 0, which the search approaches but never evaluates;
-    so the endpoint is evaluated once and wins when strictly greater.
-    The upper end needs no such check: for M > 0 the slope there is -M.
+    The dual ``D(C_h) = sum_n theta_n(C_h) - C_h*M`` is concave (each
+    theta_n is a pointwise minimum of affine functions of C_h), and its
+    slope is ``g(C_h) = sum_n occupancy_n(C_h) - M``, the relaxed
+    policy's mean number of cached contents less the capacity
+    (``thresholds.relaxed_batch``, one kernel call for both).  So the
+    maximizer is where g changes sign, on ``[0, max_n I_n]``: g is
+    negative past ``max_n I_n``, where every occupancy is 0.
+
+    * g(0) <= 0: the capacity is slack, and the maximizer is C_h = 0.
+    * g(max I) >= 0: the maximizer is ``max I`` itself.
+    * Otherwise the search keeps a bracket ``a < b`` with g(a) > 0 > g(b)
+      and steps to the secant root of g, with the Illinois halving of
+      the weight of an end kept twice (Dowell & Jarratt 1971, BIT 11).
+      At a ``Q_bar`` kink g jumps, and the secant only creeps; a step
+      whose slope did not fall to half of its end's is taken as a kink,
+      and the next step goes to where the tangents at a and b meet,
+      which is the kink itself up to the curvature of the two pieces.
+      A step that would not land strictly inside the bracket bisects.
+
+    A one-sided slope is still a supergradient of a concave function, so
+    the tangents at a and b bound D from above on the bracket.  The
+    search stops when that bound exceeds the better end's value by at
+    most a few ulps, and the bracket is at most 1e-12 of C_h wide (or
+    can no longer be split); at most 64 evaluations in all.  The bound
+    is the dual at the better end: an evaluated value, so a valid lower
+    bound by weak duality whatever the slope's accuracy, which only
+    steers the search and certifies how close it is to the maximum.
     Returns (C_h_star, bound).
     """
     consts = content_constants(system.contents, system.beta)
     hi = float(consts.I.max())
     if system.M == 0:
         return hi, dual_value(system, hi, consts)  # saturated: dual is flat past max I_n
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    m = system.M
+
+    def dual(c: float) -> tuple[float, float]:
+        theta, occupancy = relaxed_batch(c, consts)
+        return float(theta.sum()) - c * m, float(occupancy.sum()) - m
+
     a, b = 0.0, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = dual_value(system, c, consts), dual_value(system, d, consts)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = dual_value(system, c, consts)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = dual_value(system, d, consts)
-        if b - a <= 1e-12 * hi:
+    fa, ga = dual(a)
+    if ga <= 0.0:
+        return a, fa  # slack capacity: dual_value(system, 0.0)
+    fb, gb = dual(b)
+    if gb >= 0.0:
+        return b, fb
+    wa, wb = ga, gb  # the secant's weights of the two ends
+    kept = 0         # +1 / -1: the last step moved a / b
+    kink = False
+    for _ in range(_MAX_STEPS):
+        # where the tangents at a and b meet, clamped to the bracket
+        t = min(max((fb - fa + ga * a - gb * b) / (ga - gb), a), b)
+        best = max(fa, fb)
+        over = min(fa + ga * (t - a), fb + gb * (t - b)) - best
+        if over <= _ULPS * math.ulp(best) and b - a <= 1e-12 * b:
             break
-    mid = 0.5 * (a + b)
-    v_mid, v_zero = dual_value(system, mid, consts), dual_value(system, 0.0, consts)
-    return (0.0, v_zero) if v_zero > v_mid else (mid, v_mid)
+        c = t if kink else (a * wb - b * wa) / (wb - wa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:
+                break
+        fc, gc = dual(c)
+        kink = abs(gc) > 0.5 * (ga if gc > 0.0 else -gb)
+        if gc > 0.0:
+            if kept > 0:
+                wb *= 0.5
+            a, fa, ga, wa, kept = c, fc, gc, gc, 1
+        elif gc < 0.0:
+            if kept < 0:
+                wa *= 0.5
+            b, fb, gb, wb, kept = c, fc, gc, gc, -1
+        else:
+            return c, fc
+    return (a, fa) if fa >= fb else (b, fb)

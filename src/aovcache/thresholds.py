@@ -48,7 +48,7 @@ __all__ = [
     "window_consistent",
     "case2_candidates",
     "case2_batch",
-    "average_cost_batch",
+    "relaxed_batch",
     "solve_case2",
     "solve_thresholds",
     "solve_thresholds_batch",
@@ -446,16 +446,41 @@ def zero_holding_thresholds(k: ContentConstants) -> list[ThresholdSet]:
     ]
 
 
-def average_cost_batch(C_h, k: ContentConstants) -> np.ndarray:
-    """Optimal single-content average cost at C_h for every content of ``k``:
-    ``theta`` of ``case2_batch`` up to ``I``, ``theta_case1`` above it."""
+def relaxed_batch(C_h, k: ContentConstants) -> tuple[np.ndarray, np.ndarray]:
+    """``(theta, occupancy)`` at C_h for every content of ``k``, from one
+    ``case2_batch`` call: the optimal single-content average cost (``theta``
+    of ``case2_batch`` up to ``I``, ``theta_case1`` above it) and its slope
+    in C_h, which is the fraction of time the optimal policy holds the
+    content (envelope theorem: ``theta`` is a minimum over policies of
+    a cost affine in C_h, whose slope is that policy's occupancy).
+
+    The slope follows from (i)-(ii) of ``case2_batch`` by implicit
+    differentiation at fixed ``Q_bar``.  With ``x = beta*(tt - tb)``,
+    (i) gives ``p*c_a*lam*(1 - e^-x)*x' = 1``; differentiating (ii) and
+    substituting ``tb' = tt' - x'/beta`` and ``C_h = p*c_a*lam*(x + e^-x - 1)``
+    leaves ``c_a*lam*(p*beta*tb + p*(1 - e^-x) + Q_bar + 1)*tt' = tb + 1/beta``,
+    so, as ``theta = p*beta*c_a*lam*tt``,
+
+        theta'(C_h) = p*(1 + beta*tb) / (p*(1 + beta*tb - e^-x) + Q_bar + 1)
+
+    for ``C_h <= I`` and 0 above it (the never-cache cost is flat).  It
+    lies in (0, 1], as ``p*e^-x <= 1 <= Q_bar + 1``, and has no
+    singularity at ``C_h = 0`` (x = 0, the denominator is at least
+    ``Q_bar + 1``).  At a ``Q_bar`` jump theta has a kink, and the value
+    is the slope of the piece of the ``Q_bar`` that ``case2_batch``
+    picks there: a one-sided derivative.
+    """
     C_h = np.asarray(C_h, dtype=float)
-    theta = case2_batch(np.minimum(C_h, k.I), k)[3]
-    return np.where(C_h > k.I, k.theta1, theta)
+    tb, tt, qb, theta = case2_batch(np.minimum(C_h, k.I), k)
+    u = k.p * (1.0 + k.beta * tb)
+    occupancy = u / (u - k.p * np.exp(-k.beta * (tt - tb)) + qb + 1.0)
+    over = C_h > k.I
+    return np.where(over, k.theta1, theta), np.where(over, 0.0, occupancy)
+
 
 
 def optimal_average_cost(params: ContentParams, beta: float, C_h: float) -> float:
     """Optimal single-content average cost (holding charges included) at C_h."""
     if C_h < 0:
         raise ValueError("C_h must be >= 0")
-    return float(average_cost_batch(C_h, content_constants((params,), beta))[0])
+    return float(relaxed_batch(C_h, content_constants((params,), beta))[0][0])

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import scipy
 import aovcache
 from aovcache import _ckernel
 from aovcache.cli import _f, build_system, config_digest, main
-from aovcache.thresholds import compute_I, solve_thresholds
+from aovcache.policies import relaxed_lower_bound
+from aovcache.thresholds import compute_I, content_constants, relaxed_batch, solve_thresholds
 from aovcache.whittle import build_content_tables, whittle_cached
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -349,18 +351,30 @@ class TestLowerBoundAndCompare:
             assert float(g["relative_gap"]) > -0.05  # cost >= bound - noise
 
     def test_desk_bound_csv_bytes(self, tmp_path):
-        # M=90 is a slack capacity: the maximizer is the endpoint C_h = 0
-        cfg = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+        # M=90 is a slack capacity: the maximizer is the endpoint C_h = 0,
+        # where the relaxed occupancy is below M; elsewhere it equals M
+        cfg = CONFIGS / "desk.json"
         out = tmp_path / "lb-desk"
         assert main(["lower-bound", "--config", str(cfg), "--out", str(out),
                      "--m-values", "20,25,30,90"]) == 0
         assert (out / "lower_bound.csv").read_bytes() == (
-            b"M,C_h_star,bound\r\n"
-            b"20,0.0164700298581,1.19422509535\r\n"
-            b"25,0.0142267335873,1.11768354485\r\n"
-            b"30,0.0125343107252,1.05097050579\r\n"
-            b"90,0,0.633946211381\r\n"
+            b"M,C_h_star,bound,occupancy\r\n"
+            b"20,0.0164700303736,1.19422509535,20\r\n"
+            b"25,0.0142267335713,1.11768354485,25\r\n"
+            b"30,0.0125343109757,1.05097050579,30\r\n"
+            b"90,0,0.633946211381,82.528864217\r\n"
         )
+        # the pinned maximizers are where the dual's slope changes sign, to
+        # 1e-12 relative: the dual is flat to rounding over ~1e-8 of C_h
+        # around them, so only the slope pins those digits
+        system = build_system(json.loads(cfg.read_text()))
+        k = content_constants(system.contents, system.beta)
+        for m, pinned in ((20, "0.0164700303736"), (25, "0.0142267335713"),
+                          (30, "0.0125343109757")):
+            ch = relaxed_lower_bound(replace(system, M=m))[0]
+            assert _f(ch) == pinned
+            occupancy = [float(relaxed_batch(ch * (1.0 + s), k)[1].sum()) for s in (-1e-12, 1e-12)]
+            assert occupancy[0] > m > occupancy[1]
 
     @pytest.mark.parametrize("argv", [
         ["lower-bound", "--m-values", "-5"],
@@ -431,6 +445,8 @@ class TestVerifyCmd:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert re.search(r"^PASS  dual-bound  ", out, re.MULTILINE)
+        assert re.search(r"^PASS  dual-slope  \(max \|occupancy - M - central difference\| = "
+                         r"\S+ over \d+ points", out, re.MULTILINE)
         assert re.search(r"^PASS  special-functions  ", out, re.MULTILINE)
         assert re.search(r"^PASS  table-window  ", out, re.MULTILINE)
         assert re.search(r"^PASS  simulation-determinism  \(reference vs (compiled|reference) "
@@ -452,6 +468,18 @@ class TestVerifyCmd:
         out = capsys.readouterr().out
         assert re.search(r"^FAIL  dual-bound  ", out, re.MULTILINE)
         assert "FAILED: dual-bound\n" in out
+
+    def test_out_dir_gets_checks_and_manifest(self, unit_cfg, tmp_path, capsys):
+        out = tmp_path / "verify"
+        assert main(["verify", "--config", unit_cfg, "--quick", "--out", str(out)]) == 0
+        printed = [line.split("  ")[:2] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(("PASS", "FAIL"))]
+        rows = read_csv(out / "verify.csv")
+        assert [[r["result"], r["check"]] for r in rows] == printed
+        assert {"dual-bound", "dual-slope", "occupancy"} <= {r["check"] for r in rows}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == UNIT_DOC["sim"]["seed"]
+        assert manifest["outputs"] == [str(out / "verify.csv")]
 
     def test_takes_no_run_flags(self, unit_cfg):
         # verify runs its own horizons serially, so it reads neither flag

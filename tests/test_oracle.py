@@ -10,8 +10,7 @@ from aovcache.oracle import (
     SERVE_KEEP,
     WAIT,
     Grid,
-    _expint_rows,
-    _kernel_coeffs,
+    _expint_kernel,
     passive_in_table,
     value_iterate_holding,
     value_iterate_infinite,
@@ -32,8 +31,7 @@ def test_exponential_integral_matches_quadrature():
     rng = np.random.default_rng(0)
     beta, dtau = 1.7, 0.01
     h = np.cumsum(rng.random(400))
-    alpha, gamma, decay = _kernel_coeffs(beta, dtau)
-    J = _expint_rows(h, alpha, gamma, decay)
+    J = _expint_kernel(beta, dtau, len(h))(h)
     taus = np.arange(400) * dtau
     for j in (0, 17, 199, 398, 399):
         t = np.linspace(0.0, taus[-1] - taus[j], 200001)

@@ -13,7 +13,13 @@ from aovcache.policies import (
     static_topm_decide,
     whittle_decide,
 )
-from aovcache.thresholds import compute_I, solve_infinite_capacity, solve_q_hat
+from aovcache.thresholds import (
+    compute_I,
+    content_constants,
+    relaxed_batch,
+    solve_infinite_capacity,
+    solve_q_hat,
+)
 from conftest import desk_system
 
 
@@ -213,6 +219,37 @@ class TestCacheOrder:
         assert act == Action(ActionKind.FETCH_SERVE_CACHE, evict=3)
 
 
+def counted_bound(monkeypatch, system) -> tuple[int, tuple[float, float]]:
+    """``relaxed_lower_bound(system)`` and how many times it evaluated the
+    dual: (evaluations, (C_h_star, bound))."""
+    from aovcache import policies
+
+    calls = 0
+    real = policies.relaxed_batch
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(policies, "relaxed_batch", counted)
+    result = relaxed_lower_bound(system)
+    monkeypatch.undo()
+    return calls, result
+
+
+def dense_dual_max(system, points: int) -> float:
+    """Largest dual value on ``points`` evenly spaced C_h in [0, max I],
+    a few C_h per kernel call."""
+    k = content_constants(system.contents, system.beta)
+    grid = np.linspace(0.0, float(k.I.max()), points)
+    best = -np.inf
+    for chunk in np.array_split(grid, max(1, points * system.N // 25_000)):
+        theta = relaxed_batch(chunk[:, None], k)[0]
+        best = max(best, float((theta.sum(axis=1) - chunk * system.M).max()))
+    return best
+
+
 class TestRelaxedLowerBound:
     def test_zero_capacity_saturates(self):
         system = desk_system(N=20, M=0)
@@ -253,24 +290,28 @@ class TestRelaxedLowerBound:
     @pytest.mark.parametrize("kw", [dict(M=90), dict(beta=40.0, M=96)])
     def test_slack_capacity_maximizer_is_zero(self, kw):
         # M is at least the relaxed occupancy at zero holding cost, so the
-        # dual peaks at the endpoint C_h = 0, which golden section only nears
+        # dual peaks at the endpoint C_h = 0, where its slope is <= 0
         system = desk_system(**kw)
         assert relaxed_lower_bound(system) == (0.0, dual_value(system, 0.0))
 
-    def test_golden_section_without_grid_pass(self, monkeypatch):
-        from aovcache import policies
+    def test_desk_bound_in_few_evaluations(self, monkeypatch):
+        # each step of the search is one kernel call, which gives the dual's
+        # value and slope; golden section took 64 value-only calls here
+        assert counted_bound(monkeypatch, desk_system())[0] <= 20
 
-        calls = 0
-        real = policies.dual_value
-
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(policies, "dual_value", counted)
-        relaxed_lower_bound(desk_system())
-        assert calls <= 64
+    @pytest.mark.parametrize("family,beta,N,M", [
+        *(("desk", 4.0, 100, m) for m in (5, 17, 29, 41, 50, 53, 65, 77, 89)),
+        *(("paper-n100", 40.0, 100, m) for m in (5, 17, 29, 41, 53, 65, 77, 89)),
+        ("paper", 40.0, 1000, 30),
+    ])
+    def test_bound_tops_a_dense_grid(self, monkeypatch, family, beta, N, M):
+        # desk M=50 and paper M=30 have their maximum on a Q_bar kink, where
+        # the slope jumps across 0 and a secant alone only creeps
+        system = desk_system(N=N, beta=beta, M=M)
+        evaluations, (ch, bound) = counted_bound(monkeypatch, system)
+        assert evaluations <= 64
+        assert bound == dual_value(system, ch)
+        assert bound >= dense_dual_max(system, 2001) - 1e-12
 
     def test_concavity_sanity(self):
         system = desk_system(N=30, M=8)

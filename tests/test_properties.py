@@ -22,6 +22,7 @@ from aovcache.thresholds import (
     content_constants,
     first_consistent,
     optimal_average_cost,
+    relaxed_batch,
     solve_case2,
     solve_gap,
     solve_thresholds,
@@ -160,6 +161,34 @@ def test_batched_dual_matches_scalar_sum(cbs, beta, m_frac, ch_frac):
     terms = [optimal_average_cost(c, beta, ch) for c in contents_]
     scalar = sum(terms) - ch * system.M
     assert abs(dual_value(system, ch) - scalar) <= TOL * (sum(terms) + ch * system.M)
+
+
+@SETTINGS
+@given(cb=contents(ratio_lo=0.1, ratio_hi=400.0), frac=st.floats(0.0, 1.5))
+@example(cb=(ContentParams(lam=1.0, p=1.0, costs=CostModel(1.0, 1.0, 0.5)), 1.0), frac=0.0)
+def test_occupancy_is_the_slope_of_theta(cb, frac):
+    c, beta = cb
+    k = content_constants((c,), beta)
+    I = float(k.I[0])
+    ch = frac * I
+    theta, occupancy = (float(a[0]) for a in relaxed_batch(ch, k))
+    assert 0.0 <= occupancy <= 1.0
+    if ch > I:
+        assert occupancy == 0.0
+        return
+    assert occupancy > 0.0  # finite, and positive at C_h = 0 too
+    if ch < 1e-3 * I:
+        return  # the slope of occupancy grows like C_h^-1/2 towards 0
+    # five-point central difference of theta, where no Q_bar jump or I lies
+    # within the stencil; theta carries rounding of ~1e-12 relative, hence
+    # the second term
+    h = 3e-3 * ch
+    xs = ch + h * np.array([-2.0, -1.0, 1.0, 2.0])
+    if xs[-1] > I or np.ptp(case2_batch(xs[:, None], k)[2]) != 0:
+        return
+    t = relaxed_batch(xs[:, None], k)[0][:, 0]
+    central = (t[0] - 8.0 * t[1] + 8.0 * t[2] - t[3]) / (12.0 * h)
+    assert abs(occupancy - central) <= 1e-5 * occupancy + 1e-11 * theta / h
 
 
 # -- windows of queue candidates against the scan of every candidate -------
