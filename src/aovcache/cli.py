@@ -36,31 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _ckernel
-from .model import (
-    ContentParams,
-    CostModel,
-    SingleContentState,
-    SystemParams,
-    validate,
-    zipf_popularity,
-)
-from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower_bound
-from .simulator import AgeingMode, SimConfig, SimulationError, _run, aggregate, sweep
-from .thresholds import (
-    case2_batch,
-    case2_residuals,
-    content_constants,
-    relaxed_batch,
-    solve_case2,
-    solve_thresholds,
-)
-from .whittle import (
-    build_index_tables,
-    cached_indices,
-    grid_taus,
-    verify_indexability,
-    whittle_cached,
-)
+from .model import ContentParams, CostModel, SystemParams, validate, zipf_popularity
+from .policies import PolicyKind, relaxed_lower_bound
+from .simulator import AgeingMode, SimConfig, aggregate, sweep
+from .thresholds import case2_batch, content_constants, relaxed_batch, solve_thresholds
+from .whittle import build_index_tables, cached_indices
 
 _FMT = "%.12g"
 
@@ -429,192 +409,28 @@ def cmd_compare(doc: dict, args) -> int:
     return 0
 
 
-def _bits_differ(a: np.ndarray, b: np.ndarray) -> int:
-    """How many elements of two float64 arrays differ in their bits (NaN
-    equals NaN)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return int(np.count_nonzero((a.view(np.int64) != b.view(np.int64))
-                                & ~(np.isnan(a) & np.isnan(b))))
-
-
 def cmd_verify(doc: dict, args) -> int:
-    """Oracle-equivalence and invariant battery; nonzero exit on failure."""
-    # imported here: the oracle pulls in scipy.signal, which costs every
-    # other command about a second of import time
-    from .oracle import value_iterate_infinite, whittle_by_sweep
+    """Oracle-equivalence and invariant battery (``checks.battery``); exit 4
+    on a failure."""
+    # imported here: the checks' oracle pulls in scipy.signal, which costs
+    # every other command about a second of import time
+    from .checks import battery
 
     system = build_system(doc)
-    beta = system.beta
-    checks: list[tuple[str, bool, str]] = []
-    quick = args.quick
     cfg = _sim_config(doc, system, args)
     rep = Reporter(args.out, doc, cfg.seed)
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, ok, detail))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-
-    picks = list(range(system.N))[: (2 if quick else 4)]
-    for i in picks:
-        c = system.contents[i]
-        rate = c.p * beta
-        cm = c.costs
-        ts = solve_thresholds(c, beta, 0.0)
-        vt = value_iterate_infinite(rate, c.lam, cm.c_a, cm.c_f, cm.c_w,
-                                    tol=1e-7 if quick else 1e-9)
-        rel = abs(vt.theta - ts.theta) / ts.theta
-        check(f"theta-vs-oracle[content {i}]", rel < 5e-3, f"rel={rel:.2e}")
-        ch = 0.6 * ts.I
-        tb, tt, qb, theta2 = solve_case2(ch, c, beta)
-        r1, r2, r3 = case2_residuals(ch, c, beta, tb, tt, qb)
-        check(f"case2-residuals[content {i}]",
-              max(abs(r1), abs(r2), abs(r3)) < 1e-9)
-        grid = np.linspace(0.0, 1.02 * ts.I, 60 if quick else 200)
-        viol = verify_indexability(c, beta, grid)
-        check(f"indexability[content {i}]", not viol, f"{len(viol)} violations")
-        prev = None
-        mono_ok = True
-        for chv in np.linspace(ts.I / 50, ts.I, 25):
-            tb2, tt2, qb2, _ = solve_case2(float(chv), c, beta)
-            if prev is not None and not (tb2 < prev[0] and tt2 > prev[1] and qb2 >= prev[2]):
-                mono_ok = False
-            prev = (tb2, tt2, qb2)
-        check(f"threshold-monotonicity[content {i}]", mono_ok)
-        if not quick:
-            w = whittle_cached(c, beta, 0, 0.5 * ts.tau_star)
-            sw_grid = np.linspace(0, 1.02 * ts.I, 80)
-            [ws] = whittle_by_sweep(c, beta,
-                                    [SingleContentState(0, 0.5 * ts.tau_star, True, False)],
-                                    sw_grid, tol=1e-6)
-            step = sw_grid[1] - sw_grid[0]
-            check(f"whittle-vs-sweep[content {i}]", abs(w - ws) <= step + 1e-3,
-                  f"|{w:.4g}-{ws:.4g}| vs step {step:.4g}")
-
-    consts = content_constants(system.contents, beta)
-    # the compiled special functions against scipy.special, bit for bit, at
-    # this config's own arguments: content 0's cached-index grid and the
-    # gap equation's c = C_h / (p c_a lam) over every content's range (the
-    # identity rests on the host's libm)
-    if _ckernel.special is None:
-        check("special-functions", True, "the library is not built: scipy.special in use")
-    else:
-        from scipy.special import lambertw, wrightomega
-
-        seen = []
-
-        def omega(x):
-            seen.append(x.ravel())
-            return _ckernel.wright_omega(x)
-
-        ts0 = solve_thresholds(system.contents[0], beta, 0.0)
-        cached_indices(system.contents[0], beta, ts0, grid_taus(ts0.tau_star), omega)
-        omega_x = np.concatenate(seen)
-        c_max = float((consts.I / (consts.p * consts.c_alam)).max())
-        w0_z = -np.exp(-1.0 - np.geomspace(1e-3, max(c_max, 1e-3), 1000))
-        n_omega = _bits_differ(_ckernel.wright_omega(omega_x), wrightomega(omega_x))
-        n_w0 = _bits_differ(_ckernel.lambert_w0(w0_z), lambertw(w0_z).real)
-        check("special-functions", n_omega == n_w0 == 0,
-              f"{n_omega} of {omega_x.size} omega and {n_w0} of {w0_z.size} W0 values "
-              "differ from scipy.special")
-
-    # the index tables from windows of queue candidates against a scan of
-    # every candidate, array for array and bit for bit
-    windowed, fallback = build_index_tables(system.contents, beta)
-    full = build_index_tables(system.contents, beta, window=False)[0]
-    arrays = [(getattr(windowed, f), getattr(full, f)) for f in ("cdbl", "cint", "bps", "w_of_tau")]
-    n_differ = sum(x.size if x.shape != y.shape else _bits_differ(x, y) for x, y in arrays)
-    check("table-window", n_differ == 0,
-          f"{n_differ} of {sum(y.size for _, y in arrays)} table values differ from the "
-          f"full-width scan; {fallback} rows fell back to it")
-
-    # the bound's search relies on the dual being concave; a dual that is
-    # not would show as a grid point above the bound, and a wrong maximizer
-    # or bound as a neighbour of C_h* above it
-    ch_star, bound = relaxed_lower_bound(system)
-    hi = float(consts.I.max())
-    dual_grid = np.linspace(0.0, hi, 60 if quick else 200)
-    delta = 1e-9 * hi
-    probes = [*dual_grid, max(ch_star - delta, 0.0), ch_star + delta]
-    dual_max = max(dual_value(system, float(x), consts) for x in probes)
-    check("dual-bound", dual_max - bound <= 1e-9 * max(1.0, abs(bound)),
-          f"C_h*={ch_star:.6g}, bound - max over {len(dual_grid)} grid points and "
-          f"C_h* +- {delta:.2g} = {bound - dual_max:.2e}")
-
-    # the search steers by the closed-form occupancy, the dual's slope plus
-    # M: against central differences of the dual next to C_h* and on the
-    # grid, at points whose step neither crosses a Q_bar jump nor an I_n,
-    # where theta_n has a kink
-    step = 1e-6 * hi
-
-    def piece(c: float) -> tuple:
-        c_n = np.minimum(c, consts.I)
-        return tuple(case2_batch(c_n, consts)[2].tolist()), tuple((c_n < c).tolist())
-
-    errors, kinked = [], 0
-    for c in [ch_star * (1.0 - 1e-3), ch_star, ch_star * (1.0 + 1e-3), *dual_grid[1:-1]]:
-        if c <= step:
-            continue
-        if piece(c - step) != piece(c + step):
-            kinked += 1
-            continue
-        central = (dual_value(system, c + step, consts)
-                   - dual_value(system, c - step, consts)) / (2.0 * step)
-        slope = float(relaxed_batch(c, consts)[1].sum()) - system.M
-        errors.append(abs(slope - central))
-    worst = max(errors, default=math.inf)
-    check("dual-slope", worst <= 1e-6 * max(1.0, system.M),
-          f"max |occupancy - M - central difference| = {worst:.2e} over {len(errors)} points, "
-          f"{kinked} more skipped at a kink (step {step:.2g})")
-
-    horizon = min(cfg.horizon_events or 200_000, 200_000 if quick else 500_000)
-    cfg = SimConfig(system=system, policy=cfg.policy, horizon_events=horizon,
-                    seed=cfg.seed, ageing_mode=cfg.ageing_mode, warmup=cfg.warmup)
-    # a run raises SimulationError when the cache stops holding M contents
-    # or the cost accounts disagree; a run that returns held both
-    sim_errors: list[str] = []
-    compiled = _ckernel.event_loop
-
-    def simulate(c: SimConfig, kernel):
-        try:
-            return _run(c, tables, kernel)
-        except SimulationError as e:
-            sim_errors.append(f"{c.policy.value}/{c.ageing_mode.value}: {e}")
-            return None
-
-    try:
-        tables = build_policy_tables(system)
-        m1 = simulate(cfg, compiled)
-        if m1 is not None:
-            check("cost-reconciliation", m1.reconciliation <= 1e-9,
-                  f"{m1.reconciliation:.2e}")
-            check("no-serve-after-wait", m1.serve_after_wait == 0,
-                  f"{m1.serve_after_wait} occurrences")
-        # the reference loop against the compiled one (when it is built)
-        # for every policy and ageing mode, at a short horizon
-        differ = []
-        for policy in PolicyKind:
-            for mode in AgeingMode:
-                c = replace(cfg, policy=policy, ageing_mode=mode,
-                            horizon_events=min(horizon, 20_000))
-                if simulate(c, None) != simulate(c, compiled):
-                    differ.append(f"{policy.value}/{mode.value}")
-        loop = "compiled" if compiled is not None else "reference"
-        check("simulation-determinism", not differ,
-              f"reference vs {loop} loop, {len(PolicyKind) * len(AgeingMode)} policy/mode pairs"
-              + (f"; differ: {', '.join(differ)}" if differ else ""))
-        check("occupancy", not sim_errors, "; ".join(sim_errors))
-    except Exception as e:  # pragma: no cover - battery failure path
-        check("simulation", False, str(e))
-
+    rows = []
+    for name, r, seconds in battery(system, cfg, args.quick):
+        rows.append([name, "PASS" if r.passed else "FAIL", r.detail, f"{seconds:.3f}"])
+        print(f"{rows[-1][1]}  {name}" + (f"  ({r.detail})" if r.detail else ""), flush=True)
     if rep.dir:
-        rep.table("verify.csv", ["check", "result", "detail"],
-                  [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in checks])
+        rep.table("verify.csv", ["check", "result", "detail", "seconds"], rows)
     rep.close()
-    failed = [name for name, ok, _ in checks if not ok]
+    failed = [name for name, result, _, _ in rows if result == "FAIL"]
     if failed:
         print(f"FAILED: {', '.join(failed)}")
         return 4
-    print(f"all {len(checks)} properties passed")
+    print(f"all {len(rows)} properties passed")
     return 0
 
 

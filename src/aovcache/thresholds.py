@@ -449,7 +449,7 @@ def zero_holding_thresholds(k: ContentConstants) -> list[ThresholdSet]:
 def relaxed_batch(C_h, k: ContentConstants) -> tuple[np.ndarray, np.ndarray]:
     """``(theta, occupancy)`` at C_h for every content of ``k``, from one
     ``case2_batch`` call: the optimal single-content average cost (``theta``
-    of ``case2_batch`` up to ``I``, ``theta_case1`` above it) and its slope
+    of ``case2_batch`` below ``I``, ``theta_case1`` from ``I`` on) and its slope
     in C_h, which is the fraction of time the optimal policy holds the
     content (envelope theorem: ``theta`` is a minimum over policies of
     a cost affine in C_h, whose slope is that policy's occupancy).
@@ -463,20 +463,26 @@ def relaxed_batch(C_h, k: ContentConstants) -> tuple[np.ndarray, np.ndarray]:
 
         theta'(C_h) = p*(1 + beta*tb) / (p*(1 + beta*tb - e^-x) + Q_bar + 1)
 
-    for ``C_h <= I`` and 0 above it (the never-cache cost is flat).  It
+    for ``C_h < I`` and 0 from ``I`` on (the never-cache cost is flat).  It
     lies in (0, 1], as ``p*e^-x <= 1 <= Q_bar + 1``, and has no
     singularity at ``C_h = 0`` (x = 0, the denominator is at least
     ``Q_bar + 1``).  At a ``Q_bar`` jump theta has a kink, and the value
     is the slope of the piece of the ``Q_bar`` that ``case2_batch``
-    picks there: a one-sided derivative.
+    picks there: a one-sided derivative.  At ``C_h = I`` the two regimes
+    meet: ``theta_case1`` is the value there and 0 the right-hand slope.
+    Case 2 is solved only below ``I`` (at ``I``, for a large
+    ``c_f/(c_a*lam)``, no queue candidate may pass its floor test), so a
+    content at or above it costs one comparison.
     """
     C_h = np.asarray(C_h, dtype=float)
-    tb, tt, qb, theta = case2_batch(np.minimum(C_h, k.I), k)
-    u = k.p * (1.0 + k.beta * tb)
-    occupancy = u / (u - k.p * np.exp(-k.beta * (tt - tb)) + qb + 1.0)
-    over = C_h > k.I
-    return np.where(over, k.theta1, theta), np.where(over, 0.0, occupancy)
-
+    under = C_h < k.I
+    theta, occupancy = np.where(under, 0.0, k.theta1), np.zeros(under.shape)
+    n = np.nonzero(under)  # the last index array holds the contents
+    ku = k.take(n[-1])
+    tb, tt, qb, theta[n] = case2_batch(np.broadcast_to(C_h, under.shape)[n], ku)
+    u = ku.p * (1.0 + ku.beta * tb)
+    occupancy[n] = u / (u - ku.p * np.exp(-ku.beta * (tt - tb)) + qb + 1.0)
+    return theta, occupancy
 
 
 def optimal_average_cost(params: ContentParams, beta: float, C_h: float) -> float:

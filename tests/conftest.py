@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aovcache.checks import bits_differ
 from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
 
 
@@ -59,8 +60,9 @@ def corrupt_cache(monkeypatch, system):
 
 
 def assert_same_bits(a, b):
-    """The two float64 arrays hold the same bits, element for element."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    """The two float64 arrays hold the same bits, element for element (a
+    NaN equals any NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape
-    differ = a.view(np.int64) != b.view(np.int64)
+    differ = bits_differ(a, b)
     assert not differ.any(), f"{differ.sum()} differ, first at {np.flatnonzero(differ)[:5]}"

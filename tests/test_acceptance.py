@@ -13,28 +13,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aovcache.model import CostModel, SingleContentState, SystemParams
-from aovcache.oracle import (
-    Grid,
-    value_iterate_holding,
-    value_iterate_infinite,
-    whittle_by_sweep,
-)
+from aovcache import checks
+from aovcache.model import CostModel, SystemParams
 from aovcache.policies import PolicyKind, build_policy_tables, relaxed_lower_bound
 from aovcache.simulator import SimConfig, SimulationError, aggregate, run, sweep
-from aovcache.thresholds import (
-    compute_I,
-    optimal_average_cost,
-    solve_case2,
-    solve_infinite_capacity,
-    solve_thresholds,
-)
-from aovcache.whittle import (
-    default_state_grid,
-    verify_indexability,
-    whittle_cached,
-    whittle_uncached,
-)
+from aovcache.thresholds import solve_infinite_capacity, solve_thresholds
+from aovcache.whittle import default_state_grid
 from conftest import UNIT, corrupt_cache, desk_system, random_content
 
 
@@ -71,40 +55,14 @@ def test_criterion_1_closed_form_vs_oracle():
     thresholds within one grid cell, runtime < 2 min."""
     rng = np.random.default_rng(20260810)
     t0 = time.time()
-    worst = 0.0
-    for _ in range(20):
-        c, beta = random_content(rng)
-        cm = c.costs
-        rate = c.p * beta
-        ts = solve_thresholds(c, beta, 0.0)
-
-        vt = value_iterate_infinite(rate, c.lam, cm.c_a, cm.c_f, cm.c_w)
-        rel = abs(vt.theta - ts.theta) / ts.theta
-        worst = max(worst, rel)
-        assert rel < 5e-3
-        assert abs(vt.tau_serve_end() - ts.tau_star) <= vt.grid.dtau + 1e-12
-        assert vt.queue_fetch_threshold() == ts.Q_star
-
-        ch = 0.6 * ts.I
-        tb, tt, qb, theta2 = solve_case2(ch, c, beta)
-        vt2 = value_iterate_holding(c, beta, ch)
-        rel = abs(vt2.theta - theta2) / theta2
-        worst = max(worst, rel)
-        assert rel < 5e-3
-        assert abs(vt2.tau_serve_keep_end() - tb) <= vt2.grid.dtau + 1e-12
-        assert abs(vt2.tau_serve_end() - tt) <= vt2.grid.dtau + 1e-12
-        assert abs(vt2.queue_fetch_threshold() - qb) <= 1
-
-        theta1 = optimal_average_cost(c, beta, 1.5 * ts.I)
-        vt1 = value_iterate_holding(c, beta, 1.5 * ts.I)
-        rel = abs(vt1.theta - theta1) / theta1
-        worst = max(worst, rel)
-        assert rel < 5e-3
-        assert abs(vt1.queue_fetch_threshold() - ts.Q_hat) <= 1
+    results = [checks.theta_vs_oracle(*random_content(rng)) for _ in range(20)]
     elapsed = time.time() - t0
+    for r in results:
+        assert r.passed, r.detail
     assert elapsed < 120.0
     _report("1 closed-form vs oracle",
-            f"20 sets x 3 regimes, worst rel {worst:.2e}, {elapsed:.1f}s")
+            f"20 sets x 3 regimes, worst rel {max(r.error for r in results):.2e}, "
+            f"{elapsed:.1f}s")
 
 
 def test_criterion_2_theorem1_in_vivo():
@@ -139,27 +97,9 @@ def test_criterion_3_whittle_vs_sweep_oracle():
     worst = 0.0
     for k in range(5):
         c, beta = random_content(rng, ratio_lo=0.3, ratio_hi=30.0)
-        cm = c.costs
-        ts = solve_thresholds(c, beta, 0.0)
-        states = [SingleContentState(0, float(tau), True, False)
-                  for tau in np.linspace(0.0, ts.tau_star, 20)]
-        states += [SingleContentState(q, 0.0, False, True)
-                   for q in range(ts.Q_hat + 3)]
-        expected = [
-            whittle_cached(c, beta, s.Q, s.tau) if s.cached
-            else whittle_uncached(c, beta, s.Q)
-            for s in states
-        ]
-        ch_grid = np.linspace(0.0, 1.02 * ts.I, 515)
-        step = ch_grid[1] - ch_grid[0]
-        tol = max(1e-3, step)
-        grid = Grid.for_params(c.p * beta, c.lam, cm.c_a, cm.c_f, cm.c_w,
-                               refine=2.0)
-        found = whittle_by_sweep(c, beta, states, ch_grid, grid=grid, tol=1e-7)
-        for s, got, want in zip(states, found, expected):
-            err = abs(got - want)
-            worst = max(worst, err / (tol + step))
-            assert err <= tol + step + 1e-12, (k, s, got, want)
+        r = checks.whittle_vs_sweep(c, beta, 515, tol=1e-7, refine=2.0, cells=1)
+        assert r.passed, (k, r.detail)
+        worst = max(worst, r.error)
     elapsed = time.time() - t0
     _report("3 Whittle vs sweep oracle",
             f"5 sets, worst error {worst:.2f} of budget, {elapsed:.1f}s")
@@ -175,11 +115,9 @@ def test_criterion_4_indexability():
     random contents."""
     total_states = 0
     for c, beta in _criterion_45_contents():
-        I = compute_I(c, beta)
-        grid = np.linspace(0.0, 1.05 * I, 200)
-        states = default_state_grid(c, beta)
-        total_states += len(states)
-        assert verify_indexability(c, beta, grid, states) == []
+        total_states += len(default_state_grid(c, beta))
+        r = checks.indexability(c, beta, 200, span=1.05)
+        assert r.passed, r.detail
     _report("4 indexability", f"20 contents x 200 C_h points, "
             f"{total_states} states, 0 violations")
 
@@ -187,23 +125,12 @@ def test_criterion_4_indexability():
 def test_criterion_5_monotonicity_and_ordering():
     """tau_bar strictly down, tau_tilde strictly up, Q_bar nondecreasing on
     (0, I]; tau_bar <= tau* <= tau_tilde <= tau0 and Q* <= Q_bar <= Q_hat."""
-    checked = 0
-    for c, beta in _criterion_45_contents():
-        ts = solve_thresholds(c, beta, 0.0)
-        prev = None
-        for ch in np.linspace(ts.I / 200, ts.I, 200):
-            tb, tt, qb, _ = solve_case2(float(ch), c, beta)
-            assert tb <= ts.tau_star + 1e-12
-            assert ts.tau_star <= tt + 1e-12
-            assert tt <= ts.tau0 + 1e-12
-            assert ts.Q_star <= qb <= ts.Q_hat
-            if prev is not None:
-                assert tb < prev[0]
-                assert tt > prev[1]
-                assert qb >= prev[2]
-            prev = (tb, tt, qb)
-            checked += 1
-    _report("5 Lemma-3 monotonicity/ordering", f"{checked} grid points, 0 violations")
+    contents = _criterion_45_contents()
+    for c, beta in contents:
+        r = checks.threshold_monotonicity(c, beta, 200, low=1 / 200)
+        assert r.passed, r.detail
+    _report("5 Lemma-3 monotonicity/ordering",
+            f"{200 * len(contents)} grid points, 0 violations")
 
 
 def test_criterion_6_capacity_sweep(desk_sweep):

@@ -14,10 +14,16 @@ import pytest
 import scipy
 
 import aovcache
-from aovcache import _ckernel
+from aovcache import _ckernel, checks
 from aovcache.cli import _f, build_system, config_digest, main
 from aovcache.policies import relaxed_lower_bound
-from aovcache.thresholds import compute_I, content_constants, relaxed_batch, solve_thresholds
+from aovcache.thresholds import (
+    case2_batch,
+    compute_I,
+    content_constants,
+    relaxed_batch,
+    solve_thresholds,
+)
 from aovcache.whittle import build_content_tables, whittle_cached
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -376,6 +382,26 @@ class TestLowerBoundAndCompare:
             occupancy = [float(relaxed_batch(ch * (1.0 + s), k)[1].sum()) for s in (-1e-12, 1e-12)]
             assert occupancy[0] > m > occupancy[1]
 
+    @pytest.mark.parametrize("section, key, value, N, M", [
+        ("system", "lambda", 1e-9, 50, 10), ("costs", "c_a", 1e-12, 50, 10),
+        # N=5: each dual evaluation scans Q_hat = 421,673 queue candidates
+        # per content here (11 s and 1.2 GB at N=50)
+        ("costs", "c_f", 1e9, 5, 1),
+    ], ids=["lambda-1e-9", "c_a-1e-12", "c_f-1e9"])
+    def test_bound_of_extreme_costs(self, tmp_path, section, key, value, N, M):
+        # valid systems on which case 2 has no solution at C_h = I for some
+        # contents; the bound once raised there (exit 3)
+        doc = json.loads((CONFIGS / "desk.json").read_text())
+        doc["system"].update(N=N, M=M)
+        doc[section][key] = value
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["lower-bound", "--config", str(cfg), "--out", str(tmp_path / "lb")]) == 0
+        [row] = read_csv(tmp_path / "lb" / "lower_bound.csv")
+        system = build_system(doc)
+        # never caching is feasible, and costs theta1 per content
+        assert float(row["bound"]) <= content_constants(system.contents, system.beta).theta1.sum()
+
     @pytest.mark.parametrize("argv", [
         ["lower-bound", "--m-values", "-5"],
         ["lower-bound", "--m-values", "20"],  # M = N
@@ -455,19 +481,42 @@ class TestVerifyCmd:
     def test_dual_bound_catches_a_slightly_low_bound(self, desk_cfg, capsys, monkeypatch):
         # 1e-6 below the true maximum: far inside the grid's own shortfall,
         # but the dual next to C_h* sits above it
-        from aovcache import cli
-
-        exact = cli.relaxed_lower_bound
+        exact = checks.relaxed_lower_bound
 
         def low(system):
             ch, bound = exact(system)
             return ch, bound - 1e-6
 
-        monkeypatch.setattr(cli, "relaxed_lower_bound", low)
+        monkeypatch.setattr(checks, "relaxed_lower_bound", low)
         assert main(["verify", "--config", desk_cfg, "--quick"]) == 4
         out = capsys.readouterr().out
         assert re.search(r"^FAIL  dual-bound  ", out, re.MULTILINE)
         assert "FAILED: dual-bound\n" in out
+
+    def test_full_battery_on_unit_config(self, tmp_path, capsys):
+        # without --quick: the only test that runs whittle-vs-sweep
+        out = tmp_path / "verify"
+        assert main(["verify", "--config", str(CONFIGS / "unit.json"), "--out", str(out)]) == 0
+        assert re.search(r"^PASS  whittle-vs-sweep\[content 0\]  ", capsys.readouterr().out,
+                         re.MULTILINE)
+        rows = read_csv(out / "verify.csv")
+        assert {r["result"] for r in rows} == {"PASS"}
+        assert all(float(r["seconds"]) >= 0.0 for r in rows)
+
+    def test_dual_slope_catches_an_occupancy_without_its_decay_term(self, capsys, monkeypatch):
+        # the relaxed occupancy with p*e^-x dropped from its denominator,
+        # which moves unit.json's summed occupancy by ~0.09 in the median
+        exact = checks.relaxed_batch
+
+        def mutant(C_h, k):
+            over = np.asarray(C_h) >= k.I
+            tb, _, qb, _ = case2_batch(np.where(over, 0.0, C_h), k)
+            u = k.p * (1.0 + k.beta * tb)
+            return exact(C_h, k)[0], np.where(over, 0.0, u / (u + qb + 1.0))
+
+        monkeypatch.setattr(checks, "relaxed_batch", mutant)
+        assert main(["verify", "--config", str(CONFIGS / "unit.json"), "--quick"]) == 4
+        assert "FAILED: dual-slope\n" in capsys.readouterr().out  # and nothing else
 
     def test_out_dir_gets_checks_and_manifest(self, unit_cfg, tmp_path, capsys):
         out = tmp_path / "verify"

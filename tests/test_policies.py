@@ -250,6 +250,13 @@ def dense_dual_max(system, points: int) -> float:
     return best
 
 
+# desk costs with one value changed so far that c_f/(c_a*lam) is 1e10 or
+# 1e14: case 2 finds no floor-consistent Q_bar at C_h = I for many
+# contents.  (c_f = 1e9 does so too, but its Q_hat of 421,673 queue
+# candidates per content puts a dense grid of the dual out of reach.)
+EXTREME_COSTS = {"lambda-1e-9": dict(lam=1e-9), "c_a-1e-12": dict(c_a=1e-12)}
+
+
 class TestRelaxedLowerBound:
     def test_zero_capacity_saturates(self):
         system = desk_system(N=20, M=0)
@@ -303,15 +310,18 @@ class TestRelaxedLowerBound:
         *(("desk", 4.0, 100, m) for m in (5, 17, 29, 41, 50, 53, 65, 77, 89)),
         *(("paper-n100", 40.0, 100, m) for m in (5, 17, 29, 41, 53, 65, 77, 89)),
         ("paper", 40.0, 1000, 30),
+        *((family, 4.0, 50, 10) for family in EXTREME_COSTS),
     ])
     def test_bound_tops_a_dense_grid(self, monkeypatch, family, beta, N, M):
         # desk M=50 and paper M=30 have their maximum on a Q_bar kink, where
         # the slope jumps across 0 and a secant alone only creeps
-        system = desk_system(N=N, beta=beta, M=M)
+        system = desk_system(N=N, beta=beta, M=M, **EXTREME_COSTS.get(family, {}))
         evaluations, (ch, bound) = counted_bound(monkeypatch, system)
         assert evaluations <= 64
         assert bound == dual_value(system, ch)
         assert bound >= dense_dual_max(system, 2001) - 1e-12
+        # never caching is feasible, and costs theta1 per content
+        assert bound <= content_constants(system.contents, system.beta).theta1.sum()
 
     def test_concavity_sanity(self):
         system = desk_system(N=30, M=8)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from aovcache import _ckernel
+from aovcache import _ckernel, checks
 from aovcache.model import ContentParams, CostModel, zipf_popularity
 from aovcache.thresholds import (
-    case2_residuals,
     compute_I,
     content_constants,
     optimal_average_cost,
@@ -153,30 +152,15 @@ class TestCase2:
         rng = np.random.default_rng(17)
         for _ in range(30):
             c, beta = random_content(rng)
-            I = compute_I(c, beta)
             for frac in (0.0, 0.1, 0.37, 0.8, 1.0):
-                ch = frac * I
-                tb, tt, qb, _ = solve_case2(ch, c, beta)
-                r1, r2, r3 = case2_residuals(ch, c, beta, tb, tt, qb)
-                assert abs(r1) < 1e-9 and abs(r2) < 1e-9 and abs(r3) < 1e-9
+                r = checks.residuals(c, beta, frac)
+                assert r.passed, (frac, r.detail)
 
     def test_monotone_and_ordered_in_ch(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            c, beta = random_content(rng)
-            ts0 = solve_thresholds(c, beta, 0.0)
-            prev = None
-            for ch in np.linspace(ts0.I / 100, ts0.I, 100):
-                tb, tt, qb, _ = solve_case2(float(ch), c, beta)
-                assert tb <= ts0.tau_star + 1e-12
-                assert ts0.tau_star <= tt + 1e-12
-                assert tt <= ts0.tau0 + 1e-12
-                assert ts0.Q_star <= qb <= ts0.Q_hat
-                if prev is not None:
-                    assert tb < prev[0]
-                    assert tt > prev[1]
-                    assert qb >= prev[2]
-                prev = (tb, tt, qb)
+            r = checks.threshold_monotonicity(*random_content(rng), 100, low=1 / 100)
+            assert r.passed, r.detail
 
     def test_domain_errors(self, unit_content):
         I = compute_I(unit_content, 1.0)
