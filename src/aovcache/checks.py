@@ -24,8 +24,8 @@ from .model import ContentParams, SingleContentState, SystemParams
 from .oracle import Grid, value_iterate_holding, value_iterate_infinite, whittle_by_sweep
 from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, SimulationError, _run
-from .thresholds import (case2_batch, case2_residuals, content_constants, optimal_average_cost,
-                         relaxed_batch, solve_case2, solve_thresholds)
+from .thresholds import (case2_residuals, content_constants, optimal_average_cost, relaxed_batch,
+                         solve_case2, solve_thresholds, zero_holding_thresholds)
 from .whittle import (build_index_tables, cached_indices, grid_taus, verify_indexability,
                       whittle_cached, whittle_uncached)
 
@@ -95,9 +95,9 @@ def threshold_monotonicity(content: ContentParams, beta: float, points: int,
     strictly falls, ``tau_tilde`` strictly rises, ``Q_bar`` never falls,
     and ``tau_bar <= tau_star <= tau_tilde <= tau0``,
     ``Q_star <= Q_bar <= Q_hat`` at each."""
-    ts = solve_thresholds(content, beta, 0.0)
-    tb, tt, qb, _ = case2_batch(np.linspace(low * ts.I, ts.I, points),
-                                content_constants((content,), beta))
+    k = content_constants((content,), beta)
+    ts = zero_holding_thresholds(k)[0]
+    tb, tt, qb, _, _ = relaxed_batch(np.linspace(low * ts.I, ts.I, points), k)
     ordered = ((tb <= ts.tau_star + 1e-12) & (ts.tau_star <= tt + 1e-12)
                & (tt <= ts.tau0 + 1e-12) & (ts.Q_star <= qb) & (qb <= ts.Q_hat))
     monotone = (np.diff(tb) < 0.0) & (np.diff(tt) > 0.0) & (np.diff(qb) >= 0)
@@ -148,10 +148,10 @@ def special_functions(system: SystemParams) -> Result:
         seen.append(x.ravel())
         return _ckernel.wright_omega(x)
 
-    ts0 = solve_thresholds(system.contents[0], system.beta, 0.0)
-    cached_indices(system.contents[0], system.beta, ts0, grid_taus(ts0.tau_star), omega)
-    x = np.concatenate(seen)
     k = content_constants(system.contents, system.beta)
+    tau_star = solve_thresholds(system.contents[0], system.beta, 0.0).tau_star
+    cached_indices(k.take([0]), tau_star, grid_taus(tau_star), omega)
+    x = np.concatenate(seen)
     c_max = max(float((k.I / (k.p * k.c_alam)).max()), 1e-3)
     z = -np.exp(-1.0 - np.geomspace(1e-3, c_max, 1000))
     n_omega = np.count_nonzero(bits_differ(_ckernel.wright_omega(x), wrightomega(x)))
@@ -200,8 +200,8 @@ def dual_slope(system: SystemParams, points: int) -> Result:
     step = 1e-6 * hi
 
     def piece(c: float) -> tuple:
-        over = c >= k.I
-        return tuple(case2_batch(np.where(over, 0.0, c), k)[2].tolist()), tuple(over.tolist())
+        r = relaxed_batch(c, k)  # past its I_n, a content's occupancy is 0
+        return tuple(r.Q_bar.tolist()), tuple((r.occupancy == 0.0).tolist())
 
     errors, kinked = [], 0
     for c in [ch_star * (1.0 - 1e-3), ch_star, ch_star * (1.0 + 1e-3),
@@ -212,7 +212,7 @@ def dual_slope(system: SystemParams, points: int) -> Result:
             kinked += 1
             continue
         central = (dual_value(system, c + step, k) - dual_value(system, c - step, k)) / (2 * step)
-        errors.append(abs(float(relaxed_batch(c, k)[1].sum()) - system.M - central))
+        errors.append(abs(float(relaxed_batch(c, k).occupancy.sum()) - system.M - central))
     worst = max(errors, default=math.inf)
     return Result(worst <= 1e-6 * max(1.0, system.M),
                   f"max |occupancy - M - central difference| = {worst:.2e} over {len(errors)} "

@@ -39,7 +39,7 @@ from . import __version__, _ckernel
 from .model import ContentParams, CostModel, SystemParams, validate, zipf_popularity
 from .policies import PolicyKind, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, aggregate, sweep
-from .thresholds import case2_batch, content_constants, relaxed_batch, solve_thresholds
+from .thresholds import content_constants, relaxed_batch
 from .whittle import build_index_tables, cached_indices
 
 _FMT = "%.12g"
@@ -260,7 +260,7 @@ def cmd_solve(doc: dict, args) -> int:
     # every content's C_h points in one kernel call
     ch = np.concatenate([np.linspace(0.0, I, points) for I in k.I.tolist()])
     idx = np.repeat(np.arange(system.N), points)
-    solved = case2_batch(ch, k.take(idx))
+    solved = relaxed_batch(ch, k.take(idx))[:4]
     consts = zip(k.q_hat[idx].tolist(), k.tau0[idx].tolist(), k.I[idx].tolist())
     rows = [
         [i, _f(c), _f(tb), _f(tt), qb, q_hat, _f(tau0), _f(I), _f(theta)]
@@ -295,16 +295,12 @@ def cmd_whittle(doc: dict, args) -> int:
     rep = Reporter(args.out, doc)
     rows = []
     contents = [system.contents[i] for i in which]
+    k = content_constants(contents, system.beta)
     tables = build_index_tables(contents, system.beta)[0].content
-    for i, c, tb in zip(which, contents, tables):
+    for j, (i, tb) in enumerate(zip(which, tables)):
         if args.family in ("cached", "both"):
-            # whittle_cached at every tau, the interior ones in one call
             taus = np.linspace(0.0, tb.tau_star, tau_points)
-            w = np.where(taus <= 0.0, tb.ceiling, 0.0)
-            inner = (taus > 0.0) & (taus < tb.tau_star)
-            if inner.any():
-                ts = solve_thresholds(c, system.beta, 0.0)
-                w[inner] = cached_indices(c, system.beta, ts, taus[inner])
+            w = cached_indices(k.take([j]), tb.tau_star, taus)
             rows.extend([i, "cached", 0, _f(tau), _f(x)]
                         for tau, x in zip(taus.tolist(), w.tolist()))
         if args.family in ("uncached", "both"):
@@ -380,7 +376,7 @@ def cmd_lower_bound(doc: dict, args) -> int:
         ch, bound = relaxed_lower_bound(replace(system, M=m))
         # the relaxed policy's mean number of cached contents at C_h*: M
         # where the dual's slope is continuous there, at most M at C_h* = 0
-        occupancy = float(relaxed_batch(ch, consts)[1].sum())
+        occupancy = float(relaxed_batch(ch, consts).occupancy.sum())
         rows.append([m, _f(ch), _f(bound), _f(occupancy)])
     rep.table("lower_bound.csv", ["M", "C_h_star", "bound", "occupancy"], rows)
     rep.close()

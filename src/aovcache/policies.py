@@ -190,7 +190,7 @@ def dual_value(system: SystemParams, C_h: float,
     """
     if consts is None:
         consts = content_constants(system.contents, system.beta)
-    return float(relaxed_batch(C_h, consts)[0].sum()) - C_h * system.M
+    return float(relaxed_batch(C_h, consts).theta.sum()) - C_h * system.M
 
 
 def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
@@ -232,8 +232,8 @@ def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
     m = system.M
 
     def dual(c: float) -> tuple[float, float]:
-        theta, occupancy = relaxed_batch(c, consts)
-        return float(theta.sum()) - c * m, float(occupancy.sum()) - m
+        r = relaxed_batch(c, consts)
+        return float(r.theta.sum()) - c * m, float(r.occupancy.sum()) - m
 
     a, b = 0.0, hi
     fa, ga = dual(a)

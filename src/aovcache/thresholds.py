@@ -4,21 +4,22 @@ Three regimes of the single-content problem with holding cost ``C_h``:
 
 * ``C_h = 0``  -- serve below ``tau_star``, wait below ``Q_star``, else
   fetch; optimal cost ``p*beta*c_a*lam*tau_star``.
-* ``0 < C_h <= I`` -- serve below ``tau_bar``, serve-and-evict up to
+* ``0 < C_h < I`` -- serve below ``tau_bar``, serve-and-evict up to
   ``tau_tilde``, wait below ``Q_bar``, else fetch; optimal cost
   ``p*beta*c_a*lam*tau_tilde``.
-* ``C_h > I`` -- never cache; wait below ``Q_hat``, else fetch and
+* ``C_h >= I`` -- never cache; wait below ``Q_hat``, else fetch and
   discard; optimal cost ``(2*p*beta*c_f + c_w*Q_hat*(Q_hat+1)) / (2*(Q_hat+1))``.
 
-The two caching regimes (``C_h <= I``) are solved by one numpy kernel,
-``case2_batch``, batched over contents and holding costs: the Lambert-W
-root of the gap equation, then a quadratic in ``tau_bar`` per queue
-candidate (``case2_candidates``), keeping the floor-consistent one.
-Exactly one candidate is, and the excess of its floor argument over Q
-falls strictly with Q (proved at ``case2_batch``), so a window of
-candidates can stand in for the scan of all of them where
-``window_consistent`` says it decides.  The scalar solvers are
-thin callers of it, and ``content_constants`` solves the
+``relaxed_batch`` decides the regime for every solver whose ``C_h`` can
+reach ``I``: case 2 below ``I``, never-cache from ``I`` on.  Case 2 is
+solved by one numpy kernel, ``case2_batch``, batched over contents and
+holding costs: the Lambert-W root of the gap equation, then a quadratic
+in ``tau_bar`` per queue candidate (``case2_candidates``), keeping the
+floor-consistent one.  Exactly one candidate is, and the excess of its
+floor argument over Q falls strictly with Q (proved at ``case2_batch``),
+so a window of candidates can stand in for the scan of all of them where
+``window_consistent`` says it decides.  The scalar solvers are thin
+callers of these, and ``content_constants`` solves the
 ``C_h``-independent quantities once per content.  An independent
 value-iteration cross-check lives in ``aovcache.oracle``.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +49,7 @@ __all__ = [
     "window_consistent",
     "case2_candidates",
     "case2_batch",
+    "Relaxed",
     "relaxed_batch",
     "solve_case2",
     "solve_thresholds",
@@ -83,8 +85,8 @@ def solve_infinite_capacity(
     ``case2_batch`` with ``p = 1``, where the gap x vanishes.
     """
     k = content_constants((ContentParams(lam, 1.0, CostModel(c_a, c_f, c_w)),), beta)
-    tau, _, q, theta = _case2_scalar(0.0, k)
-    return tau, q, theta
+    ts = zero_holding_thresholds(k)[0]
+    return ts.tau_star, ts.Q_star, ts.theta
 
 
 def solve_q_hat(
@@ -289,7 +291,7 @@ def case2_candidates(C_h, k: ContentConstants, q):
 
 
 def case2_batch(C_h, k: ContentConstants):
-    """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h <= I``,
+    """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h < I``,
     as arrays over ``C_h`` broadcast against the contents of ``k``.
 
     The triple is the unique solution of
@@ -329,10 +331,10 @@ def case2_batch(C_h, k: ContentConstants):
       which exceeds 1/2 where ``f_Q >= 0`` and ``1/(Q+2)`` everywhere:
       far above the ``1e-9*(Q+1)`` near tolerance.
 
-    Every candidate is admissible on ``[0, I]``: ``tb_Q >= 0`` reads
-    ``(Q+1)*(v_x - Q/2) <= p*beta*c_f/c_w`` with ``v_x`` the v of
-    ``tt = x/beta``, and that holds for every Q at ``C_h = I``
-    (``Q_hat``'s defining inequality), hence below it.
+    Case 2 is solved only below ``I`` (``relaxed_batch`` decides the
+    regime): at ``I`` a large ``c_f/(c_a*lam)`` can leave no candidate
+    that passes the floor test, and where ``Q_bar`` jumps exactly at
+    ``I`` this kernel reads the ``Q_bar`` below the jump, not ``Q_hat``.
     """
     q = np.arange(int(k.q_hat.max(initial=0)) + 3, dtype=float)
     tb, tt, v, ok = case2_candidates(C_h, k, q)
@@ -345,26 +347,23 @@ def case2_batch(C_h, k: ContentConstants):
     return tb, tt, qb, k.p * k.beta * k.c_alam * tt
 
 
-def _case2_scalar(C_h: float, k: ContentConstants) -> tuple[float, float, int, float]:
-    """``case2_batch`` for one content and one C_h, with its domain checks."""
-    if C_h < 0:
-        raise ValueError(f"C_h must be >= 0, got {C_h}")
-    I = float(k.I[0])
-    if C_h > I * (1.0 + 1e-12) + 1e-15:
-        raise ValueError(f"C_h={C_h} exceeds the index ceiling I={I}")
-    tb, tt, qb, theta = case2_batch(C_h, k)
-    return float(tb[0]), float(tt[0]), int(qb[0]), float(theta[0])
-
-
 def solve_case2(
     C_h: float, params: ContentParams, beta: float
 ) -> tuple[float, float, int, float]:
     """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h <= I``
-    (``case2_batch`` for one content).  At ``C_h = 0`` this collapses to
+    (``relaxed_batch`` for one content).  At ``C_h = 0`` this collapses to
     the serve/wait/fetch thresholds with request rate ``p*beta``; at
-    ``C_h = I`` it yields ``tau_bar = 0`` and ``tau_tilde = tau0``.
+    ``C_h = I`` it yields the never-cache ``tau_bar = 0``,
+    ``tau_tilde = tau0`` and ``Q_bar = Q_hat``.
     """
-    return _case2_scalar(C_h, content_constants((params,), beta))
+    if C_h < 0:
+        raise ValueError(f"C_h must be >= 0, got {C_h}")
+    k = content_constants((params,), beta)
+    I = float(k.I[0])
+    if C_h > I * (1.0 + 1e-12) + 1e-15:
+        raise ValueError(f"C_h={C_h} exceeds the index ceiling I={I}")
+    tb, tt, qb, theta, _ = relaxed_batch(C_h, k)
+    return float(tb[0]), float(tt[0]), int(qb[0]), float(theta[0])
 
 
 def case2_residuals(
@@ -416,22 +415,16 @@ def solve_thresholds(params: ContentParams, beta: float, C_h: float = 0.0) -> Th
 
 def solve_thresholds_batch(params: ContentParams, beta: float,
                            C_h: Sequence[float]) -> list[ThresholdSet]:
-    """``solve_thresholds`` at each holding cost of ``C_h``, from one kernel
-    call (whose first row, ``C_h = 0``, gives ``tau_star`` and ``Q_star``)."""
+    """``solve_thresholds`` at each holding cost of ``C_h``, from one
+    ``relaxed_batch`` call and the ``C_h = 0`` thresholds."""
     C_h = np.asarray(C_h, dtype=float)
     if (C_h < 0).any():
         raise ValueError(f"C_h must be >= 0, got {C_h[C_h < 0][0]}")
     k = content_constants((params,), beta)
-    q_hat, tau0, I = int(k.q_hat[0]), float(k.tau0[0]), float(k.I[0])
-    tb, tt, qb, theta = case2_batch(np.concatenate(([0.0], np.minimum(C_h, I))), k)
-    over = np.concatenate(([False], C_h > I))
-    tb[over], tt[over], qb[over], theta[over] = 0.0, tau0, q_hat, k.theta1[0]
-    tb, tt, qb, theta = (a.tolist() for a in (tb, tt, qb, theta))
-    return [
-        ThresholdSet(tau_star=tb[0], Q_star=qb[0], tau_bar=tb[j], tau_tilde=tt[j],
-                     Q_bar=qb[j], Q_hat=q_hat, tau0=tau0, I=I, theta=theta[j], C_h=ch)
-        for j, ch in enumerate(C_h.tolist(), 1)
-    ]
+    star = zero_holding_thresholds(k)[0]
+    tb, tt, qb, theta, _ = (a.tolist() for a in relaxed_batch(C_h, k))
+    return [replace(star, tau_bar=tb[j], tau_tilde=tt[j], Q_bar=qb[j], theta=theta[j], C_h=ch)
+            for j, ch in enumerate(C_h.tolist())]
 
 
 def zero_holding_thresholds(k: ContentConstants) -> list[ThresholdSet]:
@@ -446,13 +439,24 @@ def zero_holding_thresholds(k: ContentConstants) -> list[ThresholdSet]:
     ]
 
 
-def relaxed_batch(C_h, k: ContentConstants) -> tuple[np.ndarray, np.ndarray]:
-    """``(theta, occupancy)`` at C_h for every content of ``k``, from one
-    ``case2_batch`` call: the optimal single-content average cost (``theta``
-    of ``case2_batch`` below ``I``, ``theta_case1`` from ``I`` on) and its slope
-    in C_h, which is the fraction of time the optimal policy holds the
-    content (envelope theorem: ``theta`` is a minimum over policies of
-    a cost affine in C_h, whose slope is that policy's occupancy).
+class Relaxed(NamedTuple):
+    """Per entry of ``relaxed_batch``: the optimal policy's thresholds, cost and occupancy."""
+
+    tau_bar: np.ndarray
+    tau_tilde: np.ndarray
+    Q_bar: np.ndarray   # int64
+    theta: np.ndarray
+    occupancy: np.ndarray
+
+
+def relaxed_batch(C_h, k: ContentConstants) -> Relaxed:
+    """The optimal single-content policy at C_h (broadcast against the
+    contents of ``k``): ``case2_batch``'s thresholds and cost below
+    ``I``, the never-cache ``(0, tau0, Q_hat, theta_case1)`` from ``I``
+    on, and the slope of theta in C_h, which is the fraction of time the
+    policy holds the content (envelope theorem: ``theta`` is a minimum
+    over policies of a cost affine in C_h, whose slope is that policy's
+    occupancy).
 
     The slope follows from (i)-(ii) of ``case2_batch`` by implicit
     differentiation at fixed ``Q_bar``.  With ``x = beta*(tt - tb)``,
@@ -470,23 +474,27 @@ def relaxed_batch(C_h, k: ContentConstants) -> tuple[np.ndarray, np.ndarray]:
     is the slope of the piece of the ``Q_bar`` that ``case2_batch``
     picks there: a one-sided derivative.  At ``C_h = I`` the two regimes
     meet: ``theta_case1`` is the value there and 0 the right-hand slope.
-    Case 2 is solved only below ``I`` (at ``I``, for a large
-    ``c_f/(c_a*lam)``, no queue candidate may pass its floor test), so a
-    content at or above it costs one comparison.
+    Case 2 is solved only below ``I`` (see ``case2_batch``), so a content
+    at or above it costs one comparison.
     """
     C_h = np.asarray(C_h, dtype=float)
     under = C_h < k.I
-    theta, occupancy = np.where(under, 0.0, k.theta1), np.zeros(under.shape)
-    n = np.nonzero(under)  # the last index array holds the contents
-    ku = k.take(n[-1])
-    tb, tt, qb, theta[n] = case2_batch(np.broadcast_to(C_h, under.shape)[n], ku)
+    n = np.nonzero(under)
+    ku = k.take(n[-1] % k.I.size)  # the contents' axis is last, or one content broadcasts
+    solved = case2_batch(np.broadcast_to(C_h, under.shape)[n], ku)
+    tb, tt, qb, _ = solved
     u = ku.p * (1.0 + ku.beta * tb)
-    occupancy[n] = u / (u - ku.p * np.exp(-ku.beta * (tt - tb)) + qb + 1.0)
-    return theta, occupancy
+    occupancy = u / (u - ku.p * np.exp(-ku.beta * (tt - tb)) + qb + 1.0)
+    out = Relaxed(np.zeros(under.shape), np.where(under, 0.0, k.tau0),
+                  np.where(under, 0, k.q_hat), np.where(under, 0.0, k.theta1),
+                  np.zeros(under.shape))
+    for a, x in zip(out, (*solved, occupancy)):
+        a[n] = x
+    return out
 
 
 def optimal_average_cost(params: ContentParams, beta: float, C_h: float) -> float:
     """Optimal single-content average cost (holding charges included) at C_h."""
     if C_h < 0:
         raise ValueError("C_h must be >= 0")
-    return float(relaxed_batch(C_h, content_constants((params,), beta))[0][0])
+    return float(relaxed_batch(C_h, content_constants((params,), beta)).theta[0])

@@ -92,12 +92,10 @@ CHUNK_CONTENTS = 4  # contents per batch of the cached-index build
 
 def whittle_cached(params: ContentParams, beta: float, Q: int, tau: float) -> float:
     """Index of a cached, not-currently-requested copy in state (Q, tau, 1, 0)."""
-    ts = solve_thresholds(params, beta, 0.0)
-    if Q > 0 or tau >= ts.tau_star:
+    if Q > 0:
         return 0.0
-    if tau <= 0.0:
-        return ts.I
-    return float(cached_indices(params, beta, ts, np.array([tau]))[0])
+    k = content_constants((params,), beta)
+    return float(cached_indices(k, zero_holding_thresholds(k)[0].tau_star, np.array([tau]))[0])
 
 
 def grid_taus(tau_star: float) -> np.ndarray:
@@ -132,17 +130,25 @@ def _omega_full_width(p, cal, c_f, c_w, beta: float, q_hat: int, taus: np.ndarra
     return np.take_along_axis(x, col[:, None], -1)[:, 0]
 
 
-def cached_indices(params: ContentParams, beta: float, ts: ThresholdSet,
-                   taus: np.ndarray, omega=wright_omega) -> np.ndarray:
-    """W(0, tau) at each ``0 < tau < tau_star`` of one content, by the
-    Wright-omega form over every queue candidate; ``omega`` evaluates
-    Wright omega elementwise (``aovcache verify`` passes one that records
-    its arguments).  ``cached_index_rows`` fills whole tables."""
-    cm = params.costs
-    cal = cm.c_a * params.lam
-    x = _omega_full_width(params.p, cal, cm.c_f, cm.c_w, beta, ts.Q_hat,
-                          np.asarray(taus, dtype=float), omega)
-    return np.minimum(params.p * cal * gap_value(np.maximum(x, 0.0)), ts.I)
+def cached_indices(k: ContentConstants, tau_star: float, taus: np.ndarray,
+                   omega=wright_omega) -> np.ndarray:
+    """W(0, tau) at each tau of ``taus`` for the one content of ``k``, whose
+    ``C_h = 0`` serve threshold is ``tau_star``: the ceiling I at
+    ``tau <= 0``, 0 from ``tau_star`` on, and in between the Wright-omega
+    form over every queue candidate; ``omega`` evaluates Wright omega
+    elementwise, and sees only the taus in between (``aovcache verify``
+    passes one that records its arguments).  ``cached_index_rows`` fills
+    whole tables."""
+    taus = np.asarray(taus, dtype=float)
+    I = float(k.I[0])
+    w = np.where(taus <= 0.0, I, 0.0)
+    inner = (taus > 0.0) & (taus < tau_star)
+    if inner.any():
+        p, cal = k.p[0], k.c_alam[0]
+        x = _omega_full_width(p, cal, k.c_f[0], k.c_w[0], k.beta, int(k.q_hat[0]), taus[inner],
+                              omega)
+        w[inner] = np.minimum(p * cal * gap_value(np.maximum(x, 0.0)), I)
+    return w
 
 
 def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndarray,
@@ -338,24 +344,27 @@ def index_residual_uncached(params: ContentParams, beta: float, Q: int, W: float
 # -- passive sets and indexability -----------------------------------------
 
 
-def _classify_passive(ts: ThresholdSet, C_h: float, s: SingleContentState) -> bool:
+def _classify_passive(ts: ThresholdSet, s: SingleContentState) -> bool:
     """Whether the optimal action at s leaves the content out of the cache.
 
-    Follows the optimal-policy table for the given C_h regime plus the
-    domain extension to (Q>0, tau, 1, b) states; "passive" counts every
-    action that ends the epoch with the content uncached, including
+    Follows the optimal-policy table for the regime of ``ts.C_h`` plus
+    the domain extension to (Q>0, tau, 1, b) states; "passive" counts
+    every action that ends the epoch with the content uncached, including
     serve-and-evict.  Uncached idle states (Q, 0, 0) take no action and
-    are trivially passive.
+    are trivially passive, and above ``I`` never caching is optimal, so
+    every state is.
     """
+    if ts.C_h > ts.I:
+        return True
     if not s.cached or s.Q > 0:
         if not s.requested:
             return True  # uncached idle, or extended (Q>0, tau, 1, 0): wait/evict
         # (Q, 0, 1) directly, or extended (Q>0, tau, 1, 1) which maps onto it
-        if C_h == 0.0:
+        if ts.C_h == 0.0:
             return s.Q < ts.Q_star
         return s.Q < ts.Q_bar
     if s.requested:  # (0, tau, 1, 1)
-        if C_h == 0.0:
+        if ts.C_h == 0.0:
             return s.tau > ts.tau_star and ts.Q_star > 0
         if s.tau <= ts.tau_bar:
             return False  # serve and keep
@@ -363,7 +372,7 @@ def _classify_passive(ts: ThresholdSet, C_h: float, s: SingleContentState) -> bo
             return True   # serve and evict
         return ts.Q_bar > 0  # wait-evict if waiting pays, else fetch and cache
     # (0, tau, 1, 0)
-    if C_h == 0.0:
+    if ts.C_h == 0.0:
         return False  # keeping a free copy is always optimal
     return s.tau >= ts.tau_bar
 
@@ -371,13 +380,7 @@ def _classify_passive(ts: ThresholdSet, C_h: float, s: SingleContentState) -> bo
 def passive_set_member(params: ContentParams, beta: float, C_h: float,
                        state: SingleContentState) -> bool:
     """Membership of ``state`` in the passive set at holding cost C_h."""
-    if C_h < 0:
-        raise ValueError("C_h must be >= 0")
-    I = compute_I(params, beta)
-    if C_h > I:
-        return True  # never caching is optimal; every state is passive
-    ts = solve_thresholds(params, beta, C_h)
-    return _classify_passive(ts, C_h, state)
+    return _classify_passive(solve_thresholds(params, beta, C_h), state)
 
 
 def default_state_grid(params: ContentParams, beta: float,
@@ -407,24 +410,19 @@ def verify_indexability(
     Returns one (state, C_h) entry per point where a state left the
     passive set as C_h increased; an indexable content yields [].
     """
-    I = compute_I(params, beta)
     if C_h_grid is None:
-        C_h_grid = np.linspace(0.0, 1.05 * I, 200)
-    C_h_grid = np.sort(np.asarray(C_h_grid, dtype=float))
+        C_h_grid = np.linspace(0.0, 1.05 * compute_I(params, beta), 200)
     if state_grid is None:
         state_grid = default_state_grid(params, beta)
-    solved = iter(solve_thresholds_batch(params, beta, C_h_grid[C_h_grid <= I]))
-    tables = [None if ch > I else next(solved) for ch in C_h_grid]
+    tables = solve_thresholds_batch(params, beta, np.sort(np.asarray(C_h_grid, dtype=float)))
     violations = []
     for s in state_grid:
         seen_passive = False
-        for ch, ts in zip(C_h_grid, tables):
-            member = True if ts is None else _classify_passive(ts, float(ch), s)
-            if member:
+        for ts in tables:
+            if _classify_passive(ts, s):
                 seen_passive = True
             elif seen_passive:
-                violations.append((s, float(ch)))
-        # no need to scan past I: membership is constant True there
+                violations.append((s, ts.C_h))
     return violations
 
 

@@ -18,7 +18,6 @@ from aovcache import _ckernel, checks
 from aovcache.cli import _f, build_system, config_digest, main
 from aovcache.policies import relaxed_lower_bound
 from aovcache.thresholds import (
-    case2_batch,
     compute_I,
     content_constants,
     relaxed_batch,
@@ -379,7 +378,8 @@ class TestLowerBoundAndCompare:
                           (30, "0.0125343109757")):
             ch = relaxed_lower_bound(replace(system, M=m))[0]
             assert _f(ch) == pinned
-            occupancy = [float(relaxed_batch(ch * (1.0 + s), k)[1].sum()) for s in (-1e-12, 1e-12)]
+            occupancy = [float(relaxed_batch(ch * (1.0 + s), k).occupancy.sum())
+                         for s in (-1e-12, 1e-12)]
             assert occupancy[0] > m > occupancy[1]
 
     @pytest.mark.parametrize("section, key, value, N, M", [
@@ -390,7 +390,8 @@ class TestLowerBoundAndCompare:
     ], ids=["lambda-1e-9", "c_a-1e-12", "c_f-1e9"])
     def test_bound_of_extreme_costs(self, tmp_path, section, key, value, N, M):
         # valid systems on which case 2 has no solution at C_h = I for some
-        # contents; the bound once raised there (exit 3)
+        # contents; the bound and the threshold report once raised there
+        # (exit 3)
         doc = json.loads((CONFIGS / "desk.json").read_text())
         doc["system"].update(N=N, M=M)
         doc[section][key] = value
@@ -401,6 +402,16 @@ class TestLowerBoundAndCompare:
         system = build_system(doc)
         # never caching is feasible, and costs theta1 per content
         assert float(row["bound"]) <= content_constants(system.contents, system.beta).theta1.sum()
+        # at c_f = 1e9 only C_h = 0 and I: a case-2 row there scans up to
+        # 591,918 queue candidates, and its index tables and their 1.9M
+        # uncached rows take 76 s and 3.3 GB, so whittle runs on the others
+        points = "2" if key == "c_f" else "9"
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve"),
+                     "--ch-points", points]) == 0
+        rows = read_csv(tmp_path / "solve" / "thresholds.csv")
+        assert len(rows) == N * int(points)
+        if key != "c_f":
+            assert main(["whittle", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["lower-bound", "--m-values", "-5"],
@@ -509,10 +520,10 @@ class TestVerifyCmd:
         exact = checks.relaxed_batch
 
         def mutant(C_h, k):
-            over = np.asarray(C_h) >= k.I
-            tb, _, qb, _ = case2_batch(np.where(over, 0.0, C_h), k)
-            u = k.p * (1.0 + k.beta * tb)
-            return exact(C_h, k)[0], np.where(over, 0.0, u / (u + qb + 1.0))
+            r = exact(C_h, k)
+            u = k.p * (1.0 + k.beta * r.tau_bar)
+            return r._replace(occupancy=np.where(r.occupancy == 0.0, 0.0,
+                                                 u / (u + r.Q_bar + 1.0)))
 
         monkeypatch.setattr(checks, "relaxed_batch", mutant)
         assert main(["verify", "--config", str(CONFIGS / "unit.json"), "--quick"]) == 4

@@ -19,7 +19,9 @@ from aovcache.thresholds import (
     relaxed_batch,
     solve_infinite_capacity,
     solve_q_hat,
+    solve_thresholds,
 )
+from aovcache.whittle import default_state_grid, passive_set_member
 from conftest import desk_system
 
 
@@ -245,7 +247,7 @@ def dense_dual_max(system, points: int) -> float:
     grid = np.linspace(0.0, float(k.I.max()), points)
     best = -np.inf
     for chunk in np.array_split(grid, max(1, points * system.N // 25_000)):
-        theta = relaxed_batch(chunk[:, None], k)[0]
+        theta = relaxed_batch(chunk[:, None], k).theta
         best = max(best, float((theta.sum(axis=1) - chunk * system.M).max()))
     return best
 
@@ -255,6 +257,24 @@ def dense_dual_max(system, points: int) -> float:
 # contents.  (c_f = 1e9 does so too, but its Q_hat of 421,673 queue
 # candidates per content puts a dense grid of the dual out of reach.)
 EXTREME_COSTS = {"lambda-1e-9": dict(lam=1e-9), "c_a-1e-12": dict(c_a=1e-12)}
+
+
+@pytest.mark.parametrize("family", EXTREME_COSTS)
+def test_never_cache_from_the_ceiling_on(family):
+    # the thresholds at I and 2I are the never-cache regime's exactly, and
+    # every passive set there is decided, for every content; solve_thresholds
+    # and passive_set_member at I once raised on some of them
+    system = desk_system(N=50, beta=4.0, M=10, **EXTREME_COSTS[family])
+    k = content_constants(system.contents, system.beta)
+    for i, c in enumerate(system.contents):
+        I = float(k.I[i])
+        for ch in (I, 2.0 * I):
+            ts = solve_thresholds(c, system.beta, ch)
+            assert (ts.tau_bar, ts.tau_tilde, ts.Q_bar, ts.theta) == (
+                0.0, k.tau0[i], k.q_hat[i], k.theta1[i])
+        states = default_state_grid(c, system.beta, n_tau=3)
+        assert {type(passive_set_member(c, system.beta, I, s)) for s in states} == {bool}
+        assert all(passive_set_member(c, system.beta, 2.0 * I, s) for s in states)
 
 
 class TestRelaxedLowerBound:

@@ -171,9 +171,10 @@ def test_occupancy_is_the_slope_of_theta(cb, frac):
     k = content_constants((c,), beta)
     I = float(k.I[0])
     ch = frac * I
-    theta, occupancy = (float(a[0]) for a in relaxed_batch(ch, k))
+    r = relaxed_batch(ch, k)
+    theta, occupancy = float(r.theta[0]), float(r.occupancy[0])
     assert 0.0 <= occupancy <= 1.0
-    if ch > I:
+    if ch >= I:
         assert occupancy == 0.0
         return
     assert occupancy > 0.0  # finite, and positive at C_h = 0 too
@@ -184,9 +185,9 @@ def test_occupancy_is_the_slope_of_theta(cb, frac):
     # the second term
     h = 3e-3 * ch
     xs = ch + h * np.array([-2.0, -1.0, 1.0, 2.0])
-    if xs[-1] > I or np.ptp(case2_batch(xs[:, None], k)[2]) != 0:
+    if xs[-1] >= I or np.ptp(case2_batch(xs[:, None], k)[2]) != 0:
         return
-    t = relaxed_batch(xs[:, None], k)[0][:, 0]
+    t = relaxed_batch(xs, k).theta  # four C_h of one content, broadcast
     central = (t[0] - 8.0 * t[1] + 8.0 * t[2] - t[3]) / (12.0 * h)
     assert abs(occupancy - central) <= 1e-5 * occupancy + 1e-11 * theta / h
 

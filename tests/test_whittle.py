@@ -167,7 +167,7 @@ class TestIndexability:
             for s in states:
                 seen = False
                 for ch, ts in zip(grid, one_at_a_time):
-                    member = ch > I or _classify_passive(ts, float(ch), s)
+                    member = _classify_passive(ts, s)
                     seen |= member
                     if seen and not member:
                         old.append((s, float(ch)))
