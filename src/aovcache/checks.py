@@ -24,8 +24,9 @@ from .model import ContentParams, SingleContentState, SystemParams
 from .oracle import Grid, value_iterate_holding, value_iterate_infinite, whittle_by_sweep
 from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, SimulationError, _run
-from .thresholds import (case2_residuals, content_constants, optimal_average_cost, relaxed_batch,
-                         solve_case2, solve_thresholds, zero_holding_thresholds)
+from .thresholds import (ConsistencyError, case2_residuals, content_constants,
+                         optimal_average_cost, relaxed_batch, solve_case2, solve_thresholds,
+                         with_columns, zero_holding_thresholds)
 from .whittle import (build_index_tables, cached_indices, grid_taus, verify_indexability,
                       whittle_cached, whittle_uncached)
 
@@ -188,12 +189,50 @@ def dual_bound(system: SystemParams, points: int) -> Result:
                   f"C_h* +- {delta:.2g} = {margin:.2e}", -margin)
 
 
+def dual_window(system: SystemParams, points: int) -> Result:
+    """The dual bound's evaluation against the full scan of
+    ``relaxed_batch``, every field bit for bit, at C_h* and at ``points``
+    values of C_h in [0, max I], each predicted from the ``Q_bar`` of the
+    point before it (the first from ``Q_hat``, as the bound's first
+    evaluation is): both the windows of candidates and the bound's own
+    path on this system, which is the scan of prepared columns where
+    ``with_columns`` prepares them.  Where the full scan raises
+    ``ConsistencyError``, each must raise it too."""
+    k = content_constants(system.contents, system.beta)
+    paths = [k] + [kc for kc in [with_columns(k)] if kc is not k]
+    ch_star = relaxed_lower_bound(system)[0]
+    pred, n, total = k.q_hat, 0, 0
+    for c in sorted([*np.linspace(0.0, float(k.I.max()), points), ch_star]):
+        try:
+            full = relaxed_batch(c, k)
+        except ConsistencyError:
+            full = None
+        for kp in paths:
+            try:
+                r = relaxed_batch(c, kp, pred)
+            except ConsistencyError:
+                n += full is not None
+                continue
+            total += len(r) * k.I.size
+            if full is None:
+                n += 1
+                continue
+            n += sum(np.count_nonzero(bits_differ(a, b)) for a, b in zip(r, full))
+            pred = r.Q_bar
+    return Result(n == 0, f"{n} of {total} values at {points + 1} holding costs differ from "
+                  "the full-width scan", n)
+
+
 def dual_slope(system: SystemParams, points: int) -> Result:
     """The closed-form occupancy, which the bound's search steers by, is
     the dual's slope plus M: against central differences of the dual next
     to C_h* and at the inner ones of ``points`` values of C_h in
     [0, max I], where the step crosses neither a ``Q_bar`` jump nor an
-    ``I_n`` (where theta_n has a kink)."""
+    ``I_n`` (where theta_n has a kink).  The tolerance is the check's own
+    error: the differences at steps h and h/2 are compared with the
+    occupancy at h/2, within four times the largest gap between the two,
+    which is three times the h/2 difference's error where truncation
+    dominates and about its size where rounding does."""
     k = content_constants(system.contents, system.beta)
     ch_star = relaxed_lower_bound(system)[0]
     hi = float(k.I.max())
@@ -203,7 +242,10 @@ def dual_slope(system: SystemParams, points: int) -> Result:
         r = relaxed_batch(c, k)  # past its I_n, a content's occupancy is 0
         return tuple(r.Q_bar.tolist()), tuple((r.occupancy == 0.0).tolist())
 
-    errors, kinked = [], 0
+    def central(c: float, h: float) -> float:
+        return (dual_value(system, c + h, k) - dual_value(system, c - h, k)) / (2 * h)
+
+    errors, gaps, kinked = [], [], 0
     for c in [ch_star * (1.0 - 1e-3), ch_star, ch_star * (1.0 + 1e-3),
               *np.linspace(0.0, hi, points)[1:-1]]:
         if c <= step:
@@ -211,12 +253,15 @@ def dual_slope(system: SystemParams, points: int) -> Result:
         if piece(c - step) != piece(c + step):
             kinked += 1
             continue
-        central = (dual_value(system, c + step, k) - dual_value(system, c - step, k)) / (2 * step)
-        errors.append(abs(float(relaxed_batch(c, k).occupancy.sum()) - system.M - central))
-    worst = max(errors, default=math.inf)
-    return Result(worst <= 1e-6 * max(1.0, system.M),
+        fine = central(c, step / 2)
+        gaps.append(abs(central(c, step) - fine))
+        errors.append(abs(float(relaxed_batch(c, k).occupancy.sum()) - system.M - fine))
+    worst, tol = max(errors, default=math.inf), 4.0 * max(gaps, default=0.0)
+    return Result(worst <= tol,
                   f"max |occupancy - M - central difference| = {worst:.2e} over {len(errors)} "
-                  f"points, {kinked} more skipped at a kink (step {step:.2g})", worst)
+                  f"points, {kinked} more skipped at a kink (step {step:.2g}, tolerance "
+                  f"{tol:.2e})",
+                  worst)
 
 
 def simulation(cfg: SimConfig, tables) -> Iterator[tuple[str, Result]]:
@@ -271,6 +316,7 @@ def _verify_checks(system: SystemParams, cfg: SimConfig,
                                                                      cells=0)
     yield "special-functions", special_functions(system)
     yield "table-window", table_window(system)
+    yield "dual-window", dual_window(system, 60 if quick else 200)
     yield "dual-bound", dual_bound(system, 60 if quick else 200)
     yield "dual-slope", dual_slope(system, 60 if quick else 200)
     horizon = min(cfg.horizon_events or 200_000, 200_000 if quick else 500_000)

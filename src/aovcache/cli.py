@@ -375,8 +375,9 @@ def cmd_lower_bound(doc: dict, args) -> int:
     for m in m_values:
         ch, bound = relaxed_lower_bound(replace(system, M=m))
         # the relaxed policy's mean number of cached contents at C_h*: M
-        # where the dual's slope is continuous there, at most M at C_h* = 0
-        occupancy = float(relaxed_batch(ch, consts).occupancy.sum())
+        # where the dual's slope is continuous there, at most M at C_h* = 0;
+        # read off windows around Q_hat, not the scan of every candidate
+        occupancy = float(relaxed_batch(ch, consts, consts.q_hat).occupancy.sum())
         rows.append([m, _f(ch), _f(bound), _f(occupancy)])
     rep.table("lower_bound.csv", ["M", "C_h_star", "bound", "occupancy"], rows)
     rep.close()

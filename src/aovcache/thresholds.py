@@ -18,10 +18,12 @@ in ``tau_bar`` per queue candidate (``case2_candidates``), keeping the
 floor-consistent one.  Exactly one candidate is, and the excess of its
 floor argument over Q falls strictly with Q (proved at ``case2_batch``),
 so a window of candidates can stand in for the scan of all of them where
-``window_consistent`` says it decides.  The scalar solvers are thin
-callers of these, and ``content_constants`` solves the
-``C_h``-independent quantities once per content.  An independent
-value-iteration cross-check lives in ``aovcache.oracle``.
+``window_consistent`` says it decides: the index tables and the dual
+bound's evaluations (``relaxed_batch`` given a predicted ``Q_bar``) read
+case 2 off such windows.  The scalar solvers are thin callers of these,
+and ``content_constants`` solves the ``C_h``-independent quantities of
+all contents at once.  An independent value-iteration cross-check lives in
+``aovcache.oracle``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ __all__ = [
     "solve_gap",
     "first_consistent",
     "window_consistent",
+    "Columns",
+    "with_columns",
     "case2_candidates",
     "case2_batch",
     "Relaxed",
@@ -92,35 +96,12 @@ def solve_infinite_capacity(
 def solve_q_hat(
     p: float, beta: float, c_a: float, lam: float, c_f: float, c_w: float
 ) -> tuple[int, float, float]:
-    """Dispatch threshold for the never-cache regime.
-
-    ``Q_hat`` solves the floor fixed point
-
-        Q_hat = floor((2*p*beta*c_f + c_w*Q_hat*(Q_hat+1)) / (2*c_w*(Q_hat+1)))
-
-    whose solution is the floor of ``(sqrt(1 + 8*p*beta*c_f/c_w) - 1)/2``
-    (batch-dispatching a Poisson stream).  Returns
-    ``(Q_hat, theta_case1, tau0)`` where ``theta_case1`` is the optimal
-    cost for ``C_h > I`` and ``tau0 = theta_case1 / (p*beta*c_a*lam)``.
-    """
-    _check_positive(p=p, beta=beta, c_a=c_a, lam=lam, c_f=c_f, c_w=c_w)
-    r = p * beta
-    q_hat = math.floor((math.sqrt(1.0 + 8.0 * r * c_f / c_w) - 1.0) / 2.0)
-
-    def fixed(q: int) -> bool:
-        return math.floor((2.0 * r * c_f + c_w * q * (q + 1)) / (2.0 * c_w * (q + 1))) == q
-
-    if not fixed(q_hat):
-        # float noise at an integer boundary; the fixed point is adjacent
-        for cand in (q_hat - 1, q_hat + 1, q_hat + 2):
-            if cand >= 0 and fixed(cand):
-                q_hat = cand
-                break
-        else:
-            raise ConsistencyError(f"no Q_hat fixed point near {q_hat}")
-    theta = (2.0 * r * c_f + c_w * q_hat * (q_hat + 1)) / (2.0 * (q_hat + 1))
-    tau0 = theta / (r * c_a * lam)
-    return q_hat, theta, tau0
+    """Dispatch threshold for the never-cache regime: ``(Q_hat,
+    theta_case1, tau0)`` of one content (``content_constants``), where
+    ``theta_case1`` is the optimal cost for ``C_h > I`` and
+    ``tau0 = theta_case1 / (p*beta*c_a*lam)``."""
+    k = content_constants((ContentParams(lam, p, CostModel(c_a, c_f, c_w)),), beta)
+    return int(k.q_hat[0]), float(k.theta1[0]), float(k.tau0[0])
 
 
 def compute_I(params: ContentParams, beta: float) -> float:
@@ -133,35 +114,112 @@ def compute_I(params: ContentParams, beta: float) -> float:
     return float(content_constants((params,), beta).I[0])
 
 
+class Columns(NamedTuple):
+    """The terms of queue candidates ``q`` that do not depend on C_h."""
+
+    q: np.ndarray
+    q1: np.ndarray      # q + 1
+    q1r: np.ndarray     # (q + 1) / r
+    wq: np.ndarray      # c_w * q * (q + 1) / (2 * r * rc)
+    adm: np.ndarray     # q <= Q_hat + 2
+
+    def take(self, idx) -> Columns:
+        return Columns(self.q, self.q1, *(a.take(idx, 0) for a in self[2:]))
+
+
 class ContentConstants(NamedTuple):
-    """The ``C_h``-independent quantities of a batch of contents, one array
-    entry per content, solved once and shared by every ``C_h``."""
+    """The ``C_h``-independent quantities of a batch of contents, one entry
+    per content, solved once and shared by every ``C_h``: the float ones
+    stacked in the rows of one array, so that taking a subset of contents
+    is one indexing, and the ``Columns`` of every queue candidate where a
+    caller prepared them (``with_columns``)."""
 
     beta: float
-    p: np.ndarray
-    c_alam: np.ndarray   # c_a * lam
-    c_f: np.ndarray
-    c_w: np.ndarray
-    q_hat: np.ndarray    # int64
-    theta1: np.ndarray   # optimal cost of the never-cache regime
-    tau0: np.ndarray
-    I: np.ndarray
+    rows: np.ndarray            # the float quantities below, one row each
+    q_hat: np.ndarray           # int64
+    cols: Columns | None = None
+
+    p = property(lambda k: k.rows[0])
+    c_alam = property(lambda k: k.rows[1])   # c_a * lam
+    c_f = property(lambda k: k.rows[2])
+    c_w = property(lambda k: k.rows[3])
+    theta1 = property(lambda k: k.rows[4])   # optimal cost of the never-cache regime
+    tau0 = property(lambda k: k.rows[5])
+    I = property(lambda k: k.rows[6])
+    # the factors of case2_candidates' quadratic
+    r = property(lambda k: k.rows[7])        # p * beta
+    rc = property(lambda k: k.rows[8])       # r * c_a * lam
+    cf_rc = property(lambda k: k.rows[9])    # c_f / rc
+    den = property(lambda k: k.rows[10])     # 2 * r * rc
+    pc = property(lambda k: k.rows[11])      # p * c_a * lam
+    top = property(lambda k: k.rows[12])     # Q_hat + 2, the last admissible candidate
 
     def take(self, idx) -> ContentConstants:
-        return ContentConstants(self.beta, *(a[idx] for a in self[1:]))
+        return ContentConstants(self.beta, self.rows.take(idx, 1), self.q_hat.take(idx),
+                                None if self.cols is None else self.cols.take(idx))
+
+
+def _outside(q, r, c_f, c_w) -> np.ndarray:
+    """How far each ``q``'s floor argument in the ``Q_hat`` fixed point
+    lies outside its cell ``[q, q+1)``; -1 inside."""
+    v = (2.0 * r * c_f + c_w * q * (q + 1)) / (2.0 * c_w * (q + 1))
+    return np.where(np.floor(v) == q, -1.0, np.maximum(q - v, v - (q + 1)))
 
 
 def content_constants(contents: Sequence[ContentParams], beta: float) -> ContentConstants:
-    """``Q_hat``, ``theta_case1``, ``tau0`` and ``I`` of every content."""
-    rows = []
-    for c in contents:
-        cm = c.costs
-        q_hat, theta1, tau0 = solve_q_hat(c.p, beta, cm.c_a, c.lam, cm.c_f, cm.c_w)
-        I = c.p * c.lam * cm.c_a * (beta * tau0 - 1.0 + math.exp(-beta * tau0))
-        rows.append((c.p, cm.c_a * c.lam, cm.c_f, cm.c_w, q_hat, theta1, tau0, I))
-    cols = [np.array(col, dtype=float) for col in zip(*rows)]
-    cols[4] = cols[4].astype(np.int64)
-    return ContentConstants(beta, *cols)
+    """``Q_hat``, ``theta_case1``, ``tau0`` and ``I`` of every content, and
+    the factors of the case-2 quadratic that do not depend on ``C_h``.
+
+    ``Q_hat`` solves the floor fixed point
+
+        Q_hat = floor((2*p*beta*c_f + c_w*Q_hat*(Q_hat+1)) / (2*c_w*(Q_hat+1)))
+
+    whose solution is the floor of ``(sqrt(1 + 8*p*beta*c_f/c_w) - 1)/2``
+    (batch-dispatching a Poisson stream); ``theta_case1`` is the optimal
+    cost for ``C_h > I`` and ``tau0 = theta_case1 / (p*beta*c_a*lam)``.
+    ``I`` takes libm's ``math.exp``, as numpy's vectorized ``exp`` may
+    differ from it in the last bit.  Raises ``ValueError`` naming the
+    first field that is not positive, of the first content with one.
+    """
+    costs = [c.costs for c in contents]
+    fields = np.array([[c.p for c in contents], [c.lam for c in contents],
+                       [m.c_a for m in costs], [m.c_f for m in costs],
+                       [m.c_w for m in costs]], dtype=float).reshape(5, -1)
+    bad = ~(fields.min(0) > 0) | (not beta > 0)
+    if bad.any():
+        c = contents[int(bad.argmax())]
+        _check_positive(p=c.p, beta=beta, c_a=c.costs.c_a, lam=c.lam, c_f=c.costs.c_f,
+                        c_w=c.costs.c_w)
+    p, lam, c_a, c_f, c_w = fields
+    r = p * beta
+    q = np.floor((np.sqrt(1.0 + 8.0 * r * c_f / c_w) - 1.0) / 2.0)
+    off = _outside(q, r, c_f, c_w)
+    miss = (off >= 0.0).nonzero()[0]
+    if miss.size:
+        # float noise at an integer boundary; the fixed point is adjacent.
+        # Where p*beta*c_f/c_w is a triangular number, rounding can push
+        # every candidate out of its cell; the closed form's Q_hat then
+        # stays if it is as near its cell as first_consistent asks of Q_bar
+        # (there the two Q_hat next to the boundary cost the same)
+        qm = q[miss]
+        cand = qm[:, None] + np.array([-1.0, 1.0, 2.0])
+        with np.errstate(all="ignore"):
+            inside = (cand >= 0.0) & (_outside(cand, *(a[miss, None] for a in (r, c_f, c_w)))
+                                      < 0.0)
+        found = inside.any(1)
+        far = ~found & (off[miss] >= _NEAR * (qm + 1.0))
+        if far.any():
+            raise ConsistencyError(f"no Q_hat fixed point near {int(qm[far.argmax()])}")
+        q[miss] = np.where(found, cand[np.arange(miss.size), inside.argmax(1)], qm)
+    theta1 = (2.0 * r * c_f + c_w * q * (q + 1)) / (2.0 * (q + 1))
+    tau0 = theta1 / (r * c_a * lam)
+    decay = np.fromiter(map(math.exp, (-beta * tau0).tolist()), float, tau0.size)
+    I = p * lam * c_a * (beta * tau0 - 1.0 + decay)
+    c_alam = c_a * lam
+    rc = r * c_alam
+    rows = np.array([p, c_alam, c_f, c_w, theta1, tau0, I,
+                     r, rc, c_f / rc, 2.0 * r * rc, p * c_alam, q + 2.0])
+    return ContentConstants(beta, rows, q.astype(np.int64))
 
 
 # (-1)^j / (j+2)! for j < 12: x + exp(-x) - 1 = x^2 * sum_j (-1)^j x^j / (j+2)!,
@@ -174,7 +232,12 @@ def gap_value(x) -> np.ndarray:
     """``x + exp(-x) - 1`` elementwise for x >= 0, free of the cancellation
     the direct form suffers near 0 (summed as a series there)."""
     x = np.asarray(x, dtype=float)
-    g = x + np.expm1(-x)
+    return _gap(x, np.expm1(-x))
+
+
+def _gap(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``gap_value(x)`` given ``e = expm1(-x)``."""
+    g = x + e
     small = x < _SERIES_BELOW
     if not small.any():
         return g
@@ -196,14 +259,21 @@ def solve_gap(c) -> np.ndarray:
     precision everywhere.
     """
     c = np.asarray(c, dtype=float)
-    s = np.sqrt(2.0 * c)
     far = c >= 1e-3
-    w = np.zeros(c.shape)
-    w[far] = lambert_w0(-np.exp(-1.0 - c[far]))
-    x = np.where(far, 1.0 + c + w, s * (1.0 + s / 6.0 + s * s / 36.0))
+    if far.all():
+        x = 1.0 + c + lambert_w0(-np.exp(-1.0 - c))
+        slope = np.negative  # x > 0 from here on, so 1 - e^-x = -expm1(-x) > 0
+    else:
+        s = np.sqrt(2.0 * c)
+        w = np.zeros(c.shape)
+        w[far] = lambert_w0(-np.exp(-1.0 - c[far]))
+        x = np.where(far, 1.0 + c + w, s * (1.0 + s / 6.0 + s * s / 36.0))
+
+        def slope(e):
+            return np.where(e < 0.0, -e, 1.0)
     for _ in range(2):
-        slope = -np.expm1(-x)
-        x = x - (gap_value(x) - c) / np.where(slope > 0.0, slope, 1.0)
+        e = np.expm1(-x)
+        x = x - (_gap(x, e) - c) / slope(e)
     return x
 
 
@@ -261,11 +331,44 @@ def window_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray):
     width; the answer never rests on how the window was placed.
     """
     col, found = first_consistent(v[..., 1:], q[..., 1:], ok[..., 1:])
-    g_v, g_q = v[..., 0], q[..., 0]
-    clean = (g_q < 0) | (ok[..., 0] & (g_v - (g_q + 1.0) >= _NEAR * (g_q + 1.0)))
+    g_v, g_q = v[..., 0], q[..., 0] + 1.0
+    clean = (g_q < 1.0) | (ok[..., 0] & (g_v - g_q >= _NEAR * g_q))
     last = ok[..., -1] & (v[..., -1] < q[..., -1] + 1.0)
-    qb = np.take_along_axis(q[..., 1:], col[..., None], -1)[..., 0]
+    qb = np.take_along_axis(q, col[..., None] + 1, -1)[..., 0]
     return qb, found & clean & last
+
+
+def _expand(k: ContentConstants) -> ContentConstants:
+    """``k`` with a trailing unit axis on its rows, to broadcast against
+    a candidates' axis."""
+    return ContentConstants(k.beta, k.rows[..., None], k.q_hat)
+
+
+def _columns(t: ContentConstants, q) -> Columns:
+    """``Columns`` of ``q`` for the contents of ``t``, whose rows carry a
+    trailing unit axis."""
+    q1 = q + 1.0
+    return Columns(q, q1, q1 / t.r, t.c_w * q * q1 / t.den, q <= t.top)
+
+
+def _quadratic(g, xb, t: ContentConstants, c: Columns):
+    """``case2_candidates`` at the columns ``c``, given ``xb = x/beta`` and
+    ``g = xb - C_h/rc``; every argument but ``c`` carries a trailing unit
+    axis.  The one implementation of the per-candidate quadratic."""
+    f = g + c.q1r
+    d = t.cf_rc - c.q1 * xb / t.r + c.wq
+    disc = f * f + 2.0 * d
+    tb = np.sqrt(np.maximum(disc, 0.0)) - f
+    ok = (disc >= 0.0) & (tb >= -1e-12) & c.adm
+    tb = np.maximum(tb, 0.0)
+    tt = tb + xb
+    return tb, tt, t.rc * tt / t.c_w, ok
+
+
+def _candidates(C_h: np.ndarray, k: ContentConstants, c: Columns):
+    """``case2_candidates`` at the columns ``c`` of the contents of ``k``."""
+    xb = solve_gap(C_h / k.pc) / k.beta
+    return _quadratic((xb - C_h / k.rc)[..., None], xb[..., None], _expand(k), c)
 
 
 def case2_candidates(C_h, k: ContentConstants, q):
@@ -274,20 +377,28 @@ def case2_candidates(C_h, k: ContentConstants, q):
     against ``C_h[..., None]`` and the contents of ``k`` (also
     ``[..., None]``); ``v`` is the floor argument of (iii) and ``ok``
     marks admissible roots."""
-    C_h = np.asarray(C_h, dtype=float)
-    beta = k.beta
-    r = k.p * beta
-    x = solve_gap(C_h / (k.p * k.c_alam))
-    xb, ch, rr, rc, cf, cw = (a[..., None] for a in (x / beta, C_h, r, r * k.c_alam,
-                                                    k.c_f, k.c_w))
-    f = xb - ch / rc + (q + 1.0) / rr
-    d = cf / rc - (q + 1.0) * xb / rr + cw * q * (q + 1.0) / (2.0 * rr * rc)
-    disc = f * f + 2.0 * d
-    tb = np.sqrt(np.maximum(disc, 0.0)) - f
-    ok = (disc >= 0.0) & (tb >= -1e-12) & (q <= k.q_hat[..., None] + 2)
-    tb = np.maximum(tb, 0.0)
-    tt = tb + xb
-    return tb, tt, rc * tt / cw, ok
+    return _candidates(np.asarray(C_h, dtype=float), k, _columns(_expand(k), q))
+
+
+# the widest scan of every candidate, in elements (contents x candidates),
+# that a caller solving many C_h prepares (``with_columns``): where the
+# two tie on a 2-core x86 host.  Dual bounds of desk-like systems with
+# N*(max Q_hat + 3) from 1,400 to 36,000 took 0.58-0.86 of the windows'
+# time with the scan up to 13,200, 0.98 at 12,950, and 1.06-2.3 from 14,800
+SCAN_ALL = 13_000
+
+
+def with_columns(k: ContentConstants) -> ContentConstants:
+    """``k`` for a caller that solves case 2 at many ``C_h``: where the
+    scan of every candidate of every content has at most ``SCAN_ALL``
+    elements, with its ``Columns``, which ``case2_batch`` then reads
+    instead of building them on each call, and ``relaxed_batch`` scans
+    in full even when given a prediction; else ``k`` itself, which
+    ``relaxed_batch`` reads off windows around a prediction."""
+    q = np.arange(int(k.q_hat.max(initial=0)) + 3, dtype=float)
+    if k.q_hat.size * q.size > SCAN_ALL:
+        return k
+    return k._replace(cols=_columns(_expand(k), q))
 
 
 def case2_batch(C_h, k: ContentConstants):
@@ -336,15 +447,19 @@ def case2_batch(C_h, k: ContentConstants):
     that passes the floor test, and where ``Q_bar`` jumps exactly at
     ``I`` this kernel reads the ``Q_bar`` below the jump, not ``Q_hat``.
     """
-    q = np.arange(int(k.q_hat.max(initial=0)) + 3, dtype=float)
-    tb, tt, v, ok = case2_candidates(C_h, k, q)
-    qb, found = first_consistent(v, q, ok)
+    c = k.cols
+    if c is None:
+        q = np.arange(int(k.q_hat.max(initial=0)) + 3, dtype=float)
+        c = _columns(_expand(k), q)
+    tb, tt, v, ok = _candidates(np.asarray(C_h, dtype=float), k, c)
+    qb, found = first_consistent(v, c.q, ok)
     if not found.all():
         raise ConsistencyError(
             f"no floor-consistent Q_bar at C_h={np.broadcast_to(C_h, found.shape)[~found]} "
             f"(beta={k.beta})")
-    tb, tt = (np.take_along_axis(a, qb[..., None], -1)[..., 0] for a in (tb, tt))
-    return tb, tt, qb, k.p * k.beta * k.c_alam * tt
+    pick = np.arange(0, tb.size, tb.shape[-1]).reshape(qb.shape) + qb
+    tt = tt.take(pick)
+    return tb.take(pick), tt, qb, k.rc * tt
 
 
 def solve_case2(
@@ -449,7 +564,68 @@ class Relaxed(NamedTuple):
     occupancy: np.ndarray
 
 
-def relaxed_batch(C_h, k: ContentConstants) -> Relaxed:
+_WINDOW = np.array([-1.0, 0.0, 1.0, 2.0])  # the guard, then three candidates
+
+
+def _window(g, xb, t: ContentConstants, guess):
+    """``(tau_bar, tau_tilde, Q_bar, decided)`` of each row from the guard
+    and three candidates around its predicted ``Q_bar`` ``guess``, kept
+    inside ``0..Q_hat+2``; arguments as ``_quadratic``'s."""
+    start = np.minimum(np.maximum(guess - 1.0, 0.0), t.top[:, 0] - 2.0)
+    q = start[:, None] + _WINDOW
+    tb, tt, v, ok = _quadratic(g, xb, t, _columns(t, np.maximum(q, 0.0)))
+    qb, decided = window_consistent(v, q, ok)
+    pick = np.arange(len(qb)), (qb - start).astype(np.int64) + 1
+    return tb[pick], tt[pick], qb.astype(np.int64), decided
+
+
+def _bisect_excess(g, xb, t: ContentConstants) -> np.ndarray:
+    """Each row's ``Q_bar``, predicted as the first candidate in
+    ``0..Q_hat+2`` that does not lie admissibly above its cell, found by
+    bisection as the excess ``v_q - q`` falls strictly with q
+    (``case2_batch``); ``_window`` decides whether it holds.  Arguments as
+    ``_quadratic``'s."""
+    lo, hi = np.zeros(len(g)), t.top[:, 0].copy()
+    while (live := lo < hi).any():
+        mid = np.floor(0.5 * (lo + hi))
+        _, _, v, ok = _quadratic(g, xb, t, _columns(t, mid[:, None]))
+        above = live & ok[:, 0] & (v[:, 0] >= mid + 1.0)
+        lo = np.where(above, mid + 1.0, lo)
+        hi = np.where(live & ~above, mid, hi)
+    return lo
+
+
+def _case2_windows(C_h: np.ndarray, k: ContentConstants, pred: np.ndarray):
+    """``case2_batch(C_h, k)`` for one holding cost per content, bit for
+    bit, read off windows of candidates around ``pred``, each content's
+    predicted ``Q_bar``.
+
+    A content is read off its window where ``window_consistent`` decides
+    it; the rest get a prediction from ``_bisect_excess`` and a second
+    window.  What both leave goes to ``case2_batch``, which raises
+    ``ConsistencyError`` where the full scan does.  A prediction moves
+    only the time, never a value (see ``case2_batch``)."""
+    if not C_h.size:
+        return np.empty(0), np.empty(0), np.empty(0, np.int64), np.empty(0)
+    t = _expand(k)
+    xb = solve_gap(C_h / k.pc) / k.beta
+    g = (xb - C_h / k.rc)[:, None]
+    xb = xb[:, None]
+    tb, tt, qb, decided = _window(g, xb, t, pred)
+    rest = (~decided).nonzero()[0]
+    if rest.size:
+        tr = t.take(rest)
+        wtb, wtt, wqb, decided = _window(g[rest], xb[rest], tr,
+                                         _bisect_excess(g[rest], xb[rest], tr))
+        done = rest[decided]
+        tb[done], tt[done], qb[done] = wtb[decided], wtt[decided], wqb[decided]
+        rest = rest[~decided]
+    if rest.size:
+        tb[rest], tt[rest], qb[rest], _ = case2_batch(C_h[rest], k.take(rest))
+    return tb, tt, qb, k.rc * tt
+
+
+def relaxed_batch(C_h, k: ContentConstants, pred=None) -> Relaxed:
     """The optimal single-content policy at C_h (broadcast against the
     contents of ``k``): ``case2_batch``'s thresholds and cost below
     ``I``, the never-cache ``(0, tau0, Q_hat, theta_case1)`` from ``I``
@@ -457,6 +633,12 @@ def relaxed_batch(C_h, k: ContentConstants) -> Relaxed:
     policy holds the content (envelope theorem: ``theta`` is a minimum
     over policies of a cost affine in C_h, whose slope is that policy's
     occupancy).
+
+    ``pred``, a predicted ``Q_bar`` broadcast as ``C_h`` is, changes only
+    how case 2 is solved, never a value: where ``k`` holds no prepared
+    ``Columns`` (``with_columns``), from windows of candidates around it
+    (``_case2_windows``) instead of the scan of every candidate.  The dual
+    bound passes each evaluation's ``Q_bar`` to the next.
 
     The slope follows from (i)-(ii) of ``case2_batch`` by implicit
     differentiation at fixed ``Q_bar``.  With ``x = beta*(tt - tb)``,
@@ -480,11 +662,17 @@ def relaxed_batch(C_h, k: ContentConstants) -> Relaxed:
     C_h = np.asarray(C_h, dtype=float)
     under = C_h < k.I
     n = np.nonzero(under)
-    ku = k.take(n[-1] % k.I.size)  # the contents' axis is last, or one content broadcasts
-    solved = case2_batch(np.broadcast_to(C_h, under.shape)[n], ku)
+    i = n[-1] % k.I.size  # the contents' axis is last, or one content broadcasts
+    ki = k if i.size == under.size == k.I.size else k.take(i)
+    ch = np.full(i.size, float(C_h)) if C_h.ndim == 0 else np.broadcast_to(C_h, under.shape)[n]
+    if pred is None or k.cols is not None:
+        solved = case2_batch(ch, ki)
+    else:
+        solved = _case2_windows(ch, ki, np.broadcast_to(pred, under.shape)[n])
     tb, tt, qb, _ = solved
-    u = ku.p * (1.0 + ku.beta * tb)
-    occupancy = u / (u - ku.p * np.exp(-ku.beta * (tt - tb)) + qb + 1.0)
+    p = ki.p
+    u = p * (1.0 + k.beta * tb)
+    occupancy = u / (u - p * np.exp(-k.beta * (tt - tb)) + qb + 1.0)
     out = Relaxed(np.zeros(under.shape), np.where(under, 0.0, k.tau0),
                   np.where(under, 0, k.q_hat), np.where(under, 0.0, k.theta1),
                   np.zeros(under.shape))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -384,10 +385,10 @@ class TestLowerBoundAndCompare:
 
     @pytest.mark.parametrize("section, key, value, N, M", [
         ("system", "lambda", 1e-9, 50, 10), ("costs", "c_a", 1e-12, 50, 10),
-        # N=5: each dual evaluation scans Q_hat = 421,673 queue candidates
-        # per content here (11 s and 1.2 GB at N=50)
-        ("costs", "c_f", 1e9, 5, 1),
-    ], ids=["lambda-1e-9", "c_a-1e-12", "c_f-1e9"])
+        # Q_hat runs to 421,673 here, but each dual evaluation reads its
+        # contents off windows of four queue candidates
+        ("costs", "c_f", 1e9, 5, 1), ("costs", "c_f", 1e9, 50, 10),
+    ], ids=["lambda-1e-9", "c_a-1e-12", "c_f-1e9", "c_f-1e9-N50"])
     def test_bound_of_extreme_costs(self, tmp_path, section, key, value, N, M):
         # valid systems on which case 2 has no solution at C_h = I for some
         # contents; the bound and the threshold report once raised there
@@ -397,11 +398,20 @@ class TestLowerBoundAndCompare:
         doc[section][key] = value
         cfg = tmp_path / "extreme.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["lower-bound", "--config", str(cfg), "--out", str(tmp_path / "lb")]) == 0
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            assert main(["lower-bound", "--config", str(cfg),
+                         "--out", str(tmp_path / "lb")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6  # 1.2 GB peak RSS at N=50 when it scanned every candidate
         [row] = read_csv(tmp_path / "lb" / "lower_bound.csv")
         system = build_system(doc)
         # never caching is feasible, and costs theta1 per content
         assert float(row["bound"]) <= content_constants(system.contents, system.beta).theta1.sum()
+        if N == 50 and key == "c_f":
+            return  # a case-2 row of solve scans every candidate: 50 rows of 591,918
         # at c_f = 1e9 only C_h = 0 and I: a case-2 row there scans up to
         # 591,918 queue candidates, and its index tables and their 1.9M
         # uncached rows take 76 s and 3.3 GB, so whittle runs on the others
@@ -486,6 +496,8 @@ class TestVerifyCmd:
                          r"\S+ over \d+ points", out, re.MULTILINE)
         assert re.search(r"^PASS  special-functions  ", out, re.MULTILINE)
         assert re.search(r"^PASS  table-window  ", out, re.MULTILINE)
+        assert re.search(r"^PASS  dual-window  \(0 of \d+ values at 61 holding costs differ from "
+                         r"the full-width scan\)$", out, re.MULTILINE)
         assert re.search(r"^PASS  simulation-determinism  \(reference vs (compiled|reference) "
                          r"loop, 8 policy/mode pairs\)$", out, re.MULTILINE)
 
@@ -519,8 +531,8 @@ class TestVerifyCmd:
         # which moves unit.json's summed occupancy by ~0.09 in the median
         exact = checks.relaxed_batch
 
-        def mutant(C_h, k):
-            r = exact(C_h, k)
+        def mutant(C_h, k, pred=None):
+            r = exact(C_h, k, pred)
             u = k.p * (1.0 + k.beta * r.tau_bar)
             return r._replace(occupancy=np.where(r.occupancy == 0.0, 0.0,
                                                  u / (u + r.Q_bar + 1.0)))

@@ -7,15 +7,19 @@ derandomized, so every run draws the same cases.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aovcache import thresholds
 from aovcache._ckernel import wright_omega
-from aovcache.model import ContentParams, CostModel, SystemParams
+from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
 from aovcache.policies import dual_value
 from aovcache.thresholds import (
+    ConsistencyError,
     case2_batch,
     case2_candidates,
     compute_I,
@@ -25,8 +29,10 @@ from aovcache.thresholds import (
     relaxed_batch,
     solve_case2,
     solve_gap,
+    solve_q_hat,
     solve_thresholds,
     window_consistent,
+    with_columns,
 )
 from aovcache.whittle import (
     _cached_gaps,
@@ -306,3 +312,165 @@ def test_index_rows_fall_to_zero(cbs, beta):
     w = tables.w_of_tau
     assert (w[:, 1:] <= w[:, :-1]).all()
     assert (w[:, -1] == 0.0).all()
+
+
+# -- the box of small systems: costs, rates and beta over 12 decades -------
+
+BOX = (-6.0, 6.0)  # log10 range of c_a, c_f, c_w, lambda and beta
+
+
+def log_uniform(draw, lo: float = BOX[0], hi: float = BOX[1]) -> float:
+    return 10.0 ** draw(st.floats(lo, hi))
+
+
+def triangular_c_w(p: float, beta: float, c_f: float, m: int, ulps: int) -> float:
+    """A c_w that puts p*beta*c_f/c_w on the triangular number m(m+1)/2,
+    nudged by ``ulps``: where the closed-form ``Q_hat`` sits on its
+    integer boundary and may need ``solve_q_hat``'s fixed-point repair."""
+    c_w = p * beta * c_f / (m * (m + 1) / 2)
+    for _ in range(abs(ulps)):
+        c_w = math.nextafter(c_w, math.inf if ulps > 0 else 0.0)
+    return c_w
+
+
+@st.composite
+def box_contents(draw, max_n: int = 50):
+    """Up to ``max_n`` contents with Zipf popularity (alpha in [0, 4]) and
+    their own costs and update rates, each log-uniform over the box, and
+    beta; some c_w sit on a triangular ratio (``triangular_c_w``)."""
+    n = draw(st.integers(1, max_n))
+    beta = log_uniform(draw)
+    pops = zipf_popularity(n, draw(st.floats(0.0, 4.0)))
+    out = []
+    for p in pops.tolist():
+        c_a, c_f, lam = (log_uniform(draw) for _ in range(3))
+        if draw(st.booleans()):
+            c_w = triangular_c_w(p, beta, c_f, draw(st.integers(1, 10_000)),
+                                 draw(st.integers(-2, 2)))
+        else:
+            c_w = log_uniform(draw)
+        out.append(ContentParams(lam=lam, p=p, costs=CostModel(c_a, c_f, c_w)))
+    return out, beta
+
+
+def assert_constants_match_scalar(contents_, beta):
+    # the array solver against its calls on one content each, and I against
+    # its definition with libm's exp; where a content has no Q_hat, both raise
+    try:
+        rows = [solve_q_hat(c.p, beta, c.costs.c_a, c.lam, c.costs.c_f, c.costs.c_w)
+                for c in contents_]
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            content_constants(contents_, beta)
+        return
+    k = content_constants(contents_, beta)
+    q_hat, theta1, tau0 = (list(col) for col in zip(*rows))
+    assert k.q_hat.dtype == np.int64
+    assert k.q_hat.tolist() == q_hat
+    assert_same_bits(k.theta1, np.array(theta1))
+    assert_same_bits(k.tau0, np.array(tau0))
+    assert_same_bits(k.I, np.array([c.p * c.lam * c.costs.c_a
+                                    * (beta * t - 1.0 + math.exp(-beta * t))
+                                    for c, t in zip(contents_, tau0)]))
+
+
+@SETTINGS
+@given(cb=box_contents())
+def test_array_constants_match_the_scalar_solver(cb):
+    # content_constants on arrays against solve_q_hat and math.exp per
+    # content, bit for bit, over the box
+    assert_constants_match_scalar(*cb)
+
+
+def test_array_constants_repair_q_hat_like_the_scalar_solver():
+    # contents whose closed-form Q_hat lands on its integer boundary: the
+    # fixed-point test fails for some of them, and solve_q_hat's repair
+    # decides their Q_hat
+    rng = np.random.default_rng(11)
+    contents_, repaired = [], 0
+    beta = 0.7
+    for m in range(1, 400):
+        p, c_f = float(rng.uniform(0.01, 1.0)), float(10.0 ** rng.uniform(-3, 3))
+        for ulps in (-1, 0, 1):
+            c_w = triangular_c_w(p, beta, c_f, m, ulps)
+            r = p * beta
+            q = math.floor((math.sqrt(1.0 + 8.0 * r * c_f / c_w) - 1.0) / 2.0)
+            repaired += math.floor((2.0 * r * c_f + c_w * q * (q + 1))
+                                   / (2.0 * c_w * (q + 1))) != q
+            contents_.append(ContentParams(lam=0.3, p=p, costs=CostModel(0.2, c_f, c_w)))
+    assert repaired > 100
+    assert_constants_match_scalar(contents_, beta)
+
+
+@pytest.mark.parametrize("field", ["p", "lam", "c_a", "c_f", "c_w", "beta"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_array_constants_name_a_non_positive_field(field, value):
+    # the ValueError of the first content solve_q_hat rejects, word for word
+    good = ContentParams(lam=0.5, p=0.25, costs=CostModel(0.1, 1.0, 0.01))
+    beta = value if field == "beta" else 4.0
+    bad = good
+    if field in ("p", "lam"):
+        bad = ContentParams(**{**vars(good), field: value})
+    elif field != "beta":
+        bad = ContentParams(good.lam, good.p, CostModel(**{**vars(good.costs), field: value}))
+    cm = bad.costs
+    with pytest.raises(ValueError) as scalar:
+        solve_q_hat(bad.p, beta, cm.c_a, bad.lam, cm.c_f, cm.c_w)
+    with pytest.raises(ValueError) as batched:
+        content_constants([good, bad, good], beta)
+    assert str(batched.value) == str(scalar.value)
+    assert str(scalar.value).startswith(f"{field} must be > 0")
+
+
+@st.composite
+def box_systems(draw, max_n: int = 50):
+    """Systems of the box with one cost model: Zipf popularity, and c_a,
+    c_f, lambda and beta log-uniform over it.  c_w is log-uniform over the
+    box above beta*c_f/1e6, so that Q_hat stays below ~1400 and the full
+    scan this is checked against stays small."""
+    n = draw(st.integers(1, max_n))
+    beta, c_a, c_f, lam = (log_uniform(draw) for _ in range(4))
+    c_w = log_uniform(draw, max(BOX[0], math.log10(beta * c_f) - 6.0), BOX[1])
+    pops = zipf_popularity(n, draw(st.floats(0.0, 4.0)))
+    contents_ = tuple(ContentParams(lam=lam, p=p, costs=CostModel(c_a, c_f, c_w))
+                      for p in pops.tolist())
+    return SystemParams(beta=beta, contents=contents_, M=0)
+
+
+def full_or_error(C_h, k):
+    try:
+        return relaxed_batch(C_h, k)
+    except ConsistencyError:
+        return None
+
+
+@SETTINGS
+@given(system=box_systems(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_windowed_evaluation_matches_full_width(system, fracs):
+    # the dual bound's evaluation, from windows of candidates and from
+    # prepared columns, against the scan of every candidate: every field
+    # bit for bit, at 0, at the smallest and the largest I and their
+    # neighbours and at fractions of max I, under predictions that are far
+    # off or a few off; where the full scan raises ConsistencyError, so
+    # must they
+    k = content_constants(system.contents, system.beta)
+    with mock.patch.object(thresholds, "SCAN_ALL", math.inf):
+        prepared = with_columns(k)
+    hi = float(k.I.max())
+    edges = ulp_neighbours([float(k.I.min()), hi], 0.0, 2.0 * hi)
+    holding = [0.0, *edges, *(f * hi for f in fracs)]
+    for ch in holding:
+        full = full_or_error(ch, k)
+        q_bar = np.zeros(k.I.size, np.int64) if full is None else full.Q_bar
+        preds = [np.zeros_like(q_bar), k.q_hat + 2,
+                 *(np.maximum(q_bar + d, 0) for d in (-7, -1, 1, 7))]
+        for kp in (k, prepared):
+            for pred in preds:
+                if full is None:
+                    with pytest.raises(ConsistencyError):
+                        relaxed_batch(ch, kp, pred)
+                    continue
+                window = relaxed_batch(ch, kp, pred)
+                for a, b in zip(window, full):
+                    assert a.dtype == b.dtype
+                    assert_same_bits(a, b)

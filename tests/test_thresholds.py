@@ -103,6 +103,17 @@ class TestQHat:
                               / (2 * cm.c_w * (q_hat + 1))) == q_hat
             assert tau0 == pytest.approx(theta1 / (r * cm.c_a * c.lam))
 
+    def test_triangular_ratio_has_a_q_hat(self):
+        # p*beta*c_f/c_w = 15 = 5*6/2: Q_hat = 5 exactly, where 4 and 5 cost
+        # the same, but in floats 4's floor argument is 5.0 and 5's is
+        # 4.999999999999999, so no candidate passes the floor test (this
+        # raised ConsistencyError on a valid system)
+        p, c_w = 0.05263157894736843, 0.0035087719298245623  # p: Zipf, N=19, alpha=0
+        assert 1.0 * p / c_w == 15.0
+        q_hat, theta1, _ = solve_q_hat(p, 1.0, 1.0, 1.0, 1.0, c_w)
+        assert q_hat == 5
+        assert theta1 == pytest.approx(5.0 * c_w, rel=1e-15)
+
 
 class TestComputeI:
     def test_unit_example(self, unit_content):
