@@ -24,9 +24,9 @@ from .model import ContentParams, SingleContentState, SystemParams
 from .oracle import Grid, value_iterate_holding, value_iterate_infinite, whittle_by_sweep
 from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, SimulationError, _run
-from .thresholds import (ConsistencyError, case2_residuals, content_constants,
+from .thresholds import (ConsistencyError, case2_batch, case2_residuals, content_constants,
                          optimal_average_cost, relaxed_batch, solve_case2, solve_thresholds,
-                         with_columns, zero_holding_thresholds)
+                         zero_holding_thresholds)
 from .whittle import (build_index_tables, cached_indices, grid_taus, verify_indexability,
                       whittle_cached, whittle_uncached)
 
@@ -190,35 +190,39 @@ def dual_bound(system: SystemParams, points: int) -> Result:
 
 
 def dual_window(system: SystemParams, points: int) -> Result:
-    """The dual bound's evaluation against the full scan of
-    ``relaxed_batch``, every field bit for bit, at C_h* and at ``points``
-    values of C_h in [0, max I], each predicted from the ``Q_bar`` of the
-    point before it (the first from ``Q_hat``, as the bound's first
-    evaluation is): both the windows of candidates and the bound's own
-    path on this system, which is the scan of prepared columns where
-    ``with_columns`` prepares them.  Where the full scan raises
-    ``ConsistencyError``, each must raise it too."""
+    """Each way ``relaxed_batch`` solves case 2 against the full scan,
+    ``case2_batch`` on the contents it solves, every field bit for bit,
+    at C_h* and at ``points`` values of C_h in [0, max I]: the bound's
+    way on this system's constants, which carry their columns where the
+    scan is narrow, and windows of candidates (constants without
+    columns), placed around the ``Q_bar`` of the point before (the first
+    around ``Q_hat``, as the bound's first evaluation is) and with no
+    prediction.  Where the full scan raises ``ConsistencyError``, each
+    must raise it too."""
     k = content_constants(system.contents, system.beta)
-    paths = [k] + [kc for kc in [with_columns(k)] if kc is not k]
+    bare = k._replace(cols=None)
+    ways = [(k, True), (bare, False)] + [(bare, True)] * (k.cols is not None)
     ch_star = relaxed_lower_bound(system)[0]
-    pred, n, total = k.q_hat, 0, 0
+    pred, n, total = None, 0, 0
     for c in sorted([*np.linspace(0.0, float(k.I.max()), points), ch_star]):
+        solved = np.flatnonzero(c < k.I)
         try:
-            full = relaxed_batch(c, k)
+            full = case2_batch(c, k.take(solved))
         except ConsistencyError:
             full = None
-        for kp in paths:
+        for kp, chained in ways:
             try:
-                r = relaxed_batch(c, kp, pred)
+                r = relaxed_batch(c, kp, pred if chained else None)
             except ConsistencyError:
                 n += full is not None
                 continue
-            total += len(r) * k.I.size
             if full is None:
                 n += 1
                 continue
-            n += sum(np.count_nonzero(bits_differ(a, b)) for a, b in zip(r, full))
-            pred = r.Q_bar
+            total += len(full) * solved.size
+            n += sum(np.count_nonzero(bits_differ(a[solved], b)) for a, b in zip(r, full))
+            if chained:
+                pred = r.Q_bar
     return Result(n == 0, f"{n} of {total} values at {points + 1} holding costs differ from "
                   "the full-width scan", n)
 

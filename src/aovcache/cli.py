@@ -375,9 +375,8 @@ def cmd_lower_bound(doc: dict, args) -> int:
     for m in m_values:
         ch, bound = relaxed_lower_bound(replace(system, M=m))
         # the relaxed policy's mean number of cached contents at C_h*: M
-        # where the dual's slope is continuous there, at most M at C_h* = 0;
-        # read off windows around Q_hat, not the scan of every candidate
-        occupancy = float(relaxed_batch(ch, consts, consts.q_hat).occupancy.sum())
+        # where the dual's slope is continuous there, at most M at C_h* = 0
+        occupancy = float(relaxed_batch(ch, consts).occupancy.sum())
         rows.append([m, _f(ch), _f(bound), _f(occupancy)])
     rep.table("lower_bound.csv", ["M", "C_h_star", "bound", "occupancy"], rows)
     rep.close()
@@ -387,20 +386,30 @@ def cmd_lower_bound(doc: dict, args) -> int:
 def cmd_compare(doc: dict, args) -> int:
     """Join a sweep CSV (M axis) against the dual bound; report the gap."""
     system = build_system(doc)
+    try:
+        with open(args.metrics) as fh:
+            reader = csv.DictReader(fh)
+            header, metrics = reader.fieldnames or (), list(reader)
+    except OSError as e:
+        raise ConfigError(f"--metrics: cannot read {args.metrics!r}: {e.strerror}") from e
+    missing = [c for c in ("replication", "axis_value", "policy", "avg_cost")
+               if c not in header]
+    if missing:
+        raise ConfigError(f"--metrics: {args.metrics!r} has no column {', '.join(missing)}")
     rep = Reporter(args.out, doc)
     rows = []
     bounds: dict[int, float] = {}
-    with open(args.metrics) as fh:
-        for row in csv.DictReader(fh):
-            if row["replication"] != "mean":
-                continue
-            m = _capacity(system, row["axis_value"])
-            if m not in bounds:
-                bounds[m] = relaxed_lower_bound(replace(system, M=m))[1]
-            bound = bounds[m]
-            cost = float(row["avg_cost"])
-            rows.append([m, row["policy"], _f(cost), _f(bound),
-                         _f((cost - bound) / bound)])
+    for row in metrics:
+        if row["replication"] != "mean":
+            continue
+        m = _capacity(system, row["axis_value"])
+        if m not in bounds:
+            bounds[m] = relaxed_lower_bound(replace(system, M=m))[1]
+        bound = bounds[m]
+        cost = _checked("--metrics: avg_cost", row["avg_cost"], float, lambda x: True,
+                        "a number")
+        rows.append([m, row["policy"], _f(cost), _f(bound),
+                     _f((cost - bound) / bound)])
     rep.table("compare.csv", ["M", "policy", "avg_cost", "bound", "relative_gap"], rows)
     rep.close()
     return 0

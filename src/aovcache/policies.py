@@ -12,7 +12,7 @@ from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from .model import CacheSystemState, SystemParams
-from .thresholds import ContentConstants, content_constants, relaxed_batch, with_columns
+from .thresholds import ContentConstants, content_constants, relaxed_batch
 from .whittle import PolicyTables, build_index_tables
 
 __all__ = [
@@ -224,20 +224,18 @@ def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
     bound by weak duality whatever the slope's accuracy, which only
     steers the search and certifies how close it is to the maximum.
 
-    A bound solves its contents' constants once, with the columns of
-    every queue candidate where their scan is narrow
-    (``thresholds.with_columns``), and each evaluation passes its
-    ``Q_bar`` to the next (the first predicts ``Q_hat``): without the
-    columns, ``relaxed_batch`` reads case 2 off windows of candidates
-    around it, with the full scan's values, bit for bit.
+    A bound solves its contents' constants once, and each evaluation
+    passes its ``Q_bar`` to the next: where ``relaxed_batch`` reads case
+    2 off windows of candidates, they are placed around it, with the
+    full scan's values, bit for bit.
     Returns (C_h_star, bound).
     """
-    consts = with_columns(content_constants(system.contents, system.beta))
+    consts = content_constants(system.contents, system.beta)
     hi = float(consts.I.max())
     if system.M == 0:
         return hi, dual_value(system, hi, consts)  # saturated: dual is flat past max I_n
     m = system.M
-    pred = consts.q_hat  # each evaluation's Q_bar predicts the next one's
+    pred = None  # each evaluation's Q_bar predicts the next one's
 
     def dual(c: float) -> tuple[float, float]:
         nonlocal pred

@@ -10,19 +10,20 @@ Three regimes of the single-content problem with holding cost ``C_h``:
 * ``C_h >= I`` -- never cache; wait below ``Q_hat``, else fetch and
   discard; optimal cost ``(2*p*beta*c_f + c_w*Q_hat*(Q_hat+1)) / (2*(Q_hat+1))``.
 
-``relaxed_batch`` decides the regime for every solver whose ``C_h`` can
-reach ``I``: case 2 below ``I``, never-cache from ``I`` on.  Case 2 is
-solved by one numpy kernel, ``case2_batch``, batched over contents and
-holding costs: the Lambert-W root of the gap equation, then a quadratic
-in ``tau_bar`` per queue candidate (``case2_candidates``), keeping the
-floor-consistent one.  Exactly one candidate is, and the excess of its
-floor argument over Q falls strictly with Q (proved at ``case2_batch``),
-so a window of candidates can stand in for the scan of all of them where
-``window_consistent`` says it decides: the index tables and the dual
-bound's evaluations (``relaxed_batch`` given a predicted ``Q_bar``) read
-case 2 off such windows.  The scalar solvers are thin callers of these,
-and ``content_constants`` solves the ``C_h``-independent quantities of
-all contents at once.  An independent value-iteration cross-check lives in
+``relaxed_batch`` decides the regime for every solver, case 2 below
+``I`` and never-cache from ``I`` on, and ``_case2`` how case 2 is
+solved.  The full scan, ``case2_batch``, is one numpy kernel batched
+over contents and holding costs: the Lambert-W root of the gap
+equation, then a quadratic in ``tau_bar`` per queue candidate
+(``case2_candidates``), keeping the floor-consistent one.  Exactly one
+candidate is, and the excess of its floor argument over Q falls
+strictly with Q (proved at ``case2_batch``), so a window of candidates
+can stand in for the scan of all of them where ``window_consistent``
+says it decides: past ``SCAN_ALL`` elements, ``relaxed_batch`` and the
+``C_h = 0`` thresholds read windows, and the index tables' bisection
+always does.  The scalar solvers are thin callers of these, and
+``content_constants`` solves the ``C_h``-independent quantities of all
+contents at once.  An independent value-iteration cross-check lives in
 ``aovcache.oracle``.
 """
 
@@ -49,10 +50,9 @@ __all__ = [
     "solve_gap",
     "first_consistent",
     "window_consistent",
-    "Columns",
-    "with_columns",
     "case2_candidates",
     "case2_batch",
+    "zero_holding_batch",
     "Relaxed",
     "relaxed_batch",
     "solve_case2",
@@ -114,6 +114,15 @@ def compute_I(params: ContentParams, beta: float) -> float:
     return float(content_constants((params,), beta).I[0])
 
 
+# the widest scan of every candidate, in elements (contents x candidates),
+# for which constants carry their ``Columns``: where the scan of prepared
+# columns and the windows tie on a 2-core x86 host.  Dual bounds of
+# desk-like systems with N*(max Q_hat + 3) from 1,400 to 36,000 took
+# 0.58-0.86 of the windows' time with the scan up to 13,200, 0.98 at
+# 12,950, and 1.06-2.3 from 14,800
+SCAN_ALL = 13_000
+
+
 class Columns(NamedTuple):
     """The terms of queue candidates ``q`` that do not depend on C_h."""
 
@@ -131,8 +140,9 @@ class ContentConstants(NamedTuple):
     """The ``C_h``-independent quantities of a batch of contents, one entry
     per content, solved once and shared by every ``C_h``: the float ones
     stacked in the rows of one array, so that taking a subset of contents
-    is one indexing, and the ``Columns`` of every queue candidate where a
-    caller prepared them (``with_columns``)."""
+    is one indexing, and the ``Columns`` of every queue candidate
+    ``0..max Q_hat+2`` where their scan has at most ``SCAN_ALL`` elements
+    (None past that), which ``relaxed_batch`` then scans."""
 
     beta: float
     rows: np.ndarray            # the float quantities below, one row each
@@ -155,8 +165,12 @@ class ContentConstants(NamedTuple):
     top = property(lambda k: k.rows[12])     # Q_hat + 2, the last admissible candidate
 
     def take(self, idx) -> ContentConstants:
+        """The contents ``idx``, with their columns while their scan stays
+        within ``SCAN_ALL``."""
+        c = self.cols
+        keep = c is not None and np.size(idx) * c.q.size <= SCAN_ALL
         return ContentConstants(self.beta, self.rows.take(idx, 1), self.q_hat.take(idx),
-                                None if self.cols is None else self.cols.take(idx))
+                                c.take(idx) if keep else None)
 
 
 def _outside(q, r, c_f, c_w) -> np.ndarray:
@@ -219,7 +233,8 @@ def content_constants(contents: Sequence[ContentParams], beta: float) -> Content
     rc = r * c_alam
     rows = np.array([p, c_alam, c_f, c_w, theta1, tau0, I,
                      r, rc, c_f / rc, 2.0 * r * rc, p * c_alam, q + 2.0])
-    return ContentConstants(beta, rows, q.astype(np.int64))
+    k = ContentConstants(beta, rows, q.astype(np.int64))
+    return k if q.size * (q.max(initial=0) + 3.0) > SCAN_ALL else k._replace(cols=_all_columns(k))
 
 
 # (-1)^j / (j+2)! for j < 12: x + exp(-x) - 1 = x^2 * sum_j (-1)^j x^j / (j+2)!,
@@ -351,6 +366,11 @@ def _columns(t: ContentConstants, q) -> Columns:
     return Columns(q, q1, q1 / t.r, t.c_w * q * q1 / t.den, q <= t.top)
 
 
+def _all_columns(k: ContentConstants) -> Columns:
+    """``Columns`` of every queue candidate ``0..max Q_hat+2`` of ``k``."""
+    return _columns(_expand(k), np.arange(k.q_hat.max(initial=0) + 3.0))
+
+
 def _quadratic(g, xb, t: ContentConstants, c: Columns):
     """``case2_candidates`` at the columns ``c``, given ``xb = x/beta`` and
     ``g = xb - C_h/rc``; every argument but ``c`` carries a trailing unit
@@ -380,30 +400,12 @@ def case2_candidates(C_h, k: ContentConstants, q):
     return _candidates(np.asarray(C_h, dtype=float), k, _columns(_expand(k), q))
 
 
-# the widest scan of every candidate, in elements (contents x candidates),
-# that a caller solving many C_h prepares (``with_columns``): where the
-# two tie on a 2-core x86 host.  Dual bounds of desk-like systems with
-# N*(max Q_hat + 3) from 1,400 to 36,000 took 0.58-0.86 of the windows'
-# time with the scan up to 13,200, 0.98 at 12,950, and 1.06-2.3 from 14,800
-SCAN_ALL = 13_000
-
-
-def with_columns(k: ContentConstants) -> ContentConstants:
-    """``k`` for a caller that solves case 2 at many ``C_h``: where the
-    scan of every candidate of every content has at most ``SCAN_ALL``
-    elements, with its ``Columns``, which ``case2_batch`` then reads
-    instead of building them on each call, and ``relaxed_batch`` scans
-    in full even when given a prediction; else ``k`` itself, which
-    ``relaxed_batch`` reads off windows around a prediction."""
-    q = np.arange(int(k.q_hat.max(initial=0)) + 3, dtype=float)
-    if k.q_hat.size * q.size > SCAN_ALL:
-        return k
-    return k._replace(cols=_columns(_expand(k), q))
-
-
 def case2_batch(C_h, k: ContentConstants):
     """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h < I``,
-    as arrays over ``C_h`` broadcast against the contents of ``k``.
+    as arrays over ``C_h`` broadcast against the contents of ``k``, from
+    the scan of every queue candidate (the prepared ``k.cols`` where ``k``
+    carries them): the reference the windows are checked against, and
+    their last resort.
 
     The triple is the unique solution of
 
@@ -447,10 +449,7 @@ def case2_batch(C_h, k: ContentConstants):
     that passes the floor test, and where ``Q_bar`` jumps exactly at
     ``I`` this kernel reads the ``Q_bar`` below the jump, not ``Q_hat``.
     """
-    c = k.cols
-    if c is None:
-        q = np.arange(int(k.q_hat.max(initial=0)) + 3, dtype=float)
-        c = _columns(_expand(k), q)
+    c = k.cols or _all_columns(k)
     tb, tt, v, ok = _candidates(np.asarray(C_h, dtype=float), k, c)
     qb, found = first_consistent(v, c.q, ok)
     if not found.all():
@@ -544,8 +543,8 @@ def solve_thresholds_batch(params: ContentParams, beta: float,
 
 def zero_holding_thresholds(k: ContentConstants) -> list[ThresholdSet]:
     """``solve_thresholds(params, beta, 0.0)`` for every content of ``k``,
-    from one kernel call."""
-    tb, tt, qb, theta = (a.tolist() for a in case2_batch(0.0, k))
+    from one ``zero_holding_batch`` call."""
+    tb, tt, qb, theta = (a.tolist() for a in zero_holding_batch(k))
     return [
         ThresholdSet(tau_star=tb[i], Q_star=qb[i], tau_bar=tb[i], tau_tilde=tt[i],
                      Q_bar=qb[i], Q_hat=q_hat, tau0=tau0, I=I, theta=theta[i], C_h=0.0)
@@ -595,23 +594,25 @@ def _bisect_excess(g, xb, t: ContentConstants) -> np.ndarray:
     return lo
 
 
-def _case2_windows(C_h: np.ndarray, k: ContentConstants, pred: np.ndarray):
+def _case2(C_h: np.ndarray, k: ContentConstants, pred=None):
     """``case2_batch(C_h, k)`` for one holding cost per content, bit for
-    bit, read off windows of candidates around ``pred``, each content's
-    predicted ``Q_bar``.
+    bit: the one place that decides how case 2 is solved.  Constants that
+    carry their ``Columns`` are scanned in full; the others are read off
+    windows of candidates around ``pred``, each content's predicted
+    ``Q_bar``, or around ``Q_hat`` without one.
 
     A content is read off its window where ``window_consistent`` decides
     it; the rest get a prediction from ``_bisect_excess`` and a second
     window.  What both leave goes to ``case2_batch``, which raises
     ``ConsistencyError`` where the full scan does.  A prediction moves
     only the time, never a value (see ``case2_batch``)."""
-    if not C_h.size:
-        return np.empty(0), np.empty(0), np.empty(0, np.int64), np.empty(0)
+    if k.cols is not None:
+        return case2_batch(C_h, k)
     t = _expand(k)
     xb = solve_gap(C_h / k.pc) / k.beta
     g = (xb - C_h / k.rc)[:, None]
     xb = xb[:, None]
-    tb, tt, qb, decided = _window(g, xb, t, pred)
+    tb, tt, qb, decided = _window(g, xb, t, k.q_hat if pred is None else pred)
     rest = (~decided).nonzero()[0]
     if rest.size:
         tr = t.take(rest)
@@ -625,6 +626,15 @@ def _case2_windows(C_h: np.ndarray, k: ContentConstants, pred: np.ndarray):
     return tb, tt, qb, k.rc * tt
 
 
+def zero_holding_batch(k: ContentConstants):
+    """``case2_batch(0.0, k)`` by ``_case2``: the ``C_h = 0`` thresholds
+    ``(tau_star, tau_star, Q_star, theta)`` of every content.  Holding is
+    free there, so they are case 2's even where the computed ``I``, whose
+    form cancels for ``beta*tau0`` below ~1e-8, rounds to 0 and
+    ``relaxed_batch`` reads never-cache from ``C_h = 0 = I`` on."""
+    return _case2(np.zeros(k.I.size), k)
+
+
 def relaxed_batch(C_h, k: ContentConstants, pred=None) -> Relaxed:
     """The optimal single-content policy at C_h (broadcast against the
     contents of ``k``): ``case2_batch``'s thresholds and cost below
@@ -634,11 +644,10 @@ def relaxed_batch(C_h, k: ContentConstants, pred=None) -> Relaxed:
     over policies of a cost affine in C_h, whose slope is that policy's
     occupancy).
 
-    ``pred``, a predicted ``Q_bar`` broadcast as ``C_h`` is, changes only
-    how case 2 is solved, never a value: where ``k`` holds no prepared
-    ``Columns`` (``with_columns``), from windows of candidates around it
-    (``_case2_windows``) instead of the scan of every candidate.  The dual
-    bound passes each evaluation's ``Q_bar`` to the next.
+    ``pred``, a predicted ``Q_bar`` broadcast as ``C_h`` is, goes to
+    ``_case2``, which decides how case 2 is solved; it moves only the
+    time, never a value.  The dual bound passes each evaluation's
+    ``Q_bar`` to the next.
 
     The slope follows from (i)-(ii) of ``case2_batch`` by implicit
     differentiation at fixed ``Q_bar``.  With ``x = beta*(tt - tb)``,
@@ -665,11 +674,9 @@ def relaxed_batch(C_h, k: ContentConstants, pred=None) -> Relaxed:
     i = n[-1] % k.I.size  # the contents' axis is last, or one content broadcasts
     ki = k if i.size == under.size == k.I.size else k.take(i)
     ch = np.full(i.size, float(C_h)) if C_h.ndim == 0 else np.broadcast_to(C_h, under.shape)[n]
-    if pred is None or k.cols is not None:
-        solved = case2_batch(ch, ki)
-    else:
-        solved = _case2_windows(ch, ki, np.broadcast_to(pred, under.shape)[n])
-    tb, tt, qb, _ = solved
+    if pred is not None and ki.cols is None:  # the scan reads no prediction
+        pred = np.broadcast_to(pred, under.shape)[n]
+    tb, tt, qb, _ = solved = _case2(ch, ki, pred)
     p = ki.p
     u = p * (1.0 + k.beta * tb)
     occupancy = u / (u - p * np.exp(-k.beta * (tt - tb)) + qb + 1.0)

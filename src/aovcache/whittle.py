@@ -64,6 +64,7 @@ from .thresholds import (
     solve_thresholds,
     solve_thresholds_batch,
     window_consistent,
+    zero_holding_batch,
     zero_holding_thresholds,
 )
 
@@ -313,7 +314,7 @@ def uncached_breakpoints(contents: Sequence[ContentParams],
     each such Q the smallest C_h at which Q_bar exceeds Q, from one
     bisection run on every (content, Q) pair at once."""
     k = content_constants(contents, beta)
-    w, counts, _ = _breakpoints(k, case2_batch(0.0, k)[2])
+    w, counts, _ = _breakpoints(k, zero_holding_batch(k)[2])
     return [tuple(b.tolist()) for b in np.split(w, np.cumsum(counts)[:-1])]
 
 
@@ -360,12 +361,8 @@ def _classify_passive(ts: ThresholdSet, s: SingleContentState) -> bool:
         if not s.requested:
             return True  # uncached idle, or extended (Q>0, tau, 1, 0): wait/evict
         # (Q, 0, 1) directly, or extended (Q>0, tau, 1, 1) which maps onto it
-        if ts.C_h == 0.0:
-            return s.Q < ts.Q_star
         return s.Q < ts.Q_bar
     if s.requested:  # (0, tau, 1, 1)
-        if ts.C_h == 0.0:
-            return s.tau > ts.tau_star and ts.Q_star > 0
         if s.tau <= ts.tau_bar:
             return False  # serve and keep
         if s.tau <= ts.tau_tilde:
@@ -571,7 +568,7 @@ def build_index_tables(contents: Sequence[ContentParams], beta: float, indices: 
     thresholds are solved, for policies that never evaluate an index: no
     breakpoints, and rows ``[I, 0]``."""
     k = content_constants(contents, beta)
-    tau_star, _, q_star, _ = case2_batch(0.0, k)
+    tau_star, _, q_star, _ = zero_holding_batch(k)
     n = len(tau_star)
     if indices:
         bps, counts, n_bisect = _breakpoints(k, q_star, window)

@@ -385,8 +385,8 @@ class TestLowerBoundAndCompare:
 
     @pytest.mark.parametrize("section, key, value, N, M", [
         ("system", "lambda", 1e-9, 50, 10), ("costs", "c_a", 1e-12, 50, 10),
-        # Q_hat runs to 421,673 here, but each dual evaluation reads its
-        # contents off windows of four queue candidates
+        # Q_hat runs to 421,673 here, but the bound's evaluations and
+        # solve's rows read case 2 off windows of four queue candidates
         ("costs", "c_f", 1e9, 5, 1), ("costs", "c_f", 1e9, 50, 10),
     ], ids=["lambda-1e-9", "c_a-1e-12", "c_f-1e9", "c_f-1e9-N50"])
     def test_bound_of_extreme_costs(self, tmp_path, section, key, value, N, M):
@@ -402,24 +402,21 @@ class TestLowerBoundAndCompare:
         try:
             assert main(["lower-bound", "--config", str(cfg),
                          "--out", str(tmp_path / "lb")]) == 0
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100e6  # 1.2 GB peak RSS at N=50 when it scanned every candidate
+        # 1.2 GB peak RSS for lower-bound at N=50 and 1.35 GB for solve at
+        # N=5 when each scanned every candidate
+        assert peak < 100e6
         [row] = read_csv(tmp_path / "lb" / "lower_bound.csv")
         system = build_system(doc)
         # never caching is feasible, and costs theta1 per content
         assert float(row["bound"]) <= content_constants(system.contents, system.beta).theta1.sum()
-        if N == 50 and key == "c_f":
-            return  # a case-2 row of solve scans every candidate: 50 rows of 591,918
-        # at c_f = 1e9 only C_h = 0 and I: a case-2 row there scans up to
-        # 591,918 queue candidates, and its index tables and their 1.9M
-        # uncached rows take 76 s and 3.3 GB, so whittle runs on the others
-        points = "2" if key == "c_f" else "9"
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve"),
-                     "--ch-points", points]) == 0
         rows = read_csv(tmp_path / "solve" / "thresholds.csv")
-        assert len(rows) == N * int(points)
+        assert len(rows) == N * 9
+        # at c_f = 1e9 the index tables and their 1.9M uncached rows take
+        # 76 s and 3.3 GB, so whittle runs on the others
         if key != "c_f":
             assert main(["whittle", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
 
@@ -445,6 +442,25 @@ class TestLowerBoundAndCompare:
         assert main(["compare", "--config", desk_cfg, "--metrics", str(metrics)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "capacity:" in err
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "cannot read"),
+        ("axis_value,policy,avg_cost\n5,whittle,1.0\n", "no column replication"),
+        ("replication,policy,avg_cost\nmean,whittle,1.0\n", "no column axis_value"),
+        ("axis_value,replication,avg_cost\n5,mean,1.0\n", "no column policy"),
+        ("axis_value,policy,replication\n5,whittle,mean\n", "no column avg_cost"),
+        ("", "no column replication, axis_value, policy, avg_cost"),
+        ("axis_value,policy,replication,avg_cost\n5,whittle,mean,abc\n", "avg_cost:"),
+        ("axis_value,policy,replication,avg_cost\n5,whittle,mean\n", "avg_cost:"),
+    ], ids=["missing-file", "no-replication", "no-axis-value", "no-policy", "no-avg-cost",
+            "empty", "text-avg-cost", "short-row"])
+    def test_compare_bad_metrics_exits_2(self, desk_cfg, tmp_path, capsys, text, named):
+        metrics = tmp_path / "metrics.csv"
+        if text is not None:
+            metrics.write_text(text)
+        assert main(["compare", "--config", desk_cfg, "--metrics", str(metrics)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --metrics: ") and named in err
 
 
 class TestDigest:

@@ -32,7 +32,6 @@ from aovcache.thresholds import (
     solve_q_hat,
     solve_thresholds,
     window_consistent,
-    with_columns,
 )
 from aovcache.whittle import (
     _cached_gaps,
@@ -447,30 +446,31 @@ def full_or_error(C_h, k):
 @SETTINGS
 @given(system=box_systems(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 def test_windowed_evaluation_matches_full_width(system, fracs):
-    # the dual bound's evaluation, from windows of candidates and from
-    # prepared columns, against the scan of every candidate: every field
-    # bit for bit, at 0, at the smallest and the largest I and their
-    # neighbours and at fractions of max I, under predictions that are far
-    # off or a few off; where the full scan raises ConsistencyError, so
-    # must they
-    k = content_constants(system.contents, system.beta)
+    # relaxed_batch off windows of candidates, which it reads for
+    # constants without columns, against its scan of prepared columns
+    # (SCAN_ALL lifted, so that every system's constants carry them):
+    # every field bit for bit, at 0, at the smallest and the largest I and
+    # their neighbours and at fractions of max I, under predictions that
+    # are far off or a few off and under none; where the full scan raises
+    # ConsistencyError, so must the windows
     with mock.patch.object(thresholds, "SCAN_ALL", math.inf):
-        prepared = with_columns(k)
-    hi = float(k.I.max())
-    edges = ulp_neighbours([float(k.I.min()), hi], 0.0, 2.0 * hi)
-    holding = [0.0, *edges, *(f * hi for f in fracs)]
-    for ch in holding:
-        full = full_or_error(ch, k)
-        q_bar = np.zeros(k.I.size, np.int64) if full is None else full.Q_bar
-        preds = [np.zeros_like(q_bar), k.q_hat + 2,
-                 *(np.maximum(q_bar + d, 0) for d in (-7, -1, 1, 7))]
-        for kp in (k, prepared):
+        prepared = content_constants(system.contents, system.beta)
+        assert prepared.cols is not None
+        bare = prepared._replace(cols=None)
+        hi = float(prepared.I.max())
+        edges = ulp_neighbours([float(prepared.I.min()), hi], 0.0, 2.0 * hi)
+        holding = [0.0, *edges, *(f * hi for f in fracs)]
+        for ch in holding:
+            full = full_or_error(ch, prepared)
+            q_bar = np.zeros(prepared.I.size, np.int64) if full is None else full.Q_bar
+            preds = [None, np.zeros_like(q_bar), prepared.q_hat + 2,
+                     *(np.maximum(q_bar + d, 0) for d in (-7, -1, 1, 7))]
             for pred in preds:
                 if full is None:
                     with pytest.raises(ConsistencyError):
-                        relaxed_batch(ch, kp, pred)
+                        relaxed_batch(ch, bare, pred)
                     continue
-                window = relaxed_batch(ch, kp, pred)
+                window = relaxed_batch(ch, bare, pred)
                 for a, b in zip(window, full):
                     assert a.dtype == b.dtype
                     assert_same_bits(a, b)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from aovcache import _ckernel, checks
+from aovcache import _ckernel, checks, thresholds
 from aovcache.model import ContentParams, CostModel, zipf_popularity
 from aovcache.thresholds import (
+    case2_batch,
     compute_I,
     content_constants,
     optimal_average_cost,
+    relaxed_batch,
     solve_case2,
     solve_infinite_capacity,
     solve_gap,
@@ -17,6 +19,7 @@ from aovcache.thresholds import (
     solve_thresholds,
     zero_holding_thresholds,
 )
+from aovcache.whittle import build_content_tables
 from conftest import assert_same_bits, desk_system, random_content
 
 
@@ -214,12 +217,45 @@ class TestBundle:
             batched = zero_holding_thresholds(content_constants(contents, beta))
             assert batched == [solve_thresholds(c, beta, 0.0) for c in contents]
 
+    def test_zero_holding_is_case_2_where_I_rounds_to_0(self):
+        # beta*tau0 = 1e-9, where I's form beta*tau0 - 1 + exp(-beta*tau0)
+        # cancels to 0: relaxed_batch reads never-cache from C_h = 0 = I on,
+        # but the C_h = 0 thresholds, which the tables and the
+        # infinite-capacity policy read, stay case 2's
+        c = ContentParams(lam=1.0, p=1.0, costs=CostModel(1.0, 1.0, 1.0))
+        k = content_constants((c,), 1e-9)
+        assert k.I[0] == 0.0 and relaxed_batch(0.0, k).tau_bar[0] == 0.0
+        tau_star = case2_batch(0.0, k)[0][0]
+        assert tau_star > 0.0
+        assert zero_holding_thresholds(k)[0].tau_star == tau_star
+        assert solve_thresholds(c, 1e-9, 0.0).tau_star == tau_star
+        assert build_content_tables(c, 1e-9).tau_star == tau_star
+
     def test_optimal_cost_continuous_at_I(self, unit_content):
         I = compute_I(unit_content, 1.0)
         below = optimal_average_cost(unit_content, 1.0, I * (1 - 1e-9))
         above = optimal_average_cost(unit_content, 1.0, I * 2)
         assert below == pytest.approx(above, rel=1e-6)
         assert above == pytest.approx(0.75)
+
+
+def test_constants_carry_columns_iff_their_scan_is_narrow():
+    # Q_hat = 127: each content's scan has 130 candidates, so SCAN_ALL // 130
+    # contents are the most whose constants carry the columns of every one
+    c = ContentParams(lam=1.0, p=1.0, costs=CostModel(1.0, 127 * 128 / 2 + 10, 1.0))
+    width = 130
+    most = thresholds.SCAN_ALL // width
+    narrow = content_constants([c] * most, 1.0)
+    assert narrow.q_hat.tolist() == [127] * most
+    assert narrow.cols is not None and narrow.cols.q.size == width
+    assert content_constants([c] * (most + 1), 1.0).cols is None
+    assert narrow.take(np.arange(most)).cols is not None
+    assert narrow.take(np.zeros(most + 1, np.int64)).cols is None
+    assert content_constants([c] * (most + 1), 1.0).take(np.arange(1)).cols is None
+    # the columns of a subset are the rows of the whole's
+    sub = narrow.take(np.array([3, 0]))
+    for a, b in zip(sub.cols[2:], narrow.cols[2:]):
+        assert_same_bits(a, b[[3, 0]])
 
 
 @pytest.mark.skipif(_ckernel.special is None,
