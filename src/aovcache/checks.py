@@ -170,7 +170,7 @@ def table_window(system: SystemParams) -> Result:
     n = sum(x.size if x.shape != y.shape else np.count_nonzero(bits_differ(x, y))
             for x, y in pairs)
     return Result(n == 0, f"{n} of {sum(y.size for _, y in pairs)} table values differ from the "
-                  f"full-width scan; {fallback} rows fell back to it", n)
+                  f"full-width scan; {fallback} points of the cached grid fell back to it", n)
 
 
 def dual_bound(system: SystemParams, points: int) -> Result:
@@ -190,29 +190,26 @@ def dual_bound(system: SystemParams, points: int) -> Result:
 
 
 def dual_window(system: SystemParams, points: int) -> Result:
-    """Each way ``relaxed_batch`` solves case 2 against the full scan,
+    """Both ways ``relaxed_batch`` solves case 2 against the full scan,
     ``case2_batch`` on the contents it solves, every field bit for bit,
-    at C_h* and at ``points`` values of C_h in [0, max I]: the bound's
-    way on this system's constants, which carry their columns where the
-    scan is narrow, and windows of candidates (constants without
-    columns), placed around the ``Q_bar`` of the point before (the first
-    around ``Q_hat``, as the bound's first evaluation is) and with no
-    prediction.  Where the full scan raises ``ConsistencyError``, each
-    must raise it too."""
+    at C_h* and at ``points`` values of C_h in [0, max I]: on this
+    system's constants, which carry their columns where the scan is
+    narrow, and on the same constants without their columns, which read
+    windows of candidates.  Where the full scan raises
+    ``ConsistencyError``, each must raise it too."""
     k = content_constants(system.contents, system.beta)
-    bare = k._replace(cols=None)
-    ways = [(k, True), (bare, False)] + [(bare, True)] * (k.cols is not None)
+    ways = [k] + [k._replace(cols=None)] * (k.cols is not None)
     ch_star = relaxed_lower_bound(system)[0]
-    pred, n, total = None, 0, 0
+    n, total = 0, 0
     for c in sorted([*np.linspace(0.0, float(k.I.max()), points), ch_star]):
         solved = np.flatnonzero(c < k.I)
         try:
             full = case2_batch(c, k.take(solved))
         except ConsistencyError:
             full = None
-        for kp, chained in ways:
+        for kp in ways:
             try:
-                r = relaxed_batch(c, kp, pred if chained else None)
+                r = relaxed_batch(c, kp)
             except ConsistencyError:
                 n += full is not None
                 continue
@@ -221,8 +218,6 @@ def dual_window(system: SystemParams, points: int) -> Result:
                 continue
             total += len(full) * solved.size
             n += sum(np.count_nonzero(bits_differ(a[solved], b)) for a, b in zip(r, full))
-            if chained:
-                pred = r.Q_bar
     return Result(n == 0, f"{n} of {total} values at {points + 1} holding costs differ from "
                   "the full-width scan", n)
 

@@ -224,10 +224,10 @@ def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
     bound by weak duality whatever the slope's accuracy, which only
     steers the search and certifies how close it is to the maximum.
 
-    A bound solves its contents' constants once, and each evaluation
-    passes its ``Q_bar`` to the next: where ``relaxed_batch`` reads case
-    2 off windows of candidates, they are placed around it, with the
-    full scan's values, bit for bit.
+    A bound solves its contents' constants once and keeps no other state
+    between evaluations: where ``relaxed_batch`` reads case 2 off windows
+    of candidates, ``thresholds.case2`` places them, with the full scan's
+    values, bit for bit.
     Returns (C_h_star, bound).
     """
     consts = content_constants(system.contents, system.beta)
@@ -235,12 +235,9 @@ def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
     if system.M == 0:
         return hi, dual_value(system, hi, consts)  # saturated: dual is flat past max I_n
     m = system.M
-    pred = None  # each evaluation's Q_bar predicts the next one's
 
     def dual(c: float) -> tuple[float, float]:
-        nonlocal pred
-        r = relaxed_batch(c, consts, pred)
-        pred = r.Q_bar
+        r = relaxed_batch(c, consts)
         return float(r.theta.sum()) - c * m, float(r.occupancy.sum()) - m
 
     a, b = 0.0, hi

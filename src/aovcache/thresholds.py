@@ -11,7 +11,7 @@ Three regimes of the single-content problem with holding cost ``C_h``:
   discard; optimal cost ``(2*p*beta*c_f + c_w*Q_hat*(Q_hat+1)) / (2*(Q_hat+1))``.
 
 ``relaxed_batch`` decides the regime for every solver, case 2 below
-``I`` and never-cache from ``I`` on, and ``_case2`` how case 2 is
+``I`` and never-cache from ``I`` on, and ``case2`` how case 2 is
 solved.  The full scan, ``case2_batch``, is one numpy kernel batched
 over contents and holding costs: the Lambert-W root of the gap
 equation, then a quadratic in ``tau_bar`` per queue candidate
@@ -19,12 +19,13 @@ equation, then a quadratic in ``tau_bar`` per queue candidate
 candidate is, and the excess of its floor argument over Q falls
 strictly with Q (proved at ``case2_batch``), so a window of candidates
 can stand in for the scan of all of them where ``window_consistent``
-says it decides: past ``SCAN_ALL`` elements, ``relaxed_batch`` and the
-``C_h = 0`` thresholds read windows, and the index tables' bisection
-always does.  The scalar solvers are thin callers of these, and
-``content_constants`` solves the ``C_h``-independent quantities of all
-contents at once.  An independent value-iteration cross-check lives in
-``aovcache.oracle``.
+says it decides.  Past ``SCAN_ALL`` elements ``case2`` reads windows,
+each placed by ``_q_bar_estimate``, the closed-form root of a quadratic
+in Q: for ``relaxed_batch``, the ``C_h = 0`` thresholds and the index
+tables' bisection alike.  The scalar solvers are thin callers of these,
+and ``content_constants`` solves the ``C_h``-independent quantities of
+all contents at once.  An independent value-iteration cross-check lives
+in ``aovcache.oracle``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "window_consistent",
     "case2_candidates",
     "case2_batch",
+    "case2",
     "zero_holding_batch",
     "Relaxed",
     "relaxed_batch",
@@ -568,7 +570,7 @@ _WINDOW = np.array([-1.0, 0.0, 1.0, 2.0])  # the guard, then three candidates
 
 def _window(g, xb, t: ContentConstants, guess):
     """``(tau_bar, tau_tilde, Q_bar, decided)`` of each row from the guard
-    and three candidates around its predicted ``Q_bar`` ``guess``, kept
+    and three candidates around its estimated ``Q_bar`` ``guess``, kept
     inside ``0..Q_hat+2``; arguments as ``_quadratic``'s."""
     start = np.minimum(np.maximum(guess - 1.0, 0.0), t.top[:, 0] - 2.0)
     q = start[:, None] + _WINDOW
@@ -578,8 +580,39 @@ def _window(g, xb, t: ContentConstants, guess):
     return tb[pick], tt[pick], qb.astype(np.int64), decided
 
 
+def _q_bar_estimate(C_h: np.ndarray, k: ContentConstants, xb: np.ndarray) -> np.ndarray:
+    """Each content's ``Q_bar`` at its ``C_h``, in closed form from
+    ``xb = x/beta`` (``solve_gap``): where ``case2`` places its window.
+
+    ``case2_batch`` writes (ii) as ``Psi_Q(v) = a*v^2/2 + (Q+1-c)*v + e
+    - Q*(Q+1)/2`` with ``a = c_w/(c_a*lam)``, ``c = C_h/(c_a*lam)`` and
+
+        e = (p*beta/c_w) * (C_h*xb - p*beta*c_a*lam*xb^2/2 - c_f),
+
+    free of Q.  Candidate Q's root ``v_Q`` is the larger root of
+    ``Psi_Q``, so ``v_Q >= Q`` where ``Psi_Q(Q) <= 0``, and ``v_Q < Q+1``
+    where ``Psi_Q(Q+1) = Psi_{Q+1}(Q+1) > 0``.  At ``v = Q``
+
+        F(Q) = Psi_Q(Q) = (a+1)*Q^2/2 + h*Q + e,   h = 1/2 - c,
+
+    a convex quadratic in Q, and ``Q_bar``, the Q with
+    ``F(Q) <= 0 < F(Q+1)``, is the floor of its larger root
+    ``(s - h)/(a+1)`` with ``s = sqrt(h^2 - 2*(a+1)*e)``.  As
+    ``h <= 1/2``, ``s - h`` loses at most an ulp of 1/2 to cancellation.
+    The whole discriminant is clipped at 0, and the estimate to
+    ``0..Q_hat+2``.  The floor test's rounding at a ``Q_bar`` jump and
+    the admissibility of the roots, which ``F`` does not see, can put
+    ``Q_bar`` off the estimate; the window's ``window_consistent`` then
+    defers, so the estimate moves only the time, never a value."""
+    a1 = k.c_w / k.c_alam + 1.0
+    h = 0.5 - C_h / k.c_alam
+    e = k.r / k.c_w * (C_h * xb - 0.5 * k.rc * xb * xb - k.c_f)
+    s = np.sqrt(np.maximum(h * h - 2.0 * a1 * e, 0.0))
+    return np.minimum(np.maximum(np.floor((s - h) / a1), 0.0), k.top)
+
+
 def _bisect_excess(g, xb, t: ContentConstants) -> np.ndarray:
-    """Each row's ``Q_bar``, predicted as the first candidate in
+    """Each row's ``Q_bar``, estimated as the first candidate in
     ``0..Q_hat+2`` that does not lie admissibly above its cell, found by
     bisection as the excess ``v_q - q`` falls strictly with q
     (``case2_batch``); ``_window`` decides whether it holds.  Arguments as
@@ -594,25 +627,24 @@ def _bisect_excess(g, xb, t: ContentConstants) -> np.ndarray:
     return lo
 
 
-def _case2(C_h: np.ndarray, k: ContentConstants, pred=None):
+def case2(C_h: np.ndarray, k: ContentConstants):
     """``case2_batch(C_h, k)`` for one holding cost per content, bit for
     bit: the one place that decides how case 2 is solved.  Constants that
     carry their ``Columns`` are scanned in full; the others are read off
-    windows of candidates around ``pred``, each content's predicted
-    ``Q_bar``, or around ``Q_hat`` without one.
+    windows of candidates around ``_q_bar_estimate``.
 
     A content is read off its window where ``window_consistent`` decides
-    it; the rest get a prediction from ``_bisect_excess`` and a second
+    it; the rest get a new estimate from ``_bisect_excess`` and a second
     window.  What both leave goes to ``case2_batch``, which raises
-    ``ConsistencyError`` where the full scan does.  A prediction moves
-    only the time, never a value (see ``case2_batch``)."""
+    ``ConsistencyError`` where the full scan does.  Where a window sits
+    moves only the time, never a value (see ``case2_batch``)."""
     if k.cols is not None:
         return case2_batch(C_h, k)
     t = _expand(k)
     xb = solve_gap(C_h / k.pc) / k.beta
-    g = (xb - C_h / k.rc)[:, None]
-    xb = xb[:, None]
-    tb, tt, qb, decided = _window(g, xb, t, k.q_hat if pred is None else pred)
+    guess = _q_bar_estimate(C_h, k, xb)
+    g, xb = (xb - C_h / k.rc)[:, None], xb[:, None]
+    tb, tt, qb, decided = _window(g, xb, t, guess)
     rest = (~decided).nonzero()[0]
     if rest.size:
         tr = t.take(rest)
@@ -627,15 +659,15 @@ def _case2(C_h: np.ndarray, k: ContentConstants, pred=None):
 
 
 def zero_holding_batch(k: ContentConstants):
-    """``case2_batch(0.0, k)`` by ``_case2``: the ``C_h = 0`` thresholds
+    """``case2_batch(0.0, k)`` by ``case2``: the ``C_h = 0`` thresholds
     ``(tau_star, tau_star, Q_star, theta)`` of every content.  Holding is
     free there, so they are case 2's even where the computed ``I``, whose
     form cancels for ``beta*tau0`` below ~1e-8, rounds to 0 and
     ``relaxed_batch`` reads never-cache from ``C_h = 0 = I`` on."""
-    return _case2(np.zeros(k.I.size), k)
+    return case2(np.zeros(k.I.size), k)
 
 
-def relaxed_batch(C_h, k: ContentConstants, pred=None) -> Relaxed:
+def relaxed_batch(C_h, k: ContentConstants) -> Relaxed:
     """The optimal single-content policy at C_h (broadcast against the
     contents of ``k``): ``case2_batch``'s thresholds and cost below
     ``I``, the never-cache ``(0, tau0, Q_hat, theta_case1)`` from ``I``
@@ -644,10 +676,7 @@ def relaxed_batch(C_h, k: ContentConstants, pred=None) -> Relaxed:
     over policies of a cost affine in C_h, whose slope is that policy's
     occupancy).
 
-    ``pred``, a predicted ``Q_bar`` broadcast as ``C_h`` is, goes to
-    ``_case2``, which decides how case 2 is solved; it moves only the
-    time, never a value.  The dual bound passes each evaluation's
-    ``Q_bar`` to the next.
+    ``case2`` decides how case 2 is solved, for every caller alike.
 
     The slope follows from (i)-(ii) of ``case2_batch`` by implicit
     differentiation at fixed ``Q_bar``.  With ``x = beta*(tt - tb)``,
@@ -674,9 +703,7 @@ def relaxed_batch(C_h, k: ContentConstants, pred=None) -> Relaxed:
     i = n[-1] % k.I.size  # the contents' axis is last, or one content broadcasts
     ki = k if i.size == under.size == k.I.size else k.take(i)
     ch = np.full(i.size, float(C_h)) if C_h.ndim == 0 else np.broadcast_to(C_h, under.shape)[n]
-    if pred is not None and ki.cols is None:  # the scan reads no prediction
-        pred = np.broadcast_to(pred, under.shape)[n]
-    tb, tt, qb, _ = solved = _case2(ch, ki, pred)
+    tb, tt, qb, _ = solved = case2(ch, ki)
     p = ki.p
     u = p * (1.0 + k.beta * tb)
     occupancy = u / (u - p * np.exp(-k.beta * (tt - tb)) + qb + 1.0)

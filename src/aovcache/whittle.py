@@ -26,8 +26,9 @@ the content out of the cache optimal.
   (content, Q) pair at once, finds it.
 
 Both table solvers evaluate a window of queue candidates per row rather
-than all of ``0..Q_hat+2``: the bisection the columns Q-1, Q and Q+1,
-the cached grid the predicted ``Q_bar`` and the column below it.  In
+than all of ``0..Q_hat+2``: the bisection asks ``thresholds.case2``,
+which places its window by a closed-form estimate of ``Q_bar``, and the
+cached grid reads the predicted ``Q_bar`` and the column below it.  In
 both problems candidate Q's floor argument exceeds Q by an amount that
 is strictly decreasing in Q (proved at ``thresholds.case2_batch`` and
 ``cached_index_rows``), so a guard column cleanly above its cell rules
@@ -54,6 +55,7 @@ from .thresholds import (
     ConsistencyError,
     ContentConstants,
     ThresholdSet,
+    case2,
     case2_batch,
     case2_candidates,
     compute_I,
@@ -246,59 +248,31 @@ def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
         return 0.0
     if Q >= ts.Q_hat:
         return ts.I
-    return float(_bisect(k, np.array([Q]))[0][0])
+    return float(_bisect(k, np.array([Q]))[0])
 
 
-def _exceeds(C_h: np.ndarray, k: ContentConstants, q: np.ndarray,
-             window: bool) -> tuple[np.ndarray, int]:
-    """Whether ``Q_bar(C_h) > q``, per (content of k, q) pair, and how many
-    pairs the window left to the full-width ``case2_batch``.
-
-    The window is columns q-1, q and q+1 (``thresholds.window_consistent``
-    with guard q-1).  Where it does not decide, one neighbour's side of
-    its cell may: f is strictly decreasing (``case2_batch``), so q+1
-    above its cell puts ``Q_bar`` above q, and q-1 at or below its cell
-    puts it below q.
-    """
-    if window:
-        cols = q[:, None] + np.array([-1.0, 0.0, 1.0])
-        _, _, v, ok = case2_candidates(C_h, k, cols)
-        qb, decided = window_consistent(v, cols, ok)
-        up = ok[:, 2] & (v[:, 2] >= cols[:, 2] + 1.0)
-        down = (cols[:, 0] >= 0.0) & ok[:, 0] & (v[:, 0] < cols[:, 0] + 1.0)
-        above = np.where(decided, qb > q, up)
-        rest = np.flatnonzero(~(decided | (up != down)))
-    else:
-        above, rest = np.empty(len(q), dtype=bool), np.arange(len(q))
-    if rest.size:
-        above[rest] = case2_batch(C_h[rest], k.take(rest))[2] > q[rest]
-    return above, rest.size
-
-
-def _bisect(k: ContentConstants, q: np.ndarray, window: bool = True) -> tuple[np.ndarray, int]:
+def _bisect(k: ContentConstants, q: np.ndarray, window: bool = True) -> np.ndarray:
     """The smallest C_h at which ``Q_bar`` exceeds q, per (content of k,
-    q) pair with ``Q_star <= q < Q_hat``, by bisection, and how many pair
-    steps fell back to the full-width scan."""
+    q) pair with ``Q_star <= q < Q_hat``, by bisection: each step solves
+    case 2 by ``case2``, or with ``window=False`` by the full-width
+    ``case2_batch``."""
+    solve = case2 if window else case2_batch
     lo, hi = np.zeros(len(q)), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
-    fallback = 0
     for _ in range(BISECT_ITERS if len(q) else 0):
         mid = 0.5 * (lo + hi)
-        above, n = _exceeds(mid, k, q, window)
-        fallback += n
+        above = solve(mid, k)[2] > q
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi), fallback
+    return 0.5 * (lo + hi)
 
 
 def _breakpoints(k: ContentConstants, q_star: np.ndarray,
-                 window: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
+                 window: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """``uncached_breakpoints`` of the contents of ``k``, given their
-    ``Q_star``: flat, in content order, with how many each content has;
-    and the fallback count of ``_bisect``."""
+    ``Q_star``: flat, in content order, with how many each content has."""
     counts = np.maximum(k.q_hat - q_star, 0)
     idx, j = _groups(counts)
-    w, fallback = _bisect(k.take(idx), q_star[idx] + j, window)
-    return w, counts, fallback
+    return _bisect(k.take(idx), q_star[idx] + j, window), counts
 
 
 def _groups(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +288,7 @@ def uncached_breakpoints(contents: Sequence[ContentParams],
     each such Q the smallest C_h at which Q_bar exceeds Q, from one
     bisection run on every (content, Q) pair at once."""
     k = content_constants(contents, beta)
-    w, counts, _ = _breakpoints(k, zero_holding_batch(k)[2])
+    w, counts = _breakpoints(k, zero_holding_batch(k)[2])
     return [tuple(b.tolist()) for b in np.split(w, np.cumsum(counts)[:-1])]
 
 
@@ -562,25 +536,26 @@ def build_index_tables(contents: Sequence[ContentParams], beta: float, indices: 
                        window: bool = True) -> tuple[PolicyTables, int]:
     """The ``PolicyTables`` of ``contents`` at aggregate rate ``beta``, from
     one batched bisection and the chunked cached-index build, and how many
-    bisection steps and grid points fell back to the full-width scan; with
-    ``window=False`` all of them do (what ``aovcache verify`` compares the
-    window against).  With ``indices=False`` only the ``C_h = 0``
-    thresholds are solved, for policies that never evaluate an index: no
-    breakpoints, and rows ``[I, 0]``."""
+    points of the cached grid fell back to the full-width scan; with
+    ``window=False`` the bisection and every grid point scan at full width
+    (what ``aovcache verify`` compares the windows against).  With
+    ``indices=False`` only the ``C_h = 0`` thresholds are solved, for
+    policies that never evaluate an index: no breakpoints, and rows
+    ``[I, 0]``."""
     k = content_constants(contents, beta)
     tau_star, _, q_star, _ = zero_holding_batch(k)
     n = len(tau_star)
     if indices:
-        bps, counts, n_bisect = _breakpoints(k, q_star, window)
+        bps, counts = _breakpoints(k, q_star, window)
         w_of_tau, n_rows = cached_index_rows(k, tau_star, q_star, bps, counts, window)
     else:
-        bps, counts, n_bisect, n_rows = np.empty(0), np.zeros(n, dtype=np.int64), 0, 0
+        bps, counts, n_rows = np.empty(0), np.zeros(n, dtype=np.int64), 0
         w_of_tau = np.stack([k.I, np.zeros(n)], axis=1)
     cdbl = np.stack([tau_star, k.I, (w_of_tau.shape[1] - 1) / tau_star, k.c_alam, k.c_f,
                      k.c_w, k.p, k.p * k.c_f, [c.lam for c in contents],
                      [c.costs.c_a for c in contents]], axis=1)
     cint = np.stack([q_star, k.q_hat, np.cumsum(counts) - counts], axis=1)
-    return PolicyTables(tuple(contents), beta, cdbl, cint, bps, w_of_tau), n_bisect + n_rows
+    return PolicyTables(tuple(contents), beta, cdbl, cint, bps, w_of_tau), n_rows
 
 
 def build_content_tables(params: ContentParams, beta: float) -> ContentTables:

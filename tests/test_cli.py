@@ -547,8 +547,8 @@ class TestVerifyCmd:
         # which moves unit.json's summed occupancy by ~0.09 in the median
         exact = checks.relaxed_batch
 
-        def mutant(C_h, k, pred=None):
-            r = exact(C_h, k, pred)
+        def mutant(C_h, k):
+            r = exact(C_h, k)
             u = k.p * (1.0 + k.beta * r.tau_bar)
             return r._replace(occupancy=np.where(r.occupancy == 0.0, 0.0,
                                                  u / (u + r.Q_bar + 1.0)))

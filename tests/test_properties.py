@@ -35,7 +35,6 @@ from aovcache.thresholds import (
 )
 from aovcache.whittle import (
     _cached_gaps,
-    _exceeds,
     _omega_candidates,
     build_index_tables,
     uncached_breakpoints,
@@ -238,21 +237,47 @@ def test_case2_window_matches_full_scan(cb, fracs):
     assert decided_any.all()
 
 
+def displaced_estimates(q_bar):
+    """``thresholds._q_bar_estimate`` itself, then stand-ins for it that
+    place every window at 0, at ``Q_hat + 2``, or 1 or 7 off ``q_bar``
+    (one entry per row the estimate sees)."""
+    shifted = [lambda C_h, k, xb, d=d: np.clip(q_bar + d, 0.0, k.top)
+               for d in (-7, -1, 1, 7)]
+    return [thresholds._q_bar_estimate, lambda C_h, k, xb: np.zeros(len(C_h)),
+            lambda C_h, k, xb: k.top.copy(), *shifted]
+
+
+def full_or_error(solve, *args):
+    try:
+        return solve(*args)
+    except ConsistencyError:
+        return None
+
+
 @SETTINGS
 @given(cb=contents(ratio_lo=1.0, ratio_hi=400.0),
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_bisection_step_matches_full_scan(cb, fracs):
     # the decision of each bisection step, Q_bar(C_h) > q, for every
-    # uncached state q, by the window (with its fallback) and by the scan
+    # uncached state q, by case2's windows (the constants' columns
+    # removed), placed by the estimate and displaced from it, and by the
+    # scan; where the scan raises ConsistencyError, so must the windows
     c, beta = cb
     k, ch = holding_costs(c, beta, fracs)
     q_star = int(case2_batch(0.0, k)[2][0])
     q = np.arange(q_star, int(k.q_hat[0]))
     ch, q = (a.ravel() for a in np.meshgrid(ch, q))
     kp = k.take(np.zeros(len(q), dtype=np.int64))
-    window, fallback = _exceeds(ch, kp, q, True)
-    assert (window == (case2_batch(ch, kp)[2] > q)).all()
-    assert fallback < max(len(q), 1)
+    bare = kp._replace(cols=None)
+    full = full_or_error(case2_batch, ch, kp)
+    q_bar = np.zeros(len(q)) if full is None else full[2]
+    for estimate in displaced_estimates(q_bar):
+        with mock.patch.object(thresholds, "_q_bar_estimate", estimate):
+            if full is None:
+                with pytest.raises(ConsistencyError):
+                    thresholds.case2(ch, bare)
+                continue
+            assert ((thresholds.case2(ch, bare)[2] > q) == (q_bar > q)).all()
 
 
 @SETTINGS
@@ -436,13 +461,6 @@ def box_systems(draw, max_n: int = 50):
     return SystemParams(beta=beta, contents=contents_, M=0)
 
 
-def full_or_error(C_h, k):
-    try:
-        return relaxed_batch(C_h, k)
-    except ConsistencyError:
-        return None
-
-
 @SETTINGS
 @given(system=box_systems(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 def test_windowed_evaluation_matches_full_width(system, fracs):
@@ -450,8 +468,8 @@ def test_windowed_evaluation_matches_full_width(system, fracs):
     # constants without columns, against its scan of prepared columns
     # (SCAN_ALL lifted, so that every system's constants carry them):
     # every field bit for bit, at 0, at the smallest and the largest I and
-    # their neighbours and at fractions of max I, under predictions that
-    # are far off or a few off and under none; where the full scan raises
+    # their neighbours and at fractions of max I, with windows placed by
+    # the estimate and far or a few off it; where the full scan raises
     # ConsistencyError, so must the windows
     with mock.patch.object(thresholds, "SCAN_ALL", math.inf):
         prepared = content_constants(system.contents, system.beta)
@@ -461,16 +479,17 @@ def test_windowed_evaluation_matches_full_width(system, fracs):
         edges = ulp_neighbours([float(prepared.I.min()), hi], 0.0, 2.0 * hi)
         holding = [0.0, *edges, *(f * hi for f in fracs)]
         for ch in holding:
-            full = full_or_error(ch, prepared)
-            q_bar = np.zeros(prepared.I.size, np.int64) if full is None else full.Q_bar
-            preds = [None, np.zeros_like(q_bar), prepared.q_hat + 2,
-                     *(np.maximum(q_bar + d, 0) for d in (-7, -1, 1, 7))]
-            for pred in preds:
-                if full is None:
-                    with pytest.raises(ConsistencyError):
-                        relaxed_batch(ch, bare, pred)
-                    continue
-                window = relaxed_batch(ch, bare, pred)
+            full = full_or_error(relaxed_batch, ch, prepared)
+            # the estimate sees the contents below their I
+            under = ch < prepared.I
+            q_bar = np.zeros(under.sum()) if full is None else full.Q_bar[under]
+            for estimate in displaced_estimates(q_bar):
+                with mock.patch.object(thresholds, "_q_bar_estimate", estimate):
+                    if full is None:
+                        with pytest.raises(ConsistencyError):
+                            relaxed_batch(ch, bare)
+                        continue
+                    window = relaxed_batch(ch, bare)
                 for a, b in zip(window, full):
                     assert a.dtype == b.dtype
                     assert_same_bits(a, b)

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wrightomega
 
-from aovcache import _ckernel
+from aovcache import _ckernel, thresholds
 from aovcache.cli import build_system
 from aovcache.model import SingleContentState
-from aovcache.policies import PolicyTables, build_policy_tables
+from aovcache.policies import PolicyTables, build_policy_tables, relaxed_lower_bound
 from aovcache.thresholds import (
     compute_I,
     content_constants,
@@ -22,7 +22,6 @@ from aovcache.thresholds import (
     zero_holding_thresholds,
 )
 from aovcache.whittle import (
-    BISECT_ITERS,
     GRID_SIZE,
     _classify_passive,
     build_content_tables,
@@ -43,6 +42,16 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 needs_special = pytest.mark.skipif(_ckernel.special is None,
                                    reason="compiled special functions unavailable")
+
+
+def config_system(name: str):
+    """A shipped config's system, or paper.json cut to N=100, with the
+    capacities of its sweep (its own M where it has none)."""
+    if name == "paper-n100":
+        return desk_system(beta=40.0), [25]
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    system = build_system(doc)
+    return system, doc.get("sweep", {}).get("values", [system.M])
 
 
 class TestCachedIndex:
@@ -203,19 +212,36 @@ class TestContentTables:
 
     @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
     def test_window_equals_full_width_scan(self, name):
-        # every field of every table, bit for bit; no row needs the scan
-        system = (desk_system(beta=40.0) if name == "paper-n100"  # paper.json cut to N=100
-                  else build_system(json.loads((CONFIGS / f"{name}.json").read_text())))
+        # every field of every table, bit for bit; no point of the cached
+        # grid needs the scan
+        system = config_system(name)[0]
         windowed, fallback = build_index_tables(system.contents, system.beta)
         full, scanned = build_index_tables(system.contents, system.beta, window=False)
         assert fallback == 0
-        assert scanned == len(full.bps) * BISECT_ITERS + system.N * (GRID_SIZE - 1)
+        assert scanned == system.N * (GRID_SIZE - 1)
         assert full.w_of_tau.shape == (system.N, GRID_SIZE + 1)
         arrays = [f.name for f in fields(PolicyTables)
                   if isinstance(getattr(full, f.name), np.ndarray)]
         assert len(arrays) == 7
         for name in arrays:
             assert_same_bits(getattr(windowed, name), getattr(full, name))
+
+    @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
+    def test_estimate_decides_every_window(self, name, monkeypatch):
+        # with every solve read off windows (SCAN_ALL 0), the window that
+        # the closed-form Q_bar estimate places decides every content of
+        # every bound evaluation over the config's capacities and of every
+        # bisection step of its tables: none reaches the second stage
+        system, capacities = config_system(name)
+
+        def second_stage(*args):
+            raise AssertionError("a window placed by the estimate did not decide")
+
+        monkeypatch.setattr(thresholds, "SCAN_ALL", 0)
+        monkeypatch.setattr(thresholds, "_bisect_excess", second_stage)
+        for m in capacities:
+            relaxed_lower_bound(replace(system, M=m))
+        build_index_tables(system.contents, system.beta)
 
     def test_wrong_breakpoints_cost_only_time(self):
         # the window predicts Q_bar from the breakpoints; shifted ones send
