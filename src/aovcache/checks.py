@@ -190,15 +190,12 @@ def dual_bound(system: SystemParams, points: int) -> Result:
 
 
 def dual_window(system: SystemParams, points: int) -> Result:
-    """Both ways ``relaxed_batch`` solves case 2 against the full scan,
-    ``case2_batch`` on the contents it solves, every field bit for bit,
-    at C_h* and at ``points`` values of C_h in [0, max I]: on this
-    system's constants, which carry their columns where the scan is
-    narrow, and on the same constants without their columns, which read
-    windows of candidates.  Where the full scan raises
-    ``ConsistencyError``, each must raise it too."""
+    """``relaxed_batch``, which reads case 2 off pairs of candidates
+    (``thresholds.case2``), against the full scan, ``case2_batch`` on the
+    contents it solves, every field bit for bit, at C_h* and at
+    ``points`` values of C_h in [0, max I].  Where the full scan raises
+    ``ConsistencyError``, ``relaxed_batch`` must raise it too."""
     k = content_constants(system.contents, system.beta)
-    ways = [k] + [k._replace(cols=None)] * (k.cols is not None)
     ch_star = relaxed_lower_bound(system)[0]
     n, total = 0, 0
     for c in sorted([*np.linspace(0.0, float(k.I.max()), points), ch_star]):
@@ -207,17 +204,16 @@ def dual_window(system: SystemParams, points: int) -> Result:
             full = case2_batch(c, k.take(solved))
         except ConsistencyError:
             full = None
-        for kp in ways:
-            try:
-                r = relaxed_batch(c, kp)
-            except ConsistencyError:
-                n += full is not None
-                continue
-            if full is None:
-                n += 1
-                continue
-            total += len(full) * solved.size
-            n += sum(np.count_nonzero(bits_differ(a[solved], b)) for a, b in zip(r, full))
+        try:
+            r = relaxed_batch(c, k)
+        except ConsistencyError:
+            n += full is not None
+            continue
+        if full is None:
+            n += 1
+            continue
+        total += len(full) * solved.size
+        n += sum(np.count_nonzero(bits_differ(a[solved], b)) for a, b in zip(r, full))
     return Result(n == 0, f"{n} of {total} values at {points + 1} holding costs differ from "
                   "the full-width scan", n)
 

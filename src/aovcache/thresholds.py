@@ -12,16 +12,17 @@ Three regimes of the single-content problem with holding cost ``C_h``:
 
 ``relaxed_batch`` decides the regime for every solver, case 2 below
 ``I`` and never-cache from ``I`` on, and ``case2`` how case 2 is
-solved.  The full scan, ``case2_batch``, is one numpy kernel batched
+solved.  Its reference, ``case2_batch``, is one numpy kernel batched
 over contents and holding costs: the Lambert-W root of the gap
 equation, then a quadratic in ``tau_bar`` per queue candidate
 (``case2_candidates``), keeping the floor-consistent one.  Exactly one
 candidate is, and the excess of its floor argument over Q falls
-strictly with Q (proved at ``case2_batch``), so a window of candidates
-can stand in for the scan of all of them where ``window_consistent``
-says it decides.  Past ``SCAN_ALL`` elements ``case2`` reads windows,
-each placed by ``_q_bar_estimate``, the closed-form root of a quadratic
-in Q: for ``relaxed_batch``, the ``C_h = 0`` thresholds and the index
+strictly with Q (proved at ``case2_batch``), so a pair of candidates,
+a guard and the candidate above it, stands in for the scan of all of
+them where ``window_consistent`` says it decides.  ``case2`` reads
+every content off the pair at ``_q_bar_estimate``, the closed-form root
+of a quadratic in Q, laid out candidates first against the contents'
+rows: for ``relaxed_batch``, the ``C_h = 0`` thresholds and the index
 tables' bisection alike.  The scalar solvers are thin callers of these,
 and ``content_constants`` solves the ``C_h``-independent quantities of
 all contents at once.  An independent value-iteration cross-check lives
@@ -116,40 +117,15 @@ def compute_I(params: ContentParams, beta: float) -> float:
     return float(content_constants((params,), beta).I[0])
 
 
-# the widest scan of every candidate, in elements (contents x candidates),
-# for which constants carry their ``Columns``: where the scan of prepared
-# columns and the windows tie on a 2-core x86 host.  Dual bounds of
-# desk-like systems with N*(max Q_hat + 3) from 1,400 to 36,000 took
-# 0.58-0.86 of the windows' time with the scan up to 13,200, 0.98 at
-# 12,950, and 1.06-2.3 from 14,800
-SCAN_ALL = 13_000
-
-
-class Columns(NamedTuple):
-    """The terms of queue candidates ``q`` that do not depend on C_h."""
-
-    q: np.ndarray
-    q1: np.ndarray      # q + 1
-    q1r: np.ndarray     # (q + 1) / r
-    wq: np.ndarray      # c_w * q * (q + 1) / (2 * r * rc)
-    adm: np.ndarray     # q <= Q_hat + 2
-
-    def take(self, idx) -> Columns:
-        return Columns(self.q, self.q1, *(a.take(idx, 0) for a in self[2:]))
-
-
 class ContentConstants(NamedTuple):
     """The ``C_h``-independent quantities of a batch of contents, one entry
-    per content, solved once and shared by every ``C_h``: the float ones
-    stacked in the rows of one array, so that taking a subset of contents
-    is one indexing, and the ``Columns`` of every queue candidate
-    ``0..max Q_hat+2`` where their scan has at most ``SCAN_ALL`` elements
-    (None past that), which ``relaxed_batch`` then scans."""
+    per content, solved once and shared by every ``C_h``: stacked in the
+    rows of one array, so that taking a subset of contents is one
+    indexing."""
 
     beta: float
     rows: np.ndarray            # the float quantities below, one row each
     q_hat: np.ndarray           # int64
-    cols: Columns | None = None
 
     p = property(lambda k: k.rows[0])
     c_alam = property(lambda k: k.rows[1])   # c_a * lam
@@ -165,14 +141,13 @@ class ContentConstants(NamedTuple):
     den = property(lambda k: k.rows[10])     # 2 * r * rc
     pc = property(lambda k: k.rows[11])      # p * c_a * lam
     top = property(lambda k: k.rows[12])     # Q_hat + 2, the last admissible candidate
+    # the factors of _q_bar_estimate's quadratic
+    a1 = property(lambda k: k.rows[13])      # c_w / (c_a * lam) + 1
+    r_cw = property(lambda k: k.rows[14])    # r / c_w
 
     def take(self, idx) -> ContentConstants:
-        """The contents ``idx``, with their columns while their scan stays
-        within ``SCAN_ALL``."""
-        c = self.cols
-        keep = c is not None and np.size(idx) * c.q.size <= SCAN_ALL
-        return ContentConstants(self.beta, self.rows.take(idx, 1), self.q_hat.take(idx),
-                                c.take(idx) if keep else None)
+        """The contents ``idx``."""
+        return ContentConstants(self.beta, self.rows.take(idx, 1), self.q_hat.take(idx))
 
 
 def _outside(q, r, c_f, c_w) -> np.ndarray:
@@ -193,8 +168,10 @@ def content_constants(contents: Sequence[ContentParams], beta: float) -> Content
     whose solution is the floor of ``(sqrt(1 + 8*p*beta*c_f/c_w) - 1)/2``
     (batch-dispatching a Poisson stream); ``theta_case1`` is the optimal
     cost for ``C_h > I`` and ``tau0 = theta_case1 / (p*beta*c_a*lam)``.
-    ``I`` takes libm's ``math.exp``, as numpy's vectorized ``exp`` may
-    differ from it in the last bit.  Raises ``ValueError`` naming the
+    ``I = p*c_a*lam*(x - 1 + exp(-x))`` with ``x = beta*tau0`` takes libm's
+    ``math.exp``, as numpy's vectorized ``exp`` may differ from it in the
+    last bit, and ``gap_value``'s series where ``x < 0.1``, below which
+    that form cancels (to 0 where x is below ~1e-8).  Raises ``ValueError`` naming the
     first field that is not positive, of the first content with one.
     """
     costs = [c.costs for c in contents]
@@ -229,14 +206,18 @@ def content_constants(contents: Sequence[ContentParams], beta: float) -> Content
         q[miss] = np.where(found, cand[np.arange(miss.size), inside.argmax(1)], qm)
     theta1 = (2.0 * r * c_f + c_w * q * (q + 1)) / (2.0 * (q + 1))
     tau0 = theta1 / (r * c_a * lam)
-    decay = np.fromiter(map(math.exp, (-beta * tau0).tolist()), float, tau0.size)
-    I = p * lam * c_a * (beta * tau0 - 1.0 + decay)
+    x = beta * tau0
+    decay = np.fromiter(map(math.exp, (-x).tolist()), float, x.size)
+    gap = x - 1.0 + decay
+    small = x < _SERIES_BELOW
+    gap[small] = gap_value(x[small])  # a series only there: it overflows for large x
+    I = p * lam * c_a * gap
     c_alam = c_a * lam
     rc = r * c_alam
     rows = np.array([p, c_alam, c_f, c_w, theta1, tau0, I,
-                     r, rc, c_f / rc, 2.0 * r * rc, p * c_alam, q + 2.0])
-    k = ContentConstants(beta, rows, q.astype(np.int64))
-    return k if q.size * (q.max(initial=0) + 3.0) > SCAN_ALL else k._replace(cols=_all_columns(k))
+                     r, rc, c_f / rc, 2.0 * r * rc, p * c_alam, q + 2.0,
+                     c_w / c_alam + 1.0, r / c_w])
+    return ContentConstants(beta, rows, q.astype(np.int64))
 
 
 # (-1)^j / (j+2)! for j < 12: x + exp(-x) - 1 = x^2 * sum_j (-1)^j x^j / (j+2)!,
@@ -318,79 +299,53 @@ def first_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray):
     return col, any_hit | np.isfinite(near.min(-1))
 
 
-def window_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray):
-    """``first_consistent`` of whole candidate rows, read off a window of
-    consecutive columns of each: ``(Q, decided)`` per row.
+def window_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Whether a pair of queue candidates decides its row: the guard
+    ``q[0]`` (``-1`` for none) and the candidate ``q[1] = q[0] + 1``,
+    laid out first, with their floor arguments ``v`` and admissibility
+    ``ok``.  Where it holds, ``q[1]`` is the column that
+    ``first_consistent``'s scan of every candidate ``0..`` picks.
 
-    ``q[..., 0]`` is a guard column (``-1`` for none), the rest are the
-    candidates ``first_consistent`` runs on; ``Q`` is the q of the column
-    it picks.  Where ``decided`` holds, that is the column the scan of
-    every candidate ``0..`` would pick.  Both solvers that call this
+    The scan picks the first admissible candidate that hits its cell
+    (``floor(v) == q``), and only where none hits the one nearest its
+    cell, within the near tolerance.  Both solvers that call this
     (``case2_batch``'s quadratic and the Wright-omega form of
     ``whittle``) have a floor argument ``v_q`` whose excess
-    ``f_q = v_q - q`` is strictly decreasing in q, so candidate q's cell
-    ``0 <= f_q < 1`` is passed by at most one q, and
-
-    * a guard cleanly above its cell (``v >= q+1``, and not within the
-      near tolerance of it) has every column before it further above,
-      each by more than its own, smaller tolerance: none of them hits or
-      is near;
-    * a last candidate that hits or lies below its cell
-      (``v < q+1``) has every column after it further below, each by a
-      margin far above the tolerance (``case2_batch`` and
-      ``whittle.cached_index_rows`` prove the margin): none of them hits
-      first or is nearer.
-
-    So a row is decided when its guard is clean (or absent), its last
-    candidate hits or lies below, and ``first_consistent`` finds a column
-    in the window.  A row that fails any of these, for instance an
-    inadmissible column in the window, is the caller's to rescan at full
-    width; the answer never rests on how the window was placed.
+    ``f_q = v_q - q`` is strictly decreasing in q, by margins far above
+    rounding (``case2_batch`` and ``whittle.cached_index_rows`` prove
+    them).  So where the candidate hits, and the guard is admissible and
+    lies above its own cell (``v[0] >= q[1]``, if only by an ulp), the
+    guard does not hit, and every column before it lies further above
+    its cell: none hits before the candidate, and the scan picks it.
+    The near tolerance matters only to a row where no candidate hits;
+    there the scan weighs every column, and the pair leaves the row to
+    its caller, as it does one whose guard is inadmissible or below.
+    Where the pair sits moves only the time, never a value.
     """
-    col, found = first_consistent(v[..., 1:], q[..., 1:], ok[..., 1:])
-    g_v, g_q = v[..., 0], q[..., 0] + 1.0
-    clean = (g_q < 1.0) | (ok[..., 0] & (g_v - g_q >= _NEAR * g_q))
-    last = ok[..., -1] & (v[..., -1] < q[..., -1] + 1.0)
-    qb = np.take_along_axis(q, col[..., None] + 1, -1)[..., 0]
-    return qb, found & clean & last
+    hit = ok[1] & (np.floor(v[1]) == q[1])
+    return hit & ((q[0] < 0.0) | (ok[0] & (v[0] >= q[1])))
 
 
-def _expand(k: ContentConstants) -> ContentConstants:
-    """``k`` with a trailing unit axis on its rows, to broadcast against
-    a candidates' axis."""
-    return ContentConstants(k.beta, k.rows[..., None], k.q_hat)
-
-
-def _columns(t: ContentConstants, q) -> Columns:
-    """``Columns`` of ``q`` for the contents of ``t``, whose rows carry a
-    trailing unit axis."""
+def _quadratic(g, xb, k: ContentConstants, q):
+    """``case2_candidates`` at queue candidates ``q``, given ``xb = x/beta``
+    and ``g = xb - C_h/rc``; all arguments broadcast against the rows of
+    ``k``.  The one implementation of the per-candidate quadratic."""
     q1 = q + 1.0
-    return Columns(q, q1, q1 / t.r, t.c_w * q * q1 / t.den, q <= t.top)
-
-
-def _all_columns(k: ContentConstants) -> Columns:
-    """``Columns`` of every queue candidate ``0..max Q_hat+2`` of ``k``."""
-    return _columns(_expand(k), np.arange(k.q_hat.max(initial=0) + 3.0))
-
-
-def _quadratic(g, xb, t: ContentConstants, c: Columns):
-    """``case2_candidates`` at the columns ``c``, given ``xb = x/beta`` and
-    ``g = xb - C_h/rc``; every argument but ``c`` carries a trailing unit
-    axis.  The one implementation of the per-candidate quadratic."""
-    f = g + c.q1r
-    d = t.cf_rc - c.q1 * xb / t.r + c.wq
+    f = g + q1 / k.r
+    d = k.cf_rc - q1 * xb / k.r + k.c_w * q * q1 / k.den
     disc = f * f + 2.0 * d
     tb = np.sqrt(np.maximum(disc, 0.0)) - f
-    ok = (disc >= 0.0) & (tb >= -1e-12) & c.adm
+    ok = (disc >= 0.0) & (tb >= -1e-12) & (q <= k.top)
     tb = np.maximum(tb, 0.0)
     tt = tb + xb
-    return tb, tt, t.rc * tt / t.c_w, ok
+    return tb, tt, k.rc * tt / k.c_w, ok
 
 
-def _candidates(C_h: np.ndarray, k: ContentConstants, c: Columns):
-    """``case2_candidates`` at the columns ``c`` of the contents of ``k``."""
+def _gaps(C_h: np.ndarray, k: ContentConstants):
+    """``(g, xb)`` of ``_quadratic`` at ``C_h``, broadcast against the
+    contents of ``k``."""
     xb = solve_gap(C_h / k.pc) / k.beta
-    return _quadratic((xb - C_h / k.rc)[..., None], xb[..., None], _expand(k), c)
+    return xb - C_h / k.rc, xb
 
 
 def case2_candidates(C_h, k: ContentConstants, q):
@@ -399,15 +354,19 @@ def case2_candidates(C_h, k: ContentConstants, q):
     against ``C_h[..., None]`` and the contents of ``k`` (also
     ``[..., None]``); ``v`` is the floor argument of (iii) and ``ok``
     marks admissible roots."""
-    return _candidates(np.asarray(C_h, dtype=float), k, _columns(_expand(k), q))
+    g, xb = _gaps(np.asarray(C_h, dtype=float), k)
+    return _quadratic(g[..., None], xb[..., None],
+                      ContentConstants(k.beta, k.rows[..., None], k.q_hat), q)
+
+
+_BLOCK = 1 << 16  # elements, rows x candidates, per block of case2_batch's scan
 
 
 def case2_batch(C_h, k: ContentConstants):
     """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h < I``,
     as arrays over ``C_h`` broadcast against the contents of ``k``, from
-    the scan of every queue candidate (the prepared ``k.cols`` where ``k``
-    carries them): the reference the windows are checked against, and
-    their last resort.
+    the scan of every queue candidate: the reference the pairs are checked
+    against, and their last resort.
 
     The triple is the unique solution of
 
@@ -418,11 +377,16 @@ def case2_batch(C_h, k: ContentConstants):
 
     (i) gives ``x = beta*(tt - tb)`` through ``solve_gap``; substituting
     ``tt = tb + x/beta`` turns (ii) into a quadratic in ``tb`` for each
-    queue candidate ``Qb = 0..Q_hat+2`` (``case2_candidates``), all
-    evaluated at once, and ``first_consistent`` keeps the root that
-    satisfies (iii).
+    queue candidate ``Qb = 0..Q_hat+2`` (``case2_candidates``), and
+    ``first_consistent``'s rule keeps the root that satisfies (iii).  The
+    candidates go in blocks from 0 up, each of about ``_BLOCK`` elements
+    over the rows still scanned, which bounds the memory whatever ``N``
+    and ``Q_hat``.  A row leaves the scan at its first hit, or past its
+    own ``Q_hat+2``; a row with no hit goes on to the end, its nearest
+    candidate the first minimum over all blocks, so the blocks pick what
+    one scan of every candidate picks.
 
-    Why at most one candidate satisfies (iii), and why a window of
+    Why at most one candidate satisfies (iii), and why a pair of
     candidates decides (``window_consistent``): write (ii) in
     ``v = p*beta*c_a*lam*tt/c_w`` and multiply it by ``p*beta/c_w``.
     With ``a = c_w/(c_a*lam)`` and ``c = C_h/(c_a*lam)`` it reads
@@ -451,16 +415,44 @@ def case2_batch(C_h, k: ContentConstants):
     that passes the floor test, and where ``Q_bar`` jumps exactly at
     ``I`` this kernel reads the ``Q_bar`` below the jump, not ``Q_hat``.
     """
-    c = k.cols or _all_columns(k)
-    tb, tt, v, ok = _candidates(np.asarray(C_h, dtype=float), k, c)
-    qb, found = first_consistent(v, c.q, ok)
+    C_h = np.asarray(C_h, dtype=float)
+    g, xb = _gaps(C_h, k)
+    shape = g.shape
+    # one flat row per (C_h, content) pair, and its content
+    content = np.broadcast_to(np.arange(k.q_hat.size), shape).ravel()
+    g, xb = g.ravel(), xb.ravel()
+    tb, tt, qb = np.zeros(g.size), np.zeros(g.size), np.zeros(g.size, dtype=np.int64)
+    hit, best = np.zeros(g.size, dtype=bool), np.full(g.size, np.inf)
+    live = np.arange(g.size)  # rows without a hit whose candidates go on
+    lo, end = 0, k.q_hat.max(initial=0) + 3
+    while (live := live[k.top[content[live]] >= lo]).size:
+        kl = k.take(content[live])
+        q = np.arange(lo, min(lo + max(_BLOCK // live.size, 1), end), dtype=float)[:, None]
+        btb, btt, v, ok = _quadratic(g[live], xb[live], kl, q)
+        h = ok & (np.floor(v) == q)
+        new = h.any(0)
+        col, take = h.argmax(0), new
+        if not new.all():
+            # first_consistent's rule for rows that have no hit yet
+            dist = np.where(ok, np.maximum(q - v, v - (q + 1.0)), np.inf)
+            near = np.where(dist < _NEAR * (q + 1.0), dist, np.inf)
+            nearest = near.argmin(0)
+            d = near[nearest, np.arange(live.size)]
+            closer = ~new & (d < best[live])
+            best[live[closer]] = d[closer]
+            col, take = np.where(new, col, nearest), new | closer
+        at = col[take], take.nonzero()[0]
+        rows = live[take]
+        tb[rows], tt[rows], qb[rows] = btb[at], btt[at], at[0] + lo
+        hit[live[new]] = True
+        live, lo = live[~new], lo + len(q)
+    found = hit | np.isfinite(best)
     if not found.all():
         raise ConsistencyError(
-            f"no floor-consistent Q_bar at C_h={np.broadcast_to(C_h, found.shape)[~found]} "
+            f"no floor-consistent Q_bar at C_h={np.broadcast_to(C_h, shape).ravel()[~found]} "
             f"(beta={k.beta})")
-    pick = np.arange(0, tb.size, tb.shape[-1]).reshape(qb.shape) + qb
-    tt = tt.take(pick)
-    return tb.take(pick), tt, qb, k.rc * tt
+    tt = tt.reshape(shape)
+    return tb.reshape(shape), tt, qb.reshape(shape), k.rc * tt
 
 
 def solve_case2(
@@ -565,24 +557,22 @@ class Relaxed(NamedTuple):
     occupancy: np.ndarray
 
 
-_WINDOW = np.array([-1.0, 0.0, 1.0, 2.0])  # the guard, then three candidates
+_PAIR = np.array([[-1.0], [0.0]])  # the guard, then the candidate
 
 
-def _window(g, xb, t: ContentConstants, guess):
-    """``(tau_bar, tau_tilde, Q_bar, decided)`` of each row from the guard
-    and three candidates around its estimated ``Q_bar`` ``guess``, kept
-    inside ``0..Q_hat+2``; arguments as ``_quadratic``'s."""
-    start = np.minimum(np.maximum(guess - 1.0, 0.0), t.top[:, 0] - 2.0)
-    q = start[:, None] + _WINDOW
-    tb, tt, v, ok = _quadratic(g, xb, t, _columns(t, np.maximum(q, 0.0)))
-    qb, decided = window_consistent(v, q, ok)
-    pick = np.arange(len(qb)), (qb - start).astype(np.int64) + 1
-    return tb[pick], tt[pick], qb.astype(np.int64), decided
+def _pair(g, xb, k: ContentConstants, est):
+    """``(tau_bar, tau_tilde, decided)`` of each row's candidate ``est``,
+    read off the pair of it and its guard ``est - 1`` (``window_consistent``),
+    laid out candidates first; arguments as ``_quadratic``'s, whose
+    quadratic stays finite at the guard ``-1`` that ``est = 0`` has."""
+    q = est + _PAIR
+    tb, tt, v, ok = _quadratic(g, xb, k, q)
+    return tb[1], tt[1], window_consistent(v, q, ok)
 
 
 def _q_bar_estimate(C_h: np.ndarray, k: ContentConstants, xb: np.ndarray) -> np.ndarray:
     """Each content's ``Q_bar`` at its ``C_h``, in closed form from
-    ``xb = x/beta`` (``solve_gap``): where ``case2`` places its window.
+    ``xb = x/beta`` (``solve_gap``): the candidate of ``case2``'s pair.
 
     ``case2_batch`` writes (ii) as ``Psi_Q(v) = a*v^2/2 + (Q+1-c)*v + e
     - Q*(Q+1)/2`` with ``a = c_w/(c_a*lam)``, ``c = C_h/(c_a*lam)`` and
@@ -602,26 +592,25 @@ def _q_bar_estimate(C_h: np.ndarray, k: ContentConstants, xb: np.ndarray) -> np.
     The whole discriminant is clipped at 0, and the estimate to
     ``0..Q_hat+2``.  The floor test's rounding at a ``Q_bar`` jump and
     the admissibility of the roots, which ``F`` does not see, can put
-    ``Q_bar`` off the estimate; the window's ``window_consistent`` then
-    defers, so the estimate moves only the time, never a value."""
-    a1 = k.c_w / k.c_alam + 1.0
+    ``Q_bar`` off the estimate; ``window_consistent`` then defers, so the
+    estimate moves only the time, never a value."""
     h = 0.5 - C_h / k.c_alam
-    e = k.r / k.c_w * (C_h * xb - 0.5 * k.rc * xb * xb - k.c_f)
-    s = np.sqrt(np.maximum(h * h - 2.0 * a1 * e, 0.0))
-    return np.minimum(np.maximum(np.floor((s - h) / a1), 0.0), k.top)
+    e = k.r_cw * (C_h * xb - 0.5 * k.rc * xb * xb - k.c_f)
+    s = np.sqrt(np.maximum(h * h - 2.0 * k.a1 * e, 0.0))
+    return np.minimum(np.maximum(np.floor((s - h) / k.a1), 0.0), k.top)
 
 
-def _bisect_excess(g, xb, t: ContentConstants) -> np.ndarray:
+def _bisect_excess(g, xb, k: ContentConstants) -> np.ndarray:
     """Each row's ``Q_bar``, estimated as the first candidate in
     ``0..Q_hat+2`` that does not lie admissibly above its cell, found by
     bisection as the excess ``v_q - q`` falls strictly with q
-    (``case2_batch``); ``_window`` decides whether it holds.  Arguments as
+    (``case2_batch``); ``_pair`` decides whether it holds.  Arguments as
     ``_quadratic``'s."""
-    lo, hi = np.zeros(len(g)), t.top[:, 0].copy()
+    lo, hi = np.zeros(len(g)), k.top.copy()
     while (live := lo < hi).any():
         mid = np.floor(0.5 * (lo + hi))
-        _, _, v, ok = _quadratic(g, xb, t, _columns(t, mid[:, None]))
-        above = live & ok[:, 0] & (v[:, 0] >= mid + 1.0)
+        _, _, v, ok = _quadratic(g, xb, k, mid)
+        above = live & ok & (v >= mid + 1.0)
         lo = np.where(above, mid + 1.0, lo)
         hi = np.where(live & ~above, mid, hi)
     return lo
@@ -629,40 +618,34 @@ def _bisect_excess(g, xb, t: ContentConstants) -> np.ndarray:
 
 def case2(C_h: np.ndarray, k: ContentConstants):
     """``case2_batch(C_h, k)`` for one holding cost per content, bit for
-    bit: the one place that decides how case 2 is solved.  Constants that
-    carry their ``Columns`` are scanned in full; the others are read off
-    windows of candidates around ``_q_bar_estimate``.
+    bit: the one place that decides how case 2 is solved.
 
-    A content is read off its window where ``window_consistent`` decides
-    it; the rest get a new estimate from ``_bisect_excess`` and a second
-    window.  What both leave goes to ``case2_batch``, which raises
-    ``ConsistencyError`` where the full scan does.  Where a window sits
+    A content is read off the pair of candidates at its
+    ``_q_bar_estimate`` where ``window_consistent`` decides it; the rest
+    get a new estimate from ``_bisect_excess`` and a second pair.  What
+    both leave goes to ``case2_batch``, which raises
+    ``ConsistencyError`` where the full scan does.  Where a pair sits
     moves only the time, never a value (see ``case2_batch``)."""
-    if k.cols is not None:
-        return case2_batch(C_h, k)
-    t = _expand(k)
-    xb = solve_gap(C_h / k.pc) / k.beta
-    guess = _q_bar_estimate(C_h, k, xb)
-    g, xb = (xb - C_h / k.rc)[:, None], xb[:, None]
-    tb, tt, qb, decided = _window(g, xb, t, guess)
+    g, xb = _gaps(C_h, k)
+    qb = _q_bar_estimate(C_h, k, xb)
+    tb, tt, decided = _pair(g, xb, k, qb)
     rest = (~decided).nonzero()[0]
     if rest.size:
-        tr = t.take(rest)
-        wtb, wtt, wqb, decided = _window(g[rest], xb[rest], tr,
-                                         _bisect_excess(g[rest], xb[rest], tr))
+        kr = k.take(rest)
+        est = _bisect_excess(g[rest], xb[rest], kr)
+        wtb, wtt, decided = _pair(g[rest], xb[rest], kr, est)
         done = rest[decided]
-        tb[done], tt[done], qb[done] = wtb[decided], wtt[decided], wqb[decided]
+        tb[done], tt[done], qb[done] = wtb[decided], wtt[decided], est[decided]
         rest = rest[~decided]
     if rest.size:
         tb[rest], tt[rest], qb[rest], _ = case2_batch(C_h[rest], k.take(rest))
-    return tb, tt, qb, k.rc * tt
+    return tb, tt, qb.astype(np.int64), k.rc * tt
 
 
 def zero_holding_batch(k: ContentConstants):
     """``case2_batch(0.0, k)`` by ``case2``: the ``C_h = 0`` thresholds
     ``(tau_star, tau_star, Q_star, theta)`` of every content.  Holding is
-    free there, so they are case 2's even where the computed ``I``, whose
-    form cancels for ``beta*tau0`` below ~1e-8, rounds to 0 and
+    free there, so they are case 2's even where ``I`` underflows to 0 and
     ``relaxed_batch`` reads never-cache from ``C_h = 0 = I`` on."""
     return case2(np.zeros(k.I.size), k)
 

@@ -25,17 +25,18 @@ the content out of the cache optimal.
   That jump has no closed form; a 60-step bisection, batched over every
   (content, Q) pair at once, finds it.
 
-Both table solvers evaluate a window of queue candidates per row rather
-than all of ``0..Q_hat+2``: the bisection asks ``thresholds.case2``,
-which places its window by a closed-form estimate of ``Q_bar``, and the
-cached grid reads the predicted ``Q_bar`` and the column below it.  In
-both problems candidate Q's floor argument exceeds Q by an amount that
-is strictly decreasing in Q (proved at ``thresholds.case2_batch`` and
-``cached_index_rows``), so a guard column cleanly above its cell rules
-out every column before it, and a last column at or below its cell every
-column after it (``thresholds.window_consistent``).  A row the window
+Both table solvers evaluate a pair of queue candidates per row, a
+guard and the candidate above it, laid out candidates first, rather than
+all of ``0..Q_hat+2``: the bisection asks ``thresholds.case2``, which
+places its pair at a closed-form estimate of ``Q_bar``, and the cached
+grid places it at the ``Q_bar`` that the breakpoints predict.  In both
+problems candidate Q's floor argument exceeds Q by an amount that is
+strictly decreasing in Q (proved at ``thresholds.case2_batch`` and
+``cached_index_rows``), so where the candidate hits its cell and the
+guard lies above its own, no column before the candidate hits, and the
+full scan picks it (``thresholds.window_consistent``).  A row the pair
 cannot decide is scanned at full width, so the tables are the full
-scan's bit for bit whatever the window's placement; ``aovcache verify``
+scan's bit for bit whatever the pair's placement; ``aovcache verify``
 checks that on the user's config.
 
 The closed three-equation system is kept as a residual check
@@ -167,12 +168,13 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     At tau the index W is the C_h whose serve threshold is tau, and
     ``Q_bar`` there is ``c = Q_star + #{j : tau < tau_bar(b_j)}`` over the
     breakpoints b_j (``Q_bar`` steps up at each b_j while ``tau_bar``
-    falls).  Only candidates c-1 (the guard) and c are evaluated, and
-    ``thresholds.window_consistent`` accepts the row or leaves it to the
-    full-width scan, so a wrong prediction costs time, never a value; with
-    ``window=False`` every row takes the full-width scan.
+    falls).  Only the pair of candidates c-1 (the guard) and c is
+    evaluated, and ``thresholds.window_consistent`` accepts the row or
+    leaves it to the full-width scan, so a wrong prediction costs time,
+    never a value; with ``window=False`` every row takes the full-width
+    scan.
 
-    The window is exact because the Wright-omega form has the structure
+    The pair is exact because the Wright-omega form has the structure
     of ``thresholds.case2_batch``: with ``L_Q(x) = B_Q*x + A_Q - C*e^-x``,
     strictly increasing in x, ``L_{Q+1}(x) = L_Q(x) + (c_w/(p*beta))*(v(x)
     - (Q+1))`` where ``v(x) = p*beta*c_a*lam*(tau + x/beta)/c_w``.  Moving
@@ -186,8 +188,8 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     candidate Q lies above its cell exactly when Q+1 lies at or above
     its own.
 
-    Contents go ``CHUNK_CONTENTS`` at a time, so that the window's
-    temporaries, two columns per grid point, stay as small as one
+    Contents go ``CHUNK_CONTENTS`` at a time, so that the pair's
+    temporaries, two candidates per grid point, stay as small as one
     content's full-width ones from ``Q_hat = 5`` up and the build's peak
     memory below the full-width scan's.
     """
@@ -220,17 +222,17 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
 def _cached_gaps(k: ContentConstants, tau: np.ndarray,
                  c: np.ndarray | None) -> tuple[np.ndarray, int]:
     """The gap x of the cached index at each serve threshold ``tau[i]`` of
-    content i of ``k``, from the window of predicted ``Q_bar`` ``c`` (see
+    content i of ``k``, from the pair at the predicted ``Q_bar`` ``c`` (see
     ``cached_index_rows``), and how many taus it left to the full-width
     scan; ``c=None`` scans every tau at full width."""
     if c is None:
         decided, x = np.zeros(tau.shape, dtype=bool), np.empty(tau.shape)
     else:
-        q = c[..., None] + np.array([-1.0, 0.0])  # the guard, then the candidate
-        x, v, ok = _omega_candidates(*(a[:, None, None] for a in (k.p, k.c_alam, k.c_f, k.c_w)),
-                                     k.beta, tau[..., None], np.maximum(q, 0.0), wright_omega)
-        decided = window_consistent(v, q, ok)[1]
-        x = x[..., 1]
+        q = np.stack([c - 1.0, c])  # the guard, then the candidate
+        x, v, ok = _omega_candidates(*(a[:, None] for a in (k.p, k.c_alam, k.c_f, k.c_w)),
+                                     k.beta, tau, np.maximum(q, 0.0), wright_omega)
+        decided = window_consistent(v, q, ok)
+        x = x[1]
     fallback = 0
     for i in np.flatnonzero(~decided.all(-1)):
         rest = np.flatnonzero(~decided[i])

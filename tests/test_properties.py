@@ -25,6 +25,7 @@ from aovcache.thresholds import (
     compute_I,
     content_constants,
     first_consistent,
+    gap_value,
     optimal_average_cost,
     relaxed_batch,
     solve_case2,
@@ -219,22 +220,24 @@ def holding_costs(c, beta, fracs) -> tuple:
 @given(cb=contents(ratio_lo=1.0, ratio_hi=400.0),
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_case2_window_matches_full_scan(cb, fracs):
-    # every window of 1 or 2 candidates behind a guard, wherever it sits,
-    # either defers or names the column of the full scan
+    # every pair of a guard and the candidate above it, wherever it sits,
+    # either defers or names the column of the full scan, and some pair
+    # decides every row where the scan's candidate hits its cell
     c, beta = cb
     k, ch = holding_costs(c, beta, fracs)
     q = np.arange(-1.0, int(k.q_hat[0]) + 3)
     _, _, v, ok = case2_candidates(ch, k, q)
-    full = q[1:][first_consistent(v[:, 1:], q[1:], ok[:, 1:])[0]]
+    col = first_consistent(v[:, 1:], q[1:], ok[:, 1:])[0]
+    full = q[1:][col]
+    hits = np.take_along_axis(ok[:, 1:] & (np.floor(v[:, 1:]) == q[1:]), col[:, None], 1)[:, 0]
     decided_any = np.zeros(len(ch), dtype=bool)
-    for width in (2, 3):
-        for g in range(len(q) - width + 1):
-            cols = slice(g, g + width)
-            qb, decided = window_consistent(v[:, cols], np.broadcast_to(q[cols], v[:, cols].shape),
-                                            ok[:, cols])
-            assert (qb[decided] == full[decided]).all()
-            decided_any |= decided
-    assert decided_any.all()
+    for g in range(len(q) - 1):
+        pair = slice(g, g + 2)
+        decided = window_consistent(v[:, pair].T, np.broadcast_to(q[pair, None], (2, len(ch))),
+                                    ok[:, pair].T)
+        assert (full[decided] == q[g + 1]).all()
+        decided_any |= decided
+    assert decided_any[hits].all()
 
 
 def displaced_estimates(q_bar):
@@ -259,25 +262,24 @@ def full_or_error(solve, *args):
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_bisection_step_matches_full_scan(cb, fracs):
     # the decision of each bisection step, Q_bar(C_h) > q, for every
-    # uncached state q, by case2's windows (the constants' columns
-    # removed), placed by the estimate and displaced from it, and by the
-    # scan; where the scan raises ConsistencyError, so must the windows
+    # uncached state q, by case2's pairs, placed by the estimate and
+    # displaced from it, and by the scan; where the scan raises
+    # ConsistencyError, so must the pairs
     c, beta = cb
     k, ch = holding_costs(c, beta, fracs)
     q_star = int(case2_batch(0.0, k)[2][0])
     q = np.arange(q_star, int(k.q_hat[0]))
     ch, q = (a.ravel() for a in np.meshgrid(ch, q))
     kp = k.take(np.zeros(len(q), dtype=np.int64))
-    bare = kp._replace(cols=None)
     full = full_or_error(case2_batch, ch, kp)
     q_bar = np.zeros(len(q)) if full is None else full[2]
     for estimate in displaced_estimates(q_bar):
         with mock.patch.object(thresholds, "_q_bar_estimate", estimate):
             if full is None:
                 with pytest.raises(ConsistencyError):
-                    thresholds.case2(ch, bare)
+                    thresholds.case2(ch, kp)
                 continue
-            assert ((thresholds.case2(ch, bare)[2] > q) == (q_bar > q)).all()
+            assert ((thresholds.case2(ch, kp)[2] > q) == (q_bar > q)).all()
 
 
 @SETTINGS
@@ -379,7 +381,8 @@ def box_contents(draw, max_n: int = 50):
 
 def assert_constants_match_scalar(contents_, beta):
     # the array solver against its calls on one content each, and I against
-    # its definition with libm's exp; where a content has no Q_hat, both raise
+    # its definition: with libm's exp, and gap_value's series where
+    # beta*tau0 < 0.1; where a content has no Q_hat, both raise
     try:
         rows = [solve_q_hat(c.p, beta, c.costs.c_a, c.lam, c.costs.c_f, c.costs.c_w)
                 for c in contents_]
@@ -394,7 +397,8 @@ def assert_constants_match_scalar(contents_, beta):
     assert_same_bits(k.theta1, np.array(theta1))
     assert_same_bits(k.tau0, np.array(tau0))
     assert_same_bits(k.I, np.array([c.p * c.lam * c.costs.c_a
-                                    * (beta * t - 1.0 + math.exp(-beta * t))
+                                    * (beta * t - 1.0 + math.exp(-beta * t) if beta * t >= 0.1
+                                       else float(gap_value(beta * t)))
                                     for c, t in zip(contents_, tau0)]))
 
 
@@ -464,32 +468,28 @@ def box_systems(draw, max_n: int = 50):
 @SETTINGS
 @given(system=box_systems(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 def test_windowed_evaluation_matches_full_width(system, fracs):
-    # relaxed_batch off windows of candidates, which it reads for
-    # constants without columns, against its scan of prepared columns
-    # (SCAN_ALL lifted, so that every system's constants carry them):
-    # every field bit for bit, at 0, at the smallest and the largest I and
-    # their neighbours and at fractions of max I, with windows placed by
-    # the estimate and far or a few off it; where the full scan raises
-    # ConsistencyError, so must the windows
-    with mock.patch.object(thresholds, "SCAN_ALL", math.inf):
-        prepared = content_constants(system.contents, system.beta)
-        assert prepared.cols is not None
-        bare = prepared._replace(cols=None)
-        hi = float(prepared.I.max())
-        edges = ulp_neighbours([float(prepared.I.min()), hi], 0.0, 2.0 * hi)
-        holding = [0.0, *edges, *(f * hi for f in fracs)]
-        for ch in holding:
-            full = full_or_error(relaxed_batch, ch, prepared)
-            # the estimate sees the contents below their I
-            under = ch < prepared.I
-            q_bar = np.zeros(under.sum()) if full is None else full.Q_bar[under]
-            for estimate in displaced_estimates(q_bar):
-                with mock.patch.object(thresholds, "_q_bar_estimate", estimate):
-                    if full is None:
-                        with pytest.raises(ConsistencyError):
-                            relaxed_batch(ch, bare)
-                        continue
-                    window = relaxed_batch(ch, bare)
-                for a, b in zip(window, full):
-                    assert a.dtype == b.dtype
-                    assert_same_bits(a, b)
+    # relaxed_batch off pairs of candidates against relaxed_batch with
+    # case 2 solved by the full scan, case2_batch: every field bit for bit,
+    # at 0, at the smallest and the largest I and their neighbours and at
+    # fractions of max I, with pairs placed by the estimate and far or a
+    # few off it; where the full scan raises ConsistencyError, so must the
+    # pairs
+    k = content_constants(system.contents, system.beta)
+    hi = float(k.I.max())
+    edges = ulp_neighbours([float(k.I.min()), hi], 0.0, 2.0 * hi)
+    for ch in [0.0, *edges, *(f * hi for f in fracs)]:
+        with mock.patch.object(thresholds, "case2", case2_batch):
+            full = full_or_error(relaxed_batch, ch, k)
+        # the estimate sees the contents below their I
+        under = ch < k.I
+        q_bar = np.zeros(under.sum()) if full is None else full.Q_bar[under]
+        for estimate in displaced_estimates(q_bar):
+            with mock.patch.object(thresholds, "_q_bar_estimate", estimate):
+                if full is None:
+                    with pytest.raises(ConsistencyError):
+                        relaxed_batch(ch, k)
+                    continue
+                pairs = relaxed_batch(ch, k)
+            for a, b in zip(pairs, full):
+                assert a.dtype == b.dtype
+                assert_same_bits(a, b)

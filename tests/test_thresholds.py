@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from scipy.special import lambertw
 from aovcache import _ckernel, checks, thresholds
 from aovcache.model import ContentParams, CostModel, zipf_popularity
 from aovcache.thresholds import (
+    ConsistencyError,
     case2_batch,
+    case2_candidates,
     compute_I,
     content_constants,
+    gap_value,
     optimal_average_cost,
     relaxed_batch,
     solve_case2,
@@ -19,7 +23,7 @@ from aovcache.thresholds import (
     solve_thresholds,
     zero_holding_thresholds,
 )
-from aovcache.whittle import build_content_tables
+from aovcache.whittle import build_content_tables, uncached_breakpoints
 from conftest import assert_same_bits, desk_system, random_content
 
 
@@ -217,19 +221,36 @@ class TestBundle:
             batched = zero_holding_thresholds(content_constants(contents, beta))
             assert batched == [solve_thresholds(c, beta, 0.0) for c in contents]
 
-    def test_zero_holding_is_case_2_where_I_rounds_to_0(self):
-        # beta*tau0 = 1e-9, where I's form beta*tau0 - 1 + exp(-beta*tau0)
-        # cancels to 0: relaxed_batch reads never-cache from C_h = 0 = I on,
-        # but the C_h = 0 thresholds, which the tables and the
-        # infinite-capacity policy read, stay case 2's
+    def test_ceiling_is_free_of_cancellation(self):
+        # beta*tau0 = 1e-9, where I's direct form beta*tau0 - 1 +
+        # exp(-beta*tau0) cancels to 0: I is gap_value's series, so case 2
+        # holds below it, and relaxed_batch, the tables and the scalar
+        # solvers read one tau_star at C_h = 0
         c = ContentParams(lam=1.0, p=1.0, costs=CostModel(1.0, 1.0, 1.0))
         k = content_constants((c,), 1e-9)
-        assert k.I[0] == 0.0 and relaxed_batch(0.0, k).tau_bar[0] == 0.0
+        x = 1e-9 * float(k.tau0[0])
+        assert x - 1.0 + math.exp(-x) == 0.0
+        assert k.I[0] == gap_value(x) > 0.0
         tau_star = case2_batch(0.0, k)[0][0]
         assert tau_star > 0.0
+        assert relaxed_batch(0.0, k).tau_bar[0] == tau_star
         assert zero_holding_thresholds(k)[0].tau_star == tau_star
         assert solve_thresholds(c, 1e-9, 0.0).tau_star == tau_star
         assert build_content_tables(c, 1e-9).tau_star == tau_star
+
+    def test_ceiling_of_a_system_whose_direct_form_read_0(self):
+        # beta*tau0 = 8.9e-14 and 2.2e-13, where the direct form of I read
+        # exactly 0 and so never cached these contents at any C_h
+        cm = CostModel(1.11e5, 0.00441, 2.1e-6)
+        contents = [ContentParams(lam=3.47e4, p=float(p), costs=cm)
+                    for p in zipf_popularity(2, 2.68)]
+        k = content_constants(contents, 5.5)
+        x = k.beta * k.tau0
+        assert x.max() < 1e-12
+        assert (k.I > 0.0).all()
+        assert k.I.tolist() == [c.p * c.lam * cm.c_a * float(gap_value(y))
+                                for c, y in zip(contents, x.tolist())]
+        assert k.I.tolist() == pytest.approx([1.313e-17, 1.299e-17], rel=1e-3)
 
     def test_optimal_cost_continuous_at_I(self, unit_content):
         I = compute_I(unit_content, 1.0)
@@ -239,23 +260,62 @@ class TestBundle:
         assert above == pytest.approx(0.75)
 
 
-def test_constants_carry_columns_iff_their_scan_is_narrow():
-    # Q_hat = 127: each content's scan has 130 candidates, so SCAN_ALL // 130
-    # contents are the most whose constants carry the columns of every one
-    c = ContentParams(lam=1.0, p=1.0, costs=CostModel(1.0, 127 * 128 / 2 + 10, 1.0))
-    width = 130
-    most = thresholds.SCAN_ALL // width
-    narrow = content_constants([c] * most, 1.0)
-    assert narrow.q_hat.tolist() == [127] * most
-    assert narrow.cols is not None and narrow.cols.q.size == width
-    assert content_constants([c] * (most + 1), 1.0).cols is None
-    assert narrow.take(np.arange(most)).cols is not None
-    assert narrow.take(np.zeros(most + 1, np.int64)).cols is None
-    assert content_constants([c] * (most + 1), 1.0).take(np.arange(1)).cols is None
-    # the columns of a subset are the rows of the whole's
-    sub = narrow.take(np.array([3, 0]))
-    for a, b in zip(sub.cols[2:], narrow.cols[2:]):
-        assert_same_bits(a, b[[3, 0]])
+def test_pair_decides_a_hit_whose_guard_is_near_its_boundary():
+    # just past each Q_bar jump of desk's contents, candidate Q hits its
+    # cell and its guard Q-1 lies above its own by less than the near
+    # tolerance: the pair decides those rows, and case2 reads the full
+    # scan's bits there
+    system = desk_system()
+    k = content_constants(system.contents, system.beta)
+    bps = uncached_breakpoints(system.contents, system.beta)
+    b = np.concatenate(bps)
+    steps = [np.nextafter(b, np.inf)]
+    for _ in range(7):
+        steps.append(np.nextafter(steps[-1], np.inf))
+    ch = np.concatenate(steps)
+    kk = k.take(np.tile(np.repeat(np.arange(system.N), [len(x) for x in bps]), len(steps)))
+    full = case2_batch(ch, kk)
+    q = full[2].astype(float)
+    _, _, v, ok = case2_candidates(ch, kk, np.stack([q - 1.0, q], 1))
+    v, ok, pair = v.T, ok.T, np.stack([q - 1.0, q])
+    hit = ok[1] & (np.floor(v[1]) == q)
+    near = (q >= 1.0) & ok[0] & (v[0] >= q) & (v[0] - q < thresholds._NEAR * q)
+    rows = np.flatnonzero(hit & near)
+    assert rows.size > ch.size // 2
+    assert thresholds.window_consistent(v, pair, ok)[rows].all()
+    for a, b in zip(thresholds.case2(ch[rows], kk.take(rows)), full):
+        assert_same_bits(a, b[rows])
+
+
+def test_last_resort_scans_in_bounded_memory(monkeypatch):
+    # Zipf alpha = 1 over 15 contents whose Q_hat runs to 11.2M: at
+    # C_h = 0.999 I neither pair decides 8 of them, and the scan of every
+    # candidate 0..Q_hat+2 that they are left to would take ~0.7 GB an
+    # array; it goes in blocks, and answers or raises within 64 MB
+    cm = CostModel(3.60, 5.51e4, 1.14e-6)
+    contents = [ContentParams(lam=3.72e5, p=float(p), costs=cm)
+                for p in zipf_popularity(15, 1.0)]
+    k = content_constants(contents, 4276.0)
+    assert k.q_hat.max() > 11_000_000
+    scanned = []
+    scan = thresholds.case2_batch
+
+    def last_resort(C_h, k):
+        scanned.append(k.q_hat.size)
+        return scan(C_h, k)
+
+    monkeypatch.setattr(thresholds, "case2_batch", last_resort)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        try:
+            relaxed_batch(0.999 * k.I, k)
+        except ConsistencyError:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scanned and scanned[0] > 0
+    assert peak < 64e6
 
 
 @pytest.mark.skipif(_ckernel.special is None,

@@ -228,20 +228,33 @@ class TestContentTables:
 
     @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
     def test_estimate_decides_every_window(self, name, monkeypatch):
-        # with every solve read off windows (SCAN_ALL 0), the window that
-        # the closed-form Q_bar estimate places decides every content of
-        # every bound evaluation over the config's capacities and of every
-        # bisection step of its tables: none reaches the second stage
+        # the pair that the closed-form Q_bar estimate places decides every
+        # content of every bound evaluation over the config's capacities:
+        # none reaches the second stage; and every row of the tables'
+        # solves, the bisection's included, has its estimate within one of
+        # the full scan's Q_bar
         system, capacities = config_system(name)
 
         def second_stage(*args):
-            raise AssertionError("a window placed by the estimate did not decide")
+            raise AssertionError("a pair placed by the estimate did not decide")
 
-        monkeypatch.setattr(thresholds, "SCAN_ALL", 0)
-        monkeypatch.setattr(thresholds, "_bisect_excess", second_stage)
-        for m in capacities:
-            relaxed_lower_bound(replace(system, M=m))
+        with monkeypatch.context() as m:
+            m.setattr(thresholds, "_bisect_excess", second_stage)
+            for c in capacities:
+                relaxed_lower_bound(replace(system, M=c))
+        seen = []
+        estimate = thresholds._q_bar_estimate
+
+        def recorded(C_h, k, xb):
+            est = estimate(C_h, k, xb)
+            seen.append((C_h, k, est))
+            return est
+
+        monkeypatch.setattr(thresholds, "_q_bar_estimate", recorded)
         build_index_tables(system.contents, system.beta)
+        assert seen
+        for C_h, k, est in seen:
+            assert np.abs(est - thresholds.case2_batch(C_h, k)[2]).max() <= 1
 
     def test_wrong_breakpoints_cost_only_time(self):
         # the window predicts Q_bar from the breakpoints; shifted ones send
