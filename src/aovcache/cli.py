@@ -418,8 +418,8 @@ def cmd_compare(doc: dict, args) -> int:
 def cmd_verify(doc: dict, args) -> int:
     """Oracle-equivalence and invariant battery (``checks.battery``); exit 4
     on a failure."""
-    # imported here: the checks' oracle pulls in scipy.signal, which costs
-    # every other command about a second of import time
+    # imported here: the checks' oracle pulls in scipy.sparse, which costs
+    # every other command about 0.4 s of import time
     from .checks import battery
 
     system = build_system(doc)

@@ -116,7 +116,8 @@ def validate(system: SystemParams) -> list[Diagnostic]:
     """Check every type invariant; returns all violations, not just the first.
 
     Each check states what a valid value satisfies, so NaN (false in every
-    comparison) and infinity fail it.
+    comparison) and infinity fail it.  A per-content violation is reported
+    once, with the number of contents it covers and the first of them.
     """
     out: list[Diagnostic] = []
     if not 0 < system.beta < math.inf:
@@ -126,6 +127,7 @@ def validate(system: SystemParams) -> list[Diagnostic]:
     if not (0 <= system.M < max(system.N, 1)):
         out.append(Diagnostic("capacity", "capacity must be < N and >= 0"))
     psum = 0.0
+    bad: dict[tuple[str, str], list[int]] = {}  # (field, message) -> [count, first]
     for i, c in enumerate(system.contents):
         psum += c.p
         cm = c.costs
@@ -137,7 +139,10 @@ def validate(system: SystemParams) -> list[Diagnostic]:
             ("c_w", 0 < cm.c_w < math.inf, "waiting cost must be finite and > 0"),
         ):
             if not ok:
-                out.append(Diagnostic(name, f"content {i}: {what}"))
+                bad.setdefault((name, what), [0, i])[0] += 1
+    for (name, what), (count, first) in bad.items():
+        where = f"content {first}" if count == 1 else f"{count} contents (first {first})"
+        out.append(Diagnostic(name, f"{where}: {what}"))
     if system.N and not abs(psum - 1.0) <= 1e-9:
         out.append(Diagnostic("popularity", f"popularity must sum to 1 (got {psum!r})"))
     return out

@@ -1,7 +1,7 @@
-"""Brute-force value-iteration solvers used to cross-check the closed forms.
+"""Brute-force policy-iteration solvers used to cross-check the closed forms.
 
-These discretize ``tau`` on a uniform grid, cap the queue, and run
-relative value iteration on the embedded decision-epoch chain (epochs
+These discretize ``tau`` on a uniform grid, cap the queue, and solve the
+embedded decision-epoch chain exactly by policy iteration (epochs
 arrive at the request rate, so the average cost per unit time is
 ``rate * average cost per epoch``).  The exponential-kernel integrals
 
@@ -21,31 +21,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .model import ContentParams, SingleContentState
 
-__all__ = ["Grid", "ValueTable", "value_iterate_infinite", "value_iterate_holding",
+__all__ = ["Grid", "ValueTable", "solve_infinite", "solve_holding",
            "whittle_by_sweep", "passive_in_table"]
 
-# greedy action codes shared by both MDP families
+# greedy action codes shared by both MDP families, the order in which each
+# model lists its actions, so that a policy is an array of codes
 SERVE_KEEP = 0
 FETCH_KEEP = 1
 WAIT = 2
 FETCH_EVICT = 3
 SERVE_EVICT = 4
-
-# relaxation weight of value_iterate_holding's damped update, and the sweep
-# budget of both value iterations
-DAMPING = 0.5
-MAX_SWEEPS = 100_000
-
-
-class ConvergenceError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ class Grid:
 
         The batch-dispatch queue bound and the zero-queue serve
         threshold bound used here only pick the window; the solution is
-        still read off the converged value table.
+        still read off the solved value table.
         """
         q_ross = int((math.sqrt(1.0 + 8.0 * rate * c_f / c_w) - 1.0) // 2)
         theta_nc = (2.0 * rate * c_f + c_w * q_ross * (q_ross + 1)) / (2.0 * (q_ross + 1))
@@ -83,7 +75,7 @@ class Grid:
 
 @dataclass
 class ValueTable:
-    """Converged relative costs, average cost, and the greedy policy."""
+    """Relative costs, average cost, and the optimal (greedy) policy."""
 
     theta: float
     grid: Grid
@@ -130,78 +122,108 @@ class ValueTable:
 
 
 def _expint_kernel(rate: float, dtau: float, k: int):
-    """The exponential-kernel integral of one solve on ``k`` tau cells:
-    ``J(h)[..., j]`` = integral of rate*e^(-rate t) h(..., tau_j + t) dt
-    for a piecewise-linear h.
-
-    Backward recursion J_j = alpha*h_j + gamma*h_{j+1} + decay*J_{j+1},
-    J_K = h_K, run as an IIR filter on the reversed axis.  The filter
-    starts from rest, and the powers of decay that carry in the end
-    condition are the same every sweep, so they are computed here, once.
-    """
+    """The exponential-kernel integral on ``k`` tau cells as sparse rows
+    ``(Z, U)``, ``Z @ J = U @ u``: J_j = integral of rate*e^(-rate t)
+    u(tau_j + t) dt for a piecewise-linear u, by the backward recursion
+    J_j - r*J_{j+1} = alpha*u_j + gamma*u_{j+1}, J_{k-1} = u_{k-1}."""
     r = math.exp(-rate * dtau)
-    c1 = (1.0 - r) / (rate * dtau) - r
-    alpha, gamma, decay = (1.0 - r) - c1, c1, r
-    powers = decay ** np.arange(k)
-
-    def expint_rows(h: np.ndarray) -> np.ndarray:
-        u = h[..., ::-1]
-        y = lfilter([alpha, gamma], [1.0, -decay], u, axis=-1)
-        y = y + (1.0 - alpha) * u[..., :1] * powers
-        return y[..., ::-1]
-
-    return expint_rows
+    gamma = (1.0 - r) / (rate * dtau) - r
+    alpha = np.full(k, 1.0 - r - gamma)
+    alpha[-1] = 1.0
+    off = np.ones(k - 1)
+    return (sparse.diags([np.ones(k), -r * off], [0, 1], format="csr"),
+            sparse.diags([alpha, gamma * off], [0, 1], format="csr"))
 
 
-def _greedy(costs: list, codes: tuple[int, ...]) -> np.ndarray:
-    """The code of each state's cheapest action; a tie goes to the first."""
-    return np.asarray(codes)[np.argmin(np.broadcast_arrays(*costs), axis=0)]
+def _action_table(families: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(cost, succ)``, each (codes, states), of a model's state families
+    in order.  A family is its size and its actions in greedy-code order:
+    a (cost, successor) pair broadcast over the family, or None (cost inf)."""
+    n = sum(size for size, _ in families)
+    cost = np.full((max(len(a) for _, a in families), n), np.inf)
+    succ = np.zeros(cost.shape, dtype=np.intp)
+    start = 0
+    for size, actions in families:
+        for code, action in enumerate(actions):
+            if action is not None:
+                cost[code, start:start + size], succ[code, start:start + size] = action
+        start += size
+    return cost, succ
 
 
-def value_iterate_infinite(
+def _solve(cost: np.ndarray, succ: np.ndarray, kernel, ref: int, policy: np.ndarray):
+    """``(g, h, policy)``: the average cost per epoch, the relative costs
+    (``h[ref]`` = 0) and an optimal policy, by policy iteration.
+
+    Action a in state s costs ``cost[a, s]`` plus ``z[succ[a, s]]``, the
+    expected relative cost of the next epoch, an auxiliary unknown that
+    the rows ``kernel = (Z, H)`` define by ``Z @ z = H @ h``.  Each
+    iteration evaluates the policy exactly, one sparse solve: its
+    equations h = c - g + z[nxt] turn those rows into
+    (Z - H S) z + (H 1) g = H c, S the policy's selection of z, and
+    h[ref] = 0 into z[nxt[ref]] - g = -c[ref].  Then each state moves to
+    its cheapest action unless its own is within 1e-12 of it (relative to
+    the largest value in use), so ties end the iteration.
+    """
+    Z, H = (x.tocoo() for x in kernel)
+    m, n = H.shape
+    states = np.arange(n)
+    ones = H @ np.ones(n)
+    rows = np.concatenate([Z.row, H.row, np.arange(m), [m, m]])
+    data = np.concatenate([Z.data, -H.data, ones, [1.0, -1.0]])
+    while True:
+        c, nxt = cost[policy, states], succ[policy, states]
+        cols = np.concatenate([Z.col, nxt[H.col], np.full(m, m), [nxt[ref], m]])
+        A = sparse.csc_matrix((data, (rows, cols)), shape=(m + 1, m + 1))
+        x = spsolve(A, np.append(H @ c, -c[ref]))
+        if not np.isfinite(x).all():
+            raise np.linalg.LinAlgError("policy evaluation has no unique solution")
+        values = cost + x[:m][succ]
+        current = values[policy, states]
+        best = values.argmin(axis=0)
+        moves = values[best, states] < current - 1e-12 * np.abs(current).max()
+        if not moves.any():
+            return x[m], current - x[m], policy
+        policy = np.where(moves, best, policy)
+
+
+def solve_infinite(
     beta: float, lam: float, c_a: float, c_f: float, c_w: float,
-    grid: Grid | None = None, tol: float = 1e-9,
+    grid: Grid | None = None,
 ) -> ValueTable:
-    """Relative value iteration for the always-cached single content MDP.
+    """Policy iteration for the always-cached single content MDP.
 
     ``beta`` is the content's own request rate.  Actions per epoch:
-    serve the copy (ageing ``c_a*lam*tau*(Q+1)``), wait (``c_w*(Q+1)/beta``),
-    or fetch (``c_f``).  Reference state is (Q=0, tau=0).
+    serve the copy (ageing ``c_a*lam*tau*(Q+1)``), fetch (``c_f``) or
+    wait (``c_w*(Q+1)/beta``), each followed by the kernel integral J of
+    the next queue's row of h.  Reference state is (Q=0, tau=0); the
+    first policy fetches.
     """
     if grid is None:
         grid = Grid.for_params(beta, lam, c_a, c_f, c_w)
     taus = grid.taus
-    k = len(taus)
-    qm = grid.q_max
-    expint_rows = _expint_kernel(beta, grid.dtau, k)
-
-    h = np.zeros((qm + 1, k))
-    qcol = np.arange(qm + 1, dtype=float)[:, None]
-    serve_age = c_a * lam * taus[None, :] * (qcol + 1.0)
-    wait_cost = c_w * (qcol + 1.0) / beta
-    up = np.arange(1, qm + 2)
-    up[-1] = qm  # queue cap: waiting at q_max self-loops
-
-    for _ in range(MAX_SWEEPS):
-        J = expint_rows(h)
-        costs = [serve_age + J[0][None, :], wait_cost + J[up], c_f + J[0, 0]]
-        T = reduce(np.minimum, costs)
-        g = T[0, 0]
-        T -= g
-        delta = T - h
-        sp = delta.max() - delta.min()
-        h = T
-        if sp < tol:
-            return ValueTable(theta=beta * g, grid=grid, h=h,
-                              greedy=_greedy(costs, (SERVE_KEEP, WAIT, FETCH_KEEP)))
-    raise ConvergenceError(f"no convergence after {MAX_SWEEPS} sweeps (span {sp:g})")
+    k, rows = len(taus), grid.q_max + 1
+    Z, U = _expint_kernel(beta, grid.dtau, k)
+    eye = sparse.identity(rows)
+    qs = np.arange(rows)[:, None]
+    up = np.minimum(qs + 1, rows - 1)  # queue cap: waiting at q_max self-loops
+    j = np.arange(k)
+    cost, succ = _action_table([(rows * k, [
+        ((c_a * lam * taus * (qs + 1.0)).ravel(), np.tile(j, rows)),  # serve: J[0, j]
+        (c_f, 0),                                                     # fetch: J[0, 0]
+        (np.repeat(c_w * (qs + 1.0) / beta, k), (up * k + j).ravel()),  # wait: J[up, j]
+    ])])
+    g, h, policy = _solve(cost, succ, (sparse.kron(eye, Z), sparse.kron(eye, U)), 0,
+                          np.full(rows * k, FETCH_KEEP))
+    return ValueTable(theta=beta * g, grid=grid, h=h.reshape(rows, k),
+                      greedy=policy.reshape(rows, k))
 
 
-def value_iterate_holding(
+def solve_holding(
     params: ContentParams, beta: float, C_h: float,
-    grid: Grid | None = None, tol: float = 1e-9, warm: ValueTable | None = None,
+    grid: Grid | None = None, warm: ValueTable | None = None,
 ) -> ValueTable:
-    """Relative value iteration for the single content with holding cost.
+    """Policy iteration for the single content with holding cost.
 
     Decision epochs are all request arrivals (rate ``beta``); the
     tagged content is the requested one with probability ``p``.  State
@@ -209,13 +231,10 @@ def value_iterate_holding(
     serve/fetch/wait-evict/fetch-evict/serve-evict, cached-idle
     (0,tau,1,0) with keep/evict, uncached-requested (Q,0,1) with
     fetch-cache/wait/fetch-discard, and uncached-idle (Q,0,0) with no
-    action.  Reference state is (0, 0, 1, 0).
-
-    Updates are damped (h <- (1-k) h + k (T h - g), k = ``DAMPING``):
-    for p = 1 and C_h > I the greedy chain cycles deterministically
-    between queue states, and the undamped iteration oscillates with
-    period 2.  The stopping rule checks the span of ``T h - h - g``,
-    which bounds ``|beta * g - theta|`` regardless of damping.
+    action.  Reference state is (0, 0, 1, 0).  A kept copy is next in
+    the kernel integral L of ``p*h(0,.,1,1) + (1-p)*h(0,.,1,0)``, an
+    uncached one in ``E_Q = p*h(Q,0,1) + (1-p)*h(Q,0,0)``.  The first
+    policy is ``warm``'s, if solved on the same grid, else it discards.
     """
     p, lam = params.p, params.lam
     cm = params.costs
@@ -223,63 +242,33 @@ def value_iterate_holding(
     if grid is None:
         grid = Grid.for_params(p * beta, lam, c_a, c_f, c_w)
     taus = grid.taus
-    qm = grid.q_max
-    expint_rows = _expint_kernel(beta, grid.dtau, len(taus))
-
+    k, rows = len(taus), grid.q_max + 1
+    Z, U = _expint_kernel(beta, grid.dtau, k)
+    eye = sparse.identity(rows)
+    # z = [L, E] of h = [cached_req, cached_idle, uncached_req, uncached_idle]
+    kernel = (sparse.block_diag([Z, eye]),
+              sparse.bmat([[p * U, (1.0 - p) * U, None, None],
+                           [None, None, p * eye, (1.0 - p) * eye]]))
+    age, chb = c_a * lam * taus, C_h / beta
+    qs = np.arange(rows)
+    L, E0, up = np.arange(k), k, k + np.minimum(qs + 1, rows - 1)  # E at the next queue
+    cost, succ = _action_table([
+        (k, [(age + chb, L), (c_f + chb, L[0]), (c_w / beta, up[0]), (c_f, E0), (age, E0)]),
+        (k, [(chb, L), None, (0.0, E0)]),
+        (rows, [None, (c_f + chb, L[0]), ((qs + 1.0) * c_w / beta, up), (c_f, E0)]),
+        (rows, [(qs * c_w / beta, k + qs)]),
+    ])
+    cut = [k, 2 * k, 2 * k + rows]
     if warm is not None and warm.grid == grid:
-        h = [warm.h_cached_req, warm.h_cached_idle, warm.h_uncached_req, warm.h_uncached_idle]
+        policy = np.concatenate([warm.greedy_cached_req, warm.greedy_cached_idle,
+                                 warm.greedy_uncached_req, np.zeros(rows, dtype=np.intp)])
     else:
-        h = [np.zeros(len(taus)), np.zeros(len(taus)), np.zeros(qm + 1), np.zeros(qm + 1)]
-
-    age = c_a * lam * taus
-    chb = C_h / beta
-    age_held = age + chb
-    qs = np.arange(qm + 1, dtype=float)
-    wait_costs = (qs + 1.0) * c_w / beta
-    idle_costs = qs * c_w / beta
-    up = np.arange(1, qm + 2)
-    up[-1] = qm
-
-    def actions(A, B, C, D):
-        """Each decision family's action costs, in greedy-code order; an
-        action that costs the same in every state is a scalar."""
-        L = expint_rows(p * A + (1.0 - p) * B)
-        evicted0 = p * C[0] + (1.0 - p) * D[0]
-        cache = c_f + chb + L[0]       # fetch, serve & cache
-        discard = c_f + evicted0       # fetch, serve & evict
-        cached_req = [age_held + L,    # serve & keep
-                      cache,
-                      c_w / beta + p * C[up[0]] + (1.0 - p) * D[up[0]],  # wait & evict
-                      discard,
-                      age + evicted0]  # serve & evict
-        cached_idle = [chb + L, evicted0]  # keep, evict
-        uncached_req = [cache, wait_costs + p * C[up] + (1.0 - p) * D[up], discard]
-        return cached_req, cached_idle, uncached_req
-
-    for _ in range(MAX_SWEEPS):
-        T = [reduce(np.minimum, a) for a in actions(*h)]
-        T.append(idle_costs + p * h[2] + (1.0 - p) * h[3])
-        g = T[1][0]
-        T = [t - g for t in T]
-        delta = [t - x for t, x in zip(T, h)]
-        hi = max(d.max() for d in delta)
-        lo = min(d.min() for d in delta)
-        if hi - lo < tol:
-            h = T
-            break
-        h = [x + DAMPING * d for x, d in zip(h, delta)]
-    else:
-        raise ConvergenceError(f"no convergence after {MAX_SWEEPS} sweeps (span {hi - lo:g})")
-
-    cached_req, cached_idle, uncached_req = actions(*h)
-    return ValueTable(
-        theta=beta * g, grid=grid,
-        h_cached_req=h[0], h_cached_idle=h[1], h_uncached_req=h[2], h_uncached_idle=h[3],
-        greedy_cached_req=_greedy(
-            cached_req, (SERVE_KEEP, FETCH_KEEP, WAIT, FETCH_EVICT, SERVE_EVICT)),
-        greedy_cached_idle=_greedy(cached_idle, (SERVE_KEEP, WAIT)),
-        greedy_uncached_req=_greedy(uncached_req, (FETCH_KEEP, WAIT, FETCH_EVICT)),
-    )
+        policy = np.repeat([FETCH_EVICT, WAIT, FETCH_EVICT, 0], [k, k, rows, rows])
+    g, h, policy = _solve(cost, succ, kernel, k, policy)
+    hs, greedy = np.split(h, cut), np.split(policy, cut)
+    return ValueTable(theta=beta * g, grid=grid, h_cached_req=hs[0], h_cached_idle=hs[1],
+                      h_uncached_req=hs[2], h_uncached_idle=hs[3], greedy_cached_req=greedy[0],
+                      greedy_cached_idle=greedy[1], greedy_uncached_req=greedy[2])
 
 
 def passive_in_table(table: ValueTable, state: SingleContentState) -> bool:
@@ -297,14 +286,14 @@ def passive_in_table(table: ValueTable, state: SingleContentState) -> bool:
 
 def whittle_by_sweep(
     params: ContentParams, beta: float, states: list[SingleContentState],
-    C_h_grid: np.ndarray, grid: Grid | None = None, tol: float = 1e-8,
+    C_h_grid: np.ndarray, grid: Grid | None = None,
 ) -> list[float]:
     """Index estimates of ``states``: for each, the smallest grid C_h whose
     greedy action goes passive.
 
-    Runs ``value_iterate_holding`` at the grid points in ascending order,
-    warm-started along the sweep, until every state has gone passive; a
-    state that never does gets the grid's last point.  A cached idle copy
+    Runs ``solve_holding`` at the grid points in ascending order, each
+    started from the last one's policy, until every state has gone
+    passive; a state that never does gets the grid's last point.  A cached idle copy
     with requests queued is passive at every C_h and gets 0.0 without a
     solve.  Accuracy is one C_h grid step plus one tau cell.
     """
@@ -316,7 +305,7 @@ def whittle_by_sweep(
     for ch in np.sort(np.asarray(C_h_grid, dtype=float)):
         if None not in found:
             break
-        warm = value_iterate_holding(params, beta, float(ch), grid=grid, tol=tol, warm=warm)
+        warm = solve_holding(params, beta, float(ch), grid=grid, warm=warm)
         found = [float(ch) if x is None and passive_in_table(warm, s) else x
                  for x, s in zip(found, states)]
     last = float(C_h_grid[-1])

@@ -25,8 +25,8 @@ of a quadratic in Q, laid out candidates first against the contents'
 rows: for ``relaxed_batch``, the ``C_h = 0`` thresholds and the index
 tables' bisection alike.  The scalar solvers are thin callers of these,
 and ``content_constants`` solves the ``C_h``-independent quantities of
-all contents at once.  An independent value-iteration cross-check lives
-in ``aovcache.oracle``.
+all contents at once.  An independent cross-check, which solves a
+discretized MDP exactly by policy iteration, lives in ``aovcache.oracle``.
 """
 
 from __future__ import annotations

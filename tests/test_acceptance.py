@@ -51,7 +51,7 @@ def desk_sweep():
 
 
 def test_criterion_1_closed_form_vs_oracle():
-    """>= 20 random parameter sets: theta within 0.5% of value iteration,
+    """>= 20 random parameter sets: theta within 0.5% of the oracle,
     thresholds within one grid cell, runtime < 2 min."""
     rng = np.random.default_rng(20260810)
     t0 = time.time()
@@ -84,7 +84,7 @@ def test_criterion_2_theorem1_in_vivo():
 
 
 def test_criterion_3_whittle_vs_sweep_oracle():
-    """Bisection indices match the value-iteration C_h sweep within
+    """Bisection indices match the policy-iteration C_h sweep within
     max(1e-3, one grid step) over both state families, 5 parameter sets.
 
     The sweep grid honours the brute-force oracle's density contract
@@ -97,7 +97,7 @@ def test_criterion_3_whittle_vs_sweep_oracle():
     worst = 0.0
     for k in range(5):
         c, beta = random_content(rng, ratio_lo=0.3, ratio_hi=30.0)
-        r = checks.whittle_vs_sweep(c, beta, 515, tol=1e-7, refine=2.0, cells=1)
+        r = checks.whittle_vs_sweep(c, beta, 515, refine=2.0, cells=1)
         assert r.passed, (k, r.detail)
         worst = max(worst, r.error)
     elapsed = time.time() - t0

@@ -472,19 +472,21 @@ class TestDigest:
 
 
 def test_import_skips_scipy_signal():
-    # only the verify command needs the oracle, which imports scipy.signal;
-    # with the library built, the solvers need no scipy.special either,
-    # while the simulator imports numpy.random itself
+    # only the verify command needs the oracle, which imports scipy.sparse
+    # (and no command scipy.signal); with the library built, the solvers
+    # need no scipy.special either, while the simulator imports
+    # numpy.random itself
     src = Path(aovcache.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, aovcache.cli; from aovcache import _ckernel; "
-            "print(*(m in sys.modules for m in ('scipy.signal', 'scipy.special', "
-            "'numpy.random', 'scipy')), _ckernel.special is not None, "
+            "print(*(m in sys.modules for m in ('scipy.signal', 'scipy.sparse', "
+            "'scipy.special', 'numpy.random', 'scipy')), _ckernel.special is not None, "
             "aovcache.cli.scipy_version(), 'scipy' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    signal, special, random, imported, compiled, version, after = res.stdout.split()
+    signal, sparse, special, random, imported, compiled, version, after = res.stdout.split()
     assert signal == "False"
+    assert sparse == "False"
     assert random == "True"
     # the manifest's scipy version is read without importing scipy
     assert version == scipy.__version__
@@ -579,10 +581,10 @@ class TestVerifyCmd:
     def test_oracle_agreement_is_not_exact(self, unit_cfg):
         # demonstrates the battery tolerance is load-bearing: a 1e-15
         # demand on closed-form vs grid agreement necessarily fails
-        from aovcache.oracle import value_iterate_infinite
+        from aovcache.oracle import solve_infinite
         from aovcache.thresholds import solve_infinite_capacity
         theta = solve_infinite_capacity(1, 1, 1, 1, 0.5)[2]
-        vt = value_iterate_infinite(1, 1, 1, 1, 0.5)
+        vt = solve_infinite(1, 1, 1, 1, 0.5)
         assert abs(vt.theta - theta) > 1e-15
 
 

@@ -71,6 +71,20 @@ class TestValidate:
         assert {"beta", "capacity", "lambda", "popularity",
                 "c_a", "c_f", "c_w"} <= names
 
+    def test_shared_cost_reported_once(self):
+        # one bad global cost is one diagnostic, naming its contents by
+        # count and first id; per-content faults keep their own ids
+        base = desk_system(N=100, c_w=float("nan"))
+        diags = validate(base)
+        assert [str(d) for d in diags] == [
+            "c_w: 100 contents (first 0): waiting cost must be finite and > 0"]
+        contents = list(base.contents)
+        contents[7] = ContentParams(lam=-1.0, p=contents[7].p, costs=contents[7].costs)
+        diags = validate(SystemParams(beta=base.beta, contents=tuple(contents), M=base.M))
+        assert [str(d) for d in diags] == [
+            "c_w: 100 contents (first 0): waiting cost must be finite and > 0",
+            "lambda: content 7: update rate must be finite and > 0"]
+
 
 class TestSingleContentState:
     def test_uncached_tau_must_be_zero(self):
