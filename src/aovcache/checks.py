@@ -162,13 +162,14 @@ def special_functions(system: SystemParams) -> Result:
 def table_window(system: SystemParams) -> Result:
     """The index tables from windows of queue candidates against a scan of
     every candidate, array for array and bit for bit."""
-    windowed, fallback = build_index_tables(system.contents, system.beta)
+    windowed, counts = build_index_tables(system.contents, system.beta)
     full = build_index_tables(system.contents, system.beta, window=False)[0]
     pairs = [(getattr(windowed, f), getattr(full, f)) for f in ("cdbl", "cint", "bps", "w_of_tau")]
     n = sum(x.size if x.shape != y.shape else np.count_nonzero(bits_differ(x, y))
             for x, y in pairs)
     return Result(n == 0, f"{n} of {sum(y.size for _, y in pairs)} table values differ from the "
-                  f"full-width scan; {fallback} points of the cached grid fell back to it", n)
+                  f"full-width scan; {counts.full_width} points of the cached grid fell back "
+                  f"to it, {counts.plain} breakpoints to the plain bisection", n)
 
 
 def dual_bound(system: SystemParams, points: int) -> Result:

@@ -49,12 +49,18 @@ class PolicyKind(Enum):
     INFINITE_CAPACITY = "infinite-capacity"
 
 
-def build_policy_tables(system: SystemParams, indices: bool = True) -> PolicyTables:
+def build_policy_tables(system: SystemParams, indices: bool = True,
+                        builds: list | None = None) -> PolicyTables:
     """The tables of ``system``, independent of its capacity M, so one
     build covers a whole capacity sweep: ``whittle.build_index_tables`` of
     its contents, with the Whittle indices, or with only the thresholds
-    when ``indices`` is False, for policies that never evaluate an index."""
-    return build_index_tables(system.contents, system.beta, indices)[0]
+    when ``indices`` is False, for policies that never evaluate an index.
+    The build's ``whittle.BuildCounts`` go to the end of ``builds``, if
+    given."""
+    tables, counts = build_index_tables(system.contents, system.beta, indices)
+    if builds is not None:
+        builds.append(counts)
+    return tables
 
 
 def _min_cached_index(state: CacheSystemState, tables: PolicyTables) -> tuple[float, int]:

@@ -423,6 +423,7 @@ def sweep(
     replications: int,
     processes: int | None = None,
     tables: PolicyTables | None = None,
+    builds: list | None = None,
 ) -> list[SweepCell]:
     """One run per (value, replication), seeds ``base.seed + rep``.
 
@@ -431,7 +432,8 @@ def sweep(
     ``policy`` axes share one table build; ``c_w`` rebuilds per value.
     With ``processes > 1`` each worker process gets every value's config
     and tables once, as it starts (inherited where processes fork), and
-    each job only its cell's keys.
+    each job only its cell's keys.  Each table build's counts go to the
+    end of ``builds``, if given (``policies.build_policy_tables``).
     """
     if axis not in ("M", "c_w", "policy"):
         raise ValueError(f"unknown sweep axis {axis!r}")
@@ -445,13 +447,13 @@ def sweep(
         for v in values:
             system = _with_c_w(base.system, float(v))
             groups.append((float(v), replace(base, system=system), build_policy_tables(
-                system, indices=base.policy is PolicyKind.WHITTLE)))
+                system, indices=base.policy is PolicyKind.WHITTLE, builds=builds)))
     else:
         if tables is None:
             policies = ([PolicyKind(v) for v in values] if axis == "policy"
                         else [base.policy])
             tables = build_policy_tables(
-                base.system, indices=PolicyKind.WHITTLE in policies)
+                base.system, indices=PolicyKind.WHITTLE in policies, builds=builds)
         if axis == "M":
             groups = [(int(v), replace(base, system=replace(base.system, M=int(v))), tables)
                       for v in values]

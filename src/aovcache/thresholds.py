@@ -23,7 +23,10 @@ them where ``window_consistent`` says it decides.  ``case2`` reads
 every content off the pair at ``_q_bar_estimate``, the closed-form root
 of a quadratic in Q, laid out candidates first against the contents'
 rows: for ``relaxed_batch``, the ``C_h = 0`` thresholds and the index
-tables' bisection alike.  The scalar solvers are thin callers of these,
+tables' bisection alike.  The same quadratic in Q, written in the gap x,
+gives each breakpoint of ``Q_bar`` in C_h up to rounding
+(``breakpoint_estimate``), from which that bisection is replayed.  The
+scalar solvers are thin callers of these,
 and ``content_constants`` solves the ``C_h``-independent quantities of
 all contents at once.  An independent cross-check, which solves a
 discretized MDP exactly by policy iteration, lives in ``aovcache.oracle``.
@@ -55,6 +58,7 @@ __all__ = [
     "case2_candidates",
     "case2_batch",
     "case2",
+    "breakpoint_estimate",
     "zero_holding_batch",
     "Relaxed",
     "relaxed_batch",
@@ -598,6 +602,75 @@ def _q_bar_estimate(C_h: np.ndarray, k: ContentConstants, xb: np.ndarray) -> np.
     e = k.r_cw * (C_h * xb - 0.5 * k.rc * xb * xb - k.c_f)
     s = np.sqrt(np.maximum(h * h - 2.0 * k.a1 * e, 0.0))
     return np.minimum(np.maximum(np.floor((s - h) / k.a1), 0.0), k.top)
+
+
+def breakpoint_estimate(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each content's smallest ``C_h`` at which ``Q_bar`` exceeds its
+    ``q`` (``Q_star <= q < Q_hat``), in closed form, and a bound on that
+    value's error.
+
+    ``Q_bar`` exceeds q where ``F(q+1) <= 0``, with ``F`` the quadratic of
+    ``_q_bar_estimate``.  With ``C_h = p*c_a*lam*gap(x)`` (``gap_value``)
+    and ``Q = q+1`` that is ``G(x) = 0`` for
+
+        G(x) = (a+1)*Q^2/2 + Q/2 - p*beta*c_f/c_w - p*Q*gap(x)
+               + A*(x^2/2 - x*(1 - e^-x)),   A = p^2*c_a*lam/c_w,
+
+    and ``G'(x) = (1 - e^-x)*(A*(x - 1) - p*Q)``: G falls to a single
+    minimum and rises after it.  ``G(0)`` is ``F(Q)`` at ``C_h = 0``,
+    positive as ``Q_bar(0) <= q``, and ``G(beta*tau0) <= 0`` at ``I``, so
+    the root is the one crossing in between.  Newton's method, kept
+    inside the bracket that each step narrows, finds it; it starts from
+    the smaller root of the quadratic that G becomes where ``e^-x`` is
+    negligible (``gap(x) = x - 1``), which is where the roots lie on the
+    shipped configs (x from 5 up), and stops once a step is below the
+    rounding error of G's terms over ``|G'|``.
+
+    The bound adds that error and the last step, carried to ``C_h``, to
+    how far case 2's own rounding can move the jump it reads: candidate
+    Q's ``tau_tilde`` comes from a quadratic whose root ``sqrt(disc) -
+    f`` cancels where ``tau_bar << f``, and its rounding over its slope
+    in ``C_h`` (``relaxed_batch``) is that distance.  Where the closed
+    form is not what ``case2`` reads (an inadmissible root, the floor
+    test's rounding, a regime the quadratic ``F`` does not see) the value
+    is off or the bound infinite; ``whittle._bisect`` checks both with
+    ``case2`` before it uses them."""
+    Q = q + 1.0
+    A = k.p * k.pc / k.c_w
+    pq = k.p * Q
+    big = k.r_cw * k.c_f  # p*beta*c_f/c_w
+    const = 0.5 * k.a1 * Q * Q + 0.5 * Q - big
+    lo, hi = np.zeros(q.shape), k.beta * k.tau0
+    s = A + pq
+    with np.errstate(all="ignore"):
+        x = np.clip((s - np.sqrt(np.maximum(s * s - 2.0 * A * (const + pq), 0.0))) / A, lo, hi)
+        for _ in range(_NEWTON_STEPS):
+            e = np.expm1(-x)
+            t1, t2 = pq * _gap(x, e), A * (0.5 * x * x + x * e)
+            g = const - t1 + t2
+            slope = -e * (A * (x - 1.0) - pq)  # G'(x)
+            err = 1e-15 * (np.abs(const) + big + t1 + np.abs(t2)) / np.abs(slope)
+            lo, hi = np.where(g > 0.0, x, lo), np.where(g > 0.0, hi, x)
+            step = g / slope
+            x = x - step
+            x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+            if (np.abs(step) <= err).all():
+                break
+        root, e = k.pc * gap_value(x), np.expm1(-x)
+        # _quadratic's terms at the root, for candidate Q
+        g, xb = _gaps(root, k)
+        q1 = Q + 1.0
+        f = g + q1 / k.r
+        terms = (k.cf_rc, q1 * xb / k.r, k.c_w * Q * q1 / k.den)
+        sq = np.sqrt(f * f + 2.0 * (terms[0] - terms[1] + terms[2]))
+        size = xb + root / k.rc + q1 / k.r + (f * f + 2.0 * sum(terms)) / sq
+        tb = sq - f
+        slope_tt = (tb + 1.0 / k.beta) / (k.c_alam * (k.r * tb - k.p * e + Q + 1.0))
+        moved = np.where(sq > 0.0, 1e-15 * size / slope_tt, np.inf)
+        return root, k.pc * -e * (err + np.abs(step)) + moved
+
+
+_NEWTON_STEPS = 30  # at most; 0-5 on the shipped configs
 
 
 def _bisect_excess(g, xb, k: ContentConstants) -> np.ndarray:

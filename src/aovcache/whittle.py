@@ -22,22 +22,34 @@ the content out of the cache optimal.
 * uncached requested ``(Q, 0, 1)``: zero below ``Q_star``, the index
   ceiling ``I`` from ``Q_hat`` up; in between, the ``C_h`` at which the
   fetch threshold ``Q_bar(C_h)`` (nondecreasing) first exceeds ``Q``.
-  That jump has no closed form; a 60-step bisection, batched over every
-  (content, Q) pair at once, finds it.
+  That jump is where case 2's floor test moves, so the index is the
+  midpoint that a 60-step bisection of ``[0, I]`` leaves, batched over
+  every (content, Q) pair at once.
 
-Both table solvers evaluate a pair of queue candidates per row, a
-guard and the candidate above it, laid out candidates first, rather than
-all of ``0..Q_hat+2``: the bisection asks ``thresholds.case2``, which
-places its pair at a closed-form estimate of ``Q_bar``, and the cached
-grid places it at the ``Q_bar`` that the breakpoints predict.  In both
-problems candidate Q's floor argument exceeds Q by an amount that is
-strictly decreasing in Q (proved at ``thresholds.case2_batch`` and
-``cached_index_rows``), so where the candidate hits its cell and the
-guard lies above its own, no column before the candidate hits, and the
-full scan picks it (``thresholds.window_consistent``).  A row the pair
-cannot decide is scanned at full width, so the tables are the full
-scan's bit for bit whatever the pair's placement; ``aovcache verify``
-checks that on the user's config.
+Both table solvers skip the work whose answer is already known, and
+neither lets that change a bit:
+
+* the bisection replays the plain bisection's arithmetic from a band
+  around each breakpoint's closed-form root
+  (``thresholds.breakpoint_estimate``) whose ends ``thresholds.case2``
+  confirms.  Only a step whose midpoint lies inside the band asks
+  case 2, and a pair whose band is not confirmed runs the plain
+  bisection (``_bisect``);
+* the cached grid evaluates only the queue candidate at the ``Q_bar``
+  that the breakpoints predict, and the guard below it only where the
+  candidate hits its cell within a rounding margin of the cell's lower
+  edge.  Candidate Q's floor argument exceeds Q by an amount that is
+  strictly decreasing in Q (proved at ``thresholds.case2_batch`` and
+  ``cached_index_rows``), so where the candidate hits its cell and the
+  guard lies above its own, no column before the candidate hits, and
+  the full scan picks it (``thresholds.window_consistent``).  Away from
+  the edge a hit puts the guard above its own cell by more than
+  rounding, so only points at the edge evaluate it.
+
+A grid point that its candidate and guard cannot decide is scanned at
+full width, so the tables are the full scan's bit for bit whatever the
+predictions; ``aovcache verify`` checks that on the user's config, and
+``BuildCounts`` reports how much each shortcut was used.
 
 The closed three-equation system is kept as a residual check
 (``index_residual_*``).
@@ -45,8 +57,10 @@ The closed three-equation system is kept as a residual check
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +73,7 @@ from .thresholds import (
     case2,
     case2_batch,
     case2_candidates,
+    breakpoint_estimate,
     compute_I,
     content_constants,
     first_consistent,
@@ -80,6 +95,7 @@ __all__ = [
     "default_state_grid",
     "ContentTables",
     "PolicyTables",
+    "BuildCounts",
     "build_content_tables",
     "build_index_tables",
     "cached_index_rows",
@@ -90,8 +106,9 @@ __all__ = [
 ]
 
 BISECT_ITERS = 60  # absolute error below I * 2**-60
+BAND_ERRORS = 64.0  # half-width of the bisection's band, in root error bounds
 GRID_SIZE = 1024   # cells of each content's cached-index table
-CHUNK_CONTENTS = 4  # contents per batch of the cached-index build
+CHUNK_CONTENTS = 8  # contents per batch of the cached-index build
 
 
 def whittle_cached(params: ContentParams, beta: float, Q: int, tau: float) -> float:
@@ -157,22 +174,22 @@ def cached_indices(k: ContentConstants, tau_star: float, taus: np.ndarray,
 
 def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndarray,
                       bps: np.ndarray, counts: np.ndarray,
-                      window: bool = True) -> tuple[np.ndarray, int]:
+                      window: bool = True) -> tuple[np.ndarray, tuple[int, int]]:
     """``PolicyTables.w_of_tau``, one row per content of ``k``:
     ``cached_indices`` at every ``grid_taus`` point, between the ceiling I
     and the 0 sentinel, given the contents' ``C_h = 0`` thresholds
     ``tau_star`` and ``q_star`` and their uncached breakpoints (``bps``,
     flat, ``counts[i]`` of them for content i); and how many grid points
-    the window left to the full-width scan.
+    went to the full-width scan and how many evaluated their guard.
 
     At tau the index W is the C_h whose serve threshold is tau, and
     ``Q_bar`` there is ``c = Q_star + #{j : tau < tau_bar(b_j)}`` over the
     breakpoints b_j (``Q_bar`` steps up at each b_j while ``tau_bar``
-    falls).  Only the pair of candidates c-1 (the guard) and c is
-    evaluated, and ``thresholds.window_consistent`` accepts the row or
-    leaves it to the full-width scan, so a wrong prediction costs time,
-    never a value; with ``window=False`` every row takes the full-width
-    scan.
+    falls).  Only candidate c is evaluated where it hits its cell away
+    from the lower edge, and the guard c-1 with it at the edge; a point
+    that the pair does not decide (``thresholds.window_consistent``) goes
+    to the full-width scan, so a wrong prediction costs time, never a
+    value.  With ``window=False`` every point takes the full-width scan.
 
     The pair is exact because the Wright-omega form has the structure
     of ``thresholds.case2_batch``: with ``L_Q(x) = B_Q*x + A_Q - C*e^-x``,
@@ -188,58 +205,97 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     candidate Q lies above its cell exactly when Q+1 lies at or above
     its own.
 
-    Contents go ``CHUNK_CONTENTS`` at a time, so that the pair's
-    temporaries, two candidates per grid point, stay as small as one
-    content's full-width ones from ``Q_hat = 5`` up and the build's peak
-    memory below the full-width scan's.
+    The guard is needed only at the edge: a hit ``v_c >= c`` gives
+    ``L_{c-1}(x_c) = -(c_w/(p*beta))*(v_c - c) <= 0``, so ``x_{c-1} >=
+    x_c`` and ``v_{c-1} >= v_c >= c``, the guard's condition, in exact
+    arithmetic.  Computed, both floor arguments are off by the rounding
+    of x's terms (``A/B`` cancels): relative to v, and absolutely about
+    ``eps*p*beta*c_f/(c_w*(c+1))``.  So a hit more than ``1e-6*(c + 1 +
+    p*beta*tau) + 1e-12*p*beta*c_f/c_w`` above its edge, thousands of
+    times that rounding, is decided alone; each row uses its largest
+    margin, which only evaluates a few more guards.
+
+    Contents go ``CHUNK_CONTENTS`` at a time, and each chunk's predictions
+    come from one ``bincount`` of its breakpoints' grid positions.  With
+    one candidate per grid point a chunk holds as many elements as one of
+    four contents did with the pair, so the build's peak memory stays
+    where it was, below the full-width scan's; and the temporaries of a
+    chunk stay in cache: on a 2-core host, chunks of all 100 contents of
+    desk.json, each temporary 800 kB, built its grid in 1.6 times the
+    time of chunks of 8.
     """
     n = len(tau_star)
-    # tau_bar at breakpoint b_j from candidate Q_star + j + 1, the Q_bar
-    # just past the jump; a prediction only, so the column need not be exact
-    idx, j = _groups(counts)
-    tbar = case2_candidates(bps, k.take(idx), (q_star[idx] + j + 1.0)[:, None])[0][:, 0]
-    tbar = np.split(tbar, np.cumsum(counts)[:-1])
     w = np.empty((n, GRID_SIZE + 1))
     w[:, 0], w[:, -1] = k.I, 0.0
-    fallback = 0
+    if window:
+        # tau_bar at breakpoint b_j from candidate Q_star + j + 1, the Q_bar
+        # just past the jump, in grid steps: grid point m lies below it for
+        # m < t_j, so for m <= below_j; a prediction only, so neither needs
+        # to be exact, nor finite
+        idx, j = _groups(counts)
+        tbar = case2_candidates(bps, k.take(idx), (q_star[idx] + j + 1.0)[:, None])[0][:, 0]
+        t = np.nan_to_num(tbar * (GRID_SIZE / tau_star[idx]))
+        below = np.clip(np.ceil(t) - 1.0, 0, GRID_SIZE - 1).astype(np.intp)
+        ends = np.cumsum(counts)
+        top = (q_star + counts).astype(float)
+    full = guards = 0
+    m = np.arange(1, GRID_SIZE)
     for lo in range(0, n, CHUNK_CONTENTS):
-        ids = np.arange(lo, min(lo + CHUNK_CONTENTS, n))
-        tau = np.arange(1, GRID_SIZE) * (tau_star[ids, None] / GRID_SIZE)
+        ids = slice(lo, min(lo + CHUNK_CONTENTS, n))
+        size = ids.stop - lo
+        tau = m * (tau_star[ids, None] / GRID_SIZE)
         c = None
         if window:
-            c = np.empty(tau.shape)
-            for r, i in enumerate(ids):
-                asc = tbar[i][::-1]
-                c[r] = q_star[i] + len(asc) - np.searchsorted(asc, tau[r], side="right")
-        kc = k.take(ids)
-        x, n_full = _cached_gaps(kc, tau, c)
-        fallback += n_full
-        p, cal, I = (a[:, None] for a in (kc.p, kc.c_alam, kc.I))
-        w[ids, 1:-1] = np.minimum(p * cal * gap_value(np.maximum(x, 0.0)), I)
-    return w, fallback
+            # c at point m: Q_star and the breakpoints with below_j >= m,
+            # which are all the content's but those with below_j < m
+            js = slice(ends[lo] - counts[lo], ends[ids.stop - 1])
+            c = top[ids, None] - np.bincount(
+                (idx[js] - lo) * GRID_SIZE + below[js], minlength=size * GRID_SIZE
+            ).reshape(size, GRID_SIZE)[:, :-1].cumsum(1, dtype=float)
+        kc = ContentConstants(k.beta, k.rows[:, ids], k.q_hat[ids])
+        x, (n_full, n_guard) = _cached_gaps(kc, tau, c)
+        full += n_full
+        guards += n_guard
+        np.minimum(kc.pc[:, None] * gap_value(np.maximum(x, 0.0)), kc.I[:, None],
+                   out=w[ids, 1:-1])
+    return w, (full, guards)
 
 
 def _cached_gaps(k: ContentConstants, tau: np.ndarray,
-                 c: np.ndarray | None) -> tuple[np.ndarray, int]:
+                 c: np.ndarray | None) -> tuple[np.ndarray, tuple[int, int]]:
     """The gap x of the cached index at each serve threshold ``tau[i]`` of
-    content i of ``k``, from the pair at the predicted ``Q_bar`` ``c`` (see
-    ``cached_index_rows``), and how many taus it left to the full-width
-    scan; ``c=None`` scans every tau at full width."""
+    content i of ``k``, from the predicted ``Q_bar`` ``c`` (nonincreasing
+    along each row) and, next to its cell's lower edge, its guard (see
+    ``cached_index_rows``); and how many taus it left to the full-width
+    scan and how many evaluated their guard.  ``c=None`` scans every tau
+    at full width."""
+    rows = tuple(a[:, None] for a in (k.p, k.c_alam, k.c_f, k.c_w))
+    guards = 0
     if c is None:
         decided, x = np.zeros(tau.shape, dtype=bool), np.empty(tau.shape)
     else:
-        q = np.stack([c - 1.0, c])  # the guard, then the candidate
-        x, v, ok = _omega_candidates(*(a[:, None] for a in (k.p, k.c_alam, k.c_f, k.c_w)),
-                                     k.beta, tau, np.maximum(q, 0.0), wright_omega)
-        decided = window_consistent(v, q, ok)
-        x = x[1]
-    fallback = 0
+        x, v, decided = _omega_candidates(*rows, k.beta, tau, c, wright_omega)
+        v -= c
+        decided &= (v >= 0.0) & (v < 1.0)  # the candidate hits its cell
+        # the margin, at its largest along each row: 1e-6 of v's size and
+        # 1e-12 of p*beta*c_f/c_w, which bounds the rounding of x's terms in v
+        margin = 1e-6 * (c[:, 0] + 1.0 + k.r * tau[:, -1]) + 1e-12 * k.r_cw * k.c_f
+        near = decided & (c > 0.0) & (v < margin[:, None])
+        if near.any():
+            near = near.nonzero()
+            q = np.stack([c[near] - 1.0, c[near]])  # the guard, then the candidate
+            _, vg, okg = _omega_candidates(*(a[near[0], 0] for a in rows), k.beta, tau[near],
+                                           q[0], wright_omega)
+            decided[near] = window_consistent(np.stack([vg, v[near] + q[1]]), q,
+                                              np.stack([okg, np.ones(q.shape[1], bool)]))
+            guards = q.shape[1]
+    full = 0
     for i in np.flatnonzero(~decided.all(-1)):
         rest = np.flatnonzero(~decided[i])
         x[i, rest] = _omega_full_width(k.p[i], k.c_alam[i], k.c_f[i], k.c_w[i], k.beta,
                                        int(k.q_hat[i]), tau[i, rest], wright_omega)
-        fallback += rest.size
-    return x, fallback
+        full += rest.size
+    return x, (full, guards)
 
 
 def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
@@ -250,31 +306,91 @@ def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
         return 0.0
     if Q >= ts.Q_hat:
         return ts.I
-    return float(_bisect(k, np.array([Q]))[0])
+    return float(_bisect(k, np.array([Q]))[0][0])
 
 
-def _bisect(k: ContentConstants, q: np.ndarray, window: bool = True) -> np.ndarray:
+def _bisect(k: ContentConstants, q: np.ndarray,
+            window: bool = True) -> tuple[np.ndarray, tuple[int, int, int]]:
     """The smallest C_h at which ``Q_bar`` exceeds q, per (content of k,
-    q) pair with ``Q_star <= q < Q_hat``, by bisection: each step solves
-    case 2 by ``case2``, or with ``window=False`` by the full-width
-    ``case2_batch``."""
-    solve = case2 if window else case2_batch
-    lo, hi = np.zeros(len(q)), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
-    for _ in range(BISECT_ITERS if len(q) else 0):
+    q) pair with ``Q_star <= q < Q_hat``: the midpoint of the bracket that
+    ``BISECT_ITERS`` halvings of ``[0, I]`` leave, and how many ``case2``
+    rounds and rows it took and how many pairs ran the plain bisection.
+
+    With ``window=False`` every step of every pair solves case 2 by the
+    full-width ``case2_batch``.  Otherwise the steps are replayed from a
+    band around ``thresholds.breakpoint_estimate``'s root, ``[L, U]``,
+    that two ``case2`` rounds confirm (``Q_bar(L) <= q < Q_bar(U)``): a
+    step whose midpoint lies outside the band, or on an end of the
+    bracket that an earlier step decided, is decided without a call, as
+    ``Q_bar`` is nondecreasing in C_h; only the steps inside the band call
+    ``case2``.  The arithmetic is the plain bisection's, ``0.5*(lo+hi)``,
+    so the brackets are its own bit for bit.  Each round solves every
+    pair's next step that needs a call, whatever its step number, so the
+    rounds are as many as the most calls one pair needs.  A pair whose
+    band ``case2`` does not confirm runs the plain bisection."""
+    n = len(q)
+    lo, hi = np.zeros(n), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
+    if not window:
+        for _ in range(BISECT_ITERS if n else 0):
+            mid = 0.5 * (lo + hi)
+            above = case2_batch(mid, k)[2] > q
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        return 0.5 * (lo + hi), (BISECT_ITERS if n else 0, BISECT_ITERS * n, n)
+    # [L, U]: Q_bar(C_h) <= q for C_h <= L and > q for C_h >= U; the plain
+    # bisection's is [0, inf), and hi = I is not yet a decided end
+    L, U = np.zeros(n), np.full(n, np.inf)
+    rounds = rows = 0
+    if n:
+        root, err = breakpoint_estimate(k, q)
+        half = BAND_ERRORS * err
+        band = np.stack([root - half, root + half])
+        i = ((band[0] > 0.0) & (band[1] < k.I)).nonzero()[0]
+        rounds, rows = 2, 2 * i.size
+        try:
+            ki = k.take(i)
+            ok = (case2(band[0, i], ki)[2] <= q[i]) & (case2(band[1, i], ki)[2] > q[i])
+            L[i[ok]], U[i[ok]] = band[0, i[ok]], band[1, i[ok]]
+        except ConsistencyError:
+            pass  # every pair runs the plain bisection, which raises where it must
+    plain = n - int(np.isfinite(U).sum())
+    # lo <= L < U <= hi throughout: a step whose midpoint is not inside
+    # (L, U) is decided, and one whose midpoint is an end leaves the bracket
+    # as it is from then on
+    step = np.zeros(n, dtype=np.int64)
+    while True:
         mid = 0.5 * (lo + hi)
-        above = solve(mid, k)[2] > q
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
+        below, above = mid <= L, mid >= U
+        move = (below & (mid != lo)) | (above & (mid != hi))
+        if move.any():
+            lo, hi = np.where(move & below, mid, lo), np.where(move & above, mid, hi)
+            step += move
+        else:
+            ask = (~(below | above)).nonzero()[0]
+            if not ask.size:
+                break
+            mid = mid[ask]
+            yes = case2(mid, k.take(ask))[2] > q[ask]
+            hi[ask[yes]] = U[ask[yes]] = mid[yes]
+            lo[ask[~yes]] = L[ask[~yes]] = mid[~yes]
+            step[ask] += 1
+            rounds, rows = rounds + 1, rows + ask.size
+        end = (step == BISECT_ITERS).nonzero()[0]
+        if end.size:  # the last step taken: the bracket closes on its midpoint
+            lo[end] = hi[end] = L[end] = U[end] = 0.5 * (lo[end] + hi[end])
+            step[end] += 1
+    return 0.5 * (lo + hi), (rounds, rows, plain)
 
 
 def _breakpoints(k: ContentConstants, q_star: np.ndarray,
-                 window: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                 window: bool = True) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
     """``uncached_breakpoints`` of the contents of ``k``, given their
-    ``Q_star``: flat, in content order, with how many each content has."""
+    ``Q_star``: flat, in content order, with how many each content has,
+    and ``_bisect``'s counts."""
     counts = np.maximum(k.q_hat - q_star, 0)
     idx, j = _groups(counts)
-    return _bisect(k.take(idx), q_star[idx] + j, window), counts
+    bps, done = _bisect(k.take(idx), q_star[idx] + j, window)
+    return bps, counts, done
 
 
 def _groups(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +406,7 @@ def uncached_breakpoints(contents: Sequence[ContentParams],
     each such Q the smallest C_h at which Q_bar exceeds Q, from one
     bisection run on every (content, Q) pair at once."""
     k = content_constants(contents, beta)
-    w, counts = _breakpoints(k, zero_holding_batch(k)[2])
+    w, counts, _ = _breakpoints(k, zero_holding_batch(k)[2])
     return [tuple(b.tolist()) for b in np.split(w, np.cumsum(counts)[:-1])]
 
 
@@ -534,30 +650,43 @@ def _guide_table(cum_p: np.ndarray) -> np.ndarray:
     return guide
 
 
+class BuildCounts(NamedTuple):
+    """What one ``build_index_tables`` call did, as a run's manifest
+    records it: its seconds, and the work of its two solvers."""
+
+    seconds: float
+    full_width: int  # grid points that the pair left to the full-width scan
+    guards: int      # grid points that evaluated their guard
+    rounds: int      # case2 rounds of the bisection, the band check's two included
+    rows: int        # (pair, C_h) rows that those rounds solved
+    plain: int       # pairs that ran the plain bisection
+
+
 def build_index_tables(contents: Sequence[ContentParams], beta: float, indices: bool = True,
-                       window: bool = True) -> tuple[PolicyTables, int]:
+                       window: bool = True) -> tuple[PolicyTables, BuildCounts]:
     """The ``PolicyTables`` of ``contents`` at aggregate rate ``beta``, from
-    one batched bisection and the chunked cached-index build, and how many
-    points of the cached grid fell back to the full-width scan; with
-    ``window=False`` the bisection and every grid point scan at full width
-    (what ``aovcache verify`` compares the windows against).  With
-    ``indices=False`` only the ``C_h = 0`` thresholds are solved, for
-    policies that never evaluate an index: no breakpoints, and rows
-    ``[I, 0]``."""
+    the replayed bisection and the chunked cached-index build, and the
+    build's ``BuildCounts``; with ``window=False`` every bisection step and
+    every grid point scan at full width (what ``aovcache verify`` compares
+    the rest against).  With ``indices=False`` only the ``C_h = 0``
+    thresholds are solved, for policies that never evaluate an index: no
+    breakpoints, and rows ``[I, 0]``."""
+    start = time.perf_counter()
     k = content_constants(contents, beta)
     tau_star, _, q_star, _ = zero_holding_batch(k)
     n = len(tau_star)
     if indices:
-        bps, counts = _breakpoints(k, q_star, window)
-        w_of_tau, n_rows = cached_index_rows(k, tau_star, q_star, bps, counts, window)
+        bps, counts, done = _breakpoints(k, q_star, window)
+        w_of_tau, grid = cached_index_rows(k, tau_star, q_star, bps, counts, window)
     else:
-        bps, counts, n_rows = np.empty(0), np.zeros(n, dtype=np.int64), 0
+        bps, counts, done, grid = np.empty(0), np.zeros(n, dtype=np.int64), (0, 0, 0), (0, 0)
         w_of_tau = np.stack([k.I, np.zeros(n)], axis=1)
     cdbl = np.stack([tau_star, k.I, (w_of_tau.shape[1] - 1) / tau_star, k.c_alam, k.c_f,
                      k.c_w, k.p, k.p * k.c_f, [c.lam for c in contents],
                      [c.costs.c_a for c in contents]], axis=1)
     cint = np.stack([q_star, k.q_hat, np.cumsum(counts) - counts], axis=1)
-    return PolicyTables(tuple(contents), beta, cdbl, cint, bps, w_of_tau), n_rows
+    tables = PolicyTables(tuple(contents), beta, cdbl, cint, bps, w_of_tau)
+    return tables, BuildCounts(time.perf_counter() - start, *grid, *done)
 
 
 def build_content_tables(params: ContentParams, beta: float) -> ContentTables:

@@ -24,7 +24,7 @@ from aovcache.thresholds import (
     relaxed_batch,
     solve_thresholds,
 )
-from aovcache.whittle import build_content_tables, whittle_cached
+from aovcache.whittle import GRID_SIZE, build_content_tables, whittle_cached
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -602,3 +602,51 @@ def test_import_skips_subprocess_and_multiprocessing():
     if compiled != "True":
         pytest.skip("compiled library unavailable")
     assert (sub, multi) == ("False", "False")
+
+
+def test_import_freezes_the_collector():
+    # the imports' objects are frozen once, so neither a collection nor
+    # the process exit walks them again
+    src = Path(aovcache.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import gc, aovcache.cli; print(gc.get_freeze_count())"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert int(res.stdout) > 0
+
+
+class TestBuildCounts:
+    """Every command that builds index tables records the build's seconds
+    and counters in its manifest; on configs/desk.json they pin the
+    solvers' work, so a change that silently re-expands it fails here."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--reps", "1"],
+        ["sweep", "--axis", "M", "--values", "20,25", "--reps", "1"],
+        ["whittle", "--contents", "0,1"],
+    ])
+    def test_manifest_records_the_build(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = json.loads((CONFIGS / "desk.json").read_text())
+        doc["sim"]["horizon_events"] = 20_000
+        cfg = tmp_path / "desk.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        builds = json.loads((out / "manifest.json").read_text())["index_builds"]
+        assert len(builds) == 1
+        b = builds[0]
+        n = 2 if argv[0] == "whittle" else doc["system"]["N"]
+        assert b["seconds"] > 0.0
+        assert b["full_width"] == b["plain"] == 0
+        assert b["guards"] <= 0.01 * n * (GRID_SIZE - 1)
+        # the replayed bisection against the plain one's 60 rounds
+        assert 0 < b["rounds"] <= 30
+        assert b["rows"] > 0
+
+    def test_c_w_sweep_records_each_build(self, desk_cfg, tmp_path, capsys):
+        out = tmp_path / "cw"
+        assert main(["sweep", "--config", desk_cfg, "--out", str(out), "--axis", "c_w",
+                     "--values", "0.01,0.1", "--reps", "1"]) == 0
+        builds = json.loads((out / "manifest.json").read_text())["index_builds"]
+        assert len(builds) == 2
+        assert all(b["rounds"] <= 30 for b in builds)

@@ -7,6 +7,7 @@ derandomized, so every run draws the same cases.
 """
 
 import math
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,7 @@ from aovcache.thresholds import (
     window_consistent,
 )
 from aovcache.whittle import (
+    PolicyTables,
     _cached_gaps,
     _omega_candidates,
     build_index_tables,
@@ -493,3 +495,24 @@ def test_windowed_evaluation_matches_full_width(system, fracs):
             for a, b in zip(pairs, full):
                 assert a.dtype == b.dtype
                 assert_same_bits(a, b)
+
+
+@SETTINGS
+@given(system=box_systems(max_n=5))
+def test_index_tables_match_full_width(system):
+    # the tables from the replayed bisection and the candidate-first grid
+    # against the scan of every candidate at every step and grid point:
+    # every PolicyTables array bit for bit, on ill-conditioned draws too,
+    # where bands fail their check and hits sit at their cell's edge; where
+    # the full scan raises ConsistencyError, so must they
+    full = full_or_error(build_index_tables, system.contents, system.beta, True, False)
+    if full is None:
+        with pytest.raises(ConsistencyError):
+            build_index_tables(system.contents, system.beta)
+        return
+    tables = build_index_tables(system.contents, system.beta)[0]
+    arrays = [f.name for f in fields(PolicyTables)
+              if isinstance(getattr(tables, f.name), np.ndarray)]
+    assert len(arrays) == 7
+    for name in arrays:
+        assert_same_bits(getattr(tables, name), getattr(full[0], name))

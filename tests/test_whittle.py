@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wrightomega
 
-from aovcache import _ckernel, thresholds
+from aovcache import _ckernel, thresholds, whittle
 from aovcache.cli import build_system
 from aovcache.model import SingleContentState
 from aovcache.policies import PolicyTables, build_policy_tables, relaxed_lower_bound
@@ -23,6 +23,7 @@ from aovcache.thresholds import (
 )
 from aovcache.whittle import (
     GRID_SIZE,
+    _cached_gaps,
     _classify_passive,
     build_content_tables,
     build_index_tables,
@@ -215,10 +216,10 @@ class TestContentTables:
         # every field of every table, bit for bit; no point of the cached
         # grid needs the scan
         system = config_system(name)[0]
-        windowed, fallback = build_index_tables(system.contents, system.beta)
+        windowed, counts = build_index_tables(system.contents, system.beta)
         full, scanned = build_index_tables(system.contents, system.beta, window=False)
-        assert fallback == 0
-        assert scanned == system.N * (GRID_SIZE - 1)
+        assert counts.full_width == counts.plain == 0
+        assert scanned.full_width == system.N * (GRID_SIZE - 1)
         assert full.w_of_tau.shape == (system.N, GRID_SIZE + 1)
         arrays = [f.name for f in fields(PolicyTables)
                   if isinstance(getattr(full, f.name), np.ndarray)]
@@ -271,10 +272,54 @@ class TestContentTables:
             flat = np.array([w for b in bps for w in b])
             return cached_index_rows(k, tau_star, q_star, flat, counts)
 
-        rows, fallback = rows_from(bps)
-        moved, moved_fallback = rows_from([b[1:] + (0.0,) * min(len(b), 1) for b in bps])
+        rows, (fallback, _) = rows_from(bps)
+        moved, (moved_fallback, _) = rows_from([b[1:] + (0.0,) * min(len(b), 1) for b in bps])
         assert fallback == 0 < moved_fallback
         assert_same_bits(rows, moved)
+
+    def test_wrong_roots_cost_only_time(self, monkeypatch):
+        # the bisection replays from a band around each breakpoint's closed
+        # form root; roots shifted off the breakpoint fail the band check,
+        # send every pair to the plain bisection and leave the values
+        system = desk_system()
+        tables, counts = build_index_tables(system.contents, system.beta)
+        assert counts.plain == 0 < tables.bps.size
+        estimate = whittle.breakpoint_estimate
+
+        def shifted(k, q):
+            root, err = estimate(k, q)
+            return root * (1.0 + 1e-6), err
+
+        monkeypatch.setattr(whittle, "breakpoint_estimate", shifted)
+        moved, moved_counts = build_index_tables(system.contents, system.beta)
+        assert moved_counts.plain == tables.bps.size
+        assert moved_counts.rounds > counts.rounds
+        assert_same_bits(moved.bps, tables.bps)
+        assert_same_bits(moved.w_of_tau, tables.w_of_tau)
+
+    def test_grid_point_at_a_jump_evaluates_its_guard(self):
+        # just below the serve threshold of each breakpoint Q_bar has
+        # stepped up, and its candidate's floor argument sits at the lower
+        # edge of its cell: there the guard is evaluated, and the value is
+        # the full scan's
+        system = desk_system()
+        k = content_constants(system.contents, system.beta)
+        zero = zero_holding_thresholds(k)
+        tau_star = np.array([ts.tau_star for ts in zero])
+        q_star = np.array([ts.Q_star for ts in zero])
+        bps = uncached_breakpoints(system.contents, system.beta)
+        i = max(range(system.N), key=lambda i: len(bps[i]))
+        b = np.array(bps[i])
+        ki = k.take([i])
+        q = q_star[i] + np.arange(len(b)) + 1.0
+        tbar = thresholds.case2_candidates(b, ki.take(np.zeros(len(b), dtype=int)),
+                                           q[:, None])[0][:, 0]
+        tau = np.concatenate([tbar * (1.0 - m * 2.0 ** -52) for m in (1, 2, 4, 8)])
+        keep = (tau > 0.0) & (tau < tau_star[i])
+        tau, c = tau[keep][None], np.tile(q, 4)[keep][None]
+        x, (_, guards) = _cached_gaps(ki, tau, c)
+        assert guards >= 1
+        assert_same_bits(x, _cached_gaps(ki, tau, None)[0])
 
     @pytest.mark.parametrize("indices", [True, False])
     def test_policy_tables_are_read_only(self, indices):
