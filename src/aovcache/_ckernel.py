@@ -1,11 +1,13 @@
 """Build and load the compiled library: the event loop (``_loop.c``) and
 two special functions (``_special.c``).
 
-The event loop runs every policy in both ageing modes.  It draws each
-event's inter-arrival time with numpy's own ``random_exponential`` and,
-in realized mode, version ages with ``random_poisson``, so the library
-links the static ``libnpyrandom.a`` that numpy ships and compiles
-against the ``numpy/random/bitgen.h`` header from ``numpy.get_include()``.
+The event loop runs every policy in both ageing modes.  It draws
+inter-arrival times in blocks with numpy's own
+``random_standard_exponential_fill`` and, in realized mode, version ages
+one at a time with ``random_poisson``, so the library links the static
+``libnpyrandom.a`` that numpy ships and compiles against the
+``numpy/random/bitgen.h`` header from ``numpy.get_include()``.  Each
+generator goes in as the address of its ``bitgen_t`` (``bitgen``).
 The special functions, ``wright_omega`` and ``lambert_w0``, restate
 scipy.special's real-argument algorithms bit for bit, so that the
 solvers need not import scipy.special (a quarter of a second of every
@@ -53,21 +55,20 @@ NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 KEEP_LIBRARIES = 4  # cached libraries a new build leaves, its own included
 
 _ptr, _int, _dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-# the parameters of event_loop in _loop.c, in order; arrays go in as the
-# addresses that ``address`` checks and returns (numpy's ndpointer types
-# check them on every call, ~5 us per array, ~2 % of a 30k-event run)
+# the parameters of event_loop in _loop.c, in order; arrays go in as
+# addresses (numpy's ndpointer types check them on every call, ~5 us per
+# array, ~2 % of a 30k-event run)
 _ARGTYPES = [
     _int, _int,                      # policy code, realized
     _ptr, _ptr, _ptr,                # bitgen_t of the arrival, pick and age streams
-    _ptr, _ptr, _int,                # cum_p, guide table, its length K
     _int, _dbl,                      # stop_events, stop_time
+    _ptr, _ptr, _int,                # cum_p, guide table, its length K
     _ptr, _ptr, _ptr,                # per-content doubles and ints, breakpoints
     _ptr, _ptr, _int, _dbl,          # w_of_tau rows, their prefix minima, stride, beta
-    _ptr, _ptr, _ptr,                # queue, fetch_time, waited
-    _ptr, _ptr,                      # aov, aov_time
-    _ptr, _ptr, _int,                # slot_of, slots, m
-    _ptr,                            # scratch, SCRATCH_WORDS * m doubles
-    _ptr, _ptr,                      # running totals
+    _ptr, _ptr, _ptr, _ptr, _ptr,    # int64: queue, aov, slot_of, slots, counts
+    _ptr, _ptr, _ptr,                # float64: fetch_time, aov_time, running totals
+    _ptr,                            # scratch, 2 * BLOCK + SCRATCH_WORDS * m doubles
+    _ptr, _int,                      # waited, m
 ]
 
 
@@ -78,6 +79,20 @@ def address(a: np.ndarray, dtype) -> int:
         raise TypeError(f"the kernel needs a C-contiguous {np.dtype(dtype)} array, "
                         f"got {a.dtype}")
     return a.ctypes.data
+
+
+# PyCapsule_GetPointer, declared on a function object of this module's own
+# rather than on the ctypes.pythonapi attribute that every user shares
+_capsule_pointer = ctypes.PYFUNCTYPE(_ptr, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def bitgen(rng: np.random.Generator) -> int:
+    """The address of the ``bitgen_t`` of ``rng``'s bit generator, for a
+    generator parameter of the kernel; ``rng`` must outlive its use.  The
+    capsule costs a fraction of ``bit_generator.ctypes``, which builds four
+    function pointers per generator."""
+    return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
 
 
 def cache_dir() -> Path:
@@ -169,6 +184,10 @@ def _declare_special(lib):
 
 _lib = _open()
 event_loop = None if _lib is None else _event_loop(_lib)
+# the event loop's scratch layout (_loop.c): 2 * BLOCK doubles of draws,
+# then SCRATCH_WORDS doubles per cache slot
+BLOCK, SCRATCH_WORDS = (None, None) if _lib is None else (
+    ctypes.c_int64.in_dll(_lib, name).value for name in ("block_draws", "scratch_words"))
 # the library as the provider of wright_omega and lambert_w0; None sends
 # both to scipy.special
 special = None if _lib is None else _declare_special(_lib)

@@ -2,19 +2,20 @@
  * myopic, static top-M, infinite capacity) in both ageing modes.
  *
  * simulator._compiled_loop calls event_loop once up to the warmup point
- * and once more to the horizon; all state lives in numpy arrays.  Each
- * event draws its inter-arrival time and its content from the run's own
- * generators, with numpy's own samplers, so the draws are those the
- * reference loop (simulator._reference_loop, which steps
+ * and once more to the horizon; all state lives in numpy arrays.  The
+ * loop draws inter-arrival times and content uniforms from the run's own
+ * generators in blocks of BLOCK, with numpy's own samplers, so the draws
+ * are those the reference loop (simulator._reference_loop, which steps
  * model.CacheSystemState through the decision rules of policies.py) takes
  * from Generator.exponential and Generator.random.  Every float operation
  * keeps the order of the reference loop, and the build turns off FMA
  * contraction, so the two loops give bit-identical metrics
  * (tests/test_simulator.py runs them in lockstep).
  *
- * Realized-mode version ages are drawn with numpy's own random_poisson
- * (linked from numpy's libnpyrandom.a) on the bitgen_t of the run's
- * version-age generator, so they are the draws Generator.poisson makes.
+ * Realized-mode version ages are drawn one at a time with numpy's own
+ * random_poisson (linked from numpy's libnpyrandom.a) on the bitgen_t of
+ * the run's version-age generator, so they are the draws
+ * Generator.poisson makes.
  */
 #include <limits.h>
 #include <math.h>
@@ -25,7 +26,8 @@
 
 /* numpy/random/distributions.h declares these too, but includes Python.h */
 extern int64_t random_poisson(bitgen_t *bitgen_state, double lam);
-extern double random_exponential(bitgen_t *bitgen_state, double scale);
+extern void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt,
+                                             double *out);
 
 /* Generator.poisson rejects lam above this (numpy/random/_common.pyx) */
 #define POISSON_LAM_MAX ((double)LONG_MAX - sqrt((double)LONG_MAX) * 10.0)
@@ -41,7 +43,14 @@ enum { Q_STAR, Q_HAT, BP_OFF, N_CINT };
 /* running totals; the first six doubles and the first two counts, in
  * this order, form the warmup snapshot */
 enum { T, GRAND, Q_INTEGRAL, WAIT_COST, FETCH_COST, AGEING_COST, WQ_RATE, N_ACC };
-enum { FETCHES, EVENTS, VIOLATIONS, TOTAL_Q, N_CNT };
+/* BUFFERED counts the drawn events not yet run */
+enum { FETCHES, EVENTS, VIOLATIONS, TOTAL_Q, BUFFERED, N_CNT };
+
+/* Draws per block.  An event-horizon run draws no event beyond its stop;
+ * a time-horizon run draws up to BLOCK - 1 events ahead of its last.
+ * Blocks of 64 and 1024 ran within the host's noise of 256 (Whittle and
+ * static top-M, 20 runs of 30k events on paper.json's costs at N=100). */
+#define BLOCK 256
 
 /* Content pick: the inverse CDF of the popularity by a guide table (Chen &
  * Asau 1974, "On generating random variates from an empirical
@@ -135,6 +144,11 @@ struct rank {
 _Static_assert(sizeof(struct slot) + sizeof(struct rank) == SCRATCH_WORDS * sizeof(double),
                "a slot takes SCRATCH_WORDS words of scratch");
 
+/* the scratch layout, for simulator._compiled_loop, which allocates it:
+ * 2 * block_draws doubles of draws, then scratch_words per slot */
+const int64_t block_draws = BLOCK;
+const int64_t scratch_words = SCRATCH_WORDS;
+
 /* The horizon is this many mean inter-arrival times ahead.  A longer one
  * loosens the bounds, so more keys are evaluated per scan, but recomputes
  * and re-sorts the m bounds less often.  Evaluations per scan grew about
@@ -208,29 +222,44 @@ static inline int64_t position(const struct rank *order, int64_t s, int64_t k)
     return k;
 }
 
+/* Fills dts and us with n draws: inter-arrival times, each the standard
+ * exponential times invb (the product random_exponential forms, so that
+ * Generator.exponential(invb) makes the same), and the content picks'
+ * uniforms (Generator.random's). */
+static void draw_block(bitgen_t *arrivals, bitgen_t *picks, double invb,
+                       double *dts, double *us, int64_t n)
+{
+    random_standard_exponential_fill(arrivals, n, dts);
+    for (int64_t i = 0; i < n; i++) {
+        dts[i] *= invb;
+        us[i] = picks->next_double(picks->state);
+    }
+}
+
 /* One loop body, specialised by the constant policy and ageing mode that
  * event_loop passes in, so each combination compiles to its own loop. */
 static inline __attribute__((always_inline)) int64_t
 run_events(const int policy, const int realized,
            bitgen_t *arrivals, bitgen_t *picks, bitgen_t *ages,
-           const double *cum_p, const int64_t *guide, int64_t k,
            int64_t stop_events, double stop_time,
+           const double *cum_p, const int64_t *guide, int64_t k,
            const double *cdbl, const int64_t *cint, const double *bps,
            const double *w_of_tau, const double *w_low, int64_t stride, double beta,
-           int64_t *queue, double *fetch_time, uint8_t *waited,
-           int64_t *aov, double *aov_time,
-           int64_t *slot_of, int64_t *slots, int64_t m, double *scratch,
-           double *acc, int64_t *cnt)
+           int64_t *queue, int64_t *aov, int64_t *slot_of, int64_t *slots, int64_t *cnt,
+           double *fetch_time, double *aov_time, double *acc, double *scratch,
+           uint8_t *waited, int64_t m)
 {
     double t = acc[T], grand = acc[GRAND], q_integral = acc[Q_INTEGRAL];
     double wait_cost = acc[WAIT_COST], fetch_cost = acc[FETCH_COST];
     double ageing_cost = acc[AGEING_COST], wq_rate = acc[WQ_RATE];
     int64_t fetches = cnt[FETCHES], events = cnt[EVENTS];
     int64_t violations = cnt[VIOLATIONS], total_q = cnt[TOTAL_Q];
+    int64_t buffered = cnt[BUFFERED];
     const double invb = 1.0 / beta;  /* the mean inter-arrival time */
     int64_t status = STOPPED;
+    double *dts = scratch, *us = scratch + BLOCK;
     /* the Whittle scan's state: m slots, then their order by lb */
-    struct slot *rec = (struct slot *)scratch;
+    struct slot *rec = (struct slot *)(scratch + 2 * BLOCK);
     struct rank *order = (struct rank *)(rec + m);
     double horizon = -INFINITY;  /* every lb is stale until the first scan */
     if (policy == WHITTLE) {
@@ -243,8 +272,14 @@ run_events(const int policy, const int realized,
     }
 
     while (events < stop_events && t < stop_time) {
-        double dt = random_exponential(arrivals, invb);
-        int64_t r = pick(cum_p, guide, k, picks->next_double(picks->state));
+        if (!buffered) {
+            buffered = stop_events - events < BLOCK ? stop_events - events : BLOCK;
+            draw_block(arrivals, picks, invb, dts + BLOCK - buffered, us + BLOCK - buffered,
+                       buffered);
+        }
+        double dt = dts[BLOCK - buffered];
+        int64_t r = pick(cum_p, guide, k, us[BLOCK - buffered]);
+        buffered--;
         const double *cd = cdbl + r * N_CDBL;
         const int64_t *ci = cint + r * N_CINT;
         if (total_q) {
@@ -438,34 +473,39 @@ run_events(const int policy, const int realized,
     cnt[EVENTS] = events;
     cnt[VIOLATIONS] = violations;
     cnt[TOTAL_Q] = total_q;
+    cnt[BUFFERED] = buffered;
     return status;
 }
 
 #define RUN(policy, realized) \
-    run_events(policy, realized, arrivals, picks, ages, cum_p, guide, k, \
-               stop_events, stop_time, \
-               cdbl, cint, bps, w_of_tau, w_low, stride, beta, queue, fetch_time, waited, \
-               aov, aov_time, slot_of, slots, m, scratch, acc, cnt)
+    run_events(policy, realized, arrivals, picks, ages, stop_events, stop_time, \
+               cum_p, guide, k, cdbl, cint, bps, w_of_tau, w_low, stride, beta, \
+               queue, aov, slot_of, slots, cnt, fetch_time, aov_time, acc, scratch, \
+               waited, m)
 #define RUN_MODES(policy) (realized ? RUN(policy, 1) : RUN(policy, 0))
 
-/* Runs events, each with one draw from arrivals and one from picks, until
- * events >= stop_events or t >= stop_time.  Returns STOPPED,
- * OCCUPANCY_ERROR if an admission found the cache inconsistent (a victim
- * not cached, or a requester already cached), or POISSON_DOMAIN_ERROR if
- * a version-age draw had lam above what Generator.poisson accepts.
- * cum_p and guide (k entries) are the content pick's tables.  The cache
- * is slots[0..m-1]; slot_of[id] is id's slot, or -1.  ages is read only
- * in realized mode. */
+/* Runs events until events >= stop_events or t >= stop_time.  Returns
+ * STOPPED, OCCUPANCY_ERROR if an admission found the cache inconsistent
+ * (a victim not cached, or a requester already cached), or
+ * POISSON_DOMAIN_ERROR if a version-age draw had lam above what
+ * Generator.poisson accepts.  cum_p and guide (k entries) are the content
+ * pick's tables.  The cache is slots[0..m-1]; slot_of[id] is id's slot,
+ * or -1.  ages is read only in realized mode.
+ *
+ * Events are drawn from arrivals and picks in blocks of at most BLOCK
+ * and at most stop_events - events, into the first 2 * BLOCK doubles of
+ * scratch.  A block is written to the end of its buffer, and
+ * cnt[BUFFERED] counts its events not yet run, so a block drawn before
+ * a stop is run after it by the next call of the same run. */
 int64_t event_loop(int64_t policy, int64_t realized,
                    bitgen_t *arrivals, bitgen_t *picks, bitgen_t *ages,
-                   const double *cum_p, const int64_t *guide, int64_t k,
                    int64_t stop_events, double stop_time,
+                   const double *cum_p, const int64_t *guide, int64_t k,
                    const double *cdbl, const int64_t *cint, const double *bps,
                    const double *w_of_tau, const double *w_low, int64_t stride,
-                   double beta, int64_t *queue, double *fetch_time, uint8_t *waited,
-                   int64_t *aov, double *aov_time,
-                   int64_t *slot_of, int64_t *slots, int64_t m, double *scratch,
-                   double *acc, int64_t *cnt)
+                   double beta, int64_t *queue, int64_t *aov, int64_t *slot_of,
+                   int64_t *slots, int64_t *cnt, double *fetch_time, double *aov_time,
+                   double *acc, double *scratch, uint8_t *waited, int64_t m)
 {
     switch (policy) {
     case WHITTLE:

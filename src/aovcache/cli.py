@@ -343,13 +343,27 @@ def _metric_rows(cells, policy: str | None) -> list[list]:
     ]
 
 
+def _recorded_sweep(rep: Reporter, cfg: SimConfig, axis: str, values, reps: int,
+                    processes) -> list:
+    """``sweep``'s cells; the manifest gets its table builds as
+    ``index_builds`` and a summary of its runs as ``runs``: their count,
+    events, seconds (the sweep's less its builds') and events per second."""
+    builds = []
+    start = time.perf_counter()
+    cells = sweep(cfg, axis, values, reps, processes=processes, builds=builds)
+    seconds = time.perf_counter() - start - sum(b.seconds for b in builds)
+    events = sum(c.metrics.event_count for c in cells)
+    rep.manifest["index_builds"] = [b._asdict() for b in builds]
+    rep.manifest["runs"] = {"count": len(cells), "events": events, "seconds": seconds,
+                            "events_per_s": events / seconds}
+    return cells
+
+
 def cmd_simulate(doc: dict, args) -> int:
     system = build_system(doc)
     cfg, reps, processes = _run_config(doc, system, args, 1)
     rep = Reporter(args.out, doc, cfg.seed)
-    builds = []
-    cells = sweep(cfg, "M", [system.M], reps, processes=processes, builds=builds)
-    rep.manifest["index_builds"] = [b._asdict() for b in builds]
+    cells = _recorded_sweep(rep, cfg, "M", [system.M], reps, processes)
     rep.table("metrics.csv", _METRIC_HEADER, _metric_rows(cells, cfg.policy.value))
     rep.close()
     return 0
@@ -370,9 +384,7 @@ def cmd_sweep(doc: dict, args) -> int:
     elif axis != "policy":
         raise ConfigError(f"unknown sweep axis {axis!r}")
     rep = Reporter(args.out, doc, cfg.seed)
-    builds = []
-    cells = sweep(cfg, axis, values, reps, processes=processes, builds=builds)
-    rep.manifest["index_builds"] = [b._asdict() for b in builds]
+    cells = _recorded_sweep(rep, cfg, axis, values, reps, processes)
     rep.table("metrics.csv", _METRIC_HEADER,
               _metric_rows(cells, None if axis == "policy" else cfg.policy.value))
     rep.close()

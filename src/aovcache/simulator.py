@@ -8,15 +8,17 @@ content selection, version-age realization -- so expected-mode and
 realized-mode runs share the same arrival sample path.
 
 Every policy in both ageing modes runs in a compiled C loop
-(``_loop.c``, loaded by ``_ckernel``) that draws every event itself:
-the inter-arrival time by numpy's own exponential sampler, the content
-by a guide-table inverse CDF of a numpy uniform, and realized-mode
-version ages by numpy's own Poisson sampler, each on its run's
-generator.  ``_reference_loop`` is the specification and the fallback
-where the kernel cannot be built: it takes the same draws from
-``Generator`` batches (``_batches``), steps a ``CacheSystemState``
-through its ``apply_*`` transitions and decides with the public
-``*_decide`` rules of ``policies``.  Its cache is a set, since no rule
+(``_loop.c``, loaded by ``_ckernel``) that draws the events itself, on
+its run's generators: inter-arrival times by numpy's own exponential
+sampler and the contents' uniforms in blocks of ``_ckernel.BLOCK``, the
+content by a guide-table inverse CDF of its uniform, and realized-mode
+version ages one at a time by numpy's own Poisson sampler.  A block
+drawn before the warmup stop is run after it, and an event horizon is
+drawn no further than its stops.  ``_reference_loop`` is the
+specification and the fallback where the kernel cannot be built: it
+takes the same draws from ``Generator`` batches (``_batches``), steps a
+``CacheSystemState`` through its ``apply_*`` transitions and decides
+with the public ``*_decide`` rules of ``policies``.  Its cache is a set, since no rule
 depends on the order of the cached copies; an infinite cache holds all N
 contents.  The two loops give bit-identical
 metrics: a lockstep test in ``tests/test_simulator.py`` pins them
@@ -46,6 +48,7 @@ from a run whose occupancy held at every epoch.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -235,12 +238,40 @@ def _metrics(end, snap, violations) -> SimMetrics:
 # indices into the compiled loop's running totals, its policy codes and
 # its error statuses (enums in _loop.c)
 _T, _N_ACC = 0, 7
-_EVENTS, _VIOLATIONS, _N_CNT = 1, 2, 4
+_EVENTS, _VIOLATIONS, _N_CNT = 1, 2, 5
 _POLICY_CODE = {PolicyKind.WHITTLE: 0, PolicyKind.MYOPIC: 1,
                 PolicyKind.STATIC_TOP_M: 2, PolicyKind.INFINITE_CAPACITY: 3}
 _OCCUPANCY_ERROR, _POISSON_DOMAIN_ERROR = -1, -2
 _NO_LIMIT = 2**63 - 1
-_SCRATCH_WORDS = 7  # the kernel's scratch doubles per slot (SCRATCH_WORDS in _loop.c)
+
+# the kernel's table arguments of each PolicyTables, taken once per tables
+_table_args = weakref.WeakKeyDictionary()
+
+
+def _kernel_tables(tables: PolicyTables) -> tuple:
+    """The kernel's arguments from ``cum_p`` to ``beta`` for ``tables``."""
+    args = _table_args.get(tables)
+    if args is None:
+        f64, i64, ptr = np.float64, np.int64, _ckernel.address
+        args = _table_args[tables] = (
+            ptr(tables.cum_p, f64), ptr(tables.guide, i64), len(tables.guide),
+            ptr(tables.cdbl, f64), ptr(tables.cint, i64), ptr(tables.bps, f64),
+            ptr(tables.w_of_tau, f64), ptr(tables.w_low, f64), tables.w_of_tau.shape[1],
+            tables.beta)
+    return args
+
+
+def _block(dtype, sizes):
+    """One zeroed block of ``dtype`` cut into arrays of ``sizes``, and the
+    addresses of those arrays."""
+    block = np.zeros(sum(sizes), dtype)
+    start, itemsize = _ckernel.address(block, dtype), block.itemsize
+    views, addresses, at = [], [], 0
+    for size in sizes:
+        views.append(block[at:at + size])
+        addresses.append(start + at * itemsize)
+        at += size
+    return views, addresses
 
 
 def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
@@ -252,29 +283,20 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
     loop."""
     system = config.system
     n, m = system.N, system.M
+    (_, _, slot_of, slots, cnt), ints = _block(np.int64, (n, n, n, m, _N_CNT))
+    (_, _, acc, _), dbls = _block(
+        np.float64, (n, n, _N_ACC, 2 * _ckernel.BLOCK + _ckernel.SCRATCH_WORDS * m))
+    waited = np.zeros(n, dtype=np.uint8)
     # under infinite capacity every content counts as cached and the
     # kernel reads no slot
-    slots = np.array(sorted(_top_m_ids(tables.cdbl[:, P], m)), dtype=np.int64)
-    slot_of = np.full(n, -1, dtype=np.int64)
+    slots[:] = sorted(_top_m_ids(tables.cdbl[:, P], m))
+    slot_of[:] = -1
     slot_of[slots] = np.arange(m)
-    scratch = np.empty(_SCRATCH_WORDS * m)
-    queue = np.zeros(n, dtype=np.int64)
-    fetch_time = np.zeros(n)
-    waited = np.zeros(n, dtype=np.uint8)
-    aov = np.zeros(n, dtype=np.int64)
-    aov_time = np.zeros(n)
-    acc = np.zeros(_N_ACC)
-    cnt = np.zeros(_N_CNT, dtype=np.int64)
     realized = config.ageing_mode is AgeingMode.REALIZED
-    bitgens = [g.bit_generator.ctypes.bit_generator for g in rngs]
+    bitgens = [_ckernel.bitgen(g) for g in rngs]
     policy = _POLICY_CODE[config.policy]
-    f64, i64, ptr = np.float64, np.int64, _ckernel.address
-    pick = (ptr(tables.cum_p, f64), ptr(tables.guide, i64), len(tables.guide))
-    state = (ptr(tables.cdbl, f64), ptr(tables.cint, i64), ptr(tables.bps, f64),
-             ptr(tables.w_of_tau, f64), ptr(tables.w_low, f64), tables.w_of_tau.shape[1],
-             tables.beta, ptr(queue, i64), ptr(fetch_time, f64), ptr(waited, np.uint8),
-             ptr(aov, i64), ptr(aov_time, f64), ptr(slot_of, i64), ptr(slots, i64), m,
-             ptr(scratch, f64), ptr(acc, f64), ptr(cnt, i64))
+    state = (*_kernel_tables(tables), *ints, *dbls,
+             _ckernel.address(waited, np.uint8), m)
 
     def totals():
         return (*acc[:6].tolist(), *cnt[:2].tolist())
@@ -288,7 +310,7 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
             if warm_events is not None:
                 stop_events = min(stop_events, warm_events)
             stop_time = min(stop_time, warm_time)
-        status = kernel(policy, realized, *bitgens, *pick, stop_events, stop_time, *state)
+        status = kernel(policy, realized, *bitgens, stop_events, stop_time, *state)
         if status == _OCCUPANCY_ERROR:
             raise SimulationError(f"occupancy violated at event {cnt[_EVENTS]}")
         if status == _POISSON_DOMAIN_ERROR:

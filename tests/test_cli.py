@@ -618,7 +618,8 @@ def test_import_freezes_the_collector():
 class TestBuildCounts:
     """Every command that builds index tables records the build's seconds
     and counters in its manifest; on configs/desk.json they pin the
-    solvers' work, so a change that silently re-expands it fails here."""
+    solvers' work, so a change that silently re-expands it fails here.
+    ``simulate`` and ``sweep`` also record a summary of their runs."""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--reps", "1"],
@@ -642,6 +643,23 @@ class TestBuildCounts:
         # the replayed bisection against the plain one's 60 rounds
         assert 0 < b["rounds"] <= 30
         assert b["rows"] > 0
+
+    @pytest.mark.parametrize("argv, runs", [
+        (["simulate", "--reps", "2"], 2),
+        (["sweep", "--axis", "M", "--values", "20,25", "--reps", "2"], 4),
+    ], ids=["simulate", "sweep"])
+    def test_manifest_records_the_runs(self, argv, runs, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = json.loads((CONFIGS / "desk.json").read_text())
+        doc["sim"]["horizon_events"] = 20_000
+        cfg = tmp_path / "desk.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["runs"]
+        assert summary["count"] == runs
+        assert summary["events"] == runs * 20_000
+        assert summary["seconds"] > 0.0
+        assert summary["events_per_s"] == pytest.approx(summary["events"] / summary["seconds"])
 
     def test_c_w_sweep_records_each_build(self, desk_cfg, tmp_path, capsys):
         out = tmp_path / "cw"

@@ -174,6 +174,10 @@ def lockstep_tables():
             for name, make in LOCKSTEP_SYSTEMS.items()}
 
 
+# the kernel's draws per block (test_one_draw_per_event_from_each_stream
+# checks it)
+BLOCK = 256
+
 # a popularity summing to 1 + 6e-10, which validation accepts: its
 # cumsum passes 1.0 before the last entry, which the clamp sets below it
 OVERSHOOT = [0.25, 0.5, 0.25 + 5e-10, 1e-10]
@@ -203,7 +207,11 @@ class TestCompiledLoop:
         dict(horizon_events=20_000),
         dict(horizon_time=2_000.0),
         dict(horizon_events=20_000, warmup=0.0),
-    ], ids=["events", "time", "no-warmup"])
+        # a block ends at the warmup stop, event BLOCK, and at the horizon
+        dict(horizon_events=10 * BLOCK),
+        # the whole run is shorter than one block
+        dict(horizon_events=BLOCK // 2),
+    ], ids=["events", "time", "no-warmup", "block-edges", "short"])
     def test_bit_identical_to_python_loop(self, monkeypatch, lockstep_tables,
                                           name, horizon):
         system, tables = lockstep_tables[name]
@@ -337,8 +345,11 @@ class TestCompiledLoop:
                                          dict(horizon_time=2_000.0)],
                              ids=["events", "time"])
     def test_one_draw_per_event_from_each_stream(self, monkeypatch, desk, horizon):
-        # the kernel draws each event's arrival and content itself: no
-        # batch is drawn and no value is drawn ahead
+        # the kernel draws the events' arrivals and contents itself, in
+        # blocks: no numpy batch is drawn.  An event horizon is drawn up
+        # to its stops and no further; a time horizon draws whole blocks,
+        # so its streams stop at the end of the last block it began
+        assert _ckernel.BLOCK == BLOCK
         system, tables = desk
         fresh = [np.random.default_rng(s) for s in np.random.SeedSequence(6).spawn(2)]
 
@@ -349,10 +360,11 @@ class TestCompiledLoop:
         made = _rngs_of(monkeypatch)
         cfg = SimConfig(system=system, policy=PolicyKind.STATIC_TOP_M, seed=6, **horizon)
         events = run(cfg, tables).event_count
+        drawn = events if "horizon_events" in horizon else BLOCK * -(-events // BLOCK)
         arr_rng, pick_rng, _ = made
         mean_dt = 1.0 / system.beta
-        assert arr_rng.exponential(mean_dt) == fresh[0].exponential(mean_dt, events + 1)[-1]
-        assert pick_rng.random() == fresh[1].random(events + 1)[-1]
+        assert arr_rng.exponential(mean_dt) == fresh[0].exponential(mean_dt, drawn + 1)[-1]
+        assert pick_rng.random() == fresh[1].random(drawn + 1)[-1]
 
     @needs_kernel
     def test_kernel_tables_built_once_per_policy_tables(self, monkeypatch):
@@ -492,6 +504,7 @@ class TestCompiledLoop:
         got = (_ckernel.wright_omega(x), _ckernel.lambert_w0(z))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want_special]
 
+    @needs_kernel  # the run sizes the kernel's scratch by the library's layout
     def test_kernel_error_status_raises(self, monkeypatch, desk):
         # the kernel returns 0 when it reaches its stop, -1 when an
         # admission finds the cache inconsistent, -2 when a version-age
