@@ -65,8 +65,8 @@ _ARGTYPES = [
     _ptr, _ptr, _int,                # cum_p, guide table, its length K
     _ptr, _ptr, _ptr,                # per-content doubles and ints, breakpoints
     _ptr, _ptr, _int, _dbl,          # w_of_tau rows, their prefix minima, stride, beta
-    _ptr, _ptr, _ptr, _ptr, _ptr,    # int64: queue, aov, slot_of, slots, counts
-    _ptr, _ptr, _ptr,                # float64: fetch_time, aov_time, running totals
+    _ptr, _ptr, _ptr, _ptr, _ptr,    # int64: queue, aov, slot_of, slots, N_CNT counts
+    _ptr, _ptr, _ptr,                # float64: fetch_time, aov_time, N_ACC running totals
     _ptr,                            # scratch, 2 * BLOCK + SCRATCH_WORDS * m doubles
     _ptr, _int,                      # waited, m
 ]
@@ -184,10 +184,12 @@ def _declare_special(lib):
 
 _lib = _open()
 event_loop = None if _lib is None else _event_loop(_lib)
-# the event loop's scratch layout (_loop.c): 2 * BLOCK doubles of draws,
-# then SCRATCH_WORDS doubles per cache slot
-BLOCK, SCRATCH_WORDS = (None, None) if _lib is None else (
-    ctypes.c_int64.in_dll(_lib, name).value for name in ("block_draws", "scratch_words"))
+# the event loop's layout (_loop.c): its scratch holds 2 * BLOCK doubles of
+# draws, then SCRATCH_WORDS doubles per cache slot; its running totals
+# are N_ACC doubles and N_CNT counts
+BLOCK, SCRATCH_WORDS, N_ACC, N_CNT = (None,) * 4 if _lib is None else (
+    ctypes.c_int64.in_dll(_lib, name).value
+    for name in ("block_draws", "scratch_words", "n_acc", "n_cnt"))
 # the library as the provider of wright_omega and lambert_w0; None sends
 # both to scipy.special
 special = None if _lib is None else _declare_special(_lib)

@@ -144,10 +144,13 @@ struct rank {
 _Static_assert(sizeof(struct slot) + sizeof(struct rank) == SCRATCH_WORDS * sizeof(double),
                "a slot takes SCRATCH_WORDS words of scratch");
 
-/* the scratch layout, for simulator._compiled_loop, which allocates it:
- * 2 * block_draws doubles of draws, then scratch_words per slot */
+/* the layout of the arrays simulator._compiled_loop allocates: scratch
+ * holds 2 * block_draws doubles of draws, then scratch_words per slot;
+ * the running totals are n_acc doubles and n_cnt counts */
 const int64_t block_draws = BLOCK;
 const int64_t scratch_words = SCRATCH_WORDS;
+const int64_t n_acc = N_ACC;
+const int64_t n_cnt = N_CNT;
 
 /* The horizon is this many mean inter-arrival times ahead.  A longer one
  * loosens the bounds, so more keys are evaluated per scan, but recomputes

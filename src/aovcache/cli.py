@@ -347,7 +347,11 @@ def _recorded_sweep(rep: Reporter, cfg: SimConfig, axis: str, values, reps: int,
                     processes) -> list:
     """``sweep``'s cells; the manifest gets its table builds as
     ``index_builds`` and a summary of its runs as ``runs``: their count,
-    events, seconds (the sweep's less its builds') and events per second."""
+    events, seconds (the sweep's wall-clock time less its builds'), events
+    per second and the processes they ran in.  With more than one process
+    the seconds include the pool's start-up and the sending of tables to
+    its workers, and the events per second are those of all workers
+    together."""
     builds = []
     start = time.perf_counter()
     cells = sweep(cfg, axis, values, reps, processes=processes, builds=builds)
@@ -355,7 +359,7 @@ def _recorded_sweep(rep: Reporter, cfg: SimConfig, axis: str, values, reps: int,
     events = sum(c.metrics.event_count for c in cells)
     rep.manifest["index_builds"] = [b._asdict() for b in builds]
     rep.manifest["runs"] = {"count": len(cells), "events": events, "seconds": seconds,
-                            "events_per_s": events / seconds}
+                            "events_per_s": events / seconds, "processes": processes or 1}
     return cells
 
 

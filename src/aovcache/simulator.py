@@ -236,9 +236,8 @@ def _metrics(end, snap, violations) -> SimMetrics:
 
 
 # indices into the compiled loop's running totals, its policy codes and
-# its error statuses (enums in _loop.c)
-_T, _N_ACC = 0, 7
-_EVENTS, _VIOLATIONS, _N_CNT = 1, 2, 5
+# its error statuses (enums in _loop.c); _ckernel reads the totals' sizes
+_T, _EVENTS, _VIOLATIONS = 0, 1, 2
 _POLICY_CODE = {PolicyKind.WHITTLE: 0, PolicyKind.MYOPIC: 1,
                 PolicyKind.STATIC_TOP_M: 2, PolicyKind.INFINITE_CAPACITY: 3}
 _OCCUPANCY_ERROR, _POISSON_DOMAIN_ERROR = -1, -2
@@ -283,9 +282,9 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
     loop."""
     system = config.system
     n, m = system.N, system.M
-    (_, _, slot_of, slots, cnt), ints = _block(np.int64, (n, n, n, m, _N_CNT))
+    (_, _, slot_of, slots, cnt), ints = _block(np.int64, (n, n, n, m, _ckernel.N_CNT))
     (_, _, acc, _), dbls = _block(
-        np.float64, (n, n, _N_ACC, 2 * _ckernel.BLOCK + _ckernel.SCRATCH_WORDS * m))
+        np.float64, (n, n, _ckernel.N_ACC, 2 * _ckernel.BLOCK + _ckernel.SCRATCH_WORDS * m))
     waited = np.zeros(n, dtype=np.uint8)
     # under infinite capacity every content counts as cached and the
     # kernel reads no slot

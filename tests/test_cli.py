@@ -660,6 +660,7 @@ class TestBuildCounts:
         assert summary["events"] == runs * 20_000
         assert summary["seconds"] > 0.0
         assert summary["events_per_s"] == pytest.approx(summary["events"] / summary["seconds"])
+        assert summary["processes"] == 1
 
     def test_c_w_sweep_records_each_build(self, desk_cfg, tmp_path, capsys):
         out = tmp_path / "cw"

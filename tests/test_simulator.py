@@ -504,13 +504,17 @@ class TestCompiledLoop:
         got = (_ckernel.wright_omega(x), _ckernel.lambert_w0(z))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want_special]
 
-    @needs_kernel  # the run sizes the kernel's scratch by the library's layout
     def test_kernel_error_status_raises(self, monkeypatch, desk):
         # the kernel returns 0 when it reaches its stop, -1 when an
         # admission finds the cache inconsistent, -2 when a version-age
         # draw is out of numpy's domain
         system, tables = desk
         cfg = SimConfig(system=system, horizon_events=1_000, seed=1)
+        # the run sizes its arrays by the library's layout, which is None
+        # without the library; a fake kernel takes any sizes
+        for name, value in (("BLOCK", BLOCK), ("SCRATCH_WORDS", 7), ("N_ACC", 7),
+                            ("N_CNT", 5)):
+            monkeypatch.setattr(_ckernel, name, value)
         monkeypatch.setattr(_ckernel, "event_loop", lambda *args: -1)
         with pytest.raises(SimulationError, match="occupancy"):
             run(cfg, tables)
