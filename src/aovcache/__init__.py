@@ -15,15 +15,7 @@ from .model import (
     validate,
     zipf_popularity,
 )
-from .thresholds import (
-    ThresholdSet,
-    compute_I,
-    optimal_average_cost,
-    solve_case2,
-    solve_infinite_capacity,
-    solve_q_hat,
-    solve_thresholds,
-)
+from .thresholds import ThresholdSet, solve_thresholds
 from .whittle import (
     build_content_tables,
     passive_set_member,

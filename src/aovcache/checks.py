@@ -25,7 +25,7 @@ from .oracle import Grid, solve_holding, solve_infinite, whittle_by_sweep
 from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, SimulationError, _run
 from .thresholds import (ConsistencyError, case2_batch, case2_residuals, content_constants,
-                         optimal_average_cost, relaxed_batch, solve_case2, solve_thresholds,
+                         relaxed_batch, solve_thresholds, solve_thresholds_batch,
                          zero_holding_thresholds)
 from .whittle import (build_index_tables, cached_indices, grid_taus, verify_indexability,
                       whittle_cached, whittle_uncached)
@@ -56,18 +56,17 @@ def theta_vs_oracle(content: ContentParams, beta: float, cells: int = 1) -> Resu
     ts = solve_thresholds(content, beta, 0.0)
     vt = solve_infinite(content.p * beta, content.lam, cm.c_a, cm.c_f, cm.c_w)
     ch = 0.6 * ts.I
-    tb, tt, qb, theta2 = solve_case2(ch, content, beta)
+    ts2, ts1 = solve_thresholds_batch(content, beta, [ch, 1.5 * ts.I])
     vt2 = solve_holding(content, beta, ch)
-    theta1 = optimal_average_cost(content, beta, 1.5 * ts.I)
     vt1 = solve_holding(content, beta, 1.5 * ts.I)
-    worst = max(abs(v.theta - t) / t for v, t in ((vt, ts.theta), (vt2, theta2), (vt1, theta1)))
+    worst = max(abs(v.theta - t.theta) / t.theta for v, t in ((vt, ts), (vt2, ts2), (vt1, ts1)))
     age_tol = cells * vt.grid.dtau + 1e-12  # the three share one grid
     off = [name for name, bad in (
         ("tau_star", abs(vt.tau_serve_end() - ts.tau_star) > age_tol),
         ("Q_star", vt.queue_fetch_threshold() != ts.Q_star),
-        ("tau_bar", abs(vt2.tau_serve_keep_end() - tb) > age_tol),
-        ("tau_tilde", abs(vt2.tau_serve_end() - tt) > age_tol),
-        ("Q_bar", abs(vt2.queue_fetch_threshold() - qb) > 1),
+        ("tau_bar", abs(vt2.tau_serve_keep_end() - ts2.tau_bar) > age_tol),
+        ("tau_tilde", abs(vt2.tau_serve_end() - ts2.tau_tilde) > age_tol),
+        ("Q_bar", abs(vt2.queue_fetch_threshold() - ts2.Q_bar) > 1),
         ("Q_hat", abs(vt1.queue_fetch_threshold() - ts.Q_hat) > 1)) if bad]
     return Result(worst < 5e-3 and not off,
                   f"rel={worst:.2e}" + (f"; off the oracle: {', '.join(off)}" if off else ""),
@@ -77,7 +76,8 @@ def theta_vs_oracle(content: ContentParams, beta: float, cells: int = 1) -> Resu
 def residuals(content: ContentParams, beta: float, frac: float = 0.6) -> Result:
     """Case 2's three defining equations hold to 1e-9 at C_h = frac*I."""
     ch = frac * solve_thresholds(content, beta, 0.0).I
-    worst = max(map(abs, case2_residuals(ch, content, beta, *solve_case2(ch, content, beta)[:3])))
+    ts = solve_thresholds(content, beta, ch)
+    worst = max(map(abs, case2_residuals(ch, content, beta, ts.tau_bar, ts.tau_tilde, ts.Q_bar)))
     return Result(worst < 1e-9, f"max |residual| = {worst:.2e}", worst)
 
 

@@ -73,22 +73,27 @@ def build_system(doc: dict) -> SystemParams:
     try:
         sysdoc = doc["system"]
         costs = doc["costs"]
-        n = int(sysdoc["N"])
+        n = _checked("N", sysdoc["N"], _integer, lambda x: x >= 1, "an integer >= 1")
         beta = float(sysdoc["beta"])
-        m = int(sysdoc["M"])
+        m = _checked("M", sysdoc["M"], _integer, lambda x: x >= 0, "an integer >= 0")
         if "popularity" in sysdoc:
             pops = [float(x) for x in sysdoc["popularity"]]
         else:
-            pops = zipf_popularity(n, float(sysdoc.get("zipf_alpha", 1.0))).tolist()
+            alpha = _checked("zipf_alpha", sysdoc.get("zipf_alpha", 1.0), float,
+                             lambda a: 0 <= a < math.inf, "finite and >= 0")
+            pops = zipf_popularity(n, alpha).tolist()
         if "lambdas" in sysdoc:
             lams = [float(x) for x in sysdoc["lambdas"]]
         else:
             lams = [float(sysdoc["lambda"])] * n
+        for name, values in (("popularity", pops), ("lambdas", lams)):
+            if len(values) != n:
+                raise ConfigError(f"{name}: length {len(values)}, not N={n}")
         cm = CostModel(float(costs["c_a"]), float(costs["c_f"]), float(costs["c_w"]))
         contents = tuple(
             ContentParams(lam=lams[i], p=pops[i], costs=cm) for i in range(n)
         )
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed config: {e}") from e
     if "C_h" in costs:
         raise ConfigError("C_h: the holding cost is the dual variable of the capacity "

@@ -25,10 +25,11 @@ of a quadratic in Q, laid out candidates first against the contents'
 rows: for ``relaxed_batch``, the ``C_h = 0`` thresholds and the index
 tables' bisection alike.  The same quadratic in Q, written in the gap x,
 gives each breakpoint of ``Q_bar`` in C_h up to rounding
-(``breakpoint_estimate``), from which that bisection is replayed.  The
-scalar solvers are thin callers of these,
-and ``content_constants`` solves the ``C_h``-independent quantities of
-all contents at once.  An independent cross-check, which solves a
+(``breakpoint_estimate``), from which that bisection is replayed.
+``content_constants`` solves the ``C_h``-independent quantities of all
+contents at once, and ``solve_thresholds`` (``solve_thresholds_batch``
+over several ``C_h``) is the one entry for a content's thresholds and
+cost, as a ``ThresholdSet``.  An independent cross-check, which solves a
 discretized MDP exactly by policy iteration, lives in ``aovcache.oracle``.
 """
 
@@ -42,13 +43,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ._ckernel import lambert_w0
-from .model import ContentParams, CostModel
+from .model import ContentParams
 
 __all__ = [
     "ThresholdSet",
-    "solve_infinite_capacity",
-    "solve_q_hat",
-    "compute_I",
     "ContentConstants",
     "content_constants",
     "gap_value",
@@ -62,11 +60,9 @@ __all__ = [
     "zero_holding_batch",
     "Relaxed",
     "relaxed_batch",
-    "solve_case2",
     "solve_thresholds",
     "solve_thresholds_batch",
     "zero_holding_thresholds",
-    "optimal_average_cost",
     "case2_residuals",
 ]
 
@@ -79,46 +75,6 @@ def _check_positive(**kwargs) -> None:
     for name, value in kwargs.items():
         if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value!r}")
-
-
-def solve_infinite_capacity(
-    beta: float, lam: float, c_a: float, c_f: float, c_w: float
-) -> tuple[float, int, float]:
-    """Serve/wait/fetch thresholds for one content requested at rate ``beta``.
-
-    Returns ``(tau_star, Q_star, theta)`` jointly satisfying
-
-        tau = (-(Q+1) + sqrt((Q+1)^2 + 2*beta*c_f/(c_a*lam)
-                             + Q*(Q+1)*c_w/(c_a*lam))) / beta
-        Q   = floor(beta*c_a*lam*tau / c_w)
-
-    and ``theta = beta*c_a*lam*tau_star``: the ``C_h = 0`` case of
-    ``case2_batch`` with ``p = 1``, where the gap x vanishes.
-    """
-    k = content_constants((ContentParams(lam, 1.0, CostModel(c_a, c_f, c_w)),), beta)
-    ts = zero_holding_thresholds(k)[0]
-    return ts.tau_star, ts.Q_star, ts.theta
-
-
-def solve_q_hat(
-    p: float, beta: float, c_a: float, lam: float, c_f: float, c_w: float
-) -> tuple[int, float, float]:
-    """Dispatch threshold for the never-cache regime: ``(Q_hat,
-    theta_case1, tau0)`` of one content (``content_constants``), where
-    ``theta_case1`` is the optimal cost for ``C_h > I`` and
-    ``tau0 = theta_case1 / (p*beta*c_a*lam)``."""
-    k = content_constants((ContentParams(lam, p, CostModel(c_a, c_f, c_w)),), beta)
-    return int(k.q_hat[0]), float(k.theta1[0]), float(k.tau0[0])
-
-
-def compute_I(params: ContentParams, beta: float) -> float:
-    """Largest holding cost at which caching the content is still worthwhile.
-
-    ``I = p*beta*c_a*lam*tau0 - p*c_a*lam*(1 - exp(-beta*tau0))`` -- exactly
-    the ``C_h`` at which the serve region collapses (``tau_bar = 0``,
-    ``tau_tilde = tau0``).
-    """
-    return float(content_constants((params,), beta).I[0])
 
 
 class ContentConstants(NamedTuple):
@@ -459,25 +415,6 @@ def case2_batch(C_h, k: ContentConstants):
     return tb.reshape(shape), tt, qb.reshape(shape), k.rc * tt
 
 
-def solve_case2(
-    C_h: float, params: ContentParams, beta: float
-) -> tuple[float, float, int, float]:
-    """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h <= I``
-    (``relaxed_batch`` for one content).  At ``C_h = 0`` this collapses to
-    the serve/wait/fetch thresholds with request rate ``p*beta``; at
-    ``C_h = I`` it yields the never-cache ``tau_bar = 0``,
-    ``tau_tilde = tau0`` and ``Q_bar = Q_hat``.
-    """
-    if C_h < 0:
-        raise ValueError(f"C_h must be >= 0, got {C_h}")
-    k = content_constants((params,), beta)
-    I = float(k.I[0])
-    if C_h > I * (1.0 + 1e-12) + 1e-15:
-        raise ValueError(f"C_h={C_h} exceeds the index ceiling I={I}")
-    tb, tt, qb, theta, _ = relaxed_batch(C_h, k)
-    return float(tb[0]), float(tt[0]), int(qb[0]), float(theta[0])
-
-
 def case2_residuals(
     C_h: float, params: ContentParams, beta: float,
     tau_bar: float, tau_tilde: float, Q_bar: int,
@@ -506,6 +443,10 @@ class ThresholdSet:
 
     Satisfies ``tau_bar <= tau_star <= tau_tilde <= tau0`` and
     ``Q_star <= Q_bar <= Q_hat``; ``Q_bar = floor(p*beta*c_a*lam*tau_tilde/c_w)``.
+    ``I``, the largest holding cost at which caching is still worthwhile,
+    is the ``C_h`` at which the serve region collapses (``tau_bar = 0``,
+    ``tau_tilde = tau0``); from it on the set is never-cache's, ``Q_bar =
+    Q_hat`` and ``theta`` the never-cache cost.
     """
 
     tau_star: float
@@ -719,7 +660,16 @@ def zero_holding_batch(k: ContentConstants):
     """``case2_batch(0.0, k)`` by ``case2``: the ``C_h = 0`` thresholds
     ``(tau_star, tau_star, Q_star, theta)`` of every content.  Holding is
     free there, so they are case 2's even where ``I`` underflows to 0 and
-    ``relaxed_batch`` reads never-cache from ``C_h = 0 = I`` on."""
+    ``relaxed_batch`` reads never-cache from ``C_h = 0 = I`` on.
+
+    With ``x = 0``, ``(tau_star, Q_star)`` jointly satisfies, at request
+    rate ``r = p*beta``,
+
+        tau = (-(Q+1) + sqrt((Q+1)^2 + 2*r*c_f/(c_a*lam)
+                             + Q*(Q+1)*c_w/(c_a*lam))) / r
+        Q   = floor(r*c_a*lam*tau / c_w)
+
+    and ``theta = r*c_a*lam*tau_star``."""
     return case2(np.zeros(k.I.size), k)
 
 
@@ -770,9 +720,3 @@ def relaxed_batch(C_h, k: ContentConstants) -> Relaxed:
         a[n] = x
     return out
 
-
-def optimal_average_cost(params: ContentParams, beta: float, C_h: float) -> float:
-    """Optimal single-content average cost (holding charges included) at C_h."""
-    if C_h < 0:
-        raise ValueError("C_h must be >= 0")
-    return float(relaxed_batch(C_h, content_constants((params,), beta)).theta[0])

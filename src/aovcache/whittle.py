@@ -74,11 +74,9 @@ from .thresholds import (
     case2_batch,
     case2_candidates,
     breakpoint_estimate,
-    compute_I,
     content_constants,
     first_consistent,
     gap_value,
-    solve_case2,
     solve_thresholds,
     solve_thresholds_batch,
     window_consistent,
@@ -89,7 +87,6 @@ from .thresholds import (
 __all__ = [
     "whittle_cached",
     "whittle_uncached",
-    "uncached_breakpoints",
     "passive_set_member",
     "verify_indexability",
     "default_state_grid",
@@ -384,9 +381,11 @@ def _bisect(k: ContentConstants, q: np.ndarray,
 
 def _breakpoints(k: ContentConstants, q_star: np.ndarray,
                  window: bool = True) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
-    """``uncached_breakpoints`` of the contents of ``k``, given their
-    ``Q_star``: flat, in content order, with how many each content has,
-    and ``_bisect``'s counts."""
+    """The indices of the uncached states ``Q_star..Q_hat-1`` of the
+    contents of ``k``, given their ``Q_star``: for each such Q the smallest
+    C_h at which ``Q_bar`` exceeds Q, from one bisection of every (content,
+    Q) pair at once; flat, in content order, with how many each content
+    has, and ``_bisect``'s counts."""
     counts = np.maximum(k.q_hat - q_star, 0)
     idx, j = _groups(counts)
     bps, done = _bisect(k.take(idx), q_star[idx] + j, window)
@@ -400,16 +399,6 @@ def _groups(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.arange(len(idx)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def uncached_breakpoints(contents: Sequence[ContentParams],
-                         beta: float) -> list[tuple[float, ...]]:
-    """Per content, the indices of uncached states ``Q_star..Q_hat-1``: for
-    each such Q the smallest C_h at which Q_bar exceeds Q, from one
-    bisection run on every (content, Q) pair at once."""
-    k = content_constants(contents, beta)
-    w, counts, _ = _breakpoints(k, zero_holding_batch(k)[2])
-    return [tuple(b.tolist()) for b in np.split(w, np.cumsum(counts)[:-1])]
-
-
 def index_residual_cached(params: ContentParams, beta: float, tau: float, W: float) -> float:
     """Residual of the closed three-equation system at (tau, C_h=W).
 
@@ -418,8 +407,7 @@ def index_residual_cached(params: ContentParams, beta: float, tau: float, W: flo
     tau_bar is from the queried tau.  Zero (to solver tolerance) iff W
     really is the holding cost whose serve threshold passes through tau.
     """
-    tb, _, _, _ = solve_case2(W, params, beta)
-    return abs(tb - tau)
+    return abs(solve_thresholds(params, beta, W).tau_bar - tau)
 
 
 def index_residual_uncached(params: ContentParams, beta: float, Q: int, W: float) -> float:
@@ -430,7 +418,7 @@ def index_residual_uncached(params: ContentParams, beta: float, Q: int, W: float
     Q+1; returns the distance from that boundary.
     """
     cm = params.costs
-    _, tt, _, _ = solve_case2(W, params, beta)
+    tt = solve_thresholds(params, beta, W).tau_tilde
     return abs(params.p * beta * cm.c_a * params.lam * tt / cm.c_w - (Q + 1))
 
 
@@ -500,7 +488,7 @@ def verify_indexability(
     passive set as C_h increased; an indexable content yields [].
     """
     if C_h_grid is None:
-        C_h_grid = np.linspace(0.0, 1.05 * compute_I(params, beta), 200)
+        C_h_grid = np.linspace(0.0, 1.05 * solve_thresholds(params, beta).I, 200)
     if state_grid is None:
         state_grid = default_state_grid(params, beta)
     tables = solve_thresholds_batch(params, beta, np.sort(np.asarray(C_h_grid, dtype=float)))

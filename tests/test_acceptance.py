@@ -17,7 +17,7 @@ from aovcache import checks
 from aovcache.model import CostModel, SystemParams
 from aovcache.policies import PolicyKind, build_policy_tables, relaxed_lower_bound
 from aovcache.simulator import SimConfig, SimulationError, aggregate, run, sweep
-from aovcache.thresholds import solve_infinite_capacity, solve_thresholds
+from aovcache.thresholds import solve_thresholds
 from aovcache.whittle import default_state_grid
 from conftest import UNIT, corrupt_cache, desk_system, random_content
 
@@ -69,7 +69,7 @@ def test_criterion_2_theorem1_in_vivo():
     """Single-content run, 1e7 events: empirical cost within 2% of
     beta*c_a*lam*tau_star; runtime < 30 s."""
     system = SystemParams(beta=1.0, contents=(UNIT,), M=0)
-    theta = solve_infinite_capacity(1, 1, 1, 1, 0.5)[2]
+    theta = solve_thresholds(UNIT, 1.0).theta
     cfg = SimConfig(system=system, policy=PolicyKind.INFINITE_CAPACITY,
                     horizon_events=10_000_000, seed=7)
     t0 = time.time()

@@ -1,13 +1,16 @@
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,6 @@ from aovcache import _ckernel, checks
 from aovcache.cli import _f, build_system, config_digest, main
 from aovcache.policies import relaxed_lower_bound
 from aovcache.thresholds import (
-    compute_I,
     content_constants,
     relaxed_batch,
     solve_thresholds,
@@ -93,7 +95,7 @@ class TestSolve:
         w.writerow(["content_id", "C_h", "tau_bar", "tau_tilde", "Q_bar", "Q_hat", "tau0",
                     "I", "theta"])
         for i, c in enumerate(system.contents):
-            for ch in np.linspace(0.0, compute_I(c, system.beta), 9):
+            for ch in np.linspace(0.0, solve_thresholds(c, system.beta).I, 9):
                 ts = solve_thresholds(c, system.beta, float(ch))
                 w.writerow([i, _f(ch), _f(ts.tau_bar), _f(ts.tau_tilde), ts.Q_bar, ts.Q_hat,
                             _f(ts.tau0), _f(ts.I), _f(ts.theta)])
@@ -123,6 +125,19 @@ class TestSolve:
         p2 = tmp_path / "bad2.json"
         p2.write_text(json.dumps({"system": {"N": 3}}))
         assert main(["solve", "--config", str(p2)]) == 2
+        capsys.readouterr()
+        # a per-content list of another length than N, and a negative Zipf
+        # exponent, are named with the field
+        for field, value, message in (
+                ("popularity", [0.5, 0.5], "popularity: length 2, not N=3"),
+                ("lambdas", [0.01], "lambdas: length 1, not N=3"),
+                ("lambdas", [0.01] * 4, "lambdas: length 4, not N=3"),
+                ("zipf_alpha", -0.5, "zipf_alpha: must be finite and >= 0 (got -0.5)")):
+            doc = json.loads(json.dumps(UNIT_DOC))
+            doc["system"].update({"N": 3, "M": 1, field: value})
+            p2.write_text(json.dumps(doc))
+            assert main(["solve", "--config", str(p2)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_invalid_params_exit_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(UNIT_DOC))
@@ -144,6 +159,12 @@ class TestSolve:
         ("costs", "c_w", math.nan, "c_w"),
         ("costs", "C_h", math.nan, "C_h"),
         ("costs", "C_h", math.inf, "C_h"),
+        ("system", "N", math.inf, "N"),
+        ("system", "N", math.nan, "N"),
+        ("system", "M", math.inf, "M"),
+        # not whole: int() would truncate them
+        ("system", "N", 2.5, "N"),
+        ("system", "M", 0.5, "M"),
     ])
     def test_non_finite_params_exit_2(self, tmp_path, capsys, section, field,
                                       value, name):
@@ -578,12 +599,11 @@ class TestVerifyCmd:
                 main(["verify", "--config", unit_cfg, "--quick", flag, "2"])
             assert exc.value.code == 2
 
-    def test_oracle_agreement_is_not_exact(self, unit_cfg):
+    def test_oracle_agreement_is_not_exact(self, unit_cfg, unit_content):
         # demonstrates the battery tolerance is load-bearing: a 1e-15
         # demand on closed-form vs grid agreement necessarily fails
         from aovcache.oracle import solve_infinite
-        from aovcache.thresholds import solve_infinite_capacity
-        theta = solve_infinite_capacity(1, 1, 1, 1, 0.5)[2]
+        theta = solve_thresholds(unit_content, 1.0).theta
         vt = solve_infinite(1, 1, 1, 1, 0.5)
         assert abs(vt.theta - theta) > 1e-15
 
@@ -602,6 +622,24 @@ def test_import_skips_subprocess_and_multiprocessing():
     if compiled != "True":
         pytest.skip("compiled library unavailable")
     assert (sub, multi) == ("False", "False")
+
+
+# perfbench/child.py looks these up by attribute to time its passes, and a
+# pass that lacks one crashes: a refactor that removes one fails here first
+PERFBENCH_NAMES = ("whittle.build_content_tables", "policies.build_policy_tables",
+                   "simulator.run", "policies.relaxed_lower_bound", "cli.Reporter.table",
+                   "cli.Reporter.close")
+
+
+def test_exported_and_benchmarked_names_exist():
+    # a stale __all__ entry breaks ``from aovcache.<module> import *``
+    for info in pkgutil.iter_modules(aovcache.__path__):
+        module = importlib.import_module(f"aovcache.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)
+    for name in PERFBENCH_NAMES:
+        module, *attrs = name.split(".")
+        assert callable(reduce(getattr, attrs, importlib.import_module(f"aovcache.{module}")))
 
 
 def test_import_freezes_the_collector():

@@ -17,13 +17,7 @@ from aovcache.oracle import (
     solve_infinite,
     whittle_by_sweep,
 )
-from aovcache.thresholds import (
-    compute_I,
-    optimal_average_cost,
-    solve_case2,
-    solve_infinite_capacity,
-    solve_thresholds,
-)
+from aovcache.thresholds import solve_thresholds
 from aovcache.whittle import whittle_cached
 from conftest import random_content
 
@@ -44,12 +38,12 @@ def test_exponential_integral_matches_quadrature():
 
 
 class TestInfiniteVI:
-    def test_matches_closed_form_unit(self):
+    def test_matches_closed_form_unit(self, unit_content):
         vt = solve_infinite(1, 1, 1, 1, 0.5)
-        tau, q, theta = solve_infinite_capacity(1, 1, 1, 1, 0.5)
-        assert vt.theta == pytest.approx(theta, rel=1e-4)
-        assert abs(vt.tau_serve_end() - tau) <= vt.grid.dtau
-        assert vt.queue_fetch_threshold() == q
+        ts = solve_thresholds(unit_content, 1.0)
+        assert vt.theta == pytest.approx(ts.theta, rel=1e-4)
+        assert abs(vt.tau_serve_end() - ts.tau_star) <= vt.grid.dtau
+        assert vt.queue_fetch_threshold() == ts.Q_star
 
     def test_small_fetch_cost(self):
         vt = solve_infinite(1, 1, 1, 1e-4, 0.5)
@@ -64,11 +58,11 @@ class TestInfiniteVI:
         assert (np.diff(h, axis=0) >= -1e-9).all()
         assert (np.diff(h, axis=1) >= -1e-9).all()
 
-    def test_first_order_in_grid_step(self):
+    def test_first_order_in_grid_step(self, unit_content):
         base = Grid.for_params(1.0, 1.0, 1.0, 1.0, 0.5)
         coarse = Grid(base.tau_max, base.dtau * 16, base.q_max)
         fine = Grid(base.tau_max, base.dtau * 8, base.q_max)
-        theta = solve_infinite_capacity(1, 1, 1, 1, 0.5)[2]
+        theta = solve_thresholds(unit_content, 1.0).theta
         e_coarse = abs(solve_infinite(1, 1, 1, 1, 0.5, grid=coarse).theta - theta)
         e_fine = abs(solve_infinite(1, 1, 1, 1, 0.5, grid=fine).theta - theta)
         assert e_fine <= 0.6 * e_coarse
@@ -102,7 +96,7 @@ class TestHoldingVI:
         assert (vt.greedy_cached_idle[:j] == SERVE_KEEP).all()
 
     def test_above_ceiling_matches_case1(self, unit_content):
-        I = compute_I(unit_content, 1.0)
+        I = solve_thresholds(unit_content, 1.0).I
         vt = solve_holding(unit_content, 1.0, 2 * I)
         assert vt.theta == pytest.approx(0.75, rel=5e-3)
         used = set(vt.greedy_uncached_req.tolist())
@@ -111,19 +105,19 @@ class TestHoldingVI:
 
     def test_mid_ch_cross_validates_case2(self, unit_content):
         vt = solve_holding(unit_content, 1.0, 0.1)
-        tb, tt, qb, theta = solve_case2(0.1, unit_content, 1.0)
-        assert vt.theta == pytest.approx(theta, rel=1e-4)
-        assert abs(vt.tau_serve_keep_end() - tb) <= vt.grid.dtau
-        assert abs(vt.tau_serve_end() - tt) <= vt.grid.dtau
-        assert vt.queue_fetch_threshold() == qb
+        ts = solve_thresholds(unit_content, 1.0, 0.1)
+        assert vt.theta == pytest.approx(ts.theta, rel=1e-4)
+        assert abs(vt.tau_serve_keep_end() - ts.tau_bar) <= vt.grid.dtau
+        assert abs(vt.tau_serve_end() - ts.tau_tilde) <= vt.grid.dtau
+        assert vt.queue_fetch_threshold() == ts.Q_bar
 
     def test_random_params_all_regimes(self):
         rng = np.random.default_rng(101)
         for _ in range(6):
             c, beta = random_content(rng)
-            I = compute_I(c, beta)
+            I = solve_thresholds(c, beta).I
             for ch in (0.0, 0.55 * I, 1.4 * I):
-                want = optimal_average_cost(c, beta, ch)
+                want = solve_thresholds(c, beta, ch).theta
                 vt = solve_holding(c, beta, ch)
                 assert vt.theta == pytest.approx(want, rel=5e-3)
 
@@ -181,11 +175,11 @@ class TestPolicyIteration:
         # at 2I the unit content (p = 1) cycles with period 2 between queue
         # states, which no iteration of the operator alone settles
         rng = np.random.default_rng(6)
-        I = compute_I(unit_content, 1.0)
+        I = solve_thresholds(unit_content, 1.0).I
         cases = [(unit_content, 1.0, ch) for ch in (0.0, 0.1, 2 * I)]
         for _ in range(3):
             c, beta = random_content(rng)
-            cases += [(c, beta, f * compute_I(c, beta)) for f in (0.6, 1.5)]
+            cases += [(c, beta, f * solve_thresholds(c, beta).I) for f in (0.6, 1.5)]
         for c, beta, ch in cases:
             vt = solve_holding(c, beta, ch)
             h = (vt.h_cached_req, vt.h_cached_idle, vt.h_uncached_req, vt.h_uncached_idle)
@@ -196,10 +190,10 @@ class TestPolicyIteration:
 
     def test_warm_start_matches_cold(self, unit_content):
         rng = np.random.default_rng(7)
-        cases = [(unit_content, 1.0, compute_I(unit_content, 1.0))]
+        cases = [(unit_content, 1.0, solve_thresholds(unit_content, 1.0).I)]
         cases += [(*random_content(rng), None) for _ in range(3)]
         for c, beta, I in cases:
-            I = compute_I(c, beta) if I is None else I
+            I = solve_thresholds(c, beta).I if I is None else I
             prev = None
             for ch in (0.2 * I, 0.3 * I, 0.9 * I, 1.2 * I):
                 cold = solve_holding(c, beta, ch)
@@ -217,14 +211,14 @@ class TestWhittleSweep:
         assert whittle_by_sweep(unit_content, 1.0, [s], grid) == [0.0]
 
     def test_saturating_branch(self, unit_content):
-        I = compute_I(unit_content, 1.0)
+        I = solve_thresholds(unit_content, 1.0).I
         grid = np.linspace(0.0, 1.05 * I, 64)
         s = SingleContentState(5, 0.0, False, True)  # Q >= Q_hat = 1
         [w] = whittle_by_sweep(unit_content, 1.0, [s], grid)
         assert abs(w - I) <= grid[1] - grid[0] + 1e-9
 
     def test_matches_bisection_index(self, unit_content):
-        tb = solve_case2(0.1, unit_content, 1.0)[0]
+        tb = solve_thresholds(unit_content, 1.0, 0.1).tau_bar
         s = SingleContentState(0, tb, True, False)
         grid = np.linspace(0.0, 0.227, 120)
         [w_sweep] = whittle_by_sweep(unit_content, 1.0, [s], grid)
@@ -234,7 +228,7 @@ class TestWhittleSweep:
     def test_many_states_match_one_sweep_each(self, unit_content):
         # one sweep runs until its last state goes passive; each state's
         # index is the one its own sweep finds (Q_hat = 1 here)
-        I = compute_I(unit_content, 1.0)
+        I = solve_thresholds(unit_content, 1.0).I
         grid = np.linspace(0.0, 1.05 * I, 64)
         states = [SingleContentState(0, 0.3, True, False),
                   SingleContentState(0, 0.0, False, True),
@@ -252,7 +246,7 @@ class TestPassiveInTable:
         # request at that queue (capped at the table's q_max) and is
         # passive when not requested; at C_h = 0.1 the cached rows keep
         # at tau = 0.1 and evict at 0.3, while the uncached row fetches
-        I = compute_I(unit_content, 1.0)
+        I = solve_thresholds(unit_content, 1.0).I
         seen = set()
         for ch in (0.1, 2 * I):
             vt = solve_holding(unit_content, 1.0, ch)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,7 @@ from aovcache.policies import (
     static_topm_decide,
     whittle_decide,
 )
-from aovcache.thresholds import (
-    compute_I,
-    content_constants,
-    relaxed_batch,
-    solve_infinite_capacity,
-    solve_q_hat,
-    solve_thresholds,
-)
+from aovcache.thresholds import content_constants, relaxed_batch, solve_thresholds
 from aovcache.whittle import default_state_grid, passive_set_member
 from conftest import desk_system
 
@@ -119,7 +114,8 @@ class TestWhittleDecide:
 
 class TestInfiniteCapacityDecide:
     def test_examples(self, unit_content):
-        tau_star, q_star, _ = solve_infinite_capacity(1, 1, 1, 1, 0.5)
+        ts = solve_thresholds(unit_content, 1.0)
+        tau_star, q_star = ts.tau_star, ts.Q_star
         assert infinite_capacity_decide(0, 0.0, tau_star, q_star) == Action(
             ActionKind.SERVE_CACHED)
         assert infinite_capacity_decide(q_star, tau_star + 0.1, tau_star, q_star) == Action(
@@ -281,12 +277,10 @@ class TestRelaxedLowerBound:
     def test_zero_capacity_saturates(self):
         system = desk_system(N=20, M=0)
         ch, bound = relaxed_lower_bound(system)
-        ceilings = [compute_I(c, system.beta) for c in system.contents]
-        case1 = sum(
-            solve_q_hat(c.p, system.beta, c.costs.c_a, c.lam, c.costs.c_f,
-                        c.costs.c_w)[1]
-            for c in system.contents
-        )
+        # never caching is optimal from I on, so at C_h = inf each set is never-cache's
+        never = [solve_thresholds(c, system.beta, math.inf) for c in system.contents]
+        ceilings = [ts.I for ts in never]
+        case1 = sum(ts.theta for ts in never)
         assert ch == pytest.approx(max(ceilings))
         assert bound == pytest.approx(case1, rel=1e-9)
 
@@ -297,8 +291,7 @@ class TestRelaxedLowerBound:
         ch, bound = relaxed_lower_bound(system)
         always = sum(
             c.p * system.beta * c.costs.c_a * c.lam
-            * solve_infinite_capacity(c.p * system.beta, c.lam, c.costs.c_a,
-                                      c.costs.c_f, c.costs.c_w)[0]
+            * solve_thresholds(c, system.beta).tau_star
             for c in system.contents
         )
         assert ch == pytest.approx(0.0, abs=1e-6)
@@ -308,7 +301,7 @@ class TestRelaxedLowerBound:
         system = desk_system()  # N=100, beta=4, zipf 1, M=25
         ch, bound = relaxed_lower_bound(system)
         assert bound == pytest.approx(1.1176835448, abs=1e-6)  # frozen on first computation
-        ceilings = [compute_I(c, system.beta) for c in system.contents]
+        ceilings = [solve_thresholds(c, system.beta).I for c in system.contents]
         grid = np.linspace(0.0, max(ceilings), 1000)
         dense = max(dual_value(system, float(x)) for x in grid)
         assert bound >= dense - 1e-9
@@ -345,7 +338,7 @@ class TestRelaxedLowerBound:
 
     def test_concavity_sanity(self):
         system = desk_system(N=30, M=8)
-        ceilings = [compute_I(c, system.beta) for c in system.contents]
+        ceilings = [solve_thresholds(c, system.beta).I for c in system.contents]
         xs = np.linspace(0.0, max(ceilings), 40)
         vals = [dual_value(system, float(x)) for x in xs]
         d2 = np.diff(vals, 2)

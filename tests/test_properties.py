@@ -23,15 +23,11 @@ from aovcache.thresholds import (
     ConsistencyError,
     case2_batch,
     case2_candidates,
-    compute_I,
     content_constants,
     first_consistent,
     gap_value,
-    optimal_average_cost,
     relaxed_batch,
-    solve_case2,
     solve_gap,
-    solve_q_hat,
     solve_thresholds,
     window_consistent,
 )
@@ -39,8 +35,8 @@ from aovcache.whittle import (
     PolicyTables,
     _cached_gaps,
     _omega_candidates,
+    build_content_tables,
     build_index_tables,
-    uncached_breakpoints,
     whittle_cached,
     whittle_uncached,
 )
@@ -77,12 +73,14 @@ def bisect(pred, hi: float, iters: int = 60) -> float:
 
 def cached_reference(c, beta, tau: float) -> float:
     """W(0, tau): the smallest C_h whose serve threshold is at or below tau."""
-    return bisect(lambda ch: solve_case2(ch, c, beta)[0] <= tau, compute_I(c, beta))
+    return bisect(lambda ch: solve_thresholds(c, beta, ch).tau_bar <= tau,
+                  solve_thresholds(c, beta).I)
 
 
 def uncached_reference(c, beta, q: int) -> float:
     """W(q, 0, 1): the smallest C_h whose fetch threshold exceeds q."""
-    return bisect(lambda ch: solve_case2(ch, c, beta)[2] > q, compute_I(c, beta))
+    return bisect(lambda ch: solve_thresholds(c, beta, ch).Q_bar > q,
+                  solve_thresholds(c, beta).I)
 
 
 def gap_c(x: float) -> float:
@@ -114,7 +112,7 @@ def test_cached_index_at_queue_threshold_jumps(cb, pick, nudge):
         return
     q = min(ts.Q_star + int(pick * (ts.Q_hat - ts.Q_star)), ts.Q_hat - 1)
     jump = whittle_uncached(c, beta, q)
-    tau = solve_case2(jump, c, beta)[0] * (1.0 + nudge)
+    tau = solve_thresholds(c, beta, jump).tau_bar * (1.0 + nudge)
     if not 0.0 < tau < ts.tau_star:
         return
     w = whittle_cached(c, beta, 0, tau)
@@ -128,7 +126,7 @@ def test_cached_index_at_queue_threshold_jumps(cb, pick, nudge):
        beta=st.floats(0.5, 50.0))
 def test_batched_breakpoints_match_scalar_bisection(cbs, beta):
     cs = [c for c, _ in cbs]
-    batched = uncached_breakpoints(cs, beta)
+    batched = [t.breakpoints for t in build_index_tables(cs, beta)[0].content]
     for c, bps in zip(cs, batched):
         ts = solve_thresholds(c, beta, 0.0)
         assert len(bps) == max(ts.Q_hat - ts.Q_star, 0)
@@ -164,8 +162,8 @@ def test_batched_dual_matches_scalar_sum(cbs, beta, m_frac, ch_frac):
     contents_ = tuple(ContentParams(lam=c.lam, p=float(p), costs=c.costs)
                       for (c, _), p in zip(cbs, pops))
     system = SystemParams(beta=beta, contents=contents_, M=int(m_frac * (n - 1)))
-    ch = ch_frac * max(compute_I(c, beta) for c in contents_)
-    terms = [optimal_average_cost(c, beta, ch) for c in contents_]
+    ch = ch_frac * max(solve_thresholds(c, beta).I for c in contents_)
+    terms = [solve_thresholds(c, beta, ch).theta for c in contents_]
     scalar = sum(terms) - ch * system.M
     assert abs(dual_value(system, ch) - scalar) <= TOL * (sum(terms) + ch * system.M)
 
@@ -214,7 +212,7 @@ def holding_costs(c, beta, fracs) -> tuple:
     every uncached breakpoint and its neighbours (where Q_bar jumps)."""
     k = content_constants((c,), beta)
     I = float(k.I[0])
-    bps = uncached_breakpoints((c,), beta)[0]
+    bps = build_content_tables(c, beta).breakpoints
     return k, np.concatenate([np.array(fracs) * I, ulp_neighbours(bps, 0.0, I)])
 
 
@@ -293,7 +291,7 @@ def test_cached_window_matches_full_width(cb, fracs):
     c, beta = cb
     k, _ = holding_costs(c, beta, [])
     ts = solve_thresholds(c, beta, 0.0)
-    tbar = case2_batch(np.array(uncached_breakpoints((c,), beta)[0]), k)[0]
+    tbar = case2_batch(np.array(build_content_tables(c, beta).breakpoints), k)[0]
     tau = np.concatenate([np.array(fracs) * ts.tau_star,
                           ulp_neighbours(tbar, 1e-300, ts.tau_star)])
     tau = tau[(tau > 0.0) & (tau < ts.tau_star)][None, :]
@@ -354,7 +352,7 @@ def log_uniform(draw, lo: float = BOX[0], hi: float = BOX[1]) -> float:
 def triangular_c_w(p: float, beta: float, c_f: float, m: int, ulps: int) -> float:
     """A c_w that puts p*beta*c_f/c_w on the triangular number m(m+1)/2,
     nudged by ``ulps``: where the closed-form ``Q_hat`` sits on its
-    integer boundary and may need ``solve_q_hat``'s fixed-point repair."""
+    integer boundary and may need ``content_constants``' fixed-point repair."""
     c_w = p * beta * c_f / (m * (m + 1) / 2)
     for _ in range(abs(ulps)):
         c_w = math.nextafter(c_w, math.inf if ulps > 0 else 0.0)
@@ -386,35 +384,32 @@ def assert_constants_match_scalar(contents_, beta):
     # its definition: with libm's exp, and gap_value's series where
     # beta*tau0 < 0.1; where a content has no Q_hat, both raise
     try:
-        rows = [solve_q_hat(c.p, beta, c.costs.c_a, c.lam, c.costs.c_f, c.costs.c_w)
-                for c in contents_]
+        ones = [content_constants((c,), beta) for c in contents_]
     except ConsistencyError:
         with pytest.raises(ConsistencyError):
             content_constants(contents_, beta)
         return
     k = content_constants(contents_, beta)
-    q_hat, theta1, tau0 = (list(col) for col in zip(*rows))
     assert k.q_hat.dtype == np.int64
-    assert k.q_hat.tolist() == q_hat
-    assert_same_bits(k.theta1, np.array(theta1))
-    assert_same_bits(k.tau0, np.array(tau0))
+    assert k.q_hat.tolist() == [int(a.q_hat[0]) for a in ones]
+    assert_same_bits(k.rows, np.concatenate([a.rows for a in ones], axis=1))
     assert_same_bits(k.I, np.array([c.p * c.lam * c.costs.c_a
                                     * (beta * t - 1.0 + math.exp(-beta * t) if beta * t >= 0.1
                                        else float(gap_value(beta * t)))
-                                    for c, t in zip(contents_, tau0)]))
+                                    for c, t in zip(contents_, k.tau0.tolist())]))
 
 
 @SETTINGS
 @given(cb=box_contents())
 def test_array_constants_match_the_scalar_solver(cb):
-    # content_constants on arrays against solve_q_hat and math.exp per
-    # content, bit for bit, over the box
+    # content_constants on arrays against its calls on one content each and
+    # math.exp per content, bit for bit, over the box
     assert_constants_match_scalar(*cb)
 
 
 def test_array_constants_repair_q_hat_like_the_scalar_solver():
     # contents whose closed-form Q_hat lands on its integer boundary: the
-    # fixed-point test fails for some of them, and solve_q_hat's repair
+    # fixed-point test fails for some of them, and the one-content repair
     # decides their Q_hat
     rng = np.random.default_rng(11)
     contents_, repaired = [], 0
@@ -435,7 +430,7 @@ def test_array_constants_repair_q_hat_like_the_scalar_solver():
 @pytest.mark.parametrize("field", ["p", "lam", "c_a", "c_f", "c_w", "beta"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
 def test_array_constants_name_a_non_positive_field(field, value):
-    # the ValueError of the first content solve_q_hat rejects, word for word
+    # the ValueError of the first content solve_thresholds rejects, word for word
     good = ContentParams(lam=0.5, p=0.25, costs=CostModel(0.1, 1.0, 0.01))
     beta = value if field == "beta" else 4.0
     bad = good
@@ -443,9 +438,8 @@ def test_array_constants_name_a_non_positive_field(field, value):
         bad = ContentParams(**{**vars(good), field: value})
     elif field != "beta":
         bad = ContentParams(good.lam, good.p, CostModel(**{**vars(good.costs), field: value}))
-    cm = bad.costs
     with pytest.raises(ValueError) as scalar:
-        solve_q_hat(bad.p, beta, cm.c_a, bad.lam, cm.c_f, cm.c_w)
+        solve_thresholds(bad, beta)
     with pytest.raises(ValueError) as batched:
         content_constants([good, bad, good], beta)
     assert str(batched.value) == str(scalar.value)

@@ -21,7 +21,7 @@ from aovcache.simulator import (
     run,
     sweep,
 )
-from aovcache.thresholds import solve_infinite_capacity
+from aovcache.thresholds import solve_thresholds
 from aovcache.whittle import GRID_SIZE, INV_STEP, Q_HAT, Q_STAR, TAU_STAR
 from conftest import UNIT, assert_same_bits, corrupt_cache, desk_system
 
@@ -140,7 +140,7 @@ class TestRunBasics:
 class TestSingleContentTheorem:
     def test_average_cost_near_closed_form(self):
         # medium-horizon version of the long acceptance run
-        theta = solve_infinite_capacity(1, 1, 1, 1, 0.5)[2]
+        theta = solve_thresholds(UNIT, 1.0).theta
         m = run(single_content_config(horizon_events=500_000))
         assert m.avg_total_cost == pytest.approx(theta, rel=0.02)
         assert m.serve_after_wait == 0

@@ -11,19 +11,14 @@ from aovcache.thresholds import (
     ConsistencyError,
     case2_batch,
     case2_candidates,
-    compute_I,
     content_constants,
     gap_value,
-    optimal_average_cost,
     relaxed_batch,
-    solve_case2,
-    solve_infinite_capacity,
     solve_gap,
-    solve_q_hat,
     solve_thresholds,
     zero_holding_thresholds,
 )
-from aovcache.whittle import build_content_tables, uncached_breakpoints
+from aovcache.whittle import build_content_tables, build_index_tables
 from conftest import assert_same_bits, desk_system, random_content
 
 
@@ -40,23 +35,23 @@ def brute_serve_wait_fetch(beta, lam, c_a, c_f, c_w, q_max=60):
 
 
 class TestInfiniteCapacity:
-    def test_unit_example(self):
-        tau, q, theta = solve_infinite_capacity(1, 1, 1, 1, 0.5)
-        assert tau == pytest.approx(-2.0 + math.sqrt(7.0), abs=1e-12)
-        assert q == 1
-        assert theta == pytest.approx(tau)
+    def test_unit_example(self, unit_content):
+        ts = solve_thresholds(unit_content, 1.0)
+        assert ts.tau_star == pytest.approx(-2.0 + math.sqrt(7.0), abs=1e-12)
+        assert ts.Q_star == 1
+        assert ts.theta == pytest.approx(ts.tau_star)
         hits = brute_serve_wait_fetch(1, 1, 1, 1, 0.5, q_max=11)
-        assert hits == [(pytest.approx(tau), 1)]
+        assert hits == [(pytest.approx(ts.tau_star), 1)]
 
     def test_huge_waiting_cost_forces_no_wait(self):
-        tau, q, theta = solve_infinite_capacity(1, 1, 1, 1, 1e9)
-        assert q == 0
-        assert tau == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-12)
+        ts = solve_thresholds(ContentParams(1, 1, CostModel(1, 1, 1e9)), 1)
+        assert ts.Q_star == 0
+        assert ts.tau_star == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-12)
 
     def test_free_fetching_kills_cost(self):
-        tau, q, theta = solve_infinite_capacity(1, 1, 1, 1e-9, 1.0)
-        assert q == 0
-        assert tau < 1e-4 and theta < 1e-4
+        ts = solve_thresholds(ContentParams(1, 1, CostModel(1, 1e-9, 1.0)), 1)
+        assert ts.Q_star == 0
+        assert ts.tau_star < 1e-4 and ts.theta < 1e-4
 
     def test_unique_and_matches_bruteforce(self):
         rng = np.random.default_rng(11)
@@ -66,33 +61,33 @@ class TestInfiniteCapacity:
             rate = c.p * beta
             hits = brute_serve_wait_fetch(rate, c.lam, cm.c_a, cm.c_f, cm.c_w)
             assert len(hits) == 1
-            tau, q, theta = solve_infinite_capacity(rate, c.lam, cm.c_a, cm.c_f, cm.c_w)
-            assert (tau, q) == (pytest.approx(hits[0][0]), hits[0][1])
+            ts = solve_thresholds(ContentParams(c.lam, 1.0, cm), rate)
+            assert (ts.tau_star, ts.Q_star) == (pytest.approx(hits[0][0]), hits[0][1])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            solve_infinite_capacity(0.0, 1, 1, 1, 1)
+            solve_thresholds(ContentParams(1, 1, CostModel(1, 1, 1)), 0.0)
         with pytest.raises(ValueError):
-            solve_infinite_capacity(1, 1, 1, -1, 1)
+            solve_thresholds(ContentParams(1, 1, CostModel(1, -1, 1)), 1)
 
 
 class TestQHat:
-    def test_unit_example(self):
-        q_hat, theta1, tau0 = solve_q_hat(1, 1, 1, 1, 1, 0.5)
-        assert q_hat == 1
-        assert theta1 == pytest.approx(0.75)
-        assert tau0 == pytest.approx(0.75)
+    def test_unit_example(self, unit_content):
+        ts = solve_thresholds(unit_content, 1.0, math.inf)  # never-cache: theta_case1
+        assert ts.Q_hat == 1
+        assert ts.theta == pytest.approx(0.75)
+        assert ts.tau0 == pytest.approx(0.75)
         # closed form before flooring: (sqrt(17)-1)/2 ~ 1.56
         assert (math.sqrt(17) - 1) / 2 == pytest.approx(1.5616, abs=1e-4)
 
     def test_free_fetch(self):
-        q_hat, theta1, _ = solve_q_hat(1, 1, 1, 1, 1e-9, 0.5)
-        assert q_hat == 0 and theta1 < 1e-8
+        ts = solve_thresholds(ContentParams(1, 1, CostModel(1, 1e-9, 0.5)), 1, math.inf)
+        assert ts.Q_hat == 0 and ts.theta < 1e-8
 
     def test_paper_content_one(self):
         p1 = float(zipf_popularity(1000, 1.0)[0])
-        q_hat, theta1, tau0 = solve_q_hat(p1, 40.0, 0.1, 0.01, 1.0, 0.01)
-        assert q_hat == 32
+        c = ContentParams(lam=0.01, p=p1, costs=CostModel(0.1, 1.0, 0.01))
+        assert solve_thresholds(c, 40.0).Q_hat == 32
         # independent fixed-point enumeration
         r = p1 * 40.0
         fixed = [q for q in range(200)
@@ -104,11 +99,11 @@ class TestQHat:
         for _ in range(60):
             c, beta = random_content(rng)
             cm = c.costs
-            q_hat, theta1, tau0 = solve_q_hat(c.p, beta, cm.c_a, c.lam, cm.c_f, cm.c_w)
-            r = c.p * beta
+            ts = solve_thresholds(c, beta, math.inf)
+            q_hat, r = ts.Q_hat, c.p * beta
             assert math.floor((2 * r * cm.c_f + cm.c_w * q_hat * (q_hat + 1))
                               / (2 * cm.c_w * (q_hat + 1))) == q_hat
-            assert tau0 == pytest.approx(theta1 / (r * cm.c_a * c.lam))
+            assert ts.tau0 == pytest.approx(ts.theta / (r * cm.c_a * c.lam))
 
     def test_triangular_ratio_has_a_q_hat(self):
         # p*beta*c_f/c_w = 15 = 5*6/2: Q_hat = 5 exactly, where 4 and 5 cost
@@ -117,48 +112,47 @@ class TestQHat:
         # raised ConsistencyError on a valid system)
         p, c_w = 0.05263157894736843, 0.0035087719298245623  # p: Zipf, N=19, alpha=0
         assert 1.0 * p / c_w == 15.0
-        q_hat, theta1, _ = solve_q_hat(p, 1.0, 1.0, 1.0, 1.0, c_w)
-        assert q_hat == 5
-        assert theta1 == pytest.approx(5.0 * c_w, rel=1e-15)
+        ts = solve_thresholds(ContentParams(1.0, p, CostModel(1.0, 1.0, c_w)), 1.0, math.inf)
+        assert ts.Q_hat == 5
+        assert ts.theta == pytest.approx(5.0 * c_w, rel=1e-15)
 
 
 class TestComputeI:
     def test_unit_example(self, unit_content):
-        I = compute_I(unit_content, 1.0)
+        I = solve_thresholds(unit_content, 1.0).I
         assert I == pytest.approx(0.75 - (1.0 - math.exp(-0.75)), abs=1e-12)
         assert I == pytest.approx(0.2224, abs=5e-5)
 
     def test_vanishes_with_free_fetch(self):
         c = ContentParams(lam=1.0, p=1.0, costs=CostModel(1.0, 1e-9, 0.5))
-        assert compute_I(c, 1.0) < 1e-8
+        assert solve_thresholds(c, 1.0).I < 1e-8
 
     def test_is_the_serve_collapse_point(self, unit_content):
-        I = compute_I(unit_content, 1.0)
-        tb, tt, qb, _ = solve_case2(I, unit_content, 1.0)
-        assert tb == pytest.approx(0.0, abs=1e-9)
-        ts = solve_thresholds(unit_content, 1.0, I)
-        assert tt == pytest.approx(ts.tau0, abs=1e-9)
-        assert qb == ts.Q_hat
+        ts = solve_thresholds(unit_content, 1.0, solve_thresholds(unit_content, 1.0).I)
+        assert ts.tau_bar == pytest.approx(0.0, abs=1e-9)
+        assert ts.tau_tilde == pytest.approx(ts.tau0, abs=1e-9)
+        assert ts.Q_bar == ts.Q_hat
 
 
 class TestCase2:
     def test_collapses_to_serve_wait_fetch_at_zero(self, unit_content):
-        tb, tt, qb, theta = solve_case2(0.0, unit_content, 1.0)
-        tau, q, theta0 = solve_infinite_capacity(1, 1, 1, 1, 0.5)
-        assert tb == pytest.approx(tau, abs=1e-9)
-        assert tt == pytest.approx(tau, abs=1e-9)
-        assert qb == q and theta == pytest.approx(theta0, abs=1e-9)
+        ts = solve_thresholds(unit_content, 1.0, 0.0)
+        [(tau, q)] = brute_serve_wait_fetch(1, 1, 1, 1, 0.5)
+        assert ts.tau_bar == pytest.approx(tau, abs=1e-9)
+        assert ts.tau_tilde == pytest.approx(tau, abs=1e-9)
+        assert ts.Q_bar == q and ts.theta == pytest.approx(tau, abs=1e-9)  # theta = tau here
 
     def test_collapse_uses_content_request_rate(self):
         # with p < 1 the C_h = 0 solution matches the solver run at rate p*beta
         c = ContentParams(lam=0.3, p=0.35, costs=CostModel(0.7, 1.3, 0.2))
-        tb, tt, qb, theta = solve_case2(0.0, c, 3.0)
-        tau, q, theta0 = solve_infinite_capacity(0.35 * 3.0, 0.3, 0.7, 1.3, 0.2)
-        assert tb == pytest.approx(tau, abs=1e-9)
-        assert theta == pytest.approx(theta0, abs=1e-9)
+        ts = solve_thresholds(c, 3.0, 0.0)
+        at_rate = solve_thresholds(ContentParams(0.3, 1.0, c.costs), 0.35 * 3.0)
+        assert ts.tau_bar == pytest.approx(at_rate.tau_star, abs=1e-9)
+        assert ts.theta == pytest.approx(at_rate.theta, abs=1e-9)
 
     def test_worked_example_ch_01(self, unit_content):
-        tb, tt, qb, theta = solve_case2(0.1, unit_content, 1.0)
+        ts = solve_thresholds(unit_content, 1.0, 0.1)
+        tb, tt, qb, theta = ts.tau_bar, ts.tau_tilde, ts.Q_bar, ts.theta
         x = tt - tb
         assert x == pytest.approx(0.483, abs=1e-3)
         assert tb == pytest.approx(0.2143, abs=1e-3)
@@ -181,16 +175,16 @@ class TestCase2:
             assert r.passed, r.detail
 
     def test_domain_errors(self, unit_content):
-        I = compute_I(unit_content, 1.0)
         with pytest.raises(ValueError):
-            solve_case2(-0.1, unit_content, 1.0)
-        with pytest.raises(ValueError):
-            solve_case2(2 * I, unit_content, 1.0)
+            solve_thresholds(unit_content, 1.0, -0.1)
+        # above the ceiling I the content is never cached
+        ts = solve_thresholds(unit_content, 1.0, 2 * solve_thresholds(unit_content, 1.0).I)
+        assert (ts.tau_bar, ts.tau_tilde, ts.Q_bar, ts.theta) == (0.0, ts.tau0, ts.Q_hat, 0.75)
 
     def test_degenerate_popularity_rejected(self):
         c = ContentParams(lam=1.0, p=0.0, costs=CostModel(1, 1, 1))
         with pytest.raises(ValueError):
-            solve_case2(0.0, c, 1.0)
+            solve_thresholds(c, 1.0, 0.0)
 
 
 class TestBundle:
@@ -198,7 +192,7 @@ class TestBundle:
         rng = np.random.default_rng(29)
         for _ in range(20):
             c, beta = random_content(rng)
-            I = compute_I(c, beta)
+            I = solve_thresholds(c, beta).I
             for ch in (0.0, 0.4 * I, I):
                 ts = solve_thresholds(c, beta, ch)
                 assert ts.tau_bar <= ts.tau_star + 1e-12
@@ -253,9 +247,9 @@ class TestBundle:
         assert k.I.tolist() == pytest.approx([1.313e-17, 1.299e-17], rel=1e-3)
 
     def test_optimal_cost_continuous_at_I(self, unit_content):
-        I = compute_I(unit_content, 1.0)
-        below = optimal_average_cost(unit_content, 1.0, I * (1 - 1e-9))
-        above = optimal_average_cost(unit_content, 1.0, I * 2)
+        I = solve_thresholds(unit_content, 1.0).I
+        below = solve_thresholds(unit_content, 1.0, I * (1 - 1e-9)).theta
+        above = solve_thresholds(unit_content, 1.0, I * 2).theta
         assert below == pytest.approx(above, rel=1e-6)
         assert above == pytest.approx(0.75)
 
@@ -267,7 +261,7 @@ def test_pair_decides_a_hit_whose_guard_is_near_its_boundary():
     # scan's bits there
     system = desk_system()
     k = content_constants(system.contents, system.beta)
-    bps = uncached_breakpoints(system.contents, system.beta)
+    bps = [c.breakpoints for c in build_index_tables(system.contents, system.beta)[0].content]
     b = np.concatenate(bps)
     steps = [np.nextafter(b, np.inf)]
     for _ in range(7):

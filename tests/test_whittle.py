@@ -14,9 +14,7 @@ from aovcache.cli import build_system
 from aovcache.model import SingleContentState
 from aovcache.policies import PolicyTables, build_policy_tables, relaxed_lower_bound
 from aovcache.thresholds import (
-    compute_I,
     content_constants,
-    solve_case2,
     solve_thresholds,
     solve_thresholds_batch,
     zero_holding_thresholds,
@@ -32,7 +30,6 @@ from aovcache.whittle import (
     index_residual_cached,
     index_residual_uncached,
     passive_set_member,
-    uncached_breakpoints,
     verify_indexability,
     whittle_cached,
     whittle_uncached,
@@ -66,14 +63,14 @@ class TestCachedIndex:
             assert whittle_cached(unit_content, 1.0, 3, tau) == 0.0
 
     def test_inverse_of_serve_threshold(self, unit_content):
-        tb = solve_case2(0.1, unit_content, 1.0)[0]
+        tb = solve_thresholds(unit_content, 1.0, 0.1).tau_bar
         w = whittle_cached(unit_content, 1.0, 0, tb)
         assert w == pytest.approx(0.1, abs=1e-8)
         # the spec's rounded query point stays within coarse tolerance
         assert whittle_cached(unit_content, 1.0, 0, 0.2144) == pytest.approx(0.1, abs=1e-3)
 
     def test_boundary_values_and_monotonicity(self, unit_content):
-        I = compute_I(unit_content, 1.0)
+        I = solve_thresholds(unit_content, 1.0).I
         ts = solve_thresholds(unit_content, 1.0, 0.0)
         assert whittle_cached(unit_content, 1.0, 0, 0.0) == pytest.approx(I, abs=1e-8)
         taus = np.linspace(0.0, ts.tau_star, 25)
@@ -97,7 +94,7 @@ class TestUncachedIndex:
         assert whittle_uncached(unit_content, 1.0, 0) == 0.0  # Q* = 1
 
     def test_saturates_at_ceiling(self, unit_content):
-        I = compute_I(unit_content, 1.0)
+        I = solve_thresholds(unit_content, 1.0).I
         assert whittle_uncached(unit_content, 1.0, 1) == pytest.approx(I, abs=1e-9)
         assert whittle_uncached(unit_content, 1.0, 10**6) == pytest.approx(I, abs=1e-9)
 
@@ -120,7 +117,7 @@ class TestUncachedIndex:
 
 class TestPassiveSets:
     def test_everything_passive_above_ceiling(self, unit_content):
-        I = compute_I(unit_content, 1.0)
+        I = solve_thresholds(unit_content, 1.0).I
         states = default_state_grid(unit_content, 1.0)
         assert all(passive_set_member(unit_content, 1.0, 1.5 * I, s) for s in states)
 
@@ -168,7 +165,7 @@ class TestIndexability:
         # and the violations against the loop that used them
         system = build_system(json.loads((CONFIGS / config).read_text()))
         for c in system.contents[:5]:
-            I = compute_I(c, system.beta)
+            I = solve_thresholds(c, system.beta).I
             grid = np.linspace(0.0, 1.05 * I, 200)
             one_at_a_time = [solve_thresholds(c, system.beta, float(ch)) for ch in grid]
             assert solve_thresholds_batch(c, system.beta, grid) == one_at_a_time
@@ -265,7 +262,7 @@ class TestContentTables:
         zero = zero_holding_thresholds(k)
         tau_star = np.array([ts.tau_star for ts in zero])
         q_star = np.array([ts.Q_star for ts in zero])
-        bps = uncached_breakpoints(system.contents, system.beta)
+        bps = [t.breakpoints for t in build_index_tables(system.contents, system.beta)[0].content]
         counts = np.array([len(b) for b in bps])
 
         def rows_from(bps):
@@ -307,7 +304,7 @@ class TestContentTables:
         zero = zero_holding_thresholds(k)
         tau_star = np.array([ts.tau_star for ts in zero])
         q_star = np.array([ts.Q_star for ts in zero])
-        bps = uncached_breakpoints(system.contents, system.beta)
+        bps = [t.breakpoints for t in build_index_tables(system.contents, system.beta)[0].content]
         i = max(range(system.N), key=lambda i: len(bps[i]))
         b = np.array(bps[i])
         ki = k.take([i])
