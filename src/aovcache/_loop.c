@@ -123,7 +123,12 @@ static inline int64_t row_cell(double x, int64_t stride)
  * every slot not visited has key >= lb > w_min, so it neither beats nor
  * ties the minimum.  The test is strict so that ties are still
  * evaluated.  Nothing here decides; the visited keys are computed with
- * the reference loop's expression, so the victim is the full scan's. */
+ * the reference loop's expression, so the victim is the full scan's.
+ * The scan also stops at the first lb >= w_req, the requester's index,
+ * while no key below w_req has been seen (!(w_min < w_req)): every slot
+ * not visited has key >= lb >= w_req, so the minimum over all slots is
+ * >= w_req, w_req > w_min fails as it would after the full scan, and the
+ * requester is not admitted; the victim is then never read. */
 
 /* one slot's state for the scan, rebuilt from slots, fetch_time and queue
  * at each entry to event_loop */
@@ -371,7 +376,7 @@ run_events(const int policy, const int realized,
             }
             double w_min = INFINITY;
             for (int64_t i = 0; i < m; i++) {
-                if (order[i].lb > w_min)
+                if (order[i].lb > w_min || (!(w_min < w_req) && order[i].lb >= w_req))
                     break;
                 const struct slot *sl = rec + order[i].s;
                 double w = 0.0;

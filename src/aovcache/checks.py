@@ -24,11 +24,12 @@ from .model import ContentParams, SingleContentState, SystemParams
 from .oracle import Grid, solve_holding, solve_infinite, whittle_by_sweep
 from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, SimulationError, _run
-from .thresholds import (ConsistencyError, case2_batch, case2_residuals, content_constants,
-                         relaxed_batch, solve_thresholds, solve_thresholds_batch,
-                         zero_holding_thresholds)
-from .whittle import (build_index_tables, cached_indices, grid_taus, verify_indexability,
-                      whittle_cached, whittle_uncached)
+from .thresholds import (ConsistencyError, breakpoint_estimate, case2_batch, case2_residuals,
+                         content_constants, relaxed_batch, solve_thresholds,
+                         solve_thresholds_batch, zero_holding_thresholds)
+from .whittle import (BAND_ERRORS, BP_OFF, Q_STAR, PolicyTables, _groups, build_index_tables,
+                      cached_indices, grid_taus, verify_indexability, whittle_cached,
+                      whittle_uncached)
 
 
 class Result(NamedTuple):
@@ -159,17 +160,48 @@ def special_functions(system: SystemParams) -> Result:
                   "W0 values differ from scipy.special", n_omega + n_w0)
 
 
+def misplaced_breakpoints(tables: PolicyTables, reference: PolicyTables) -> np.ndarray:
+    """Where the uncached breakpoints of ``tables`` miss their definition,
+    given ``reference``, the same system's tables from the plain bisection
+    (``window=False``).  A breakpoint b of pair (content, q) holds if it is
+    the reference's bit for bit, as a pair whose band was not confirmed
+    gets, or if it is the root of a band: with ``d = BAND_ERRORS * err``
+    from ``breakpoint_estimate``'s own error bound, the full-width
+    ``case2_batch`` reads ``Q_bar(b - d) <= q < Q_bar(b + d)`` inside
+    ``(0, I)``, and b lies within ``d + I * 2**-60`` of the reference's
+    midpoint, the bisection's own error."""
+    ref, b = reference.bps, tables.bps
+    if b.shape != ref.shape:
+        return np.ones(ref.size, dtype=bool)
+    off = reference.cint[:, BP_OFF]
+    idx, j = _groups(np.diff(np.append(off, ref.size)))
+    k = content_constants(tables.contents, tables.beta).take(idx)
+    q = reference.cint[idx, Q_STAR] + j
+    d = BAND_ERRORS * breakpoint_estimate(k, q)[1]
+    lo, hi = b - d, b + d
+    band = (lo > 0.0) & (hi < k.I) & (np.abs(b - ref) <= d + k.I * 2.0 ** -60)
+    i = band.nonzero()[0]
+    ki = k.take(i)
+    band[i] = (case2_batch(lo[i], ki)[2] <= q[i]) & (case2_batch(hi[i], ki)[2] > q[i])
+    return ~band & bits_differ(b, ref)
+
+
 def table_window(system: SystemParams) -> Result:
-    """The index tables from windows of queue candidates against a scan of
-    every candidate, array for array and bit for bit."""
+    """The index tables from windows of queue candidates and the
+    breakpoints' roots against the plain bisection and a scan of every
+    candidate: ``cdbl``, ``cint`` and ``w_of_tau`` bit for bit, and every
+    breakpoint by ``misplaced_breakpoints``."""
     windowed, counts = build_index_tables(system.contents, system.beta)
     full = build_index_tables(system.contents, system.beta, window=False)[0]
-    pairs = [(getattr(windowed, f), getattr(full, f)) for f in ("cdbl", "cint", "bps", "w_of_tau")]
+    pairs = [(getattr(windowed, f), getattr(full, f)) for f in ("cdbl", "cint", "w_of_tau")]
     n = sum(x.size if x.shape != y.shape else np.count_nonzero(bits_differ(x, y))
             for x, y in pairs)
-    return Result(n == 0, f"{n} of {sum(y.size for _, y in pairs)} table values differ from the "
-                  f"full-width scan; {counts.full_width} points of the cached grid fell back "
-                  f"to it, {counts.plain} breakpoints to the plain bisection", n)
+    n_bps = np.count_nonzero(misplaced_breakpoints(windowed, full))
+    return Result(n + n_bps == 0,
+                  f"{n} of {sum(y.size for _, y in pairs)} table values differ from the "
+                  f"full-width scan and {n_bps} of {full.bps.size} breakpoints miss their band; "
+                  f"{counts.full_width} points of the cached grid fell back to the scan, "
+                  f"{counts.fallback} breakpoints to the plain bisection", n + n_bps)
 
 
 def dual_bound(system: SystemParams, points: int) -> Result:

@@ -23,9 +23,10 @@ them where ``window_consistent`` says it decides.  ``case2`` reads
 every content off the pair at ``_q_bar_estimate``, the closed-form root
 of a quadratic in Q, laid out candidates first against the contents'
 rows: for ``relaxed_batch``, the ``C_h = 0`` thresholds and the index
-tables' bisection alike.  The same quadratic in Q, written in the gap x,
-gives each breakpoint of ``Q_bar`` in C_h up to rounding
-(``breakpoint_estimate``), from which that bisection is replayed.
+tables' breakpoints alike.  The same quadratic in Q, written in the gap
+x, gives each breakpoint of ``Q_bar`` in C_h up to rounding
+(``breakpoint_estimate``), which ``whittle`` takes as the uncached index
+where ``case2`` confirms it.
 ``content_constants`` solves the ``C_h``-independent quantities of all
 contents at once, and ``solve_thresholds`` (``solve_thresholds_batch``
 over several ``C_h``) is the one entry for a content's thresholds and
@@ -293,8 +294,16 @@ def _quadratic(g, xb, k: ContentConstants, q):
     q1 = q + 1.0
     f = g + q1 / k.r
     d = k.cf_rc - q1 * xb / k.r + k.c_w * q * q1 / k.den
-    disc = f * f + 2.0 * d
-    tb = np.sqrt(np.maximum(disc, 0.0)) - f
+    d2 = 2.0 * d
+    disc = f * f + d2
+    s = np.sqrt(np.maximum(disc, 0.0))
+    # the larger root s - f, as 2*d / (s + f) so that it does not cancel
+    # where tb << f (Higham 2002, "Accuracy and Stability of Numerical
+    # Algorithms", 2nd ed., 1.8).  f = (1 - e^-x)/beta + (q+1)/(p*beta) is
+    # >= 0 for every candidate q >= -1, and |f| keeps a rounding just below
+    # 0 from cancelling in the denominator.  f is 0 only for the guard -1
+    # at C_h = 0, where d = c_f/rc > 0, so the denominator is not 0
+    tb = d2 / (s + np.abs(f))
     ok = (disc >= 0.0) & (tb >= -1e-12) & (q <= k.top)
     tb = np.maximum(tb, 0.0)
     tt = tb + xb
@@ -469,21 +478,26 @@ def solve_thresholds(params: ContentParams, beta: float, C_h: float = 0.0) -> Th
 def solve_thresholds_batch(params: ContentParams, beta: float,
                            C_h: Sequence[float]) -> list[ThresholdSet]:
     """``solve_thresholds`` at each holding cost of ``C_h``, from one
-    ``relaxed_batch`` call and the ``C_h = 0`` thresholds."""
+    ``relaxed_batch`` call that solves ``C_h = 0`` along with them, so case
+    2 is solved once.  Where ``I`` underflows to 0, ``relaxed_batch``
+    reads never-cache at 0 and solves no case 2, and the ``C_h = 0``
+    thresholds come from ``zero_holding_batch``."""
     C_h = np.asarray(C_h, dtype=float)
     if (C_h < 0).any():
         raise ValueError(f"C_h must be >= 0, got {C_h[C_h < 0][0]}")
     k = content_constants((params,), beta)
-    star = zero_holding_thresholds(k)[0]
-    tb, tt, qb, theta, _ = (a.tolist() for a in relaxed_batch(C_h, k))
+    solved = relaxed_batch(np.concatenate([[0.0], C_h]), k)
+    star = zero_holding_thresholds(k, solved[:4] if k.I[0] > 0.0 else None)[0]
+    tb, tt, qb, theta, _ = (a[1:].tolist() for a in solved)
     return [replace(star, tau_bar=tb[j], tau_tilde=tt[j], Q_bar=qb[j], theta=theta[j], C_h=ch)
             for j, ch in enumerate(C_h.tolist())]
 
 
-def zero_holding_thresholds(k: ContentConstants) -> list[ThresholdSet]:
+def zero_holding_thresholds(k: ContentConstants, zero=None) -> list[ThresholdSet]:
     """``solve_thresholds(params, beta, 0.0)`` for every content of ``k``,
-    from one ``zero_holding_batch`` call."""
-    tb, tt, qb, theta = (a.tolist() for a in zero_holding_batch(k))
+    from ``zero``, the contents' ``zero_holding_batch`` if the caller has
+    solved it, or one call of it."""
+    tb, tt, qb, theta = (a.tolist() for a in (zero_holding_batch(k) if zero is None else zero))
     return [
         ThresholdSet(tau_star=tb[i], Q_star=qb[i], tau_bar=tb[i], tau_tilde=tt[i],
                      Q_bar=qb[i], Q_hat=q_hat, tau0=tau0, I=I, theta=theta[i], C_h=0.0)
@@ -569,13 +583,12 @@ def breakpoint_estimate(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray,
 
     The bound adds that error and the last step, carried to ``C_h``, to
     how far case 2's own rounding can move the jump it reads: candidate
-    Q's ``tau_tilde`` comes from a quadratic whose root ``sqrt(disc) -
-    f`` cancels where ``tau_bar << f``, and its rounding over its slope
-    in ``C_h`` (``relaxed_batch``) is that distance.  Where the closed
-    form is not what ``case2`` reads (an inadmissible root, the floor
-    test's rounding, a regime the quadratic ``F`` does not see) the value
-    is off or the bound infinite; ``whittle._bisect`` checks both with
-    ``case2`` before it uses them."""
+    Q's ``tau_tilde`` comes from a quadratic, and the rounding of its
+    terms over its slope in ``C_h`` (``relaxed_batch``) is that distance.
+    Where the closed form is not what ``case2`` reads (an inadmissible
+    root, the floor test's rounding, a regime the quadratic ``F`` does
+    not see) the value is off or the bound infinite; ``whittle._bisect``
+    checks both with ``case2`` before it uses them."""
     Q = q + 1.0
     A = k.p * k.pc / k.c_w
     pq = k.p * Q

@@ -22,34 +22,31 @@ the content out of the cache optimal.
 * uncached requested ``(Q, 0, 1)``: zero below ``Q_star``, the index
   ceiling ``I`` from ``Q_hat`` up; in between, the ``C_h`` at which the
   fetch threshold ``Q_bar(C_h)`` (nondecreasing) first exceeds ``Q``.
-  That jump is where case 2's floor test moves, so the index is the
-  midpoint that a 60-step bisection of ``[0, I]`` leaves, batched over
-  every (content, Q) pair at once.
+  That jump is where case 2's floor test moves, and it also has a
+  closed form: the root of ``thresholds.breakpoint_estimate``, found by
+  Newton's method with a bound on its error.  The index is that root
+  wherever two ``case2`` rounds confirm the band of ``BAND_ERRORS``
+  error bounds either side of it, batched over every (content, Q) pair
+  at once; a pair whose band is not confirmed takes the midpoint that a
+  60-step bisection of ``[0, I]`` leaves (``_bisect``).
 
-Both table solvers skip the work whose answer is already known, and
-neither lets that change a bit:
+The cached grid skips the work whose answer is already known without
+changing a bit: it evaluates only the queue candidate at the ``Q_bar``
+that the breakpoints predict, and the guard below it only where the
+candidate hits its cell within a rounding margin of the cell's lower
+edge.  Candidate Q's floor argument exceeds Q by an amount that is
+strictly decreasing in Q (proved at ``thresholds.case2_batch`` and
+``cached_index_rows``), so where the candidate hits its cell and the
+guard lies above its own, no column before the candidate hits, and the
+full scan picks it (``thresholds.window_consistent``).  Away from the
+edge a hit puts the guard above its own cell by more than rounding, so
+only points at the edge evaluate it.  A grid point that its candidate
+and guard cannot decide is scanned at full width, so the rows are the
+full scan's bit for bit whatever the predictions.
 
-* the bisection replays the plain bisection's arithmetic from a band
-  around each breakpoint's closed-form root
-  (``thresholds.breakpoint_estimate``) whose ends ``thresholds.case2``
-  confirms.  Only a step whose midpoint lies inside the band asks
-  case 2, and a pair whose band is not confirmed runs the plain
-  bisection (``_bisect``);
-* the cached grid evaluates only the queue candidate at the ``Q_bar``
-  that the breakpoints predict, and the guard below it only where the
-  candidate hits its cell within a rounding margin of the cell's lower
-  edge.  Candidate Q's floor argument exceeds Q by an amount that is
-  strictly decreasing in Q (proved at ``thresholds.case2_batch`` and
-  ``cached_index_rows``), so where the candidate hits its cell and the
-  guard lies above its own, no column before the candidate hits, and
-  the full scan picks it (``thresholds.window_consistent``).  Away from
-  the edge a hit puts the guard above its own cell by more than
-  rounding, so only points at the edge evaluate it.
-
-A grid point that its candidate and guard cannot decide is scanned at
-full width, so the tables are the full scan's bit for bit whatever the
-predictions; ``aovcache verify`` checks that on the user's config, and
-``BuildCounts`` reports how much each shortcut was used.
+``aovcache verify`` checks both on the user's config against the plain
+bisection and the full scan (``checks.table_window``), and
+``BuildCounts`` reports how often each fell back.
 
 The closed three-equation system is kept as a residual check
 (``index_residual_*``).
@@ -60,6 +57,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -103,7 +101,7 @@ __all__ = [
 ]
 
 BISECT_ITERS = 60  # absolute error below I * 2**-60
-BAND_ERRORS = 64.0  # half-width of the bisection's band, in root error bounds
+BAND_ERRORS = 64.0  # half-width of a breakpoint's band, in root error bounds
 GRID_SIZE = 1024   # cells of each content's cached-index table
 CHUNK_CONTENTS = 8  # contents per batch of the cached-index build
 
@@ -307,89 +305,62 @@ def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
 
 
 def _bisect(k: ContentConstants, q: np.ndarray,
-            window: bool = True) -> tuple[np.ndarray, tuple[int, int, int]]:
+            window: bool = True) -> tuple[np.ndarray, int]:
     """The smallest C_h at which ``Q_bar`` exceeds q, per (content of k,
-    q) pair with ``Q_star <= q < Q_hat``: the midpoint of the bracket that
-    ``BISECT_ITERS`` halvings of ``[0, I]`` leave, and how many ``case2``
-    rounds and rows it took and how many pairs ran the plain bisection.
+    q) pair with ``Q_star <= q < Q_hat``, and how many pairs ran the plain
+    bisection.
 
-    With ``window=False`` every step of every pair solves case 2 by the
-    full-width ``case2_batch``.  Otherwise the steps are replayed from a
-    band around ``thresholds.breakpoint_estimate``'s root, ``[L, U]``,
-    that two ``case2`` rounds confirm (``Q_bar(L) <= q < Q_bar(U)``): a
-    step whose midpoint lies outside the band, or on an end of the
-    bracket that an earlier step decided, is decided without a call, as
-    ``Q_bar`` is nondecreasing in C_h; only the steps inside the band call
-    ``case2``.  The arithmetic is the plain bisection's, ``0.5*(lo+hi)``,
-    so the brackets are its own bit for bit.  Each round solves every
-    pair's next step that needs a call, whatever its step number, so the
-    rounds are as many as the most calls one pair needs.  A pair whose
-    band ``case2`` does not confirm runs the plain bisection."""
-    n = len(q)
-    lo, hi = np.zeros(n), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
-    if not window:
-        for _ in range(BISECT_ITERS if n else 0):
-            mid = 0.5 * (lo + hi)
-            above = case2_batch(mid, k)[2] > q
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        return 0.5 * (lo + hi), (BISECT_ITERS if n else 0, BISECT_ITERS * n, n)
-    # [L, U]: Q_bar(C_h) <= q for C_h <= L and > q for C_h >= U; the plain
-    # bisection's is [0, inf), and hi = I is not yet a decided end
-    L, U = np.zeros(n), np.full(n, np.inf)
-    rounds = rows = 0
-    if n:
+    The breakpoint is the root of ``thresholds.breakpoint_estimate``
+    wherever two ``case2`` rounds confirm the band ``root +- d``, ``d =
+    BAND_ERRORS * err`` with the root's error bound err, inside ``(0,
+    I)``: ``Q_bar(root - d) <= q < Q_bar(root + d)``.  As ``Q_bar`` is
+    nondecreasing in C_h, the jump that case 2 reads then lies within d of
+    the root.  A pair whose band is not confirmed takes the midpoint of
+    the bracket that ``BISECT_ITERS`` halvings of ``[0, I]`` leave, by
+    ``case2``; with ``window=False`` every pair does, by the full-width
+    ``case2_batch``: the reference that ``checks.table_window`` holds the
+    roots to."""
+    b, plain = np.empty(len(q)), np.ones(len(q), dtype=bool)
+    if window and len(q):
         root, err = breakpoint_estimate(k, q)
-        half = BAND_ERRORS * err
-        band = np.stack([root - half, root + half])
-        i = ((band[0] > 0.0) & (band[1] < k.I)).nonzero()[0]
-        rounds, rows = 2, 2 * i.size
+        d = BAND_ERRORS * err
+        lo, hi = root - d, root + d
+        i = ((lo > 0.0) & (hi < k.I)).nonzero()[0]
         try:
             ki = k.take(i)
-            ok = (case2(band[0, i], ki)[2] <= q[i]) & (case2(band[1, i], ki)[2] > q[i])
-            L[i[ok]], U[i[ok]] = band[0, i[ok]], band[1, i[ok]]
+            ok = i[(case2(lo[i], ki)[2] <= q[i]) & (case2(hi[i], ki)[2] > q[i])]
+            b[ok], plain[ok] = root[ok], False
         except ConsistencyError:
             pass  # every pair runs the plain bisection, which raises where it must
-    plain = n - int(np.isfinite(U).sum())
-    # lo <= L < U <= hi throughout: a step whose midpoint is not inside
-    # (L, U) is decided, and one whose midpoint is an end leaves the bracket
-    # as it is from then on
-    step = np.zeros(n, dtype=np.int64)
-    while True:
+    j = plain.nonzero()[0]
+    b[j] = _plain_bisection(k.take(j), q[j], case2 if window else case2_batch)
+    return b, j.size
+
+
+def _plain_bisection(k: ContentConstants, q: np.ndarray, solve) -> np.ndarray:
+    """The midpoint of the bracket that ``BISECT_ITERS`` halvings of
+    ``[0, I]`` leave around each pair's breakpoint, asking ``solve``
+    (``case2`` or ``case2_batch``) for ``Q_bar``."""
+    lo, hi = np.zeros(len(q)), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
+    for _ in range(BISECT_ITERS if len(q) else 0):
         mid = 0.5 * (lo + hi)
-        below, above = mid <= L, mid >= U
-        move = (below & (mid != lo)) | (above & (mid != hi))
-        if move.any():
-            lo, hi = np.where(move & below, mid, lo), np.where(move & above, mid, hi)
-            step += move
-        else:
-            ask = (~(below | above)).nonzero()[0]
-            if not ask.size:
-                break
-            mid = mid[ask]
-            yes = case2(mid, k.take(ask))[2] > q[ask]
-            hi[ask[yes]] = U[ask[yes]] = mid[yes]
-            lo[ask[~yes]] = L[ask[~yes]] = mid[~yes]
-            step[ask] += 1
-            rounds, rows = rounds + 1, rows + ask.size
-        end = (step == BISECT_ITERS).nonzero()[0]
-        if end.size:  # the last step taken: the bracket closes on its midpoint
-            lo[end] = hi[end] = L[end] = U[end] = 0.5 * (lo[end] + hi[end])
-            step[end] += 1
-    return 0.5 * (lo + hi), (rounds, rows, plain)
+        above = solve(mid, k)[2] > q
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def _breakpoints(k: ContentConstants, q_star: np.ndarray,
-                 window: bool = True) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+                 window: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
     """The indices of the uncached states ``Q_star..Q_hat-1`` of the
     contents of ``k``, given their ``Q_star``: for each such Q the smallest
-    C_h at which ``Q_bar`` exceeds Q, from one bisection of every (content,
-    Q) pair at once; flat, in content order, with how many each content
-    has, and ``_bisect``'s counts."""
+    C_h at which ``Q_bar`` exceeds Q, from one ``_bisect`` of every
+    (content, Q) pair at once; flat, in content order, with how many each
+    content has, and how many pairs ran the plain bisection."""
     counts = np.maximum(k.q_hat - q_star, 0)
     idx, j = _groups(counts)
-    bps, done = _bisect(k.take(idx), q_star[idx] + j, window)
-    return bps, counts, done
+    bps, fallback = _bisect(k.take(idx), q_star[idx] + j, window)
+    return bps, counts, fallback
 
 
 def _groups(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -582,9 +553,11 @@ class PolicyTables:
       Whittle scan prunes with; ``w_of_tau`` itself when every row is
       nonincreasing, as the solvers build them;
     * ``cum_p`` and ``guide``: the content pick's popularity CDF
-      (``_cum_p``) and guide table (``_guide_table``);
-    * ``content``: each content's ``ContentTables``, whose ``w_of_tau`` is
-      a view of its row.
+      (``_cum_p``) and guide table (``_guide_table``).
+
+    ``content``, each content's ``ContentTables`` (whose ``w_of_tau`` is a
+    view of its row), is made on first read: only the reference loop, the
+    decision rules and ``aovcache whittle`` read it.
     """
 
     contents: tuple[ContentParams, ...]
@@ -596,7 +569,6 @@ class PolicyTables:
     w_low: np.ndarray = field(init=False, repr=False)
     cum_p: np.ndarray = field(init=False, repr=False)
     guide: np.ndarray = field(init=False, repr=False)
-    content: tuple[ContentTables, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = self.w_of_tau
@@ -604,14 +576,16 @@ class PolicyTables:
         cum_p = _cum_p(self.cdbl[:, P])
         for a in (self.cdbl, self.cint, self.bps, rows, w_low, cum_p):
             a.setflags(write=False)
+        for name, value in (("w_low", w_low), ("cum_p", cum_p), ("guide", _guide_table(cum_p))):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def content(self) -> tuple[ContentTables, ...]:
         bps = self.bps.tolist()
         ends = [*self.cint[1:, BP_OFF].tolist(), len(bps)]
-        content = tuple(ContentTables(*d, q_star, q_hat, tuple(bps[off:end]), row)
-                        for d, (q_star, q_hat, off), end, row
-                        in zip(self.cdbl.tolist(), self.cint.tolist(), ends, rows))
-        for name, value in (("w_low", w_low), ("cum_p", cum_p),
-                            ("guide", _guide_table(cum_p)), ("content", content)):
-            object.__setattr__(self, name, value)
+        return tuple(ContentTables(*d, q_star, q_hat, tuple(bps[off:end]), row)
+                     for d, (q_star, q_hat, off), end, row
+                     in zip(self.cdbl.tolist(), self.cint.tolist(), ends, self.w_of_tau))
 
     def __reduce__(self):
         # pickled as the arrays it is made from, so that an unpickled copy
@@ -645,18 +619,17 @@ class BuildCounts(NamedTuple):
     seconds: float
     full_width: int  # grid points that the pair left to the full-width scan
     guards: int      # grid points that evaluated their guard
-    rounds: int      # case2 rounds of the bisection, the band check's two included
-    rows: int        # (pair, C_h) rows that those rounds solved
-    plain: int       # pairs that ran the plain bisection
+    fallback: int    # breakpoints whose band case2 did not confirm: the plain bisection's
 
 
 def build_index_tables(contents: Sequence[ContentParams], beta: float, indices: bool = True,
                        window: bool = True) -> tuple[PolicyTables, BuildCounts]:
     """The ``PolicyTables`` of ``contents`` at aggregate rate ``beta``, from
-    the replayed bisection and the chunked cached-index build, and the
-    build's ``BuildCounts``; with ``window=False`` every bisection step and
-    every grid point scan at full width (what ``aovcache verify`` compares
-    the rest against).  With ``indices=False`` only the ``C_h = 0``
+    the breakpoints' band-checked roots and the chunked cached-index
+    build, and the build's ``BuildCounts``; with ``window=False`` every
+    breakpoint comes from the plain bisection by the full-width scan, and
+    every grid point from that scan (what ``aovcache verify`` compares the
+    rest against).  With ``indices=False`` only the ``C_h = 0``
     thresholds are solved, for policies that never evaluate an index: no
     breakpoints, and rows ``[I, 0]``."""
     start = time.perf_counter()
@@ -664,17 +637,17 @@ def build_index_tables(contents: Sequence[ContentParams], beta: float, indices: 
     tau_star, _, q_star, _ = zero_holding_batch(k)
     n = len(tau_star)
     if indices:
-        bps, counts, done = _breakpoints(k, q_star, window)
+        bps, counts, fallback = _breakpoints(k, q_star, window)
         w_of_tau, grid = cached_index_rows(k, tau_star, q_star, bps, counts, window)
     else:
-        bps, counts, done, grid = np.empty(0), np.zeros(n, dtype=np.int64), (0, 0, 0), (0, 0)
+        bps, counts, fallback, grid = np.empty(0), np.zeros(n, dtype=np.int64), 0, (0, 0)
         w_of_tau = np.stack([k.I, np.zeros(n)], axis=1)
     cdbl = np.stack([tau_star, k.I, (w_of_tau.shape[1] - 1) / tau_star, k.c_alam, k.c_f,
                      k.c_w, k.p, k.p * k.c_f, [c.lam for c in contents],
                      [c.costs.c_a for c in contents]], axis=1)
     cint = np.stack([q_star, k.q_hat, np.cumsum(counts) - counts], axis=1)
     tables = PolicyTables(tuple(contents), beta, cdbl, cint, bps, w_of_tau)
-    return tables, BuildCounts(time.perf_counter() - start, *grid, *done)
+    return tables, BuildCounts(time.perf_counter() - start, *grid, fallback)
 
 
 def build_content_tables(params: ContentParams, beta: float) -> ContentTables:

@@ -676,11 +676,10 @@ class TestBuildCounts:
         b = builds[0]
         n = 2 if argv[0] == "whittle" else doc["system"]["N"]
         assert b["seconds"] > 0.0
-        assert b["full_width"] == b["plain"] == 0
+        # every breakpoint is its band-checked root: the band check's two
+        # case2 rounds, not the plain bisection's 60
+        assert b["full_width"] == b["fallback"] == 0
         assert b["guards"] <= 0.01 * n * (GRID_SIZE - 1)
-        # the replayed bisection against the plain one's 60 rounds
-        assert 0 < b["rounds"] <= 30
-        assert b["rows"] > 0
 
     @pytest.mark.parametrize("argv, runs", [
         (["simulate", "--reps", "2"], 2),
@@ -706,4 +705,4 @@ class TestBuildCounts:
                      "--values", "0.01,0.1", "--reps", "1"]) == 0
         builds = json.loads((out / "manifest.json").read_text())["index_builds"]
         assert len(builds) == 2
-        assert all(b["rounds"] <= 30 for b in builds)
+        assert all(b["fallback"] == 0 for b in builds)

@@ -8,7 +8,6 @@ from scipy.special import lambertw
 from aovcache import _ckernel, checks, thresholds
 from aovcache.model import ContentParams, CostModel, zipf_popularity
 from aovcache.thresholds import (
-    ConsistencyError,
     case2_batch,
     case2_candidates,
     content_constants,
@@ -281,35 +280,26 @@ def test_pair_decides_a_hit_whose_guard_is_near_its_boundary():
         assert_same_bits(a, b[rows])
 
 
-def test_last_resort_scans_in_bounded_memory(monkeypatch):
+def test_last_resort_scans_in_bounded_memory():
     # Zipf alpha = 1 over 15 contents whose Q_hat runs to 11.2M: at
-    # C_h = 0.999 I neither pair decides 8 of them, and the scan of every
-    # candidate 0..Q_hat+2 that they are left to would take ~0.7 GB an
-    # array; it goes in blocks, and answers or raises within 64 MB
+    # C_h = 0.999 I the scan of every candidate 0..Q_hat+2 by case2_batch,
+    # case2's last resort and the checks' reference, would take ~0.7 GB an
+    # array; it goes in blocks, and answers within 64 MB what case2 reads
+    # off its pairs
     cm = CostModel(3.60, 5.51e4, 1.14e-6)
     contents = [ContentParams(lam=3.72e5, p=float(p), costs=cm)
                 for p in zipf_popularity(15, 1.0)]
     k = content_constants(contents, 4276.0)
     assert k.q_hat.max() > 11_000_000
-    scanned = []
-    scan = thresholds.case2_batch
-
-    def last_resort(C_h, k):
-        scanned.append(k.q_hat.size)
-        return scan(C_h, k)
-
-    monkeypatch.setattr(thresholds, "case2_batch", last_resort)
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        try:
-            relaxed_batch(0.999 * k.I, k)
-        except ConsistencyError:
-            pass
+        full = case2_batch(0.999 * k.I, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert scanned and scanned[0] > 0
     assert peak < 64e6
+    for a, b in zip(thresholds.case2(0.999 * k.I, k), full):
+        assert_same_bits(a, b)
 
 
 @pytest.mark.skipif(_ckernel.special is None,

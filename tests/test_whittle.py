@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import wrightomega
 
 from aovcache import _ckernel, thresholds, whittle
+from aovcache.checks import misplaced_breakpoints
 from aovcache.cli import build_system
 from aovcache.model import SingleContentState
 from aovcache.policies import PolicyTables, build_policy_tables, relaxed_lower_bound
@@ -210,19 +211,24 @@ class TestContentTables:
 
     @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
     def test_window_equals_full_width_scan(self, name):
-        # every field of every table, bit for bit; no point of the cached
-        # grid needs the scan
+        # every other field of every table bit for bit, and every breakpoint
+        # the root of a band that the full scan confirms, within it of the
+        # plain bisection; no point of the cached grid needs the scan, and
+        # no breakpoint the plain bisection
         system = config_system(name)[0]
         windowed, counts = build_index_tables(system.contents, system.beta)
         full, scanned = build_index_tables(system.contents, system.beta, window=False)
-        assert counts.full_width == counts.plain == 0
+        assert counts.full_width == counts.fallback == 0
         assert scanned.full_width == system.N * (GRID_SIZE - 1)
+        assert scanned.fallback == full.bps.size
         assert full.w_of_tau.shape == (system.N, GRID_SIZE + 1)
         arrays = [f.name for f in fields(PolicyTables)
                   if isinstance(getattr(full, f.name), np.ndarray)]
         assert len(arrays) == 7
         for name in arrays:
-            assert_same_bits(getattr(windowed, name), getattr(full, name))
+            if name != "bps":
+                assert_same_bits(getattr(windowed, name), getattr(full, name))
+        assert not misplaced_breakpoints(windowed, full).any()
 
     @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
     def test_estimate_decides_every_window(self, name, monkeypatch):
@@ -275,12 +281,13 @@ class TestContentTables:
         assert_same_bits(rows, moved)
 
     def test_wrong_roots_cost_only_time(self, monkeypatch):
-        # the bisection replays from a band around each breakpoint's closed
-        # form root; roots shifted off the breakpoint fail the band check,
-        # send every pair to the plain bisection and leave the values
+        # roots shifted off the breakpoint fail the band check and send
+        # every pair to the plain bisection, whose midpoints pass the
+        # breakpoint check as the roots do; the rest of the tables stays
         system = desk_system()
         tables, counts = build_index_tables(system.contents, system.beta)
-        assert counts.plain == 0 < tables.bps.size
+        full = build_index_tables(system.contents, system.beta, window=False)[0]
+        assert counts.fallback == 0 < tables.bps.size
         estimate = whittle.breakpoint_estimate
 
         def shifted(k, q):
@@ -289,10 +296,26 @@ class TestContentTables:
 
         monkeypatch.setattr(whittle, "breakpoint_estimate", shifted)
         moved, moved_counts = build_index_tables(system.contents, system.beta)
-        assert moved_counts.plain == tables.bps.size
-        assert moved_counts.rounds > counts.rounds
-        assert_same_bits(moved.bps, tables.bps)
+        assert moved_counts.fallback == tables.bps.size
+        assert_same_bits(moved.bps, full.bps)
         assert_same_bits(moved.w_of_tau, tables.w_of_tau)
+        assert not misplaced_breakpoints(tables, full).any()
+        assert misplaced_breakpoints(replace(tables, bps=tables.bps * (1.0 + 1e-6)), full).all()
+
+    def test_ill_conditioned_build_needs_no_full_scan(self, monkeypatch):
+        # desk's costs with c_f = 1e5 over 2 contents: 8.7k breakpoints,
+        # Q_hat to 7.3k; bisection steps next to a Q_bar jump once sent
+        # such rows to the scan of every candidate, and the build took ~1 s.
+        # Every band is confirmed, by the pairs alone
+        system = desk_system(N=2, M=1, c_f=1e5)
+
+        def scan(*args):
+            raise AssertionError("a row reached the full-width scan")
+
+        monkeypatch.setattr(thresholds, "case2_batch", scan)
+        monkeypatch.setattr(whittle, "case2_batch", scan)
+        tables, counts = build_index_tables(system.contents, system.beta)
+        assert counts.fallback == 0 < tables.bps.size
 
     def test_grid_point_at_a_jump_evaluates_its_guard(self):
         # just below the serve threshold of each breakpoint Q_bar has
