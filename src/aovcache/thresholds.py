@@ -20,13 +20,13 @@ candidate is, and the excess of its floor argument over Q falls
 strictly with Q (proved at ``case2_batch``), so a pair of candidates,
 a guard and the candidate above it, stands in for the scan of all of
 them where ``window_consistent`` says it decides.  ``case2`` reads
-every content off the pair at ``_q_bar_estimate``, the closed-form root
+each content off the pair at ``_q_bar_estimate``, the closed-form root
 of a quadratic in Q, laid out candidates first against the contents'
-rows: for ``relaxed_batch``, the ``C_h = 0`` thresholds and the index
-tables' breakpoints alike.  The same quadratic in Q, written in the gap
-x, gives each breakpoint of ``Q_bar`` in C_h up to rounding
-(``breakpoint_estimate``), which ``whittle`` takes as the uncached index
-where ``case2`` confirms it.
+rows, and the rows the pair leaves off the scan: for ``relaxed_batch``,
+the ``C_h = 0`` thresholds and the index tables' breakpoints alike.  The
+same quadratic in Q, written in the gap x, gives each breakpoint of
+``Q_bar`` in C_h up to rounding (``breakpoint_estimate``), which
+``whittle`` takes as the uncached index where ``case2`` confirms it.
 ``content_constants`` solves the ``C_h``-independent quantities of all
 contents at once, and ``solve_thresholds`` (``solve_thresholds_batch``
 over several ``C_h``) is the one entry for a content's thresholds and
@@ -247,17 +247,18 @@ def first_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray):
 
     At a ``Q_bar`` jump v lands on the integer boundary and float noise
     can push both neighbours out; then the candidate closest to its
-    boundary, within ``1e-9*(q+1)``, is taken.  Also returns whether a
-    row found any candidate.
+    boundary, within ``1e-9*(q+1)``, is taken.  Also returns each row's
+    distance: -1 where a candidate hits, the taken candidate's distance
+    outside its cell where none hits, and inf where no candidate is near.
     """
     hit = ok & (np.floor(v) == q)
     any_hit = hit.any(-1)
     if any_hit.all():
-        return hit.argmax(-1), any_hit
+        return hit.argmax(-1), np.full(any_hit.shape, -1.0)
     dist = np.where(ok, np.maximum(q - v, v - (q + 1.0)), np.inf)
     near = np.where(dist < _NEAR * (q + 1.0), dist, np.inf)
     col = np.where(any_hit, hit.argmax(-1), near.argmin(-1))
-    return col, any_hit | np.isfinite(near.min(-1))
+    return col, np.where(any_hit, -1.0, near.min(-1))
 
 
 def window_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -287,13 +288,21 @@ def window_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray) -> np.ndarra
     return hit & ((q[0] < 0.0) | (ok[0] & (v[0] >= q[1])))
 
 
+def _constant_terms(xb, k: ContentConstants, q, q1):
+    """The terms of ``d = t0 - t1 + t2`` in ``_quadratic``'s root
+    ``2*d / (s + f)`` at candidates ``q`` (``q1 = q + 1``), each >= 0:
+    their sum bounds the rounding of d."""
+    return k.cf_rc, q1 * xb / k.r, k.c_w * q * q1 / k.den
+
+
 def _quadratic(g, xb, k: ContentConstants, q):
     """``case2_candidates`` at queue candidates ``q``, given ``xb = x/beta``
     and ``g = xb - C_h/rc``; all arguments broadcast against the rows of
     ``k``.  The one implementation of the per-candidate quadratic."""
     q1 = q + 1.0
     f = g + q1 / k.r
-    d = k.cf_rc - q1 * xb / k.r + k.c_w * q * q1 / k.den
+    t0, t1, t2 = _constant_terms(xb, k, q, q1)
+    d = t0 - t1 + t2
     d2 = 2.0 * d
     disc = f * f + d2
     s = np.sqrt(np.maximum(disc, 0.0))
@@ -304,7 +313,14 @@ def _quadratic(g, xb, k: ContentConstants, q):
     # 0 from cancelling in the denominator.  f is 0 only for the guard -1
     # at C_h = 0, where d = c_f/rc > 0, so the denominator is not 0
     tb = d2 / (s + np.abs(f))
-    ok = (disc >= 0.0) & (tb >= -1e-12) & (q <= k.top)
+    admissible = tb >= -1e-12
+    if not admissible.all():
+        # a root that d's rounding puts below 0 is admissible: next to I,
+        # where tb falls to 0, d cancels between terms up to ~1e6 times
+        # larger, and 1e-15 of their sum bounds that rounding (as in
+        # breakpoint_estimate)
+        admissible |= d >= -1e-15 * (t0 + t1 + t2)
+    ok = (disc >= 0.0) & admissible & (q <= k.top)
     tb = np.maximum(tb, 0.0)
     tt = tb + xb
     return tb, tt, k.rc * tt / k.c_w, ok
@@ -383,6 +399,10 @@ def case2_batch(C_h, k: ContentConstants):
     regime): at ``I`` a large ``c_f/(c_a*lam)`` can leave no candidate
     that passes the floor test, and where ``Q_bar`` jumps exactly at
     ``I`` this kernel reads the ``Q_bar`` below the jump, not ``Q_hat``.
+    Within ulps below ``I``, where the dual bound's search can land,
+    ``tau_bar`` falls to 0 and the quadratic's constant term cancels
+    between terms up to ~1e6 times larger; ``_quadratic`` admits a root
+    that this rounding puts below 0, so a candidate still passes there.
     """
     C_h = np.asarray(C_h, dtype=float)
     g, xb = _gaps(C_h, k)
@@ -391,31 +411,19 @@ def case2_batch(C_h, k: ContentConstants):
     content = np.broadcast_to(np.arange(k.q_hat.size), shape).ravel()
     g, xb = g.ravel(), xb.ravel()
     tb, tt, qb = np.zeros(g.size), np.zeros(g.size), np.zeros(g.size, dtype=np.int64)
-    hit, best = np.zeros(g.size, dtype=bool), np.full(g.size, np.inf)
+    best = np.full(g.size, np.inf)  # first_consistent's distance of each row's pick
     live = np.arange(g.size)  # rows without a hit whose candidates go on
     lo, end = 0, k.q_hat.max(initial=0) + 3
     while (live := live[k.top[content[live]] >= lo]).size:
         kl = k.take(content[live])
         q = np.arange(lo, min(lo + max(_BLOCK // live.size, 1), end), dtype=float)[:, None]
         btb, btt, v, ok = _quadratic(g[live], xb[live], kl, q)
-        h = ok & (np.floor(v) == q)
-        new = h.any(0)
-        col, take = h.argmax(0), new
-        if not new.all():
-            # first_consistent's rule for rows that have no hit yet
-            dist = np.where(ok, np.maximum(q - v, v - (q + 1.0)), np.inf)
-            near = np.where(dist < _NEAR * (q + 1.0), dist, np.inf)
-            nearest = near.argmin(0)
-            d = near[nearest, np.arange(live.size)]
-            closer = ~new & (d < best[live])
-            best[live[closer]] = d[closer]
-            col, take = np.where(new, col, nearest), new | closer
-        at = col[take], take.nonzero()[0]
-        rows = live[take]
-        tb[rows], tt[rows], qb[rows] = btb[at], btt[at], at[0] + lo
-        hit[live[new]] = True
-        live, lo = live[~new], lo + len(q)
-    found = hit | np.isfinite(best)
+        col, dist = first_consistent(v.T, q.T, ok.T)
+        take = dist < best[live]
+        at, rows = (col[take], take.nonzero()[0]), live[take]
+        tb[rows], tt[rows], qb[rows], best[rows] = btb[at], btt[at], at[0] + lo, dist[take]
+        live, lo = live[dist >= 0.0], lo + len(q)
+    found = np.isfinite(best)
     if not found.all():
         raise ConsistencyError(
             f"no floor-consistent Q_bar at C_h={np.broadcast_to(C_h, shape).ravel()[~found]} "
@@ -519,16 +527,6 @@ class Relaxed(NamedTuple):
 _PAIR = np.array([[-1.0], [0.0]])  # the guard, then the candidate
 
 
-def _pair(g, xb, k: ContentConstants, est):
-    """``(tau_bar, tau_tilde, decided)`` of each row's candidate ``est``,
-    read off the pair of it and its guard ``est - 1`` (``window_consistent``),
-    laid out candidates first; arguments as ``_quadratic``'s, whose
-    quadratic stays finite at the guard ``-1`` that ``est = 0`` has."""
-    q = est + _PAIR
-    tb, tt, v, ok = _quadratic(g, xb, k, q)
-    return tb[1], tt[1], window_consistent(v, q, ok)
-
-
 def _q_bar_estimate(C_h: np.ndarray, k: ContentConstants, xb: np.ndarray) -> np.ndarray:
     """Each content's ``Q_bar`` at its ``C_h``, in closed form from
     ``xb = x/beta`` (``solve_gap``): the candidate of ``case2``'s pair.
@@ -615,7 +613,7 @@ def breakpoint_estimate(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray,
         g, xb = _gaps(root, k)
         q1 = Q + 1.0
         f = g + q1 / k.r
-        terms = (k.cf_rc, q1 * xb / k.r, k.c_w * Q * q1 / k.den)
+        terms = _constant_terms(xb, k, Q, q1)
         sq = np.sqrt(f * f + 2.0 * (terms[0] - terms[1] + terms[2]))
         size = xb + root / k.rc + q1 / k.r + (f * f + 2.0 * sum(terms)) / sq
         tb = sq - f
@@ -627,43 +625,22 @@ def breakpoint_estimate(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray,
 _NEWTON_STEPS = 30  # at most; 0-5 on the shipped configs
 
 
-def _bisect_excess(g, xb, k: ContentConstants) -> np.ndarray:
-    """Each row's ``Q_bar``, estimated as the first candidate in
-    ``0..Q_hat+2`` that does not lie admissibly above its cell, found by
-    bisection as the excess ``v_q - q`` falls strictly with q
-    (``case2_batch``); ``_pair`` decides whether it holds.  Arguments as
-    ``_quadratic``'s."""
-    lo, hi = np.zeros(len(g)), k.top.copy()
-    while (live := lo < hi).any():
-        mid = np.floor(0.5 * (lo + hi))
-        _, _, v, ok = _quadratic(g, xb, k, mid)
-        above = live & ok & (v >= mid + 1.0)
-        lo = np.where(above, mid + 1.0, lo)
-        hi = np.where(live & ~above, mid, hi)
-    return lo
-
-
 def case2(C_h: np.ndarray, k: ContentConstants):
     """``case2_batch(C_h, k)`` for one holding cost per content, bit for
     bit: the one place that decides how case 2 is solved.
 
     A content is read off the pair of candidates at its
     ``_q_bar_estimate`` where ``window_consistent`` decides it; the rest
-    get a new estimate from ``_bisect_excess`` and a second pair.  What
-    both leave goes to ``case2_batch``, which raises
-    ``ConsistencyError`` where the full scan does.  Where a pair sits
-    moves only the time, never a value (see ``case2_batch``)."""
+    go to ``case2_batch``, which raises ``ConsistencyError`` where the
+    full scan does.  Where the pair sits moves only the time, never a
+    value (see ``case2_batch``)."""
     g, xb = _gaps(C_h, k)
     qb = _q_bar_estimate(C_h, k, xb)
-    tb, tt, decided = _pair(g, xb, k, qb)
-    rest = (~decided).nonzero()[0]
-    if rest.size:
-        kr = k.take(rest)
-        est = _bisect_excess(g[rest], xb[rest], kr)
-        wtb, wtt, decided = _pair(g[rest], xb[rest], kr, est)
-        done = rest[decided]
-        tb[done], tt[done], qb[done] = wtb[decided], wtt[decided], est[decided]
-        rest = rest[~decided]
+    # laid out candidates first; the quadratic stays finite at the guard -1
+    q = qb + _PAIR
+    tb, tt, v, ok = _quadratic(g, xb, k, q)
+    tb, tt = tb[1], tt[1]
+    rest = (~window_consistent(v, q, ok)).nonzero()[0]
     if rest.size:
         tb[rest], tt[rest], qb[rest], _ = case2_batch(C_h[rest], k.take(rest))
     return tb, tt, qb.astype(np.int64), k.rc * tt

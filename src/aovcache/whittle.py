@@ -138,8 +138,8 @@ def _omega_full_width(p, cal, c_f, c_w, beta: float, q_hat: int, taus: np.ndarra
     """The gap x of every tau from a scan of all candidates ``0..Q_hat+2``."""
     q = np.arange(q_hat + 3.0)
     x, v, ok = _omega_candidates(p, cal, c_f, c_w, beta, taus[:, None], q, omega)
-    col, found = first_consistent(v, q, ok)
-    if not found.all():
+    col, dist = first_consistent(v, q, ok)
+    if not (found := np.isfinite(dist)).all():
         raise ConsistencyError(
             f"no floor-consistent Q_bar at tau={taus[~found]} "
             f"(p={p}, c_a*lam={cal}, c_f={c_f}, c_w={c_w}, beta={beta})")

@@ -25,6 +25,26 @@ def desk_system(N=100, beta=4.0, M=25, c_w=0.01, lam=0.01, c_a=0.1, c_f=1.0,
     return SystemParams(beta=beta, contents=contents, M=M)
 
 
+# (c_a, c_f, c_w, lambda, beta, Zipf alpha, M) of N=5 systems whose dual
+# bound steps to one ulp below a content's I: there case 2's tau_bar falls
+# to 0, and its quadratic's constant term cancels between terms up to ~1e6
+# times larger, so rounding puts the root just below 0
+BELOW_I_SYSTEMS = {
+    "A": (5.0928518602616335e-06, 0.045533913447497285, 5.868912679542881,
+          7.056858160008979e-06, 4.378788517124816e-05, 0.11058691711423485, 1),
+    "B": (7.440241264212161, 208.17621353137903, 75032.40171474405,
+          0.0008477113494562159, 0.9760556244740074, 0.6494619846936085, 2),
+    "C": (0.003615983781489755, 1.281000603804122, 0.21009676485537968,
+          0.00025474143381759784, 7.026392640764132, 2.1106791613625524, 1),
+}
+
+
+def below_i_system(name: str) -> SystemParams:
+    """The system ``name`` of ``BELOW_I_SYSTEMS``."""
+    c_a, c_f, c_w, lam, beta, alpha, M = BELOW_I_SYSTEMS[name]
+    return desk_system(N=5, beta=beta, M=M, c_w=c_w, lam=lam, c_a=c_a, c_f=c_f, alpha=alpha)
+
+
 def random_content(rng, ratio_lo=0.1, ratio_hi=100.0):
     """One random parameter set with p*beta*c_f/c_w inside [ratio_lo, ratio_hi]."""
     while True:

@@ -27,6 +27,7 @@ from aovcache.thresholds import (
     solve_thresholds,
 )
 from aovcache.whittle import GRID_SIZE, build_content_tables, whittle_cached
+from conftest import BELOW_I_SYSTEMS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -440,6 +441,20 @@ class TestLowerBoundAndCompare:
         # 76 s and 3.3 GB, so whittle runs on the others
         if key != "c_f":
             assert main(["whittle", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
+
+    def test_bound_one_ulp_below_a_ceiling(self, tmp_path):
+        # the bound's search steps to one ulp below content 1's I, where
+        # case 2's root rounds just below 0 (conftest.BELOW_I_SYSTEMS)
+        c_a, c_f, c_w, lam, beta, alpha, M = BELOW_I_SYSTEMS["C"]
+        doc = json.loads((CONFIGS / "desk.json").read_text())
+        doc["system"].update(N=5, M=M, beta=beta, zipf_alpha=alpha)
+        doc["system"]["lambda"] = lam
+        doc["costs"].update(c_a=c_a, c_f=c_f, c_w=c_w)
+        cfg = tmp_path / "below_i.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["lower-bound", "--config", str(cfg), "--out", str(tmp_path / "lb")]) == 0
+        [row] = read_csv(tmp_path / "lb" / "lower_bound.csv")
+        assert row["C_h_star"] == _f(relaxed_lower_bound(build_system(doc))[0])
 
     @pytest.mark.parametrize("argv", [
         ["lower-bound", "--m-values", "-5"],

@@ -19,7 +19,7 @@ from aovcache import thresholds
 from aovcache._ckernel import wright_omega
 from aovcache.checks import misplaced_breakpoints
 from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
-from aovcache.policies import dual_value
+from aovcache.policies import dual_value, relaxed_lower_bound
 from aovcache.thresholds import (
     ConsistencyError,
     case2_batch,
@@ -41,7 +41,7 @@ from aovcache.whittle import (
     whittle_cached,
     whittle_uncached,
 )
-from conftest import assert_same_bits
+from conftest import BELOW_I_SYSTEMS, assert_same_bits
 
 TOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -479,6 +479,33 @@ def test_thresholds_ordered_over_the_box(costs, alpha):
         for low, high in ((tb, tau_star), (tau_star, tt), (tt, k.tau0)):
             assert (low <= high * (1.0 + 1e-15)).all()
         assert ((q_star <= qb) & (qb <= k.q_hat)).all()
+
+
+def below_i_example(name: str):
+    """``BELOW_I_SYSTEMS[name]`` as an example of ``test_bound_over_the_box``."""
+    c_a, c_f, c_w, lam, beta, alpha, _ = BELOW_I_SYSTEMS[name]
+    return example(costs=[beta, c_a, c_f, c_w, lam], alpha=alpha)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(costs=st.lists(st.floats(*BOX), min_size=5, max_size=5).map(
+           lambda logs: [10.0 ** c for c in logs]),
+       alpha=st.floats(0.0, 4.0))
+@below_i_example("A")
+@below_i_example("B")
+@below_i_example("C")
+def test_bound_over_the_box(costs, alpha):
+    # the systems of test_thresholds_ordered_over_the_box at M = 1, 2 and 4:
+    # the dual bound's search, which steps to within ulps of a content's I
+    # where the fixed fractions of I above do not reach, raises nothing and
+    # returns a C_h* in [0, max I]
+    beta, c_a, c_f, c_w, lam = costs
+    contents_ = tuple(ContentParams(lam=lam, p=p, costs=CostModel(c_a, c_f, c_w))
+                      for p in zipf_popularity(5, alpha).tolist())
+    hi = float(content_constants(contents_, beta).I.max())
+    for m in (1, 2, 4):
+        c_h = relaxed_lower_bound(SystemParams(beta=beta, contents=contents_, M=m))[0]
+        assert 0.0 <= c_h <= hi
 
 
 @SETTINGS

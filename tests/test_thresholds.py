@@ -18,7 +18,8 @@ from aovcache.thresholds import (
     zero_holding_thresholds,
 )
 from aovcache.whittle import build_content_tables, build_index_tables
-from conftest import assert_same_bits, desk_system, random_content
+from conftest import (BELOW_I_SYSTEMS, assert_same_bits, below_i_system, desk_system,
+                      random_content)
 
 
 def brute_serve_wait_fetch(beta, lam, c_a, c_f, c_w, q_max=60):
@@ -278,6 +279,23 @@ def test_pair_decides_a_hit_whose_guard_is_near_its_boundary():
     assert thresholds.window_consistent(v, pair, ok)[rows].all()
     for a, b in zip(thresholds.case2(ch[rows], kk.take(rows)), full):
         assert_same_bits(a, b[rows])
+
+
+@pytest.mark.parametrize("name", sorted(BELOW_I_SYSTEMS))
+def test_case2_one_and_two_ulps_below_I(name):
+    # each content at its I less 1 and 2 ulps, where the dual bound's
+    # search lands: the root that the constant term's rounding puts just
+    # below 0 stays admissible, and case 2 meets never-cache there, Q_bar
+    # at Q_hat, tau_bar at 0 and tau_tilde at tau0 within rounding
+    system = below_i_system(name)
+    k = content_constants(system.contents, system.beta)
+    ch = k.I
+    for _ in range(2):
+        ch = np.nextafter(ch, 0.0)
+        r = relaxed_batch(ch, k)
+        assert (r.Q_bar == k.q_hat).all()
+        assert (r.tau_bar <= 1e-15 * k.tau0).all()
+        assert (np.abs(r.tau_tilde - k.tau0) <= 1e-15 * k.tau0).all()
 
 
 def test_last_resort_scans_in_bounded_memory():

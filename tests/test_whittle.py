@@ -233,19 +233,11 @@ class TestContentTables:
     @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
     def test_estimate_decides_every_window(self, name, monkeypatch):
         # the pair that the closed-form Q_bar estimate places decides every
-        # content of every bound evaluation over the config's capacities:
-        # none reaches the second stage; and every row of the tables'
-        # solves, the bisection's included, has its estimate within one of
-        # the full scan's Q_bar
+        # content of every bound evaluation over the config's capacities and
+        # of the tables' solves: no row reaches the full scan; and every row
+        # of the tables' solves, the bisection's included, has its estimate
+        # within one of the full scan's Q_bar
         system, capacities = config_system(name)
-
-        def second_stage(*args):
-            raise AssertionError("a pair placed by the estimate did not decide")
-
-        with monkeypatch.context() as m:
-            m.setattr(thresholds, "_bisect_excess", second_stage)
-            for c in capacities:
-                relaxed_lower_bound(replace(system, M=c))
         seen = []
         estimate = thresholds._q_bar_estimate
 
@@ -254,8 +246,15 @@ class TestContentTables:
             seen.append((C_h, k, est))
             return est
 
-        monkeypatch.setattr(thresholds, "_q_bar_estimate", recorded)
-        build_index_tables(system.contents, system.beta)
+        def scan(*args):
+            raise AssertionError("a pair placed by the estimate did not decide")
+
+        with monkeypatch.context() as m:
+            m.setattr(thresholds, "case2_batch", scan)
+            for c in capacities:
+                relaxed_lower_bound(replace(system, M=c))
+            m.setattr(thresholds, "_q_bar_estimate", recorded)
+            build_index_tables(system.contents, system.beta)
         assert seen
         for C_h, k, est in seen:
             assert np.abs(est - thresholds.case2_batch(C_h, k)[2]).max() <= 1
