@@ -27,9 +27,9 @@ from .simulator import AgeingMode, SimConfig, SimulationError, _run
 from .thresholds import (ConsistencyError, breakpoint_estimate, case2_batch, case2_residuals,
                          content_constants, relaxed_batch, solve_thresholds,
                          solve_thresholds_batch, zero_holding_thresholds)
-from .whittle import (BAND_ERRORS, BP_OFF, Q_STAR, PolicyTables, _groups, build_index_tables,
-                      cached_indices, grid_taus, verify_indexability, whittle_cached,
-                      whittle_uncached)
+from .whittle import (BAND_ERRORS, BP_OFF, Q_STAR, TAU_STAR, PolicyTables, _groups,
+                      _plain_bisection, build_index_tables, cached_indices, grid_taus,
+                      verify_indexability, whittle_cached, whittle_uncached)
 
 
 class Result(NamedTuple):
@@ -160,46 +160,63 @@ def special_functions(system: SystemParams) -> Result:
                   "W0 values differ from scipy.special", n_omega + n_w0)
 
 
-def misplaced_breakpoints(tables: PolicyTables, reference: PolicyTables) -> np.ndarray:
+def reference_tables(system: SystemParams) -> tuple[np.ndarray, ...]:
+    """``(tau_star, Q_star, breakpoints, w_of_tau)`` of the system's index
+    tables from the scan of every queue candidate alone, and nothing of
+    the tables it checks: the ``C_h = 0`` thresholds from ``case2_batch``,
+    each uncached breakpoint from the plain bisection asking it for
+    ``Q_bar``, and each cached-index row from ``cached_indices`` at
+    ``tau = 0``, the content's grid points and ``tau_star``."""
+    k = content_constants(system.contents, system.beta)
+    tau_star, _, q_star, _ = case2_batch(0.0, k)
+    idx, j = _groups(np.maximum(k.q_hat - q_star, 0))
+    bps = _plain_bisection(k.take(idx), q_star[idx] + j, case2_batch)
+    w_of_tau = np.array([cached_indices(k.take([i]), t, np.r_[0.0, grid_taus(t), t])
+                         for i, t in enumerate(tau_star.tolist())])
+    return tau_star, q_star, bps, w_of_tau
+
+
+def misplaced_breakpoints(tables: PolicyTables, reference: np.ndarray) -> np.ndarray:
     """Where the uncached breakpoints of ``tables`` miss their definition,
-    given ``reference``, the same system's tables from the plain bisection
-    (``window=False``).  A breakpoint b of pair (content, q) holds if it is
+    given ``reference``, the same system's breakpoints from the plain
+    bisection by the full scan (``reference_tables``).  A breakpoint b of
+    pair (content, q), read off the layout of ``tables``, holds if it is
     the reference's bit for bit, as a pair whose band was not confirmed
     gets, or if it is the root of a band: with ``d = BAND_ERRORS * err``
     from ``breakpoint_estimate``'s own error bound, the full-width
     ``case2_batch`` reads ``Q_bar(b - d) <= q < Q_bar(b + d)`` inside
     ``(0, I)``, and b lies within ``d + I * 2**-60`` of the reference's
     midpoint, the bisection's own error."""
-    ref, b = reference.bps, tables.bps
-    if b.shape != ref.shape:
-        return np.ones(ref.size, dtype=bool)
-    off = reference.cint[:, BP_OFF]
-    idx, j = _groups(np.diff(np.append(off, ref.size)))
+    b = tables.bps
+    if b.shape != reference.shape:
+        return np.ones(reference.size, dtype=bool)
+    idx, j = _groups(np.diff(np.append(tables.cint[:, BP_OFF], b.size)))
     k = content_constants(tables.contents, tables.beta).take(idx)
-    q = reference.cint[idx, Q_STAR] + j
+    q = tables.cint[idx, Q_STAR] + j
     d = BAND_ERRORS * breakpoint_estimate(k, q)[1]
     lo, hi = b - d, b + d
-    band = (lo > 0.0) & (hi < k.I) & (np.abs(b - ref) <= d + k.I * 2.0 ** -60)
+    band = (lo > 0.0) & (hi < k.I) & (np.abs(b - reference) <= d + k.I * 2.0 ** -60)
     i = band.nonzero()[0]
     ki = k.take(i)
     band[i] = (case2_batch(lo[i], ki)[2] <= q[i]) & (case2_batch(hi[i], ki)[2] > q[i])
-    return ~band & bits_differ(b, ref)
+    return ~band & bits_differ(b, reference)
 
 
 def table_window(system: SystemParams) -> Result:
-    """The index tables from windows of queue candidates and the
-    breakpoints' roots against the plain bisection and a scan of every
-    candidate: ``cdbl``, ``cint`` and ``w_of_tau`` bit for bit, and every
+    """The index tables as the commands build them, from windows of queue
+    candidates and the breakpoints' roots, against ``reference_tables``:
+    ``w_of_tau``, ``tau_star`` and ``Q_star`` bit for bit, and every
     breakpoint by ``misplaced_breakpoints``."""
-    windowed, counts = build_index_tables(system.contents, system.beta)
-    full = build_index_tables(system.contents, system.beta, window=False)[0]
-    pairs = [(getattr(windowed, f), getattr(full, f)) for f in ("cdbl", "cint", "w_of_tau")]
+    tables, counts = build_index_tables(system.contents, system.beta)
+    tau_star, q_star, bps, w_of_tau = reference_tables(system)
+    pairs = [(tables.w_of_tau, w_of_tau), (tables.cdbl[:, TAU_STAR], tau_star),
+             (tables.cint[:, Q_STAR], q_star)]
     n = sum(x.size if x.shape != y.shape else np.count_nonzero(bits_differ(x, y))
             for x, y in pairs)
-    n_bps = np.count_nonzero(misplaced_breakpoints(windowed, full))
+    n_bps = np.count_nonzero(misplaced_breakpoints(tables, bps))
     return Result(n + n_bps == 0,
                   f"{n} of {sum(y.size for _, y in pairs)} table values differ from the "
-                  f"full-width scan and {n_bps} of {full.bps.size} breakpoints miss their band; "
+                  f"full-width scan and {n_bps} of {bps.size} breakpoints miss their band; "
                   f"{counts.full_width} points of the cached grid fell back to the scan, "
                   f"{counts.fallback} breakpoints to the plain bisection", n + n_bps)
 

@@ -69,7 +69,8 @@ __all__ = [
 
 
 class ConsistencyError(RuntimeError):
-    """No queue threshold satisfied its floor fixed point (should not happen)."""
+    """No queue candidate passes its floor test: seen one or two ulps below
+    an ``I`` whose direct form cancels, where C_h may lie above the exact I."""
 
 
 def _check_positive(**kwargs) -> None:

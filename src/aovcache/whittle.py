@@ -44,8 +44,8 @@ only points at the edge evaluate it.  A grid point that its candidate
 and guard cannot decide is scanned at full width, so the rows are the
 full scan's bit for bit whatever the predictions.
 
-``aovcache verify`` checks both on the user's config against the plain
-bisection and the full scan (``checks.table_window``), and
+``aovcache verify`` checks both on the user's config against a
+reference built from the full scan alone (``checks.table_window``), and
 ``BuildCounts`` reports how often each fell back.
 
 The closed three-equation system is kept as a residual check
@@ -69,7 +69,6 @@ from .thresholds import (
     ContentConstants,
     ThresholdSet,
     case2,
-    case2_batch,
     case2_candidates,
     breakpoint_estimate,
     content_constants,
@@ -114,9 +113,9 @@ def whittle_cached(params: ContentParams, beta: float, Q: int, tau: float) -> fl
     return float(cached_indices(k, zero_holding_thresholds(k)[0].tau_star, np.array([tau]))[0])
 
 
-def grid_taus(tau_star: float) -> np.ndarray:
+def grid_taus(tau_star) -> np.ndarray:
     """The interior grid points ``i * tau_star / GRID_SIZE``, ``0 < i <
-    GRID_SIZE``, of a content's cached-index table."""
+    GRID_SIZE``, of a content's cached-index table, a row each for a column."""
     return np.arange(1, GRID_SIZE) * (tau_star / GRID_SIZE)
 
 
@@ -168,8 +167,7 @@ def cached_indices(k: ContentConstants, tau_star: float, taus: np.ndarray,
 
 
 def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndarray,
-                      bps: np.ndarray, counts: np.ndarray,
-                      window: bool = True) -> tuple[np.ndarray, tuple[int, int]]:
+                      bps: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """``PolicyTables.w_of_tau``, one row per content of ``k``:
     ``cached_indices`` at every ``grid_taus`` point, between the ceiling I
     and the 0 sentinel, given the contents' ``C_h = 0`` thresholds
@@ -183,8 +181,7 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     falls).  Only candidate c is evaluated where it hits its cell away
     from the lower edge, and the guard c-1 with it at the edge; a point
     that the pair does not decide (``thresholds.window_consistent``) goes
-    to the full-width scan, so a wrong prediction costs time, never a
-    value.  With ``window=False`` every point takes the full-width scan.
+    to the full-width scan, so a wrong prediction costs time, never a value.
 
     The pair is exact because the Wright-omega form has the structure
     of ``thresholds.case2_batch``: with ``L_Q(x) = B_Q*x + A_Q - C*e^-x``,
@@ -222,31 +219,27 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     n = len(tau_star)
     w = np.empty((n, GRID_SIZE + 1))
     w[:, 0], w[:, -1] = k.I, 0.0
-    if window:
-        # tau_bar at breakpoint b_j from candidate Q_star + j + 1, the Q_bar
-        # just past the jump, in grid steps: grid point m lies below it for
-        # m < t_j, so for m <= below_j; a prediction only, so neither needs
-        # to be exact, nor finite
-        idx, j = _groups(counts)
-        tbar = case2_candidates(bps, k.take(idx), (q_star[idx] + j + 1.0)[:, None])[0][:, 0]
-        t = np.nan_to_num(tbar * (GRID_SIZE / tau_star[idx]))
-        below = np.clip(np.ceil(t) - 1.0, 0, GRID_SIZE - 1).astype(np.intp)
-        ends = np.cumsum(counts)
-        top = (q_star + counts).astype(float)
+    # tau_bar at breakpoint b_j from candidate Q_star + j + 1, the Q_bar
+    # just past the jump, in grid steps: grid point m lies below it for
+    # m < t_j, so for m <= below_j; a prediction only, so neither needs
+    # to be exact, nor finite
+    idx, j = _groups(counts)
+    tbar = case2_candidates(bps, k.take(idx), (q_star[idx] + j + 1.0)[:, None])[0][:, 0]
+    t = np.nan_to_num(tbar * (GRID_SIZE / tau_star[idx]))
+    below = np.clip(np.ceil(t) - 1.0, 0, GRID_SIZE - 1).astype(np.intp)
+    ends = np.cumsum(counts)
+    top = (q_star + counts).astype(float)
     full = guards = 0
-    m = np.arange(1, GRID_SIZE)
     for lo in range(0, n, CHUNK_CONTENTS):
         ids = slice(lo, min(lo + CHUNK_CONTENTS, n))
         size = ids.stop - lo
-        tau = m * (tau_star[ids, None] / GRID_SIZE)
-        c = None
-        if window:
-            # c at point m: Q_star and the breakpoints with below_j >= m,
-            # which are all the content's but those with below_j < m
-            js = slice(ends[lo] - counts[lo], ends[ids.stop - 1])
-            c = top[ids, None] - np.bincount(
-                (idx[js] - lo) * GRID_SIZE + below[js], minlength=size * GRID_SIZE
-            ).reshape(size, GRID_SIZE)[:, :-1].cumsum(1, dtype=float)
+        tau = grid_taus(tau_star[ids, None])
+        # c at point m: Q_star and the breakpoints with below_j >= m,
+        # which are all the content's but those with below_j < m
+        js = slice(ends[lo] - counts[lo], ends[ids.stop - 1])
+        c = top[ids, None] - np.bincount(
+            (idx[js] - lo) * GRID_SIZE + below[js], minlength=size * GRID_SIZE
+        ).reshape(size, GRID_SIZE)[:, :-1].cumsum(1, dtype=float)
         kc = ContentConstants(k.beta, k.rows[:, ids], k.q_hat[ids])
         x, (n_full, n_guard) = _cached_gaps(kc, tau, c)
         full += n_full
@@ -257,33 +250,29 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
 
 
 def _cached_gaps(k: ContentConstants, tau: np.ndarray,
-                 c: np.ndarray | None) -> tuple[np.ndarray, tuple[int, int]]:
+                 c: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """The gap x of the cached index at each serve threshold ``tau[i]`` of
     content i of ``k``, from the predicted ``Q_bar`` ``c`` (nonincreasing
     along each row) and, next to its cell's lower edge, its guard (see
     ``cached_index_rows``); and how many taus it left to the full-width
-    scan and how many evaluated their guard.  ``c=None`` scans every tau
-    at full width."""
+    scan and how many evaluated their guard."""
     rows = tuple(a[:, None] for a in (k.p, k.c_alam, k.c_f, k.c_w))
     guards = 0
-    if c is None:
-        decided, x = np.zeros(tau.shape, dtype=bool), np.empty(tau.shape)
-    else:
-        x, v, decided = _omega_candidates(*rows, k.beta, tau, c, wright_omega)
-        v -= c
-        decided &= (v >= 0.0) & (v < 1.0)  # the candidate hits its cell
-        # the margin, at its largest along each row: 1e-6 of v's size and
-        # 1e-12 of p*beta*c_f/c_w, which bounds the rounding of x's terms in v
-        margin = 1e-6 * (c[:, 0] + 1.0 + k.r * tau[:, -1]) + 1e-12 * k.r_cw * k.c_f
-        near = decided & (c > 0.0) & (v < margin[:, None])
-        if near.any():
-            near = near.nonzero()
-            q = np.stack([c[near] - 1.0, c[near]])  # the guard, then the candidate
-            _, vg, okg = _omega_candidates(*(a[near[0], 0] for a in rows), k.beta, tau[near],
-                                           q[0], wright_omega)
-            decided[near] = window_consistent(np.stack([vg, v[near] + q[1]]), q,
-                                              np.stack([okg, np.ones(q.shape[1], bool)]))
-            guards = q.shape[1]
+    x, v, decided = _omega_candidates(*rows, k.beta, tau, c, wright_omega)
+    v -= c
+    decided &= (v >= 0.0) & (v < 1.0)  # the candidate hits its cell
+    # the margin, at its largest along each row: 1e-6 of v's size and
+    # 1e-12 of p*beta*c_f/c_w, which bounds the rounding of x's terms in v
+    margin = 1e-6 * (c[:, 0] + 1.0 + k.r * tau[:, -1]) + 1e-12 * k.r_cw * k.c_f
+    near = decided & (c > 0.0) & (v < margin[:, None])
+    if near.any():
+        near = near.nonzero()
+        q = np.stack([c[near] - 1.0, c[near]])  # the guard, then the candidate
+        _, vg, okg = _omega_candidates(*(a[near[0], 0] for a in rows), k.beta, tau[near],
+                                       q[0], wright_omega)
+        decided[near] = window_consistent(np.stack([vg, v[near] + q[1]]), q,
+                                          np.stack([okg, np.ones(q.shape[1], bool)]))
+        guards = q.shape[1]
     full = 0
     for i in np.flatnonzero(~decided.all(-1)):
         rest = np.flatnonzero(~decided[i])
@@ -304,8 +293,7 @@ def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
     return float(_bisect(k, np.array([Q]))[0][0])
 
 
-def _bisect(k: ContentConstants, q: np.ndarray,
-            window: bool = True) -> tuple[np.ndarray, int]:
+def _bisect(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray, int]:
     """The smallest C_h at which ``Q_bar`` exceeds q, per (content of k,
     q) pair with ``Q_star <= q < Q_hat``, and how many pairs ran the plain
     bisection.
@@ -315,13 +303,11 @@ def _bisect(k: ContentConstants, q: np.ndarray,
     BAND_ERRORS * err`` with the root's error bound err, inside ``(0,
     I)``: ``Q_bar(root - d) <= q < Q_bar(root + d)``.  As ``Q_bar`` is
     nondecreasing in C_h, the jump that case 2 reads then lies within d of
-    the root.  A pair whose band is not confirmed takes the midpoint of
-    the bracket that ``BISECT_ITERS`` halvings of ``[0, I]`` leave, by
-    ``case2``; with ``window=False`` every pair does, by the full-width
-    ``case2_batch``: the reference that ``checks.table_window`` holds the
-    roots to."""
+    the root.  A pair whose band is not confirmed takes the midpoint that
+    ``_plain_bisection`` leaves, asking ``case2``.  ``checks.table_window``
+    holds every breakpoint to the same bisection by the full scan."""
     b, plain = np.empty(len(q)), np.ones(len(q), dtype=bool)
-    if window and len(q):
+    if len(q):
         root, err = breakpoint_estimate(k, q)
         d = BAND_ERRORS * err
         lo, hi = root - d, root + d
@@ -333,14 +319,14 @@ def _bisect(k: ContentConstants, q: np.ndarray,
         except ConsistencyError:
             pass  # every pair runs the plain bisection, which raises where it must
     j = plain.nonzero()[0]
-    b[j] = _plain_bisection(k.take(j), q[j], case2 if window else case2_batch)
+    b[j] = _plain_bisection(k.take(j), q[j], case2)
     return b, j.size
 
 
 def _plain_bisection(k: ContentConstants, q: np.ndarray, solve) -> np.ndarray:
     """The midpoint of the bracket that ``BISECT_ITERS`` halvings of
     ``[0, I]`` leave around each pair's breakpoint, asking ``solve``
-    (``case2`` or ``case2_batch``) for ``Q_bar``."""
+    (``case2``, or ``case2_batch`` in ``checks``' reference) for ``Q_bar``."""
     lo, hi = np.zeros(len(q)), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
     for _ in range(BISECT_ITERS if len(q) else 0):
         mid = 0.5 * (lo + hi)
@@ -350,8 +336,7 @@ def _plain_bisection(k: ContentConstants, q: np.ndarray, solve) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _breakpoints(k: ContentConstants, q_star: np.ndarray,
-                 window: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
+def _breakpoints(k: ContentConstants, q_star: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The indices of the uncached states ``Q_star..Q_hat-1`` of the
     contents of ``k``, given their ``Q_star``: for each such Q the smallest
     C_h at which ``Q_bar`` exceeds Q, from one ``_bisect`` of every
@@ -359,7 +344,7 @@ def _breakpoints(k: ContentConstants, q_star: np.ndarray,
     content has, and how many pairs ran the plain bisection."""
     counts = np.maximum(k.q_hat - q_star, 0)
     idx, j = _groups(counts)
-    bps, fallback = _bisect(k.take(idx), q_star[idx] + j, window)
+    bps, fallback = _bisect(k.take(idx), q_star[idx] + j)
     return bps, counts, fallback
 
 
@@ -622,23 +607,20 @@ class BuildCounts(NamedTuple):
     fallback: int    # breakpoints whose band case2 did not confirm: the plain bisection's
 
 
-def build_index_tables(contents: Sequence[ContentParams], beta: float, indices: bool = True,
-                       window: bool = True) -> tuple[PolicyTables, BuildCounts]:
+def build_index_tables(contents: Sequence[ContentParams], beta: float,
+                       indices: bool = True) -> tuple[PolicyTables, BuildCounts]:
     """The ``PolicyTables`` of ``contents`` at aggregate rate ``beta``, from
     the breakpoints' band-checked roots and the chunked cached-index
-    build, and the build's ``BuildCounts``; with ``window=False`` every
-    breakpoint comes from the plain bisection by the full-width scan, and
-    every grid point from that scan (what ``aovcache verify`` compares the
-    rest against).  With ``indices=False`` only the ``C_h = 0``
-    thresholds are solved, for policies that never evaluate an index: no
-    breakpoints, and rows ``[I, 0]``."""
+    build, and the build's ``BuildCounts``.  With ``indices=False`` only
+    the ``C_h = 0`` thresholds are solved, for policies that never
+    evaluate an index: no breakpoints, and rows ``[I, 0]``."""
     start = time.perf_counter()
     k = content_constants(contents, beta)
     tau_star, _, q_star, _ = zero_holding_batch(k)
     n = len(tau_star)
     if indices:
-        bps, counts, fallback = _breakpoints(k, q_star, window)
-        w_of_tau, grid = cached_index_rows(k, tau_star, q_star, bps, counts, window)
+        bps, counts, fallback = _breakpoints(k, q_star)
+        w_of_tau, grid = cached_index_rows(k, tau_star, q_star, bps, counts)
     else:
         bps, counts, fallback, grid = np.empty(0), np.zeros(n, dtype=np.int64), 0, (0, 0)
         w_of_tau = np.stack([k.I, np.zeros(n)], axis=1)

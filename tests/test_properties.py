@@ -7,7 +7,6 @@ derandomized, so every run draws the same cases.
 """
 
 import math
-from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 from aovcache import thresholds
 from aovcache._ckernel import wright_omega
-from aovcache.checks import misplaced_breakpoints
+from aovcache.checks import misplaced_breakpoints, reference_tables
 from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
 from aovcache.policies import dual_value, relaxed_lower_bound
 from aovcache.thresholds import (
@@ -33,9 +32,11 @@ from aovcache.thresholds import (
     window_consistent,
 )
 from aovcache.whittle import (
-    PolicyTables,
+    Q_STAR,
+    TAU_STAR,
     _cached_gaps,
     _omega_candidates,
+    _omega_full_width,
     build_content_tables,
     build_index_tables,
     whittle_cached,
@@ -296,7 +297,8 @@ def test_cached_window_matches_full_width(cb, fracs):
     tau = np.concatenate([np.array(fracs) * ts.tau_star,
                           ulp_neighbours(tbar, 1e-300, ts.tau_star)])
     tau = tau[(tau > 0.0) & (tau < ts.tau_star)][None, :]
-    full = _cached_gaps(k, tau, None)[0]
+    full = _omega_full_width(k.p[0], k.c_alam[0], k.c_f[0], k.c_w[0], k.beta, int(k.q_hat[0]),
+                             tau[0], wright_omega)[None]
     for col in range(ts.Q_hat + 3):
         x, _ = _cached_gaps(k, tau, np.full(tau.shape, float(col)))
         assert_same_bits(x, full)
@@ -542,22 +544,21 @@ def test_windowed_evaluation_matches_full_width(system, fracs):
 @given(system=box_systems(max_n=5))
 def test_index_tables_match_full_width(system):
     # the tables from the breakpoints' roots and the candidate-first grid
-    # against the plain bisection and the scan of every candidate at every
-    # step and grid point: every PolicyTables array but the breakpoints bit
-    # for bit, and each breakpoint the plain bisection's or the root of a
-    # band that the full scan confirms, on ill-conditioned draws too, where
-    # bands fail their check and hits sit at their cell's edge; where the
-    # full scan raises ConsistencyError, so must they
-    full = full_or_error(build_index_tables, system.contents, system.beta, True, False)
+    # against the reference from the plain bisection and the scan of every
+    # candidate at every step and grid point: the cached-index rows,
+    # tau_star and Q_star bit for bit, and each breakpoint the plain
+    # bisection's or the root of a band that the full scan confirms, on
+    # ill-conditioned draws too, where bands fail their check and hits sit
+    # at their cell's edge; where the full scan raises ConsistencyError, so
+    # must they
+    full = full_or_error(reference_tables, system)
     if full is None:
         with pytest.raises(ConsistencyError):
             build_index_tables(system.contents, system.beta)
         return
+    tau_star, q_star, bps, w_of_tau = full
     tables = build_index_tables(system.contents, system.beta)[0]
-    arrays = [f.name for f in fields(PolicyTables)
-              if isinstance(getattr(tables, f.name), np.ndarray)]
-    assert len(arrays) == 7
-    for name in arrays:
-        if name != "bps":
-            assert_same_bits(getattr(tables, name), getattr(full[0], name))
-    assert not misplaced_breakpoints(tables, full[0]).any()
+    assert_same_bits(tables.w_of_tau, w_of_tau)
+    assert_same_bits(tables.cdbl[:, TAU_STAR], tau_star)
+    assert (tables.cint[:, Q_STAR] == q_star).all()
+    assert not misplaced_breakpoints(tables, bps).any()

@@ -1,5 +1,8 @@
+import io
 import math
+import tokenize
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,3 +365,14 @@ def test_solve_gap_same_on_the_scipy_path(monkeypatch):
     monkeypatch.setattr(_ckernel, "special", None)
     assert_same_bits(compiled, solve_gap(c))
     assert solve_gap(np.float64(0.25)).shape == ()
+
+
+def test_only_thresholds_and_checks_call_the_full_scan():
+    # thresholds.case2 alone decides how the program solves case 2; the
+    # full scan is its last resort and the reference that checks holds it to
+    def names(path):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        return {t.string for t in tokens if t.type == tokenize.NAME}
+
+    sources = Path(thresholds.__file__).parent.glob("*.py")
+    assert {p.stem for p in sources if "case2_batch" in names(p)} == {"thresholds", "checks"}

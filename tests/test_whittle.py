@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import wrightomega
 
 from aovcache import _ckernel, thresholds, whittle
-from aovcache.checks import misplaced_breakpoints
+from aovcache.checks import bits_differ, misplaced_breakpoints, reference_tables, table_window
 from aovcache.cli import build_system
 from aovcache.model import SingleContentState
 from aovcache.policies import PolicyTables, build_policy_tables, relaxed_lower_bound
@@ -22,8 +22,11 @@ from aovcache.thresholds import (
 )
 from aovcache.whittle import (
     GRID_SIZE,
+    Q_STAR,
+    TAU_STAR,
     _cached_gaps,
     _classify_passive,
+    _omega_full_width,
     build_content_tables,
     build_index_tables,
     cached_index_rows,
@@ -211,24 +214,20 @@ class TestContentTables:
 
     @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
     def test_window_equals_full_width_scan(self, name):
-        # every other field of every table bit for bit, and every breakpoint
-        # the root of a band that the full scan confirms, within it of the
-        # plain bisection; no point of the cached grid needs the scan, and
-        # no breakpoint the plain bisection
+        # against the reference from the full scan alone: the cached-index
+        # rows, tau_star and Q_star bit for bit, and every breakpoint the
+        # root of a band that the full scan confirms, within it of the plain
+        # bisection; no point of the cached grid needs the scan, and no
+        # breakpoint the plain bisection
         system = config_system(name)[0]
-        windowed, counts = build_index_tables(system.contents, system.beta)
-        full, scanned = build_index_tables(system.contents, system.beta, window=False)
+        tables, counts = build_index_tables(system.contents, system.beta)
+        tau_star, q_star, bps, w_of_tau = reference_tables(system)
         assert counts.full_width == counts.fallback == 0
-        assert scanned.full_width == system.N * (GRID_SIZE - 1)
-        assert scanned.fallback == full.bps.size
-        assert full.w_of_tau.shape == (system.N, GRID_SIZE + 1)
-        arrays = [f.name for f in fields(PolicyTables)
-                  if isinstance(getattr(full, f.name), np.ndarray)]
-        assert len(arrays) == 7
-        for name in arrays:
-            if name != "bps":
-                assert_same_bits(getattr(windowed, name), getattr(full, name))
-        assert not misplaced_breakpoints(windowed, full).any()
+        assert w_of_tau.shape == (system.N, GRID_SIZE + 1)
+        assert_same_bits(tables.w_of_tau, w_of_tau)
+        assert_same_bits(tables.cdbl[:, TAU_STAR], tau_star)
+        assert (tables.cint[:, Q_STAR] == q_star).all()
+        assert not misplaced_breakpoints(tables, bps).any()
 
     @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
     def test_estimate_decides_every_window(self, name, monkeypatch):
@@ -285,7 +284,7 @@ class TestContentTables:
         # breakpoint check as the roots do; the rest of the tables stays
         system = desk_system()
         tables, counts = build_index_tables(system.contents, system.beta)
-        full = build_index_tables(system.contents, system.beta, window=False)[0]
+        bps = reference_tables(system)[2]
         assert counts.fallback == 0 < tables.bps.size
         estimate = whittle.breakpoint_estimate
 
@@ -296,10 +295,50 @@ class TestContentTables:
         monkeypatch.setattr(whittle, "breakpoint_estimate", shifted)
         moved, moved_counts = build_index_tables(system.contents, system.beta)
         assert moved_counts.fallback == tables.bps.size
-        assert_same_bits(moved.bps, full.bps)
+        assert_same_bits(moved.bps, bps)
         assert_same_bits(moved.w_of_tau, tables.w_of_tau)
-        assert not misplaced_breakpoints(tables, full).any()
-        assert misplaced_breakpoints(replace(tables, bps=tables.bps * (1.0 + 1e-6)), full).all()
+        assert not misplaced_breakpoints(tables, bps).any()
+        assert misplaced_breakpoints(replace(tables, bps=tables.bps * (1.0 + 1e-6)), bps).all()
+
+    def test_unconfirmed_band_takes_the_plain_bisection(self):
+        # a box system where case2 does not confirm one breakpoint's band:
+        # that pair takes the plain bisection's midpoint, the reference's
+        # bit for bit, and the tables still pass their check
+        system = desk_system(N=5, beta=149012.44153056672, M=1, c_w=47670.66116786624,
+                             lam=5.677277972544335e-05, c_a=6.814966662459335e-06,
+                             c_f=177.02795736314903, alpha=1.8143057977679513)
+        tables, counts = build_index_tables(system.contents, system.beta)
+        bps = reference_tables(system)[2]
+        assert counts.fallback == 1
+        assert tables.bps.size == bps.size == 60
+        assert np.count_nonzero(~bits_differ(tables.bps, bps)) == 1
+        assert not misplaced_breakpoints(tables, bps).any()
+        assert table_window(system).passed
+
+    def test_table_window_fails_on_a_changed_table(self, monkeypatch):
+        # one cached-index cell one ulp up is one differing value; every
+        # breakpoint scaled by 1 + 1e-6 misses its band
+        system = desk_system()
+        assert table_window(system).passed
+        rows, breakpoints = whittle.cached_index_rows, whittle._breakpoints
+
+        def nudged(*args):
+            w, counts = rows(*args)
+            w[3, 100] = np.nextafter(w[3, 100], np.inf)
+            return w, counts
+
+        def scaled(*args):
+            bps, counts, fallback = breakpoints(*args)
+            return bps * (1.0 + 1e-6), counts, fallback
+
+        with monkeypatch.context() as m:
+            m.setattr(whittle, "cached_index_rows", nudged)
+            result = table_window(system)
+        assert not result.passed and result.error == 1
+        monkeypatch.setattr(whittle, "_breakpoints", scaled)
+        result = table_window(system)
+        assert not result.passed
+        assert result.error == build_index_tables(system.contents, system.beta)[0].bps.size > 0
 
     def test_ill_conditioned_build_needs_no_full_scan(self, monkeypatch):
         # desk's costs with c_f = 1e5 over 2 contents: 8.7k breakpoints,
@@ -312,7 +351,6 @@ class TestContentTables:
             raise AssertionError("a row reached the full-width scan")
 
         monkeypatch.setattr(thresholds, "case2_batch", scan)
-        monkeypatch.setattr(whittle, "case2_batch", scan)
         tables, counts = build_index_tables(system.contents, system.beta)
         assert counts.fallback == 0 < tables.bps.size
 
@@ -338,7 +376,9 @@ class TestContentTables:
         tau, c = tau[keep][None], np.tile(q, 4)[keep][None]
         x, (_, guards) = _cached_gaps(ki, tau, c)
         assert guards >= 1
-        assert_same_bits(x, _cached_gaps(ki, tau, None)[0])
+        assert_same_bits(x[0], _omega_full_width(ki.p[0], ki.c_alam[0], ki.c_f[0], ki.c_w[0],
+                                                 ki.beta, int(ki.q_hat[0]), tau[0],
+                                                 _ckernel.wright_omega))
 
     @pytest.mark.parametrize("indices", [True, False])
     def test_policy_tables_are_read_only(self, indices):
