@@ -1,13 +1,18 @@
 """Build and load the compiled library: the event loop (``_loop.c``) and
 two special functions (``_special.c``).
 
-The event loop runs every policy in both ageing modes.  It draws
+The event loop runs every policy in both ageing modes.  It seeds and
+steps the run's three random streams itself: numpy's PCG64 seeded from
+``SeedSequence(seed).spawn(3)``, restated in C, so that no run makes a
+``numpy.random`` object and no command imports ``numpy.random``.  A run
+hands it the seed's 32-bit words (``seed_words``).  It draws
 inter-arrival times in blocks with numpy's own
 ``random_standard_exponential_fill`` and, in realized mode, version ages
-one at a time with ``random_poisson``, so the library links the static
-``libnpyrandom.a`` that numpy ships and compiles against the
-``numpy/random/bitgen.h`` header from ``numpy.get_include()``.  Each
-generator goes in as the address of its ``bitgen_t`` (``bitgen``).
+one at a time with ``random_poisson``, on the streams' ``bitgen_t``, so
+the library links the static ``libnpyrandom.a`` that numpy ships and
+compiles against the ``numpy/random/bitgen.h`` header from
+``numpy.get_include()``.  ``stream_draws`` exposes the streams, so that
+tests and ``aovcache verify`` can compare them with numpy's.
 The special functions, ``wright_omega`` and ``lambert_w0``, restate
 scipy.special's real-argument algorithms bit for bit, so that the
 solvers need not import scipy.special (a quarter of a second of every
@@ -32,8 +37,9 @@ The library is loaded when this module is imported, so a missing one is
 built by the first import rather than inside a timed run.  ``event_loop``
 and ``special`` are None when there is no compiler, no writable cache
 directory, or no ``libnpyrandom.a`` or numpy include directory;
-``simulator.run`` then uses its reference loop, and ``wright_omega`` and
-``lambert_w0`` import scipy.special on first use.  Outside that case
+``simulator.run`` then uses its reference loop, which imports
+``numpy.random``, and ``wright_omega`` and ``lambert_w0`` import
+scipy.special on first use.  Outside that case
 scipy is needed only by ``aovcache verify``, whose oracle and checks use
 it.
 """
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import sysconfig
 from pathlib import Path
@@ -60,12 +67,12 @@ _ptr, _int, _dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # array, ~2 % of a 30k-event run)
 _ARGTYPES = [
     _int, _int,                      # policy code, realized
-    _ptr, _ptr, _ptr,                # bitgen_t of the arrival, pick and age streams
     _int, _dbl,                      # stop_events, stop_time
     _ptr, _ptr, _int,                # cum_p, guide table, its length K
     _ptr, _ptr, _ptr,                # per-content doubles and ints, breakpoints
     _ptr, _ptr, _int, _dbl,          # w_of_tau rows, their prefix minima, stride, beta
-    _ptr, _ptr, _ptr, _ptr, _ptr,    # int64: queue, aov, slot_of, slots, N_CNT counts
+    _ptr, _ptr, _ptr, _ptr, _ptr,    # int64: queue, aov, slot_of, slots, N_CNT counts,
+    _ptr, _ptr, _int,                # 3 * STREAM_WORDS of streams, the seed's words, their count
     _ptr, _ptr, _ptr,                # float64: fetch_time, aov_time, N_ACC running totals
     _ptr,                            # scratch, 2 * BLOCK + SCRATCH_WORDS * m doubles
     _ptr, _int,                      # waited, m
@@ -81,18 +88,18 @@ def address(a: np.ndarray, dtype) -> int:
     return a.ctypes.data
 
 
-# PyCapsule_GetPointer, declared on a function object of this module's own
-# rather than on the ctypes.pythonapi attribute that every user shares
-_capsule_pointer = ctypes.PYFUNCTYPE(_ptr, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def bitgen(rng: np.random.Generator) -> int:
-    """The address of the ``bitgen_t`` of ``rng``'s bit generator, for a
-    generator parameter of the kernel; ``rng`` must outlive its use.  The
-    capsule costs a fraction of ``bit_generator.ctypes``, which builds four
-    function pointers per generator."""
-    return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
+def seed_words(seed) -> list[int]:
+    """The 32-bit words of the integer ``seed``, least significant first:
+    the entropy ``numpy.random.SeedSequence(seed)`` draws on, and the
+    kernel's seed.  Raises SeedSequence's ValueError for a negative seed
+    and TypeError for one that is not an integer."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
 
 
 def cache_dir() -> Path:
@@ -172,6 +179,8 @@ def _event_loop(lib):
     fn = lib.event_loop
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int64
+    lib.stream_draws.argtypes = [_ptr, _int, _ptr, _int, _ptr]  # seed, kinds, out
+    lib.stream_draws.restype = None
     return fn
 
 
@@ -186,13 +195,33 @@ _lib = _open()
 event_loop = None if _lib is None else _event_loop(_lib)
 # the event loop's layout (_loop.c): its scratch holds 2 * BLOCK doubles of
 # draws, then SCRATCH_WORDS doubles per cache slot; its running totals
-# are N_ACC doubles and N_CNT counts
-BLOCK, SCRATCH_WORDS, N_ACC, N_CNT = (None,) * 4 if _lib is None else (
+# are N_ACC doubles and N_CNT counts, and each of its streams STREAM_WORDS
+# words
+BLOCK, SCRATCH_WORDS, N_ACC, N_CNT, STREAM_WORDS = (None,) * 5 if _lib is None else (
     ctypes.c_int64.in_dll(_lib, name).value
-    for name in ("block_draws", "scratch_words", "n_acc", "n_cnt"))
+    for name in ("block_draws", "scratch_words", "n_acc", "n_cnt", "stream_words"))
 # the library as the provider of wright_omega and lambert_w0; None sends
 # both to scipy.special
 special = None if _lib is None else _declare_special(_lib)
+
+
+# the kinds of draw of stream_draws: next_uint64, next_uint32, next_double
+DRAW_UINT64, DRAW_UINT32, DRAW_DOUBLE = 0, 1, 2
+
+
+def stream_draws(seed: int, kinds) -> np.ndarray:
+    """Draws from the event loop's three streams as a run seeds them from
+    ``seed``: row i holds stream i's, one per entry of ``kinds`` (a 64-bit
+    word, a 32-bit word or a double's bits, as the entry is
+    ``DRAW_UINT64``, ``DRAW_UINT32`` or ``DRAW_DOUBLE``), each made through
+    the stream's ``bitgen_t`` as numpy's samplers make theirs.  Needs the
+    library."""
+    words = np.array(seed_words(seed), np.int64)
+    kinds = np.array(kinds, np.int64)
+    out = np.empty((3, kinds.size), np.uint64)
+    _lib.stream_draws(address(words, np.int64), words.size, address(kinds, np.int64),
+                      kinds.size, address(out, np.uint64))
+    return out
 
 
 def _fill(fn, x: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
  *
  * simulator._compiled_loop calls event_loop once up to the warmup point
  * and once more to the horizon; all state lives in numpy arrays.  The
- * loop draws inter-arrival times and content uniforms from the run's own
- * generators in blocks of BLOCK, with numpy's own samplers, so the draws
- * are those the reference loop (simulator._reference_loop, which steps
+ * loop seeds the run's three random streams itself (struct stream below)
+ * and draws inter-arrival times and content uniforms from them in blocks
+ * of BLOCK, with numpy's own samplers, so the draws are those the
+ * reference loop (simulator._reference_loop, which steps
  * model.CacheSystemState through the decision rules of policies.py) takes
  * from Generator.exponential and Generator.random.  Every float operation
  * keeps the order of the reference loop, and the build turns off FMA
@@ -14,8 +15,8 @@
  *
  * Realized-mode version ages are drawn one at a time with numpy's own
  * random_poisson (linked from numpy's libnpyrandom.a) on the bitgen_t of
- * the run's version-age generator, so they are the draws
- * Generator.poisson makes.
+ * the run's version-age stream, so they are the draws Generator.poisson
+ * makes.
  */
 #include <limits.h>
 #include <math.h>
@@ -230,32 +231,227 @@ static inline int64_t position(const struct rank *order, int64_t s, int64_t k)
     return k;
 }
 
+/* The run's random streams.  Stream i is numpy's PCG64 (O'Neill 2014,
+ * "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+ * Algorithms for Random Number Generation", HMC-CS-2014-0905: a 128-bit
+ * LCG with the XSL-RR output) seeded from SeedSequence(seed).spawn(3)[i],
+ * restated from numpy/random/bit_generator.pyx and src/pcg64 so that a run
+ * makes no numpy.random object: importing numpy.random cost every command
+ * 10-20 ms, and SeedSequence.spawn and three default_rng more than half of
+ * a 10-event run's ~80 us.
+ * numpy's samplers take the stream's bitgen_t, whose state points back at
+ * the stream.  The 128-bit state and increment are kept as 64-bit words,
+ * high word first: the block is a slice of an int64 array, aligned to 8
+ * bytes, and at -O3 the compiler moves a __uint128_t member with aligned
+ * 16-byte instructions. */
+struct stream {
+    uint64_t state_hi, state_lo, inc_hi, inc_lo;
+    uint64_t has_uint32, uinteger;  /* next_uint32's buffered high half */
+    bitgen_t bitgen;
+};
+enum { ARRIVALS, PICKS, AGES, N_STREAMS };
+#define STREAM_WORDS 11
+_Static_assert(sizeof(struct stream) == STREAM_WORDS * sizeof(int64_t),
+               "a stream takes STREAM_WORDS words");
+const int64_t stream_words = STREAM_WORDS;  /* exported with the layout sizes above */
+
+/* PCG's default 128-bit multiplier */
+#define PCG_MULT (((__uint128_t)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+static inline __uint128_t u128(uint64_t hi, uint64_t lo)
+{
+    return ((__uint128_t)hi << 64) | lo;
+}
+
+/* the state after s */
+static inline __uint128_t pcg_step(__uint128_t s, __uint128_t inc)
+{
+    return s * PCG_MULT + inc;
+}
+
+/* XSL-RR: the two halves xored, rotated right by the top 6 bits */
+static inline uint64_t xsl_rr(__uint128_t s)
+{
+    uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned rot = (unsigned)(s >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/* the 53 high bits of x as a double in [0, 1), as numpy's next_double */
+static inline double unit_double(uint64_t x)
+{
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's PCG64 steps the state, then outputs the new one */
+static uint64_t next_uint64(void *p)
+{
+    struct stream *st = p;
+    __uint128_t s = pcg_step(u128(st->state_hi, st->state_lo), u128(st->inc_hi, st->inc_lo));
+    st->state_hi = (uint64_t)(s >> 64);
+    st->state_lo = (uint64_t)s;
+    return xsl_rr(s);
+}
+
+/* the low half of a new 64-bit draw, or the high half of the last one
+ * that gave its low half; a 64-bit draw or a double between the two
+ * leaves the buffered half, as in numpy */
+static uint32_t next_uint32(void *p)
+{
+    struct stream *st = p;
+    if (st->has_uint32) {
+        st->has_uint32 = 0;
+        return (uint32_t)st->uinteger;
+    }
+    uint64_t x = next_uint64(st);
+    st->has_uint32 = 1;
+    st->uinteger = x >> 32;
+    return (uint32_t)x;
+}
+
+static double next_double(void *p)
+{
+    return unit_double(next_uint64(p));
+}
+
+/* SeedSequence's constants (numpy/random/bit_generator.pyx) */
+#define POOL_SIZE 4
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+#define XSHIFT 16
+
+static inline uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> XSHIFT);
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = MIX_MULT_L * x - MIX_MULT_R * y;
+    return r ^ (r >> XSHIFT);
+}
+
+/* word j of the entropy of len words of stream i's SeedSequence: the
+ * seed's n_seed words, zeros, then the spawn key i */
+static inline uint32_t entropy(const int64_t *seed, int64_t n_seed, int64_t len, int64_t i,
+                               int64_t j)
+{
+    return j < n_seed ? (uint32_t)seed[j] : j < len - 1 ? 0u : (uint32_t)i;
+}
+
+/* Seeds the run's streams from the seed's n_seed (>= 1) 32-bit words,
+ * least significant first, as numpy's PCG64 seeds itself from
+ * SeedSequence(seed).spawn(3)[i]:
+ * - the child's entropy is the seed's words, padded with zeros to
+ *   POOL_SIZE words, then its spawn key i;
+ * - mix_entropy hashes that into a pool of POOL_SIZE words;
+ * - generate_state(4, uint64) hashes the pool, cycled, into 8 words,
+ *   paired little-endian into 4 64-bit words;
+ * - pcg64_set_seed takes words 0:1 as the initial state and 2:3 as the
+ *   sequence, high word first, and srandom starts from state 0 with
+ *   inc = 2 * sequence + 1, steps, adds the initial state and steps. */
+static void seed_streams(const int64_t *seed, int64_t n_seed, struct stream *streams)
+{
+    int64_t len = (n_seed < POOL_SIZE ? POOL_SIZE : n_seed) + 1;
+    for (int64_t i = 0; i < N_STREAMS; i++) {
+        uint32_t pool[POOL_SIZE], hash_const = INIT_A;
+        for (int d = 0; d < POOL_SIZE; d++)
+            pool[d] = hashmix(entropy(seed, n_seed, len, i, d), &hash_const);
+        for (int src = 0; src < POOL_SIZE; src++)
+            for (int d = 0; d < POOL_SIZE; d++)
+                if (src != d)
+                    pool[d] = mix(pool[d], hashmix(pool[src], &hash_const));
+        for (int64_t src = POOL_SIZE; src < len; src++) {
+            uint32_t e = entropy(seed, n_seed, len, i, src);
+            for (int d = 0; d < POOL_SIZE; d++)
+                pool[d] = mix(pool[d], hashmix(e, &hash_const));
+        }
+        uint64_t words[4] = {0};
+        hash_const = INIT_B;
+        for (int k = 0; k < 8; k++) {
+            uint32_t v = pool[k % POOL_SIZE] ^ hash_const;
+            hash_const *= MULT_B;
+            v *= hash_const;
+            v ^= v >> XSHIFT;
+            words[k / 2] |= (uint64_t)v << (32 * (k % 2));
+        }
+        __uint128_t inc = (u128(words[2], words[3]) << 1) | 1u;
+        __uint128_t s = pcg_step(pcg_step(0, inc) + u128(words[0], words[1]), inc);
+        struct stream *st = streams + i;
+        *st = (struct stream){(uint64_t)(s >> 64), (uint64_t)s, (uint64_t)(inc >> 64),
+                              (uint64_t)inc, 0, 0,
+                              {st, next_uint64, next_uint32, next_double, next_uint64}};
+    }
+}
+
+/* kinds of draw for stream_draws */
+enum { DRAW_UINT64, DRAW_UINT32, DRAW_DOUBLE };
+
+/* Seeds the streams as a run does and makes n draws from each through
+ * its bitgen_t, the way numpy's samplers call it: draw j is a 64-bit
+ * word, a 32-bit word or a double (its bits) as kinds[j] is DRAW_UINT64,
+ * DRAW_UINT32 or DRAW_DOUBLE; stream i's go to out[i * n ...].  Exported
+ * so that a test and aovcache verify can compare the streams with numpy's. */
+void stream_draws(const int64_t *seed, int64_t n_seed, const int64_t *kinds, int64_t n,
+                  uint64_t *out)
+{
+    struct stream streams[N_STREAMS];
+    seed_streams(seed, n_seed, streams);
+    for (int64_t i = 0; i < N_STREAMS; i++) {
+        bitgen_t *g = &streams[i].bitgen;
+        for (int64_t j = 0; j < n; j++) {
+            double d;
+            switch (kinds[j]) {
+            case DRAW_UINT64:
+                out[i * n + j] = g->next_uint64(g->state);
+                break;
+            case DRAW_UINT32:
+                out[i * n + j] = g->next_uint32(g->state);
+                break;
+            default:
+                d = g->next_double(g->state);
+                memcpy(out + i * n + j, &d, sizeof d);
+            }
+        }
+    }
+}
+
 /* Fills dts and us with n draws: inter-arrival times, each the standard
  * exponential times invb (the product random_exponential forms, so that
  * Generator.exponential(invb) makes the same), and the content picks'
- * uniforms (Generator.random's). */
-static void draw_block(bitgen_t *arrivals, bitgen_t *picks, double invb,
+ * uniforms (Generator.random's, next_double stepped here in line). */
+static void draw_block(struct stream *arrivals, struct stream *picks, double invb,
                        double *dts, double *us, int64_t n)
 {
-    random_standard_exponential_fill(arrivals, n, dts);
+    random_standard_exponential_fill(&arrivals->bitgen, n, dts);
+    __uint128_t s = u128(picks->state_hi, picks->state_lo);
+    const __uint128_t inc = u128(picks->inc_hi, picks->inc_lo);
     for (int64_t i = 0; i < n; i++) {
         dts[i] *= invb;
-        us[i] = picks->next_double(picks->state);
+        s = pcg_step(s, inc);
+        us[i] = unit_double(xsl_rr(s));
     }
+    picks->state_hi = (uint64_t)(s >> 64);
+    picks->state_lo = (uint64_t)s;
 }
 
 /* One loop body, specialised by the constant policy and ageing mode that
  * event_loop passes in, so each combination compiles to its own loop. */
 static inline __attribute__((always_inline)) int64_t
-run_events(const int policy, const int realized,
-           bitgen_t *arrivals, bitgen_t *picks, bitgen_t *ages,
-           int64_t stop_events, double stop_time,
+run_events(const int policy, const int realized, int64_t stop_events, double stop_time,
            const double *cum_p, const int64_t *guide, int64_t k,
            const double *cdbl, const int64_t *cint, const double *bps,
            const double *w_of_tau, const double *w_low, int64_t stride, double beta,
            int64_t *queue, int64_t *aov, int64_t *slot_of, int64_t *slots, int64_t *cnt,
-           double *fetch_time, double *aov_time, double *acc, double *scratch,
-           uint8_t *waited, int64_t m)
+           struct stream *streams, double *fetch_time, double *aov_time, double *acc,
+           double *scratch, uint8_t *waited, int64_t m)
 {
     double t = acc[T], grand = acc[GRAND], q_integral = acc[Q_INTEGRAL];
     double wait_cost = acc[WAIT_COST], fetch_cost = acc[FETCH_COST];
@@ -282,8 +478,8 @@ run_events(const int policy, const int realized,
     while (events < stop_events && t < stop_time) {
         if (!buffered) {
             buffered = stop_events - events < BLOCK ? stop_events - events : BLOCK;
-            draw_block(arrivals, picks, invb, dts + BLOCK - buffered, us + BLOCK - buffered,
-                       buffered);
+            draw_block(streams + ARRIVALS, streams + PICKS, invb, dts + BLOCK - buffered,
+                       us + BLOCK - buffered, buffered);
         }
         double dt = dts[BLOCK - buffered];
         int64_t r = pick(cum_p, guide, k, us[BLOCK - buffered]);
@@ -427,7 +623,7 @@ run_events(const int policy, const int realized,
                         status = POISSON_DOMAIN_ERROR;
                         break;
                     }
-                    aov[r] += random_poisson(ages, lam);
+                    aov[r] += random_poisson(&streams[AGES].bitgen, lam);
                     aov_time[r] = t;
                 }
                 age = cd[C_A] * (double)aov[r] * (double)(q + 1);
@@ -486,10 +682,9 @@ run_events(const int policy, const int realized,
 }
 
 #define RUN(policy, realized) \
-    run_events(policy, realized, arrivals, picks, ages, stop_events, stop_time, \
-               cum_p, guide, k, cdbl, cint, bps, w_of_tau, w_low, stride, beta, \
-               queue, aov, slot_of, slots, cnt, fetch_time, aov_time, acc, scratch, \
-               waited, m)
+    run_events(policy, realized, stop_events, stop_time, cum_p, guide, k, cdbl, cint, bps, \
+               w_of_tau, w_low, stride, beta, queue, aov, slot_of, slots, cnt, streams, \
+               fetch_time, aov_time, acc, scratch, waited, m)
 #define RUN_MODES(policy) (realized ? RUN(policy, 1) : RUN(policy, 0))
 
 /* Runs events until events >= stop_events or t >= stop_time.  Returns
@@ -498,23 +693,27 @@ run_events(const int policy, const int realized,
  * POISSON_DOMAIN_ERROR if a version-age draw had lam above what
  * Generator.poisson accepts.  cum_p and guide (k entries) are the content
  * pick's tables.  The cache is slots[0..m-1]; slot_of[id] is id's slot,
- * or -1.  ages is read only in realized mode.
+ * or -1.  The ages stream is read only in realized mode.
  *
- * Events are drawn from arrivals and picks in blocks of at most BLOCK
- * and at most stop_events - events, into the first 2 * BLOCK doubles of
- * scratch.  A block is written to the end of its buffer, and
+ * streams holds the run's N_STREAMS streams; the first call of a run
+ * finds them zeroed and seeds them from the seed's n_seed words.
+ * Events are drawn from the arrival and pick streams in blocks of at most
+ * BLOCK and at most stop_events - events, into the first 2 * BLOCK
+ * doubles of scratch.  A block is written to the end of its buffer, and
  * cnt[BUFFERED] counts its events not yet run, so a block drawn before
  * a stop is run after it by the next call of the same run. */
-int64_t event_loop(int64_t policy, int64_t realized,
-                   bitgen_t *arrivals, bitgen_t *picks, bitgen_t *ages,
-                   int64_t stop_events, double stop_time,
+int64_t event_loop(int64_t policy, int64_t realized, int64_t stop_events, double stop_time,
                    const double *cum_p, const int64_t *guide, int64_t k,
                    const double *cdbl, const int64_t *cint, const double *bps,
                    const double *w_of_tau, const double *w_low, int64_t stride,
                    double beta, int64_t *queue, int64_t *aov, int64_t *slot_of,
-                   int64_t *slots, int64_t *cnt, double *fetch_time, double *aov_time,
-                   double *acc, double *scratch, uint8_t *waited, int64_t m)
+                   int64_t *slots, int64_t *cnt, struct stream *streams,
+                   const int64_t *seed, int64_t n_seed, double *fetch_time,
+                   double *aov_time, double *acc, double *scratch, uint8_t *waited,
+                   int64_t m)
 {
+    if (!streams[ARRIVALS].bitgen.state)
+        seed_streams(seed, n_seed, streams);
     switch (policy) {
     case WHITTLE:
         return RUN_MODES(WHITTLE);

@@ -160,6 +160,40 @@ def special_functions(system: SystemParams) -> Result:
                   "W0 values differ from scipy.special", n_omega + n_w0)
 
 
+# the interleaved part of random_streams' draws: five 32-bit draws a
+# cycle, an odd number, so a buffered high half is read after a 64-bit
+# word, after a double and at the start of the next cycle
+_INTERLEAVED = (_ckernel.DRAW_UINT32, _ckernel.DRAW_UINT64, _ckernel.DRAW_UINT32,
+                _ckernel.DRAW_UINT32, _ckernel.DRAW_DOUBLE, _ckernel.DRAW_UINT32,
+                _ckernel.DRAW_UINT32, _ckernel.DRAW_UINT64, _ckernel.DRAW_DOUBLE)
+
+
+def random_streams(seed: int, draws: int = 1000) -> Result:
+    """The event loop's three streams against numpy's
+    ``PCG64(SeedSequence(seed).spawn(3)[i])``, draw for draw: ``draws``
+    64-bit words (``random_raw``), ``draws`` doubles (``Generator.random``),
+    then ``draws`` draws interleaving 32-bit words with both.  The kernel
+    restates numpy's seeding and PCG64, so a numpy that changes either
+    fails here by name rather than as a lockstep difference."""
+    if _ckernel.event_loop is None:
+        return Result(True, "the library is not built: numpy.random in use")
+    mixed = [_INTERLEAVED[j % len(_INTERLEAVED)] for j in range(draws)]
+    got = _ckernel.stream_draws(
+        seed, [_ckernel.DRAW_UINT64] * draws + [_ckernel.DRAW_DOUBLE] * draws + mixed)
+    differ = 0
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(3)):
+        bg = np.random.PCG64(child)
+        gen, handle = np.random.Generator(bg), bg.ctypes
+        draw = {_ckernel.DRAW_UINT64: bg.random_raw,
+                _ckernel.DRAW_UINT32: lambda: handle.next_uint32(handle.state),
+                _ckernel.DRAW_DOUBLE: lambda: np.float64(gen.random()).view(np.uint64)}
+        want = np.concatenate([bg.random_raw(draws), gen.random(draws).view(np.uint64),
+                               np.array([draw[k]() for k in mixed], np.uint64)])
+        differ += int(np.count_nonzero(got[i] != want))
+    return Result(differ == 0, f"{differ} of {got.size} draws of the 3 streams at seed {seed} "
+                  "differ from numpy's PCG64", differ)
+
+
 def reference_tables(system: SystemParams) -> tuple[np.ndarray, ...]:
     """``(tau_star, Q_star, breakpoints, w_of_tau)`` of the system's index
     tables from the scan of every queue candidate alone, and nothing of
@@ -355,6 +389,7 @@ def _verify_checks(system: SystemParams, cfg: SimConfig,
         if not quick:
             yield f"whittle-vs-sweep[content {i}]", whittle_vs_sweep(c, beta, 80, 1.0, cells=0)
     yield "special-functions", special_functions(system)
+    yield "random-streams", random_streams(cfg.seed)
     yield "table-window", table_window(system)
     yield "dual-window", dual_window(system, 60 if quick else 200)
     yield "dual-bound", dual_bound(system, 60 if quick else 200)

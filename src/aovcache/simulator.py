@@ -3,20 +3,25 @@
 Decision epochs are request arrivals.  Between epochs only waiting cost
 accrues (piecewise-constant, integrated exactly); at an epoch the
 policy picks an action and the event charges fetch or ageing cost.
-Three RNG streams derive from the master seed -- inter-arrival times,
-content selection, version-age realization -- so expected-mode and
-realized-mode runs share the same arrival sample path.
+Three random streams derive from the seed, any integer >= 0 -- inter-arrival
+times, content selection, version-age realization -- so expected-mode and
+realized-mode runs share the same arrival sample path.  Stream i is
+numpy's ``PCG64(SeedSequence(seed).spawn(3)[i])``.
 
 Every policy in both ageing modes runs in a compiled C loop
-(``_loop.c``, loaded by ``_ckernel``) that draws the events itself, on
-its run's generators: inter-arrival times by numpy's own exponential
-sampler and the contents' uniforms in blocks of ``_ckernel.BLOCK``, the
-content by a guide-table inverse CDF of its uniform, and realized-mode
-version ages one at a time by numpy's own Poisson sampler.  A block
-drawn before the warmup stop is run after it, and an event horizon is
-drawn no further than its stops.  ``_reference_loop`` is the
-specification and the fallback where the kernel cannot be built: it
-takes the same draws from ``Generator`` batches (``_batches``), steps a
+(``_loop.c``, loaded by ``_ckernel``) that seeds and steps those streams
+itself, so a run makes no ``numpy.random`` object and this module does
+not import ``numpy.random``; it hands the kernel the seed's words and a
+zeroed block for the streams.  The kernel draws the events itself:
+inter-arrival times by numpy's own exponential sampler and the contents'
+uniforms in blocks of ``_ckernel.BLOCK``, the content by a guide-table
+inverse CDF of its uniform, and realized-mode version ages one at a time
+by numpy's own Poisson sampler.  A block drawn before the warmup stop is
+run after it, and an event horizon is drawn no further than its stops.
+``_reference_loop`` is the specification and the fallback where the
+kernel cannot be built: it makes the streams with ``SeedSequence`` and
+``default_rng`` (importing ``numpy.random`` as it runs), takes the same
+draws from ``Generator`` batches (``_batches``), steps a
 ``CacheSystemState`` through its ``apply_*`` transitions and decides
 with the public ``*_decide`` rules of ``policies``.  Its cache is a set, since no rule
 depends on the order of the cached copies; an infinite cache holds all N
@@ -53,7 +58,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy 2 imports it lazily, on the first run (~10 ms)
 
 from . import _ckernel
 from .model import CacheSystemState, CostModel, OccupancyError, SystemParams, validate
@@ -139,6 +143,9 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
         raise ValueError("horizon_time must be finite and > 0")  # inf would never end
     if not 0.0 <= config.warmup <= 0.5:
         raise ValueError("warmup must be in [0, 0.5]")
+    # both loops take the seeds SeedSequence takes, except None (fresh
+    # entropy, which no run can repeat)
+    seed = _ckernel.seed_words(config.seed)
 
     whittle = config.policy is PolicyKind.WHITTLE
     if tables is None:
@@ -149,9 +156,6 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
                          "beta differ from the run's")
     if whittle and tables.w_of_tau.shape[1] != GRID_SIZE + 1:
         raise ValueError("the Whittle policy needs tables built with indices=True")
-    ss = np.random.SeedSequence(config.seed)
-    arr_rng, pick_rng, aov_rng = (np.random.default_rng(s) for s in ss.spawn(3))
-
     # the warmup snapshot is taken right after the event that reaches
     # warm_events (event horizons) or warm_time (time horizons)
     warm_events, warm_time = None, math.inf
@@ -162,12 +166,14 @@ def _run(config: SimConfig, tables: PolicyTables | None, kernel) -> SimMetrics:
             warm_time = config.warmup * config.horizon_time
 
     if kernel is None:
+        ss = np.random.SeedSequence(config.seed)
+        arr_rng, pick_rng, aov_rng = (np.random.default_rng(s) for s in ss.spawn(3))
         batches = _batches(arr_rng, pick_rng, tables.cum_p, 1.0 / tables.beta)
         end, snap, violations = _reference_loop(
             config, tables, batches, warm_events, warm_time, aov_rng)
     else:
-        end, snap, violations = _compiled_loop(
-            kernel, config, tables, (arr_rng, pick_rng, aov_rng), warm_events, warm_time)
+        end, snap, violations = _compiled_loop(kernel, config, tables, seed, warm_events,
+                                               warm_time)
     return _metrics(end, snap, violations)
 
 
@@ -273,16 +279,18 @@ def _block(dtype, sizes):
     return views, addresses
 
 
-def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
+def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, seed: list[int],
                    warm_events, warm_time):
     """``_reference_loop`` for every policy and ageing mode, with every
-    draw made in the kernel on the bit generators of ``rngs`` (arrivals,
-    content picks, version ages).  The kernel stops at the warmup point so
-    the snapshot is taken here, after the same event as in the reference
-    loop."""
+    draw made in the kernel on the streams it seeds from ``seed``, the
+    run's seed as 32-bit words (arrivals, content picks, version ages).
+    The kernel stops at the warmup point so the snapshot is taken here,
+    after the same event as in the reference loop."""
     system = config.system
     n, m = system.N, system.M
-    (_, _, slot_of, slots, cnt), ints = _block(np.int64, (n, n, n, m, _ckernel.N_CNT))
+    (_, _, slot_of, slots, cnt, _, words), ints = _block(
+        np.int64, (n, n, n, m, _ckernel.N_CNT, 3 * _ckernel.STREAM_WORDS, len(seed)))
+    words[:] = seed
     (_, _, acc, _), dbls = _block(
         np.float64, (n, n, _ckernel.N_ACC, 2 * _ckernel.BLOCK + _ckernel.SCRATCH_WORDS * m))
     waited = np.zeros(n, dtype=np.uint8)
@@ -292,9 +300,8 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
     slot_of[:] = -1
     slot_of[slots] = np.arange(m)
     realized = config.ageing_mode is AgeingMode.REALIZED
-    bitgens = [_ckernel.bitgen(g) for g in rngs]
     policy = _POLICY_CODE[config.policy]
-    state = (*_kernel_tables(tables), *ints, *dbls,
+    state = (*_kernel_tables(tables), *ints, len(seed), *dbls,
              _ckernel.address(waited, np.uint8), m)
 
     def totals():
@@ -309,7 +316,7 @@ def _compiled_loop(kernel, config: SimConfig, tables: PolicyTables, rngs,
             if warm_events is not None:
                 stop_events = min(stop_events, warm_events)
             stop_time = min(stop_time, warm_time)
-        status = kernel(policy, realized, *bitgens, stop_events, stop_time, *state)
+        status = kernel(policy, realized, stop_events, stop_time, *state)
         if status == _OCCUPANCY_ERROR:
             raise SimulationError(f"occupancy violated at event {cnt[_EVENTS]}")
         if status == _POISSON_DOMAIN_ERROR:

@@ -507,29 +507,45 @@ class TestDigest:
         assert config_digest(a) != config_digest({"x": 2, "y": {"b": 2, "a": 3}})
 
 
-def test_import_skips_scipy_signal():
+def test_import_skips_scipy_signal(tmp_path):
     # only the verify command needs the oracle, which imports scipy.sparse
     # (and no command scipy.signal); with the library built, the solvers
-    # need no scipy.special either, while the simulator imports
-    # numpy.random itself
+    # need no scipy.special either, and the event loop seeds its own
+    # streams, so neither the import nor a simulate run imports
+    # numpy.random.  The fallback, the reference loop, imports it as it runs
     src = Path(aovcache.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
+    cfg = tmp_path / "unit.json"
+    cfg.write_text(json.dumps(UNIT_DOC))
     code = ("import sys, aovcache.cli; from aovcache import _ckernel; "
             "print(*(m in sys.modules for m in ('scipy.signal', 'scipy.sparse', "
             "'scipy.special', 'numpy.random', 'scipy')), _ckernel.special is not None, "
-            "aovcache.cli.scipy_version(), 'scipy' in sys.modules)")
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    signal, sparse, special, random, imported, compiled, version, after = res.stdout.split()
+            "aovcache.cli.scipy_version(), 'scipy' in sys.modules); "
+            "_ckernel.event_loop = _ckernel.event_loop if sys.argv[1] == 'compiled' else None; "
+            "assert aovcache.cli.main(['simulate', '--config', sys.argv[2], '--out', "
+            "sys.argv[3]]) == 0; "
+            "print('numpy.random' in sys.modules, _ckernel.event_loop is not None)")
+    lines, metrics = [], []
+    for loop in ("compiled", "python"):
+        out = tmp_path / loop
+        res = subprocess.run([sys.executable, "-c", code, loop, str(cfg), str(out)], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        lines.append(res.stdout.splitlines())
+        metrics.append((out / "metrics.csv").read_bytes())
+    signal, sparse, special, random, imported, compiled, version, after = lines[0][0].split()
     assert signal == "False"
     assert sparse == "False"
-    assert random == "True"
     # the manifest's scipy version is read without importing scipy
     assert version == scipy.__version__
     assert after == imported
     if compiled == "True":
         assert special == "False"
         assert imported == "False"
+        assert random == "False"
+        assert lines[0][-1].split() == ["False", "True"]
+    assert lines[1][-1].split() == ["True", "False"]
+    # the fallback runs, to the same metrics
+    assert metrics[0] == metrics[1]
 
 
 class TestVerifyCmd:
@@ -549,6 +565,8 @@ class TestVerifyCmd:
         assert re.search(r"^PASS  dual-slope  \(max \|occupancy - M - central difference\| = "
                          r"\S+ over \d+ points", out, re.MULTILINE)
         assert re.search(r"^PASS  special-functions  ", out, re.MULTILINE)
+        assert re.search(r"^PASS  random-streams  \(0 of 9000 draws of the 3 streams at seed "
+                         r"7 differ from numpy's PCG64\)$", out, re.MULTILINE)
         assert re.search(r"^PASS  table-window  ", out, re.MULTILINE)
         assert re.search(r"^PASS  dual-window  \(0 of \d+ values at 61 holding costs differ from "
                          r"the full-width scan\)$", out, re.MULTILINE)

@@ -3,6 +3,7 @@ import math
 import multiprocessing.pool
 import os
 import pickle
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aovcache import _ckernel, simulator, whittle
+from aovcache import _ckernel, checks, simulator, whittle
 from aovcache.model import ContentParams, CostModel, SystemParams, validate, zipf_popularity
 from aovcache.policies import PolicyKind, build_policy_tables
 from aovcache.simulator import (
@@ -183,16 +184,48 @@ BLOCK = 256
 OVERSHOOT = [0.25, 0.5, 0.25 + 5e-10, 1e-10]
 
 
+def _generators(streams: np.ndarray) -> list:
+    """The kernel's three streams, the ``3 * STREAM_WORDS`` words of a
+    run's stream block, as numpy Generators in the same state: each
+    stream's first six words are its PCG64 state and increment (high word
+    first), ``has_uint32`` and ``uinteger``."""
+    gens = []
+    for w in streams.view(np.uint64).reshape(3, -1).tolist():
+        bg = np.random.PCG64()
+        bg.state = {"bit_generator": "PCG64",
+                    "state": {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3]},
+                    "has_uint32": w[4], "uinteger": w[5]}
+        gens.append(np.random.Generator(bg))
+    return gens
+
+
 def _rngs_of(monkeypatch):
-    """The generators ``run`` creates, recorded as it creates them."""
-    made = []
+    """The three streams of each run, as numpy Generators: the reference
+    loop's as it creates them with ``default_rng``, the compiled loop's,
+    which makes no Generator, read from its stream block as the run ends."""
+    made, blocks = [], []
 
     def default_rng(seed):
-        made.append(real(seed))
+        made.append(real_rng(seed))
         return made[-1]
 
-    real = np.random.default_rng
+    def block(dtype, sizes):
+        views, addresses = real_block(dtype, sizes)
+        if dtype is np.int64:  # the streams, then the seed's words
+            blocks.append(views[-2])
+        return views, addresses
+
+    def compiled_loop(*args):
+        result = real_loop(*args)
+        assert blocks[-1].size == 3 * _ckernel.STREAM_WORDS
+        made.extend(_generators(blocks[-1]))
+        return result
+
+    real_rng, real_block, real_loop = (np.random.default_rng, simulator._block,
+                                       simulator._compiled_loop)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(simulator, "_block", block)
+    monkeypatch.setattr(simulator, "_compiled_loop", compiled_loop)
     return made
 
 
@@ -346,9 +379,11 @@ class TestCompiledLoop:
                              ids=["events", "time"])
     def test_one_draw_per_event_from_each_stream(self, monkeypatch, desk, horizon):
         # the kernel draws the events' arrivals and contents itself, in
-        # blocks: no numpy batch is drawn.  An event horizon is drawn up
-        # to its stops and no further; a time horizon draws whole blocks,
-        # so its streams stop at the end of the last block it began
+        # blocks, from streams it seeds: no numpy batch is drawn, and the
+        # streams are read from the kernel's block after the run.  An
+        # event horizon is drawn up to its stops and no further; a time
+        # horizon draws whole blocks, so its streams stop at the end of the
+        # last block it began
         assert _ckernel.BLOCK == BLOCK
         system, tables = desk
         fresh = [np.random.default_rng(s) for s in np.random.SeedSequence(6).spawn(2)]
@@ -455,7 +490,9 @@ class TestCompiledLoop:
         for kernel in (_ckernel.event_loop, None):
             monkeypatch.setattr(_ckernel, "event_loop", kernel)
             run(cfg, tables)
-            aov_rng = made[-1]  # the third of the run's three streams
+            # the third of the run's three streams: the compiled loop's as
+            # its kernel left it, the reference loop's Generator
+            aov_rng = made[-1]
             nexts.append(aov_rng.poisson(3.0, 4).tolist() + [aov_rng.random()])
         assert len(made) == 6
         assert nexts[0] == nexts[1]
@@ -513,7 +550,7 @@ class TestCompiledLoop:
         # the run sizes its arrays by the library's layout, which is None
         # without the library; a fake kernel takes any sizes
         for name, value in (("BLOCK", BLOCK), ("SCRATCH_WORDS", 7), ("N_ACC", 7),
-                            ("N_CNT", 5)):
+                            ("N_CNT", 5), ("STREAM_WORDS", 11)):
             monkeypatch.setattr(_ckernel, name, value)
         monkeypatch.setattr(_ckernel, "event_loop", lambda *args: -1)
         with pytest.raises(SimulationError, match="occupancy"):
@@ -528,6 +565,70 @@ class TestCompiledLoop:
         for bad in (a.astype(np.float32), a[::2]):
             with pytest.raises(TypeError):
                 _ckernel.address(bad, np.float64)
+
+
+class TestStreams:
+    """The event loop seeds and steps its own streams, numpy's PCG64
+    seeded from ``SeedSequence(seed).spawn(3)``, restated in C."""
+
+    @needs_kernel
+    @pytest.mark.parametrize("seed, words", [
+        (0, 1), (1, 1), (2**32 - 1, 1), (2**32, 2), (2**64 + 3, 3), (10**30, 4),
+        (2**191 + 5, 6),
+    ])
+    def test_streams_are_numpys_pcg64(self, seed, words):
+        # seeds of one 32-bit word to more than SeedSequence's pool of four:
+        # 1 to 7 entropy words with the spawn key.  random_streams compares
+        # 64-bit words, doubles and interleaved 32-bit draws with numpy's
+        assert _ckernel.seed_words(seed) == [seed >> 32 * j & 0xFFFFFFFF for j in range(words)]
+        result = checks.random_streams(seed, draws=300)
+        assert result.passed, result.detail
+        assert result.detail.startswith("0 of 2700 draws")
+        raw = _ckernel.stream_draws(seed, [_ckernel.DRAW_UINT64] * 50)
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(3)):
+            assert raw[i].tolist() == np.random.PCG64(child).random_raw(50).tolist()
+
+    @needs_kernel
+    @pytest.mark.parametrize("at", [0, 400, 899])
+    def test_random_streams_fails_on_one_draw_off(self, monkeypatch, at):
+        # one draw of the middle stream one bit off, among the 64-bit
+        # words, the doubles and the interleaved draws in turn
+        draws = _ckernel.stream_draws
+
+        def one_off(seed, kinds):
+            out = draws(seed, kinds)
+            out[1, at] ^= 1
+            return out
+
+        monkeypatch.setattr(_ckernel, "stream_draws", one_off)
+        result = checks.random_streams(7, draws=300)
+        assert not result.passed
+        assert result.error == 1
+
+    def test_seed_parity(self, monkeypatch, desk):
+        # both loops take any integer >= 0 as SeedSequence does: a
+        # negative seed raises its ValueError, a numpy integer runs as the
+        # equal int, and a seed of several words gives the same run.  Both
+        # refuse None, which SeedSequence would fill with fresh entropy
+        system, tables = desk
+        cfg = SimConfig(system=system, horizon_events=2_000, seed=5)
+        with pytest.raises(ValueError) as spec:
+            np.random.SeedSequence(-1)
+        loops = [None] if _ckernel.event_loop is None else [_ckernel.event_loop, None]
+        results = []
+        for kernel in loops:
+            monkeypatch.setattr(_ckernel, "event_loop", kernel)
+            for bad in (-1, np.int64(-1), -(2**70)):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(spec.value))}$"):
+                    run(replace(cfg, seed=bad), tables)
+            for bad in (None, 5.0):
+                with pytest.raises(TypeError):
+                    run(replace(cfg, seed=bad), tables)
+            results.append([run(replace(cfg, seed=seed), tables)
+                            for seed in (5, np.int64(5), 2**64 + 3)])
+            assert results[-1][0] == results[-1][1]
+            assert results[-1][0] != results[-1][2]
+        assert all(r == results[0] for r in results)
 
 
 class TestAgeingModes:
