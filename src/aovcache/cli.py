@@ -64,32 +64,33 @@ def _f(x) -> str:
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _typed("config", json.load(fh), dict)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
 
 def build_system(doc: dict) -> SystemParams:
     try:
-        sysdoc = doc["system"]
-        costs = doc["costs"]
+        sysdoc, costs = (_typed(name, doc[name], dict) for name in ("system", "costs"))
         n = _checked("N", sysdoc["N"], _integer, lambda x: x >= 1, "an integer >= 1")
-        beta = float(sysdoc["beta"])
+        beta = _checked("beta", sysdoc["beta"], float)
         m = _checked("M", sysdoc["M"], _integer, lambda x: x >= 0, "an integer >= 0")
         if "popularity" in sysdoc:
-            pops = [float(x) for x in sysdoc["popularity"]]
+            pops = [_checked("popularity", x, float)
+                    for x in _typed("popularity", sysdoc["popularity"], list)]
         else:
             alpha = _checked("zipf_alpha", sysdoc.get("zipf_alpha", 1.0), float,
                              lambda a: 0 <= a < math.inf, "finite and >= 0")
             pops = zipf_popularity(n, alpha).tolist()
         if "lambdas" in sysdoc:
-            lams = [float(x) for x in sysdoc["lambdas"]]
+            lams = [_checked("lambdas", x, float)
+                    for x in _typed("lambdas", sysdoc["lambdas"], list)]
         else:
-            lams = [float(sysdoc["lambda"])] * n
+            lams = [_checked("lambda", sysdoc["lambda"], float)] * n
         for name, values in (("popularity", pops), ("lambdas", lams)):
             if len(values) != n:
                 raise ConfigError(f"{name}: length {len(values)}, not N={n}")
-        cm = CostModel(float(costs["c_a"]), float(costs["c_f"]), float(costs["c_w"]))
+        cm = CostModel(*(_checked(c, costs[c], float) for c in ("c_a", "c_f", "c_w")))
         contents = tuple(
             ContentParams(lam=lams[i], p=pops[i], costs=cm) for i in range(n)
         )
@@ -108,17 +109,14 @@ def build_system(doc: dict) -> SystemParams:
 def _capacity(system: SystemParams, value) -> int:
     """A capacity given on the command line or read from a CSV, held to
     the same checks as the config's own M."""
-    try:
-        m = int(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"capacity: {value!r} is not an integer") from e
+    m = _checked("capacity", value, _integer, what="an integer")
     problems = validate(replace(system, M=m))
     if problems:
         raise ConfigError("; ".join(map(str, problems)) + f" (got M={m})")
     return m
 
 
-def _checked(name: str, value, parse, ok, what: str):
+def _checked(name: str, value, parse, ok=lambda x: True, what: str = "a number"):
     """``parse(value)`` if it parses and passes ``ok``; otherwise a
     ConfigError naming the field ``name``."""
     try:
@@ -128,6 +126,19 @@ def _checked(name: str, value, parse, ok, what: str):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name}: must be {what} (got {value!r})")
+
+
+def _typed(name: str, value, kind: type):
+    """``value`` if it is a JSON object (``kind`` dict) or array (list)."""
+    if not isinstance(value, kind):
+        what = "a JSON object" if kind is dict else "a list"
+        raise ConfigError(f"{name}: must be {what} (got {value!r})")
+    return value
+
+
+def _member(name: str, value, enum):
+    """The member of ``enum`` whose value is ``value``."""
+    return _checked(name, value, enum, what="one of " + ", ".join(m.value for m in enum))
 
 
 def _integer(value) -> int:
@@ -142,15 +153,11 @@ def _finite_positive(x: float) -> bool:
 
 
 def _sim_config(doc: dict, system: SystemParams, args) -> SimConfig:
-    sim = doc.get("sim", {})
+    sim = _typed("sim", doc.get("sim", {}), dict)
     seed = _checked("seed", args.seed if args.seed is not None else sim.get("seed", 0),
                     _integer, lambda x: x >= 0, "an integer >= 0")
-    mode = args.mode or sim.get("mode", "expected")
-    try:
-        policy = PolicyKind(doc.get("policy", "whittle"))
-        ageing = AgeingMode(mode)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    policy = _member("policy", doc.get("policy", "whittle"), PolicyKind)
+    ageing = _member("mode", args.mode or sim.get("mode", "expected"), AgeingMode)
     horizon_events = horizon_time = None
     if "horizon_events" in sim:
         horizon_events = _checked("horizon_events", sim["horizon_events"], _integer,
@@ -380,17 +387,20 @@ def cmd_simulate(doc: dict, args) -> int:
 
 def cmd_sweep(doc: dict, args) -> int:
     system = build_system(doc)
-    swp = doc.get("sweep", {})
+    swp = _typed("sweep", doc.get("sweep", {}), dict)
     cfg, reps, processes = _run_config(doc, system, args, swp.get("reps", 1))
     axis = args.axis or swp.get("axis")
     values = args.values.split(",") if args.values else swp.get("values")
     if not axis or not values:
         raise ConfigError("sweep needs an axis and values (config or flags)")
+    values = _typed("values", values, list)
     if axis == "M":
         values = [_capacity(system, v) for v in values]
     elif axis == "c_w":
         values = [_checked("c_w", v, float, _finite_positive, "finite and > 0") for v in values]
-    elif axis != "policy":
+    elif axis == "policy":
+        values = [_member("policy", v, PolicyKind).value for v in values]
+    else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     rep = Reporter(args.out, doc, cfg.seed)
     cells = _recorded_sweep(rep, cfg, axis, values, reps, processes)
@@ -441,8 +451,7 @@ def cmd_compare(doc: dict, args) -> int:
         if m not in bounds:
             bounds[m] = relaxed_lower_bound(replace(system, M=m))[1]
         bound = bounds[m]
-        cost = _checked("--metrics: avg_cost", row["avg_cost"], float, lambda x: True,
-                        "a number")
+        cost = _checked("--metrics: avg_cost", row["avg_cost"], float)
         rows.append([m, row["policy"], _f(cost), _f(bound),
                      _f((cost - bound) / bound)])
     rep.table("compare.csv", ["M", "policy", "avg_cost", "bound", "relative_gap"], rows)

@@ -15,11 +15,13 @@ Three regimes of the single-content problem with holding cost ``C_h``:
 solved.  Its reference, ``case2_batch``, is one numpy kernel batched
 over contents and holding costs: the Lambert-W root of the gap
 equation, then a quadratic in ``tau_bar`` per queue candidate
-(``case2_candidates``), keeping the floor-consistent one.  Exactly one
-candidate is, and the excess of its floor argument over Q falls
-strictly with Q (proved at ``case2_batch``), so a pair of candidates,
-a guard and the candidate above it, stands in for the scan of all of
-them where ``window_consistent`` says it decides.  ``case2`` reads
+(``case2_candidates``), keeping the floor-consistent one by
+``scan_candidates``, the one blocked scan of every candidate, which
+``whittle``'s cached index shares.  Exactly one candidate is, and the
+excess of its floor argument over Q falls strictly with Q (proved at
+``case2_batch``), so a pair of candidates, a guard and the candidate
+above it, stands in for the scan of all of them where
+``window_consistent`` says it decides.  ``case2`` reads
 each content off the pair at ``_q_bar_estimate``, the closed-form root
 of a quadratic in Q, laid out candidates first against the contents'
 rows, and the rows the pair leaves off the scan: for ``relaxed_batch``,
@@ -54,6 +56,7 @@ __all__ = [
     "solve_gap",
     "first_consistent",
     "window_consistent",
+    "scan_candidates",
     "case2_candidates",
     "case2_batch",
     "case2",
@@ -267,7 +270,7 @@ def window_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray) -> np.ndarra
     ``q[0]`` (``-1`` for none) and the candidate ``q[1] = q[0] + 1``,
     laid out first, with their floor arguments ``v`` and admissibility
     ``ok``.  Where it holds, ``q[1]`` is the column that
-    ``first_consistent``'s scan of every candidate ``0..`` picks.
+    ``scan_candidates``, the scan of every candidate ``0..``, picks.
 
     The scan picks the first admissible candidate that hits its cell
     (``floor(v) == q``), and only where none hits the one nearest its
@@ -345,7 +348,40 @@ def case2_candidates(C_h, k: ContentConstants, q):
                       ContentConstants(k.beta, k.rows[..., None], k.q_hat), q)
 
 
-_BLOCK = 1 << 16  # elements, rows x candidates, per block of case2_batch's scan
+_BLOCK = 1 << 16  # elements, rows x candidates, per block of scan_candidates
+
+
+def scan_candidates(evaluate, top: np.ndarray):
+    """``first_consistent``'s pick among the candidates ``0..top[i]`` of
+    each row i, in blocks of about ``_BLOCK`` elements over the rows still
+    scanned: the one scan of every candidate, in bounded memory, for case
+    2's quadratic and the cached index's Wright-omega form alike.
+
+    ``evaluate(rows, q)`` gives arrays shaped ``(len(q), len(rows))`` at
+    the column of candidates ``q``, the last two the floor arguments v and
+    the admissibility ok.  Returns each row's pick (int64), its distance
+    (-1 for a hit; inf, and the pick 0, where none is near) and the
+    leading arrays at the pick (0 where none).  A row leaves at its first
+    hit or past its ``top``; one with no hit takes the first minimum over
+    all blocks, which is what one scan of every candidate picks."""
+    pick = np.zeros(top.size, dtype=np.int64)
+    best = np.full(top.size, np.inf)
+    at = None  # the evaluator's leading arrays at each row's pick
+    live = np.arange(top.size)  # rows without a hit whose candidates go on
+    lo, end = 0, top.max(initial=0) + 1
+    # one block at least, which makes ``at`` for no rows too
+    while (live := live[top[live] >= lo]).size or at is None:
+        q = np.arange(lo, min(lo + max(_BLOCK // max(live.size, 1), 1), end), dtype=float)[:, None]
+        *values, v, ok = evaluate(live, q)
+        col, dist = first_consistent(v.T, q.T, (ok & (q <= top[live])).T)
+        at = at or tuple(np.zeros(top.size, a.dtype) for a in values)
+        take = dist < best[live]
+        block, rows = (col[take], take.nonzero()[0]), live[take]
+        for out, a in zip(at, values):
+            out[rows] = a[block]
+        pick[rows], best[rows] = block[0] + lo, dist[take]
+        live, lo = live[dist >= 0.0], lo + len(q)
+    return pick, best, at
 
 
 def case2_batch(C_h, k: ContentConstants):
@@ -364,13 +400,8 @@ def case2_batch(C_h, k: ContentConstants):
     (i) gives ``x = beta*(tt - tb)`` through ``solve_gap``; substituting
     ``tt = tb + x/beta`` turns (ii) into a quadratic in ``tb`` for each
     queue candidate ``Qb = 0..Q_hat+2`` (``case2_candidates``), and
-    ``first_consistent``'s rule keeps the root that satisfies (iii).  The
-    candidates go in blocks from 0 up, each of about ``_BLOCK`` elements
-    over the rows still scanned, which bounds the memory whatever ``N``
-    and ``Q_hat``.  A row leaves the scan at its first hit, or past its
-    own ``Q_hat+2``; a row with no hit goes on to the end, its nearest
-    candidate the first minimum over all blocks, so the blocks pick what
-    one scan of every candidate picks.
+    ``first_consistent``'s rule keeps the root that satisfies (iii), by
+    ``scan_candidates`` in bounded memory whatever ``N`` and ``Q_hat``.
 
     Why at most one candidate satisfies (iii), and why a pair of
     candidates decides (``window_consistent``): write (ii) in
@@ -408,29 +439,22 @@ def case2_batch(C_h, k: ContentConstants):
     C_h = np.asarray(C_h, dtype=float)
     g, xb = _gaps(C_h, k)
     shape = g.shape
-    # one flat row per (C_h, content) pair, and its content
-    content = np.broadcast_to(np.arange(k.q_hat.size), shape).ravel()
-    g, xb = g.ravel(), xb.ravel()
-    tb, tt, qb = np.zeros(g.size), np.zeros(g.size), np.zeros(g.size, dtype=np.int64)
-    best = np.full(g.size, np.inf)  # first_consistent's distance of each row's pick
-    live = np.arange(g.size)  # rows without a hit whose candidates go on
-    lo, end = 0, k.q_hat.max(initial=0) + 3
-    while (live := live[k.top[content[live]] >= lo]).size:
-        kl = k.take(content[live])
-        q = np.arange(lo, min(lo + max(_BLOCK // live.size, 1), end), dtype=float)[:, None]
-        btb, btt, v, ok = _quadratic(g[live], xb[live], kl, q)
-        col, dist = first_consistent(v.T, q.T, ok.T)
-        take = dist < best[live]
-        at, rows = (col[take], take.nonzero()[0]), live[take]
-        tb[rows], tt[rows], qb[rows], best[rows] = btb[at], btt[at], at[0] + lo, dist[take]
-        live, lo = live[dist >= 0.0], lo + len(q)
-    found = np.isfinite(best)
-    if not found.all():
-        raise ConsistencyError(
-            f"no floor-consistent Q_bar at C_h={np.broadcast_to(C_h, shape).ravel()[~found]} "
-            f"(beta={k.beta})")
+    # one flat row per (C_h, content) pair
+    tb, tt, qb = _scan_case2(np.broadcast_to(C_h, shape).ravel(), g.ravel(), xb.ravel(),
+                             k.take(np.broadcast_to(np.arange(k.q_hat.size), shape).ravel()))
     tt = tt.reshape(shape)
     return tb.reshape(shape), tt, qb.reshape(shape), k.rc * tt
+
+
+def _scan_case2(C_h: np.ndarray, g: np.ndarray, xb: np.ndarray, k: ContentConstants):
+    """``case2_batch``'s ``(tau_bar, tau_tilde, Q_bar)`` of content i of
+    ``k`` at ``C_h[i]``, given its ``(g, xb)`` (``_gaps``)."""
+    qb, dist, (tb, tt) = scan_candidates(
+        lambda rows, q: _quadratic(g[rows], xb[rows], k.take(rows), q), k.top)
+    if not (found := np.isfinite(dist)).all():
+        raise ConsistencyError(
+            f"no floor-consistent Q_bar at C_h={C_h[~found]} (beta={k.beta})")
+    return tb, tt, qb
 
 
 def case2_residuals(
@@ -632,9 +656,9 @@ def case2(C_h: np.ndarray, k: ContentConstants):
 
     A content is read off the pair of candidates at its
     ``_q_bar_estimate`` where ``window_consistent`` decides it; the rest
-    go to ``case2_batch``, which raises ``ConsistencyError`` where the
-    full scan does.  Where the pair sits moves only the time, never a
-    value (see ``case2_batch``)."""
+    go to ``case2_batch``'s scan with the ``(g, xb)`` solved here, which
+    raises ``ConsistencyError`` where the full scan does.  Where the pair
+    sits moves only the time, never a value (see ``case2_batch``)."""
     g, xb = _gaps(C_h, k)
     qb = _q_bar_estimate(C_h, k, xb)
     # laid out candidates first; the quadratic stays finite at the guard -1
@@ -643,7 +667,7 @@ def case2(C_h: np.ndarray, k: ContentConstants):
     tb, tt = tb[1], tt[1]
     rest = (~window_consistent(v, q, ok)).nonzero()[0]
     if rest.size:
-        tb[rest], tt[rest], qb[rest], _ = case2_batch(C_h[rest], k.take(rest))
+        tb[rest], tt[rest], qb[rest] = _scan_case2(C_h[rest], g[rest], xb[rest], k.take(rest))
     return tb, tt, qb.astype(np.int64), k.rc * tt
 
 

@@ -18,7 +18,8 @@ the content out of the cache optimal.
   whose root is ``x = omega(A/B + ln(C/B)) - A/B`` with the Wright omega
   function (Lawrence, Corless & Jeffrey 2012, "Algorithm 917: Complex
   double precision evaluation of the Wright omega function").  The
-  floor-consistent candidate is kept, as in ``thresholds.case2_batch``.
+  floor-consistent candidate is kept by ``thresholds.scan_candidates``,
+  the one scan of every candidate, which case 2's quadratic shares.
 * uncached requested ``(Q, 0, 1)``: zero below ``Q_star``, the index
   ceiling ``I`` from ``Q_hat`` up; in between, the ``C_h`` at which the
   fetch threshold ``Q_bar(C_h)`` (nondecreasing) first exceeds ``Q``.
@@ -30,19 +31,13 @@ the content out of the cache optimal.
   at once; a pair whose band is not confirmed takes the midpoint that a
   60-step bisection of ``[0, I]`` leaves (``_bisect``).
 
-The cached grid skips the work whose answer is already known without
-changing a bit: it evaluates only the queue candidate at the ``Q_bar``
-that the breakpoints predict, and the guard below it only where the
-candidate hits its cell within a rounding margin of the cell's lower
-edge.  Candidate Q's floor argument exceeds Q by an amount that is
-strictly decreasing in Q (proved at ``thresholds.case2_batch`` and
-``cached_index_rows``), so where the candidate hits its cell and the
-guard lies above its own, no column before the candidate hits, and the
-full scan picks it (``thresholds.window_consistent``).  Away from the
-edge a hit puts the guard above its own cell by more than rounding, so
-only points at the edge evaluate it.  A grid point that its candidate
-and guard cannot decide is scanned at full width, so the rows are the
-full scan's bit for bit whatever the predictions.
+The cached grid evaluates only the queue candidate at the ``Q_bar``
+that the breakpoints predict, and the guard below it only next to the
+lower edge of the candidate's cell (``cached_index_rows`` proves the
+pair exact).  The grid points that the pair cannot decide
+(``thresholds.window_consistent``) go, all at once, to the scan of
+every candidate, so the rows are the full scan's bit for bit whatever
+the predictions.
 
 ``aovcache verify`` checks both on the user's config against a
 reference built from the full scan alone (``checks.table_window``), and
@@ -72,8 +67,8 @@ from .thresholds import (
     case2_candidates,
     breakpoint_estimate,
     content_constants,
-    first_consistent,
     gap_value,
+    scan_candidates,
     solve_thresholds,
     solve_thresholds_batch,
     window_consistent,
@@ -132,17 +127,17 @@ def _omega_candidates(p, cal, c_f, c_w, beta: float, tau, q, omega):
     return x, v, x > -1e-9
 
 
-def _omega_full_width(p, cal, c_f, c_w, beta: float, q_hat: int, taus: np.ndarray,
-                      omega) -> np.ndarray:
-    """The gap x of every tau from a scan of all candidates ``0..Q_hat+2``."""
-    q = np.arange(q_hat + 3.0)
-    x, v, ok = _omega_candidates(p, cal, c_f, c_w, beta, taus[:, None], q, omega)
-    col, dist = first_consistent(v, q, ok)
+def _omega_scan(k: ContentConstants, tau: np.ndarray, omega) -> np.ndarray:
+    """The gap x of the cached index of content i of ``k`` at serve
+    threshold ``tau[i]``, from the scan of every candidate ``0..Q_hat+2``
+    (``thresholds.scan_candidates``)."""
+    _, dist, (x,) = scan_candidates(
+        lambda rows, q: _omega_candidates(k.p[rows], k.c_alam[rows], k.c_f[rows], k.c_w[rows],
+                                          k.beta, tau[rows], q, omega), k.top)
     if not (found := np.isfinite(dist)).all():
-        raise ConsistencyError(
-            f"no floor-consistent Q_bar at tau={taus[~found]} "
-            f"(p={p}, c_a*lam={cal}, c_f={c_f}, c_w={c_w}, beta={beta})")
-    return np.take_along_axis(x, col[:, None], -1)[:, 0]
+        raise ConsistencyError(f"no floor-consistent Q_bar at tau={tau[~found]} "
+                               f"(p={k.p[~found]}, beta={k.beta})")
+    return x
 
 
 def cached_indices(k: ContentConstants, tau_star: float, taus: np.ndarray,
@@ -159,10 +154,8 @@ def cached_indices(k: ContentConstants, tau_star: float, taus: np.ndarray,
     w = np.where(taus <= 0.0, I, 0.0)
     inner = (taus > 0.0) & (taus < tau_star)
     if inner.any():
-        p, cal = k.p[0], k.c_alam[0]
-        x = _omega_full_width(p, cal, k.c_f[0], k.c_w[0], k.beta, int(k.q_hat[0]), taus[inner],
-                              omega)
-        w[inner] = np.minimum(p * cal * gap_value(np.maximum(x, 0.0)), I)
+        x = _omega_scan(k.take(np.zeros(np.count_nonzero(inner), np.intp)), taus[inner], omega)
+        w[inner] = np.minimum(k.p[0] * k.c_alam[0] * gap_value(np.maximum(x, 0.0)), I)
     return w
 
 
@@ -173,7 +166,7 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     and the 0 sentinel, given the contents' ``C_h = 0`` thresholds
     ``tau_star`` and ``q_star`` and their uncached breakpoints (``bps``,
     flat, ``counts[i]`` of them for content i); and how many grid points
-    went to the full-width scan and how many evaluated their guard.
+    went to the full scan and how many evaluated their guard.
 
     At tau the index W is the C_h whose serve threshold is tau, and
     ``Q_bar`` there is ``c = Q_star + #{j : tau < tau_bar(b_j)}`` over the
@@ -181,7 +174,7 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     falls).  Only candidate c is evaluated where it hits its cell away
     from the lower edge, and the guard c-1 with it at the edge; a point
     that the pair does not decide (``thresholds.window_consistent``) goes
-    to the full-width scan, so a wrong prediction costs time, never a value.
+    to the full scan, so a wrong prediction costs time, never a value.
 
     The pair is exact because the Wright-omega form has the structure
     of ``thresholds.case2_batch``: with ``L_Q(x) = B_Q*x + A_Q - C*e^-x``,
@@ -211,7 +204,7 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     come from one ``bincount`` of its breakpoints' grid positions.  With
     one candidate per grid point a chunk holds as many elements as one of
     four contents did with the pair, so the build's peak memory stays
-    where it was, below the full-width scan's; and the temporaries of a
+    where it was; and the temporaries of a
     chunk stay in cache: on a 2-core host, chunks of all 100 contents of
     desk.json, each temporary 800 kB, built its grid in 1.6 times the
     time of chunks of 8.
@@ -254,8 +247,8 @@ def _cached_gaps(k: ContentConstants, tau: np.ndarray,
     """The gap x of the cached index at each serve threshold ``tau[i]`` of
     content i of ``k``, from the predicted ``Q_bar`` ``c`` (nonincreasing
     along each row) and, next to its cell's lower edge, its guard (see
-    ``cached_index_rows``); and how many taus it left to the full-width
-    scan and how many evaluated their guard."""
+    ``cached_index_rows``); and how many taus it left to the full scan,
+    one ``_omega_scan`` of them all, and how many evaluated their guard."""
     rows = tuple(a[:, None] for a in (k.p, k.c_alam, k.c_f, k.c_w))
     guards = 0
     x, v, decided = _omega_candidates(*rows, k.beta, tau, c, wright_omega)
@@ -273,13 +266,10 @@ def _cached_gaps(k: ContentConstants, tau: np.ndarray,
         decided[near] = window_consistent(np.stack([vg, v[near] + q[1]]), q,
                                           np.stack([okg, np.ones(q.shape[1], bool)]))
         guards = q.shape[1]
-    full = 0
-    for i in np.flatnonzero(~decided.all(-1)):
-        rest = np.flatnonzero(~decided[i])
-        x[i, rest] = _omega_full_width(k.p[i], k.c_alam[i], k.c_f[i], k.c_w[i], k.beta,
-                                       int(k.q_hat[i]), tau[i, rest], wright_omega)
-        full += rest.size
-    return x, (full, guards)
+    rest = (~decided).nonzero()
+    if rest[0].size:
+        x[rest] = _omega_scan(k.take(rest[0]), tau[rest], wright_omega)
+    return x, (rest[0].size, guards)
 
 
 def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
@@ -602,7 +592,7 @@ class BuildCounts(NamedTuple):
     records it: its seconds, and the work of its two solvers."""
 
     seconds: float
-    full_width: int  # grid points that the pair left to the full-width scan
+    full_width: int  # grid points that the pair left to the full scan
     guards: int      # grid points that evaluated their guard
     fallback: int    # breakpoints whose band case2 did not confirm: the plain bisection's
 

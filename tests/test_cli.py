@@ -127,6 +127,10 @@ class TestSolve:
         p2.write_text(json.dumps({"system": {"N": 3}}))
         assert main(["solve", "--config", str(p2)]) == 2
         capsys.readouterr()
+        p2.write_text("[1, 2]")
+        assert main(["solve", "--config", str(p2)]) == 2
+        assert capsys.readouterr().err == ("config error: config: must be a JSON object "
+                                           "(got [1, 2])\n")
         # a per-content list of another length than N, and a negative Zipf
         # exponent, are named with the field
         for field, value, message in (
@@ -176,6 +180,35 @@ class TestSolve:
         assert main(["solve", "--config", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{name}:" in err
+
+    @pytest.mark.parametrize("path, value, name", [
+        (("system", "beta"), "abc", "beta"),
+        (("system", "lambda"), "abc", "lambda"),
+        (("costs", "c_a"), "abc", "c_a"),
+        (("costs", "c_f"), [1.0], "c_f"),
+        (("costs", "c_w"), {"c_w": 0.5}, "c_w"),
+        (("system", "popularity"), ["abc"], "popularity"),
+        (("system", "popularity"), 1.0, "popularity"),
+        (("system", "lambdas"), [None], "lambdas"),
+        (("policy",), "lru", "policy"),
+        (("sim", "mode"), "lru", "mode"),
+        (("system",), "abc", "system"),
+        (("costs",), [1.0], "costs"),
+        (("sim",), "abc", "sim"),
+    ], ids=["beta", "lambda", "c_a", "c_f", "c_w", "popularity-entry", "popularity-number",
+            "lambdas-entry", "policy", "mode", "system", "costs", "sim"])
+    def test_unparsed_values_exit_2(self, tmp_path, capsys, path, value, name):
+        # a value of the wrong type, or a name that no policy or mode has,
+        # is a config error naming its field, before any run
+        doc = json.loads(json.dumps(UNIT_DOC))
+        *parents, key = path
+        reduce(dict.__getitem__, parents, doc)[key] = value
+        p = tmp_path / "unparsed.json"
+        p.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{name}:" in err
+        assert not (tmp_path / "out").exists()
 
     def test_holding_cost_is_not_a_config_cost(self, tmp_path, capsys):
         # C_h is the dual variable of the capacity constraint
@@ -314,6 +347,20 @@ class TestSimulateAndSweep:
 
     def test_missing_axis_exits_2(self, unit_cfg):
         assert main(["sweep", "--config", unit_cfg]) == 2
+
+    @pytest.mark.parametrize("sweep, name", [
+        ("abc", "sweep"),
+        ({"axis": "M", "values": 5}, "values"),
+        ({"axis": "c_w", "values": "0.1"}, "values"),
+        ({"axis": "policy", "values": ["whittle", "lru"]}, "policy"),
+        ({"axis": "M", "values": [4, 4.5]}, "capacity"),  # int() would truncate it
+    ], ids=["section", "values-number", "values-string", "policy", "capacity-fraction"])
+    def test_bad_sweep_section_exits_2(self, tmp_path, capsys, sweep, name):
+        p = tmp_path / "bad-sweep.json"
+        p.write_text(json.dumps(dict(DESK_DOC, sweep=sweep)))
+        assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{name}:" in err
 
     @pytest.mark.parametrize("args, sim, name", [
         # with a small event horizon too, so that a run that accepts it ends

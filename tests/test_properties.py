@@ -36,7 +36,7 @@ from aovcache.whittle import (
     TAU_STAR,
     _cached_gaps,
     _omega_candidates,
-    _omega_full_width,
+    _omega_scan,
     build_content_tables,
     build_index_tables,
     whittle_cached,
@@ -297,8 +297,7 @@ def test_cached_window_matches_full_width(cb, fracs):
     tau = np.concatenate([np.array(fracs) * ts.tau_star,
                           ulp_neighbours(tbar, 1e-300, ts.tau_star)])
     tau = tau[(tau > 0.0) & (tau < ts.tau_star)][None, :]
-    full = _omega_full_width(k.p[0], k.c_alam[0], k.c_f[0], k.c_w[0], k.beta, int(k.q_hat[0]),
-                             tau[0], wright_omega)[None]
+    full = _omega_scan(k.take(np.zeros(tau.size, np.intp)), tau[0], wright_omega)[None]
     for col in range(ts.Q_hat + 3):
         x, _ = _cached_gaps(k, tau, np.full(tau.shape, float(col)))
         assert_same_bits(x, full)

@@ -20,7 +20,7 @@ from aovcache.thresholds import (
     solve_thresholds,
     zero_holding_thresholds,
 )
-from aovcache.whittle import build_content_tables, build_index_tables
+from aovcache.whittle import _omega_candidates, build_content_tables, build_index_tables
 from conftest import (BELOW_I_SYSTEMS, assert_same_bits, below_i_system, desk_system,
                       random_content)
 
@@ -323,6 +323,57 @@ def test_last_resort_scans_in_bounded_memory():
         assert_same_bits(a, b)
 
 
+def scan_rows():
+    """Rows of the shared scan's two evaluators over 6 desk contents,
+    whose ``Q_hat`` differ: case 2's quadratic at holding costs across
+    ``[0, I)``, and the Wright-omega form of the cached index at serve
+    thresholds across ``(0, tau_star)``; and the rows' tops."""
+    system = desk_system(N=6)
+    k = content_constants(system.contents, system.beta)
+    idx = np.repeat(np.arange(6), 6)
+    kr = k.take(idx)
+    frac = np.tile(np.linspace(0.0, 0.99, 6), 6)
+    g, xb = thresholds._gaps(frac * kr.I, kr)
+    tau = (frac + 0.005) * thresholds.zero_holding_batch(k)[0][idx]
+    return {
+        "quadratic": lambda rows, q: thresholds._quadratic(g[rows], xb[rows], kr.take(rows), q),
+        "omega": lambda rows, q: _omega_candidates(
+            kr.p[rows], kr.c_alam[rows], kr.c_f[rows], kr.c_w[rows], kr.beta, tau[rows], q,
+            _ckernel.wright_omega),
+    }, kr.top
+
+
+@pytest.mark.parametrize("block", [3, 17, thresholds._BLOCK])
+@pytest.mark.parametrize("kind", ["quadratic", "omega"])
+def test_scan_matches_one_scan_of_every_candidate(block, kind, monkeypatch):
+    # row i's candidate that hits its cell is kept where i % 3 == 0, moved
+    # just below its cell, within the near tolerance, where i % 3 == 1, and
+    # every candidate is inadmissible where i % 3 == 2: the blocks pick
+    # what first_consistent picks over every candidate at once, bit for bit
+    evaluators, top = scan_rows()
+    evaluate = evaluators[kind]
+
+    def altered(rows, q):
+        *values, v, ok = evaluate(rows, q)
+        hit = ok & (np.floor(v) == q)
+        v = np.where(hit & (rows % 3 == 1), q - 1e-10 * (q + 1.0), v)
+        return (*values, v, ok & (rows % 3 != 2))
+
+    monkeypatch.setattr(thresholds, "_BLOCK", block)
+    pick, dist, values = thresholds.scan_candidates(altered, top)
+    q = np.arange(top.max() + 1.0)[:, None]
+    *every, v, ok = altered(np.arange(top.size), q)
+    col, best = thresholds.first_consistent(v.T, q.T, (ok & (q <= top)).T)
+    assert (pick == col).all() and pick.dtype == np.int64
+    assert_same_bits(dist, best)
+    kinds = np.arange(top.size) % 3
+    for a, b in zip(values, every, strict=True):
+        assert_same_bits(a, np.where(kinds == 2, 0.0, np.take_along_axis(b, col[None], 0)[0]))
+    assert (dist[kinds == 0] == -1.0).all()
+    assert ((dist[kinds == 1] > 0.0) & (dist[kinds == 1] < np.inf)).all()
+    assert (dist[kinds == 2] == np.inf).all()
+
+
 @pytest.mark.skipif(_ckernel.special is None,
                     reason="compiled special functions unavailable")
 class TestLambertW0:
@@ -374,5 +425,13 @@ def test_only_thresholds_and_checks_call_the_full_scan():
         tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
         return {t.string for t in tokens if t.type == tokenize.NAME}
 
-    sources = Path(thresholds.__file__).parent.glob("*.py")
-    assert {p.stem for p in sources if "case2_batch" in names(p)} == {"thresholds", "checks"}
+    # and thresholds.scan_candidates is the one scan of every candidate,
+    # for case 2 and the cached index alike: no other module picks by
+    # first_consistent
+    sources = {p.stem: names(p) for p in Path(thresholds.__file__).parent.glob("*.py")}
+
+    def users(name):
+        return {stem for stem, tokens in sources.items() if name in tokens}
+
+    assert users("case2_batch") == {"thresholds", "checks"}
+    assert users("first_consistent") == {"thresholds"}

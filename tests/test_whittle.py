@@ -1,5 +1,6 @@
 import json
 import pickle
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -26,11 +27,12 @@ from aovcache.whittle import (
     TAU_STAR,
     _cached_gaps,
     _classify_passive,
-    _omega_full_width,
+    _omega_scan,
     build_content_tables,
     build_index_tables,
     cached_index_rows,
     default_state_grid,
+    grid_taus,
     index_residual_cached,
     index_residual_uncached,
     passive_set_member,
@@ -249,7 +251,7 @@ class TestContentTables:
             raise AssertionError("a pair placed by the estimate did not decide")
 
         with monkeypatch.context() as m:
-            m.setattr(thresholds, "case2_batch", scan)
+            m.setattr(thresholds, "_scan_case2", scan)
             for c in capacities:
                 relaxed_lower_bound(replace(system, M=c))
             m.setattr(thresholds, "_q_bar_estimate", recorded)
@@ -350,9 +352,28 @@ class TestContentTables:
         def scan(*args):
             raise AssertionError("a row reached the full-width scan")
 
-        monkeypatch.setattr(thresholds, "case2_batch", scan)
+        monkeypatch.setattr(thresholds, "_scan_case2", scan)
         tables, counts = build_index_tables(system.contents, system.beta)
         assert counts.fallback == 0 < tables.bps.size
+
+    def test_reference_row_in_bounded_memory(self):
+        # the same system, Q_hat to 7.3k: cached_indices, the reference of
+        # verify's table-window, at tau = 0, every grid point and tau_star
+        # scans every candidate in blocks, within 64 MB where one
+        # (taus x Q_hat+3) scan took 239 MB; the tables' row bit for bit
+        system = desk_system(N=2, M=1, c_f=1e5)
+        k = content_constants(system.contents, system.beta)
+        tables = build_index_tables(system.contents, system.beta)[0]
+        t = tables.cdbl[0, TAU_STAR]
+        assert k.q_hat[0] > 7000
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            w = whittle.cached_indices(k.take([0]), t, np.r_[0.0, grid_taus(t), t])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert_same_bits(w, tables.w_of_tau[0])
 
     def test_grid_point_at_a_jump_evaluates_its_guard(self):
         # just below the serve threshold of each breakpoint Q_bar has
@@ -376,9 +397,8 @@ class TestContentTables:
         tau, c = tau[keep][None], np.tile(q, 4)[keep][None]
         x, (_, guards) = _cached_gaps(ki, tau, c)
         assert guards >= 1
-        assert_same_bits(x[0], _omega_full_width(ki.p[0], ki.c_alam[0], ki.c_f[0], ki.c_w[0],
-                                                 ki.beta, int(ki.q_hat[0]), tau[0],
-                                                 _ckernel.wright_omega))
+        assert_same_bits(x[0], _omega_scan(ki.take(np.zeros(tau.size, np.intp)), tau[0],
+                                           _ckernel.wright_omega))
 
     @pytest.mark.parametrize("indices", [True, False])
     def test_policy_tables_are_read_only(self, indices):
