@@ -24,12 +24,13 @@ from .model import ContentParams, SingleContentState, SystemParams
 from .oracle import Grid, solve_holding, solve_infinite, whittle_by_sweep
 from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower_bound
 from .simulator import AgeingMode, SimConfig, SimulationError, _run
-from .thresholds import (ConsistencyError, breakpoint_estimate, case2_batch, case2_residuals,
-                         content_constants, relaxed_batch, solve_thresholds,
-                         solve_thresholds_batch, zero_holding_thresholds)
-from .whittle import (BAND_ERRORS, BP_OFF, Q_STAR, TAU_STAR, PolicyTables, _groups,
-                      _plain_bisection, build_index_tables, cached_indices, grid_taus,
-                      verify_indexability, whittle_cached, whittle_uncached)
+from .thresholds import (_NEAR, ConsistencyError, _gaps, _quadratic, breakpoint_estimate,
+                         case2_residuals, content_constants, gap_value, relaxed_batch,
+                         search_candidates, solve_thresholds, solve_thresholds_batch,
+                         zero_holding_thresholds)
+from .whittle import (BAND_ERRORS, BP_OFF, GRID_SIZE, Q_STAR, TAU_STAR, PolicyTables, _groups,
+                      _omega_rows, _plain_bisection, build_index_tables, cached_indices,
+                      grid_taus, verify_indexability, whittle_cached, whittle_uncached)
 
 
 class Result(NamedTuple):
@@ -194,32 +195,65 @@ def random_streams(seed: int, draws: int = 1000) -> Result:
                   "differ from numpy's PCG64", differ)
 
 
+def _from_zero(evaluate, top: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """``thresholds.search_candidates`` started at candidate 0, not at an
+    estimate, and each pick certified locally: it hits its cell or passes
+    the near rule, P holds at the candidate below it (or it is 0) and
+    fails at the one above it, with P the search's predicate.  Returns the
+    picks, the evaluator's leading arrays there, and where a pick fails
+    its certificate; raises ``ConsistencyError`` where none is near."""
+    pick, dist, values = search_candidates(evaluate, top)
+    if not (found := np.isfinite(dist)).all():
+        raise ConsistencyError(f"no floor-consistent Q_bar in rows {np.flatnonzero(~found)}")
+    q = pick + np.array([[-1.0], [0.0], [1.0]])
+    *_, v, ok = evaluate(np.arange(top.size), np.minimum(np.maximum(q, 0.0), top))
+    holds = (q < 0.0) | ((q <= top) & (~ok | (v >= q + 1.0)))
+    v, ok = v[1], ok[1]
+    passes = ok & ((np.floor(v) == q[1]) | (np.maximum(q[1] - v, v - q[2]) < _NEAR * q[2]))
+    return pick, values, ~(passes & holds[0] & ~holds[2])
+
+
+def _case2_from_zero(C_h: np.ndarray, k) -> tuple[tuple, np.ndarray]:
+    """``thresholds.case2``'s ``(tau_bar, tau_tilde, Q_bar, theta)`` by
+    ``_from_zero``, and where its picks fail their certificate."""
+    g, xb = _gaps(C_h, k)
+    qb, (tb, tt), bad = _from_zero(
+        lambda rows, q: _quadratic(g[rows], xb[rows], k.take(rows), q), k.top)
+    return (tb, tt, qb, k.rc * tt), bad
+
+
 def reference_tables(system: SystemParams) -> tuple[np.ndarray, ...]:
     """``(tau_star, Q_star, breakpoints, w_of_tau)`` of the system's index
-    tables from the scan of every queue candidate alone, and nothing of
-    the tables it checks: the ``C_h = 0`` thresholds from ``case2_batch``,
-    each uncached breakpoint from the plain bisection asking it for
-    ``Q_bar``, and each cached-index row from ``cached_indices`` at
-    ``tau = 0``, the content's grid points and ``tau_star``."""
+    tables by the search from candidate 0, and how many of its picks fail
+    their certificate: the ``C_h = 0`` thresholds from
+    ``_case2_from_zero``, each uncached breakpoint from the plain
+    bisection, and each cached-index row between the ceiling I and the 0
+    sentinel at the content's grid points."""
     k = content_constants(system.contents, system.beta)
-    tau_star, _, q_star, _ = case2_batch(0.0, k)
+    (tau_star, _, q_star, _), bad = _case2_from_zero(np.zeros(k.I.size), k)
     idx, j = _groups(np.maximum(k.q_hat - q_star, 0))
-    bps = _plain_bisection(k.take(idx), q_star[idx] + j, case2_batch)
-    w_of_tau = np.array([cached_indices(k.take([i]), t, np.r_[0.0, grid_taus(t), t])
-                         for i, t in enumerate(tau_star.tolist())])
-    return tau_star, q_star, bps, w_of_tau
+    bps = _plain_bisection(k.take(idx), q_star[idx] + j)
+    w_of_tau = np.empty((k.I.size, GRID_SIZE + 1))
+    w_of_tau[:, 0], w_of_tau[:, -1] = k.I, 0.0
+    uncertified = np.count_nonzero(bad)
+    for i, t in enumerate(tau_star.tolist()):
+        ki = k.take(np.full(GRID_SIZE - 1, i))
+        _, (x,), bad = _from_zero(_omega_rows(ki, grid_taus(t), _ckernel.wright_omega), ki.top)
+        w_of_tau[i, 1:-1] = np.minimum(k.pc[i] * gap_value(np.maximum(x, 0.0)), k.I[i])
+        uncertified += np.count_nonzero(bad)
+    return tau_star, q_star, bps, w_of_tau, uncertified
 
 
 def misplaced_breakpoints(tables: PolicyTables, reference: np.ndarray) -> np.ndarray:
     """Where the uncached breakpoints of ``tables`` miss their definition,
     given ``reference``, the same system's breakpoints from the plain
-    bisection by the full scan (``reference_tables``).  A breakpoint b of
-    pair (content, q), read off the layout of ``tables``, holds if it is
-    the reference's bit for bit, as a pair whose band was not confirmed
-    gets, or if it is the root of a band: with ``d = BAND_ERRORS * err``
-    from ``breakpoint_estimate``'s own error bound, the full-width
-    ``case2_batch`` reads ``Q_bar(b - d) <= q < Q_bar(b + d)`` inside
-    ``(0, I)``, and b lies within ``d + I * 2**-60`` of the reference's
+    bisection (``reference_tables``).  A breakpoint b of pair (content,
+    q), read off the layout of ``tables``, holds if it is the reference's
+    bit for bit, as a pair whose band was not confirmed gets, or if it is
+    the root of a band: with ``d = BAND_ERRORS * err`` from
+    ``breakpoint_estimate``'s own error bound, ``_case2_from_zero`` reads
+    ``Q_bar(b - d) <= q < Q_bar(b + d)`` inside ``(0, I)`` with certified
+    picks, and b lies within ``d + I * 2**-60`` of the reference's
     midpoint, the bisection's own error."""
     b = tables.bps
     if b.shape != reference.shape:
@@ -232,27 +266,32 @@ def misplaced_breakpoints(tables: PolicyTables, reference: np.ndarray) -> np.nda
     band = (lo > 0.0) & (hi < k.I) & (np.abs(b - reference) <= d + k.I * 2.0 ** -60)
     i = band.nonzero()[0]
     ki = k.take(i)
-    band[i] = (case2_batch(lo[i], ki)[2] <= q[i]) & (case2_batch(hi[i], ki)[2] > q[i])
+    (_, _, below, _), bad_lo = _case2_from_zero(lo[i], ki)
+    (_, _, above, _), bad_hi = _case2_from_zero(hi[i], ki)
+    band[i] = (below <= q[i]) & (above > q[i]) & ~bad_lo & ~bad_hi
     return ~band & bits_differ(b, reference)
 
 
 def table_window(system: SystemParams) -> Result:
-    """The index tables as the commands build them, from windows of queue
-    candidates and the breakpoints' roots, against ``reference_tables``:
-    ``w_of_tau``, ``tau_star`` and ``Q_star`` bit for bit, and every
-    breakpoint by ``misplaced_breakpoints``."""
+    """The index tables as the commands build them, from the estimates'
+    first probes and the breakpoints' roots, against ``reference_tables``,
+    the search from candidate 0 with every pick certified: ``w_of_tau``,
+    ``tau_star`` and ``Q_star`` bit for bit, and every breakpoint by
+    ``misplaced_breakpoints``."""
     tables, counts = build_index_tables(system.contents, system.beta)
-    tau_star, q_star, bps, w_of_tau = reference_tables(system)
+    tau_star, q_star, bps, w_of_tau, uncertified = reference_tables(system)
     pairs = [(tables.w_of_tau, w_of_tau), (tables.cdbl[:, TAU_STAR], tau_star),
              (tables.cint[:, Q_STAR], q_star)]
     n = sum(x.size if x.shape != y.shape else np.count_nonzero(bits_differ(x, y))
             for x, y in pairs)
     n_bps = np.count_nonzero(misplaced_breakpoints(tables, bps))
-    return Result(n + n_bps == 0,
+    bad = n + uncertified + n_bps
+    return Result(bad == 0,
                   f"{n} of {sum(y.size for _, y in pairs)} table values differ from the "
-                  f"full-width scan and {n_bps} of {bps.size} breakpoints miss their band; "
-                  f"{counts.full_width} points of the cached grid fell back to the scan, "
-                  f"{counts.fallback} breakpoints to the plain bisection", n + n_bps)
+                  f"search from candidate 0, {uncertified} of its picks fail their "
+                  f"certificate and {n_bps} of {bps.size} breakpoints miss their band; "
+                  f"{counts.searched} points of the cached grid went on to the search, "
+                  f"{counts.fallback} breakpoints to the plain bisection", bad)
 
 
 def dual_bound(system: SystemParams, points: int) -> Result:
@@ -272,18 +311,19 @@ def dual_bound(system: SystemParams, points: int) -> Result:
 
 
 def dual_window(system: SystemParams, points: int) -> Result:
-    """``relaxed_batch``, which reads case 2 off pairs of candidates
-    (``thresholds.case2``), against the full scan, ``case2_batch`` on the
-    contents it solves, every field bit for bit, at C_h* and at
-    ``points`` values of C_h in [0, max I].  Where the full scan raises
-    ``ConsistencyError``, ``relaxed_batch`` must raise it too."""
+    """``relaxed_batch``, which starts case 2's search at the estimate
+    (``thresholds.case2``), against ``_case2_from_zero`` on the contents it
+    solves, every field bit for bit and every pick of the reference
+    certified, at C_h* and at ``points`` values of C_h in [0, max I].
+    Where the reference raises ``ConsistencyError``, ``relaxed_batch``
+    must raise it too."""
     k = content_constants(system.contents, system.beta)
     ch_star = relaxed_lower_bound(system)[0]
     n, total = 0, 0
     for c in sorted([*np.linspace(0.0, float(k.I.max()), points), ch_star]):
         solved = np.flatnonzero(c < k.I)
         try:
-            full = case2_batch(c, k.take(solved))
+            full, bad = _case2_from_zero(np.full(solved.size, c), k.take(solved))
         except ConsistencyError:
             full = None
         try:
@@ -295,9 +335,10 @@ def dual_window(system: SystemParams, points: int) -> Result:
             n += 1
             continue
         total += len(full) * solved.size
+        n += np.count_nonzero(bad)
         n += sum(np.count_nonzero(bits_differ(a[solved], b)) for a, b in zip(r, full))
     return Result(n == 0, f"{n} of {total} values at {points + 1} holding costs differ from "
-                  "the full-width scan", n)
+                  "the search from candidate 0 or fail its certificate", n)
 
 
 def dual_slope(system: SystemParams, points: int) -> Result:

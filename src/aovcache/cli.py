@@ -410,19 +410,21 @@ def cmd_sweep(doc: dict, args) -> int:
     return 0
 
 
+def _bound(system: SystemParams, consts, m: int) -> tuple[float, float, float]:
+    """``(C_h*, bound, occupancy)`` of the dual bound at capacity ``m``; the
+    occupancy is the relaxed policy's mean number of cached contents at
+    C_h*: M where the dual's slope is continuous there, at most M at C_h* = 0."""
+    ch, bound = relaxed_lower_bound(replace(system, M=m))
+    return ch, bound, float(relaxed_batch(ch, consts).occupancy.sum())
+
+
 def cmd_lower_bound(doc: dict, args) -> int:
     system = build_system(doc)
     m_values = ([_capacity(system, x) for x in args.m_values.split(",")]
                 if args.m_values else [system.M])
     rep = Reporter(args.out, doc)
     consts = content_constants(system.contents, system.beta)
-    rows = []
-    for m in m_values:
-        ch, bound = relaxed_lower_bound(replace(system, M=m))
-        # the relaxed policy's mean number of cached contents at C_h*: M
-        # where the dual's slope is continuous there, at most M at C_h* = 0
-        occupancy = float(relaxed_batch(ch, consts).occupancy.sum())
-        rows.append([m, _f(ch), _f(bound), _f(occupancy)])
+    rows = [[m, *map(_f, _bound(system, consts, m))] for m in m_values]
     rep.table("lower_bound.csv", ["M", "C_h_star", "bound", "occupancy"], rows)
     rep.close()
     return 0
@@ -442,19 +444,21 @@ def cmd_compare(doc: dict, args) -> int:
     if missing:
         raise ConfigError(f"--metrics: {args.metrics!r} has no column {', '.join(missing)}")
     rep = Reporter(args.out, doc)
+    consts = content_constants(system.contents, system.beta)
     rows = []
-    bounds: dict[int, float] = {}
+    bounds: dict[int, tuple[float, float, float]] = {}
     for row in metrics:
         if row["replication"] != "mean":
             continue
         m = _capacity(system, row["axis_value"])
         if m not in bounds:
-            bounds[m] = relaxed_lower_bound(replace(system, M=m))[1]
-        bound = bounds[m]
+            bounds[m] = _bound(system, consts, m)
+        _, bound, occupancy = bounds[m]
         cost = _checked("--metrics: avg_cost", row["avg_cost"], float)
         rows.append([m, row["policy"], _f(cost), _f(bound),
-                     _f((cost - bound) / bound)])
-    rep.table("compare.csv", ["M", "policy", "avg_cost", "bound", "relative_gap"], rows)
+                     _f((cost - bound) / bound), _f(occupancy)])
+    rep.table("compare.csv", ["M", "policy", "avg_cost", "bound", "relative_gap", "occupancy"],
+              rows)
     rep.close()
     return 0
 

@@ -11,21 +11,17 @@ Three regimes of the single-content problem with holding cost ``C_h``:
   discard; optimal cost ``(2*p*beta*c_f + c_w*Q_hat*(Q_hat+1)) / (2*(Q_hat+1))``.
 
 ``relaxed_batch`` decides the regime for every solver, case 2 below
-``I`` and never-cache from ``I`` on, and ``case2`` how case 2 is
-solved.  Its reference, ``case2_batch``, is one numpy kernel batched
-over contents and holding costs: the Lambert-W root of the gap
+``I`` and never-cache from ``I`` on, and ``case2`` solves case 2: one
+numpy kernel batched over contents, the Lambert-W root of the gap
 equation, then a quadratic in ``tau_bar`` per queue candidate
-(``case2_candidates``), keeping the floor-consistent one by
-``scan_candidates``, the one blocked scan of every candidate, which
-``whittle``'s cached index shares.  Exactly one candidate is, and the
-excess of its floor argument over Q falls strictly with Q (proved at
-``case2_batch``), so a pair of candidates, a guard and the candidate
-above it, stands in for the scan of all of them where
-``window_consistent`` says it decides.  ``case2`` reads
-each content off the pair at ``_q_bar_estimate``, the closed-form root
-of a quadratic in Q, laid out candidates first against the contents'
-rows, and the rows the pair leaves off the scan: for ``relaxed_batch``,
-the ``C_h = 0`` thresholds and the index tables' breakpoints alike.  The
+(``case2_candidates``), keeping the floor-consistent one.  Exactly one
+candidate is, and the candidates above their cells or inadmissible form
+a prefix of them (proved at ``case2``), so ``search_candidates``, which
+``whittle``'s cached index shares, finds it by a bracketed search in
+O(log Q_hat) evaluations.  ``case2`` starts it at ``_q_bar_estimate``,
+the closed-form root of a quadratic in Q, whose pair of candidates
+decides nearly every row in one evaluation: for ``relaxed_batch``, the
+``C_h = 0`` thresholds and the index tables' breakpoints alike.  The
 same quadratic in Q, written in the gap x, gives each breakpoint of
 ``Q_bar`` in C_h up to rounding (``breakpoint_estimate``), which
 ``whittle`` takes as the uncached index where ``case2`` confirms it.
@@ -54,14 +50,10 @@ __all__ = [
     "content_constants",
     "gap_value",
     "solve_gap",
-    "first_consistent",
-    "window_consistent",
-    "scan_candidates",
+    "search_candidates",
     "case2_candidates",
-    "case2_batch",
     "case2",
     "breakpoint_estimate",
-    "zero_holding_batch",
     "Relaxed",
     "relaxed_batch",
     "solve_thresholds",
@@ -157,7 +149,7 @@ def content_constants(contents: Sequence[ContentParams], beta: float) -> Content
         # float noise at an integer boundary; the fixed point is adjacent.
         # Where p*beta*c_f/c_w is a triangular number, rounding can push
         # every candidate out of its cell; the closed form's Q_hat then
-        # stays if it is as near its cell as first_consistent asks of Q_bar
+        # stays if it is as near its cell as search_candidates asks of Q_bar
         # (there the two Q_hat next to the boundary cost the same)
         qm = q[miss]
         cand = qm[:, None] + np.array([-1.0, 1.0, 2.0])
@@ -241,55 +233,79 @@ def solve_gap(c) -> np.ndarray:
 
 
 # a candidate this close outside its cell, relative to q+1, still counts
-# when no candidate lies inside one (``first_consistent``)
+# when no candidate lies inside one (``search_candidates``)
 _NEAR = 1e-9
 
 
-def first_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray):
-    """Column of the first admissible (``ok``) queue candidate ``q`` whose
-    ``v = p*beta*c_a*lam*tau_tilde/c_w`` has ``floor(v) == q``, per row.
+def search_candidates(evaluate, top: np.ndarray, q=None, at=None):
+    """Each row's floor-consistent queue candidate among ``0..top[i]``:
+    the first admissible one whose floor argument v hits its cell,
+    ``floor(v) == q``, else the one nearest its cell within
+    ``_NEAR*(q+1)``, as a scan of every candidate picks; the one function
+    that picks a candidate, for case 2's quadratic and the cached index's
+    Wright-omega form alike.
 
-    At a ``Q_bar`` jump v lands on the integer boundary and float noise
-    can push both neighbours out; then the candidate closest to its
-    boundary, within ``1e-9*(q+1)``, is taken.  Also returns each row's
-    distance: -1 where a candidate hits, the taken candidate's distance
-    outside its cell where none hits, and inf where no candidate is near.
-    """
-    hit = ok & (np.floor(v) == q)
-    any_hit = hit.any(-1)
-    if any_hit.all():
-        return hit.argmax(-1), np.full(any_hit.shape, -1.0)
-    dist = np.where(ok, np.maximum(q - v, v - (q + 1.0)), np.inf)
-    near = np.where(dist < _NEAR * (q + 1.0), dist, np.inf)
-    col = np.where(any_hit, hit.argmax(-1), near.argmin(-1))
-    return col, np.where(any_hit, -1.0, near.min(-1))
+    ``evaluate(rows, q)`` gives arrays shaped like ``q`` (candidates laid
+    out first against ``rows``), the last two v and the admissibility
+    ok.  ``P(q) = q <= top and (not ok_q or v_q >= q + 1)`` holds on a
+    prefix of ``0..top+1`` (proved at ``case2``), and at -1 by
+    convention.  Each row keeps a bracket: ``lo`` with P, from -1, and
+    ``hi`` without, from ``top+1``.  The first probe is the caller's: a
+    pair of rows (or a ``(2, rows)`` array), ``q``, a candidate in
+    ``0..top`` and the one below it laid out first, and evaluate's arrays
+    ``at`` there as such pairs; a guard at -1, or one the caller knows to
+    hold P, must read as P.  Without one the search starts at candidate
+    0.  Later probes gallop from the known end, +-1, +-2, +-4, ..., then
+    bisect (Bentley & Yao 1976, "An almost optimal algorithm for
+    unbounded searching"): O(log top) rounds.  Once ``hi = lo + 1`` the
+    pick is ``hi`` if it hits, else the nearer of ``hi - 1`` and ``hi``
+    within the tolerance, the first on a tie.
 
-
-def window_consistent(v: np.ndarray, q: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Whether a pair of queue candidates decides its row: the guard
-    ``q[0]`` (``-1`` for none) and the candidate ``q[1] = q[0] + 1``,
-    laid out first, with their floor arguments ``v`` and admissibility
-    ``ok``.  Where it holds, ``q[1]`` is the column that
-    ``scan_candidates``, the scan of every candidate ``0..``, picks.
-
-    The scan picks the first admissible candidate that hits its cell
-    (``floor(v) == q``), and only where none hits the one nearest its
-    cell, within the near tolerance.  Both solvers that call this
-    (``case2_batch``'s quadratic and the Wright-omega form of
-    ``whittle``) have a floor argument ``v_q`` whose excess
-    ``f_q = v_q - q`` is strictly decreasing in q, by margins far above
-    rounding (``case2_batch`` and ``whittle.cached_index_rows`` prove
-    them).  So where the candidate hits, and the guard is admissible and
-    lies above its own cell (``v[0] >= q[1]``, if only by an ulp), the
-    guard does not hit, and every column before it lies further above
-    its cell: none hits before the candidate, and the scan picks it.
-    The near tolerance matters only to a row where no candidate hits;
-    there the scan weighs every column, and the pair leaves the row to
-    its caller, as it does one whose guard is inadmissible or below.
-    Where the pair sits moves only the time, never a value.
-    """
-    hit = ok[1] & (np.floor(v[1]) == q[1])
-    return hit & ((q[0] < 0.0) | (ok[0] & (v[0] >= q[1])))
+    Returns each row's pick (int64), its distance outside its cell (-1
+    for a hit; inf, and the pick 0, where none is near) and the leading
+    arrays of ``evaluate`` at the pick (0 where none)."""
+    n = top.size
+    if q is None:
+        lo, hi = np.full(n, -1.0), top + 1.0
+    else:
+        *values, v, ok = at
+        guard = ~ok[0] | (v[0] >= q[1])
+        if (guard & ok[1] & (np.floor(v[1]) == q[1])).all():  # the first probe decides
+            return q[1].astype(np.int64), np.full(n, -1.0), [a[1] for a in values]
+        above = ~ok[1] | (v[1] >= q[1] + 1.0)
+        lo = np.where(guard, np.where(above, q[1], q[0]), -1.0)
+        hi = np.where(guard, np.where(above, top + 1.0, q[1]), q[0])
+    step = np.ones(n)
+    while (live := (hi - lo > 1.0).nonzero()[0]).size:
+        l, h, s = lo[live], hi[live], step[live]
+        # gallop up from lo while hi is unknown, down from hi while lo is,
+        # and bisect once both are known
+        probe = np.where(h > top[live], l + s, np.where(l < 0.0, h - s, np.floor(0.5 * (l + h))))
+        probe = np.minimum(np.maximum(probe, l + 1.0), h - 1.0)
+        *_, v, ok = evaluate(live, probe[None])
+        above = ~ok[0] | (v[0] >= probe + 1.0)
+        lo[live], hi[live] = np.where(above, probe, l), np.where(above, h, probe)
+        step[live] = 2.0 * s
+    pair = np.stack([hi - 1.0, hi])
+    # the pair's arrays, where the first probe did not evaluate them
+    if q is None:
+        at = evaluate(np.arange(n), np.minimum(np.maximum(pair, 0.0), top))
+    else:
+        at = [np.stack(a) for a in at]
+        if (redo := (q[1] != hi).nonzero()[0]).size:
+            got = evaluate(redo, np.minimum(np.maximum(pair[:, redo], 0.0), top[redo]))
+            for a, b in zip(at, got):
+                a[:, redo] = b
+    *values, v, ok = at
+    ok = ok & (pair >= 0.0) & (pair <= top)
+    hit = ok[1] & (np.floor(v[1]) == hi)
+    dist = np.where(ok, np.maximum(pair - v, v - (pair + 1.0)), np.inf)
+    near = np.where(dist < _NEAR * (pair + 1.0), dist, np.inf)
+    col = (np.where(hit, 1, near.argmin(0)), np.arange(n))
+    dist = np.where(hit, -1.0, near.min(0))
+    found = np.isfinite(dist)
+    return (np.where(found, pair[col], 0.0).astype(np.int64), dist,
+            [np.where(found, a[col], 0) for a in values])
 
 
 def _constant_terms(xb, k: ContentConstants, q, q1):
@@ -339,122 +355,13 @@ def _gaps(C_h: np.ndarray, k: ContentConstants):
 
 def case2_candidates(C_h, k: ContentConstants, q):
     """``(tau_bar, tau_tilde, v, ok)`` of queue candidates ``q`` at ``C_h``:
-    the per-candidate quadratic of ``case2_batch``.  ``q`` broadcasts
-    against ``C_h[..., None]`` and the contents of ``k`` (also
-    ``[..., None]``); ``v`` is the floor argument of (iii) and ``ok``
-    marks admissible roots."""
+    the per-candidate quadratic of ``case2``.  ``q`` broadcasts against
+    ``C_h[..., None]`` and the contents of ``k`` (also ``[..., None]``);
+    ``v`` is the floor argument of (iii) and ``ok`` marks admissible
+    roots."""
     g, xb = _gaps(np.asarray(C_h, dtype=float), k)
     return _quadratic(g[..., None], xb[..., None],
                       ContentConstants(k.beta, k.rows[..., None], k.q_hat), q)
-
-
-_BLOCK = 1 << 16  # elements, rows x candidates, per block of scan_candidates
-
-
-def scan_candidates(evaluate, top: np.ndarray):
-    """``first_consistent``'s pick among the candidates ``0..top[i]`` of
-    each row i, in blocks of about ``_BLOCK`` elements over the rows still
-    scanned: the one scan of every candidate, in bounded memory, for case
-    2's quadratic and the cached index's Wright-omega form alike.
-
-    ``evaluate(rows, q)`` gives arrays shaped ``(len(q), len(rows))`` at
-    the column of candidates ``q``, the last two the floor arguments v and
-    the admissibility ok.  Returns each row's pick (int64), its distance
-    (-1 for a hit; inf, and the pick 0, where none is near) and the
-    leading arrays at the pick (0 where none).  A row leaves at its first
-    hit or past its ``top``; one with no hit takes the first minimum over
-    all blocks, which is what one scan of every candidate picks."""
-    pick = np.zeros(top.size, dtype=np.int64)
-    best = np.full(top.size, np.inf)
-    at = None  # the evaluator's leading arrays at each row's pick
-    live = np.arange(top.size)  # rows without a hit whose candidates go on
-    lo, end = 0, top.max(initial=0) + 1
-    # one block at least, which makes ``at`` for no rows too
-    while (live := live[top[live] >= lo]).size or at is None:
-        q = np.arange(lo, min(lo + max(_BLOCK // max(live.size, 1), 1), end), dtype=float)[:, None]
-        *values, v, ok = evaluate(live, q)
-        col, dist = first_consistent(v.T, q.T, (ok & (q <= top[live])).T)
-        at = at or tuple(np.zeros(top.size, a.dtype) for a in values)
-        take = dist < best[live]
-        block, rows = (col[take], take.nonzero()[0]), live[take]
-        for out, a in zip(at, values):
-            out[rows] = a[block]
-        pick[rows], best[rows] = block[0] + lo, dist[take]
-        live, lo = live[dist >= 0.0], lo + len(q)
-    return pick, best, at
-
-
-def case2_batch(C_h, k: ContentConstants):
-    """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h < I``,
-    as arrays over ``C_h`` broadcast against the contents of ``k``, from
-    the scan of every queue candidate: the reference the pairs are checked
-    against, and their last resort.
-
-    The triple is the unique solution of
-
-        (i)   beta*(tt - tb) + exp(-beta*(tt - tb)) - 1 - C_h/(p*c_a*lam) = 0
-        (ii)  beta*p*c_a*lam*(tt*tb - tb^2/2) - C_h*tb
-                + (Qb+1)*c_a*lam*tt - c_f - c_w*Qb*(Qb+1)/(2*p*beta) = 0
-        (iii) Qb = floor(p*beta*c_a*lam*tt / c_w)
-
-    (i) gives ``x = beta*(tt - tb)`` through ``solve_gap``; substituting
-    ``tt = tb + x/beta`` turns (ii) into a quadratic in ``tb`` for each
-    queue candidate ``Qb = 0..Q_hat+2`` (``case2_candidates``), and
-    ``first_consistent``'s rule keeps the root that satisfies (iii), by
-    ``scan_candidates`` in bounded memory whatever ``N`` and ``Q_hat``.
-
-    Why at most one candidate satisfies (iii), and why a pair of
-    candidates decides (``window_consistent``): write (ii) in
-    ``v = p*beta*c_a*lam*tt/c_w`` and multiply it by ``p*beta/c_w``.
-    With ``a = c_w/(c_a*lam)`` and ``c = C_h/(c_a*lam)`` it reads
-
-        Psi_Q(v) = a*v^2/2 + (Q + 1 - c)*v + e - Q*(Q+1)/2 = 0,
-
-    e free of Q, and candidate Q's ``v_Q`` is its larger root, where
-    ``S_Q = Psi_Q'(v_Q) = a*v_Q + Q + 1 - c >= 0``.  Since
-    ``Psi_{Q+1}(v) = Psi_Q(v) + v - (Q+1)``:
-
-    * ``Psi_{Q+1}(Q+1) = Psi_Q(Q+1)``, so ``v_Q >= Q+1`` exactly when
-      ``v_{Q+1} >= Q+1``: candidate Q lies above its cell exactly when
-      Q+1 lies at or above its own, and no two candidates both satisfy
-      (iii);
-    * ``Psi_{Q+1}(v_Q + 1) = S_Q + a/2 + f_Q = (1+a)*v_Q + 1 + a/2 - c``
-      with ``f_Q = v_Q - Q``.  An admissible root has ``tb >= 0``, so
-      ``a*v_Q >= p*x >= p*(x + e^-x - 1) = c`` by (i), and this is at
-      least ``1 + a/2 > 0``.  So ``v_{Q+1} < v_Q + 1``: f is strictly
-      decreasing, and as ``Psi_{Q+1}`` is a quadratic,
-      ``f_Q - f_{Q+1} = 2*Psi_{Q+1}(v_Q+1) / (S_Q + S_{Q+1} + 1 + a)``,
-      which exceeds 1/2 where ``f_Q >= 0`` and ``1/(Q+2)`` everywhere:
-      far above the ``1e-9*(Q+1)`` near tolerance.
-
-    Case 2 is solved only below ``I`` (``relaxed_batch`` decides the
-    regime): at ``I`` a large ``c_f/(c_a*lam)`` can leave no candidate
-    that passes the floor test, and where ``Q_bar`` jumps exactly at
-    ``I`` this kernel reads the ``Q_bar`` below the jump, not ``Q_hat``.
-    Within ulps below ``I``, where the dual bound's search can land,
-    ``tau_bar`` falls to 0 and the quadratic's constant term cancels
-    between terms up to ~1e6 times larger; ``_quadratic`` admits a root
-    that this rounding puts below 0, so a candidate still passes there.
-    """
-    C_h = np.asarray(C_h, dtype=float)
-    g, xb = _gaps(C_h, k)
-    shape = g.shape
-    # one flat row per (C_h, content) pair
-    tb, tt, qb = _scan_case2(np.broadcast_to(C_h, shape).ravel(), g.ravel(), xb.ravel(),
-                             k.take(np.broadcast_to(np.arange(k.q_hat.size), shape).ravel()))
-    tt = tt.reshape(shape)
-    return tb.reshape(shape), tt, qb.reshape(shape), k.rc * tt
-
-
-def _scan_case2(C_h: np.ndarray, g: np.ndarray, xb: np.ndarray, k: ContentConstants):
-    """``case2_batch``'s ``(tau_bar, tau_tilde, Q_bar)`` of content i of
-    ``k`` at ``C_h[i]``, given its ``(g, xb)`` (``_gaps``)."""
-    qb, dist, (tb, tt) = scan_candidates(
-        lambda rows, q: _quadratic(g[rows], xb[rows], k.take(rows), q), k.top)
-    if not (found := np.isfinite(dist)).all():
-        raise ConsistencyError(
-            f"no floor-consistent Q_bar at C_h={C_h[~found]} (beta={k.beta})")
-    return tb, tt, qb
 
 
 def case2_residuals(
@@ -514,7 +421,7 @@ def solve_thresholds_batch(params: ContentParams, beta: float,
     ``relaxed_batch`` call that solves ``C_h = 0`` along with them, so case
     2 is solved once.  Where ``I`` underflows to 0, ``relaxed_batch``
     reads never-cache at 0 and solves no case 2, and the ``C_h = 0``
-    thresholds come from ``zero_holding_batch``."""
+    thresholds come from ``zero_holding_thresholds``."""
     C_h = np.asarray(C_h, dtype=float)
     if (C_h < 0).any():
         raise ValueError(f"C_h must be >= 0, got {C_h[C_h < 0][0]}")
@@ -528,9 +435,19 @@ def solve_thresholds_batch(params: ContentParams, beta: float,
 
 def zero_holding_thresholds(k: ContentConstants, zero=None) -> list[ThresholdSet]:
     """``solve_thresholds(params, beta, 0.0)`` for every content of ``k``,
-    from ``zero``, the contents' ``zero_holding_batch`` if the caller has
-    solved it, or one call of it."""
-    tb, tt, qb, theta = (a.tolist() for a in (zero_holding_batch(k) if zero is None else zero))
+    from ``zero``, the contents' ``case2`` at ``C_h = 0`` if the caller
+    has solved it, or one call of it.  Holding is free there, so they are
+    case 2's even where ``I`` underflows to 0 and ``relaxed_batch`` reads
+    never-cache from ``C_h = 0 = I`` on.  With ``x = 0``, ``(tau_star,
+    Q_star)`` jointly satisfies, at request rate ``r = p*beta``,
+
+        tau = (-(Q+1) + sqrt((Q+1)^2 + 2*r*c_f/(c_a*lam)
+                             + Q*(Q+1)*c_w/(c_a*lam))) / r
+        Q   = floor(r*c_a*lam*tau / c_w)
+
+    and ``theta = r*c_a*lam*tau_star``."""
+    zero = case2(np.zeros(k.I.size), k) if zero is None else zero
+    tb, tt, qb, theta = (a.tolist() for a in zero)
     return [
         ThresholdSet(tau_star=tb[i], Q_star=qb[i], tau_bar=tb[i], tau_tilde=tt[i],
                      Q_bar=qb[i], Q_hat=q_hat, tau0=tau0, I=I, theta=theta[i], C_h=0.0)
@@ -549,14 +466,11 @@ class Relaxed(NamedTuple):
     occupancy: np.ndarray
 
 
-_PAIR = np.array([[-1.0], [0.0]])  # the guard, then the candidate
-
-
 def _q_bar_estimate(C_h: np.ndarray, k: ContentConstants, xb: np.ndarray) -> np.ndarray:
     """Each content's ``Q_bar`` at its ``C_h``, in closed form from
-    ``xb = x/beta`` (``solve_gap``): the candidate of ``case2``'s pair.
+    ``xb = x/beta`` (``solve_gap``): where ``case2`` starts its search.
 
-    ``case2_batch`` writes (ii) as ``Psi_Q(v) = a*v^2/2 + (Q+1-c)*v + e
+    ``case2`` writes (ii) as ``Psi_Q(v) = a*v^2/2 + (Q+1-c)*v + e
     - Q*(Q+1)/2`` with ``a = c_w/(c_a*lam)``, ``c = C_h/(c_a*lam)`` and
 
         e = (p*beta/c_w) * (C_h*xb - p*beta*c_a*lam*xb^2/2 - c_f),
@@ -574,7 +488,7 @@ def _q_bar_estimate(C_h: np.ndarray, k: ContentConstants, xb: np.ndarray) -> np.
     The whole discriminant is clipped at 0, and the estimate to
     ``0..Q_hat+2``.  The floor test's rounding at a ``Q_bar`` jump and
     the admissibility of the roots, which ``F`` does not see, can put
-    ``Q_bar`` off the estimate; ``window_consistent`` then defers, so the
+    ``Q_bar`` off the estimate; the search then goes on from it, so the
     estimate moves only the time, never a value."""
     h = 0.5 - C_h / k.c_alam
     e = k.r_cw * (C_h * xb - 0.5 * k.rc * xb * xb - k.c_f)
@@ -651,46 +565,89 @@ _NEWTON_STEPS = 30  # at most; 0-5 on the shipped configs
 
 
 def case2(C_h: np.ndarray, k: ContentConstants):
-    """``case2_batch(C_h, k)`` for one holding cost per content, bit for
-    bit: the one place that decides how case 2 is solved.
+    """Thresholds ``(tau_bar, tau_tilde, Q_bar, theta)`` for ``0 <= C_h < I``
+    of content i of ``k`` at ``C_h[i]``: the one case-2 solver.
 
-    A content is read off the pair of candidates at its
-    ``_q_bar_estimate`` where ``window_consistent`` decides it; the rest
-    go to ``case2_batch``'s scan with the ``(g, xb)`` solved here, which
-    raises ``ConsistencyError`` where the full scan does.  Where the pair
-    sits moves only the time, never a value (see ``case2_batch``)."""
+    The triple is the unique solution of
+
+        (i)   beta*(tt - tb) + exp(-beta*(tt - tb)) - 1 - C_h/(p*c_a*lam) = 0
+        (ii)  beta*p*c_a*lam*(tt*tb - tb^2/2) - C_h*tb
+                + (Qb+1)*c_a*lam*tt - c_f - c_w*Qb*(Qb+1)/(2*p*beta) = 0
+        (iii) Qb = floor(p*beta*c_a*lam*tt / c_w)
+
+    (i) gives ``x = beta*(tt - tb)`` through ``solve_gap``; substituting
+    ``tt = tb + x/beta`` turns (ii) into a quadratic in ``tb`` for each
+    queue candidate ``Qb = 0..Q_hat+2`` (``case2_candidates``), and
+    ``search_candidates`` keeps the root that satisfies (iii), starting
+    from the pair of candidates at ``_q_bar_estimate`` and the one below
+    it, in one evaluation of the quadratic wherever that pair decides.
+    Raises ``ConsistencyError`` where no candidate is near its cell.
+
+    Why at most one candidate satisfies (iii), and why ``P(Q) = Q <= top
+    and (not ok_Q or v_Q >= Q+1)`` holds on a prefix of ``0..top+1``, so
+    that a bracketed search finds it: write (ii) in ``v =
+    p*beta*c_a*lam*tt/c_w`` and multiply it by ``p*beta/c_w``.  With ``a
+    = c_w/(c_a*lam)`` and ``c = C_h/(c_a*lam)`` it reads
+
+        Psi_Q(v) = a*v^2/2 + (Q + 1 - c)*v + e - Q*(Q+1)/2 = 0,
+
+    e free of Q, and candidate Q's ``v_Q`` is its larger root, where
+    ``S_Q = Psi_Q'(v_Q) = a*v_Q + Q + 1 - c >= 0``.  Then
+
+    * ``Psi_{Q+1}(v) = Psi_Q(v) + v - (Q+1)``, so ``Psi_{Q+1}(Q+1) =
+      Psi_Q(Q+1)``: ``v_Q >= Q+1`` exactly when ``v_{Q+1} >= Q+1``, and
+      no two candidates both satisfy (iii);
+    * the root is admissible (``tb >= 0``) where ``v_Q >= v0 = p*x/a``,
+      the v at ``tb = 0``; as ``a*v0 = p*x >= p*(x + e^-x - 1) = c`` by
+      (i), ``Psi_Q'(v0) >= Q+1 > 0``, so that is where ``Psi_Q(v0) <= 0``
+      (a negative discriminant is the case ``Psi_Q > 0`` everywhere);
+    * ``Psi_{Q+1}(v0) - Psi_Q(v0) = v0 - (Q+1)`` falls with Q, so
+      ``Psi_Q(v0)`` is unimodal in Q, and the inadmissible candidates, its
+      positive part, form one run.  Before the run it rises, so ``Q+1 <
+      v0 <= v_Q``: those candidates lie above their cells;
+    * after the run ``Psi_Q(v0)`` falls, every candidate is admissible and
+      ``Psi_{Q+1}(v_Q + 1) = S_Q + a/2 + f_Q = (1+a)*v_Q + 1 + a/2 - c``
+      with ``f_Q = v_Q - Q``, which is at least ``1 + a/2 > 0`` as ``a*v_Q
+      >= a*v0 >= c``.  So ``v_{Q+1} < v_Q + 1``: the excess f is strictly
+      decreasing, and as ``Psi_{Q+1}`` is a quadratic, ``f_Q - f_{Q+1} =
+      2*Psi_{Q+1}(v_Q+1) / (S_Q + S_{Q+1} + 1 + a)``, which exceeds 1/2
+      where ``f_Q >= 0`` and ``1/(Q+2)`` everywhere: far above the
+      ``1e-9*(Q+1)`` near tolerance.
+
+    So P holds before and on the run and while ``f_Q >= 1`` after it,
+    and fails from there on; the first candidate without it is the only
+    one that can hit, and where it does not, it and the one below it are
+    the nearest to their cells.  The one exception is a candidate just
+    before the run within the tolerance above its cell, which needs
+    ``v0`` within it of ``Q+1`` and ``Psi_Q(v0)`` within it of 0 at
+    once; there the search and a scan of every candidate can differ.
+    The same structure holds for the Wright-omega form of
+    ``whittle.cached_index_rows``.
+
+    Case 2 is solved only below ``I`` (``relaxed_batch`` decides the
+    regime): at ``I`` a large ``c_f/(c_a*lam)`` can leave no candidate
+    that passes the floor test, and where ``Q_bar`` jumps exactly at
+    ``I`` this kernel reads the ``Q_bar`` below the jump, not ``Q_hat``.
+    Within ulps below ``I``, where the dual bound's search can land,
+    ``tau_bar`` falls to 0 and the quadratic's constant term cancels
+    between terms up to ~1e6 times larger; ``_quadratic`` admits a root
+    that this rounding puts below 0, so a candidate still passes there.
+    """
     g, xb = _gaps(C_h, k)
     qb = _q_bar_estimate(C_h, k, xb)
-    # laid out candidates first; the quadratic stays finite at the guard -1
-    q = qb + _PAIR
-    tb, tt, v, ok = _quadratic(g, xb, k, q)
-    tb, tt = tb[1], tt[1]
-    rest = (~window_consistent(v, q, ok)).nonzero()[0]
-    if rest.size:
-        tb[rest], tt[rest], qb[rest] = _scan_case2(C_h[rest], g[rest], xb[rest], k.take(rest))
-    return tb, tt, qb.astype(np.int64), k.rc * tt
-
-
-def zero_holding_batch(k: ContentConstants):
-    """``case2_batch(0.0, k)`` by ``case2``: the ``C_h = 0`` thresholds
-    ``(tau_star, tau_star, Q_star, theta)`` of every content.  Holding is
-    free there, so they are case 2's even where ``I`` underflows to 0 and
-    ``relaxed_batch`` reads never-cache from ``C_h = 0 = I`` on.
-
-    With ``x = 0``, ``(tau_star, Q_star)`` jointly satisfies, at request
-    rate ``r = p*beta``,
-
-        tau = (-(Q+1) + sqrt((Q+1)^2 + 2*r*c_f/(c_a*lam)
-                             + Q*(Q+1)*c_w/(c_a*lam))) / r
-        Q   = floor(r*c_a*lam*tau / c_w)
-
-    and ``theta = r*c_a*lam*tau_star``."""
-    return case2(np.zeros(k.I.size), k)
+    q = np.array([qb - 1.0, qb])  # laid out first; at -1 the quadratic gives v >= 0, so P
+    qb, dist, (tb, tt) = search_candidates(
+        lambda rows, q: _quadratic(g[rows], xb[rows], k.take(rows), q), k.top, q,
+        _quadratic(g, xb, k, q))
+    if not (found := np.isfinite(dist)).all():
+        raise ConsistencyError(
+            f"no floor-consistent Q_bar at C_h={C_h[~found]} (beta={k.beta})")
+    return tb, tt, qb, k.rc * tt
 
 
 def relaxed_batch(C_h, k: ContentConstants) -> Relaxed:
     """The optimal single-content policy at C_h (broadcast against the
-    contents of ``k``): ``case2_batch``'s thresholds and cost below
+    contents of ``k``): ``case2``'s thresholds and cost below
     ``I``, the never-cache ``(0, tau0, Q_hat, theta_case1)`` from ``I``
     on, and the slope of theta in C_h, which is the fraction of time the
     policy holds the content (envelope theorem: ``theta`` is a minimum
@@ -699,7 +656,7 @@ def relaxed_batch(C_h, k: ContentConstants) -> Relaxed:
 
     ``case2`` decides how case 2 is solved, for every caller alike.
 
-    The slope follows from (i)-(ii) of ``case2_batch`` by implicit
+    The slope follows from (i)-(ii) of ``case2`` by implicit
     differentiation at fixed ``Q_bar``.  With ``x = beta*(tt - tb)``,
     (i) gives ``p*c_a*lam*(1 - e^-x)*x' = 1``; differentiating (ii) and
     substituting ``tb' = tt' - x'/beta`` and ``C_h = p*c_a*lam*(x + e^-x - 1)``
@@ -712,10 +669,10 @@ def relaxed_batch(C_h, k: ContentConstants) -> Relaxed:
     lies in (0, 1], as ``p*e^-x <= 1 <= Q_bar + 1``, and has no
     singularity at ``C_h = 0`` (x = 0, the denominator is at least
     ``Q_bar + 1``).  At a ``Q_bar`` jump theta has a kink, and the value
-    is the slope of the piece of the ``Q_bar`` that ``case2_batch``
+    is the slope of the piece of the ``Q_bar`` that ``case2``
     picks there: a one-sided derivative.  At ``C_h = I`` the two regimes
     meet: ``theta_case1`` is the value there and 0 the right-hand slope.
-    Case 2 is solved only below ``I`` (see ``case2_batch``), so a content
+    Case 2 is solved only below ``I`` (see ``case2``), so a content
     at or above it costs one comparison.
     """
     C_h = np.asarray(C_h, dtype=float)

@@ -18,8 +18,8 @@ the content out of the cache optimal.
   whose root is ``x = omega(A/B + ln(C/B)) - A/B`` with the Wright omega
   function (Lawrence, Corless & Jeffrey 2012, "Algorithm 917: Complex
   double precision evaluation of the Wright omega function").  The
-  floor-consistent candidate is kept by ``thresholds.scan_candidates``,
-  the one scan of every candidate, which case 2's quadratic shares.
+  floor-consistent candidate is kept by ``thresholds.search_candidates``,
+  the one bracketed search, which case 2's quadratic shares.
 * uncached requested ``(Q, 0, 1)``: zero below ``Q_star``, the index
   ceiling ``I`` from ``Q_hat`` up; in between, the ``C_h`` at which the
   fetch threshold ``Q_bar(C_h)`` (nondecreasing) first exceeds ``Q``.
@@ -34,14 +34,14 @@ the content out of the cache optimal.
 The cached grid evaluates only the queue candidate at the ``Q_bar``
 that the breakpoints predict, and the guard below it only next to the
 lower edge of the candidate's cell (``cached_index_rows`` proves the
-pair exact).  The grid points that the pair cannot decide
-(``thresholds.window_consistent``) go, all at once, to the scan of
-every candidate, so the rows are the full scan's bit for bit whatever
-the predictions.
+pair exact).  That pair is the first probe of the search, which goes on
+from it at the grid points it does not decide, so the rows are the same
+whatever the predictions.
 
 ``aovcache verify`` checks both on the user's config against a
-reference built from the full scan alone (``checks.table_window``), and
-``BuildCounts`` reports how often each fell back.
+reference from the same search started at candidate 0, each pick
+certified (``checks.table_window``), and ``BuildCounts`` reports how
+often each fell back.
 
 The closed three-equation system is kept as a residual check
 (``index_residual_*``).
@@ -63,16 +63,14 @@ from .thresholds import (
     ConsistencyError,
     ContentConstants,
     ThresholdSet,
+    breakpoint_estimate,
     case2,
     case2_candidates,
-    breakpoint_estimate,
     content_constants,
     gap_value,
-    scan_candidates,
+    search_candidates,
     solve_thresholds,
     solve_thresholds_batch,
-    window_consistent,
-    zero_holding_batch,
     zero_holding_thresholds,
 )
 
@@ -127,13 +125,18 @@ def _omega_candidates(p, cal, c_f, c_w, beta: float, tau, q, omega):
     return x, v, x > -1e-9
 
 
-def _omega_scan(k: ContentConstants, tau: np.ndarray, omega) -> np.ndarray:
+def _omega_rows(k: ContentConstants, tau: np.ndarray, omega):
+    """``thresholds.search_candidates``' evaluator of the Wright-omega form
+    of content i of ``k`` at serve threshold ``tau[i]``."""
+    return lambda rows, q: _omega_candidates(k.p[rows], k.c_alam[rows], k.c_f[rows], k.c_w[rows],
+                                             k.beta, tau[rows], q, omega)
+
+
+def _omega_gaps(k: ContentConstants, tau: np.ndarray, omega, *first) -> np.ndarray:
     """The gap x of the cached index of content i of ``k`` at serve
-    threshold ``tau[i]``, from the scan of every candidate ``0..Q_hat+2``
-    (``thresholds.scan_candidates``)."""
-    _, dist, (x,) = scan_candidates(
-        lambda rows, q: _omega_candidates(k.p[rows], k.c_alam[rows], k.c_f[rows], k.c_w[rows],
-                                          k.beta, tau[rows], q, omega), k.top)
+    threshold ``tau[i]``, by the search from the first probe ``first``
+    (``q, at``) where given, else from candidate 0."""
+    _, dist, (x,) = search_candidates(_omega_rows(k, tau, omega), k.top, *first)
     if not (found := np.isfinite(dist)).all():
         raise ConsistencyError(f"no floor-consistent Q_bar at tau={tau[~found]} "
                                f"(p={k.p[~found]}, beta={k.beta})")
@@ -145,16 +148,16 @@ def cached_indices(k: ContentConstants, tau_star: float, taus: np.ndarray,
     """W(0, tau) at each tau of ``taus`` for the one content of ``k``, whose
     ``C_h = 0`` serve threshold is ``tau_star``: the ceiling I at
     ``tau <= 0``, 0 from ``tau_star`` on, and in between the Wright-omega
-    form over every queue candidate; ``omega`` evaluates Wright omega
-    elementwise, and sees only the taus in between (``aovcache verify``
-    passes one that records its arguments).  ``cached_index_rows`` fills
-    whole tables."""
+    form, by the search from candidate 0; ``omega`` evaluates Wright
+    omega elementwise, and sees only the taus in between (``aovcache
+    verify`` passes one that records its arguments).
+    ``cached_index_rows`` fills whole tables."""
     taus = np.asarray(taus, dtype=float)
     I = float(k.I[0])
     w = np.where(taus <= 0.0, I, 0.0)
     inner = (taus > 0.0) & (taus < tau_star)
     if inner.any():
-        x = _omega_scan(k.take(np.zeros(np.count_nonzero(inner), np.intp)), taus[inner], omega)
+        x = _omega_gaps(k.take(np.zeros(np.count_nonzero(inner), np.intp)), taus[inner], omega)
         w[inner] = np.minimum(k.p[0] * k.c_alam[0] * gap_value(np.maximum(x, 0.0)), I)
     return w
 
@@ -166,18 +169,19 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     and the 0 sentinel, given the contents' ``C_h = 0`` thresholds
     ``tau_star`` and ``q_star`` and their uncached breakpoints (``bps``,
     flat, ``counts[i]`` of them for content i); and how many grid points
-    went to the full scan and how many evaluated their guard.
+    the first probe left to the search and how many evaluated their guard.
 
     At tau the index W is the C_h whose serve threshold is tau, and
     ``Q_bar`` there is ``c = Q_star + #{j : tau < tau_bar(b_j)}`` over the
     breakpoints b_j (``Q_bar`` steps up at each b_j while ``tau_bar``
     falls).  Only candidate c is evaluated where it hits its cell away
-    from the lower edge, and the guard c-1 with it at the edge; a point
-    that the pair does not decide (``thresholds.window_consistent``) goes
-    to the full scan, so a wrong prediction costs time, never a value.
+    from the lower edge, and the guard c-1 with it at the edge or where
+    c lies below its cell; the other points go on to
+    ``thresholds.search_candidates`` from that pair, so a wrong
+    prediction costs time, never a value.
 
     The pair is exact because the Wright-omega form has the structure
-    of ``thresholds.case2_batch``: with ``L_Q(x) = B_Q*x + A_Q - C*e^-x``,
+    of ``thresholds.case2``: with ``L_Q(x) = B_Q*x + A_Q - C*e^-x``,
     strictly increasing in x, ``L_{Q+1}(x) = L_Q(x) + (c_w/(p*beta))*(v(x)
     - (Q+1))`` where ``v(x) = p*beta*c_a*lam*(tau + x/beta)/c_w``.  Moving
     x by ``a/p`` (``a = c_w/(c_a*lam)``) moves v by 1, and
@@ -186,9 +190,13 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     decreasing.  Where Q+1 is admissible too its step is at least
     ``v_Q/(Q + 2 + p*beta*tau)``; next to a cell (``v_Q`` near Q, Q >= 1)
     that is about ``1/(2 + p*beta*tau)``, far above the near tolerance.
-    And as in ``case2_batch``, ``L_{Q+1} = L_Q`` where ``v = Q+1``, so
+    And as in ``case2``, ``L_{Q+1} = L_Q`` where ``v = Q+1``, so
     candidate Q lies above its cell exactly when Q+1 lies at or above
-    its own.
+    its own, and the roots are admissible (``x >= 0``) where ``L_Q(0) <=
+    0``, whose steps ``L_{Q+1}(0) - L_Q(0) = (c_w/(p*beta))*(v(0) -
+    (Q+1))`` fall with Q: the inadmissible candidates form one run, with
+    the candidates before it above their cells, so P holds on a prefix
+    of the candidates as it does for case 2.
 
     The guard is needed only at the edge: a hit ``v_c >= c`` gives
     ``L_{c-1}(x_c) = -(c_w/(p*beta))*(v_c - c) <= 0``, so ``x_{c-1} >=
@@ -222,7 +230,7 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
     below = np.clip(np.ceil(t) - 1.0, 0, GRID_SIZE - 1).astype(np.intp)
     ends = np.cumsum(counts)
     top = (q_star + counts).astype(float)
-    full = guards = 0
+    searched = guards = 0
     for lo in range(0, n, CHUNK_CONTENTS):
         ids = slice(lo, min(lo + CHUNK_CONTENTS, n))
         size = ids.stop - lo
@@ -234,42 +242,47 @@ def cached_index_rows(k: ContentConstants, tau_star: np.ndarray, q_star: np.ndar
             (idx[js] - lo) * GRID_SIZE + below[js], minlength=size * GRID_SIZE
         ).reshape(size, GRID_SIZE)[:, :-1].cumsum(1, dtype=float)
         kc = ContentConstants(k.beta, k.rows[:, ids], k.q_hat[ids])
-        x, (n_full, n_guard) = _cached_gaps(kc, tau, c)
-        full += n_full
+        x, (n_searched, n_guard) = _cached_gaps(kc, tau, c)
+        searched += n_searched
         guards += n_guard
         np.minimum(kc.pc[:, None] * gap_value(np.maximum(x, 0.0)), kc.I[:, None],
                    out=w[ids, 1:-1])
-    return w, (full, guards)
+    return w, (searched, guards)
 
 
 def _cached_gaps(k: ContentConstants, tau: np.ndarray,
                  c: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """The gap x of the cached index at each serve threshold ``tau[i]`` of
-    content i of ``k``, from the predicted ``Q_bar`` ``c`` (nonincreasing
-    along each row) and, next to its cell's lower edge, its guard (see
-    ``cached_index_rows``); and how many taus it left to the full scan,
-    one ``_omega_scan`` of them all, and how many evaluated their guard."""
+    content i of ``k``, by the search from the predicted ``Q_bar`` ``c``
+    (nonincreasing along each row) and, where its edge margin asks for
+    it, its guard (see ``cached_index_rows``); and how many taus that
+    first probe left to the search, and how many evaluated their guard."""
     rows = tuple(a[:, None] for a in (k.p, k.c_alam, k.c_f, k.c_w))
-    guards = 0
-    x, v, decided = _omega_candidates(*rows, k.beta, tau, c, wright_omega)
-    v -= c
-    decided &= (v >= 0.0) & (v < 1.0)  # the candidate hits its cell
+    x, v, ok = _omega_candidates(*rows, k.beta, tau, c, wright_omega)
     # the margin, at its largest along each row: 1e-6 of v's size and
     # 1e-12 of p*beta*c_f/c_w, which bounds the rounding of x's terms in v
     margin = 1e-6 * (c[:, 0] + 1.0 + k.r * tau[:, -1]) + 1e-12 * k.r_cw * k.c_f
-    near = decided & (c > 0.0) & (v < margin[:, None])
-    if near.any():
-        near = near.nonzero()
-        q = np.stack([c[near] - 1.0, c[near]])  # the guard, then the candidate
-        _, vg, okg = _omega_candidates(*(a[near[0], 0] for a in rows), k.beta, tau[near],
-                                       q[0], wright_omega)
-        decided[near] = window_consistent(np.stack([vg, v[near] + q[1]]), q,
-                                          np.stack([okg, np.ones(q.shape[1], bool)]))
-        guards = q.shape[1]
-    rest = (~decided).nonzero()
-    if rest[0].size:
-        x[rest] = _omega_scan(k.take(rest[0]), tau[rest], wright_omega)
-    return x, (rest[0].size, guards)
+    f = v - c
+    # a hit that far above its cell's lower edge has its guard above its
+    # own, as has a hit at 0: the probe decides it alone
+    rest = ~(ok & (f >= 0.0) & (f < 1.0) & ((c == 0.0) | (f >= margin[:, None])))
+    rest = rest.ravel().nonzero()[0]
+    if not rest.size:
+        return x, (0, 0)
+    kr = k.take(rest // c.shape[1])
+    tau, c, xr, v, ok = (a.ravel()[rest] for a in (tau, c, x, v, ok))
+    above = ~ok | (v >= c + 1.0)  # P at c
+    guard = (~above & (c > 0.0)).nonzero()[0]
+    # the guard's arrays where it is evaluated; elsewhere it reads as
+    # inadmissible, which holds P, as the guard of a candidate above its
+    # cell, or of candidate 0, does
+    at = [np.zeros(c.size), np.zeros(c.size), np.zeros(c.size, dtype=bool)]
+    if guard.size:
+        for a, b in zip(at, _omega_rows(kr, tau, wright_omega)(guard, c[guard][None] - 1.0)):
+            a[guard] = b[0]
+    np.put(x, rest, _omega_gaps(kr, tau, wright_omega, (c - 1.0, c), list(zip(at, (xr, v, ok)))))
+    holds = ~at[2] | (at[1] >= c)  # P at the guard
+    return x, (int(np.count_nonzero(~holds | above)), guard.size)
 
 
 def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
@@ -294,8 +307,9 @@ def _bisect(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray, int]:
     I)``: ``Q_bar(root - d) <= q < Q_bar(root + d)``.  As ``Q_bar`` is
     nondecreasing in C_h, the jump that case 2 reads then lies within d of
     the root.  A pair whose band is not confirmed takes the midpoint that
-    ``_plain_bisection`` leaves, asking ``case2``.  ``checks.table_window``
-    holds every breakpoint to the same bisection by the full scan."""
+    ``_plain_bisection`` leaves.  ``checks.table_window`` holds every
+    breakpoint to that bisection, or to its band by the search from
+    candidate 0."""
     b, plain = np.empty(len(q)), np.ones(len(q), dtype=bool)
     if len(q):
         root, err = breakpoint_estimate(k, q)
@@ -309,18 +323,18 @@ def _bisect(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray, int]:
         except ConsistencyError:
             pass  # every pair runs the plain bisection, which raises where it must
     j = plain.nonzero()[0]
-    b[j] = _plain_bisection(k.take(j), q[j], case2)
+    b[j] = _plain_bisection(k.take(j), q[j])
     return b, j.size
 
 
-def _plain_bisection(k: ContentConstants, q: np.ndarray, solve) -> np.ndarray:
+def _plain_bisection(k: ContentConstants, q: np.ndarray) -> np.ndarray:
     """The midpoint of the bracket that ``BISECT_ITERS`` halvings of
-    ``[0, I]`` leave around each pair's breakpoint, asking ``solve``
-    (``case2``, or ``case2_batch`` in ``checks``' reference) for ``Q_bar``."""
+    ``[0, I]`` leave around each pair's breakpoint, asking ``case2`` for
+    ``Q_bar``."""
     lo, hi = np.zeros(len(q)), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
     for _ in range(BISECT_ITERS if len(q) else 0):
         mid = 0.5 * (lo + hi)
-        above = solve(mid, k)[2] > q
+        above = case2(mid, k)[2] > q
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return 0.5 * (lo + hi)
@@ -592,7 +606,7 @@ class BuildCounts(NamedTuple):
     records it: its seconds, and the work of its two solvers."""
 
     seconds: float
-    full_width: int  # grid points that the pair left to the full scan
+    searched: int    # grid points that the first probe and its guard left to the search
     guards: int      # grid points that evaluated their guard
     fallback: int    # breakpoints whose band case2 did not confirm: the plain bisection's
 
@@ -606,7 +620,7 @@ def build_index_tables(contents: Sequence[ContentParams], beta: float,
     evaluate an index: no breakpoints, and rows ``[I, 0]``."""
     start = time.perf_counter()
     k = content_constants(contents, beta)
-    tau_star, _, q_star, _ = zero_holding_batch(k)
+    tau_star, _, q_star, _ = case2(np.zeros(k.I.size), k)
     n = len(tau_star)
     if indices:
         bps, counts, fallback = _breakpoints(k, q_star)

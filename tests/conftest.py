@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from aovcache._ckernel import wright_omega
 from aovcache.checks import bits_differ
 from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
+from aovcache.thresholds import (_NEAR, ConsistencyError, _gaps, _quadratic, content_constants,
+                                 gap_value)
+from aovcache.whittle import BISECT_ITERS, GRID_SIZE, _groups, _omega_candidates, grid_taus
 
 
 UNIT = ContentParams(lam=1.0, p=1.0, costs=CostModel(c_a=1.0, c_f=1.0, c_w=0.5))
@@ -86,3 +90,104 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape
     differ = bits_differ(a, b)
     assert not differ.any(), f"{differ.sum()} differ, first at {np.flatnonzero(differ)[:5]}"
+
+
+# -- the tests' reference: a plain scan of every queue candidate -----------
+
+
+def first_consistent(v, q, ok):
+    """Column of the first admissible (``ok``) queue candidate ``q`` whose
+    floor argument ``v`` hits its cell, ``floor(v) == q``, per row, the
+    candidates on the last axis; where none hits, the candidate nearest
+    its cell, within ``1e-9*(q+1)``.  Also returns each row's distance:
+    -1 where a candidate hits, the taken candidate's distance outside its
+    cell where none hits, and inf (column 0) where none is near."""
+    hit = ok & (np.floor(v) == q)
+    any_hit = hit.any(-1)
+    if any_hit.all():
+        return hit.argmax(-1), np.full(any_hit.shape, -1.0)
+    dist = np.where(ok, np.maximum(q - v, v - (q + 1.0)), np.inf)
+    near = np.where(dist < _NEAR * (q + 1.0), dist, np.inf)
+    col = np.where(any_hit, hit.argmax(-1), near.argmin(-1))
+    return col, np.where(any_hit, -1.0, near.min(-1))
+
+
+def scan_candidates(evaluate, top: np.ndarray, block: int = 1 << 16):
+    """``first_consistent``'s pick among the candidates ``0..top[i]`` of
+    each row i, in blocks of about ``block`` elements over the rows still
+    scanned, so that its memory stays bounded however large ``top`` is.
+    ``evaluate(rows, q)`` is ``thresholds.search_candidates``' evaluator;
+    returns what the search returns.  A row leaves at its first hit or
+    past its ``top``; one with no hit takes the first minimum over all
+    blocks, which is what one scan of every candidate picks."""
+    pick = np.zeros(top.size, dtype=np.int64)
+    best = np.full(top.size, np.inf)
+    at = None  # the evaluator's leading arrays at each row's pick
+    live = np.arange(top.size)  # rows without a hit whose candidates go on
+    lo, end = 0, top.max(initial=0) + 1
+    # one block at least, which makes ``at`` for no rows too
+    while (live := live[top[live] >= lo]).size or at is None:
+        q = np.arange(lo, min(lo + max(block // max(live.size, 1), 1), end), dtype=float)[:, None]
+        *values, v, ok = evaluate(live, q)
+        col, dist = first_consistent(v.T, q.T, (ok & (q <= top[live])).T)
+        at = at or tuple(np.zeros(top.size, a.dtype) for a in values)
+        take = dist < best[live]
+        block_at, rows = (col[take], take.nonzero()[0]), live[take]
+        for out, a in zip(at, values):
+            out[rows] = a[block_at]
+        pick[rows], best[rows] = block_at[0] + lo, dist[take]
+        live, lo = live[dist >= 0.0], lo + len(q)
+    return pick, best, at
+
+
+def scan_case2(C_h, k):
+    """Case 2's ``(tau_bar, tau_tilde, Q_bar, theta)`` at ``C_h`` broadcast
+    against the contents of ``k``, by the scan of every candidate
+    ``0..Q_hat+2``: the reference for ``thresholds.case2``, which raises
+    ``ConsistencyError`` where it does."""
+    C_h = np.asarray(C_h, dtype=float)
+    g, xb = _gaps(C_h, k)
+    shape = g.shape
+    kr = k.take(np.broadcast_to(np.arange(k.q_hat.size), shape).ravel())
+    g, xb = g.ravel(), xb.ravel()
+    qb, dist, (tb, tt) = scan_candidates(
+        lambda rows, q: _quadratic(g[rows], xb[rows], kr.take(rows), q), kr.top)
+    if not np.isfinite(dist).all():
+        raise ConsistencyError("no floor-consistent Q_bar")
+    tt = tt.reshape(shape)
+    return tb.reshape(shape), tt, qb.reshape(shape), k.rc * tt
+
+
+def scan_omega(k, tau: np.ndarray) -> np.ndarray:
+    """The gap x of the cached index of content i of ``k`` at serve
+    threshold ``tau[i]``, by the scan of every candidate ``0..Q_hat+2``."""
+    _, dist, (x,) = scan_candidates(
+        lambda rows, q: _omega_candidates(k.p[rows], k.c_alam[rows], k.c_f[rows], k.c_w[rows],
+                                          k.beta, tau[rows], q, wright_omega), k.top)
+    if not np.isfinite(dist).all():
+        raise ConsistencyError("no floor-consistent Q_bar")
+    return x
+
+
+def scan_tables(system: SystemParams) -> tuple[np.ndarray, ...]:
+    """``(tau_star, Q_star, breakpoints, w_of_tau)`` of the system's index
+    tables from the scan of every candidate alone: the ``C_h = 0``
+    thresholds, each uncached breakpoint from the plain 60-step bisection
+    asking the scan for ``Q_bar``, and each cached-index row between the
+    ceiling I and the 0 sentinel at the content's grid points."""
+    k = content_constants(system.contents, system.beta)
+    tau_star, _, q_star, _ = scan_case2(0.0, k)
+    idx, j = _groups(np.maximum(k.q_hat - q_star, 0))
+    kp, q = k.take(idx), q_star[idx] + j
+    lo, hi = np.zeros(len(q)), kp.I.copy()
+    for _ in range(BISECT_ITERS if len(q) else 0):
+        mid = 0.5 * (lo + hi)
+        above = scan_case2(mid, kp)[2] > q
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    w_of_tau = np.empty((k.I.size, GRID_SIZE + 1))
+    w_of_tau[:, 0], w_of_tau[:, -1] = k.I, 0.0
+    for i, t in enumerate(tau_star.tolist()):
+        x = scan_omega(k.take(np.full(GRID_SIZE - 1, i)), grid_taus(t))
+        w_of_tau[i, 1:-1] = np.minimum(k.pc[i] * gap_value(np.maximum(x, 0.0)), k.I[i])
+    return tau_star, q_star, 0.5 * (lo + hi), w_of_tau

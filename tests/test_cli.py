@@ -452,6 +452,31 @@ class TestLowerBoundAndCompare:
                          for s in (-1e-12, 1e-12)]
             assert occupancy[0] > m > occupancy[1]
 
+    def test_desk_compare_prints_the_bound_occupancy(self, tmp_path):
+        # compare's five columns stay as they were, and its sixth is the
+        # occupancy that lower-bound prints, one bound per distinct M
+        cfg = str(CONFIGS / "desk.json")
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("axis_value,policy,replication,avg_cost\n"
+                           "25,whittle,0,1.2\n25,whittle,mean,1.12\n"
+                           "25,myopic,mean,150.5\n90,whittle,mean,0.7\n")
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp"),
+                     "--metrics", str(metrics)]) == 0
+        assert main(["lower-bound", "--config", cfg, "--out", str(tmp_path / "lb"),
+                     "--m-values", "25,90"]) == 0
+        bound = {r["M"]: r for r in read_csv(tmp_path / "lb" / "lower_bound.csv")}
+        rows = read_csv(tmp_path / "cmp" / "compare.csv")
+        assert list(rows[0]) == ["M", "policy", "avg_cost", "bound", "relative_gap",
+                                 "occupancy"]
+        assert [(r["M"], r["policy"], r["avg_cost"]) for r in rows] == [
+            ("25", "whittle", "1.12"), ("25", "myopic", "150.5"), ("90", "whittle", "0.7")]
+        for r in rows:
+            assert (r["bound"], r["occupancy"]) == (bound[r["M"]]["bound"],
+                                                    bound[r["M"]]["occupancy"])
+            cost, b = float(r["avg_cost"]), float(r["bound"])
+            assert float(r["relative_gap"]) == pytest.approx((cost - b) / b, rel=1e-6)
+        assert [r["occupancy"] for r in rows] == ["25", "25", "82.528864217"]
+
     @pytest.mark.parametrize("section, key, value, N, M", [
         ("system", "lambda", 1e-9, 50, 10), ("costs", "c_a", 1e-12, 50, 10),
         # Q_hat runs to 421,673 here, but the bound's evaluations and
@@ -616,7 +641,8 @@ class TestVerifyCmd:
                          r"7 differ from numpy's PCG64\)$", out, re.MULTILINE)
         assert re.search(r"^PASS  table-window  ", out, re.MULTILINE)
         assert re.search(r"^PASS  dual-window  \(0 of \d+ values at 61 holding costs differ from "
-                         r"the full-width scan\)$", out, re.MULTILINE)
+                         r"the search from candidate 0 or fail its certificate\)$", out,
+                         re.MULTILINE)
         assert re.search(r"^PASS  simulation-determinism  \(reference vs (compiled|reference) "
                          r"loop, 8 policy/mode pairs\)$", out, re.MULTILINE)
 
@@ -758,7 +784,7 @@ class TestBuildCounts:
         assert b["seconds"] > 0.0
         # every breakpoint is its band-checked root: the band check's two
         # case2 rounds, not the plain bisection's 60
-        assert b["full_width"] == b["fallback"] == 0
+        assert b["searched"] == b["fallback"] == 0
         assert b["guards"] <= 0.01 * n * (GRID_SIZE - 1)
 
     @pytest.mark.parametrize("argv, runs", [

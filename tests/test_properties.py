@@ -16,33 +16,31 @@ from hypothesis import strategies as st
 
 from aovcache import thresholds
 from aovcache._ckernel import wright_omega
-from aovcache.checks import misplaced_breakpoints, reference_tables
+from aovcache.checks import misplaced_breakpoints
 from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
 from aovcache.policies import dual_value, relaxed_lower_bound
 from aovcache.thresholds import (
     ConsistencyError,
-    case2_batch,
     case2_candidates,
     content_constants,
-    first_consistent,
     gap_value,
     relaxed_batch,
+    search_candidates,
     solve_gap,
     solve_thresholds,
-    window_consistent,
 )
 from aovcache.whittle import (
     Q_STAR,
     TAU_STAR,
     _cached_gaps,
     _omega_candidates,
-    _omega_scan,
     build_content_tables,
     build_index_tables,
     whittle_cached,
     whittle_uncached,
 )
-from conftest import BELOW_I_SYSTEMS, assert_same_bits
+from conftest import (BELOW_I_SYSTEMS, assert_same_bits, below_i_system, first_consistent,
+                      scan_candidates, scan_case2, scan_omega, scan_tables)
 
 TOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -187,12 +185,14 @@ def test_occupancy_is_the_slope_of_theta(cb, frac):
     assert occupancy > 0.0  # finite, and positive at C_h = 0 too
     if ch < 1e-3 * I:
         return  # the slope of occupancy grows like C_h^-1/2 towards 0
-    # five-point central difference of theta, where no Q_bar jump or I lies
-    # within the stencil; theta carries rounding of ~1e-12 relative, hence
-    # the second term
-    h = 3e-3 * ch
+    # five-point central difference of theta, where no Q_bar jump lies
+    # within the stencil; its step shrinks with the distance to I, towards
+    # which the slope of occupancy grows too (at 0.992 I, a step of 3e-3 C_h
+    # is off by 2.4e-5 where 1e-4 C_h is off by 3e-11); theta carries
+    # rounding of ~1e-12 relative, hence the second term
+    h = 3e-3 * min(ch, I - ch)
     xs = ch + h * np.array([-2.0, -1.0, 1.0, 2.0])
-    if xs[-1] >= I or np.ptp(case2_batch(xs[:, None], k)[2]) != 0:
+    if np.ptp(scan_case2(xs[:, None], k)[2]) != 0:
         return
     t = relaxed_batch(xs, k).theta  # four C_h of one content, broadcast
     central = (t[0] - 8.0 * t[1] + 8.0 * t[2] - t[3]) / (12.0 * h)
@@ -222,24 +222,38 @@ def holding_costs(c, beta, fracs) -> tuple:
 @given(cb=contents(ratio_lo=1.0, ratio_hi=400.0),
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_case2_window_matches_full_scan(cb, fracs):
-    # every pair of a guard and the candidate above it, wherever it sits,
-    # either defers or names the column of the full scan, and some pair
-    # decides every row where the scan's candidate hits its cell
+    # the search from every first probe, a guard and the candidate above
+    # it wherever it sits, names the full scan's column; and the pair at
+    # the scan's column decides, without another evaluation, every row
+    # where the scan's candidate hits its cell
     c, beta = cb
     k, ch = holding_costs(c, beta, fracs)
     q = np.arange(-1.0, int(k.q_hat[0]) + 3)
     _, _, v, ok = case2_candidates(ch, k, q)
-    col = first_consistent(v[:, 1:], q[1:], ok[:, 1:])[0]
+    col, dist = first_consistent(v[:, 1:], q[1:], ok[:, 1:])
     full = q[1:][col]
-    hits = np.take_along_axis(ok[:, 1:] & (np.floor(v[:, 1:]) == q[1:]), col[:, None], 1)[:, 0]
-    decided_any = np.zeros(len(ch), dtype=bool)
-    for g in range(len(q) - 1):
-        pair = slice(g, g + 2)
-        decided = window_consistent(v[:, pair].T, np.broadcast_to(q[pair, None], (2, len(ch))),
-                                    ok[:, pair].T)
-        assert (full[decided] == q[g + 1]).all()
-        decided_any |= decided
-    assert decided_any[hits].all()
+    kk = k.take(np.zeros(len(ch), dtype=np.int64))
+    g, xb = thresholds._gaps(ch, kk)
+
+    def evaluate(rows, q):
+        return thresholds._quadratic(g[rows], xb[rows], kk.take(rows), q)
+
+    every = case2_candidates(ch, k, q)
+    found = np.isfinite(dist)
+    for j in range(len(q) - 1):
+        pair = np.broadcast_to(q[j:j + 2, None], (2, len(ch)))
+        pick, d, _ = search_candidates(evaluate, kk.top, pair,
+                                       [a[:, j:j + 2].T.copy() for a in every])
+        assert_same_bits(d, dist)
+        assert (pick[found] == full[found]).all()
+
+    def unused(rows, q):
+        raise AssertionError("the pair did not decide")
+
+    hits = np.flatnonzero(dist == -1.0)
+    pair = np.stack([full - 1.0, full])[:, hits]
+    at = [a.T for a in case2_candidates(ch[hits], kk.take(hits), pair.T)]
+    assert (search_candidates(unused, kk.top[hits], pair, at)[0] == full[hits]).all()
 
 
 def displaced_estimates(q_bar):
@@ -269,11 +283,11 @@ def test_bisection_step_matches_full_scan(cb, fracs):
     # ConsistencyError, so must the pairs
     c, beta = cb
     k, ch = holding_costs(c, beta, fracs)
-    q_star = int(case2_batch(0.0, k)[2][0])
+    q_star = int(scan_case2(0.0, k)[2][0])
     q = np.arange(q_star, int(k.q_hat[0]))
     ch, q = (a.ravel() for a in np.meshgrid(ch, q))
     kp = k.take(np.zeros(len(q), dtype=np.int64))
-    full = full_or_error(case2_batch, ch, kp)
+    full = full_or_error(scan_case2, ch, kp)
     q_bar = np.zeros(len(q)) if full is None else full[2]
     for estimate in displaced_estimates(q_bar):
         with mock.patch.object(thresholds, "_q_bar_estimate", estimate):
@@ -293,11 +307,11 @@ def test_cached_window_matches_full_width(cb, fracs):
     c, beta = cb
     k, _ = holding_costs(c, beta, [])
     ts = solve_thresholds(c, beta, 0.0)
-    tbar = case2_batch(np.array(build_content_tables(c, beta).breakpoints), k)[0]
+    tbar = scan_case2(np.array(build_content_tables(c, beta).breakpoints), k)[0]
     tau = np.concatenate([np.array(fracs) * ts.tau_star,
                           ulp_neighbours(tbar, 1e-300, ts.tau_star)])
     tau = tau[(tau > 0.0) & (tau < ts.tau_star)][None, :]
-    full = _omega_scan(k.take(np.zeros(tau.size, np.intp)), tau[0], wright_omega)[None]
+    full = scan_omega(k.take(np.zeros(tau.size, np.intp)), tau[0])[None]
     for col in range(ts.Q_hat + 3):
         x, _ = _cached_gaps(k, tau, np.full(tau.shape, float(col)))
         assert_same_bits(x, full)
@@ -308,7 +322,7 @@ def test_cached_window_matches_full_width(cb, fracs):
        tau_frac=st.floats(1e-6, 1.0 - 1e-6))
 def test_excess_strictly_decreasing(cb, frac, tau_frac):
     # f_q = v_q - q falls between admissible neighbours, by the margins
-    # that case2_batch and cached_index_rows prove
+    # that case2 and cached_index_rows prove
     c, beta = cb
     k = content_constants((c,), beta)
     q = np.arange(int(k.q_hat[0]) + 3.0)
@@ -474,7 +488,7 @@ def test_thresholds_ordered_over_the_box(costs, alpha):
     beta, c_a, c_f, c_w, lam = (10.0 ** c for c in costs)
     k = content_constants([ContentParams(lam=lam, p=p, costs=CostModel(c_a, c_f, c_w))
                            for p in zipf_popularity(5, alpha).tolist()], beta)
-    tau_star, _, q_star, _ = thresholds.zero_holding_batch(k)
+    tau_star, _, q_star, _ = thresholds.case2(np.zeros(5), k)
     for frac in (0.0, 0.3, 0.7, 0.999):
         tb, tt, qb, _, _ = relaxed_batch(frac * k.I, k)
         for low, high in ((tb, tau_star), (tau_star, tt), (tt, k.tau0)):
@@ -513,7 +527,7 @@ def test_bound_over_the_box(costs, alpha):
 @given(system=box_systems(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 def test_windowed_evaluation_matches_full_width(system, fracs):
     # relaxed_batch off pairs of candidates against relaxed_batch with
-    # case 2 solved by the full scan, case2_batch: every field bit for bit,
+    # case 2 solved by the full scan, scan_case2: every field bit for bit,
     # at 0, at the smallest and the largest I and their neighbours and at
     # fractions of max I, with pairs placed by the estimate and far or a
     # few off it; where the full scan raises ConsistencyError, so must the
@@ -522,7 +536,7 @@ def test_windowed_evaluation_matches_full_width(system, fracs):
     hi = float(k.I.max())
     edges = ulp_neighbours([float(k.I.min()), hi], 0.0, 2.0 * hi)
     for ch in [0.0, *edges, *(f * hi for f in fracs)]:
-        with mock.patch.object(thresholds, "case2", case2_batch):
+        with mock.patch.object(thresholds, "case2", scan_case2):
             full = full_or_error(relaxed_batch, ch, k)
         # the estimate sees the contents below their I
         under = ch < k.I
@@ -550,7 +564,7 @@ def test_index_tables_match_full_width(system):
     # ill-conditioned draws too, where bands fail their check and hits sit
     # at their cell's edge; where the full scan raises ConsistencyError, so
     # must they
-    full = full_or_error(reference_tables, system)
+    full = full_or_error(scan_tables, system)
     if full is None:
         with pytest.raises(ConsistencyError):
             build_index_tables(system.contents, system.beta)
@@ -561,3 +575,76 @@ def test_index_tables_match_full_width(system):
     assert_same_bits(tables.cdbl[:, TAU_STAR], tau_star)
     assert (tables.cint[:, Q_STAR] == q_star).all()
     assert not misplaced_breakpoints(tables, bps).any()
+
+
+def ulps_around(xs, n: int) -> np.ndarray:
+    """Each x and its neighbours up to ``n`` ulps either side."""
+    out = [np.asarray(xs, dtype=float)]
+    for direction in (-np.inf, np.inf):
+        x = out[0]
+        for _ in range(n):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def assert_prefix_and_scan_pick(evaluate, top: np.ndarray):
+    # P(q) = q <= top and (not ok or v >= q+1) is true on a prefix of
+    # 0..top+1 of every row, and the search from candidate 0 picks what
+    # the scan of every candidate picks, bit for bit
+    q = np.arange(top.max(initial=-1.0) + 2.0)[:, None]
+    *_, v, ok = evaluate(np.arange(top.size), q)
+    holds = (q <= top) & (~ok | (v >= q + 1.0))
+    assert not (~holds[:-1] & holds[1:]).any()
+    pick, dist, values = search_candidates(evaluate, top)
+    scan_pick, scan_dist, scan_values = scan_candidates(evaluate, top)
+    assert (pick == scan_pick).all()
+    assert_same_bits(dist, scan_dist)
+    for a, b in zip(values, scan_values, strict=True):
+        assert_same_bits(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(system=box_systems(max_n=5), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       tau_fracs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4))
+@example(system=below_i_system("A"), fracs=[0.5], tau_fracs=[0.5])
+@example(system=below_i_system("B"), fracs=[0.5], tau_fracs=[0.5])
+@example(system=below_i_system("C"), fracs=[0.5], tau_fracs=[0.5])
+def test_candidates_above_their_cells_form_a_prefix(system, fracs, tau_fracs):
+    # the fact the search rests on (thresholds.case2 proves it), for case
+    # 2's quadratic at fractions of each content's I, at up to four of its
+    # breakpoints and 3 ulps either side, and 1 and 2 ulps below its I;
+    # and for the Wright-omega form at fractions of tau_star and at those
+    # breakpoints' serve thresholds and 3 ulps either side
+    k = content_constants(system.contents, system.beta)
+    try:
+        content = build_index_tables(system.contents, system.beta)[0].content
+    except ConsistencyError:
+        content = ()
+    bps = [np.array(t.breakpoints) for t in content] or [np.empty(0)] * len(k.I)
+    bps = [b[np.unique(np.linspace(0, len(b) - 1, 4).astype(int))] if len(b) else b for b in bps]
+    ch, idx = [], []
+    for i, (I, b) in enumerate(zip(k.I.tolist(), bps)):
+        below = np.nextafter(I, 0.0)
+        c = np.concatenate([np.array(fracs) * I, ulps_around(b, 3),
+                            [below, np.nextafter(below, 0.0)]])
+        c = c[(c >= 0.0) & (c < I)]
+        ch.append(c)
+        idx.append(np.full(c.size, i))
+    ch, kc = np.concatenate(ch), k.take(np.concatenate(idx))
+    g, xb = thresholds._gaps(ch, kc)
+    assert_prefix_and_scan_pick(
+        lambda rows, q: thresholds._quadratic(g[rows], xb[rows], kc.take(rows), q), kc.top)
+    tau, idx = [], []
+    for i, (t, b) in enumerate(zip(content, bps)):
+        serve = scan_case2(b, k.take(np.full(b.size, i)))[0] if b.size else b
+        x = np.concatenate([np.array(tau_fracs) * t.tau_star, ulps_around(serve, 3)])
+        x = x[(x > 0.0) & (x < t.tau_star)]
+        tau.append(x)
+        idx.append(np.full(x.size, i))
+    if content:
+        tau, kt = np.concatenate(tau), k.take(np.concatenate(idx))
+        assert_prefix_and_scan_pick(
+            lambda rows, q: _omega_candidates(kt.p[rows], kt.c_alam[rows], kt.c_f[rows],
+                                              kt.c_w[rows], kt.beta, tau[rows], q, wright_omega),
+            kt.top)

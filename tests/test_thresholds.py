@@ -11,7 +11,6 @@ from scipy.special import lambertw
 from aovcache import _ckernel, checks, thresholds
 from aovcache.model import ContentParams, CostModel, zipf_popularity
 from aovcache.thresholds import (
-    case2_batch,
     case2_candidates,
     content_constants,
     gap_value,
@@ -22,7 +21,7 @@ from aovcache.thresholds import (
 )
 from aovcache.whittle import _omega_candidates, build_content_tables, build_index_tables
 from conftest import (BELOW_I_SYSTEMS, assert_same_bits, below_i_system, desk_system,
-                      random_content)
+                      first_consistent, random_content, scan_case2)
 
 
 def brute_serve_wait_fetch(beta, lam, c_a, c_f, c_w, q_max=60):
@@ -228,7 +227,7 @@ class TestBundle:
         x = 1e-9 * float(k.tau0[0])
         assert x - 1.0 + math.exp(-x) == 0.0
         assert k.I[0] == gap_value(x) > 0.0
-        tau_star = case2_batch(0.0, k)[0][0]
+        tau_star = scan_case2(0.0, k)[0][0]
         assert tau_star > 0.0
         assert relaxed_batch(0.0, k).tau_bar[0] == tau_star
         assert zero_holding_thresholds(k)[0].tau_star == tau_star
@@ -260,8 +259,8 @@ class TestBundle:
 def test_pair_decides_a_hit_whose_guard_is_near_its_boundary():
     # just past each Q_bar jump of desk's contents, candidate Q hits its
     # cell and its guard Q-1 lies above its own by less than the near
-    # tolerance: the pair decides those rows, and case2 reads the full
-    # scan's bits there
+    # tolerance: as the search's first probe, the pair decides those rows
+    # without another evaluation, and case2 reads the full scan's bits there
     system = desk_system()
     k = content_constants(system.contents, system.beta)
     bps = [c.breakpoints for c in build_index_tables(system.contents, system.beta)[0].content]
@@ -271,15 +270,21 @@ def test_pair_decides_a_hit_whose_guard_is_near_its_boundary():
         steps.append(np.nextafter(steps[-1], np.inf))
     ch = np.concatenate(steps)
     kk = k.take(np.tile(np.repeat(np.arange(system.N), [len(x) for x in bps]), len(steps)))
-    full = case2_batch(ch, kk)
+    full = scan_case2(ch, kk)
     q = full[2].astype(float)
-    _, _, v, ok = case2_candidates(ch, kk, np.stack([q - 1.0, q], 1))
-    v, ok, pair = v.T, ok.T, np.stack([q - 1.0, q])
+    at = [a.T for a in case2_candidates(ch, kk, np.stack([q - 1.0, q], 1))]
+    v, ok, pair = at[2], at[3], np.stack([q - 1.0, q])
     hit = ok[1] & (np.floor(v[1]) == q)
     near = (q >= 1.0) & ok[0] & (v[0] >= q) & (v[0] - q < thresholds._NEAR * q)
     rows = np.flatnonzero(hit & near)
     assert rows.size > ch.size // 2
-    assert thresholds.window_consistent(v, pair, ok)[rows].all()
+
+    def unused(rows, q):
+        raise AssertionError("the pair did not decide")
+
+    pick, dist, _ = thresholds.search_candidates(unused, kk.top[rows], pair[:, rows],
+                                                 [a[:, rows] for a in at])
+    assert (pick == q[rows]).all() and (dist == -1.0).all()
     for a, b in zip(thresholds.case2(ch[rows], kk.take(rows)), full):
         assert_same_bits(a, b[rows])
 
@@ -303,10 +308,9 @@ def test_case2_one_and_two_ulps_below_I(name):
 
 def test_last_resort_scans_in_bounded_memory():
     # Zipf alpha = 1 over 15 contents whose Q_hat runs to 11.2M: at
-    # C_h = 0.999 I the scan of every candidate 0..Q_hat+2 by case2_batch,
-    # case2's last resort and the checks' reference, would take ~0.7 GB an
-    # array; it goes in blocks, and answers within 64 MB what case2 reads
-    # off its pairs
+    # C_h = 0.999 I the tests' scan of every candidate 0..Q_hat+2 would
+    # take ~0.7 GB an array; it goes in blocks, and answers within 64 MB
+    # what case2's search reads
     cm = CostModel(3.60, 5.51e4, 1.14e-6)
     contents = [ContentParams(lam=3.72e5, p=float(p), costs=cm)
                 for p in zipf_popularity(15, 1.0)]
@@ -314,7 +318,7 @@ def test_last_resort_scans_in_bounded_memory():
     assert k.q_hat.max() > 11_000_000
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        full = case2_batch(0.999 * k.I, k)
+        full = scan_case2(0.999 * k.I, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,54 +328,76 @@ def test_last_resort_scans_in_bounded_memory():
 
 
 def scan_rows():
-    """Rows of the shared scan's two evaluators over 6 desk contents,
-    whose ``Q_hat`` differ: case 2's quadratic at holding costs across
-    ``[0, I)``, and the Wright-omega form of the cached index at serve
-    thresholds across ``(0, tau_star)``; and the rows' tops."""
+    """Rows of the search's two evaluators over 6 desk contents, whose
+    ``Q_hat`` differ: case 2's quadratic at holding costs across ``[0,
+    I)``, and the Wright-omega form of the cached index at serve
+    thresholds across ``(0, tau_star)``; the rows' tops; and each row's
+    estimate of its pick: ``_q_bar_estimate`` for the quadratic, and for
+    the omega form the scan's own pick, which the breakpoints predict."""
     system = desk_system(N=6)
     k = content_constants(system.contents, system.beta)
     idx = np.repeat(np.arange(6), 6)
     kr = k.take(idx)
     frac = np.tile(np.linspace(0.0, 0.99, 6), 6)
     g, xb = thresholds._gaps(frac * kr.I, kr)
-    tau = (frac + 0.005) * thresholds.zero_holding_batch(k)[0][idx]
-    return {
+    tau = (frac + 0.005) * thresholds.case2(np.zeros(6), k)[0][idx]
+    evaluators = {
         "quadratic": lambda rows, q: thresholds._quadratic(g[rows], xb[rows], kr.take(rows), q),
         "omega": lambda rows, q: _omega_candidates(
             kr.p[rows], kr.c_alam[rows], kr.c_f[rows], kr.c_w[rows], kr.beta, tau[rows], q,
             _ckernel.wright_omega),
-    }, kr.top
+    }
+    q = np.arange(kr.top.max() + 1.0)[:, None]
+    *_, v, ok = evaluators["omega"](np.arange(idx.size), q)
+    estimates = {"quadratic": thresholds._q_bar_estimate(frac * kr.I, kr, xb),
+                 "omega": first_consistent(v.T, q.T, (ok & (q <= kr.top)).T)[0].astype(float)}
+    return evaluators, kr.top, estimates
 
 
-@pytest.mark.parametrize("block", [3, 17, thresholds._BLOCK])
+@pytest.mark.parametrize("start", ["zero", "estimate", "estimate-5", "estimate+5", "top"])
 @pytest.mark.parametrize("kind", ["quadratic", "omega"])
-def test_scan_matches_one_scan_of_every_candidate(block, kind, monkeypatch):
+def test_scan_matches_one_scan_of_every_candidate(start, kind):
     # row i's candidate that hits its cell is kept where i % 3 == 0, moved
     # just below its cell, within the near tolerance, where i % 3 == 1, and
-    # every candidate is inadmissible where i % 3 == 2: the blocks pick
-    # what first_consistent picks over every candidate at once, bit for bit
-    evaluators, top = scan_rows()
+    # every candidate is inadmissible where i % 3 == 2: the search, from
+    # candidate 0 or from a first probe at the estimate, 5 either side of
+    # it or at the top, picks what first_consistent picks over every
+    # candidate at once, bit for bit, in at most 2*ceil(log2(top+2)) + 2
+    # rounds of the evaluator per row
+    evaluators, top, estimates = scan_rows()
     evaluate = evaluators[kind]
+    rounds = np.zeros(top.size, dtype=int)
 
     def altered(rows, q):
+        rounds[rows] += 1
         *values, v, ok = evaluate(rows, q)
         hit = ok & (np.floor(v) == q)
         v = np.where(hit & (rows % 3 == 1), q - 1e-10 * (q + 1.0), v)
         return (*values, v, ok & (rows % 3 != 2))
 
-    monkeypatch.setattr(thresholds, "_BLOCK", block)
-    pick, dist, values = thresholds.scan_candidates(altered, top)
+    rows = np.arange(top.size)
     q = np.arange(top.max() + 1.0)[:, None]
-    *every, v, ok = altered(np.arange(top.size), q)
-    col, best = thresholds.first_consistent(v.T, q.T, (ok & (q <= top)).T)
+    *every, v, ok = altered(rows, q)
+    col, best = first_consistent(v.T, q.T, (ok & (q <= top)).T)
+    rounds[:] = 0
+    if start == "zero":
+        pick, dist, values = thresholds.search_candidates(altered, top)
+    else:
+        est = estimates[kind]
+        s = {"estimate": est, "estimate-5": est - 5.0, "estimate+5": est + 5.0, "top": top}[start]
+        s = np.clip(s, 1.0, top)  # a candidate in 0..top and the one below it
+        first = np.stack([s - 1.0, s])
+        pick, dist, values = thresholds.search_candidates(altered, top, first,
+                                                          altered(rows, first))
     assert (pick == col).all() and pick.dtype == np.int64
     assert_same_bits(dist, best)
-    kinds = np.arange(top.size) % 3
+    kinds = rows % 3
     for a, b in zip(values, every, strict=True):
         assert_same_bits(a, np.where(kinds == 2, 0.0, np.take_along_axis(b, col[None], 0)[0]))
     assert (dist[kinds == 0] == -1.0).all()
     assert ((dist[kinds == 1] > 0.0) & (dist[kinds == 1] < np.inf)).all()
     assert (dist[kinds == 2] == np.inf).all()
+    assert (rounds <= 2 * np.ceil(np.log2(top + 2.0)) + 2).all()
 
 
 @pytest.mark.skipif(_ckernel.special is None,
@@ -419,19 +445,19 @@ def test_solve_gap_same_on_the_scipy_path(monkeypatch):
 
 
 def test_only_thresholds_and_checks_call_the_full_scan():
-    # thresholds.case2 alone decides how the program solves case 2; the
-    # full scan is its last resort and the reference that checks holds it to
+    # no module scans every queue candidate: thresholds.case2 alone solves
+    # case 2, and thresholds.search_candidates is the one function that
+    # picks a candidate, for case 2, the cached index and the checks'
+    # references alike, which alone restate its predicate to certify it
     def names(path):
         tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
         return {t.string for t in tokens if t.type == tokenize.NAME}
 
-    # and thresholds.scan_candidates is the one scan of every candidate,
-    # for case 2 and the cached index alike: no other module picks by
-    # first_consistent
     sources = {p.stem: names(p) for p in Path(thresholds.__file__).parent.glob("*.py")}
 
     def users(name):
         return {stem for stem, tokens in sources.items() if name in tokens}
 
-    assert users("case2_batch") == {"thresholds", "checks"}
-    assert users("first_consistent") == {"thresholds"}
+    assert not users("scan_candidates") | users("case2_batch") | users("first_consistent")
+    assert users("search_candidates") == {"thresholds", "whittle", "checks"}
+    assert users("_NEAR") == {"thresholds", "checks"}

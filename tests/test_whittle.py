@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wrightomega
 
-from aovcache import _ckernel, thresholds, whittle
-from aovcache.checks import bits_differ, misplaced_breakpoints, reference_tables, table_window
+from aovcache import _ckernel, checks, thresholds, whittle
+from aovcache.checks import bits_differ, dual_window, misplaced_breakpoints, table_window
 from aovcache.cli import build_system
 from aovcache.model import SingleContentState
 from aovcache.policies import PolicyTables, build_policy_tables, relaxed_lower_bound
@@ -27,7 +27,6 @@ from aovcache.whittle import (
     TAU_STAR,
     _cached_gaps,
     _classify_passive,
-    _omega_scan,
     build_content_tables,
     build_index_tables,
     cached_index_rows,
@@ -40,9 +39,11 @@ from aovcache.whittle import (
     whittle_cached,
     whittle_uncached,
 )
-from conftest import assert_same_bits, desk_system, random_content
+from conftest import (assert_same_bits, desk_system, random_content, scan_case2, scan_omega,
+                      scan_tables)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SEARCH = thresholds.search_candidates
 
 needs_special = pytest.mark.skipif(_ckernel.special is None,
                                    reason="compiled special functions unavailable")
@@ -187,6 +188,15 @@ class TestIndexability:
             assert verify_indexability(c, system.beta, grid, states) == old
 
 
+def first_probe_only(evaluate, *args):
+    """``thresholds.search_candidates`` where the caller's first probe must
+    decide every row: the search may evaluate nothing more."""
+    def unused(rows, q):
+        raise AssertionError("a pair placed by the estimate did not decide")
+
+    return SEARCH(unused, *args)
+
+
 class TestContentTables:
     def test_matches_exact_bisection(self):
         # the table holds the exact index at its grid points, so the index
@@ -218,13 +228,13 @@ class TestContentTables:
     def test_window_equals_full_width_scan(self, name):
         # against the reference from the full scan alone: the cached-index
         # rows, tau_star and Q_star bit for bit, and every breakpoint the
-        # root of a band that the full scan confirms, within it of the plain
-        # bisection; no point of the cached grid needs the scan, and no
-        # breakpoint the plain bisection
+        # root of a band that the search confirms, within it of the plain
+        # bisection; no point of the cached grid needs more than its first
+        # probe, and no breakpoint the plain bisection
         system = config_system(name)[0]
         tables, counts = build_index_tables(system.contents, system.beta)
-        tau_star, q_star, bps, w_of_tau = reference_tables(system)
-        assert counts.full_width == counts.fallback == 0
+        tau_star, q_star, bps, w_of_tau = scan_tables(system)
+        assert counts.searched == counts.fallback == 0
         assert w_of_tau.shape == (system.N, GRID_SIZE + 1)
         assert_same_bits(tables.w_of_tau, w_of_tau)
         assert_same_bits(tables.cdbl[:, TAU_STAR], tau_star)
@@ -235,9 +245,9 @@ class TestContentTables:
     def test_estimate_decides_every_window(self, name, monkeypatch):
         # the pair that the closed-form Q_bar estimate places decides every
         # content of every bound evaluation over the config's capacities and
-        # of the tables' solves: no row reaches the full scan; and every row
-        # of the tables' solves, the bisection's included, has its estimate
-        # within one of the full scan's Q_bar
+        # of the tables' solves: the search evaluates nothing more; and
+        # every row of the tables' solves, the bisection's included, has its
+        # estimate within one of the full scan's Q_bar
         system, capacities = config_system(name)
         seen = []
         estimate = thresholds._q_bar_estimate
@@ -247,22 +257,19 @@ class TestContentTables:
             seen.append((C_h, k, est))
             return est
 
-        def scan(*args):
-            raise AssertionError("a pair placed by the estimate did not decide")
-
         with monkeypatch.context() as m:
-            m.setattr(thresholds, "_scan_case2", scan)
+            m.setattr(thresholds, "search_candidates", first_probe_only)
             for c in capacities:
                 relaxed_lower_bound(replace(system, M=c))
             m.setattr(thresholds, "_q_bar_estimate", recorded)
             build_index_tables(system.contents, system.beta)
         assert seen
         for C_h, k, est in seen:
-            assert np.abs(est - thresholds.case2_batch(C_h, k)[2]).max() <= 1
+            assert np.abs(est - scan_case2(C_h, k)[2]).max() <= 1
 
     def test_wrong_breakpoints_cost_only_time(self):
         # the window predicts Q_bar from the breakpoints; shifted ones send
-        # rows to the full-width scan but leave every value as it was
+        # rows on to the search but leave every value as it was
         system = desk_system()
         k = content_constants(system.contents, system.beta)
         zero = zero_holding_thresholds(k)
@@ -286,7 +293,7 @@ class TestContentTables:
         # breakpoint check as the roots do; the rest of the tables stays
         system = desk_system()
         tables, counts = build_index_tables(system.contents, system.beta)
-        bps = reference_tables(system)[2]
+        bps = scan_tables(system)[2]
         assert counts.fallback == 0 < tables.bps.size
         estimate = whittle.breakpoint_estimate
 
@@ -310,7 +317,7 @@ class TestContentTables:
                              lam=5.677277972544335e-05, c_a=6.814966662459335e-06,
                              c_f=177.02795736314903, alpha=1.8143057977679513)
         tables, counts = build_index_tables(system.contents, system.beta)
-        bps = reference_tables(system)[2]
+        bps = scan_tables(system)[2]
         assert counts.fallback == 1
         assert tables.bps.size == bps.size == 60
         assert np.count_nonzero(~bits_differ(tables.bps, bps)) == 1
@@ -342,25 +349,40 @@ class TestContentTables:
         assert not result.passed
         assert result.error == build_index_tables(system.contents, system.beta)[0].bps.size > 0
 
+    def test_a_pick_one_up_fails_both_windows(self, monkeypatch):
+        # a search that returns pick + 1 on one row, for the build, the bound
+        # and the references alike: the tables and relaxed_batch still match
+        # their references bit for bit, but the pick fails its certificate
+        system = desk_system()
+        search = thresholds.search_candidates
+
+        def one_up(*args):
+            pick, dist, values = search(*args)
+            pick[:1] += 1
+            return pick, dist, values
+
+        for module in (thresholds, whittle, checks):
+            monkeypatch.setattr(module, "search_candidates", one_up)
+        result = table_window(system)
+        assert not result.passed
+        assert result.detail.startswith("0 of ") and " 0 of its picks fail" not in result.detail
+        assert not dual_window(system, 20).passed
+
     def test_ill_conditioned_build_needs_no_full_scan(self, monkeypatch):
         # desk's costs with c_f = 1e5 over 2 contents: 8.7k breakpoints,
         # Q_hat to 7.3k; bisection steps next to a Q_bar jump once sent
         # such rows to the scan of every candidate, and the build took ~1 s.
         # Every band is confirmed, by the pairs alone
         system = desk_system(N=2, M=1, c_f=1e5)
-
-        def scan(*args):
-            raise AssertionError("a row reached the full-width scan")
-
-        monkeypatch.setattr(thresholds, "_scan_case2", scan)
+        monkeypatch.setattr(thresholds, "search_candidates", first_probe_only)
         tables, counts = build_index_tables(system.contents, system.beta)
         assert counts.fallback == 0 < tables.bps.size
 
     def test_reference_row_in_bounded_memory(self):
-        # the same system, Q_hat to 7.3k: cached_indices, the reference of
-        # verify's table-window, at tau = 0, every grid point and tau_star
-        # scans every candidate in blocks, within 64 MB where one
-        # (taus x Q_hat+3) scan took 239 MB; the tables' row bit for bit
+        # the same system, Q_hat to 7.3k: cached_indices, the search from
+        # candidate 0 as verify's table-window starts it, at tau = 0, every
+        # grid point and tau_star, within 64 MB where one (taus x Q_hat+3)
+        # scan took 239 MB; the tables' row bit for bit
         system = desk_system(N=2, M=1, c_f=1e5)
         k = content_constants(system.contents, system.beta)
         tables = build_index_tables(system.contents, system.beta)[0]
@@ -397,8 +419,7 @@ class TestContentTables:
         tau, c = tau[keep][None], np.tile(q, 4)[keep][None]
         x, (_, guards) = _cached_gaps(ki, tau, c)
         assert guards >= 1
-        assert_same_bits(x[0], _omega_scan(ki.take(np.zeros(tau.size, np.intp)), tau[0],
-                                           _ckernel.wright_omega))
+        assert_same_bits(x[0], scan_omega(ki.take(np.zeros(tau.size, np.intp)), tau[0]))
 
     @pytest.mark.parametrize("indices", [True, False])
     def test_policy_tables_are_read_only(self, indices):
