@@ -29,8 +29,8 @@ from .thresholds import (_NEAR, ConsistencyError, _gaps, _quadratic, breakpoint_
                          search_candidates, solve_thresholds, solve_thresholds_batch,
                          zero_holding_thresholds)
 from .whittle import (BAND_ERRORS, BP_OFF, GRID_SIZE, Q_STAR, TAU_STAR, PolicyTables, _groups,
-                      _omega_rows, _plain_bisection, build_index_tables, cached_indices,
-                      grid_taus, verify_indexability, whittle_cached, whittle_uncached)
+                      _omega_rows, build_index_tables, cached_indices, grid_taus,
+                      verify_indexability, whittle_cached, whittle_uncached)
 
 
 class Result(NamedTuple):
@@ -223,16 +223,14 @@ def _case2_from_zero(C_h: np.ndarray, k) -> tuple[tuple, np.ndarray]:
 
 
 def reference_tables(system: SystemParams) -> tuple[np.ndarray, ...]:
-    """``(tau_star, Q_star, breakpoints, w_of_tau)`` of the system's index
-    tables by the search from candidate 0, and how many of its picks fail
-    their certificate: the ``C_h = 0`` thresholds from
-    ``_case2_from_zero``, each uncached breakpoint from the plain
-    bisection, and each cached-index row between the ceiling I and the 0
-    sentinel at the content's grid points."""
+    """``(tau_star, Q_star, w_of_tau)`` of the system's index tables by the
+    search from candidate 0, and how many of its picks fail their
+    certificate: the ``C_h = 0`` thresholds from ``_case2_from_zero``, and
+    each cached-index row between the ceiling I and the 0 sentinel at the
+    content's grid points.  The breakpoints have no reference:
+    ``misplaced_breakpoints`` holds each to its definition."""
     k = content_constants(system.contents, system.beta)
     (tau_star, _, q_star, _), bad = _case2_from_zero(np.zeros(k.I.size), k)
-    idx, j = _groups(np.maximum(k.q_hat - q_star, 0))
-    bps = _plain_bisection(k.take(idx), q_star[idx] + j)
     w_of_tau = np.empty((k.I.size, GRID_SIZE + 1))
     w_of_tau[:, 0], w_of_tau[:, -1] = k.I, 0.0
     uncertified = np.count_nonzero(bad)
@@ -241,55 +239,58 @@ def reference_tables(system: SystemParams) -> tuple[np.ndarray, ...]:
         _, (x,), bad = _from_zero(_omega_rows(ki, grid_taus(t), _ckernel.wright_omega), ki.top)
         w_of_tau[i, 1:-1] = np.minimum(k.pc[i] * gap_value(np.maximum(x, 0.0)), k.I[i])
         uncertified += np.count_nonzero(bad)
-    return tau_star, q_star, bps, w_of_tau, uncertified
+    return tau_star, q_star, w_of_tau, uncertified
 
 
-def misplaced_breakpoints(tables: PolicyTables, reference: np.ndarray) -> np.ndarray:
+def misplaced_breakpoints(tables: PolicyTables) -> np.ndarray:
     """Where the uncached breakpoints of ``tables`` miss their definition,
-    given ``reference``, the same system's breakpoints from the plain
-    bisection (``reference_tables``).  A breakpoint b of pair (content,
-    q), read off the layout of ``tables``, holds if it is the reference's
-    bit for bit, as a pair whose band was not confirmed gets, or if it is
-    the root of a band: with ``d = BAND_ERRORS * err`` from
-    ``breakpoint_estimate``'s own error bound, ``_case2_from_zero`` reads
-    ``Q_bar(b - d) <= q < Q_bar(b + d)`` inside ``(0, I)`` with certified
-    picks, and b lies within ``d + I * 2**-60`` of the reference's
-    midpoint, the bisection's own error."""
-    b = tables.bps
-    if b.shape != reference.shape:
-        return np.ones(reference.size, dtype=bool)
-    idx, j = _groups(np.diff(np.append(tables.cint[:, BP_OFF], b.size)))
-    k = content_constants(tables.contents, tables.beta).take(idx)
-    q = tables.cint[idx, Q_STAR] + j
-    d = BAND_ERRORS * breakpoint_estimate(k, q)[1]
-    lo, hi = b - d, b + d
-    band = (lo > 0.0) & (hi < k.I) & (np.abs(b - reference) <= d + k.I * 2.0 ** -60)
-    i = band.nonzero()[0]
-    ki = k.take(i)
-    (_, _, below, _), bad_lo = _case2_from_zero(lo[i], ki)
-    (_, _, above, _), bad_hi = _case2_from_zero(hi[i], ki)
-    band[i] = (below <= q[i]) & (above > q[i]) & ~bad_lo & ~bad_hi
-    return ~band & bits_differ(b, reference)
+    the C_h at which ``Q_bar`` first exceeds the pair's q.  Breakpoint b of
+    pair (content, q), ``Q_hat - Q_star`` of them per content, holds if it
+    lies in (0, I) and ``_case2_from_zero`` reads ``Q_bar(b - d) <= q <
+    Q_bar(b + d)`` with certified picks, a band end at or past 0 reading
+    ``Q_star`` and one at or past I ``Q_hat``.  d is the root's band,
+    ``BAND_ERRORS * err`` from ``breakpoint_estimate``, where that lies in
+    (0, I), and at least the plain bisection's last bracket, ``I * 2**-60``
+    plus two ulps of b, all that a pair whose band reaches 0 or I gets."""
+    b, q_star = tables.bps, tables.cint[:, Q_STAR]
+    k = content_constants(tables.contents, tables.beta)
+    counts = np.maximum(k.q_hat - q_star, 0)
+    if (np.diff(np.append(tables.cint[:, BP_OFF], b.size)) != counts).any():
+        return np.ones(b.size, dtype=bool)
+    idx, j = _groups(counts)
+    k, q = k.take(idx), q_star[idx] + j
+    root, d = breakpoint_estimate(k, q)
+    d *= BAND_ERRORS
+    d = np.maximum(np.where((root - d > 0.0) & (root + d < k.I), d, 0.0),
+                   k.I * 2.0 ** -60 + 2.0 * np.spacing(np.abs(b)))
+    bad = ~((b > 0.0) & (b < k.I))
+    # an end at or past 0 reads Q_star <= q, one at or past I Q_hat > q
+    for sign, miss in ((-1.0, np.greater), (1.0, np.less_equal)):
+        end = b + sign * d
+        i = (~bad & (end > 0.0) & (end < k.I)).nonzero()[0]
+        (_, _, qb, _), uncertified = _case2_from_zero(end[i], k.take(i))
+        bad[i] = miss(qb, q[i]) | uncertified
+    return bad
 
 
 def table_window(system: SystemParams) -> Result:
     """The index tables as the commands build them, from the estimates'
     first probes and the breakpoints' roots, against ``reference_tables``,
     the search from candidate 0 with every pick certified: ``w_of_tau``,
-    ``tau_star`` and ``Q_star`` bit for bit, and every breakpoint by
-    ``misplaced_breakpoints``."""
+    ``tau_star`` and ``Q_star`` bit for bit, and every breakpoint held to
+    its definition by ``misplaced_breakpoints``."""
     tables, counts = build_index_tables(system.contents, system.beta)
-    tau_star, q_star, bps, w_of_tau, uncertified = reference_tables(system)
+    tau_star, q_star, w_of_tau, uncertified = reference_tables(system)
     pairs = [(tables.w_of_tau, w_of_tau), (tables.cdbl[:, TAU_STAR], tau_star),
              (tables.cint[:, Q_STAR], q_star)]
     n = sum(x.size if x.shape != y.shape else np.count_nonzero(bits_differ(x, y))
             for x, y in pairs)
-    n_bps = np.count_nonzero(misplaced_breakpoints(tables, bps))
+    n_bps = np.count_nonzero(misplaced_breakpoints(tables))
     bad = n + uncertified + n_bps
     return Result(bad == 0,
                   f"{n} of {sum(y.size for _, y in pairs)} table values differ from the "
                   f"search from candidate 0, {uncertified} of its picks fail their "
-                  f"certificate and {n_bps} of {bps.size} breakpoints miss their band; "
+                  f"certificate and {n_bps} of {tables.bps.size} breakpoints miss their band; "
                   f"{counts.searched} points of the cached grid went on to the search, "
                   f"{counts.fallback} breakpoints to the plain bisection", bad)
 

@@ -211,7 +211,8 @@ def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
     negative past ``max_n I_n``, where every occupancy is 0.
 
     * g(0) <= 0: the capacity is slack, and the maximizer is C_h = 0.
-    * g(max I) >= 0: the maximizer is ``max I`` itself.
+    * g(max I) >= 0: the maximizer is ``max I`` itself, as at M = 0,
+      where g(max I) = 0 and the dual is flat from there on.
     * Otherwise the search keeps a bracket ``a < b`` with g(a) > 0 > g(b)
       and steps to the secant root of g, with the Illinois halving of
       the weight of an end kept twice (Dowell & Jarratt 1971, BIT 11).
@@ -231,15 +232,14 @@ def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
     steers the search and certifies how close it is to the maximum.
 
     A bound solves its contents' constants once and keeps no other state
-    between evaluations: where ``relaxed_batch`` reads case 2 off windows
-    of candidates, ``thresholds.case2`` places them, with the full scan's
-    values, bit for bit.
+    between evaluations: ``relaxed_batch`` reads case 2 by
+    ``thresholds.case2``'s search from the estimate, which ``aovcache
+    verify``'s ``dual-window`` holds to the same search from candidate 0,
+    bit for bit, with every pick of that reference certified.
     Returns (C_h_star, bound).
     """
     consts = content_constants(system.contents, system.beta)
     hi = float(consts.I.max())
-    if system.M == 0:
-        return hi, dual_value(system, hi, consts)  # saturated: dual is flat past max I_n
     m = system.M
 
     def dual(c: float) -> tuple[float, float]:

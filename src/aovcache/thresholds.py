@@ -64,8 +64,8 @@ __all__ = [
 
 
 class ConsistencyError(RuntimeError):
-    """No queue candidate passes its floor test: seen one or two ulps below
-    an ``I`` whose direct form cancels, where C_h may lie above the exact I."""
+    """No queue candidate passes its floor test, nor lies within ``_NEAR``
+    of its cell: once seen one or two ulps below an ``I`` that cancelled."""
 
 
 def _check_positive(**kwargs) -> None:
@@ -125,11 +125,11 @@ def content_constants(contents: Sequence[ContentParams], beta: float) -> Content
     whose solution is the floor of ``(sqrt(1 + 8*p*beta*c_f/c_w) - 1)/2``
     (batch-dispatching a Poisson stream); ``theta_case1`` is the optimal
     cost for ``C_h > I`` and ``tau0 = theta_case1 / (p*beta*c_a*lam)``.
-    ``I = p*c_a*lam*(x - 1 + exp(-x))`` with ``x = beta*tau0`` takes libm's
-    ``math.exp``, as numpy's vectorized ``exp`` may differ from it in the
-    last bit, and ``gap_value``'s series where ``x < 0.1``, below which
-    that form cancels (to 0 where x is below ~1e-8).  Raises ``ValueError`` naming the
-    first field that is not positive, of the first content with one.
+    ``I = p*c_a*lam*(x + expm1(-x))`` with ``x = beta*tau0`` takes libm's
+    ``math.expm1``, as numpy's vectorized ``expm1`` may differ from it in
+    the last bit, and ``gap_value``'s series where ``x < 0.1``, below which
+    that form cancels.  Raises ``ValueError`` naming the first field that
+    is not positive, of the first content with one.
     """
     costs = [c.costs for c in contents]
     fields = np.array([[c.p for c in contents], [c.lam for c in contents],
@@ -150,7 +150,9 @@ def content_constants(contents: Sequence[ContentParams], beta: float) -> Content
         # Where p*beta*c_f/c_w is a triangular number, rounding can push
         # every candidate out of its cell; the closed form's Q_hat then
         # stays if it is as near its cell as search_candidates asks of Q_bar
-        # (there the two Q_hat next to the boundary cost the same)
+        # (there the two Q_hat next to the boundary cost the same).  Not by
+        # search_candidates: at a ratio of 15 it picks 4 (v = 5.0, on its
+        # cell's upper edge) over the closed form's 5 (v = 4.999999999999999)
         qm = q[miss]
         cand = qm[:, None] + np.array([-1.0, 1.0, 2.0])
         with np.errstate(all="ignore"):
@@ -164,8 +166,7 @@ def content_constants(contents: Sequence[ContentParams], beta: float) -> Content
     theta1 = (2.0 * r * c_f + c_w * q * (q + 1)) / (2.0 * (q + 1))
     tau0 = theta1 / (r * c_a * lam)
     x = beta * tau0
-    decay = np.fromiter(map(math.exp, (-x).tolist()), float, x.size)
-    gap = x - 1.0 + decay
+    gap = x + np.fromiter(map(math.expm1, (-x).tolist()), float, x.size)
     small = x < _SERIES_BELOW
     gap[small] = gap_value(x[small])  # a series only there: it overflows for large x
     I = p * lam * c_a * gap

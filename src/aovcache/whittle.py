@@ -38,10 +38,10 @@ pair exact).  That pair is the first probe of the search, which goes on
 from it at the grid points it does not decide, so the rows are the same
 whatever the predictions.
 
-``aovcache verify`` checks both on the user's config against a
-reference from the same search started at candidate 0, each pick
-certified (``checks.table_window``), and ``BuildCounts`` reports how
-often each fell back.
+``aovcache verify`` checks both on the user's config, the grid against
+the same search from candidate 0 with each pick certified and each
+breakpoint against its definition (``checks.table_window``), and
+``BuildCounts`` reports how often each fell back.
 
 The closed three-equation system is kept as a residual check
 (``index_residual_*``).
@@ -120,7 +120,8 @@ def _omega_candidates(p, cal, c_f, c_w, beta: float, tau, q, omega):
     b = (q + 1.0) * cal / beta
     a = (beta * k * tau * tau / 2.0 + k * tau + (q + 1.0) * cal * tau
          - c_f - c_w * q * (q + 1.0) / (2.0 * p * beta)) / b
-    x = omega(a + np.log(k * tau / b)) - a
+    with np.errstate(divide="ignore"):  # log(0) = -inf where k*tau underflows
+        x = omega(a + np.log(k * tau / b)) - a
     v = p * beta * cal * (tau + np.maximum(x, 0.0) / beta) / c_w
     return x, v, x > -1e-9
 
@@ -306,10 +307,11 @@ def _bisect(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray, int]:
     BAND_ERRORS * err`` with the root's error bound err, inside ``(0,
     I)``: ``Q_bar(root - d) <= q < Q_bar(root + d)``.  As ``Q_bar`` is
     nondecreasing in C_h, the jump that case 2 reads then lies within d of
-    the root.  A pair whose band is not confirmed takes the midpoint that
-    ``_plain_bisection`` leaves.  ``checks.table_window`` holds every
-    breakpoint to that bisection, or to its band by the search from
-    candidate 0."""
+    the root.  A pair whose band is not confirmed takes the midpoint of
+    the bracket that ``BISECT_ITERS`` halvings of ``[0, I]`` leave, asking
+    ``case2`` for ``Q_bar``.  ``checks.misplaced_breakpoints`` holds every
+    breakpoint to the same definition: within its band, or within that
+    last bracket, of the jump that the search from candidate 0 reads."""
     b, plain = np.empty(len(q)), np.ones(len(q), dtype=bool)
     if len(q):
         root, err = breakpoint_estimate(k, q)
@@ -323,21 +325,15 @@ def _bisect(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray, int]:
         except ConsistencyError:
             pass  # every pair runs the plain bisection, which raises where it must
     j = plain.nonzero()[0]
-    b[j] = _plain_bisection(k.take(j), q[j])
-    return b, j.size
-
-
-def _plain_bisection(k: ContentConstants, q: np.ndarray) -> np.ndarray:
-    """The midpoint of the bracket that ``BISECT_ITERS`` halvings of
-    ``[0, I]`` leave around each pair's breakpoint, asking ``case2`` for
-    ``Q_bar``."""
-    lo, hi = np.zeros(len(q)), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
-    for _ in range(BISECT_ITERS if len(q) else 0):
+    k, q = k.take(j), q[j]
+    lo, hi = np.zeros(j.size), k.I.copy()  # Q_bar(0) = Q_star <= q < Q_hat = Q_bar(I)
+    for _ in range(BISECT_ITERS if j.size else 0):
         mid = 0.5 * (lo + hi)
         above = case2(mid, k)[2] > q
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
+    b[j] = 0.5 * (lo + hi)
+    return b, j.size
 
 
 def _breakpoints(k: ContentConstants, q_star: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

@@ -4,9 +4,10 @@ import pytest
 from aovcache._ckernel import wright_omega
 from aovcache.checks import bits_differ
 from aovcache.model import ContentParams, CostModel, SystemParams, zipf_popularity
-from aovcache.thresholds import (_NEAR, ConsistencyError, _gaps, _quadratic, content_constants,
-                                 gap_value)
-from aovcache.whittle import BISECT_ITERS, GRID_SIZE, _groups, _omega_candidates, grid_taus
+from aovcache.thresholds import (_NEAR, ConsistencyError, _gaps, _quadratic, breakpoint_estimate,
+                                 content_constants, gap_value)
+from aovcache.whittle import (BAND_ERRORS, BISECT_ITERS, BP_OFF, GRID_SIZE, Q_STAR, _groups,
+                              _omega_candidates, grid_taus)
 
 
 UNIT = ContentParams(lam=1.0, p=1.0, costs=CostModel(c_a=1.0, c_f=1.0, c_w=0.5))
@@ -191,3 +192,19 @@ def scan_tables(system: SystemParams) -> tuple[np.ndarray, ...]:
         x = scan_omega(k.take(np.full(GRID_SIZE - 1, i)), grid_taus(t))
         w_of_tau[i, 1:-1] = np.minimum(k.pc[i] * gap_value(np.maximum(x, 0.0)), k.I[i])
     return tau_star, q_star, 0.5 * (lo + hi), w_of_tau
+
+
+def assert_breakpoints_match(tables, bps):
+    """The uncached breakpoints of ``tables`` against ``bps``, the plain
+    bisection's midpoints from ``scan_tables``: each is the midpoint bit
+    for bit, as a pair whose band was not confirmed gets, or the root of
+    ``thresholds.breakpoint_estimate``, within its band's half-width plus
+    ``I * 2**-60`` of the midpoint."""
+    b = tables.bps
+    assert b.shape == bps.shape
+    idx, j = _groups(np.diff(np.append(tables.cint[:, BP_OFF], b.size)))
+    k = content_constants(tables.contents, tables.beta).take(idx)
+    root, err = breakpoint_estimate(k, tables.cint[idx, Q_STAR] + j)
+    near = ~bits_differ(b, root) & (np.abs(b - bps) <= BAND_ERRORS * err + k.I * 2.0 ** -60)
+    held = near | ~bits_differ(b, bps)
+    assert held.all(), f"{np.count_nonzero(~held)} breakpoints off, first at {np.flatnonzero(~held)[:5]}"

@@ -39,8 +39,9 @@ from aovcache.whittle import (
     whittle_cached,
     whittle_uncached,
 )
-from conftest import (BELOW_I_SYSTEMS, assert_same_bits, below_i_system, first_consistent,
-                      scan_candidates, scan_case2, scan_omega, scan_tables)
+from conftest import (BELOW_I_SYSTEMS, assert_breakpoints_match, assert_same_bits,
+                      below_i_system, first_consistent, scan_candidates, scan_case2, scan_omega,
+                      scan_tables)
 
 TOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -397,7 +398,7 @@ def box_contents(draw, max_n: int = 50):
 
 def assert_constants_match_scalar(contents_, beta):
     # the array solver against its calls on one content each, and I against
-    # its definition: with libm's exp, and gap_value's series where
+    # its definition: with libm's expm1, and gap_value's series where
     # beta*tau0 < 0.1; where a content has no Q_hat, both raise
     try:
         ones = [content_constants((c,), beta) for c in contents_]
@@ -410,7 +411,7 @@ def assert_constants_match_scalar(contents_, beta):
     assert k.q_hat.tolist() == [int(a.q_hat[0]) for a in ones]
     assert_same_bits(k.rows, np.concatenate([a.rows for a in ones], axis=1))
     assert_same_bits(k.I, np.array([c.p * c.lam * c.costs.c_a
-                                    * (beta * t - 1.0 + math.exp(-beta * t) if beta * t >= 0.1
+                                    * (beta * t + math.expm1(-beta * t) if beta * t >= 0.1
                                        else float(gap_value(beta * t)))
                                     for c, t in zip(contents_, k.tau0.tolist())]))
 
@@ -419,7 +420,7 @@ def assert_constants_match_scalar(contents_, beta):
 @given(cb=box_contents())
 def test_array_constants_match_the_scalar_solver(cb):
     # content_constants on arrays against its calls on one content each and
-    # math.exp per content, bit for bit, over the box
+    # math.expm1 per content, bit for bit, over the box
     assert_constants_match_scalar(*cb)
 
 
@@ -574,7 +575,8 @@ def test_index_tables_match_full_width(system):
     assert_same_bits(tables.w_of_tau, w_of_tau)
     assert_same_bits(tables.cdbl[:, TAU_STAR], tau_star)
     assert (tables.cint[:, Q_STAR] == q_star).all()
-    assert not misplaced_breakpoints(tables, bps).any()
+    assert not misplaced_breakpoints(tables).any()
+    assert_breakpoints_match(tables, bps)
 
 
 def ulps_around(xs, n: int) -> np.ndarray:

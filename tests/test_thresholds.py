@@ -306,6 +306,20 @@ def test_case2_one_and_two_ulps_below_I(name):
         assert (np.abs(r.tau_tilde - k.tau0) <= 1e-15 * k.tau0).all()
 
 
+def test_i_without_cancellation_one_and_two_ulps_below_it():
+    # a box system whose I, in the direct form x - 1 + e^-x, carried
+    # enough rounding for case 2 to find no floor-consistent Q_bar one or
+    # two ulps below it; with x + expm1(-x) it meets never-cache there
+    system = desk_system(N=5, beta=4.743120374809051e-06, M=1, c_w=160786.8014517096,
+                         lam=2.1578391691968406e-05, c_a=14092.113996231381,
+                         c_f=7053.973622525314, alpha=3.0061043630551443)
+    k = content_constants(system.contents, system.beta)
+    ch = k.I
+    for _ in range(2):
+        ch = np.nextafter(ch, 0.0)
+        assert (relaxed_batch(ch, k).Q_bar == k.q_hat).all()
+
+
 def test_last_resort_scans_in_bounded_memory():
     # Zipf alpha = 1 over 15 contents whose Q_hat runs to 11.2M: at
     # C_h = 0.999 I the tests' scan of every candidate 0..Q_hat+2 would
@@ -444,20 +458,27 @@ def test_solve_gap_same_on_the_scipy_path(monkeypatch):
     assert solve_gap(np.float64(0.25)).shape == ()
 
 
+def users(name: str) -> set[str]:
+    """The modules of the package in which ``name`` is a code token."""
+    def names(path):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        return {t.string for t in tokens if t.type == tokenize.NAME}
+
+    return {p.stem for p in Path(thresholds.__file__).parent.glob("*.py") if name in names(p)}
+
+
 def test_only_thresholds_and_checks_call_the_full_scan():
     # no module scans every queue candidate: thresholds.case2 alone solves
     # case 2, and thresholds.search_candidates is the one function that
     # picks a candidate, for case 2, the cached index and the checks'
     # references alike, which alone restate its predicate to certify it
-    def names(path):
-        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-        return {t.string for t in tokens if t.type == tokenize.NAME}
-
-    sources = {p.stem: names(p) for p in Path(thresholds.__file__).parent.glob("*.py")}
-
-    def users(name):
-        return {stem for stem, tokens in sources.items() if name in tokens}
-
     assert not users("scan_candidates") | users("case2_batch") | users("first_consistent")
     assert users("search_candidates") == {"thresholds", "whittle", "checks"}
     assert users("_NEAR") == {"thresholds", "checks"}
+
+
+def test_only_the_build_runs_the_plain_bisection():
+    # the plain bisection is the build's fallback alone: the checks hold
+    # each breakpoint to its definition and compute none by bisection
+    assert users("_bisect") == users("BISECT_ITERS") == {"whittle"}
+    assert not users("_plain_bisection")

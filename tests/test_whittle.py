@@ -13,7 +13,7 @@ from scipy.special import wrightomega
 from aovcache import _ckernel, checks, thresholds, whittle
 from aovcache.checks import bits_differ, dual_window, misplaced_breakpoints, table_window
 from aovcache.cli import build_system
-from aovcache.model import SingleContentState
+from aovcache.model import ContentParams, CostModel, SingleContentState
 from aovcache.policies import PolicyTables, build_policy_tables, relaxed_lower_bound
 from aovcache.thresholds import (
     content_constants,
@@ -22,6 +22,7 @@ from aovcache.thresholds import (
     zero_holding_thresholds,
 )
 from aovcache.whittle import (
+    BP_OFF,
     GRID_SIZE,
     Q_STAR,
     TAU_STAR,
@@ -39,14 +40,22 @@ from aovcache.whittle import (
     whittle_cached,
     whittle_uncached,
 )
-from conftest import (assert_same_bits, desk_system, random_content, scan_case2, scan_omega,
-                      scan_tables)
+from conftest import (assert_breakpoints_match, assert_same_bits, desk_system, random_content,
+                      scan_case2, scan_omega, scan_tables)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SEARCH = thresholds.search_candidates
 
 needs_special = pytest.mark.skipif(_ckernel.special is None,
                                    reason="compiled special functions unavailable")
+
+
+def unconfirmed_band_system():
+    """An N=5 box system where case2 does not confirm the band of content
+    3's last breakpoint, whose root error bound is infinite."""
+    return desk_system(N=5, beta=149012.44153056672, M=1, c_w=47670.66116786624,
+                       lam=5.677277972544335e-05, c_a=6.814966662459335e-06,
+                       c_f=177.02795736314903, alpha=1.8143057977679513)
 
 
 def config_system(name: str):
@@ -84,6 +93,12 @@ class TestCachedIndex:
         ws = [whittle_cached(unit_content, 1.0, 0, float(t)) for t in taus]
         assert all(a >= b - 1e-12 for a, b in zip(ws, ws[1:]))
         assert ws[-1] == pytest.approx(0.0, abs=1e-8)
+
+    def test_subnormal_tau_reads_the_ceiling(self):
+        # k*tau underflows to 0 in the Wright-omega argument's log, which
+        # reads -inf without a warning (the suite turns warnings into errors)
+        c = ContentParams(lam=1.0, p=1.0, costs=CostModel(1.0, 1.0, 1.0))
+        assert whittle_cached(c, 1.0, 0, 5e-324) == solve_thresholds(c, 1.0).I
 
     def test_residual_check(self):
         rng = np.random.default_rng(7)
@@ -239,7 +254,8 @@ class TestContentTables:
         assert_same_bits(tables.w_of_tau, w_of_tau)
         assert_same_bits(tables.cdbl[:, TAU_STAR], tau_star)
         assert (tables.cint[:, Q_STAR] == q_star).all()
-        assert not misplaced_breakpoints(tables, bps).any()
+        assert not misplaced_breakpoints(tables).any()
+        assert_breakpoints_match(tables, bps)
 
     @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", "unit"])
     def test_estimate_decides_every_window(self, name, monkeypatch):
@@ -306,23 +322,38 @@ class TestContentTables:
         assert moved_counts.fallback == tables.bps.size
         assert_same_bits(moved.bps, bps)
         assert_same_bits(moved.w_of_tau, tables.w_of_tau)
-        assert not misplaced_breakpoints(tables, bps).any()
-        assert misplaced_breakpoints(replace(tables, bps=tables.bps * (1.0 + 1e-6)), bps).all()
+        assert not misplaced_breakpoints(tables).any()
+        assert not misplaced_breakpoints(moved).any()
+        assert_breakpoints_match(tables, bps)
+        assert misplaced_breakpoints(replace(tables, bps=tables.bps * (1.0 + 1e-6))).all()
 
     def test_unconfirmed_band_takes_the_plain_bisection(self):
         # a box system where case2 does not confirm one breakpoint's band:
         # that pair takes the plain bisection's midpoint, the reference's
         # bit for bit, and the tables still pass their check
-        system = desk_system(N=5, beta=149012.44153056672, M=1, c_w=47670.66116786624,
-                             lam=5.677277972544335e-05, c_a=6.814966662459335e-06,
-                             c_f=177.02795736314903, alpha=1.8143057977679513)
+        system = unconfirmed_band_system()
         tables, counts = build_index_tables(system.contents, system.beta)
         bps = scan_tables(system)[2]
         assert counts.fallback == 1
         assert tables.bps.size == bps.size == 60
         assert np.count_nonzero(~bits_differ(tables.bps, bps)) == 1
-        assert not misplaced_breakpoints(tables, bps).any()
+        assert not misplaced_breakpoints(tables).any()
+        assert_breakpoints_match(tables, bps)
         assert table_window(system).passed
+
+    def test_moved_fallback_breakpoint_is_misplaced(self):
+        # the same system's fallback pair has an infinite root error bound,
+        # so its breakpoint is held to the plain bisection's last bracket:
+        # moved twice that far either way, it alone misses its band
+        system = unconfirmed_band_system()
+        tables = build_index_tables(system.contents, system.beta)[0]
+        k = content_constants(system.contents, system.beta)
+        i = int(tables.cint[4, BP_OFF]) - 1  # content 3's last
+        step = 2.0 * (k.I[3] * 2.0 ** -60 + 2.0 * np.spacing(tables.bps[i]))
+        for sign in (-1.0, 1.0):
+            bps = tables.bps.copy()
+            bps[i] += sign * step
+            assert misplaced_breakpoints(replace(tables, bps=bps)).nonzero()[0].tolist() == [i]
 
     def test_table_window_fails_on_a_changed_table(self, monkeypatch):
         # one cached-index cell one ulp up is one differing value; every
