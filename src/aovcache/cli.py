@@ -410,21 +410,12 @@ def cmd_sweep(doc: dict, args) -> int:
     return 0
 
 
-def _bound(system: SystemParams, consts, m: int) -> tuple[float, float, float]:
-    """``(C_h*, bound, occupancy)`` of the dual bound at capacity ``m``; the
-    occupancy is the relaxed policy's mean number of cached contents at
-    C_h*: M where the dual's slope is continuous there, at most M at C_h* = 0."""
-    ch, bound = relaxed_lower_bound(replace(system, M=m))
-    return ch, bound, float(relaxed_batch(ch, consts).occupancy.sum())
-
-
 def cmd_lower_bound(doc: dict, args) -> int:
     system = build_system(doc)
     m_values = ([_capacity(system, x) for x in args.m_values.split(",")]
                 if args.m_values else [system.M])
     rep = Reporter(args.out, doc)
-    consts = content_constants(system.contents, system.beta)
-    rows = [[m, *map(_f, _bound(system, consts, m))] for m in m_values]
+    rows = [[m, *map(_f, b)] for m, b in zip(m_values, relaxed_lower_bound(system, m_values))]
     rep.table("lower_bound.csv", ["M", "C_h_star", "bound", "occupancy"], rows)
     rep.close()
     return 0
@@ -444,19 +435,17 @@ def cmd_compare(doc: dict, args) -> int:
     if missing:
         raise ConfigError(f"--metrics: {args.metrics!r} has no column {', '.join(missing)}")
     rep = Reporter(args.out, doc)
-    consts = content_constants(system.contents, system.beta)
+    means = [(_capacity(system, row["axis_value"]), row["policy"],
+              _checked("--metrics: avg_cost", row["avg_cost"], float))
+             for row in metrics if row["replication"] == "mean"]
+    # one bound per distinct M, all in one lockstep search
+    ms = list(dict.fromkeys(m for m, _, _ in means))
+    bounds = dict(zip(ms, relaxed_lower_bound(system, ms)))
     rows = []
-    bounds: dict[int, tuple[float, float, float]] = {}
-    for row in metrics:
-        if row["replication"] != "mean":
-            continue
-        m = _capacity(system, row["axis_value"])
-        if m not in bounds:
-            bounds[m] = _bound(system, consts, m)
+    for m, policy, cost in means:
         _, bound, occupancy = bounds[m]
-        cost = _checked("--metrics: avg_cost", row["avg_cost"], float)
-        rows.append([m, row["policy"], _f(cost), _f(bound),
-                     _f((cost - bound) / bound), _f(occupancy)])
+        rows.append([m, policy, _f(cost), _f(bound), _f((cost - bound) / bound),
+                     _f(occupancy)])
     rep.table("compare.csv", ["M", "policy", "avg_cost", "bound", "relative_gap", "occupancy"],
               rows)
     rep.close()

@@ -8,8 +8,11 @@ Action numbering follows the event semantics: 0 serve the cached copy,
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum, IntEnum
 from typing import NamedTuple
+
+import numpy as np
 
 from .model import CacheSystemState, SystemParams
 from .thresholds import ContentConstants, content_constants, relaxed_batch
@@ -199,7 +202,57 @@ def dual_value(system: SystemParams, C_h: float,
     return float(relaxed_batch(C_h, consts).theta.sum()) - C_h * system.M
 
 
-def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
+def _dual(c: float, m: int):
+    """One evaluation of a bound's search: yields C_h ``c`` and receives
+    the sums ``(theta, occupancy)`` over the contents there; returns the
+    dual's value and slope at ``c`` and the occupancy itself."""
+    theta, occupancy = yield c
+    return theta - c * m, occupancy - m, occupancy
+
+
+def _search(m: int, hi: float):
+    """The bound's search at capacity ``m`` on ``[0, hi]``, as a
+    generator of the C_h values it evaluates (see ``_dual``); returns
+    ``(C_h_star, bound, occupancy)``."""
+    a, b = 0.0, hi
+    fa, ga, oa = yield from _dual(a, m)
+    if ga <= 0.0:
+        return a, fa, oa  # slack capacity: dual_value(system, 0.0)
+    fb, gb, ob = yield from _dual(b, m)
+    if gb >= 0.0:
+        return b, fb, ob
+    wa, wb = ga, gb  # the secant's weights of the two ends
+    kept = 0         # +1 / -1: the last step moved a / b
+    kink = False
+    for _ in range(_MAX_STEPS):
+        # where the tangents at a and b meet, clamped to the bracket
+        t = min(max((fb - fa + ga * a - gb * b) / (ga - gb), a), b)
+        best = max(fa, fb)
+        over = min(fa + ga * (t - a), fb + gb * (t - b)) - best
+        if over <= _ULPS * math.ulp(best) and b - a <= 1e-12 * b:
+            break
+        c = t if kink else (a * wb - b * wa) / (wb - wa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:
+                break
+        fc, gc, oc = yield from _dual(c, m)
+        kink = abs(gc) > 0.5 * (ga if gc > 0.0 else -gb)
+        if gc > 0.0:
+            if kept > 0:
+                wb *= 0.5
+            a, fa, ga, oa, wa, kept = c, fc, gc, oc, gc, 1
+        elif gc < 0.0:
+            if kept < 0:
+                wa *= 0.5
+            b, fb, gb, ob, wb, kept = c, fc, gc, oc, gc, -1
+        else:
+            return c, fc, oc
+    return (a, fa, oa) if fa >= fb else (b, fb, ob)
+
+
+def relaxed_lower_bound(system: SystemParams, capacities: Sequence[int] | None = None
+                        ) -> tuple[float, float] | list[tuple[float, float, float]]:
     """Lower bound on the constrained optimum: max over C_h of the dual.
 
     The dual ``D(C_h) = sum_n theta_n(C_h) - C_h*M`` is concave (each
@@ -231,53 +284,51 @@ def relaxed_lower_bound(system: SystemParams) -> tuple[float, float]:
     bound by weak duality whatever the slope's accuracy, which only
     steers the search and certifies how close it is to the maximum.
 
+    ``capacities`` lists the M values to bound in place of the system's
+    own.  Their searches run in lockstep, one ``_search`` each: every
+    round gathers the C_h that the unfinished searches ask for, and
+    evaluates the distinct ones in one ``relaxed_batch`` call, as a
+    ``(K, 1)`` column; each search is fed its row's ``theta.sum()`` and
+    ``occupancy.sum()``.  The last search left runs alone on scalar C_h.
+    The kernel solves every (C_h, content) element on its own, and a
+    row of the ``(K, N)`` result is summed as the 1-D array of a
+    separate call is, so each capacity gets what its own search would,
+    bit for bit, and a call makes as many kernel calls as its longest
+    search.  With one capacity the calls are a single search's.
+
     A bound solves its contents' constants once and keeps no other state
     between evaluations: ``relaxed_batch`` reads case 2 by
     ``thresholds.case2``'s search from the estimate, which ``aovcache
     verify``'s ``dual-window`` holds to the same search from candidate 0,
     bit for bit, with every pick of that reference certified.
-    Returns (C_h_star, bound).
+    Returns (C_h_star, bound) at the system's M; with ``capacities``,
+    a list of (C_h_star, bound, occupancy), one per capacity, where the
+    occupancy is the relaxed policy's mean number of cached contents
+    evaluated at C_h_star.
     """
     consts = content_constants(system.contents, system.beta)
     hi = float(consts.I.max())
-    m = system.M
-
-    def dual(c: float) -> tuple[float, float]:
-        r = relaxed_batch(c, consts)
-        return float(r.theta.sum()) - c * m, float(r.occupancy.sum()) - m
-
-    a, b = 0.0, hi
-    fa, ga = dual(a)
-    if ga <= 0.0:
-        return a, fa  # slack capacity: dual_value(system, 0.0)
-    fb, gb = dual(b)
-    if gb >= 0.0:
-        return b, fb
-    wa, wb = ga, gb  # the secant's weights of the two ends
-    kept = 0         # +1 / -1: the last step moved a / b
-    kink = False
-    for _ in range(_MAX_STEPS):
-        # where the tangents at a and b meet, clamped to the bracket
-        t = min(max((fb - fa + ga * a - gb * b) / (ga - gb), a), b)
-        best = max(fa, fb)
-        over = min(fa + ga * (t - a), fb + gb * (t - b)) - best
-        if over <= _ULPS * math.ulp(best) and b - a <= 1e-12 * b:
-            break
-        c = t if kink else (a * wb - b * wa) / (wb - wa)
-        if not a < c < b:
-            c = 0.5 * (a + b)
-            if not a < c < b:
-                break
-        fc, gc = dual(c)
-        kink = abs(gc) > 0.5 * (ga if gc > 0.0 else -gb)
-        if gc > 0.0:
-            if kept > 0:
-                wb *= 0.5
-            a, fa, ga, wa, kept = c, fc, gc, gc, 1
-        elif gc < 0.0:
-            if kept < 0:
-                wa *= 0.5
-            b, fb, gb, wb, kept = c, fc, gc, gc, -1
-        else:
-            return c, fc
-    return (a, fa) if fa >= fb else (b, fb)
+    ms = [system.M] if capacities is None else capacities
+    searches = {m: _search(m, hi) for m in ms}
+    asked = {m: next(s) for m, s in searches.items()}
+    done = {}
+    while len(asked) > 1:
+        cs = list(dict.fromkeys(asked.values()))
+        r = relaxed_batch(np.array(cs)[:, None], consts)
+        sums = {c: (float(t.sum()), float(o.sum())) for c, t, o in zip(cs, r.theta, r.occupancy)}
+        for m, c in list(asked.items()):
+            try:
+                asked[m] = searches[m].send(sums[c])
+            except StopIteration as stop:
+                done[m] = stop.value
+                del asked[m]
+    for m, c in asked.items():  # the last search alone, with no bookkeeping
+        try:
+            while True:
+                r = relaxed_batch(c, consts)
+                c = searches[m].send((float(r.theta.sum()), float(r.occupancy.sum())))
+        except StopIteration as stop:
+            done[m] = stop.value
+    if capacities is None:
+        return done[system.M][:2]
+    return [done[m] for m in ms]

@@ -20,6 +20,7 @@ import scipy
 import aovcache
 from aovcache import _ckernel, checks
 from aovcache.cli import _f, build_system, config_digest, main
+from aovcache.model import SystemParams
 from aovcache.policies import relaxed_lower_bound
 from aovcache.thresholds import (
     content_constants,
@@ -451,6 +452,51 @@ class TestLowerBoundAndCompare:
             occupancy = [float(relaxed_batch(ch * (1.0 + s), k).occupancy.sum())
                          for s in (-1e-12, 1e-12)]
             assert occupancy[0] > m > occupancy[1]
+
+    @staticmethod
+    def bound_calls(monkeypatch) -> list:
+        """The positional arguments of each ``cli.relaxed_lower_bound``
+        call from here on: the name perfbench/child.py times as
+        ``bound_s``, reading the capacity as ``args[0].M``."""
+        from aovcache import cli
+
+        calls = []
+        real = cli.relaxed_lower_bound
+
+        def recorded(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "relaxed_lower_bound", recorded)
+        return calls
+
+    def test_lower_bound_is_one_call(self, tmp_path, monkeypatch):
+        # every --m-values capacity in one call, to the pinned bytes
+        calls = self.bound_calls(monkeypatch)
+        self.test_desk_bound_csv_bytes(tmp_path)
+        [(system, ms)] = calls
+        assert isinstance(system, SystemParams) and list(ms) == [20, 25, 30, 90]
+
+    def test_compare_is_one_call(self, tmp_path, monkeypatch):
+        cfg = str(CONFIGS / "desk.json")
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("axis_value,policy,replication,avg_cost\n"
+                           "30,whittle,mean,1.1\n20,whittle,0,1.3\n20,whittle,mean,1.2\n"
+                           "30,myopic,mean,150.5\n25,whittle,mean,1.12\n")
+        assert main(["lower-bound", "--config", cfg, "--out", str(tmp_path / "lb"),
+                     "--m-values", "30,20,25"]) == 0
+        calls = self.bound_calls(monkeypatch)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp"),
+                     "--metrics", str(metrics)]) == 0
+        # the distinct capacities of the mean rows, in first-seen order
+        [(system, ms)] = calls
+        assert isinstance(system, SystemParams) and list(ms) == [30, 20, 25]
+        bound = {r["M"]: r for r in read_csv(tmp_path / "lb" / "lower_bound.csv")}
+        rows = read_csv(tmp_path / "cmp" / "compare.csv")
+        assert [r["M"] for r in rows] == ["30", "20", "30", "25"]
+        for r in rows:
+            assert (r["bound"], r["occupancy"]) == (bound[r["M"]]["bound"],
+                                                    bound[r["M"]]["occupancy"])
 
     def test_desk_compare_prints_the_bound_occupancy(self, tmp_path):
         # compare's five columns stay as they were, and its sixth is the

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aovcache import checks
 from aovcache.model import CacheSystemState
 from aovcache.policies import (
     Action,
@@ -17,7 +19,7 @@ from aovcache.policies import (
 )
 from aovcache.thresholds import content_constants, relaxed_batch, solve_thresholds
 from aovcache.whittle import default_state_grid, passive_set_member
-from conftest import desk_system
+from conftest import below_i_system, desk_system
 
 
 @pytest.fixture(scope="module")
@@ -217,23 +219,29 @@ class TestCacheOrder:
         assert act == Action(ActionKind.FETCH_SERVE_CACHE, evict=3)
 
 
+def recorded_bound(monkeypatch, system, *capacities):
+    """``relaxed_lower_bound(system, *capacities)`` and the C_h of each
+    ``relaxed_batch`` call it made: (C_h values, result)."""
+    from aovcache import policies
+
+    asked = []
+    real = policies.relaxed_batch
+
+    def recorded(C_h, k):
+        asked.append(C_h)
+        return real(C_h, k)
+
+    monkeypatch.setattr(policies, "relaxed_batch", recorded)
+    result = relaxed_lower_bound(system, *capacities)
+    monkeypatch.undo()
+    return asked, result
+
+
 def counted_bound(monkeypatch, system) -> tuple[int, tuple[float, float]]:
     """``relaxed_lower_bound(system)`` and how many times it evaluated the
     dual: (evaluations, (C_h_star, bound))."""
-    from aovcache import policies
-
-    calls = 0
-    real = policies.relaxed_batch
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(policies, "relaxed_batch", counted)
-    result = relaxed_lower_bound(system)
-    monkeypatch.undo()
-    return calls, result
+    asked, result = recorded_bound(monkeypatch, system)
+    return len(asked), result
 
 
 def dense_dual_max(system, points: int) -> float:
@@ -335,6 +343,51 @@ class TestRelaxedLowerBound:
         assert bound >= dense_dual_max(system, 2001) - 1e-12
         # never caching is feasible, and costs theta1 per content
         assert bound <= content_constants(system.contents, system.beta).theta1.sum()
+
+    @pytest.mark.parametrize("family,beta,N,ms", [
+        ("desk", 4.0, 100, (0, 5, 17, 29, 41, 50, 53, 65, 77, 89, 90)),
+        ("paper-n100", 40.0, 100, tuple(range(5, 90, 12))),
+        ("paper", 40.0, 1000, (30, 100, 250)),
+        *((family, 4.0, 50, (1, 10, 30)) for family in EXTREME_COSTS),
+        ("below-I-C", None, 5, (0, 1, 2, 3, 4)),
+    ])
+    def test_lockstep_equals_separate_searches(self, monkeypatch, family, beta, N, ms):
+        # slack (M=90, and M >= 2 on the N=5 system) and saturating (M=0)
+        # capacities end after one or two rounds, while the others go on
+        if family == "below-I-C":
+            system = below_i_system("C")
+        else:
+            system = desk_system(N=N, beta=beta, M=ms[0], **EXTREME_COSTS.get(family, {}))
+        singles = [recorded_bound(monkeypatch, replace(system, M=m)) for m in ms]
+        asked, lockstep = recorded_bound(monkeypatch, system, ms)
+        k = content_constants(system.contents, system.beta)
+        for (single, (ch, bound)), (ch_k, bound_k, occupancy) in zip(singles, lockstep):
+            assert (ch_k, bound_k) == (ch, bound)
+            # a single capacity asks a scalar C_h, one per evaluation
+            assert all(type(c) is float for c in single)
+            assert occupancy == float(relaxed_batch(ch, k).occupancy.sum())
+        # round j evaluates, once each, the j-th C_h of every search still
+        # going, as a column while more than one is, as a scalar after
+        assert len(asked) == max(len(single) for single, _ in singles)
+        for j, c in enumerate(asked):
+            live = [single[j] for single, _ in singles if j < len(single)]
+            assert sorted(np.ravel(c).tolist()) == sorted(set(live))
+            assert np.ndim(c) == (0 if len(live) == 1 else 2)
+        assert relaxed_lower_bound(system, (*ms, *ms)) == lockstep * 2
+
+    @pytest.mark.parametrize("family,beta,N,M", [
+        ("desk", 4.0, 100, 25), ("paper-n100", 40.0, 100, 25),
+        *((family, 4.0, 50, 10) for family in EXTREME_COSTS),
+    ])
+    def test_dual_bound_margin_is_the_per_probe_loop(self, family, beta, N, M):
+        # checks.dual_bound evaluates its probes a chunk per kernel call
+        system = desk_system(N=N, beta=beta, M=M, **EXTREME_COSTS.get(family, {}))
+        k = content_constants(system.contents, system.beta)
+        ch, bound = relaxed_lower_bound(system)
+        hi = float(k.I.max())
+        probes = [*np.linspace(0.0, hi, 200), max(ch - 1e-9 * hi, 0.0), ch + 1e-9 * hi]
+        margin = bound - max(dual_value(system, float(x), k) for x in probes)
+        assert checks.dual_bound(system, 200).error == -margin
 
     def test_concavity_sanity(self):
         system = desk_system(N=30, M=8)
