@@ -18,7 +18,7 @@ import pytest
 import scipy
 
 import aovcache
-from aovcache import _ckernel, checks
+from aovcache import _ckernel, checks, cli
 from aovcache.cli import _f, build_system, config_digest, main
 from aovcache.model import SystemParams
 from aovcache.policies import relaxed_lower_bound
@@ -458,8 +458,6 @@ class TestLowerBoundAndCompare:
         """The positional arguments of each ``cli.relaxed_lower_bound``
         call from here on: the name perfbench/child.py times as
         ``bound_s``, reading the capacity as ``args[0].M``."""
-        from aovcache import cli
-
         calls = []
         real = cli.relaxed_lower_bound
 
