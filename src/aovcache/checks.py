@@ -26,8 +26,7 @@ from .policies import PolicyKind, build_policy_tables, dual_value, relaxed_lower
 from .simulator import AgeingMode, SimConfig, SimulationError, _run
 from .thresholds import (_NEAR, ConsistencyError, _gaps, _quadratic, breakpoint_estimate,
                          case2_residuals, content_constants, gap_value, relaxed_batch,
-                         search_candidates, solve_thresholds, solve_thresholds_batch,
-                         zero_holding_thresholds)
+                         search_candidates, solve_thresholds, solve_thresholds_batch)
 from .whittle import (BAND_ERRORS, BP_OFF, GRID_SIZE, Q_STAR, TAU_STAR, PolicyTables, _groups,
                       _omega_rows, build_index_tables, cached_indices, grid_taus,
                       verify_indexability, whittle_cached, whittle_uncached)
@@ -97,9 +96,9 @@ def threshold_monotonicity(content: ContentParams, beta: float, points: int,
     strictly falls, ``tau_tilde`` strictly rises, ``Q_bar`` never falls,
     and ``tau_bar <= tau_star <= tau_tilde <= tau0``,
     ``Q_star <= Q_bar <= Q_hat`` at each."""
-    k = content_constants((content,), beta)
-    ts = zero_holding_thresholds(k)[0]
-    tb, tt, qb, _, _ = relaxed_batch(np.linspace(low * ts.I, ts.I, points), k)
+    ts = solve_thresholds(content, beta, 0.0)
+    tb, tt, qb, _, _ = relaxed_batch(np.linspace(low * ts.I, ts.I, points),
+                                     content_constants((content,), beta))
     ordered = ((tb <= ts.tau_star + 1e-12) & (ts.tau_star <= tt + 1e-12)
                & (tt <= ts.tau0 + 1e-12) & (ts.Q_star <= qb) & (qb <= ts.Q_hat))
     monotone = (np.diff(tb) < 0.0) & (np.diff(tt) > 0.0) & (np.diff(qb) >= 0)
@@ -394,7 +393,9 @@ def simulation(cfg: SimConfig, tables) -> Iterator[tuple[str, Result]]:
     and the no-serve-after-wait rule, the reference loop against the
     compiled one for every policy and ageing mode (at most 20k events),
     and last that every run held M contents (a run raises
-    ``SimulationError`` when it does not, or its cost accounts disagree)."""
+    ``SimulationError`` when it does not, or its cost accounts disagree).
+    Every row is emitted: a run of ``cfg`` that raises fails the first
+    two, and a pair where either loop raises differs."""
     errors: list[str] = []
     compiled = _ckernel.event_loop
 
@@ -405,17 +406,17 @@ def simulation(cfg: SimConfig, tables) -> Iterator[tuple[str, Result]]:
             errors.append(f"{c.policy.value}/{c.ageing_mode.value}: {e}")
 
     m = simulate(cfg, compiled)
-    if m is not None:
-        yield "cost-reconciliation", Result(m.reconciliation <= 1e-9, f"{m.reconciliation:.2e}",
-                                            m.reconciliation)
-        n = m.serve_after_wait
-        yield "no-serve-after-wait", Result(n == 0, f"{n} occurrences", n)
+    recon, n = (math.inf, math.inf) if m is None else (m.reconciliation, m.serve_after_wait)
+    yield "cost-reconciliation", Result(recon <= 1e-9, errors[0] if m is None else f"{recon:.2e}",
+                                        recon)
+    yield "no-serve-after-wait", Result(n == 0, errors[0] if m is None else f"{n} occurrences", n)
     differ = []
     for policy in PolicyKind:
         for mode in AgeingMode:
             c = replace(cfg, policy=policy, ageing_mode=mode,
                         horizon_events=min(cfg.horizon_events, 20_000))
-            if simulate(c, None) != simulate(c, compiled):
+            reference, run = simulate(c, None), simulate(c, compiled)
+            if reference is None or run is None or reference != run:
                 differ.append(f"{policy.value}/{mode.value}")
     loop = "compiled" if compiled is not None else "reference"
     yield "simulation-determinism", Result(

@@ -501,29 +501,23 @@ def sweep(
 
 
 def aggregate(cells: list[SweepCell]) -> list[dict]:
-    """Mean and standard error of the key metrics per axis value."""
+    """Mean and standard error of the key metrics per axis value, in the
+    order the values first appear."""
     byval: dict[object, list[SimMetrics]] = {}
-    order = []
     for c in cells:
-        if c.value not in byval:
-            byval[c.value] = []
-            order.append(c.value)
-        byval[c.value].append(c.metrics)
+        byval.setdefault(c.value, []).append(c.metrics)
+
+    def mean_se(xs):
+        se = float(np.std(xs, ddof=1) / math.sqrt(len(xs))) if len(xs) > 1 else 0.0
+        return float(np.mean(xs)), se
+
     rows = []
-    for v in order:
-        ms = byval[v]
-        k = len(ms)
-
-        def mean_se(xs):
-            mean = float(np.mean(xs))
-            se = float(np.std(xs, ddof=1) / math.sqrt(k)) if k > 1 else 0.0
-            return mean, se
-
+    for v, ms in byval.items():
         cost, cost_se = mean_se([x.avg_total_cost for x in ms])
         wait, wait_se = mean_se([x.avg_wait_time for x in ms])
         rows.append({
             "value": v,
-            "replications": k,
+            "replications": len(ms),
             "avg_cost": cost,
             "avg_cost_se": cost_se,
             "fetch_cost": float(np.mean([x.fetch_cost_rate for x in ms])),

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +58,6 @@ __all__ = [
     "relaxed_batch",
     "solve_thresholds",
     "solve_thresholds_batch",
-    "zero_holding_thresholds",
     "case2_residuals",
 ]
 
@@ -420,41 +419,27 @@ def solve_thresholds_batch(params: ContentParams, beta: float,
                            C_h: Sequence[float]) -> list[ThresholdSet]:
     """``solve_thresholds`` at each holding cost of ``C_h``, from one
     ``relaxed_batch`` call that solves ``C_h = 0`` along with them, so case
-    2 is solved once.  Where ``I`` underflows to 0, ``relaxed_batch``
-    reads never-cache at 0 and solves no case 2, and the ``C_h = 0``
-    thresholds come from ``zero_holding_thresholds``."""
-    C_h = np.asarray(C_h, dtype=float)
-    if (C_h < 0).any():
-        raise ValueError(f"C_h must be >= 0, got {C_h[C_h < 0][0]}")
-    k = content_constants((params,), beta)
-    solved = relaxed_batch(np.concatenate([[0.0], C_h]), k)
-    star = zero_holding_thresholds(k, solved[:4] if k.I[0] > 0.0 else None)[0]
-    tb, tt, qb, theta, _ = (a[1:].tolist() for a in solved)
-    return [replace(star, tau_bar=tb[j], tau_tilde=tt[j], Q_bar=qb[j], theta=theta[j], C_h=ch)
-            for j, ch in enumerate(C_h.tolist())]
-
-
-def zero_holding_thresholds(k: ContentConstants, zero=None) -> list[ThresholdSet]:
-    """``solve_thresholds(params, beta, 0.0)`` for every content of ``k``,
-    from ``zero``, the contents' ``case2`` at ``C_h = 0`` if the caller
-    has solved it, or one call of it.  Holding is free there, so they are
+    2 is solved once.  Holding is free at 0, so ``(tau_star, Q_star)`` are
     case 2's even where ``I`` underflows to 0 and ``relaxed_batch`` reads
-    never-cache from ``C_h = 0 = I`` on.  With ``x = 0``, ``(tau_star,
-    Q_star)`` jointly satisfies, at request rate ``r = p*beta``,
+    never-cache there: then ``case2`` solves them alone.  With ``x = 0``
+    they jointly satisfy, at request rate ``r = p*beta``,
 
         tau = (-(Q+1) + sqrt((Q+1)^2 + 2*r*c_f/(c_a*lam)
                              + Q*(Q+1)*c_w/(c_a*lam))) / r
         Q   = floor(r*c_a*lam*tau / c_w)
 
-    and ``theta = r*c_a*lam*tau_star``."""
-    zero = case2(np.zeros(k.I.size), k) if zero is None else zero
-    tb, tt, qb, theta = (a.tolist() for a in zero)
-    return [
-        ThresholdSet(tau_star=tb[i], Q_star=qb[i], tau_bar=tb[i], tau_tilde=tt[i],
-                     Q_bar=qb[i], Q_hat=q_hat, tau0=tau0, I=I, theta=theta[i], C_h=0.0)
-        for i, (q_hat, tau0, I) in enumerate(zip(k.q_hat.tolist(), k.tau0.tolist(),
-                                                 k.I.tolist()))
-    ]
+    and the optimal cost at 0 is ``r*c_a*lam*tau_star``."""
+    C_h = np.asarray(C_h, dtype=float)
+    if (C_h < 0).any():
+        raise ValueError(f"C_h must be >= 0, got {C_h[C_h < 0][0]}")
+    k = content_constants((params,), beta)
+    solved = relaxed_batch(np.concatenate([[0.0], C_h]), k)
+    zero = solved if k.I[0] > 0.0 else case2(np.zeros(1), k)
+    star = float(zero[0][0]), int(zero[2][0])
+    q_hat, tau0, I = int(k.q_hat[0]), float(k.tau0[0]), float(k.I[0])
+    rows = zip(*(a[1:].tolist() for a in solved[:4]), C_h.tolist())
+    return [ThresholdSet(*star, tb, tt, qb, q_hat, tau0, I, theta, ch)
+            for tb, tt, qb, theta, ch in rows]
 
 
 class Relaxed(NamedTuple):
@@ -516,8 +501,10 @@ def breakpoint_estimate(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray,
     inside the bracket that each step narrows, finds it; it starts from
     the smaller root of the quadratic that G becomes where ``e^-x`` is
     negligible (``gap(x) = x - 1``), which is where the roots lie on the
-    shipped configs (x from 5 up), and stops once a step is below the
-    rounding error of G's terms over ``|G'|``.
+    shipped configs (x from 5 up).  A pair stops once its step is below
+    the rounding error of G's terms over ``|G'|``, and keeps its x, error
+    and step while the others run on: its root and bound are, bit for
+    bit, those it gets when solved alone.
 
     The bound adds that error and the last step, carried to ``C_h``, to
     how far case 2's own rounding can move the jump it reads: candidate
@@ -534,6 +521,7 @@ def breakpoint_estimate(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray,
     const = 0.5 * k.a1 * Q * Q + 0.5 * Q - big
     lo, hi = np.zeros(q.shape), k.beta * k.tau0
     s = A + pq
+    done, err, step = np.zeros(q.shape, dtype=bool), np.zeros(q.shape), np.zeros(q.shape)
     with np.errstate(all="ignore"):
         x = np.clip((s - np.sqrt(np.maximum(s * s - 2.0 * A * (const + pq), 0.0))) / A, lo, hi)
         for _ in range(_NEWTON_STEPS):
@@ -541,12 +529,13 @@ def breakpoint_estimate(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray,
             t1, t2 = pq * _gap(x, e), A * (0.5 * x * x + x * e)
             g = const - t1 + t2
             slope = -e * (A * (x - 1.0) - pq)  # G'(x)
-            err = 1e-15 * (np.abs(const) + big + t1 + np.abs(t2)) / np.abs(slope)
             lo, hi = np.where(g > 0.0, x, lo), np.where(g > 0.0, hi, x)
-            step = g / slope
-            x = x - step
-            x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
-            if (np.abs(step) <= err).all():
+            err = np.where(done, err, 1e-15 * (np.abs(const) + big + t1 + np.abs(t2))
+                           / np.abs(slope))
+            step = np.where(done, step, g / slope)
+            new = x - step
+            x = np.select([done, (new >= lo) & (new <= hi)], [x, new], 0.5 * (lo + hi))
+            if (done := np.abs(step) <= err).all():
                 break
         root, e = k.pc * gap_value(x), np.expm1(-x)
         # _quadratic's terms at the root, for candidate Q

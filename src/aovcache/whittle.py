@@ -27,9 +27,11 @@ the content out of the cache optimal.
   closed form: the root of ``thresholds.breakpoint_estimate``, found by
   Newton's method with a bound on its error.  The index is that root
   wherever two ``case2`` rounds confirm the band of ``BAND_ERRORS``
-  error bounds either side of it, batched over every (content, Q) pair
-  at once; a pair whose band is not confirmed takes the midpoint that a
-  60-step bisection of ``[0, I]`` leaves (``_bisect``).
+  error bounds either side of it; a pair whose band is not confirmed
+  takes the midpoint that a 60-step bisection of ``[0, I]`` leaves
+  (``_bisect``).  Every (content, Q) pair is solved in one batch, each
+  by itself: a content's tables, which ``whittle_uncached`` reads, are
+  the same, bit for bit, built alone or in its system.
 
 The cached grid evaluates only the queue candidate at the ``Q_bar``
 that the breakpoints predict, and the guard below it only next to the
@@ -71,7 +73,6 @@ from .thresholds import (
     search_candidates,
     solve_thresholds,
     solve_thresholds_batch,
-    zero_holding_thresholds,
 )
 
 __all__ = [
@@ -103,7 +104,7 @@ def whittle_cached(params: ContentParams, beta: float, Q: int, tau: float) -> fl
     if Q > 0:
         return 0.0
     k = content_constants((params,), beta)
-    return float(cached_indices(k, zero_holding_thresholds(k)[0].tau_star, np.array([tau]))[0])
+    return float(cached_indices(k, case2(np.zeros(1), k)[0][0], np.array([tau]))[0])
 
 
 def grid_taus(tau_star) -> np.ndarray:
@@ -287,14 +288,9 @@ def _cached_gaps(k: ContentConstants, tau: np.ndarray,
 
 
 def whittle_uncached(params: ContentParams, beta: float, Q: int) -> float:
-    """Index of an uncached content requested with Q pending, state (Q, 0, 1)."""
-    k = content_constants((params,), beta)
-    ts = zero_holding_thresholds(k)[0]
-    if Q < ts.Q_star:
-        return 0.0
-    if Q >= ts.Q_hat:
-        return ts.I
-    return float(_bisect(k, np.array([Q]))[0][0])
+    """Index of an uncached content requested with Q pending, state (Q, 0, 1):
+    the one its tables hold, which the policy reads."""
+    return build_content_tables(params, beta).uncached(Q)
 
 
 def _bisect(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray, int]:
@@ -311,7 +307,10 @@ def _bisect(k: ContentConstants, q: np.ndarray) -> tuple[np.ndarray, int]:
     the bracket that ``BISECT_ITERS`` halvings of ``[0, I]`` leave, asking
     ``case2`` for ``Q_bar``.  ``checks.misplaced_breakpoints`` holds every
     breakpoint to the same definition: within its band, or within that
-    last bracket, of the jump that the search from candidate 0 reads."""
+    last bracket, of the jump that the search from candidate 0 reads.
+    Each pair's breakpoint is the one it gets alone, except where a band
+    check raises ``ConsistencyError``: then every pair takes the plain
+    bisection."""
     b, plain = np.empty(len(q)), np.ones(len(q), dtype=bool)
     if len(q):
         root, err = breakpoint_estimate(k, q)

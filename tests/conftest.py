@@ -44,6 +44,13 @@ BELOW_I_SYSTEMS = {
 }
 
 
+# desk costs with one value changed so far that c_f/(c_a*lam) is 1e10 or
+# 1e14: case 2 finds no floor-consistent Q_bar at C_h = I for many
+# contents.  (c_f = 1e9 does so too, but its Q_hat of 421,673 queue
+# candidates per content puts a dense grid of the dual out of reach.)
+EXTREME_COSTS = {"lambda-1e-9": dict(lam=1e-9), "c_a-1e-12": dict(c_a=1e-12)}
+
+
 def below_i_system(name: str) -> SystemParams:
     """The system ``name`` of ``BELOW_I_SYSTEMS``."""
     c_a, c_f, c_w, lam, beta, alpha, M = BELOW_I_SYSTEMS[name]

@@ -18,7 +18,7 @@ import pytest
 import scipy
 
 import aovcache
-from aovcache import _ckernel, checks, cli
+from aovcache import _ckernel, checks, cli, simulator
 from aovcache.cli import _f, build_system, config_digest, main
 from aovcache.model import SystemParams
 from aovcache.policies import relaxed_lower_bound
@@ -31,6 +31,23 @@ from aovcache.whittle import GRID_SIZE, build_content_tables, whittle_cached
 from conftest import BELOW_I_SYSTEMS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DATA = Path(__file__).resolve().parent / "data"
+
+# the rows of desk.json's seeded metrics.csv at 20k events and 2 reps
+DESK_METRIC_ROWS = {
+    "whittle":
+        b"25,whittle,0,1.10709624607,0.726386962496,0.104389018923,0.276320264647,"
+        b"6.98040730089,,\r\n"
+        b"25,whittle,1,1.11512753027,0.728516963165,0.106552724162,0.280057842946,"
+        b"6.97939235936,,\r\n"
+        b"25,whittle,mean,1.11111188817,0.72745196283,0.105470871542,0.278189053797,"
+        b"6.97989983013,0.00401564210356,0.000507470765494\r\n",
+    "static-top-m":
+        b"25,static-top-m,0,1.35049400048,1.20536692142,0.14512707906,0,0,,\r\n"
+        b"25,static-top-m,1,1.36800431254,1.22318622304,0.144818089499,0,0,,\r\n"
+        b"25,static-top-m,mean,1.35924915651,1.21427657223,0.14497258428,0,0,"
+        b"0.00875515602971,0\r\n",
+}
 
 
 UNIT_DOC = {
@@ -264,6 +281,14 @@ class TestWhittleCmd:
                 w.writerow([i, "uncached", q, _f(0.0), _f(tb.uncached(q))])
         assert (out / "whittle.csv").read_bytes() == want.getvalue().encode()
 
+    def test_desk_csv_bytes(self, tmp_path):
+        # seeded output pinned to its bytes: contents 0 and 1 of desk.json
+        out = tmp_path / "w"
+        assert main(["whittle", "--config", str(CONFIGS / "desk.json"), "--out", str(out),
+                     "--contents", "0,1"]) == 0
+        assert (out / "whittle.csv").read_bytes() == (
+            DATA / "desk_whittle_contents_0_1.csv").read_bytes()
+
     def test_unknown_family_exits_2(self, unit_cfg):
         assert main(["whittle", "--config", unit_cfg, "--family", "bogus"]) == 2
 
@@ -294,6 +319,19 @@ class TestSimulateAndSweep:
         total = sum(float(rows[0][k]) for k in ("fetch_cost", "ageing_cost",
                                                 "waiting_cost"))
         assert float(rows[0]["avg_cost"]) == pytest.approx(total, rel=1e-6)
+
+    @pytest.mark.parametrize("policy", DESK_METRIC_ROWS)
+    def test_desk_metrics_csv_bytes(self, tmp_path, policy):
+        # seeded output pinned to its bytes: desk.json at 20k events, 2 reps
+        doc = json.loads((CONFIGS / "desk.json").read_text())
+        doc["policy"], doc["sim"]["horizon_events"] = policy, 20_000
+        cfg = tmp_path / "desk.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 0
+        assert (out / "metrics.csv").read_bytes() == (
+            b"axis_value,policy,replication,avg_cost,fetch_cost,ageing_cost,waiting_cost,"
+            b"avg_wait_time,avg_cost_se,avg_wait_time_se\r\n" + DESK_METRIC_ROWS[policy])
 
     def test_sweep_from_config_section(self, desk_cfg, tmp_path):
         out = tmp_path / "sw"
@@ -704,6 +742,25 @@ class TestVerifyCmd:
         out = capsys.readouterr().out
         assert re.search(r"^FAIL  dual-bound  ", out, re.MULTILINE)
         assert "FAILED: dual-bound\n" in out
+
+    def test_simulation_rows_outlast_a_run_that_raises(self, capsys, monkeypatch):
+        # every run raises, as _metrics does on a cost accounting mismatch:
+        # every row is still printed, the main run's error fails the first
+        # two, and every policy/mode pair counts as differing
+        def mismatch(*args):
+            raise simulator.SimulationError("cost accounting mismatch: 1")
+
+        monkeypatch.setattr(simulator, "_metrics", mismatch)
+        assert main(["verify", "--config", str(CONFIGS / "desk.json"), "--quick"]) == 4
+        out = capsys.readouterr().out
+        for name in ("cost-reconciliation", "no-serve-after-wait"):
+            assert re.search(rf"^FAIL  {name}  \(whittle/expected: cost accounting mismatch: 1\)$",
+                             out, re.MULTILINE)
+        assert re.search(r"^FAIL  simulation-determinism  \(.*; differ: (\S+/\S+, ){7}\S+/\S+\)$",
+                         out, re.MULTILINE)
+        assert re.search(r"^FAIL  occupancy  ", out, re.MULTILINE)
+        assert out.splitlines()[-1] == ("FAILED: cost-reconciliation, no-serve-after-wait, "
+                                        "simulation-determinism, occupancy")
 
     def test_full_battery_on_unit_config(self, tmp_path, capsys):
         # without --quick: the only test that runs whittle-vs-sweep

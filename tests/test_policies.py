@@ -19,7 +19,7 @@ from aovcache.policies import (
 )
 from aovcache.thresholds import content_constants, relaxed_batch, solve_thresholds
 from aovcache.whittle import default_state_grid, passive_set_member
-from conftest import below_i_system, desk_system
+from conftest import EXTREME_COSTS, below_i_system, desk_system
 
 
 @pytest.fixture(scope="module")
@@ -254,13 +254,6 @@ def dense_dual_max(system, points: int) -> float:
         theta = relaxed_batch(chunk[:, None], k).theta
         best = max(best, float((theta.sum(axis=1) - chunk * system.M).max()))
     return best
-
-
-# desk costs with one value changed so far that c_f/(c_a*lam) is 1e10 or
-# 1e14: case 2 finds no floor-consistent Q_bar at C_h = I for many
-# contents.  (c_f = 1e9 does so too, but its Q_hat of 421,673 queue
-# candidates per content puts a dense grid of the dual out of reach.)
-EXTREME_COSTS = {"lambda-1e-9": dict(lam=1e-9), "c_a-1e-12": dict(c_a=1e-12)}
 
 
 @pytest.mark.parametrize("family", EXTREME_COSTS)

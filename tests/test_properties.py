@@ -21,6 +21,9 @@ from aovcache.model import ContentParams, CostModel, SystemParams, zipf_populari
 from aovcache.policies import dual_value, relaxed_lower_bound
 from aovcache.thresholds import (
     ConsistencyError,
+    ContentConstants,
+    breakpoint_estimate,
+    case2,
     case2_candidates,
     content_constants,
     gap_value,
@@ -33,6 +36,7 @@ from aovcache.whittle import (
     Q_STAR,
     TAU_STAR,
     _cached_gaps,
+    _groups,
     _omega_candidates,
     build_content_tables,
     build_index_tables,
@@ -464,13 +468,14 @@ def test_array_constants_name_a_non_positive_field(field, value):
 
 
 @st.composite
-def box_systems(draw, max_n: int = 50):
+def box_systems(draw, max_n: int = 50, beta: float | None = None):
     """Systems of the box with one cost model: Zipf popularity, and c_a,
-    c_f, lambda and beta log-uniform over it.  c_w is log-uniform over the
-    box above beta*c_f/1e6, so that Q_hat stays below ~1400 and the full
-    scan this is checked against stays small."""
+    c_f, lambda and beta (unless given) log-uniform over it.  c_w is
+    log-uniform over the box above beta*c_f/1e6, so that Q_hat stays below
+    ~1400 and the full scan this is checked against stays small."""
     n = draw(st.integers(1, max_n))
-    beta, c_a, c_f, lam = (log_uniform(draw) for _ in range(4))
+    drawn, c_a, c_f, lam = (log_uniform(draw) for _ in range(4))
+    beta = drawn if beta is None else beta
     c_w = log_uniform(draw, max(BOX[0], math.log10(beta * c_f) - 6.0), BOX[1])
     pops = zipf_popularity(n, draw(st.floats(0.0, 4.0)))
     contents_ = tuple(ContentParams(lam=lam, p=p, costs=CostModel(c_a, c_f, c_w))
@@ -577,6 +582,39 @@ def test_index_tables_match_full_width(system):
     assert (tables.cint[:, Q_STAR] == q_star).all()
     assert not misplaced_breakpoints(tables).any()
     assert_breakpoints_match(tables, bps)
+
+
+@st.composite
+def system_pairs(draw):
+    """Two systems of the box at the first one's beta."""
+    a = draw(box_systems(max_n=5))
+    return a, draw(box_systems(max_n=5, beta=a.beta))
+
+
+def breakpoint_pairs(system: SystemParams):
+    """The (content, q) pairs of the system's uncached breakpoints, laid
+    out as ``whittle._breakpoints`` lays them out."""
+    k = content_constants(system.contents, system.beta)
+    q_star = case2(np.zeros(k.I.size), k)[2]
+    idx, j = _groups(np.maximum(k.q_hat - q_star, 0))
+    return k.take(idx), q_star[idx] + j
+
+
+@SETTINGS
+@given(pair=system_pairs())
+def test_breakpoint_estimate_solves_each_pair_alone(pair):
+    # the Newton loop over the pairs of two systems at once against each
+    # system's own call: every root and error bound bit for bit, as a
+    # pair stops when its own step is within its error
+    try:
+        (ka, qa), (kb, qb) = map(breakpoint_pairs, pair)
+    except ConsistencyError:
+        return
+    k = ContentConstants(ka.beta, np.concatenate([ka.rows, kb.rows], 1),
+                         np.concatenate([ka.q_hat, kb.q_hat]))
+    both = breakpoint_estimate(k, np.concatenate([qa, qb]))
+    for got, alone in zip(both, zip(breakpoint_estimate(ka, qa), breakpoint_estimate(kb, qb))):
+        assert_same_bits(got, np.concatenate(alone))
 
 
 def ulps_around(xs, n: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import io
 import math
 import tokenize
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,13 @@ from scipy.special import lambertw
 from aovcache import _ckernel, checks, thresholds
 from aovcache.model import ContentParams, CostModel, zipf_popularity
 from aovcache.thresholds import (
+    case2,
     case2_candidates,
     content_constants,
     gap_value,
     relaxed_batch,
     solve_gap,
     solve_thresholds,
-    zero_holding_thresholds,
 )
 from aovcache.whittle import _omega_candidates, build_content_tables, build_index_tables
 from conftest import (BELOW_I_SYSTEMS, assert_same_bits, below_i_system, desk_system,
@@ -214,8 +215,11 @@ class TestBundle:
             (desk_system(N=100, beta=40.0).contents, 40.0),
             ((unit_content,), 1.0),
         ] + [((c,), b) for c, b in (random_content(rng) for _ in range(10))]:
-            batched = zero_holding_thresholds(content_constants(contents, beta))
-            assert batched == [solve_thresholds(c, beta, 0.0) for c in contents]
+            k = content_constants(contents, beta)
+            tb, tt, qb, theta = (a.tolist() for a in case2(np.zeros(len(contents)), k))
+            batched = list(zip(tb, qb, tb, tt, qb, k.q_hat.tolist(), k.tau0.tolist(),
+                               k.I.tolist(), theta))
+            assert batched == [astuple(solve_thresholds(c, beta, 0.0))[:-1] for c in contents]
 
     def test_ceiling_is_free_of_cancellation(self):
         # beta*tau0 = 1e-9, where I's direct form beta*tau0 - 1 +
@@ -230,7 +234,7 @@ class TestBundle:
         tau_star = scan_case2(0.0, k)[0][0]
         assert tau_star > 0.0
         assert relaxed_batch(0.0, k).tau_bar[0] == tau_star
-        assert zero_holding_thresholds(k)[0].tau_star == tau_star
+        assert case2(np.zeros(1), k)[0][0] == tau_star
         assert solve_thresholds(c, 1e-9, 0.0).tau_star == tau_star
         assert build_content_tables(c, 1e-9).tau_star == tau_star
 

@@ -19,7 +19,6 @@ from aovcache.thresholds import (
     content_constants,
     solve_thresholds,
     solve_thresholds_batch,
-    zero_holding_thresholds,
 )
 from aovcache.whittle import (
     BP_OFF,
@@ -40,8 +39,8 @@ from aovcache.whittle import (
     whittle_cached,
     whittle_uncached,
 )
-from conftest import (assert_breakpoints_match, assert_same_bits, desk_system, random_content,
-                      scan_case2, scan_omega, scan_tables)
+from conftest import (EXTREME_COSTS, assert_breakpoints_match, assert_same_bits, desk_system,
+                      random_content, scan_case2, scan_omega, scan_tables)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SEARCH = thresholds.search_candidates
@@ -230,8 +229,26 @@ class TestContentTables:
                 w_exact = whittle_cached(c, beta, 0, float(tau))
                 assert lo - 1e-12 <= w_exact <= hi + 1e-12
             for q in range(ts.Q_hat + 2):
-                assert tb.uncached(q) == pytest.approx(
-                    whittle_uncached(c, beta, q), abs=1e-9)
+                assert tb.uncached(q) == whittle_uncached(c, beta, q)
+
+    @pytest.mark.parametrize("name", ["desk", "paper-n100", "paper", *EXTREME_COSTS,
+                                      "unconfirmed-band"])
+    def test_content_alone_equals_its_system_build(self, name):
+        # a content's tables depend on that content and beta alone: its
+        # breakpoints and cached-index row built alone are its system
+        # build's, bit for bit (a breakpoint once moved by up to 24 ulps
+        # with the contents solved beside it)
+        if name in EXTREME_COSTS:
+            system = desk_system(N=50, beta=4.0, M=10, **EXTREME_COSTS[name])
+        elif name == "unconfirmed-band":
+            system = unconfirmed_band_system()
+        else:
+            system = config_system(name)[0]
+        tables = build_index_tables(system.contents, system.beta)[0]
+        for c, row in zip(system.contents, tables.content):
+            alone = build_index_tables((c,), system.beta)[0]
+            assert_same_bits(alone.bps, np.array(row.breakpoints))
+            assert_same_bits(alone.w_of_tau[0], row.w_of_tau)
 
     def test_zero_conditions(self, unit_content):
         tb = build_content_tables(unit_content, 1.0)
@@ -288,10 +305,9 @@ class TestContentTables:
         # rows on to the search but leave every value as it was
         system = desk_system()
         k = content_constants(system.contents, system.beta)
-        zero = zero_holding_thresholds(k)
-        tau_star = np.array([ts.tau_star for ts in zero])
-        q_star = np.array([ts.Q_star for ts in zero])
-        bps = [t.breakpoints for t in build_index_tables(system.contents, system.beta)[0].content]
+        tables = build_index_tables(system.contents, system.beta)[0]
+        tau_star, q_star = tables.cdbl[:, TAU_STAR], tables.cint[:, Q_STAR]
+        bps = [t.breakpoints for t in tables.content]
         counts = np.array([len(b) for b in bps])
 
         def rows_from(bps):
@@ -435,10 +451,9 @@ class TestContentTables:
         # the full scan's
         system = desk_system()
         k = content_constants(system.contents, system.beta)
-        zero = zero_holding_thresholds(k)
-        tau_star = np.array([ts.tau_star for ts in zero])
-        q_star = np.array([ts.Q_star for ts in zero])
-        bps = [t.breakpoints for t in build_index_tables(system.contents, system.beta)[0].content]
+        tables = build_index_tables(system.contents, system.beta)[0]
+        tau_star, q_star = tables.cdbl[:, TAU_STAR], tables.cint[:, Q_STAR]
+        bps = [t.breakpoints for t in tables.content]
         i = max(range(system.N), key=lambda i: len(bps[i]))
         b = np.array(bps[i])
         ki = k.take([i])
